@@ -26,14 +26,11 @@ from .models import (
     TrainConfig,
     expand_output_layer,
     forward,
-    init_adam_state,
     init_model,
-    loss_and_grad,
-    adam_step,
     model_inputs,
     train,
 )
-from .openworld import DOC, GDOC, UNSEEN, DetectorConfig, class_weights, fit_thresholds, predict_open, sigmoid
+from .openworld import GDOC, UNSEEN, DetectorConfig, fit_thresholds, predict_open, sigmoid
 
 WARM = "warm"
 COLD = "cold"
@@ -63,7 +60,6 @@ class ExperimentConfig:
     label_seed: int = 0
     detector: Optional[DetectorConfig] = None
     seeds: tuple = (0,)
-    k_for_tdiff: int = 2
 
     def __post_init__(self):
         if self.restart not in (WARM, COLD):
@@ -145,7 +141,6 @@ def run_sequence_with_model(
         seed = cfg.seeds[0]
     tasks = build_task_sequence(g, cfg.history_size)
     label_mask = label_rate_subsample(g, cfg.label_rate, cfg.label_seed)
-    loss_mode = cfg.effective_loss_mode()
     timestamps = g.timestamps()
 
     known_order: list[int] = []
@@ -188,14 +183,8 @@ def run_sequence_with_model(
             unit_of = {cls: j for j, cls in enumerate(known_order)}
             y_units_train = _unit_labels(train_g.labels, unit_of)
             X_train = model_inputs(model, train_g)
-            weights = (
-                class_weights(y_units_train, train_sel, model.output_dim)
-                if loss_mode == WEIGHTED_BCE
-                else None
-            )
             model = train(
-                model, train_g, X_train, y_units_train, train_sel,
-                cfg.train_config(train_seed), class_weights=weights,
+                model, train_g, X_train, y_units_train, train_sel, cfg.train_config(train_seed)
             )
 
             eval_g = trim_history(g, task.time, cfg.history_size)
@@ -321,14 +310,8 @@ def two_task_experiment(
     test_mask = (g_full.labels != UNLABELED) & ~train_mask_full
     if not test_mask.any():
         raise ValidationError("g_full has no labeled vertices outside g_train")
-    y_units_full = _unit_labels(g_full.labels, unit_of)
     X_full = model_inputs(model, g_full)
     y_true = g_full.labels[test_mask]
-    weights = (
-        class_weights(y_units_full, train_mask_full, model.output_dim)
-        if loss_mode == WEIGHTED_BCE
-        else None
-    )
 
     def test_accuracy(m: ModelState) -> float:
         logits = forward(m, g_full, X_full, train_mode=False)
@@ -336,14 +319,14 @@ def two_task_experiment(
         return float(np.mean(pred == y_true))
 
     trace = [test_accuracy(model)]
-    # optimizer state restarts fresh for the inference phase
-    opt = init_adam_state(model)
-    rng = np.random.default_rng(_derive_seed(seed, 2))
-    for _ in range(inference_epochs):
-        _, grads = loss_and_grad(
-            model, g_full, X_full, y_units_full, train_mask_full, loss_mode,
-            class_weights=weights, train_mode=True, rng=rng,
+    if inference_epochs > 0:
+        # optimizer state restarts fresh for the inference phase
+        train(
+            model, g_full, X_full, _unit_labels(g_full.labels, unit_of), train_mask_full,
+            TrainConfig(
+                learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
+                epochs=inference_epochs, loss_mode=loss_mode, seed=_derive_seed(seed, 2),
+            ),
+            on_epoch=lambda epoch, loss, m: trace.append(test_accuracy(m)),
         )
-        model, opt = adam_step(model, grads, opt, cfg.learning_rate, cfg.weight_decay)
-        trace.append(test_accuracy(model))
     return trace

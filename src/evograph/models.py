@@ -2,7 +2,12 @@
 
 Parameters live in float64 for numerical headroom; checkpoints serialize as
 32-bit little-endian blocks (see :func:`save_checkpoint`).  Models are values:
-every update returns a new :class:`ModelState` and never mutates its input.
+every public update (:func:`adam_step`, :func:`train`,
+:func:`expand_output_layer`) returns a new :class:`ModelState` and never
+mutates its input.  :func:`train` copies its input once and then updates
+the parameter and Adam buffers it owns in place; it builds the per-task
+work (sage's ``[X | P X]``, the loss targets) once, and the propagation
+matrix ``P`` is built once per graph object and reused by every pass on it.
 
 Layer conventions
 -----------------
@@ -18,12 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
 from .graph import TemporalGraph
+from .openworld import class_weights as _class_weights, sigmoid
 
 CATEGORICAL = "categorical"
 BCE = "bce"
@@ -156,48 +163,59 @@ def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
     return (rng.random(shape) >= rate).astype(np.float64)
 
 
-def _forward_cached(model, g, X, train_mode=False, rng=None):
-    X = np.asarray(X, dtype=np.float64)
-    w0 = model.layers[0][0]
-    expected = w0.shape[0] // 2 if model.kind == "sage" else w0.shape[0]
-    if X.shape[1] != expected:
-        raise ValidationError(
-            f"feature width {X.shape[1]} does not match layer-0 input {expected}"
-        )
-    use_dropout = train_mode and model.dropout_rate > 0
-    if use_dropout and rng is None:
-        rng = np.random.default_rng(model.rng_seed)
-
-    cache = {"inputs": [], "prelin": [], "drop": [], "P": None}
-    if model.kind == "sgc":
-        W, b = model.layers[0]
-        cache["inputs"].append(X)
-        return X @ W + b, cache
-
-    if model.kind == "sage":
+def _propagation(g: TemporalGraph):
+    """``(P, P.T)`` with ``P = mean_propagation(g)``, built once per graph object."""
+    if g._propagation is None:
         P = mean_propagation(g)
-        cache["P"] = P
-    H = X
+        g._propagation = (P, P.T)
+    return g._propagation
+
+
+def _graph_inputs(model: ModelState, g: TemporalGraph, X):
+    """Layer 0's input and the propagation pair for ``model`` on ``g``.
+
+    For sage the input is ``[X | P X]`` and the pair is ``(P, P.T)``; the
+    other kinds take ``X`` as it is and no pair.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1] != model.input_dim:
+        raise ValidationError(
+            f"feature width {X.shape[1]} does not match layer-0 input {model.input_dim}"
+        )
+    if model.kind != "sage":
+        return X, None
+    prop = _propagation(g)
+    return np.hstack([X, prop[0] @ X]), prop
+
+
+def _dropout_rng(model: ModelState, train_mode: bool, rng):
+    """The generator for dropout masks, or None when no dropout fires."""
+    if not train_mode or model.dropout_rate <= 0:
+        return None
+    return rng if rng is not None else np.random.default_rng(model.rng_seed)
+
+
+def _forward_cached(model, H_in, prop, rng):
+    """Logits and the backward cache, from layer 0's input ``H_in``.
+
+    ``prop`` is the sage propagation pair (None for other kinds); dropout
+    masks are drawn from ``rng`` unless it is None.
+    """
+    cache = {"inputs": [], "prelin": [], "drop": [], "prop": prop}
     last = len(model.layers) - 1
     for i, (W, b) in enumerate(model.layers):
-        if model.kind == "sage":
-            H_in = np.hstack([H, cache["P"] @ H])
-        else:
-            H_in = H
         cache["inputs"].append(H_in)
         Z = H_in @ W + b
-        if i < last:
-            cache["prelin"].append(Z)
-            H = np.maximum(Z, 0.0)
-            if use_dropout:
-                mask = _dropout_mask(rng, H.shape, model.dropout_rate)
-                H = H * mask / (1.0 - model.dropout_rate)
-                cache["drop"].append(mask)
-            else:
-                cache["drop"].append(None)
-        else:
-            H = Z
-    return H, cache
+        if i == last:
+            return Z, cache
+        cache["prelin"].append(Z)
+        H = np.maximum(Z, 0.0)
+        mask = None
+        if rng is not None:
+            mask = _dropout_mask(rng, H.shape, model.dropout_rate)
+            H = H * mask / (1.0 - model.dropout_rate)
+        cache["drop"].append(mask)
+        H_in = H if prop is None else np.hstack([H, prop[0] @ H])
 
 
 def forward(model: ModelState, g: TemporalGraph, X, train_mode: bool = False, rng=None) -> np.ndarray:
@@ -206,22 +224,63 @@ def forward(model: ModelState, g: TemporalGraph, X, train_mode: bool = False, rn
     Dropout fires only on hidden activations and only when ``train_mode``;
     pass ``rng`` to control the masks, else the model's own seed is used.
     """
-    logits, _ = _forward_cached(model, g, X, train_mode=train_mode, rng=rng)
+    H_in, prop = _graph_inputs(model, g, X)
+    logits, _ = _forward_cached(model, H_in, prop, _dropout_rng(model, train_mode, rng))
     return logits
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+class _Targets(NamedTuple):
+    """Validated loss inputs that stay fixed while a model trains."""
+
+    idx: np.ndarray  # masked rows
+    y: np.ndarray  # their output units
+    onehot: np.ndarray  # (len(idx), C)
+    weights: Optional[np.ndarray]  # per-unit weights, weighted-bce only
 
 
-def _softplus(z):
-    # log(1 + exp(z)) without overflow
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def _loss_targets(labels, train_mask, num_units: int, loss_mode, class_weights) -> _Targets:
+    labels = np.asarray(labels)
+    idx = np.nonzero(np.asarray(train_mask, dtype=bool))[0]
+    if idx.size == 0:
+        raise ValidationError("empty train mask")
+    if (class_weights is not None) != (loss_mode == WEIGHTED_BCE):
+        raise ValidationError("class_weights required iff loss_mode is weighted-bce")
+    y = labels[idx]
+    if np.any(y < 0) or np.any(y >= num_units):
+        raise ValidationError("labels on masked rows must be valid output units")
+    if loss_mode not in LOSS_MODES:
+        raise ValidationError(f"unknown loss_mode {loss_mode!r}")
+    weights = None
+    if loss_mode == WEIGHTED_BCE:
+        weights = np.asarray(class_weights, dtype=np.float64)
+        if weights.shape != (num_units,) or np.any(weights <= 0):
+            raise ValidationError("class_weights must be positive, one per output unit")
+    onehot = np.zeros((idx.size, num_units), dtype=np.float64)
+    onehot[np.arange(idx.size), y] = 1.0
+    return _Targets(idx, y, onehot, weights)
+
+
+def _loss_kernel(logits: np.ndarray, targets: _Targets, loss_mode: str):
+    """Loss and d(loss)/d(logits) for finite logits and validated targets."""
+    idx, y, onehot, weights = targets
+    n, C = onehot.shape
+    Z = logits[idx]
+    dlogits = np.zeros_like(logits)
+    if loss_mode == CATEGORICAL:
+        shifted = Z - Z.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        loss = float(np.mean(np.log(e.sum(axis=1)) - shifted[np.arange(n), y]))
+        dlogits[idx] = (e / e.sum(axis=1, keepdims=True) - onehot) / n
+    else:
+        # stable elementwise: max(z,0) - z*y + log(1 + exp(-|z|))
+        elem = np.maximum(Z, 0.0) - Z * onehot + np.log1p(np.exp(-np.abs(Z)))
+        grad = sigmoid(Z) - onehot
+        if weights is not None:
+            elem = elem * weights
+            grad = grad * weights
+        loss = float(elem.sum() / (n * C))
+        dlogits[idx] = grad / (n * C)
+    return loss, dlogits
 
 
 def loss_from_logits(logits, labels, train_mask, loss_mode, class_weights=None):
@@ -234,52 +293,16 @@ def loss_from_logits(logits, labels, train_mask, loss_mode, class_weights=None):
     class_weights[i].
     """
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    mask = np.asarray(train_mask, dtype=bool)
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        raise ValidationError("empty train mask")
     if not np.all(np.isfinite(logits)):
         raise ValidationError("non-finite logits")
-    if (class_weights is not None) != (loss_mode == WEIGHTED_BCE):
-        raise ValidationError("class_weights required iff loss_mode is weighted-bce")
-
-    n, C = idx.size, logits.shape[1]
-    Z = logits[idx]
-    y = labels[idx]
-    if np.any(y < 0) or np.any(y >= C):
-        raise ValidationError("labels on masked rows must be valid output units")
-    onehot = np.zeros((n, C), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
-
-    dlogits = np.zeros_like(logits)
-    if loss_mode == CATEGORICAL:
-        shifted = Z - Z.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(shifted).sum(axis=1))
-        loss = float(np.mean(logsumexp - shifted[np.arange(n), y]))
-        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        dlogits[idx] = (probs - onehot) / n
-    elif loss_mode in (BCE, WEIGHTED_BCE):
-        # stable elementwise: max(z,0) - z*y + log(1 + exp(-|z|))
-        elem = np.maximum(Z, 0.0) - Z * onehot + np.log1p(np.exp(-np.abs(Z)))
-        grad = _sigmoid(Z) - onehot
-        if loss_mode == WEIGHTED_BCE:
-            w = np.asarray(class_weights, dtype=np.float64)
-            if w.shape != (C,) or np.any(w <= 0):
-                raise ValidationError("class_weights must be positive, one per output unit")
-            elem = elem * w
-            grad = grad * w
-        loss = float(elem.sum() / (n * C))
-        dlogits[idx] = grad / (n * C)
-    else:
-        raise ValidationError(f"unknown loss_mode {loss_mode!r}")
-    return loss, dlogits
+    targets = _loss_targets(labels, train_mask, logits.shape[1], loss_mode, class_weights)
+    return _loss_kernel(logits, targets, loss_mode)
 
 
 def _backward(model, cache, dlogits):
     grads = [None] * len(model.layers)
     dZ = dlogits
-    P = cache["P"]
+    prop = cache["prop"]
     for i in range(len(model.layers) - 1, -1, -1):
         W, _ = model.layers[i]
         H_in = cache["inputs"][i]
@@ -287,9 +310,9 @@ def _backward(model, cache, dlogits):
         if i == 0:
             break
         dH_in = dZ @ W.T
-        if model.kind == "sage":
+        if prop is not None:
             d = dH_in.shape[1] // 2
-            dH = dH_in[:, :d] + P.T @ dH_in[:, d:]
+            dH = dH_in[:, :d] + prop[1] @ dH_in[:, d:]
         else:
             dH = dH_in
         mask = cache["drop"][i - 1]
@@ -311,7 +334,8 @@ def loss_and_grad(
     rng=None,
 ):
     """Loss plus parameter gradients, backpropagated through the forward rule."""
-    logits, cache = _forward_cached(model, g, X, train_mode=train_mode, rng=rng)
+    H_in, prop = _graph_inputs(model, g, X)
+    logits, cache = _forward_cached(model, H_in, prop, _dropout_rng(model, train_mode, rng))
     loss, dlogits = loss_from_logits(logits, labels, train_mask, loss_mode, class_weights)
     return loss, _backward(model, cache, dlogits)
 
@@ -331,33 +355,36 @@ def init_adam_state(model: ModelState) -> AdamState:
     )
 
 
+def _adam_update(model: ModelState, grads, opt: AdamState, lr: float, weight_decay: float) -> None:
+    """One Adam update, written into ``model``'s parameters and ``opt`` in place."""
+    opt.step += 1
+    c1 = 1.0 - ADAM_BETA1**opt.step
+    c2 = 1.0 - ADAM_BETA2**opt.step
+    for params, layer_grads, layer_m, layer_v in zip(model.layers, grads, opt.m, opt.v):
+        for p, gr, m, v in zip(params, layer_grads, layer_m, layer_v):
+            gr = gr + weight_decay * p
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * gr
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * gr * gr
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+
 def adam_step(model, grads, opt_state, lr, weight_decay):
     """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8, bias correction).
 
     The weight-decay term is added to the gradient before the moment
-    updates.  Returns a new (model, opt_state) pair.
+    updates.  Returns a new (model, opt_state) pair; the inputs are left
+    untouched.
     """
-    step = opt_state.step + 1
-    c1 = 1.0 - ADAM_BETA1**step
-    c2 = 1.0 - ADAM_BETA2**step
-    new_layers, new_m, new_v = [], [], []
-    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(
-        model.layers, grads, opt_state.m, opt_state.v
-    ):
-        out_params, out_m, out_v = [], [], []
-        for p, gr, m, v in ((w, gw, mw, vw), (b, gb, mb, vb)):
-            gr = gr + weight_decay * p
-            m2 = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * gr
-            v2 = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * gr * gr
-            p2 = p - lr * (m2 / c1) / (np.sqrt(v2 / c2) + ADAM_EPS)
-            out_params.append(p2)
-            out_m.append(m2)
-            out_v.append(v2)
-        new_layers.append((out_params[0], out_params[1]))
-        new_m.append((out_m[0], out_m[1]))
-        new_v.append((out_v[0], out_v[1]))
-    new_model = replace(model, layers=new_layers)
-    return new_model, AdamState(step=step, m=new_m, v=new_v)
+    model = model.copy()
+    opt = AdamState(
+        step=opt_state.step,
+        m=[(mw.copy(), mb.copy()) for mw, mb in opt_state.m],
+        v=[(vw.copy(), vb.copy()) for vw, vb in opt_state.v],
+    )
+    _adam_update(model, grads, opt, lr, weight_decay)
+    return model, opt
 
 
 def train(
@@ -368,24 +395,37 @@ def train(
     train_mask,
     cfg: TrainConfig,
     class_weights=None,
+    on_epoch=None,
 ) -> ModelState:
     """Full-batch training: one update step per epoch, deterministic per seed.
 
     Optimizer moments start at zero.  In weighted-bce mode the per-class
-    weights default to (n - n_i) / n_i over the masked labels.
+    weights default to (n - n_i) / n_i over the masked labels.  Returns a
+    new model; ``model`` is left untouched.
+
+    ``on_epoch``, if given, is called as ``on_epoch(epoch, loss, model)``
+    after each update, with epochs counted from 1 and ``loss`` taken before
+    the update.  That model is the working copy: read it during the call,
+    do not keep it.  Logits that turn non-finite raise ValidationError
+    naming the epoch.
     """
     if cfg.loss_mode == WEIGHTED_BCE and class_weights is None:
-        from .openworld import class_weights as _cw
-
-        class_weights = _cw(labels, train_mask, model.output_dim)
-    rng = np.random.default_rng(cfg.seed)
+        class_weights = _class_weights(labels, train_mask, model.output_dim)
+    H_in, prop = _graph_inputs(model, g, X)
+    targets = _loss_targets(
+        labels, train_mask, model.layers[-1][0].shape[1], cfg.loss_mode, class_weights
+    )
+    rng = _dropout_rng(model, True, np.random.default_rng(cfg.seed))
+    model = model.copy()
     opt = init_adam_state(model)
-    for _ in range(cfg.epochs):
-        _, grads = loss_and_grad(
-            model, g, X, labels, train_mask, cfg.loss_mode,
-            class_weights=class_weights, train_mode=True, rng=rng,
-        )
-        model, opt = adam_step(model, grads, opt, cfg.learning_rate, cfg.weight_decay)
+    for epoch in range(1, cfg.epochs + 1):
+        logits, cache = _forward_cached(model, H_in, prop, rng)
+        if not np.all(np.isfinite(logits)):
+            raise ValidationError(f"non-finite logits at epoch {epoch}")
+        loss, dlogits = _loss_kernel(logits, targets, cfg.loss_mode)
+        _adam_update(model, _backward(model, cache, dlogits), opt, cfg.learning_rate, cfg.weight_decay)
+        if on_epoch is not None:
+            on_epoch(epoch, loss, model)
     return model
 
 

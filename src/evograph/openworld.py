@@ -27,8 +27,6 @@ class DetectorConfig:
     tau_min: float = 0.75
     alpha: float = 0.0
     use_risk_reduction: bool = False
-    # Whether never-trained output columns take part in the rejection test.
-    include_untrained: bool = False
 
     def __post_init__(self):
         if self.variant not in (DOC, GDOC):

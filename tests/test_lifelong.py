@@ -192,6 +192,14 @@ class TestRunSequence:
             eg.run_sequence(g, cfg, seed=0)
 
 
+    def test_diverging_run_names_task_and_epoch(self):
+        g = schedule_graph(seed=1)
+        cfg = eg.ExperimentConfig(model="mlp", epochs=5, learning_rate=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RunError, match=r"^task 1: non-finite logits at epoch \d+$"):
+                eg.run_sequence(g, cfg, seed=0)
+
+
 class TestTwoTask:
     def fixture(self, seed=0):
         g = eg.generate(
@@ -251,3 +259,42 @@ class TestTwoTask:
         trace = eg.two_task_experiment(g_train, g_full, cfg, 0, 30, seed=1)
         assert trace[0] < 0.6
         assert max(trace[10:]) > trace[0] + 0.2
+
+    def test_no_inference_epochs_gives_pretrained_accuracy_only(self):
+        g_train, g_full = self.fixture(seed=2)
+        cfg = eg.ExperimentConfig(model="mlp")
+        trace = eg.two_task_experiment(g_train, g_full, cfg, 10, 0, seed=1)
+        assert len(trace) == 1
+        assert trace == eg.two_task_experiment(g_train, g_full, cfg, 10, 4, seed=1)[:1]
+
+    def test_inference_phase_matches_explicit_update_loop(self):
+        g_train, g_full = self.fixture(seed=1)
+        cfg = eg.ExperimentConfig(model="sage", learning_rate=0.02, detector=eg.DetectorConfig())
+        trace = eg.two_task_experiment(g_train, g_full, cfg, 0, 6, seed=5)
+
+        classes = sorted(int(c) for c in np.unique(g_train.labels))
+        y = _unit_labels(g_full.labels, {c: j for j, c in enumerate(classes)})
+        train_mask = np.zeros(g_full.num_vertices, bool)
+        train_mask[g_train.origin_ids] = True
+        test_mask = (g_full.labels != eg.UNLABELED) & ~train_mask
+        model = eg.init_model(
+            "sage", g_full.feature_dim, cfg.hidden_dim, len(classes),
+            dropout_rate=cfg.dropout_rate, seed=_derive_seed(5, 0),
+        )
+        X = eg.model_inputs(model, g_full)
+        weights = eg.class_weights(y, train_mask, len(classes))
+
+        def accuracy(m):
+            pred = np.asarray(classes)[np.argmax(eg.forward(m, g_full, X)[test_mask], axis=1)]
+            return float(np.mean(pred == g_full.labels[test_mask]))
+
+        expected = [accuracy(model)]
+        opt = eg.init_adam_state(model)
+        rng = np.random.default_rng(_derive_seed(5, 2))
+        for _ in range(6):
+            _, grads = eg.loss_and_grad(
+                model, g_full, X, y, train_mask, eg.WEIGHTED_BCE, weights, train_mode=True, rng=rng
+            )
+            model, opt = eg.adam_step(model, grads, opt, cfg.learning_rate, cfg.weight_decay)
+            expected.append(accuracy(model))
+        assert trace == expected

@@ -270,6 +270,16 @@ class TestAdam:
                 )
             assert np.isclose(m.layers[0][0].flat[idx], ms.layers[0][0][0, 0])
 
+    def test_leaves_inputs_untouched(self):
+        m = self.one_param_model(0.5)
+        grads = [(np.ones((1, 1)), np.ones(1))]
+        state = eg.init_adam_state(m)
+        m2, state2 = eg.adam_step(m, grads, state, lr=0.1, weight_decay=0.1)
+        assert m.layers[0][0][0, 0] == 0.5 and m.layers[0][1][0] == 0.0
+        assert state.step == 0 and np.all(state.m[0][0] == 0) and np.all(state.v[0][0] == 0)
+        assert np.all(grads[0][0] == 1.0)
+        assert state2.step == 1 and m2.layers[0][0][0, 0] != 0.5
+
     def test_weight_decay_enters_gradient(self):
         m = self.one_param_model(1.0)
         grads = [(np.zeros((1, 1)), np.zeros(1))]
@@ -297,6 +307,55 @@ class TestTrain:
         m2 = eg.train(m, g, g.features, g.labels, np.ones(g.num_vertices, bool), cfg)
         pred = np.argmax(eg.forward(m2, g, g.features), axis=1)
         assert np.mean(pred == g.labels) == 1.0
+
+    @pytest.mark.parametrize("kind", ["mlp", "sgc", "sage"])
+    @pytest.mark.parametrize("loss_mode", [eg.CATEGORICAL, eg.BCE, eg.WEIGHTED_BCE])
+    def test_matches_explicit_update_loop(self, kind, loss_mode):
+        # vertex 7 has no edges, so sage's neighbor half is zero on its row
+        g0 = small_graph(seed=5, n=8)
+        g = eg.TemporalGraph(
+            8, g0.edges[(g0.edges != 7).all(axis=1)], g0.time, g0.features, g0.labels, 3
+        )
+        assert g.degrees()[7] == 0
+        m = eg.init_model(kind, 3, 4, 3, seed=2, dropout_rate=0.5)
+        before = m.copy()
+        X = eg.model_inputs(m, g)
+        mask = np.ones(8, bool)
+        mask[[1, 6]] = False
+        cfg = eg.TrainConfig(learning_rate=0.05, epochs=12, loss_mode=loss_mode, seed=4)
+        weights = eg.class_weights(g.labels, mask, 3) if loss_mode == eg.WEIGHTED_BCE else None
+
+        seen = []
+        trained = eg.train(
+            m, g, X, g.labels, mask, cfg,
+            on_epoch=lambda epoch, loss, model: seen.append((epoch, loss)),
+        )
+
+        expected, losses = m, []
+        opt = eg.init_adam_state(expected)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.epochs):
+            loss, grads = eg.loss_and_grad(
+                expected, g, X, g.labels, mask, loss_mode, weights, train_mode=True, rng=rng
+            )
+            losses.append(loss)
+            expected, opt = eg.adam_step(
+                expected, grads, opt, cfg.learning_rate, cfg.weight_decay
+            )
+        for (w1, b1), (w2, b2) in zip(trained.layers, expected.layers):
+            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+        assert seen == list(zip(range(1, cfg.epochs + 1), losses))
+        # train works on its own copy: the caller's model is untouched
+        for (w1, b1), (w2, b2) in zip(m.layers, before.layers):
+            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+    def test_diverging_run_names_epoch(self):
+        g = small_graph()
+        m = eg.init_model("mlp", 3, 4, 3, seed=0)
+        cfg = eg.TrainConfig(learning_rate=1e200, epochs=5, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="non-finite logits at epoch 2$"):
+                eg.train(m, g, g.features, g.labels, np.ones(g.num_vertices, bool), cfg)
 
     def test_deterministic_given_seed(self):
         g = small_graph(seed=2)
