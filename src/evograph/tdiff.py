@@ -34,46 +34,41 @@ class TimeDiffHistogram:
         return sorted(self.counts.items())
 
 
-def _k_hop_sets(indptr, indices, source: int, k: int) -> np.ndarray:
-    """Vertices reachable from ``source`` via 1..k edges (source excluded)."""
-    seen = {source}
-    frontier = [source]
-    reached = []
-    for _ in range(k):
-        nxt = []
-        for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        if not nxt:
-            break
-        reached.extend(nxt)
-        frontier = nxt
-    return np.asarray(reached, dtype=np.int64)
+# Rows per block are max(1, _BLOCK_ENTRIES // |V|), so one block's reach matrix
+# holds at most max(_BLOCK_ENTRIES, |V|) entries: the bound on peak memory.
+_BLOCK_ENTRIES = 1 << 23
 
 
 def k_hop_time_diffs(g: TemporalGraph, k: int) -> TimeDiffHistogram:
     """Distribution of time differences within each vertex's k-hop neighborhood.
 
-    Bounded BFS from every vertex; O(|V| * b^k) for average degree b.  Each
-    reachable pair counts once per satisfying direction, regardless of how
-    many paths connect it.
+    One sparse pass over row blocks of the adjacency matrix A.  A block's
+    reach is the boolean A + A^2 + ... + A^k restricted to its rows, so a pair
+    counts once however many paths connect it; the diagonal (the source
+    itself) is dropped.  Memory is bounded by the block, at most
+    max(2**23, |V|) reach entries, whose differences are tallied with
+    ``np.unique`` so that no array grows with the range of the timestamps.
+    O(|V| * b^k) work for average degree b, all of it in numpy and scipy.
     """
     if k < 1:
         raise ValidationError("hop bound k must be >= 1")
-    adj = g.adjacency()
-    indptr, indices = adj.indptr, adj.indices
+    n = g.num_vertices
+    # Boolean products are OR-of-ANDs, so entries mark reachability and never wrap.
+    adj = g.adjacency().astype(bool)
     time = g.time
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
     counts: dict[int, int] = {}
-    for u in range(g.num_vertices):
-        reach = _k_hop_sets(indptr, indices, u, k)
-        if reach.size == 0:
-            continue
-        diffs = time[u] - time[reach]
-        for d in diffs[diffs >= 0]:
-            d = int(d)
-            counts[d] = counts.get(d, 0) + 1
+    for lo in range(0, n, rows):
+        front = reach = adj[lo:lo + rows]
+        for _ in range(k - 1):
+            front = front @ adj
+            reach = reach + front
+        reach = reach.tocoo()
+        src = reach.row + lo
+        diffs = time[src] - time[reach.col]
+        values, tally = np.unique(diffs[(diffs >= 0) & (src != reach.col)], return_counts=True)
+        for d, c in zip(values.tolist(), tally.tolist()):
+            counts[d] = counts.get(d, 0) + c
     return TimeDiffHistogram(counts=counts, k=k)
 
 
@@ -93,12 +88,20 @@ def percentile(h: TimeDiffHistogram, p: float) -> int:
     return h.max_diff()
 
 
-def suggest_history_sizes(g: TemporalGraph, k: int, percentiles) -> list[int]:
-    """Percentiles of the k-hop time differences, floored to 1, deduplicated in order."""
-    h = k_hop_time_diffs(g, k)
+def history_sizes(h: TimeDiffHistogram, percentiles) -> list[int]:
+    """Percentiles of ``h``, floored to 1, deduplicated in order.
+
+    An empty histogram (no pair within k hops) counts as percentile 0 and so
+    suggests ``[1]``.
+    """
     out: list[int] = []
     for p in percentiles:
-        size = max(1, percentile(h, p))
+        size = max(1, percentile(h, p)) if h.counts else 1
         if size not in out:
             out.append(size)
     return out
+
+
+def suggest_history_sizes(g: TemporalGraph, k: int, percentiles) -> list[int]:
+    """Candidate history sizes from the k-hop time differences of ``g`` (see history_sizes)."""
+    return history_sizes(k_hop_time_diffs(g, k), percentiles)

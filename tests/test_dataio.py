@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import evograph as eg
+from evograph import dataio
 from evograph.errors import DatasetError, ValidationError
 
 
@@ -104,3 +105,131 @@ def test_fingerprint_tracks_content(tmp_path, graph_factory):
     assert fp1 == eg.dataset_fingerprint(out)
     (out / "labels").write_text("0\n" * g.num_vertices)
     assert eg.dataset_fingerprint(out) != fp1
+
+
+def test_save_bytes_unchanged(tmp_path):
+    # pinned digests: saved files must stay byte-identical whenever the writer changes
+    g = eg.TemporalGraph(
+        num_vertices=6,
+        edges=[(3, 1), (0, 5), (1, 3), (2, 2), (5, 0), (0, 1), (4, 2)],
+        time=[2000, 2001, 1999, 2003, -7, 2001],
+        features=np.arange(12, dtype=np.float32).reshape(6, 2) / 7,
+        labels=[0, -1, 1, 2, 1, -1],
+        num_classes=3,
+    )
+    expected = {
+        "bin": "7fb8eff3f4038b26cbf3daa994578c97fcad19589e07e32fcf87a74a1797986e",
+        "csv": "3144148259b306877b356d17295c2dc8530a024e85b19d5681ee45d7751efbcf",
+    }
+    for fmt, digest in expected.items():
+        eg.save_dataset(g, tmp_path / fmt, features_format=fmt)
+        assert eg.dataset_fingerprint(tmp_path / fmt) == digest
+
+
+def line_by_line_ints(path, what):
+    """Reference reader: one int() per stripped non-blank line."""
+    values = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise DatasetError(f"{path.name}:{lineno}: non-integer {what} {line!r}") from None
+    return np.asarray(values, dtype=np.int64)
+
+
+def line_by_line_edges(path):
+    """Reference reader: split each non-blank line into exactly two int() tokens."""
+    pairs = []
+    loops = 0
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DatasetError(f"{path.name}:{lineno}: expected 'src dst', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DatasetError(f"{path.name}:{lineno}: non-integer vertex id in {line!r}") from None
+        loops += u == v
+        pairs.append((u, v))
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), loops
+
+
+def outcome(read, path):
+    """What a reader makes of ``path``: its error message, or its arrays as plain values."""
+    try:
+        result = read(path)
+    except DatasetError as exc:
+        return str(exc)
+    arr, *rest = result if isinstance(result, tuple) else (result,)
+    return arr.dtype, arr.shape, arr.tolist(), rest
+
+
+READERS = {
+    "edges": (dataio._read_edges, line_by_line_edges),
+    "times": (lambda p: dataio._read_ints(p, "timestamp"), lambda p: line_by_line_ints(p, "timestamp")),
+}
+
+
+def assert_reads_like_reference(tmp_path, text):
+    for name, (read, reference) in READERS.items():
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read, path) == outcome(reference, path), repr(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 1\n1 2 3\n2 3\n",  # three tokens
+        "0 1\n1 x\n",  # non-integer token
+        "0 1\n1.5 2\n",
+        "0 1\n\n\n  \n1 2\n\n",  # blank lines
+        "0 1\n1 2",  # last line without newline
+        "0 1\r\n1 2\r\n\r\n2 2\r\n",  # CRLF endings, a self-loop
+        "3\n1\n4\n",
+        "3\n1 4\n",
+        "",
+        "\n\n",
+        " -1 +2\t\n1_0 ٣\n",  # int() accepts signs, digit separators and non-ASCII digits
+        "0 1\x0c1 2\n",  # form feed splits lines like a newline
+        "0\xa01\n",  # no-break space separates tokens
+    ],
+)
+def test_loader_matches_line_by_line(tmp_path, text):
+    assert_reads_like_reference(tmp_path, text)
+
+
+def test_loader_truncated_last_line(tmp_path):
+    for text in ("0 1\n12 34\n", "5\n67\n", "0 1\r\n12 34\r\n"):
+        for cut in range(len(text) + 1):
+            assert_reads_like_reference(tmp_path, text[:cut])
+
+
+def test_loader_fuzz(tmp_path):
+    # well-formed files with one to three characters deleted or inserted, and random text
+    rng = np.random.default_rng(7)
+    alphabet = list("0123456789   \t\n\n\r-+_x")
+    for base in ("0 1\n2 3\n\n4 5\r\n6 7\n", "3\n1\n\n4\r\n1\n5\n"):
+        for _ in range(150):
+            chars = list(base)
+            for _ in range(int(rng.integers(1, 4))):
+                i = int(rng.integers(0, len(chars)))
+                if rng.random() < 0.5:
+                    del chars[i]
+                else:
+                    chars.insert(i, str(rng.choice(alphabet)))
+            assert_reads_like_reference(tmp_path, "".join(chars))
+    for _ in range(150):
+        assert_reads_like_reference(tmp_path, "".join(rng.choice(alphabet, size=int(rng.integers(0, 16)))))
+
+
+def test_load_dataset_names_bad_edge_line(fixture_dir):
+    (fixture_dir / "edges").write_text("0 1\n\n1 2 3\n")
+    with pytest.raises(DatasetError, match="edges:3: expected 'src dst'"):
+        eg.load_dataset(fixture_dir)

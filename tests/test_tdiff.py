@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import evograph as eg
+from evograph import tdiff
 from evograph.errors import ValidationError
 
 
@@ -84,6 +85,60 @@ def test_matches_oracle_on_random_graphs(graph_factory):
             assert eg.k_hop_time_diffs(g, k).counts == bounded_pairs_oracle(g, k)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_row_blocks_match_oracle(monkeypatch, graph_factory, rows):
+    # 40 vertices: several full blocks plus a ragged tail whenever 40 % rows != 0
+    monkeypatch.setattr(tdiff, "_BLOCK_ENTRIES", rows * 40)
+    for seed in range(4):
+        g = graph_factory(seed, n_min=40, n_max=40)
+        for k in (1, 2, 3, 4):
+            assert eg.k_hop_time_diffs(g, k).counts == bounded_pairs_oracle(g, k)
+
+
+def complete_graph(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def two_hubs(m):
+    """Vertices 0 and 1 joined only through m middle vertices: m two-hop paths."""
+    return [(hub, mid) for hub in (0, 1) for mid in range(2, m + 2)]
+
+
+@pytest.mark.parametrize(
+    "edges, k",
+    [
+        (complete_graph(20), 3),  # hundreds of walks of length <= 3 per pair
+        (two_hubs(256), 2),  # exactly 256 paths: an 8-bit count wraps to zero
+    ],
+)
+def test_many_paths_per_pair_do_not_wrap(edges, k):
+    n = max(max(e) for e in edges) + 1
+    g = graph_from(np.random.default_rng(3).integers(0, 5, n), edges)
+    assert eg.k_hop_time_diffs(g, k).counts == bounded_pairs_oracle(g, k)
+
+
+@pytest.mark.parametrize(
+    "times, edges",
+    [
+        ([4], []),
+        ([1, 2, 3], []),
+        ([1, 2, 3, 4, 5, 6], [(0, 1), (1, 2)]),  # vertices 3..5 isolated
+        ([6, 1, 3, 5, 2, 0, 4], [(1, 6), (6, 3)]),  # isolated vertices between the edges
+    ],
+)
+def test_small_and_isolated_graphs(monkeypatch, times, edges):
+    monkeypatch.setattr(tdiff, "_BLOCK_ENTRIES", 2 * len(times))
+    g = graph_from(times, edges)
+    for k in (1, 2, 3):
+        assert eg.k_hop_time_diffs(g, k).counts == bounded_pairs_oracle(g, k)
+
+
+def test_wide_timestamp_range():
+    # differences near 1e12 must not need an array indexed by the difference
+    g = graph_from([0, 10**12, 3 * 10**11, 10**12], [(0, 1), (1, 2), (2, 3)])
+    assert eg.k_hop_time_diffs(g, 2).counts == bounded_pairs_oracle(g, 2)
+
+
 class TestPercentile:
     def test_single_value(self):
         h = eg.TimeDiffHistogram({0: 6}, k=1)
@@ -112,6 +167,10 @@ class TestPercentile:
 
 
 class TestSuggestHistorySizes:
+    def test_empty_histogram_suggests_one(self):
+        assert tdiff.history_sizes(eg.TimeDiffHistogram({}, k=2), [25, 50, 100]) == [1]
+        assert eg.suggest_history_sizes(graph_from([1, 2], []), 2, [25, 50]) == [1]
+
     def test_uniform_times_floor_to_one(self):
         g = graph_from([7, 7, 7], [(0, 1), (1, 2)])
         assert eg.suggest_history_sizes(g, 2, [25, 50, 75, 100]) == [1]
