@@ -4,10 +4,15 @@ Parameters live in float64 for numerical headroom; checkpoints serialize as
 32-bit little-endian blocks (see :func:`save_checkpoint`).  Models are values:
 every public update (:func:`adam_step`, :func:`train`,
 :func:`expand_output_layer`) returns a new :class:`ModelState` and never
-mutates its input.  :func:`train` copies its input once and then updates
-the parameter and Adam buffers it owns in place; it builds the per-task
-work (sage's ``[X | P X]``, the loss targets) once, and the propagation
-matrix ``P`` is built once per graph object and reused by every pass on it.
+mutates its input.  :func:`train` copies its input's parameters once into
+one flat float64 buffer and gives the working model's layers views into it;
+the Adam moments are flat buffers of the same length, so each epoch's update
+is one element-wise pass written in place.  The model that ``on_epoch``
+receives is that working model, a view into the buffer.  :func:`adam_step`
+runs the same update on flat copies of its inputs.  ``train`` builds the
+per-task work (sage's ``[X | P X]``, the loss targets) once, and the
+propagation matrix ``P`` is built once per graph object and reused by every
+pass on it.
 
 Layer conventions
 -----------------
@@ -30,7 +35,7 @@ import scipy.sparse as sp
 
 from .errors import ValidationError
 from .graph import TemporalGraph
-from .openworld import class_weights as _class_weights, sigmoid
+from .openworld import _sigmoid_exp, class_weights as _class_weights
 
 CATEGORICAL = "categorical"
 BCE = "bce"
@@ -160,7 +165,8 @@ def model_inputs(model: ModelState, g: TemporalGraph) -> np.ndarray:
 
 
 def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
-    return (rng.random(shape) >= rate).astype(np.float64)
+    """Boolean keep-mask: True where the unit survives dropout."""
+    return rng.random(shape) >= rate
 
 
 def _propagation(g: TemporalGraph):
@@ -205,7 +211,8 @@ def _forward_cached(model, H_in, prop, rng):
     last = len(model.layers) - 1
     for i, (W, b) in enumerate(model.layers):
         cache["inputs"].append(H_in)
-        Z = H_in @ W + b
+        Z = H_in @ W
+        Z += b
         if i == last:
             return Z, cache
         cache["prelin"].append(Z)
@@ -213,7 +220,8 @@ def _forward_cached(model, H_in, prop, rng):
         mask = None
         if rng is not None:
             mask = _dropout_mask(rng, H.shape, model.dropout_rate)
-            H = H * mask / (1.0 - model.dropout_rate)
+            H *= mask
+            H /= 1.0 - model.dropout_rate
         cache["drop"].append(mask)
         H_in = H if prop is None else np.hstack([H, prop[0] @ H])
 
@@ -232,15 +240,20 @@ def forward(model: ModelState, g: TemporalGraph, X, train_mode: bool = False, rn
 class _Targets(NamedTuple):
     """Validated loss inputs that stay fixed while a model trains."""
 
-    idx: np.ndarray  # masked rows
+    idx: Optional[np.ndarray]  # masked rows; None when the mask covers every row
     y: np.ndarray  # their output units
-    onehot: np.ndarray  # (len(idx), C)
+    onehot: np.ndarray  # (masked rows, C)
     weights: Optional[np.ndarray]  # per-unit weights, weighted-bce only
 
 
-def _loss_targets(labels, train_mask, num_units: int, loss_mode, class_weights) -> _Targets:
+def _loss_targets(labels, train_mask, shape, loss_mode, class_weights) -> _Targets:
+    """Checked targets for logits of ``shape`` (rows, output units)."""
+    num_rows, num_units = shape
     labels = np.asarray(labels)
-    idx = np.nonzero(np.asarray(train_mask, dtype=bool))[0]
+    mask = np.asarray(train_mask, dtype=bool)
+    if mask.shape != (num_rows,):
+        raise ValidationError(f"train mask of shape {mask.shape} for {num_rows} logit rows")
+    idx = np.nonzero(mask)[0]
     if idx.size == 0:
         raise ValidationError("empty train mask")
     if (class_weights is not None) != (loss_mode == WEIGHTED_BCE):
@@ -257,29 +270,34 @@ def _loss_targets(labels, train_mask, num_units: int, loss_mode, class_weights) 
             raise ValidationError("class_weights must be positive, one per output unit")
     onehot = np.zeros((idx.size, num_units), dtype=np.float64)
     onehot[np.arange(idx.size), y] = 1.0
-    return _Targets(idx, y, onehot, weights)
+    return _Targets(None if idx.size == num_rows else idx, y, onehot, weights)
 
 
 def _loss_kernel(logits: np.ndarray, targets: _Targets, loss_mode: str):
     """Loss and d(loss)/d(logits) for finite logits and validated targets."""
     idx, y, onehot, weights = targets
     n, C = onehot.shape
-    Z = logits[idx]
-    dlogits = np.zeros_like(logits)
+    Z = logits if idx is None else logits[idx]
     if loss_mode == CATEGORICAL:
         shifted = Z - Z.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         loss = float(np.mean(np.log(e.sum(axis=1)) - shifted[np.arange(n), y]))
-        dlogits[idx] = (e / e.sum(axis=1, keepdims=True) - onehot) / n
+        grad = e / e.sum(axis=1, keepdims=True) - onehot
+        grad /= n
     else:
         # stable elementwise: max(z,0) - z*y + log(1 + exp(-|z|))
-        elem = np.maximum(Z, 0.0) - Z * onehot + np.log1p(np.exp(-np.abs(Z)))
-        grad = sigmoid(Z) - onehot
+        grad, e = _sigmoid_exp(Z)
+        elem = np.maximum(Z, 0.0) - Z * onehot + np.log1p(e)
+        grad -= onehot
         if weights is not None:
-            elem = elem * weights
-            grad = grad * weights
+            elem *= weights
+            grad *= weights
         loss = float(elem.sum() / (n * C))
-        dlogits[idx] = grad / (n * C)
+        grad /= n * C
+    if idx is None:
+        return loss, grad
+    dlogits = np.zeros_like(logits)
+    dlogits[idx] = grad
     return loss, dlogits
 
 
@@ -295,7 +313,7 @@ def loss_from_logits(logits, labels, train_mask, loss_mode, class_weights=None):
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValidationError("non-finite logits")
-    targets = _loss_targets(labels, train_mask, logits.shape[1], loss_mode, class_weights)
+    targets = _loss_targets(labels, train_mask, logits.shape, loss_mode, class_weights)
     return _loss_kernel(logits, targets, loss_mode)
 
 
@@ -309,16 +327,19 @@ def _backward(model, cache, dlogits):
         grads[i] = (H_in.T @ dZ, dZ.sum(axis=0))
         if i == 0:
             break
-        dH_in = dZ @ W.T
-        if prop is not None:
-            d = dH_in.shape[1] // 2
-            dH = dH_in[:, :d] + prop[1] @ dH_in[:, d:]
+        if prop is None:
+            dH = dZ @ W.T
         else:
-            dH = dH_in
+            # one product per half of W, so no strided column slice reaches scipy
+            d = W.shape[0] // 2
+            dH = dZ @ W[:d].T
+            dH += prop[1] @ (dZ @ W[d:].T)
         mask = cache["drop"][i - 1]
         if mask is not None:
-            dH = dH * mask / (1.0 - model.dropout_rate)
-        dZ = dH * (cache["prelin"][i - 1] > 0)
+            dH *= mask
+            dH /= 1.0 - model.dropout_rate
+        dH *= cache["prelin"][i - 1] > 0
+        dZ = dH
     return grads
 
 
@@ -355,19 +376,33 @@ def init_adam_state(model: ModelState) -> AdamState:
     )
 
 
-def _adam_update(model: ModelState, grads, opt: AdamState, lr: float, weight_decay: float) -> None:
-    """One Adam update, written into ``model``'s parameters and ``opt`` in place."""
-    opt.step += 1
-    c1 = 1.0 - ADAM_BETA1**opt.step
-    c2 = 1.0 - ADAM_BETA2**opt.step
-    for params, layer_grads, layer_m, layer_v in zip(model.layers, grads, opt.m, opt.v):
-        for p, gr, m, v in zip(params, layer_grads, layer_m, layer_v):
-            gr = gr + weight_decay * p
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * gr
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * gr * gr
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+def _flat(layers) -> np.ndarray:
+    """The arrays of per-layer ``(weights, bias)`` pairs, copied into one vector."""
+    return np.concatenate([a.ravel() for pair in layers for a in pair])
+
+
+def _views(flat: np.ndarray, layers) -> list:
+    """Per-layer ``(weights, bias)`` views into ``flat``, shaped like ``layers``."""
+    out, offset = [], 0
+    for pair in layers:
+        views = []
+        for a in pair:
+            views.append(flat[offset : offset + a.size].reshape(a.shape))
+            offset += a.size
+        out.append(tuple(views))
+    return out
+
+
+def _adam_update(params, grads, m, v, step: int, lr: float, weight_decay: float) -> None:
+    """Adam update number ``step``, written into the flat ``params``, ``m`` and ``v``."""
+    c1 = 1.0 - ADAM_BETA1**step
+    c2 = 1.0 - ADAM_BETA2**step
+    gr = grads + weight_decay * params
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * gr
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * gr * gr
+    params -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def adam_step(model, grads, opt_state, lr, weight_decay):
@@ -377,14 +412,14 @@ def adam_step(model, grads, opt_state, lr, weight_decay):
     updates.  Returns a new (model, opt_state) pair; the inputs are left
     untouched.
     """
-    model = model.copy()
-    opt = AdamState(
-        step=opt_state.step,
-        m=[(mw.copy(), mb.copy()) for mw, mb in opt_state.m],
-        v=[(vw.copy(), vb.copy()) for vw, vb in opt_state.v],
+    params, m, v = _flat(model.layers), _flat(opt_state.m), _flat(opt_state.v)
+    step = opt_state.step + 1
+    _adam_update(params, _flat(grads), m, v, step, lr, weight_decay)
+    layers = model.layers
+    return (
+        replace(model, layers=_views(params, layers)),
+        AdamState(step=step, m=_views(m, layers), v=_views(v, layers)),
     )
-    _adam_update(model, grads, opt, lr, weight_decay)
-    return model, opt
 
 
 def train(
@@ -405,25 +440,28 @@ def train(
 
     ``on_epoch``, if given, is called as ``on_epoch(epoch, loss, model)``
     after each update, with epochs counted from 1 and ``loss`` taken before
-    the update.  That model is the working copy: read it during the call,
-    do not keep it.  Logits that turn non-finite raise ValidationError
-    naming the epoch.
+    the update.  That model is the working copy, whose layers are views
+    into the flat parameter buffer: read it during the call, do not keep
+    it.  Logits that turn non-finite raise ValidationError naming the epoch.
     """
     if cfg.loss_mode == WEIGHTED_BCE and class_weights is None:
         class_weights = _class_weights(labels, train_mask, model.output_dim)
     H_in, prop = _graph_inputs(model, g, X)
     targets = _loss_targets(
-        labels, train_mask, model.layers[-1][0].shape[1], cfg.loss_mode, class_weights
+        labels, train_mask, (H_in.shape[0], model.layers[-1][0].shape[1]),
+        cfg.loss_mode, class_weights,
     )
     rng = _dropout_rng(model, True, np.random.default_rng(cfg.seed))
-    model = model.copy()
-    opt = init_adam_state(model)
+    params = _flat(model.layers)
+    model = replace(model, layers=_views(params, model.layers))
+    m, v = np.zeros_like(params), np.zeros_like(params)
     for epoch in range(1, cfg.epochs + 1):
         logits, cache = _forward_cached(model, H_in, prop, rng)
         if not np.all(np.isfinite(logits)):
             raise ValidationError(f"non-finite logits at epoch {epoch}")
         loss, dlogits = _loss_kernel(logits, targets, cfg.loss_mode)
-        _adam_update(model, _backward(model, cache, dlogits), opt, cfg.learning_rate, cfg.weight_decay)
+        grads = _flat(_backward(model, cache, dlogits))
+        _adam_update(params, grads, m, v, epoch, cfg.learning_rate, cfg.weight_decay)
         if on_epoch is not None:
             on_epoch(epoch, loss, model)
     return model

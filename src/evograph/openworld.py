@@ -72,6 +72,8 @@ def class_weights(labels, train_mask, num_classes: int) -> np.ndarray:
     y = np.asarray(labels)[mask]
     if y.size == 0:
         raise ValidationError("empty train mask")
+    if np.any(y < 0) or np.any(y >= num_classes):
+        raise ValidationError("labels on masked rows must be valid output units")
     n = y.size
     counts = np.bincount(y, minlength=num_classes).astype(np.float64)
     weights = np.ones(num_classes, dtype=np.float64)
@@ -114,13 +116,19 @@ def fit_thresholds(train_outputs, labels, train_mask, cfg: DetectorConfig) -> Th
 
 
 def sigmoid(z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return _sigmoid_exp(np.asarray(z, dtype=np.float64))[0]
+
+
+def _sigmoid_exp(z: np.ndarray):
+    """``(sigmoid(z), exp(-|z|))`` for a float64 array, from one ``exp``.
+
+    Equal bit for bit to ``1 / (1 + exp(-z))`` for z >= 0 and
+    ``exp(z) / (1 + exp(z))`` otherwise: ``min(z, -z)`` is ``-z`` or ``z``
+    exactly, and unlike ``-|z|`` it keeps the sign of a nan input.
+    """
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d), e
 
 
 def predict_open(logits, thresholds: Thresholds, active=None) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import evograph as eg
+import reference_kernels as ref
 from evograph.errors import ConfigError, RunError, ValidationError
 from evograph.lifelong import _derive_seed, _unit_labels
 
@@ -48,6 +49,31 @@ class TestLabelRateSubsample:
 
 
 class TestRunSequence:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            eg.ExperimentConfig(
+                model="sage", history_size=3, restart="warm", epochs=40,
+                detector=eg.DetectorConfig(alpha=2.0, use_risk_reduction=True),
+            ),
+            eg.ExperimentConfig(model="sgc", history_size=eg.FULL, restart="cold", epochs=40),
+            eg.ExperimentConfig(model="mlp", loss_mode=eg.CATEGORICAL, label_rate=0.5, epochs=40),
+        ],
+        ids=["sage-gdoc-warm-h3", "sgc-cold-full", "mlp-categorical-half-labels"],
+    )
+    def test_report_equals_reference_kernels(self, cfg, monkeypatch):
+        g = schedule_graph(seed=3)
+        trace = []
+        report = eg.run_sequence(g, cfg, seed=2, trace=trace)
+        monkeypatch.setattr(eg.lifelong, "train", ref.train)
+        monkeypatch.setattr(eg.models, "_forward_cached", ref._forward_cached)
+        monkeypatch.setattr(eg.lifelong, "sigmoid", ref.sigmoid)
+        monkeypatch.setattr(eg.openworld, "sigmoid", ref.sigmoid)
+        expected_trace = []
+        expected = eg.run_sequence(g, cfg, seed=2, trace=expected_trace)
+        assert report.to_jsonl() == expected.to_jsonl()
+        assert trace == expected_trace
+
     def test_no_new_classes_never_grows(self):
         g = eg.generate(eg.SynthConfig(num_timestamps=7, vertices_per_timestamp=15, seed=1))
         trace = []

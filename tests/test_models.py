@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 import evograph as eg
+import reference_kernels as ref
 from evograph.errors import ValidationError
 from conftest import two_class_blobs
 
@@ -196,6 +197,10 @@ class TestLoss:
         with pytest.raises(ValidationError):
             eg.loss_from_logits(bad, [0], np.ones(1, bool), eg.BCE)
 
+    def test_mask_length_must_match_rows(self):
+        with pytest.raises(ValidationError, match="train mask of shape"):
+            eg.loss_from_logits(np.zeros((3, 2)), [0, 1, 0], np.ones(2, bool), eg.BCE)
+
     def test_weighted_requires_weights(self):
         with pytest.raises(ValidationError):
             eg.loss_from_logits(np.zeros((1, 2)), [0], np.ones(1, bool), eg.WEIGHTED_BCE)
@@ -357,6 +362,17 @@ class TestTrain:
             with pytest.raises(ValidationError, match="non-finite logits at epoch 2$"):
                 eg.train(m, g, g.features, g.labels, np.ones(g.num_vertices, bool), cfg)
 
+    @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_bad_masked_label_is_validation_error(self, loss_mode, bad):
+        g = small_graph()
+        labels = g.labels.copy()
+        labels[0] = bad
+        m = eg.init_model("mlp", 3, 4, 3, seed=0)
+        cfg = eg.TrainConfig(epochs=1, loss_mode=loss_mode)
+        with pytest.raises(ValidationError, match="labels on masked rows must be valid"):
+            eg.train(m, g, g.features, labels, np.ones(g.num_vertices, bool), cfg)
+
     def test_deterministic_given_seed(self):
         g = small_graph(seed=2)
         mask = np.ones(g.num_vertices, bool)
@@ -418,3 +434,42 @@ class TestCheckpoint:
         a = eg.forward(m, g, g.features)
         b = eg.forward(back, g, g.features)
         assert np.allclose(a, b, atol=1e-5)
+
+
+class TestReferenceOracle:
+    """``train`` against the per-array reference kernels, bit for bit."""
+
+    @staticmethod
+    def graph_with_isolated_vertex():
+        g0 = small_graph(seed=8, n=30, dim=5, num_classes=4)
+        g = eg.TemporalGraph(
+            30, g0.edges[(g0.edges != 29).all(axis=1)], g0.time, g0.features, g0.labels, 4
+        )
+        assert g.degrees()[29] == 0 and g.num_edges > 0
+        return g
+
+    @pytest.mark.parametrize("kind", ["mlp", "sgc", "sage"])
+    @pytest.mark.parametrize("loss_mode", [eg.CATEGORICAL, eg.BCE, eg.WEIGHTED_BCE])
+    @pytest.mark.parametrize("full_mask", [True, False])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_train_equals_reference(self, kind, loss_mode, full_mask, dropout):
+        g = self.graph_with_isolated_vertex()
+        m = eg.init_model(kind, 5, 8, 4, seed=3, dropout_rate=dropout)
+        X = eg.model_inputs(m, g)
+        mask = np.ones(30, bool)
+        if not full_mask:
+            mask[[0, 4, 5, 17, 29]] = False
+        cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=6)
+
+        def recorder(out):
+            return lambda epoch, loss, model: out.append(
+                (epoch, loss, [ref.bits(a).tolist() for pair in model.layers for a in pair])
+            )
+
+        seen, expected_seen = [], []
+        trained = eg.train(m, g, X, g.labels, mask, cfg, on_epoch=recorder(seen))
+        expected = ref.train(m, g, X, g.labels, mask, cfg, on_epoch=recorder(expected_seen))
+        for (w1, b1), (w2, b2) in zip(trained.layers, expected.layers):
+            assert np.array_equal(ref.bits(w1), ref.bits(w2))
+            assert np.array_equal(ref.bits(b1), ref.bits(b2))
+        assert seen == expected_seen

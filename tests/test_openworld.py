@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import evograph as eg
+import reference_kernels as ref
 from evograph.errors import ValidationError
 
 
@@ -27,6 +28,14 @@ class TestClassWeights:
     def test_empty_mask_errors(self):
         with pytest.raises(ValidationError):
             eg.class_weights([0, 1], np.zeros(2, bool), 2)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_bad_masked_label_errors(self, bad):
+        with pytest.raises(ValidationError, match="labels on masked rows must be valid"):
+            eg.class_weights([0, bad, 1], np.ones(3, bool), 2)
+        # a bad label outside the mask is never read
+        w = eg.class_weights([0, bad, 1], np.array([True, False, True]), 2)
+        assert np.array_equal(w, [1.0, 1.0])
 
 
 class TestFitThresholds:
@@ -135,3 +144,32 @@ class TestPredictOpen:
         thr = eg.Thresholds([0.5, 0.5])
         assert eg.predict_open(logits, thr)[0] == 1
         assert eg.predict_open(logits, thr, active=[True, False])[0] == eg.UNSEEN
+
+
+class TestSigmoid:
+    """``sigmoid`` against the two-branch reference, bit for bit."""
+
+    def assert_same(self, z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, expected = eg.sigmoid(z), ref.sigmoid(z)
+        assert type(got) is type(expected)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert np.array_equal(ref.bits(got), ref.bits(expected))
+
+    def test_edge_values(self):
+        specials = [0.0, np.inf, np.nan, 5e-324, 36.8, 709.8, 745.2]
+        z = np.array(specials + [-v for v in specials])
+        assert np.signbit(z[7]) and np.signbit(z[9])  # -0.0 and a negative nan
+        self.assert_same(z)
+        for value in z:
+            self.assert_same(value)
+
+    def test_normal_draws(self):
+        self.assert_same(np.random.default_rng(0).normal(size=10**4) * 50)
+
+    def test_shapes_and_dtypes(self):
+        self.assert_same(np.float64(3.5))
+        self.assert_same(-2)
+        self.assert_same(np.empty((0, 3)))
+        self.assert_same(np.arange(-40, 41).reshape(9, 9))
+        self.assert_same(np.array([[-1.0, 2.0]], dtype=np.float32))
