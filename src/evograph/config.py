@@ -141,12 +141,6 @@ class RunSpec:
         """The fully resolved key=value view of this run specification."""
         return dict(self._snapshot)
 
-    def pair_key(self) -> dict:
-        """Snapshot minus the restart field; warm/cold runs of one setup share it."""
-        key = self.snapshot()
-        key.pop("restart")
-        return key
-
 
 def parse_config_text(text: str) -> RunSpec:
     entries = {}

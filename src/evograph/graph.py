@@ -147,23 +147,20 @@ class TemporalGraph:
 
 @dataclass(frozen=True)
 class TaskView:
-    """One evaluation task: a vertex window plus train/test structure.
+    """One evaluation task: the windows a model trains and is tested on.
 
-    ``vertices`` holds the retained vertex ids of the source graph (sorted
-    ascending); masks align with it.  ``known_classes`` is the set of classes
-    observed in the training data of strictly earlier tasks.
+    ``train_vertices`` is the history window ending at the timestamp just
+    before ``time``; ``vertices`` is the window ending at ``time``.  Both hold
+    vertex ids of the source graph, sorted ascending.  ``test_mask`` aligns
+    with ``vertices`` and marks the labeled vertices at ``time``, none of
+    which is in ``train_vertices``.
     """
 
     t: int
     time: int
+    train_vertices: np.ndarray
     vertices: np.ndarray
-    train_mask: np.ndarray
     test_mask: np.ndarray
-    known_classes: frozenset
-
-    def __post_init__(self):
-        if np.any(self.train_mask & self.test_mask):
-            raise ValidationError("train and test masks overlap")
 
 
 def induced_subgraph(g: TemporalGraph, keep: np.ndarray) -> TemporalGraph:
@@ -195,18 +192,21 @@ def induced_subgraph(g: TemporalGraph, keep: np.ndarray) -> TemporalGraph:
     )
 
 
+def _window(g: TemporalGraph, t: int, c) -> np.ndarray:
+    """Ids of the vertices with ``t - c <= time(v) <= t`` (all ``time <= t`` when FULL)."""
+    if c is FULL:
+        return np.nonzero(g.time <= t)[0]
+    if c < 0:
+        raise ValidationError("history size must be >= 0 or FULL")
+    return np.nonzero((g.time >= t - c) & (g.time <= t))[0]
+
+
 def trim_history(g: TemporalGraph, t: int, c=FULL) -> TemporalGraph:
     """Vertices with ``t - c <= time(v) <= t`` (all ``time <= t`` when FULL).
 
     An empty window yields an empty graph, not an error.
     """
-    if c is FULL:
-        keep = np.nonzero(g.time <= t)[0]
-    else:
-        if c < 0:
-            raise ValidationError("history size must be >= 0 or FULL")
-        keep = np.nonzero((g.time >= t - c) & (g.time <= t))[0]
-    return induced_subgraph(g, keep)
+    return induced_subgraph(g, _window(g, t, c))
 
 
 def labeled_subgraph(g: TemporalGraph) -> TemporalGraph:
@@ -228,38 +228,33 @@ def build_task_sequence(g: TemporalGraph, c=FULL) -> list[TaskView]:
     """Split ``g`` into evaluation tasks, one per timestamp after the start.
 
     The start timestamp is where the cumulative vertex count first reaches
-    25% of the graph.  Each later timestamp becomes one task: its vertices
-    are the test set, older retained (labeled) vertices are training
-    candidates, and the window obeys the history size ``c``.
+    25% of the graph.  Each later timestamp ``tau`` becomes one task: it
+    trains on the window of history size ``c`` (in time units, as in
+    :func:`trim_history`) ending at the timestamp just before ``tau``, and is
+    tested on the labeled vertices at ``tau`` within the window ending at
+    ``tau``.
     """
     ts = g.timestamps()
     if ts.size < 2:
         raise TaskSequenceError("need at least 2 distinct timestamps")
     t0 = start_timestamp(g)
-    eval_times = [int(s) for s in ts if s > t0]
-    if not eval_times:
+    first = int(np.searchsorted(ts, t0, side="right"))
+    if first == ts.size:
         raise TaskSequenceError(
             f"no timestamps after the 25% start timestamp {t0}"
         )
     labeled = g.labels != UNLABELED
     tasks: list[TaskView] = []
-    known: set[int] = set()
-    for i, tau in enumerate(eval_times, start=1):
-        if c is FULL:
-            window = np.nonzero(g.time <= tau)[0]
-        else:
-            window = np.nonzero((g.time >= tau - c) & (g.time <= tau))[0]
-        tmask = (g.time[window] < tau) & labeled[window]
-        emask = (g.time[window] == tau) & labeled[window]
+    for i in range(first, ts.size):
+        prev, tau = int(ts[i - 1]), int(ts[i])
+        vertices = _window(g, tau, c)
         tasks.append(
             TaskView(
-                t=i,
+                t=i - first + 1,
                 time=tau,
-                vertices=window,
-                train_mask=tmask,
-                test_mask=emask,
-                known_classes=frozenset(known),
+                train_vertices=_window(g, prev, c),
+                vertices=vertices,
+                test_mask=(g.time[vertices] == tau) & labeled[vertices],
             )
         )
-        known.update(int(y) for y in np.unique(g.labels[window[tmask]]))
     return tasks

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, EvographError, RunError, ValidationError
-from .graph import FULL, UNLABELED, TemporalGraph, build_task_sequence, induced_subgraph, trim_history
+from .graph import FULL, UNLABELED, TemporalGraph, build_task_sequence, induced_subgraph
 from .metrics import MetricsReport, TaskRecord, open_macro_f1
 from .models import (
     BCE,
@@ -141,7 +141,6 @@ def run_sequence_with_model(
         seed = cfg.seeds[0]
     tasks = build_task_sequence(g, cfg.history_size)
     label_mask = label_rate_subsample(g, cfg.label_rate, cfg.label_seed)
-    timestamps = g.timestamps()
 
     known_order: list[int] = []
     model: Optional[ModelState] = None
@@ -149,9 +148,8 @@ def run_sequence_with_model(
 
     for task in tasks:
         try:
-            prev_time = int(timestamps[timestamps < task.time][-1])
-            train_g = trim_history(g, prev_time, cfg.history_size)
-            train_sel = (train_g.labels != UNLABELED) & label_mask[train_g.origin_ids]
+            train_g = induced_subgraph(g, task.train_vertices)
+            train_sel = (train_g.labels != UNLABELED) & label_mask[task.train_vertices]
             if not train_sel.any():
                 raise ValidationError("no labeled training vertices in the window")
 
@@ -160,41 +158,31 @@ def run_sequence_with_model(
                 for c in np.unique(train_g.labels[train_sel])
                 if int(c) not in known_order
             ]
-            init_seed = _derive_seed(seed, task.t, 0)
-            expand_seed = _derive_seed(seed, task.t, 1)
-            train_seed = _derive_seed(seed, task.t, 2)
-
-            if model is None:
-                known_order.extend(new_classes)
+            if model is not None and cfg.restart == WARM and new_classes:
+                model = expand_output_layer(model, len(new_classes), _derive_seed(seed, task.t, 1))
+            known_order.extend(new_classes)
+            if model is None or cfg.restart == COLD:
                 model = init_model(
                     cfg.model, g.feature_dim, cfg.hidden_dim, len(known_order),
-                    sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate, seed=init_seed,
+                    sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate,
+                    seed=_derive_seed(seed, task.t, 0),
                 )
-            else:
-                if new_classes:
-                    model = expand_output_layer(model, len(new_classes), expand_seed)
-                    known_order.extend(new_classes)
-                if cfg.restart == COLD:
-                    model = init_model(
-                        cfg.model, g.feature_dim, cfg.hidden_dim, len(known_order),
-                        sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate, seed=init_seed,
-                    )
 
             unit_of = {cls: j for j, cls in enumerate(known_order)}
             y_units_train = _unit_labels(train_g.labels, unit_of)
             X_train = model_inputs(model, train_g)
             model = train(
-                model, train_g, X_train, y_units_train, train_sel, cfg.train_config(train_seed)
+                model, train_g, X_train, y_units_train, train_sel,
+                cfg.train_config(_derive_seed(seed, task.t, 2)),
             )
 
-            eval_g = trim_history(g, task.time, cfg.history_size)
+            eval_g = induced_subgraph(g, task.vertices)
             X_eval = model_inputs(model, eval_g)
             logits = forward(model, eval_g, X_eval, train_mode=False)
-            test_sel = (eval_g.time == task.time) & (eval_g.labels != UNLABELED)
-            if not test_sel.any():
+            if not task.test_mask.any():
                 raise ValidationError("no labeled test vertices at this timestamp")
-            test_logits = logits[test_sel]
-            y_true = eval_g.labels[test_sel]
+            test_logits = logits[task.test_mask]
+            y_true = eval_g.labels[task.test_mask]
 
             order_arr = np.asarray(known_order, dtype=np.int64)
             pred_ids = order_arr[np.argmax(test_logits, axis=1)]

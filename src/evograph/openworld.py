@@ -131,13 +131,12 @@ def _sigmoid_exp(z: np.ndarray):
     return np.where(z >= 0, 1.0 / d, e / d), e
 
 
-def predict_open(logits, thresholds: Thresholds, active=None) -> np.ndarray:
+def predict_open(logits, thresholds: Thresholds) -> np.ndarray:
     """Accept/reject per vertex: UNSEEN (-1) or the argmax output unit.
 
-    A vertex is rejected when sigmoid(logit_i) < tau_i for every considered
-    class; otherwise the argmax of the raw logits wins (ties to the lowest
-    unit index).  ``active`` optionally restricts the rejection test to the
-    given boolean column mask (untrained columns excluded by the caller).
+    A vertex is rejected when sigmoid(logit_i) < tau_i for every class;
+    otherwise the argmax of the raw logits wins (ties to the lowest unit
+    index).
     """
     logits = np.asarray(logits, dtype=np.float64)
     tau = thresholds.tau
@@ -145,14 +144,7 @@ def predict_open(logits, thresholds: Thresholds, active=None) -> np.ndarray:
         raise ValidationError(
             f"logits width {logits.shape[1]} != number of thresholds {tau.shape[0]}"
         )
-    probs = sigmoid(logits)
-    below = probs < tau[None, :]
-    if active is not None:
-        active = np.asarray(active, dtype=bool)
-        below = below[:, active]
-        if below.shape[1] == 0:
-            raise ValidationError("no active columns for the rejection test")
-    reject = below.all(axis=1)
+    reject = (sigmoid(logits) < tau[None, :]).all(axis=1)
     pred = np.argmax(logits, axis=1)
     pred[reject] = UNSEEN
     return pred

@@ -17,7 +17,7 @@ def test_defaults_fill_in():
 
 
 def test_snapshot_round_trips():
-    spec = parse_config_text(MINIMAL + "seeds=3,4\nhistory_size=2\ndetector=doc\ntau_min=0.5\n")
+    spec = parse_config_text(MINIMAL + "seeds=3,4\nhistory_size=2\nrestart=cold\ndetector=doc\ntau_min=0.5\n")
     text = config_text(spec.snapshot())
     again = parse_config_text(text)
     assert again.snapshot() == spec.snapshot()
@@ -64,13 +64,6 @@ def test_detector_variant_defaults():
     assert parse_config_text(MINIMAL + "detector=doc\n").experiment.detector.tau_min == 0.5
     explicit = parse_config_text(MINIMAL + "detector=doc\ntau_min=0.9\n")
     assert explicit.experiment.detector.tau_min == 0.9
-
-
-def test_pair_key_ignores_restart():
-    warm = parse_config_text(MINIMAL + "restart=warm\n")
-    cold = parse_config_text(MINIMAL + "restart=cold\n")
-    assert warm.pair_key() == cold.pair_key()
-    assert warm.snapshot() != cold.snapshot()
 
 
 def test_comments_and_blank_lines_ignored():

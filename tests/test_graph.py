@@ -142,27 +142,33 @@ class TestTaskSequence:
         times = [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4
         g = make_graph(times, labels=[0, 1, 2, eg.UNLABELED] * 4)
         for c in (eg.FULL, 1, 2):
+            ts = g.timestamps()
             for task in eg.build_task_sequence(g, c):
-                assert not np.any(task.train_mask & task.test_mask)
+                prev = int(ts[ts < task.time][-1])
+                train_times = g.time[task.train_vertices]
                 window_times = g.time[task.vertices]
                 if c is not eg.FULL:
+                    assert train_times.min() >= prev - c
                     assert window_times.min() >= task.time - c
-                assert window_times.max() <= task.time
-                # unlabeled vertices stay in the window but never train
-                unl = g.labels[task.vertices] == eg.UNLABELED
-                assert not np.any(task.train_mask & unl)
-                assert not np.any(task.test_mask & unl)
+                assert train_times.max() == prev < task.time
+                assert window_times.max() == task.time
+                # unlabeled vertices stay in the windows but are never tested
+                labeled = g.labels[task.vertices] != eg.UNLABELED
+                assert np.array_equal(task.test_mask, (window_times == task.time) & labeled)
+                tested = task.vertices[task.test_mask]
+                assert not np.intersect1d(tested, task.train_vertices).size
 
     def test_test_vertices_become_next_training_candidates(self):
         times = [1] * 6 + [2] * 3 + [3] * 3 + [4] * 3
         g = make_graph(times, labels=[0, 1] * 7 + [2])
-        tasks = eg.build_task_sequence(g, eg.FULL)
-        for prev, curr in zip(tasks, tasks[1:]):
-            tested = set(prev.vertices[prev.test_mask].tolist())
-            introduced = set(
-                curr.vertices[curr.train_mask & (g.time[curr.vertices] == prev.time)].tolist()
-            )
-            assert tested == introduced
+        for c in (eg.FULL, 1):
+            tasks = eg.build_task_sequence(g, c)
+            for prev, curr in zip(tasks, tasks[1:]):
+                tested = set(prev.vertices[prev.test_mask].tolist())
+                introduced = set(
+                    curr.train_vertices[g.time[curr.train_vertices] == prev.time].tolist()
+                )
+                assert tested == introduced
 
     def test_known_classes_monotone_and_training_only(self):
         times = [1] * 6 + [2] * 3 + [3] * 3 + [4] * 3 + [5] * 3
@@ -170,13 +176,42 @@ class TestTaskSequence:
         g = make_graph(times, labels=labels)
         tasks = eg.build_task_sequence(g, eg.FULL)
         assert [t.time for t in tasks] == [2, 3, 4, 5]
-        assert tasks[0].known_classes == frozenset()
-        seen = set()
-        for task in tasks:
-            assert task.known_classes >= seen
-            seen = set(task.known_classes)
-        # class 2 first appears at time 3 (test data of the time-3 task); it
-        # enters training data for the time-4 task and is "known" one task later
-        assert 2 not in tasks[1].known_classes
-        assert 2 not in tasks[2].known_classes
-        assert 2 in tasks[3].known_classes
+        trained = [set(g.labels[t.train_vertices].tolist()) for t in tasks]
+        assert trained == [{0}, {0, 1}, {0, 1, 2}, {0, 1, 2}]
+        # class 2 first appears at time 3, as test data of the time-3 task; it
+        # enters training one task later
+        assert 2 in g.labels[tasks[1].vertices[tasks[1].test_mask]]
+
+    def test_c1_trains_on_one_time_unit_before_prev(self):
+        # c counts time units, not timestamps: the task at tau trains on
+        # [prev - 1, prev] and is tested on tau
+        g = make_graph(sum(([t] * 4 for t in range(1, 9)), []))
+        for task in eg.build_task_sequence(g, 1):
+            tau = task.time
+            assert set(g.time[task.train_vertices].tolist()) == {tau - 2, tau - 1}
+            assert set(g.time[task.vertices].tolist()) == {tau - 1, tau}
+        # gapped: where the timestamp just before prev is absent, only prev trains
+        g = make_graph(sum(([t] * 4 for t in (1, 2, 4, 7, 8, 11)), []))
+        tasks = eg.build_task_sequence(g, 1)
+        assert [t.time for t in tasks] == [4, 7, 8, 11]
+        assert [sorted(set(g.time[t.train_vertices].tolist())) for t in tasks] == [
+            [1, 2], [4], [7], [7, 8]
+        ]
+
+    def test_windows_match_trim_history(self, graph_factory):
+        for seed in range(10):
+            g = graph_factory(seed, unlabeled_frac=0.3)
+            gapped = eg.TemporalGraph(
+                g.num_vertices, g.edges, g.time ** 2, g.features, g.labels, g.num_classes
+            )
+            for h in (g, gapped):
+                ts = h.timestamps()
+                for c in (eg.FULL, 0, 1, 2, 3):
+                    for task in eg.build_task_sequence(h, c):
+                        prev = int(ts[ts < task.time][-1])
+                        assert np.array_equal(
+                            task.train_vertices, eg.trim_history(h, prev, c).origin_ids
+                        )
+                        assert np.array_equal(
+                            task.vertices, eg.trim_history(h, task.time, c).origin_ids
+                        )

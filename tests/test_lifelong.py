@@ -217,6 +217,40 @@ class TestRunSequence:
         with pytest.raises(RunError, match="task 1"):
             eg.run_sequence(g, cfg, seed=0)
 
+    def test_first_window_without_sampled_labels_aborts(self):
+        n = 20
+        g = eg.TemporalGraph(
+            n, [(i, i + 1) for i in range(n - 1)], [1] * 5 + [2] * 5 + [3] * 10,
+            np.zeros((n, 2), np.float32),
+            [0, 1] + [eg.UNLABELED] * 3 + [0, 1] * 7 + [eg.UNLABELED], 2,
+        )
+        cfg = eg.ExperimentConfig(model="mlp", epochs=2, label_rate=0.5, label_seed=6)
+        # the first window has labels, but the 50% sample takes none of them
+        assert not eg.label_rate_subsample(g, 0.5, 6)[g.time == 1].any()
+        with pytest.raises(RunError, match=r"^task 1: no labeled training vertices in the window$"):
+            eg.run_sequence(g, cfg, seed=0)
+
+    @pytest.mark.parametrize("label_rate", [1.0, 0.5])
+    def test_unlabeled_task_timestamp_aborts(self, label_rate):
+        g = schedule_graph(seed=2)
+        tasks = eg.build_task_sequence(g, eg.FULL)
+        labels = g.labels.copy()
+        labels[g.time == tasks[2].time] = eg.UNLABELED
+        g = eg.TemporalGraph(g.num_vertices, g.edges, g.time, g.features, labels, g.num_classes)
+        cfg = eg.ExperimentConfig(model="mlp", epochs=2, label_rate=label_rate)
+        with pytest.raises(RunError, match=r"^task 3: no labeled test vertices at this timestamp$"):
+            eg.run_sequence(g, cfg, seed=0)
+
+    def test_derived_graph_runs_like_its_copy(self):
+        # label_mask is indexed by ids of the graph passed in, not by origin_ids
+        src = schedule_graph(seed=4)
+        g = eg.induced_subgraph(src, np.arange(10, src.num_vertices))
+        plain = eg.TemporalGraph(
+            g.num_vertices, g.edges, g.time, g.features, g.labels, g.num_classes
+        )
+        cfg = eg.ExperimentConfig(model="mlp", epochs=3, label_rate=0.5)
+        expected = eg.run_sequence(plain, cfg, seed=0).to_jsonl()
+        assert eg.run_sequence(g, cfg, seed=0).to_jsonl() == expected
 
     def test_diverging_run_names_task_and_epoch(self):
         g = schedule_graph(seed=1)

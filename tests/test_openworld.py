@@ -137,14 +137,6 @@ class TestPredictOpen:
         ]
         assert counts == sorted(counts)
 
-    def test_active_mask_excludes_untrained_columns(self):
-        # with column 1 treated as untrained, its high output no longer
-        # blocks rejection
-        logits = logit([[0.4, 0.9]])
-        thr = eg.Thresholds([0.5, 0.5])
-        assert eg.predict_open(logits, thr)[0] == 1
-        assert eg.predict_open(logits, thr, active=[True, False])[0] == eg.UNSEEN
-
 
 class TestSigmoid:
     """``sigmoid`` against the two-branch reference, bit for bit."""
