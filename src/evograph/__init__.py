@@ -64,6 +64,7 @@ from .lifelong import (
     label_rate_subsample,
     run_sequence,
     run_sequence_with_model,
+    run_sequences,
     two_task_experiment,
 )
 from .errors import (

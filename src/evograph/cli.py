@@ -25,7 +25,7 @@ from .dataio import dataset_fingerprint, load_dataset, save_dataset
 from .errors import ConfigError, EvographError
 from .graph import UNLABELED, induced_subgraph
 from .lifelong import run_sequence_with_model, two_task_experiment
-from .metrics import MetricsReport, drift_magnitude, forward_transfer, mean_ci95
+from .metrics import drift_magnitude, forward_transfer, mean_ci95
 from .models import save_checkpoint
 from .synth import SynthConfig, generate
 from .tdiff import history_sizes, k_hop_time_diffs, percentile
@@ -181,13 +181,14 @@ def _two_task_split(g):
 
 
 def _seed_job(payload):
-    """Run one seed; top-level so process pools can pickle it."""
+    """Run one seed: (seed, report text, the report or two-task trace it
+    encodes, final model or None); top-level so process pools can pickle it."""
     snapshot, seed = payload
     spec = RunSpec(snapshot)
     g = load_dataset(spec.dataset)
     if spec.mode == MODE_SEQUENCE:
         report, model = run_sequence_with_model(g, spec.experiment, seed=seed)
-        return seed, report.to_jsonl(), model
+        return seed, report.to_jsonl(), report, model
     trace = two_task_experiment(
         _two_task_split(g), g, spec.experiment,
         spec.pretrain_epochs, spec.inference_epochs, seed=seed,
@@ -202,19 +203,7 @@ def _seed_job(payload):
             sort_keys=True,
         )
     )
-    return seed, "\n".join(lines) + "\n", None
-
-
-def _two_task_traces(texts: dict) -> dict:
-    traces = {}
-    for seed, text in texts.items():
-        acc = []
-        for line in text.splitlines():
-            obj = json.loads(line)
-            if obj.get("kind") == "epoch":
-                acc.append(obj["accuracy"])
-        traces[seed] = acc
-    return traces
+    return seed, "\n".join(lines) + "\n", trace, None
 
 
 def _apply_detector_overrides(snapshot: dict, args) -> dict:
@@ -240,12 +229,10 @@ def cmd_run(args) -> int:
     spec = RunSpec(snapshot)
 
     fingerprint = dataset_fingerprint(spec.dataset)
-    if args.from_manifest:
-        recorded = load_manifest(args.from_manifest)["dataset_fingerprint"]
-        if recorded != fingerprint:
-            raise EvographError(
-                f"dataset at {spec.dataset} changed since the manifest was written"
-            )
+    if args.from_manifest and manifest["dataset_fingerprint"] != fingerprint:
+        raise EvographError(
+            f"dataset at {spec.dataset} changed since the manifest was written"
+        )
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,8 +242,9 @@ def cmd_run(args) -> int:
             results = list(pool.map(_seed_job, jobs))
     else:
         results = [_seed_job(j) for j in jobs]
-    texts = {seed: text for seed, text, _ in results}
-    models = {seed: model for seed, _, model in results}
+    texts = {seed: text for seed, text, _, _ in results}
+    parsed = {seed: result for seed, _, result, _ in results}
+    models = {seed: model for seed, _, _, model in results}
 
     reports = {}
     for seed in spec.experiment.seeds:
@@ -268,7 +256,6 @@ def cmd_run(args) -> int:
             save_checkpoint(models[seed], out_dir / f"model_seed{seed}")
 
     if spec.mode == MODE_SEQUENCE:
-        parsed = {seed: MetricsReport.from_jsonl(texts[seed]) for seed in spec.experiment.seeds}
         acc_mean, acc_ci = mean_ci95([r.avg_accuracy() for r in parsed.values()])
         mcc_mean, mcc_ci = mean_ci95([r.mcc() for r in parsed.values()])
         f1_mean, f1_ci = mean_ci95([r.open_macro_f1() for r in parsed.values()])
@@ -283,8 +270,7 @@ def cmd_run(args) -> int:
             "per_task_accuracy_mean": [float(x) for x in traces.mean(axis=0)],
         }
     else:
-        traces = _two_task_traces(texts)
-        arr = np.array([traces[s] for s in spec.experiment.seeds])
+        arr = np.array([parsed[s] for s in spec.experiment.seeds])
         init_mean, init_ci = mean_ci95(arr[:, 0])
         final_mean, final_ci = mean_ci95(arr[:, -1])
         summary = {

@@ -15,7 +15,6 @@ from typing import Optional
 from .errors import ConfigError
 from .graph import FULL
 from .lifelong import ExperimentConfig, LOSS_AUTO
-from .models import LOSS_MODES, MODEL_KINDS
 from .openworld import DOC, GDOC, DetectorConfig
 
 MODE_SEQUENCE = "sequence"
@@ -83,10 +82,6 @@ class RunSpec:
             raise ConfigError(f"mode: expected sequence or two-task, got {vals['mode']!r}")
         if not vals["dataset"]:
             raise ConfigError("dataset: required")
-        if vals["model"] not in MODEL_KINDS:
-            raise ConfigError(f"model: expected one of {MODEL_KINDS}, got {vals['model']!r}")
-        if vals["loss_mode"] != LOSS_AUTO and vals["loss_mode"] not in LOSS_MODES:
-            raise ConfigError(f"loss_mode: unknown {vals['loss_mode']!r}")
 
         history = vals["history_size"]
         history_size = FULL if history == "full" else _parse_number(

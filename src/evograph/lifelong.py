@@ -4,13 +4,13 @@ For each evaluation task the engine trains on the history-trimmed graph
 through the previous timestamp (warm restarts reuse the surviving
 parameters, cold restarts reinitialize), grows the output layer when classes
 enter the training data for the first time, predicts the vertices new at the
-task's timestamp, and optionally applies an unseen-class detector whose
-thresholds are re-fit on that task's training outputs.
+task's timestamp, and scores each config's unseen-class detector, if any,
+with thresholds re-fit on that task's training outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -21,6 +21,7 @@ from .metrics import MetricsReport, TaskRecord, open_macro_f1
 from .models import (
     BCE,
     CATEGORICAL,
+    MODEL_KINDS,
     WEIGHTED_BCE,
     ModelState,
     TrainConfig,
@@ -72,6 +73,16 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if any(s < 0 for s in self.seeds) or self.label_seed < 0:
             raise ConfigError("seeds must be non-negative")
+        if self.model not in MODEL_KINDS:
+            raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
+        if self.hidden_dim < 1:
+            raise ConfigError("hidden_dim must be >= 1")
+        if not 0 <= self.dropout_rate < 1:
+            raise ConfigError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
+        try:
+            self.train_config(0)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def effective_loss_mode(self) -> str:
         if self.loss_mode != LOSS_AUTO:
@@ -137,14 +148,62 @@ def run_sequence_with_model(
     g: TemporalGraph, cfg: ExperimentConfig, seed: Optional[int] = None, trace=None
 ) -> tuple[MetricsReport, ModelState]:
     """Like :func:`run_sequence` but also returns the final task's model."""
+    (report,), model = run_sequences(g, [cfg], seed=seed, traces=[trace])
+    return report, model
+
+
+def _score_task(t, train_probs, y_units_train, train_sel, test_logits, y_true, known_order, detector):
+    """Task ``t``'s record and thresholds (None without a detector) from its outputs."""
+    order_arr = np.asarray(known_order, dtype=np.int64)
+    pred_ids = order_arr[np.argmax(test_logits, axis=1)]
+    thresholds = None
+    open_ids = pred_ids
+    if detector is not None:
+        thresholds = fit_thresholds(train_probs, y_units_train, train_sel, detector)
+        open_units = predict_open(test_logits, thresholds)
+        open_ids = np.where(open_units == UNSEEN, UNSEEN, order_arr[open_units])
+    truly_unseen = ~np.isin(y_true, order_arr)
+    said_unseen = open_ids == UNSEEN
+    record = TaskRecord(
+        t=t,
+        accuracy=float(np.mean(pred_ids == y_true)),
+        tp=int(np.sum(said_unseen & truly_unseen)),
+        tn=int(np.sum(~said_unseen & ~truly_unseen)),
+        fp=int(np.sum(said_unseen & ~truly_unseen)),
+        fn=int(np.sum(~said_unseen & truly_unseen)),
+        open_f1=open_macro_f1(y_true, open_ids, set(known_order)),
+    )
+    return record, thresholds
+
+
+def run_sequences(
+    g: TemporalGraph, cfgs, seed: Optional[int] = None, traces=None
+) -> tuple[list[MetricsReport], ModelState]:
+    """Train once over the task sequence and score every config on each task.
+
+    The configs may differ only in ``detector`` and must share one
+    ``effective_loss_mode()``, so a single training serves them all; each
+    gets the report, and in ``traces`` the trace, that :func:`run_sequence`
+    gives it alone.  Returns the reports in order and the final task's model.
+    """
+    if not cfgs:
+        raise ConfigError("need at least one config")
+    cfg = cfgs[0]
+    if any(replace(c, detector=None) != replace(cfg, detector=None) for c in cfgs):
+        raise ConfigError("configs may differ only in their detector")
+    if len({c.effective_loss_mode() for c in cfgs}) > 1:
+        raise ConfigError("configs must share one effective loss mode")
     if seed is None:
         seed = cfg.seeds[0]
+    traces = [None] * len(cfgs) if traces is None else list(traces)
+    if len(traces) != len(cfgs):
+        raise ConfigError(f"{len(traces)} traces for {len(cfgs)} configs")
     tasks = build_task_sequence(g, cfg.history_size)
     label_mask = label_rate_subsample(g, cfg.label_rate, cfg.label_seed)
 
     known_order: list[int] = []
     model: Optional[ModelState] = None
-    records: list[TaskRecord] = []
+    records: list[list[TaskRecord]] = [[] for _ in cfgs]
 
     for task in tasks:
         try:
@@ -183,51 +242,33 @@ def run_sequence_with_model(
                 raise ValidationError("no labeled test vertices at this timestamp")
             test_logits = logits[task.test_mask]
             y_true = eval_g.labels[task.test_mask]
+            train_probs = None
+            if any(c.detector is not None for c in cfgs):
+                train_probs = sigmoid(forward(model, train_g, X_train, train_mode=False))
 
-            order_arr = np.asarray(known_order, dtype=np.int64)
-            pred_ids = order_arr[np.argmax(test_logits, axis=1)]
-            accuracy = float(np.mean(pred_ids == y_true))
-
-            if cfg.detector is not None:
-                train_logits = forward(model, train_g, X_train, train_mode=False)
-                thresholds = fit_thresholds(
-                    sigmoid(train_logits), y_units_train, train_sel, cfg.detector
+            for c, task_records, trace in zip(cfgs, records, traces):
+                record, thresholds = _score_task(
+                    task.t, train_probs, y_units_train, train_sel,
+                    test_logits, y_true, known_order, c.detector,
                 )
-                open_units = predict_open(test_logits, thresholds)
-                open_ids = np.where(open_units == UNSEEN, UNSEEN, order_arr[open_units])
-            else:
-                open_ids = pred_ids
-
-            known_now = set(known_order)
-            truly_unseen = ~np.isin(y_true, order_arr)
-            said_unseen = open_ids == UNSEEN
-            record = TaskRecord(
-                t=task.t,
-                accuracy=accuracy,
-                tp=int(np.sum(said_unseen & truly_unseen)),
-                tn=int(np.sum(~said_unseen & ~truly_unseen)),
-                fp=int(np.sum(said_unseen & ~truly_unseen)),
-                fn=int(np.sum(~said_unseen & truly_unseen)),
-                open_f1=open_macro_f1(y_true, open_ids, known_now),
-            )
-            records.append(record)
-            if trace is not None:
-                entry = {
-                    "t": task.t,
-                    "time": task.time,
-                    "output_dim": model.output_dim,
-                    "new_classes": list(new_classes),
-                    "known_classes": list(known_order),
-                }
-                if cfg.detector is not None:
-                    entry["thresholds"] = thresholds.tau.tolist()
-                    entry["sd"] = None if thresholds.sd is None else thresholds.sd.tolist()
-                trace.append(entry)
+                task_records.append(record)
+                if trace is not None:
+                    entry = {
+                        "t": task.t,
+                        "time": task.time,
+                        "output_dim": model.output_dim,
+                        "new_classes": list(new_classes),
+                        "known_classes": list(known_order),
+                    }
+                    if thresholds is not None:
+                        entry["thresholds"] = thresholds.tau.tolist()
+                        entry["sd"] = None if thresholds.sd is None else thresholds.sd.tolist()
+                    trace.append(entry)
         except RunError:
             raise
         except EvographError as exc:
             raise RunError(task.t, str(exc)) from exc
-    return MetricsReport(records=records), model
+    return [MetricsReport(records=r) for r in records], model
 
 
 def _validate_two_task_inputs(g_train: TemporalGraph, g_full: TemporalGraph) -> np.ndarray:
@@ -272,7 +313,6 @@ def two_task_experiment(
     if seed is None:
         seed = cfg.seeds[0]
     origin = _validate_two_task_inputs(g_train, g_full)
-    loss_mode = cfg.effective_loss_mode()
 
     classes = sorted(int(c) for c in np.unique(g_train.labels))
     unit_of = {cls: j for j, cls in enumerate(classes)}
@@ -287,10 +327,7 @@ def two_task_experiment(
         model = train(
             model, g_train, model_inputs(model, g_train), y_units_train,
             np.ones(g_train.num_vertices, dtype=bool),
-            TrainConfig(
-                learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
-                epochs=pretrain_epochs, loss_mode=loss_mode, seed=_derive_seed(seed, 1),
-            ),
+            replace(cfg.train_config(_derive_seed(seed, 1)), epochs=pretrain_epochs),
         )
 
     train_mask_full = np.zeros(g_full.num_vertices, dtype=bool)
@@ -311,10 +348,7 @@ def two_task_experiment(
         # optimizer state restarts fresh for the inference phase
         train(
             model, g_full, X_full, _unit_labels(g_full.labels, unit_of), train_mask_full,
-            TrainConfig(
-                learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
-                epochs=inference_epochs, loss_mode=loss_mode, seed=_derive_seed(seed, 2),
-            ),
+            replace(cfg.train_config(_derive_seed(seed, 2)), epochs=inference_epochs),
             on_epoch=lambda epoch, loss, m: trace.append(test_accuracy(m)),
         )
     return trace

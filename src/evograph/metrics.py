@@ -1,7 +1,7 @@
 """Evaluation measures and the per-run metrics report.
 
-The "unseen" virtual class is encoded as -1 in prediction/label arrays, the
-same sentinel :mod:`evograph.openworld` emits.
+The "unseen" virtual class is encoded in prediction/label arrays as
+:data:`evograph.openworld.UNSEEN` (-1), the sentinel its detectors emit.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ValidationError
-
-UNSEEN = -1
+from .openworld import UNSEEN
 
 
 def avg_accuracy(per_task_accuracies) -> float:

@@ -88,7 +88,13 @@ def seq_runs(seq_graph):
 
 @pytest.fixture(scope="module")
 def det_runs(det_graph):
-    """DOC baseline plus the weighted variant across the alpha sweep."""
+    """DOC baseline plus the weighted variant across the alpha sweep.
+
+    Training depends on the detector only through its loss mode, so each
+    seed trains once for DOC (BCE) and once for the four gDOC settings
+    (weighted BCE); ``run_sequences`` scores every detector of a group on
+    that one training and gives each the report ``run_sequence`` would.
+    """
     t0 = time.time()
     detectors = {
         "doc": eg.DetectorConfig(variant="doc", tau_min=0.5),
@@ -97,18 +103,21 @@ def det_runs(det_graph):
         "gdoc_a2": eg.DetectorConfig(variant="gdoc", tau_min=0.75, alpha=2.0, use_risk_reduction=True),
         "gdoc_a3": eg.DetectorConfig(variant="gdoc", tau_min=0.75, alpha=3.0, use_risk_reduction=True),
     }
-    out = {}
-    for name, det in detectors.items():
-        reports, traces = [], []
+    out = {name: {"reports": [], "traces": [], "cfg": det} for name, det in detectors.items()}
+    for names in (["doc"], ["gdoc_a0", "gdoc_a1", "gdoc_a2", "gdoc_a3"]):
         for s in SEEDS:
-            cfg = eg.ExperimentConfig(
-                model="sage", epochs=200, history_size=3, restart="warm",
-                learning_rate=0.02, weight_decay=5e-3, seeds=(s,), detector=det,
-            )
-            trace = []
-            reports.append(eg.run_sequence(det_graph, cfg, seed=s, trace=trace))
-            traces.append(trace)
-        out[name] = {"reports": reports, "traces": traces, "cfg": det}
+            cfgs = [
+                eg.ExperimentConfig(
+                    model="sage", epochs=200, history_size=3, restart="warm",
+                    learning_rate=0.02, weight_decay=5e-3, seeds=(s,), detector=detectors[name],
+                )
+                for name in names
+            ]
+            traces = [[] for _ in names]
+            reports, _ = eg.run_sequences(det_graph, cfgs, seed=s, traces=traces)
+            for name, report, trace in zip(names, reports, traces):
+                out[name]["reports"].append(report)
+                out[name]["traces"].append(trace)
     out["elapsed"] = time.time() - t0
     return out
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -109,6 +110,37 @@ class TestRun:
         for name in ("report_seed0.jsonl", "report_seed1.jsonl", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_rerun_from_changed_dataset_exit_1(self, dataset, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        cfg = write_config(tmp_path / "c.cfg", data, seeds="0")
+        out = tmp_path / "r1"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        features = data / "features.bin"
+        raw = bytearray(features.read_bytes())
+        raw[-1] ^= 1
+        features.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main([
+            "run", "--from-manifest", str(out / "manifest.json"),
+            "--output-dir", str(tmp_path / "r2"), "--quiet",
+        ]) == 1
+        assert "changed since the manifest was written" in capsys.readouterr().err
+
+    def test_summary_agrees_with_report_files(self, dataset, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", dataset, detector="doc", seeds="0,1,2")
+        out = tmp_path / "s"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        reports = [
+            eg.MetricsReport.from_jsonl((out / f"report_seed{s}.jsonl").read_text())
+            for s in (0, 1, 2)
+        ]
+        mean, ci = eg.mean_ci95([r.mcc() for r in reports])
+        assert summary["mcc"] == {"mean": mean, "ci95": ci}
+        per_task = np.mean([r.accuracies() for r in reports], axis=0)
+        assert summary["per_task_accuracy_mean"] == [float(x) for x in per_task]
+
     def test_jobs_parallel_identical(self, dataset, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", dataset)
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
@@ -155,6 +187,11 @@ class TestRun:
         assert rc == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_unknown_model_exit_2(self, dataset, tmp_path, capsys):
+        cfg = write_config(tmp_path / "bad.cfg", dataset, model="gat")
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        assert "model" in capsys.readouterr().err
+
     def test_missing_dataset_exit_1(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", tmp_path / "absent")
         assert main(["run", "--config", str(cfg), "--quiet"]) == 1
@@ -170,7 +207,7 @@ class TestRun:
         epochs = [json.loads(x) for x in lines if json.loads(x)["kind"] == "epoch"]
         assert len(epochs) == 5
         summary = json.loads((out / "summary.json").read_text())
-        assert len(summary["trace_mean"]) == 5
+        assert summary["trace_mean"] == [e["accuracy"] for e in epochs]
 
 
 @pytest.fixture(scope="module")

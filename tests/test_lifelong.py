@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,16 @@ def schedule_graph(seed=0):
             feature_dim=8,
             seed=seed,
         )
+    )
+
+
+def first_window_unsampled_graph():
+    """The first window has labels, but the 50% sample at label_seed=6 takes none."""
+    n = 20
+    return eg.TemporalGraph(
+        n, [(i, i + 1) for i in range(n - 1)], [1] * 5 + [2] * 5 + [3] * 10,
+        np.zeros((n, 2), np.float32),
+        [0, 1] + [eg.UNLABELED] * 3 + [0, 1] * 7 + [eg.UNLABELED], 2,
     )
 
 
@@ -218,12 +230,7 @@ class TestRunSequence:
             eg.run_sequence(g, cfg, seed=0)
 
     def test_first_window_without_sampled_labels_aborts(self):
-        n = 20
-        g = eg.TemporalGraph(
-            n, [(i, i + 1) for i in range(n - 1)], [1] * 5 + [2] * 5 + [3] * 10,
-            np.zeros((n, 2), np.float32),
-            [0, 1] + [eg.UNLABELED] * 3 + [0, 1] * 7 + [eg.UNLABELED], 2,
-        )
+        g = first_window_unsampled_graph()
         cfg = eg.ExperimentConfig(model="mlp", epochs=2, label_rate=0.5, label_seed=6)
         # the first window has labels, but the 50% sample takes none of them
         assert not eg.label_rate_subsample(g, 0.5, 6)[g.time == 1].any()
@@ -258,6 +265,129 @@ class TestRunSequence:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RunError, match=r"^task 1: non-finite logits at epoch \d+$"):
                 eg.run_sequence(g, cfg, seed=0)
+
+
+DOC_05 = eg.DetectorConfig(variant="doc", tau_min=0.5)
+DOC_075 = eg.DetectorConfig(variant="doc", tau_min=0.75)
+GDOC_SWEEP = [
+    eg.DetectorConfig(variant="gdoc", tau_min=0.75),
+    eg.DetectorConfig(variant="gdoc", tau_min=0.75, alpha=1.0, use_risk_reduction=True),
+    eg.DetectorConfig(variant="gdoc", tau_min=0.75, alpha=3.0, use_risk_reduction=True),
+    eg.DetectorConfig(variant="gdoc", tau_min=0.5, alpha=1.0, use_risk_reduction=True),
+]
+
+
+class TestExperimentConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 0),
+            ("learning_rate", -1),
+            ("loss_mode", "bogus"),
+            ("model", "gat"),
+            ("hidden_dim", 0),
+            ("dropout_rate", 1.0),
+        ],
+    )
+    def test_bad_training_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            eg.ExperimentConfig(**{field: value})
+
+
+class TestRunSequences:
+    @pytest.mark.parametrize(
+        "base",
+        [
+            dict(model="mlp", restart="warm"),
+            dict(model="sgc", restart="cold", label_rate=0.5),
+            dict(model="sage", restart="warm", label_rate=0.5, history_size=2),
+            dict(model="sage", restart="cold"),
+        ],
+        ids=["mlp-warm", "sgc-cold-half-labels", "sage-warm-half-labels-h2", "sage-cold"],
+    )
+    @pytest.mark.parametrize(
+        "loss_mode, detectors",
+        [
+            ("auto", [DOC_05, DOC_075]),
+            ("auto", GDOC_SWEEP),
+            (eg.BCE, [None, DOC_05]),
+            (eg.WEIGHTED_BCE, [GDOC_SWEEP[2], None]),
+        ],
+        ids=["doc-tau-sweep", "gdoc-alpha-tau-sweep", "bce-none-and-doc", "wbce-gdoc-and-none"],
+    )
+    def test_each_config_equals_its_own_run(self, base, loss_mode, detectors):
+        g = schedule_graph(seed=6)
+        cfgs = [
+            eg.ExperimentConfig(epochs=12, loss_mode=loss_mode, detector=d, **base)
+            for d in detectors
+        ]
+        traces = [[] for _ in cfgs]
+        reports, model = eg.run_sequences(g, cfgs, seed=4, traces=traces)
+        assert len(reports) == len(cfgs)
+        for cfg, report, trace in zip(cfgs, reports, traces):
+            expected_trace = []
+            expected, expected_model = eg.run_sequence_with_model(g, cfg, seed=4, trace=expected_trace)
+            assert report.to_jsonl() == expected.to_jsonl()
+            assert json.dumps(trace) == json.dumps(expected_trace)
+            for (w, b), (we, be) in zip(model.layers, expected_model.layers):
+                assert np.array_equal(w, we) and np.array_equal(b, be)
+
+    def _error_texts(self, g, cfgs, seed=0):
+        texts = []
+        for cfg in cfgs:
+            with pytest.raises(RunError) as alone:
+                eg.run_sequence(g, cfg, seed=seed)
+            texts.append(str(alone.value))
+        with pytest.raises(RunError) as shared:
+            eg.run_sequences(g, cfgs, seed=seed)
+        return texts, str(shared.value)
+
+    def test_unlabeled_first_window_error_matches(self):
+        g = first_window_unsampled_graph()
+        cfgs = [
+            eg.ExperimentConfig(model="mlp", epochs=2, label_rate=0.5, label_seed=6, detector=d)
+            for d in GDOC_SWEEP
+        ]
+        alone, shared = self._error_texts(g, cfgs)
+        assert alone == [shared] * len(cfgs)
+        assert shared == "task 1: no labeled training vertices in the window"
+
+    def test_divergence_error_matches(self):
+        g = schedule_graph(seed=1)
+        cfgs = [
+            eg.ExperimentConfig(model="mlp", epochs=5, learning_rate=1e200, detector=d)
+            for d in (DOC_05, DOC_075)
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone, shared = self._error_texts(g, cfgs)
+        assert alone == [shared] * len(cfgs)
+        assert shared.startswith("task 1: non-finite logits at epoch ")
+
+    @pytest.mark.parametrize(
+        "cfgs, match",
+        [
+            ([], "at least one config"),
+            (
+                [eg.ExperimentConfig(detector=DOC_05), eg.ExperimentConfig(detector=GDOC_SWEEP[0])],
+                "loss mode",
+            ),
+            ([eg.ExperimentConfig(), eg.ExperimentConfig(loss_mode=eg.BCE, detector=DOC_05)], "detector"),
+            (
+                [eg.ExperimentConfig(detector=DOC_05), eg.ExperimentConfig(epochs=3, detector=DOC_075)],
+                "detector",
+            ),
+        ],
+        ids=["empty", "mixed-loss-modes", "loss-mode-field-differs", "epochs-differ"],
+    )
+    def test_lists_that_cannot_share_a_training_are_rejected(self, cfgs, match):
+        g = schedule_graph()
+        with pytest.raises(ConfigError, match=match):
+            eg.run_sequences(g, cfgs)
+
+    def test_trace_count_must_match(self):
+        cfgs = [eg.ExperimentConfig(detector=DOC_05), eg.ExperimentConfig(detector=DOC_075)]
+        with pytest.raises(ConfigError, match="traces"):
+            eg.run_sequences(schedule_graph(), cfgs, traces=[[]])
 
 
 class TestTwoTask:
