@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -98,9 +99,19 @@ def _class_distribution(g, ts) -> dict:
     return {int(v): float(c) / labels.size for v, c in zip(values, counts)}
 
 
+def _parse_percentiles(text: str) -> list:
+    try:
+        ps = [float(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise ConfigError(f"--percentiles: cannot parse {text!r}") from None
+    if not ps or not all(0 < p <= 100 for p in ps):
+        raise ConfigError(f"--percentiles: need values in (0, 100], got {text!r}")
+    return ps
+
+
 def cmd_analyze(args) -> int:
+    ps = _parse_percentiles(args.percentiles)
     g = load_dataset(args.dataset)
-    ps = [float(p) for p in args.percentiles.split(",") if p.strip()]
     hist = k_hop_time_diffs(g, args.k)
     pct = {p: (percentile(hist, p) if hist.counts else 0) for p in ps}
 
@@ -180,15 +191,12 @@ def _two_task_split(g):
     return induced_subgraph(g, keep)
 
 
-def _seed_job(payload):
-    """Run one seed: (seed, report text, the report or two-task trace it
-    encodes, final model or None); top-level so process pools can pickle it."""
-    snapshot, seed = payload
-    spec = RunSpec(snapshot)
-    g = load_dataset(spec.dataset)
+def _seed_job(spec: RunSpec, g, seed: int):
+    """Run one seed: (report text, the report or two-task trace it encodes,
+    final model or None); top-level so process pools can pickle it."""
     if spec.mode == MODE_SEQUENCE:
         report, model = run_sequence_with_model(g, spec.experiment, seed=seed)
-        return seed, report.to_jsonl(), report, model
+        return report.to_jsonl(), report, model
     trace = two_task_experiment(
         _two_task_split(g), g, spec.experiment,
         spec.pretrain_epochs, spec.inference_epochs, seed=seed,
@@ -203,7 +211,7 @@ def _seed_job(payload):
             sort_keys=True,
         )
     )
-    return seed, "\n".join(lines) + "\n", trace, None
+    return "\n".join(lines) + "\n", trace, None
 
 
 def _apply_detector_overrides(snapshot: dict, args) -> dict:
@@ -234,35 +242,35 @@ def cmd_run(args) -> int:
             f"dataset at {spec.dataset} changed since the manifest was written"
         )
 
+    g = load_dataset(spec.dataset)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(snapshot, seed) for seed in spec.experiment.seeds]
+    seeds = spec.experiment.seeds
+    job = partial(_seed_job, spec, g)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_seed_job, jobs))
+            results = list(pool.map(job, seeds))
     else:
-        results = [_seed_job(j) for j in jobs]
-    texts = {seed: text for seed, text, _, _ in results}
-    parsed = {seed: result for seed, _, result, _ in results}
-    models = {seed: model for seed, _, _, model in results}
+        results = [job(seed) for seed in seeds]
+    parsed = [result for _, result, _ in results]
 
     reports = {}
-    for seed in spec.experiment.seeds:
+    for seed, (text, _, model) in zip(seeds, results):
         name = f"report_seed{seed}.jsonl"
-        (out_dir / name).write_text(texts[seed], encoding="utf-8")
+        (out_dir / name).write_text(text, encoding="utf-8")
         reports[str(seed)] = name
         # final-task model, reusable for warm starts across invocations
-        if models[seed] is not None:
-            save_checkpoint(models[seed], out_dir / f"model_seed{seed}")
+        if model is not None:
+            save_checkpoint(model, out_dir / f"model_seed{seed}")
 
     if spec.mode == MODE_SEQUENCE:
-        acc_mean, acc_ci = mean_ci95([r.avg_accuracy() for r in parsed.values()])
-        mcc_mean, mcc_ci = mean_ci95([r.mcc() for r in parsed.values()])
-        f1_mean, f1_ci = mean_ci95([r.open_macro_f1() for r in parsed.values()])
-        traces = np.array([[rec.accuracy for rec in r.records] for r in parsed.values()])
+        acc_mean, acc_ci = mean_ci95([r.avg_accuracy() for r in parsed])
+        mcc_mean, mcc_ci = mean_ci95([r.mcc() for r in parsed])
+        f1_mean, f1_ci = mean_ci95([r.open_macro_f1() for r in parsed])
+        traces = np.array([[rec.accuracy for rec in r.records] for r in parsed])
         summary = {
             "mode": spec.mode,
-            "n_seeds": len(spec.experiment.seeds),
+            "n_seeds": len(seeds),
             "dataset_fingerprint": fingerprint,
             "avg_accuracy": {"mean": acc_mean, "ci95": acc_ci},
             "mcc": {"mean": mcc_mean, "ci95": mcc_ci},
@@ -270,12 +278,12 @@ def cmd_run(args) -> int:
             "per_task_accuracy_mean": [float(x) for x in traces.mean(axis=0)],
         }
     else:
-        arr = np.array([parsed[s] for s in spec.experiment.seeds])
+        arr = np.array(parsed)
         init_mean, init_ci = mean_ci95(arr[:, 0])
         final_mean, final_ci = mean_ci95(arr[:, -1])
         summary = {
             "mode": spec.mode,
-            "n_seeds": len(spec.experiment.seeds),
+            "n_seeds": len(seeds),
             "dataset_fingerprint": fingerprint,
             "initial_accuracy": {"mean": init_mean, "ci95": init_ci},
             "final_accuracy": {"mean": final_mean, "ci95": final_ci},
@@ -302,6 +310,9 @@ def _load_run(path) -> dict:
     if p.is_dir():
         p = p / "manifest.json"
     manifest = load_manifest(p)
+    mode = manifest["config"]["mode"]
+    if mode != MODE_SEQUENCE:
+        raise EvographError(f"{path} is a {mode} run; report reads sequence runs only")
     summary = json.loads((p.parent / manifest["summary"]).read_text(encoding="utf-8"))
     return {"manifest": manifest, "summary": summary, "dir": p.parent}
 

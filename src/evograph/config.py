@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .graph import FULL
 from .lifelong import ExperimentConfig, LOSS_AUTO
 from .openworld import DOC, GDOC, DetectorConfig
@@ -54,14 +54,11 @@ def _parse_bool(field: str, value: str) -> bool:
     raise ConfigError(f"{field}: expected true/false, got {value!r}")
 
 
-def _parse_number(field: str, value: str, conv, check=None):
+def _parse_number(field: str, value: str, conv):
     try:
-        out = conv(value)
+        return conv(value)
     except ValueError:
         raise ConfigError(f"{field}: cannot parse {value!r}") from None
-    if check is not None and not check(out):
-        raise ConfigError(f"{field}: value {out} out of range")
-    return out
 
 
 class RunSpec:
@@ -82,54 +79,48 @@ class RunSpec:
             raise ConfigError(f"mode: expected sequence or two-task, got {vals['mode']!r}")
         if not vals["dataset"]:
             raise ConfigError("dataset: required")
-
-        history = vals["history_size"]
-        history_size = FULL if history == "full" else _parse_number(
-            "history_size", history, int, lambda v: v >= 1
-        )
-        seeds = tuple(
-            _parse_number("seeds", s.strip(), int, lambda v: v >= 0)
-            for s in vals["seeds"].split(",")
-            if s.strip()
-        )
-        if not seeds:
-            raise ConfigError("seeds: need at least one")
-
-        detector: Optional[DetectorConfig] = None
         if vals["detector"] not in ("none", DOC, GDOC):
             raise ConfigError(f"detector: expected none, doc, or gdoc, got {vals['detector']!r}")
-        if vals["detector"] != "none":
-            detector = DetectorConfig(
-                variant=vals["detector"],
-                tau_min=_parse_number("tau_min", vals["tau_min"], float, lambda v: 0 < v <= 1),
-                alpha=_parse_number("alpha", vals["alpha"], float, lambda v: v >= 0),
-                use_risk_reduction=_parse_bool("risk_reduction", vals["risk_reduction"]),
-            )
-
         self.mode = vals["mode"]
         self.dataset = vals["dataset"]
-        self.pretrain_epochs = _parse_number(
-            "pretrain_epochs", vals["pretrain_epochs"], int, lambda v: v >= 0
+        self.pretrain_epochs = _parse_number("pretrain_epochs", vals["pretrain_epochs"], int)
+        self.inference_epochs = _parse_number("inference_epochs", vals["inference_epochs"], int)
+        if min(self.pretrain_epochs, self.inference_epochs) < 0:
+            raise ConfigError("pretrain_epochs and inference_epochs must be >= 0")
+
+        # the experiment fields are only parsed here; their config classes check the ranges
+        history = vals["history_size"]
+        history_size = FULL if history == "full" else _parse_number("history_size", history, int)
+        seeds = tuple(
+            _parse_number("seeds", s.strip(), int) for s in vals["seeds"].split(",") if s.strip()
         )
-        self.inference_epochs = _parse_number(
-            "inference_epochs", vals["inference_epochs"], int, lambda v: v >= 0
-        )
-        self.experiment = ExperimentConfig(
-            model=vals["model"],
-            hidden_dim=_parse_number("hidden_dim", vals["hidden_dim"], int, lambda v: v >= 1),
-            sgc_k=_parse_number("sgc_k", vals["sgc_k"], int, lambda v: v >= 0),
-            dropout_rate=_parse_number("dropout", vals["dropout"], float, lambda v: 0 <= v < 1),
-            learning_rate=_parse_number("learning_rate", vals["learning_rate"], float, lambda v: v > 0),
-            weight_decay=_parse_number("weight_decay", vals["weight_decay"], float, lambda v: v >= 0),
-            epochs=_parse_number("epochs", vals["epochs"], int, lambda v: v >= 1),
-            loss_mode=vals["loss_mode"],
-            history_size=history_size,
-            restart=vals["restart"],
-            label_rate=_parse_number("label_rate", vals["label_rate"], float, lambda v: 0 < v <= 1),
-            label_seed=_parse_number("label_seed", vals["label_seed"], int, lambda v: v >= 0),
-            detector=detector,
-            seeds=seeds,
-        )
+        try:
+            detector: Optional[DetectorConfig] = None
+            if vals["detector"] != "none":
+                detector = DetectorConfig(
+                    variant=vals["detector"],
+                    tau_min=_parse_number("tau_min", vals["tau_min"], float),
+                    alpha=_parse_number("alpha", vals["alpha"], float),
+                    use_risk_reduction=_parse_bool("risk_reduction", vals["risk_reduction"]),
+                )
+            self.experiment = ExperimentConfig(
+                model=vals["model"],
+                hidden_dim=_parse_number("hidden_dim", vals["hidden_dim"], int),
+                sgc_k=_parse_number("sgc_k", vals["sgc_k"], int),
+                dropout_rate=_parse_number("dropout", vals["dropout"], float),
+                learning_rate=_parse_number("learning_rate", vals["learning_rate"], float),
+                weight_decay=_parse_number("weight_decay", vals["weight_decay"], float),
+                epochs=_parse_number("epochs", vals["epochs"], int),
+                loss_mode=vals["loss_mode"],
+                history_size=history_size,
+                restart=vals["restart"],
+                label_rate=_parse_number("label_rate", vals["label_rate"], float),
+                label_seed=_parse_number("label_seed", vals["label_seed"], int),
+                detector=detector,
+                seeds=seeds,
+            )
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         self._snapshot = vals
 
     def snapshot(self) -> dict:

@@ -70,13 +70,19 @@ class ExperimentConfig:
         if self.history_size is not FULL and self.history_size < 1:
             raise ConfigError("history_size must be >= 1 or FULL")
         if not self.seeds:
-            raise ConfigError("need at least one seed")
-        if any(s < 0 for s in self.seeds) or self.label_seed < 0:
+            raise ConfigError("seeds must name at least one seed")
+        if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        if self.label_seed < 0:
+            raise ConfigError("label_seed must be non-negative")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.hidden_dim < 1:
             raise ConfigError("hidden_dim must be >= 1")
+        if self.sgc_k < 0:
+            raise ConfigError("sgc_k must be >= 0")
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
         try:

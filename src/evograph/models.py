@@ -60,9 +60,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValidationError("learning_rate must be > 0")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValidationError("weight_decay must be >= 0")
         if self.loss_mode not in LOSS_MODES:
             raise ValidationError(f"unknown loss_mode {self.loss_mode!r}")

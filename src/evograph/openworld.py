@@ -33,7 +33,7 @@ class DetectorConfig:
             raise ValidationError(f"unknown detector variant {self.variant!r}")
         if not 0 < self.tau_min <= 1:
             raise ValidationError("tau_min must be in (0, 1]")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValidationError("alpha must be >= 0")
 
     @staticmethod

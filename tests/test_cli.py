@@ -1,11 +1,30 @@
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import evograph as eg
+from evograph import cli
 from evograph.cli import main
+from evograph.config import parse_config_text
+from evograph.errors import EvographError
+
+NAN = float("nan")
+
+# field -> (config-file overrides, library constructor call), each out of range
+BAD_VALUES = {
+    "learning_rate": ({"learning_rate": "nan"}, lambda: eg.ExperimentConfig(learning_rate=NAN)),
+    "weight_decay": ({"weight_decay": "nan"}, lambda: eg.ExperimentConfig(weight_decay=NAN)),
+    "alpha": ({"detector": "gdoc", "alpha": "nan"}, lambda: eg.DetectorConfig(alpha=NAN)),
+    "sgc_k": ({"model": "sgc", "sgc_k": "-1"}, lambda: eg.ExperimentConfig(model="sgc", sgc_k=-1)),
+    "label_seed": ({"label_seed": "-1"}, lambda: eg.ExperimentConfig(label_seed=-1)),
+    "seeds": ({"seeds": "0,0"}, lambda: eg.ExperimentConfig(seeds=(0, 0))),
+    "tau_min": ({"detector": "gdoc", "tau_min": "2"}, lambda: eg.DetectorConfig(tau_min=2.0)),
+    "epochs": ({"epochs": "0"}, lambda: eg.ExperimentConfig(epochs=0)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +100,20 @@ class TestAnalyze:
     def test_missing_dataset_exit_1(self, tmp_path, capsys):
         rc = main(["analyze-tdiff", str(tmp_path / "absent"), "--quiet"])
         assert rc == 1
+
+    @pytest.mark.parametrize("value", ["abc", "150", "0", "-5", "nan", ","])
+    def test_bad_percentiles_exit_2_before_loading(self, dataset, tmp_path, capsys, value):
+        # one verdict with pairs, without pairs, and before a missing dataset is noticed
+        edgeless = eg.TemporalGraph(
+            3, np.zeros((0, 2), np.int64), [1, 2, 3], np.zeros((3, 2), np.float32), [0, 1, 0], 2,
+        )
+        eg.save_dataset(edgeless, tmp_path / "edgeless")
+        for data in (dataset, tmp_path / "edgeless", tmp_path / "absent"):
+            rc = main(["analyze-tdiff", str(data), "--percentiles", value,
+                       "--output-dir", str(tmp_path / "an"), "--quiet"])
+            assert rc == 2
+            assert "--percentiles" in capsys.readouterr().err
+        assert not (tmp_path / "an").exists()
 
 
 class TestRun:
@@ -192,6 +225,31 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--quiet"]) == 2
         assert "model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", BAD_VALUES)
+    def test_bad_value_rejected_by_library_and_run(self, dataset, tmp_path, capsys, field):
+        overrides, construct = BAD_VALUES[field]
+        with pytest.raises(EvographError, match=field):
+            construct()
+        cfg = write_config(tmp_path / "bad.cfg", dataset, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_loaded_once(self, dataset, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return eg.load_dataset(path)
+
+        monkeypatch.setattr(cli, "load_dataset", counting_load)
+        cfg = write_config(tmp_path / "c.cfg", dataset, seeds="0,1,2,3")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", "1", "--quiet"]) == 0
+        assert len(calls) == 1
+        assert json.loads((out / "summary.json").read_text())["n_seeds"] == 4
+
     def test_missing_dataset_exit_1(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", tmp_path / "absent")
         assert main(["run", "--config", str(cfg), "--quiet"]) == 1
@@ -266,3 +324,31 @@ class TestReport:
         rc = main(["report", str(warm_cold_runs["warm"]), str(out)])
         assert rc == 1
         assert "fingerprint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["accuracy-table", "fwt", "open"])
+    def test_two_task_run_rejected(self, warm_cold_runs, dataset, tmp_path, capsys, mode):
+        cfg = write_config(
+            tmp_path / "tt.cfg", dataset, mode="two-task", seeds="0",
+            pretrain_epochs="3", inference_epochs="2",
+        )
+        out = tmp_path / "tt"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        capsys.readouterr()
+        rc = main(["report", str(warm_cold_runs["warm"]), str(out), "--mode", mode])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(out) in captured.err and "two-task" in captured.err
+
+
+def test_readme_example_config_parses(dataset):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert "dataset=data/toy\n" in block
+    spec = parse_config_text(block.replace("dataset=data/toy\n", f"dataset={dataset}\n"))
+    assert spec.dataset == str(dataset)
+    assert spec.mode == "sequence"
+    assert spec.experiment.model == "sage"
+    assert spec.experiment.history_size == 3
+    assert spec.experiment.detector.variant == eg.GDOC
+    assert spec.experiment.seeds == tuple(range(10))
