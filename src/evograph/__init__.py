@@ -17,14 +17,11 @@ from .models import (
     BCE,
     CATEGORICAL,
     WEIGHTED_BCE,
-    AdamState,
     ModelState,
     TrainConfig,
-    adam_step,
     expand_output_layer,
     forward,
     glorot_init,
-    init_adam_state,
     init_model,
     load_checkpoint,
     loss_and_grad,

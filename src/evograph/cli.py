@@ -111,6 +111,8 @@ def _parse_percentiles(text: str) -> list:
 
 def cmd_analyze(args) -> int:
     ps = _parse_percentiles(args.percentiles)
+    if args.k < 1:
+        raise ConfigError(f"--k: hop bound must be >= 1, got {args.k}")
     g = load_dataset(args.dataset)
     hist = k_hop_time_diffs(g, args.k)
     pct = {p: (percentile(hist, p) if hist.counts else 0) for p in ps}
@@ -228,6 +230,8 @@ def _apply_detector_overrides(snapshot: dict, args) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: need at least 1 worker slot, got {args.jobs}")
     if args.config:
         spec = load_config(args.config)
     else:
@@ -328,11 +332,17 @@ def cmd_report(args) -> int:
         raise EvographError("reports mix incompatible dataset fingerprints")
     rows = []
     if args.mode == "accuracy-table":
-        cells = {}
-        for r in runs:
+        cells, paths = {}, {}
+        for path, r in zip(args.reports, runs):
             cfg = r["manifest"]["config"]
-            key = (cfg["model"], cfg["history_size"])
-            cells.setdefault(key, {})[cfg["restart"]] = r["summary"]["avg_accuracy"]
+            cell = (cfg["model"], cfg["history_size"], cfg["restart"])
+            if cell in paths:
+                raise EvographError(
+                    f"{paths[cell]} and {path} both fill the {'/'.join(cell)} cell "
+                    "of the accuracy table"
+                )
+            paths[cell] = path
+            cells.setdefault(cell[:2], {})[cell[2]] = r["summary"]["avg_accuracy"]
         rows.append("model,history_size,accuracy_cold,ci_cold,accuracy_warm,ci_warm")
         for (model, history), by_restart in sorted(cells.items()):
             cold = by_restart.get("cold")

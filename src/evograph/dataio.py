@@ -151,6 +151,8 @@ def load_dataset(path) -> TemporalGraph:
 
 def save_dataset(g: TemporalGraph, path, features_format: str = "bin") -> None:
     """Write ``g`` in the dataset directory format (see module docstring)."""
+    if features_format not in ("bin", "csv"):
+        raise ValidationError(f"unknown features_format {features_format!r}")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     (root / "manifest").write_text(
@@ -167,10 +169,8 @@ def save_dataset(g: TemporalGraph, path, features_format: str = "bin") -> None:
     (root / "labels").write_text("".join(f"{y}\n" for y in g.labels.tolist()), encoding="utf-8")
     if features_format == "bin":
         g.features.astype("<f4").tofile(root / "features.bin")
-    elif features_format == "csv":
-        np.savetxt(root / "features.csv", g.features, delimiter=",", fmt="%.8g")
     else:
-        raise ValueError(f"unknown features_format {features_format!r}")
+        np.savetxt(root / "features.csv", g.features, delimiter=",", fmt="%.8g")
 
 
 def dataset_fingerprint(path) -> str:

@@ -62,7 +62,7 @@ class TemporalGraph:
     num_classes: int
     origin_ids: Optional[np.ndarray] = None
 
-    _csr: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
+    _csr: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False, compare=False)
     # (P, P.T) of models.mean_propagation, filled by the first model pass on this graph
     _propagation: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 

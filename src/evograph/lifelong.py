@@ -243,14 +243,14 @@ def run_sequences(
 
             eval_g = induced_subgraph(g, task.vertices)
             X_eval = model_inputs(model, eval_g)
-            logits = forward(model, eval_g, X_eval, train_mode=False)
+            logits = forward(model, eval_g, X_eval)
             if not task.test_mask.any():
                 raise ValidationError("no labeled test vertices at this timestamp")
             test_logits = logits[task.test_mask]
             y_true = eval_g.labels[task.test_mask]
             train_probs = None
             if any(c.detector is not None for c in cfgs):
-                train_probs = sigmoid(forward(model, train_g, X_train, train_mode=False))
+                train_probs = sigmoid(forward(model, train_g, X_train))
 
             for c, task_records, trace in zip(cfgs, records, traces):
                 record, thresholds = _score_task(
@@ -345,7 +345,7 @@ def two_task_experiment(
     y_true = g_full.labels[test_mask]
 
     def test_accuracy(m: ModelState) -> float:
-        logits = forward(m, g_full, X_full, train_mode=False)
+        logits = forward(m, g_full, X_full)
         pred = order_arr[np.argmax(logits[test_mask], axis=1)]
         return float(np.mean(pred == y_true))
 

@@ -2,17 +2,18 @@
 
 Parameters live in float64 for numerical headroom; checkpoints serialize as
 32-bit little-endian blocks (see :func:`save_checkpoint`).  Models are values:
-every public update (:func:`adam_step`, :func:`train`,
-:func:`expand_output_layer`) returns a new :class:`ModelState` and never
-mutates its input.  :func:`train` copies its input's parameters once into
-one flat float64 buffer and gives the working model's layers views into it;
-the Adam moments are flat buffers of the same length, so each epoch's update
-is one element-wise pass written in place.  The model that ``on_epoch``
-receives is that working model, a view into the buffer.  :func:`adam_step`
-runs the same update on flat copies of its inputs.  ``train`` builds the
-per-task work (sage's ``[X | P X]``, the loss targets) once, and the
-propagation matrix ``P`` is built once per graph object and reused by every
-pass on it.
+every public update (:func:`train`, :func:`expand_output_layer`) returns a
+new :class:`ModelState` and never mutates its input.  :func:`train` is the
+one training loop: it copies its input's parameters once into one flat
+float64 buffer and gives the working model's layers views into it; the Adam
+moments are flat buffers of the same length, so each epoch's update is one
+element-wise pass written in place.  The model that ``on_epoch`` receives is
+that working model, a view into the buffer.  Dropout fires only inside
+``train``, with masks drawn from a generator seeded by ``cfg.seed``;
+:func:`forward` and :func:`loss_and_grad` are deterministic.  ``train``
+builds the per-task work (sage's ``[X | P X]``, the loss targets) once, and
+the propagation matrix ``P`` is built once per graph object and reused by
+every pass on it.
 
 Layer conventions
 -----------------
@@ -60,10 +61,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValidationError("learning_rate must be > 0")
-        if not self.weight_decay >= 0:
-            raise ValidationError("weight_decay must be >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValidationError("learning_rate must be finite and > 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValidationError("weight_decay must be finite and >= 0")
         if self.loss_mode not in LOSS_MODES:
             raise ValidationError(f"unknown loss_mode {self.loss_mode!r}")
 
@@ -194,13 +195,6 @@ def _graph_inputs(model: ModelState, g: TemporalGraph, X):
     return np.hstack([X, prop[0] @ X]), prop
 
 
-def _dropout_rng(model: ModelState, train_mode: bool, rng):
-    """The generator for dropout masks, or None when no dropout fires."""
-    if not train_mode or model.dropout_rate <= 0:
-        return None
-    return rng if rng is not None else np.random.default_rng(model.rng_seed)
-
-
 def _forward_cached(model, H_in, prop, rng):
     """Logits and the backward cache, from layer 0's input ``H_in``.
 
@@ -226,14 +220,10 @@ def _forward_cached(model, H_in, prop, rng):
         H_in = H if prop is None else np.hstack([H, prop[0] @ H])
 
 
-def forward(model: ModelState, g: TemporalGraph, X, train_mode: bool = False, rng=None) -> np.ndarray:
-    """Logits per vertex (rows) and output unit (columns).
-
-    Dropout fires only on hidden activations and only when ``train_mode``;
-    pass ``rng`` to control the masks, else the model's own seed is used.
-    """
+def forward(model: ModelState, g: TemporalGraph, X) -> np.ndarray:
+    """Logits per vertex (rows) and output unit (columns), without dropout."""
     H_in, prop = _graph_inputs(model, g, X)
-    logits, _ = _forward_cached(model, H_in, prop, _dropout_rng(model, train_mode, rng))
+    logits, _ = _forward_cached(model, H_in, prop, None)
     return logits
 
 
@@ -351,29 +341,12 @@ def loss_and_grad(
     train_mask,
     loss_mode: str,
     class_weights=None,
-    train_mode: bool = False,
-    rng=None,
 ):
-    """Loss plus parameter gradients, backpropagated through the forward rule."""
+    """Loss plus parameter gradients of the dropout-free forward pass."""
     H_in, prop = _graph_inputs(model, g, X)
-    logits, cache = _forward_cached(model, H_in, prop, _dropout_rng(model, train_mode, rng))
+    logits, cache = _forward_cached(model, H_in, prop, None)
     loss, dlogits = loss_from_logits(logits, labels, train_mask, loss_mode, class_weights)
     return loss, _backward(model, cache, dlogits)
-
-
-@dataclass
-class AdamState:
-    step: int
-    m: list
-    v: list
-
-
-def init_adam_state(model: ModelState) -> AdamState:
-    return AdamState(
-        step=0,
-        m=[(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers],
-        v=[(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers],
-    )
 
 
 def _flat(layers) -> np.ndarray:
@@ -405,23 +378,6 @@ def _adam_update(params, grads, m, v, step: int, lr: float, weight_decay: float)
     params -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def adam_step(model, grads, opt_state, lr, weight_decay):
-    """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8, bias correction).
-
-    The weight-decay term is added to the gradient before the moment
-    updates.  Returns a new (model, opt_state) pair; the inputs are left
-    untouched.
-    """
-    params, m, v = _flat(model.layers), _flat(opt_state.m), _flat(opt_state.v)
-    step = opt_state.step + 1
-    _adam_update(params, _flat(grads), m, v, step, lr, weight_decay)
-    layers = model.layers
-    return (
-        replace(model, layers=_views(params, layers)),
-        AdamState(step=step, m=_views(m, layers), v=_views(v, layers)),
-    )
-
-
 def train(
     model: ModelState,
     g: TemporalGraph,
@@ -451,7 +407,7 @@ def train(
         labels, train_mask, (H_in.shape[0], model.layers[-1][0].shape[1]),
         cfg.loss_mode, class_weights,
     )
-    rng = _dropout_rng(model, True, np.random.default_rng(cfg.seed))
+    rng = np.random.default_rng(cfg.seed) if model.dropout_rate > 0 else None
     params = _flat(model.layers)
     model = replace(model, layers=_views(params, model.layers))
     m, v = np.zeros_like(params), np.zeros_like(params)

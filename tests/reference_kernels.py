@@ -8,6 +8,8 @@ when the mask covers every row, one ``dZ @ W.T`` whose column slice goes to
 scipy, and Adam run per parameter array on a list-of-pairs state.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from evograph.errors import ValidationError
@@ -18,13 +20,25 @@ from evograph.models import (
     CATEGORICAL,
     LOSS_MODES,
     WEIGHTED_BCE,
-    AdamState,
-    _dropout_rng,
     _graph_inputs,
     _Targets,
-    init_adam_state,
 )
 from evograph.openworld import class_weights as _class_weights
+
+
+@dataclass
+class AdamState:
+    step: int
+    m: list
+    v: list
+
+
+def init_adam_state(model) -> AdamState:
+    return AdamState(
+        step=0,
+        m=[(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers],
+        v=[(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers],
+    )
 
 
 def sigmoid(z) -> np.ndarray:
@@ -146,7 +160,7 @@ def train(model, g, X, labels, train_mask, cfg, class_weights=None, on_epoch=Non
     targets = _loss_targets(
         labels, train_mask, model.layers[-1][0].shape[1], cfg.loss_mode, class_weights
     )
-    rng = _dropout_rng(model, True, np.random.default_rng(cfg.seed))
+    rng = np.random.default_rng(cfg.seed) if model.dropout_rate > 0 else None
     model = model.copy()
     opt = init_adam_state(model)
     for epoch in range(1, cfg.epochs + 1):

@@ -14,10 +14,16 @@ from evograph.errors import EvographError
 
 NAN = float("nan")
 
-# field -> (config-file overrides, library constructor call), each out of range
+# field[=value] -> (config-file overrides, library constructor call), each out of range
 BAD_VALUES = {
     "learning_rate": ({"learning_rate": "nan"}, lambda: eg.ExperimentConfig(learning_rate=NAN)),
+    "learning_rate=inf": (
+        {"learning_rate": "inf"}, lambda: eg.ExperimentConfig(learning_rate=float("inf"))
+    ),
     "weight_decay": ({"weight_decay": "nan"}, lambda: eg.ExperimentConfig(weight_decay=NAN)),
+    "weight_decay=inf": (
+        {"weight_decay": "inf"}, lambda: eg.ExperimentConfig(weight_decay=float("inf"))
+    ),
     "alpha": ({"detector": "gdoc", "alpha": "nan"}, lambda: eg.DetectorConfig(alpha=NAN)),
     "sgc_k": ({"model": "sgc", "sgc_k": "-1"}, lambda: eg.ExperimentConfig(model="sgc", sgc_k=-1)),
     "label_seed": ({"label_seed": "-1"}, lambda: eg.ExperimentConfig(label_seed=-1)),
@@ -101,18 +107,23 @@ class TestAnalyze:
         rc = main(["analyze-tdiff", str(tmp_path / "absent"), "--quiet"])
         assert rc == 1
 
-    @pytest.mark.parametrize("value", ["abc", "150", "0", "-5", "nan", ","])
-    def test_bad_percentiles_exit_2_before_loading(self, dataset, tmp_path, capsys, value):
-        # one verdict with pairs, without pairs, and before a missing dataset is noticed
+    @pytest.mark.parametrize(
+        "flag, value",
+        [pytest.param("--percentiles", v, id=v) for v in ["abc", "150", "0", "-5", "nan", ","]]
+        + [pytest.param("--k", v, id=f"k={v}") for v in ["0", "-1"]],
+    )
+    def test_bad_percentiles_exit_2_before_loading(self, dataset, tmp_path, capsys, flag, value):
+        # a bad --percentiles or --k gets one verdict with pairs, without pairs,
+        # and before a missing dataset is noticed
         edgeless = eg.TemporalGraph(
             3, np.zeros((0, 2), np.int64), [1, 2, 3], np.zeros((3, 2), np.float32), [0, 1, 0], 2,
         )
         eg.save_dataset(edgeless, tmp_path / "edgeless")
         for data in (dataset, tmp_path / "edgeless", tmp_path / "absent"):
-            rc = main(["analyze-tdiff", str(data), "--percentiles", value,
+            rc = main(["analyze-tdiff", str(data), flag, value,
                        "--output-dir", str(tmp_path / "an"), "--quiet"])
             assert rc == 2
-            assert "--percentiles" in capsys.readouterr().err
+            assert flag in capsys.readouterr().err
         assert not (tmp_path / "an").exists()
 
 
@@ -225,9 +236,10 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--quiet"]) == 2
         assert "model" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", BAD_VALUES)
-    def test_bad_value_rejected_by_library_and_run(self, dataset, tmp_path, capsys, field):
-        overrides, construct = BAD_VALUES[field]
+    @pytest.mark.parametrize("case", BAD_VALUES)
+    def test_bad_value_rejected_by_library_and_run(self, dataset, tmp_path, capsys, case):
+        overrides, construct = BAD_VALUES[case]
+        field = case.partition("=")[0]
         with pytest.raises(EvographError, match=field):
             construct()
         cfg = write_config(tmp_path / "bad.cfg", dataset, **overrides)
@@ -249,6 +261,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", "1", "--quiet"]) == 0
         assert len(calls) == 1
         assert json.loads((out / "summary.json").read_text())["n_seeds"] == 4
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_exit_2_before_loading(self, dataset, tmp_path, capsys, jobs):
+        for data in (dataset, tmp_path / "absent"):
+            cfg = write_config(tmp_path / "c.cfg", data)
+            out = tmp_path / "out"
+            rc = main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"])
+            assert rc == 2
+            assert "--jobs" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_dataset_exit_1(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", tmp_path / "absent")
@@ -287,6 +309,18 @@ class TestReport:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("model,history_size")
+
+    def test_accuracy_table_rejects_two_runs_in_one_cell(self, warm_cold_runs, dataset, tmp_path, capsys):
+        # same model, history size and restart as the warm run; only epochs differ
+        cfg = write_config(tmp_path / "w2.cfg", dataset, restart="warm", epochs="2", seeds="0,1")
+        out = tmp_path / "warm2"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        capsys.readouterr()
+        rc = main(["report", str(warm_cold_runs["warm"]), str(out), "--mode", "accuracy-table"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(warm_cold_runs["warm"]) in captured.err and str(out) in captured.err
 
     def test_fwt_matches_metrics_module(self, warm_cold_runs, capsys):
         rc = main([

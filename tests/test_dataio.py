@@ -97,6 +97,13 @@ def test_save_load_round_trip(tmp_path, graph_factory):
             assert np.allclose(back.features, g.features, atol=1e-6)
 
 
+def test_unknown_features_format_writes_nothing(tmp_path, graph_factory):
+    out = tmp_path / "npy"
+    with pytest.raises(ValidationError, match="features_format 'npy'"):
+        eg.save_dataset(graph_factory(3), out, features_format="npy")
+    assert not out.exists()
+
+
 def test_fingerprint_tracks_content(tmp_path, graph_factory):
     g = graph_factory(5)
     out = tmp_path / "fp"

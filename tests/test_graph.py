@@ -60,6 +60,10 @@ class TestTemporalGraph:
         with pytest.raises(ValidationError):
             eg.TemporalGraph(2, [], [1, 1], feats, [0, 0], 1)
 
+    def test_adjacency_cache_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            eg.TemporalGraph(2, [], [1, 1], np.ones((2, 2), np.float32), [0, 0], 1, _csr="junk")
+
     def test_arrays_frozen(self):
         g = make_graph([1, 2])
         with pytest.raises(ValueError):

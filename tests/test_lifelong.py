@@ -479,12 +479,12 @@ class TestTwoTask:
             return float(np.mean(pred == g_full.labels[test_mask]))
 
         expected = [accuracy(model)]
-        opt = eg.init_adam_state(model)
-        rng = np.random.default_rng(_derive_seed(5, 2))
-        for _ in range(6):
-            _, grads = eg.loss_and_grad(
-                model, g_full, X, y, train_mask, eg.WEIGHTED_BCE, weights, train_mode=True, rng=rng
-            )
-            model, opt = eg.adam_step(model, grads, opt, cfg.learning_rate, cfg.weight_decay)
-            expected.append(accuracy(model))
+        ref_cfg = eg.TrainConfig(
+            learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay, epochs=6,
+            loss_mode=eg.WEIGHTED_BCE, seed=_derive_seed(5, 2),
+        )
+        ref.train(
+            model, g_full, X, y, train_mask, ref_cfg, weights,
+            on_epoch=lambda epoch, loss, m: expected.append(accuracy(m)),
+        )
         assert trace == expected
