@@ -155,10 +155,12 @@ def _parse_schedule(text: str) -> dict:
         if not part:
             continue
         try:
-            ts, count = part.split(":")
-            schedule[int(ts)] = int(count)
+            ts, count = (int(x) for x in part.split(":"))
         except ValueError:
             raise ConfigError(f"new-class-schedule: cannot parse {part!r}") from None
+        if ts in schedule:
+            raise ConfigError(f"new-class-schedule: timestamp {ts} given twice")
+        schedule[ts] = count
     return schedule
 
 

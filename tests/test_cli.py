@@ -72,6 +72,14 @@ def test_generate_produces_loadable_dataset(dataset):
     assert g.num_classes == 5
 
 
+def test_generate_duplicate_schedule_timestamp_exit_2(tmp_path, capsys):
+    out = tmp_path / "dup"
+    rc = main(["generate", str(out), "--new-class-schedule", "5:1,5:2", "--quiet"])
+    assert rc == 2
+    assert "timestamp 5 given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestAnalyze:
     def test_wiring_matches_library(self, dataset, tmp_path, capsys):
         out = tmp_path / "an"
