@@ -319,7 +319,10 @@ def _load_run(path) -> dict:
     mode = manifest["config"]["mode"]
     if mode != MODE_SEQUENCE:
         raise EvographError(f"{path} is a {mode} run; report reads sequence runs only")
-    summary = json.loads((p.parent / manifest["summary"]).read_text(encoding="utf-8"))
+    summary_path = p.parent / manifest["summary"]
+    if not summary_path.exists():
+        raise EvographError(f"missing file: {summary_path}")
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
     return {"manifest": manifest, "summary": summary, "dir": p.parent}
 
 

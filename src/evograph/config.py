@@ -72,7 +72,7 @@ class RunSpec:
         vals.update(entries)
         # the plain-DOC baseline defaults to the sigmoid inflection point
         if vals["detector"] == DOC and "tau_min" not in entries:
-            vals["tau_min"] = "0.5"
+            vals["tau_min"] = repr(DetectorConfig.doc_default().tau_min)
         if vals["format_version"] != "1":
             raise ConfigError(f"format_version: unsupported {vals['format_version']!r}")
         if vals["mode"] not in (MODE_SEQUENCE, MODE_TWO_TASK):

@@ -123,7 +123,10 @@ def load_dataset(path) -> TemporalGraph:
             )
         features = raw.reshape(num_vertices, feature_dim)
     elif csv_path.exists():
-        features = np.loadtxt(csv_path, delimiter=",", dtype=np.float32, ndmin=2)
+        try:
+            features = np.loadtxt(csv_path, delimiter=",", dtype=np.float32, ndmin=2)
+        except ValueError as exc:
+            raise DatasetError(f"features.csv: {exc}") from None
         if features.shape != (num_vertices, feature_dim):
             raise ValidationError(
                 f"features.csv is {features.shape[0]} x {features.shape[1]}, "

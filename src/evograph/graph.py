@@ -63,8 +63,8 @@ class TemporalGraph:
     origin_ids: Optional[np.ndarray] = None
 
     _csr: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False, compare=False)
-    # (P, P.T) of models.mean_propagation, filled by the first model pass on this graph
-    _propagation: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # (kind, sgc_k) -> (layer-0 input, propagation pair) of a models pass on this graph
+    _model_inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.time = np.asarray(self.time, dtype=np.int64)

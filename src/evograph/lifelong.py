@@ -28,7 +28,6 @@ from .models import (
     expand_output_layer,
     forward,
     init_model,
-    model_inputs,
     train,
 )
 from .openworld import GDOC, UNSEEN, DetectorConfig, fit_thresholds, predict_open, sigmoid
@@ -235,22 +234,20 @@ def run_sequences(
 
             unit_of = {cls: j for j, cls in enumerate(known_order)}
             y_units_train = _unit_labels(train_g.labels, unit_of)
-            X_train = model_inputs(model, train_g)
             model = train(
-                model, train_g, X_train, y_units_train, train_sel,
+                model, train_g, y_units_train, train_sel,
                 cfg.train_config(_derive_seed(seed, task.t, 2)),
             )
 
             eval_g = induced_subgraph(g, task.vertices)
-            X_eval = model_inputs(model, eval_g)
-            logits = forward(model, eval_g, X_eval)
+            logits = forward(model, eval_g)
             if not task.test_mask.any():
                 raise ValidationError("no labeled test vertices at this timestamp")
             test_logits = logits[task.test_mask]
             y_true = eval_g.labels[task.test_mask]
             train_probs = None
             if any(c.detector is not None for c in cfgs):
-                train_probs = sigmoid(forward(model, train_g, X_train))
+                train_probs = sigmoid(forward(model, train_g))
 
             for c, task_records, trace in zip(cfgs, records, traces):
                 record, thresholds = _score_task(
@@ -331,8 +328,7 @@ def two_task_experiment(
     y_units_train = _unit_labels(g_train.labels, unit_of)
     if pretrain_epochs > 0:
         model = train(
-            model, g_train, model_inputs(model, g_train), y_units_train,
-            np.ones(g_train.num_vertices, dtype=bool),
+            model, g_train, y_units_train, np.ones(g_train.num_vertices, dtype=bool),
             replace(cfg.train_config(_derive_seed(seed, 1)), epochs=pretrain_epochs),
         )
 
@@ -341,11 +337,10 @@ def two_task_experiment(
     test_mask = (g_full.labels != UNLABELED) & ~train_mask_full
     if not test_mask.any():
         raise ValidationError("g_full has no labeled vertices outside g_train")
-    X_full = model_inputs(model, g_full)
     y_true = g_full.labels[test_mask]
 
     def test_accuracy(m: ModelState) -> float:
-        logits = forward(m, g_full, X_full)
+        logits = forward(m, g_full)
         pred = order_arr[np.argmax(logits[test_mask], axis=1)]
         return float(np.mean(pred == y_true))
 
@@ -353,7 +348,7 @@ def two_task_experiment(
     if inference_epochs > 0:
         # optimizer state restarts fresh for the inference phase
         train(
-            model, g_full, X_full, _unit_labels(g_full.labels, unit_of), train_mask_full,
+            model, g_full, _unit_labels(g_full.labels, unit_of), train_mask_full,
             replace(cfg.train_config(_derive_seed(seed, 2)), epochs=inference_epochs),
             on_epoch=lambda epoch, loss, m: trace.append(test_accuracy(m)),
         )

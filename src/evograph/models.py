@@ -10,10 +10,11 @@ moments are flat buffers of the same length, so each epoch's update is one
 element-wise pass written in place.  The model that ``on_epoch`` receives is
 that working model, a view into the buffer.  Dropout fires only inside
 ``train``, with masks drawn from a generator seeded by ``cfg.seed``;
-:func:`forward` and :func:`loss_and_grad` are deterministic.  ``train``
-builds the per-task work (sage's ``[X | P X]``, the loss targets) once, and
-the propagation matrix ``P`` is built once per graph object and reused by
-every pass on it.
+:func:`forward` and :func:`loss_and_grad` are deterministic.  All three take
+the graph, not its features: layer 0's input (:func:`model_inputs`, for sage
+``[X | P X]``) and ``P`` are built once per graph object and model kind and
+cached on the graph, read-only.  Weighted-bce's class weights are not passed:
+they are :func:`evograph.openworld.class_weights` of the masked labels.
 
 Layer conventions
 -----------------
@@ -75,8 +76,6 @@ class ModelState:
 
     kind: str
     layers: list[tuple[np.ndarray, np.ndarray]]
-    hidden_dim: int
-    output_dim: int
     sgc_k: int = 2
     dropout_rate: float = 0.5
     rng_seed: int = 0
@@ -85,6 +84,14 @@ class ModelState:
     def input_dim(self) -> int:
         w0 = self.layers[0][0]
         return w0.shape[0] // 2 if self.kind == "sage" else w0.shape[0]
+
+    @property
+    def hidden_dim(self) -> int:
+        return 0 if self.kind == "sgc" else self.layers[0][0].shape[1]
+
+    @property
+    def output_dim(self) -> int:
+        return self.layers[-1][0].shape[1]
 
     def copy(self) -> "ModelState":
         return replace(self, layers=[(w.copy(), b.copy()) for w, b in self.layers])
@@ -126,8 +133,6 @@ def init_model(
     return ModelState(
         kind=kind,
         layers=layers,
-        hidden_dim=hidden_dim if kind != "sgc" else 0,
-        output_dim=output_dim,
         sgc_k=sgc_k,
         dropout_rate=dropout_rate,
         rng_seed=seed,
@@ -170,29 +175,26 @@ def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
     return rng.random(shape) >= rate
 
 
-def _propagation(g: TemporalGraph):
-    """``(P, P.T)`` with ``P = mean_propagation(g)``, built once per graph object."""
-    if g._propagation is None:
-        P = mean_propagation(g)
-        g._propagation = (P, P.T)
-    return g._propagation
+def _graph_inputs(model: ModelState, g: TemporalGraph):
+    """Layer 0's input and the propagation pair for ``model`` on ``g``, cached on ``g``.
 
-
-def _graph_inputs(model: ModelState, g: TemporalGraph, X):
-    """Layer 0's input and the propagation pair for ``model`` on ``g``.
-
-    For sage the input is ``[X | P X]`` and the pair is ``(P, P.T)``; the
-    other kinds take ``X`` as it is and no pair.
+    For sage the input is ``[X | P X]`` and the pair ``(P, P.T)``, with ``X``
+    from :func:`model_inputs` and ``P`` from :func:`mean_propagation`; the
+    other kinds take ``X`` as it is and no pair.  The input is read-only.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != model.input_dim:
+    if g.feature_dim != model.input_dim:
         raise ValidationError(
-            f"feature width {X.shape[1]} does not match layer-0 input {model.input_dim}"
+            f"feature width {g.feature_dim} does not match layer-0 input {model.input_dim}"
         )
-    if model.kind != "sage":
-        return X, None
-    prop = _propagation(g)
-    return np.hstack([X, prop[0] @ X]), prop
+    key = (model.kind, model.sgc_k)
+    if key not in g._model_inputs:
+        H_in, prop = model_inputs(model, g), None
+        if model.kind == "sage":
+            P = mean_propagation(g)
+            H_in, prop = np.hstack([H_in, P @ H_in]), (P, P.T)
+        H_in.flags.writeable = False
+        g._model_inputs[key] = (H_in, prop)
+    return g._model_inputs[key]
 
 
 def _forward_cached(model, H_in, prop, rng):
@@ -220,9 +222,9 @@ def _forward_cached(model, H_in, prop, rng):
         H_in = H if prop is None else np.hstack([H, prop[0] @ H])
 
 
-def forward(model: ModelState, g: TemporalGraph, X) -> np.ndarray:
+def forward(model: ModelState, g: TemporalGraph) -> np.ndarray:
     """Logits per vertex (rows) and output unit (columns), without dropout."""
-    H_in, prop = _graph_inputs(model, g, X)
+    H_in, prop = _graph_inputs(model, g)
     logits, _ = _forward_cached(model, H_in, prop, None)
     return logits
 
@@ -236,7 +238,7 @@ class _Targets(NamedTuple):
     weights: Optional[np.ndarray]  # per-unit weights, weighted-bce only
 
 
-def _loss_targets(labels, train_mask, shape, loss_mode, class_weights) -> _Targets:
+def _loss_targets(labels, train_mask, shape, loss_mode) -> _Targets:
     """Checked targets for logits of ``shape`` (rows, output units)."""
     num_rows, num_units = shape
     labels = np.asarray(labels)
@@ -246,18 +248,12 @@ def _loss_targets(labels, train_mask, shape, loss_mode, class_weights) -> _Targe
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         raise ValidationError("empty train mask")
-    if (class_weights is not None) != (loss_mode == WEIGHTED_BCE):
-        raise ValidationError("class_weights required iff loss_mode is weighted-bce")
     y = labels[idx]
     if np.any(y < 0) or np.any(y >= num_units):
         raise ValidationError("labels on masked rows must be valid output units")
     if loss_mode not in LOSS_MODES:
         raise ValidationError(f"unknown loss_mode {loss_mode!r}")
-    weights = None
-    if loss_mode == WEIGHTED_BCE:
-        weights = np.asarray(class_weights, dtype=np.float64)
-        if weights.shape != (num_units,) or np.any(weights <= 0):
-            raise ValidationError("class_weights must be positive, one per output unit")
+    weights = _class_weights(labels, mask, num_units) if loss_mode == WEIGHTED_BCE else None
     onehot = np.zeros((idx.size, num_units), dtype=np.float64)
     onehot[np.arange(idx.size), y] = 1.0
     return _Targets(None if idx.size == num_rows else idx, y, onehot, weights)
@@ -291,19 +287,19 @@ def _loss_kernel(logits: np.ndarray, targets: _Targets, loss_mode: str):
     return loss, dlogits
 
 
-def loss_from_logits(logits, labels, train_mask, loss_mode, class_weights=None):
+def loss_from_logits(logits, labels, train_mask, loss_mode):
     """Loss value and d(loss)/d(logits) for the masked rows.
 
     categorical: softmax cross-entropy averaged over masked rows.
     bce / weighted-bce: element-wise sigmoid cross-entropy against one-hot
     targets, averaged over masked rows x output columns; in weighted mode
     both the positive and negative terms of column i scale by
-    class_weights[i].
+    ``openworld.class_weights(labels, train_mask, C)[i]``.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValidationError("non-finite logits")
-    targets = _loss_targets(labels, train_mask, logits.shape, loss_mode, class_weights)
+    targets = _loss_targets(labels, train_mask, logits.shape, loss_mode)
     return _loss_kernel(logits, targets, loss_mode)
 
 
@@ -333,19 +329,11 @@ def _backward(model, cache, dlogits):
     return grads
 
 
-def loss_and_grad(
-    model: ModelState,
-    g: TemporalGraph,
-    X,
-    labels,
-    train_mask,
-    loss_mode: str,
-    class_weights=None,
-):
+def loss_and_grad(model: ModelState, g: TemporalGraph, labels, train_mask, loss_mode: str):
     """Loss plus parameter gradients of the dropout-free forward pass."""
-    H_in, prop = _graph_inputs(model, g, X)
+    H_in, prop = _graph_inputs(model, g)
     logits, cache = _forward_cached(model, H_in, prop, None)
-    loss, dlogits = loss_from_logits(logits, labels, train_mask, loss_mode, class_weights)
+    loss, dlogits = loss_from_logits(logits, labels, train_mask, loss_mode)
     return loss, _backward(model, cache, dlogits)
 
 
@@ -381,18 +369,16 @@ def _adam_update(params, grads, m, v, step: int, lr: float, weight_decay: float)
 def train(
     model: ModelState,
     g: TemporalGraph,
-    X,
     labels,
     train_mask,
     cfg: TrainConfig,
-    class_weights=None,
     on_epoch=None,
 ) -> ModelState:
     """Full-batch training: one update step per epoch, deterministic per seed.
 
     Optimizer moments start at zero.  In weighted-bce mode the per-class
-    weights default to (n - n_i) / n_i over the masked labels.  Returns a
-    new model; ``model`` is left untouched.
+    weights are (n - n_i) / n_i over the masked labels.  Returns a new
+    model; ``model`` is left untouched.
 
     ``on_epoch``, if given, is called as ``on_epoch(epoch, loss, model)``
     after each update, with epochs counted from 1 and ``loss`` taken before
@@ -400,13 +386,8 @@ def train(
     into the flat parameter buffer: read it during the call, do not keep
     it.  Logits that turn non-finite raise ValidationError naming the epoch.
     """
-    if cfg.loss_mode == WEIGHTED_BCE and class_weights is None:
-        class_weights = _class_weights(labels, train_mask, model.output_dim)
-    H_in, prop = _graph_inputs(model, g, X)
-    targets = _loss_targets(
-        labels, train_mask, (H_in.shape[0], model.layers[-1][0].shape[1]),
-        cfg.loss_mode, class_weights,
-    )
+    H_in, prop = _graph_inputs(model, g)
+    targets = _loss_targets(labels, train_mask, (H_in.shape[0], model.output_dim), cfg.loss_mode)
     rng = np.random.default_rng(cfg.seed) if model.dropout_rate > 0 else None
     params = _flat(model.layers)
     model = replace(model, layers=_views(params, model.layers))
@@ -437,7 +418,7 @@ def expand_output_layer(model: ModelState, l: int, seed: int) -> ModelState:
     new_W = np.hstack([W, glorot_init(W.shape[0], l, seed)])
     new_b = np.concatenate([b, np.zeros(l, dtype=np.float64)])
     layers = [(w.copy(), bb.copy()) for w, bb in model.layers[:-1]] + [(new_W, new_b)]
-    return replace(model, layers=layers, output_dim=model.output_dim + l)
+    return replace(model, layers=layers)
 
 
 def save_checkpoint(model: ModelState, path) -> None:
@@ -476,23 +457,34 @@ def load_checkpoint(path) -> ModelState:
         if line.strip():
             k, v = line.split("=", 1)
             manifest[k] = v
-    n_layers = int(manifest["num_layers"])
-    raw = np.frombuffer((root / "params.bin").read_bytes(), dtype="<f4")
+    shapes = [
+        tuple(int(x) for x in manifest[f"layer{i}_shape"].split(","))
+        for i in range(int(manifest["num_layers"]))
+    ]
+    expected = sum(fi * fo + fo for fi, fo in shapes)
+    data = (root / "params.bin").read_bytes()
+    if len(data) != 4 * expected:
+        raise ValidationError(f"params.bin holds {len(data) / 4:.12g} floats, expected {expected}")
+    raw = np.frombuffer(data, dtype="<f4")
     layers = []
     offset = 0
-    for i in range(n_layers):
-        fi, fo = (int(x) for x in manifest[f"layer{i}_shape"].split(","))
+    for fi, fo in shapes:
         w = raw[offset : offset + fi * fo].reshape(fi, fo).astype(np.float64)
         offset += fi * fo
         b = raw[offset : offset + fo].astype(np.float64)
         offset += fo
         layers.append((w, b))
-    return ModelState(
+    model = ModelState(
         kind=manifest["kind"],
         layers=layers,
-        hidden_dim=int(manifest["hidden_dim"]),
-        output_dim=int(manifest["output_dim"]),
         sgc_k=int(manifest["sgc_k"]),
         dropout_rate=float(manifest["dropout_rate"]),
         rng_seed=int(manifest["rng_seed"]),
     )
+    for key in ("hidden_dim", "output_dim"):
+        if int(manifest[key]) != getattr(model, key):
+            raise ValidationError(
+                f"manifest {key}={manifest[key]} disagrees with the layer<i>_shape lines, "
+                f"which give {getattr(model, key)}"
+            )
+    return model

@@ -5,7 +5,9 @@ tests hold :func:`evograph.train`, :func:`evograph.forward` and
 :func:`evograph.sigmoid` to, bit for bit: a two-branch sigmoid, float
 dropout masks, the loss gathered and scattered through the row index even
 when the mask covers every row, one ``dZ @ W.T`` whose column slice goes to
-scipy, and Adam run per parameter array on a list-of-pairs state.
+scipy, and Adam run per parameter array on a list-of-pairs state.  ``train``
+keeps the earlier signature: the caller passes layer 0's features ``X`` and,
+optionally, weighted-bce's class weights.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ from evograph.models import (
     CATEGORICAL,
     LOSS_MODES,
     WEIGHTED_BCE,
-    _graph_inputs,
     _Targets,
+    mean_propagation,
 )
 from evograph.openworld import class_weights as _class_weights
 
@@ -39,6 +41,18 @@ def init_adam_state(model) -> AdamState:
         m=[(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers],
         v=[(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers],
     )
+
+
+def _graph_inputs(model, g, X):
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1] != model.input_dim:
+        raise ValidationError(
+            f"feature width {X.shape[1]} does not match layer-0 input {model.input_dim}"
+        )
+    if model.kind != "sage":
+        return X, None
+    P = mean_propagation(g)
+    return np.hstack([X, P @ X]), (P, P.T)
 
 
 def sigmoid(z) -> np.ndarray:

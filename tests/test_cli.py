@@ -115,6 +115,18 @@ class TestAnalyze:
         rc = main(["analyze-tdiff", str(tmp_path / "absent"), "--quiet"])
         assert rc == 1
 
+    def test_non_numeric_feature_exit_1(self, tmp_path, capsys):
+        g = eg.TemporalGraph(
+            4, [(0, 1), (1, 2)], [1, 2, 3, 4], np.zeros((4, 2), np.float32), [0, 1, 0, 1], 2,
+        )
+        eg.save_dataset(g, tmp_path / "ds", features_format="csv")
+        (tmp_path / "ds" / "features.csv").write_text("0,0\n0,0\nabc,0\n0,0\n")
+        rc = main(["analyze-tdiff", str(tmp_path / "ds"), "--output-dir", str(tmp_path / "an")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: features.csv: could not convert string 'abc'")
+        assert "row 2, column 1" in err
+
     @pytest.mark.parametrize(
         "flag, value",
         [pytest.param("--percentiles", v, id=v) for v in ["abc", "150", "0", "-5", "nan", ","]]
@@ -351,6 +363,13 @@ class TestReport:
         assert rc == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header.split(",")[:4] == ["model", "history_size", "restart", "detector"]
+
+    def test_missing_summary_exit_1(self, warm_cold_runs, tmp_path, capsys):
+        run = tmp_path / "warm"
+        shutil.copytree(warm_cold_runs["warm"], run)
+        (run / "summary.json").unlink()
+        assert main(["report", str(run)]) == 1
+        assert capsys.readouterr().err == f"error: missing file: {run / 'summary.json'}\n"
 
     def test_empty_args_usage_error(self):
         with pytest.raises(SystemExit) as exc:

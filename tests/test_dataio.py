@@ -62,6 +62,13 @@ def test_non_integer_timestamp_cites_line(fixture_dir):
         eg.load_dataset(fixture_dir)
 
 
+def test_non_numeric_feature_cites_file_and_cell(fixture_dir):
+    (fixture_dir / "features.csv").write_text("0.5,1.0\n1.5,2.0\nabc,3.0\n3.5,4.0\n")
+    match = r"^features.csv: could not convert string 'abc' .*row 2, column 1"
+    with pytest.raises(DatasetError, match=match):
+        eg.load_dataset(fixture_dir)
+
+
 def test_dimension_mismatch_cites_counts(fixture_dir):
     (fixture_dir / "labels").write_text("0\n1\n")
     with pytest.raises(ValidationError, match="2"):

@@ -77,7 +77,12 @@ class TestRunSequence:
         g = schedule_graph(seed=3)
         trace = []
         report = eg.run_sequence(g, cfg, seed=2, trace=trace)
-        monkeypatch.setattr(eg.lifelong, "train", ref.train)
+
+        def reference_train(model, g, labels, train_mask, cfg, on_epoch=None):
+            X = eg.model_inputs(model, g)
+            return ref.train(model, g, X, labels, train_mask, cfg, on_epoch=on_epoch)
+
+        monkeypatch.setattr(eg.lifelong, "train", reference_train)
         monkeypatch.setattr(eg.models, "_forward_cached", ref._forward_cached)
         monkeypatch.setattr(eg.lifelong, "sigmoid", ref.sigmoid)
         monkeypatch.setattr(eg.openworld, "sigmoid", ref.sigmoid)
@@ -176,11 +181,11 @@ class TestRunSequence:
         )
         y_units = _unit_labels(train_g.labels, {c: j for j, c in enumerate(known_order)})
         model = eg.train(
-            model, train_g, eg.model_inputs(model, train_g), y_units, train_sel,
+            model, train_g, y_units, train_sel,
             eg.TrainConfig(epochs=15, loss_mode=eg.CATEGORICAL, seed=_derive_seed(seed, t_star, 2)),
         )
         eval_g = eg.trim_history(g, task.time, eg.FULL)
-        logits = eg.forward(model, eval_g, eg.model_inputs(model, eval_g))
+        logits = eg.forward(model, eval_g)
         test_sel = (eval_g.time == task.time) & (eval_g.labels != eg.UNLABELED)
         pred = np.asarray(known_order)[np.argmax(logits[test_sel], axis=1)]
         accuracy = float(np.mean(pred == eval_g.labels[test_sel]))
@@ -475,7 +480,7 @@ class TestTwoTask:
         weights = eg.class_weights(y, train_mask, len(classes))
 
         def accuracy(m):
-            pred = np.asarray(classes)[np.argmax(eg.forward(m, g_full, X)[test_mask], axis=1)]
+            pred = np.asarray(classes)[np.argmax(eg.forward(m, g_full)[test_mask], axis=1)]
             return float(np.mean(pred == g_full.labels[test_mask]))
 
         expected = [accuracy(model)]

@@ -27,12 +27,12 @@ def perturbed(model, layer, which, index, delta):
     return replace(model, layers=layers)
 
 
-def fd_gradients(model, g, X, labels, mask, loss_mode, weights=None, step=1e-3):
+def fd_gradients(model, g, labels, mask, loss_mode, step=1e-3):
     """Central finite differences of the loss w.r.t. every parameter."""
 
     def loss_of(m):
-        logits = eg.forward(m, g, X)
-        value, _ = eg.loss_from_logits(logits, labels, mask, loss_mode, weights)
+        logits = eg.forward(m, g)
+        value, _ = eg.loss_from_logits(logits, labels, mask, loss_mode)
         return value
 
     grads = []
@@ -102,7 +102,7 @@ class TestSgcPrecompute:
     def test_forward_matches_dense_oracle_end_to_end(self, graph_factory):
         g = graph_factory(7, num_classes=3)
         m = eg.init_model("sgc", g.feature_dim, 0, 3, sgc_k=2, seed=3)
-        logits = eg.forward(m, g, eg.model_inputs(m, g))
+        logits = eg.forward(m, g)
         A = g.adjacency().toarray() + np.eye(g.num_vertices)
         dinv = 1.0 / np.sqrt(A.sum(axis=1))
         S = dinv[:, None] * A * dinv[None, :]
@@ -117,20 +117,19 @@ class TestForward:
         for kind in eg.models.MODEL_KINDS:
             m = eg.init_model(kind, 3, 4, 3, seed=0)
             m = replace(m, layers=[(np.zeros_like(w), np.zeros_like(b)) for w, b in m.layers])
-            X = eg.model_inputs(m, g)
-            assert np.all(eg.forward(m, g, X) == 0)
+            assert np.all(eg.forward(m, g) == 0)
 
     def test_sage_isolated_vertex_uses_self_half_only(self):
         g = eg.TemporalGraph(
             2, [], [0, 0], np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32), [0, 0], 1
         )
         m = eg.init_model("sage", 2, 3, 2, seed=5)
-        logits = eg.forward(m, g, g.features)
+        logits = eg.forward(m, g)
         # neighbor half of the concatenation is zero: only the top half of W1 matters
         w1, b1 = m.layers[0]
         w1_top_only = np.vstack([w1[:2], np.zeros_like(w1[2:])])
         m2 = replace(m, layers=[(w1_top_only, b1), m.layers[1]])
-        assert np.allclose(logits, eg.forward(m2, g, g.features))
+        assert np.allclose(logits, eg.forward(m2, g))
 
     def test_sage_hand_unrolled(self):
         g = eg.TemporalGraph(
@@ -142,21 +141,28 @@ class TestForward:
             (np.array([[1.0], [-0.5]]), np.array([0.2])),
         ]
         m = replace(m, layers=layers)
-        logits = eg.forward(m, g, g.features)
+        logits = eg.forward(m, g)
         # a_u = relu(0.5*1 + 0.25*2 + 0.1) = 1.1 ; a_v = relu(0.5*2 + 0.25*1 + 0.1) = 1.35
         assert np.allclose(logits, [[1.0 * 1.1 - 0.5 * 1.35 + 0.2], [1.0 * 1.35 - 0.5 * 1.1 + 0.2]])
 
     def test_shape_mismatch_raises(self):
         g = small_graph()
-        m = eg.init_model("mlp", 5, 4, 3, seed=0)
-        with pytest.raises(ValidationError):
-            eg.forward(m, g, g.features)
+        mask = np.ones(g.num_vertices, bool)
+        match = "feature width 3 does not match layer-0 input 5"
+        for kind in ("mlp", "sgc", "sage"):
+            m = eg.init_model(kind, 5, 4, 3, seed=0)
+            with pytest.raises(ValidationError, match=match):
+                eg.forward(m, g)
+            with pytest.raises(ValidationError, match=match):
+                eg.train(m, g, g.labels, mask, eg.TrainConfig(epochs=1))
+            with pytest.raises(ValidationError, match=match):
+                eg.loss_and_grad(m, g, g.labels, mask, eg.CATEGORICAL)
 
     def test_permutation_equivariance(self, graph_factory):
         for kind in ("mlp", "sage", "sgc"):
             g = graph_factory(4, num_classes=3)
             m = eg.init_model(kind, g.feature_dim, 4, 3, seed=1, dropout_rate=0.0)
-            logits = eg.forward(m, g, eg.model_inputs(m, g))
+            logits = eg.forward(m, g)
             rng = np.random.default_rng(0)
             perm = rng.permutation(g.num_vertices)
             inv = np.argsort(perm)
@@ -168,8 +174,47 @@ class TestForward:
                 g.labels[perm],
                 g.num_classes,
             )
-            logits2 = eg.forward(m, g2, eg.model_inputs(m, g2))
+            logits2 = eg.forward(m, g2)
             assert np.allclose(logits2, logits[perm], atol=1e-10)
+
+
+class TestGraphInputs:
+    """Layer 0's input and sage's propagation pair, built once per graph and model kind."""
+
+    def test_built_once_across_train_and_forward(self, monkeypatch):
+        calls = {"model_inputs": 0, "mean_propagation": 0}
+        for name in calls:
+            original = getattr(eg.models, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(eg.models, name, counted)
+        g = small_graph(seed=4)
+        m = eg.init_model("sage", 3, 4, 3, seed=0)
+        m = eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), eg.TrainConfig(epochs=3))
+        eg.forward(m, g)
+        eg.forward(m, g)
+        assert calls == {"model_inputs": 1, "mean_propagation": 1}
+
+    def test_sgc_powers_share_a_graph(self):
+        g = small_graph(seed=5)
+        models = [eg.init_model("sgc", 3, 0, 3, sgc_k=k, seed=1) for k in (1, 3)]
+        shared = [eg.forward(m, g) for m in models]
+        for m, logits in zip(models, shared):
+            fresh = small_graph(seed=5)
+            assert np.array_equal(logits, eg.forward(m, fresh))
+        assert not np.array_equal(shared[0], shared[1])
+
+    def test_cached_inputs_read_only(self):
+        g = small_graph(seed=6)
+        for kind in eg.models.MODEL_KINDS:
+            eg.forward(eg.init_model(kind, 3, 4, 3, seed=0), g)
+        assert len(g._model_inputs) == 3
+        for H_in, _ in g._model_inputs.values():
+            with pytest.raises(ValueError, match="read-only"):
+                H_in[0, 0] = 1.0
 
 
 class TestLoss:
@@ -201,12 +246,6 @@ class TestLoss:
         with pytest.raises(ValidationError, match="train mask of shape"):
             eg.loss_from_logits(np.zeros((3, 2)), [0, 1, 0], np.ones(2, bool), eg.BCE)
 
-    def test_weighted_requires_weights(self):
-        with pytest.raises(ValidationError):
-            eg.loss_from_logits(np.zeros((1, 2)), [0], np.ones(1, bool), eg.WEIGHTED_BCE)
-        with pytest.raises(ValidationError):
-            eg.loss_from_logits(np.zeros((1, 2)), [0], np.ones(1, bool), eg.BCE, [1.0, 1.0])
-
 
 class TestGradients:
     @pytest.mark.parametrize("kind", ["mlp", "sgc", "sage"])
@@ -215,23 +254,18 @@ class TestGradients:
         for seed in (0, 1):
             g = small_graph(seed=seed)
             m = eg.init_model(kind, 3, 4, 3, seed=seed)
-            X = eg.model_inputs(m, g)
             mask = np.ones(g.num_vertices, bool)
-            weights = (
-                eg.class_weights(g.labels, mask, 3) if loss_mode == eg.WEIGHTED_BCE else None
-            )
-            _, analytic = eg.loss_and_grad(m, g, X, g.labels, mask, loss_mode, weights)
-            numeric = fd_gradients(m, g, X, g.labels, mask, loss_mode, weights)
+            _, analytic = eg.loss_and_grad(m, g, g.labels, mask, loss_mode)
+            numeric = fd_gradients(m, g, g.labels, mask, loss_mode)
             assert_grads_close(analytic, numeric)
 
     def test_partial_mask_gradcheck(self):
         g = small_graph(seed=3)
         m = eg.init_model("sage", 3, 4, 3, seed=3)
-        X = eg.model_inputs(m, g)
         mask = np.zeros(g.num_vertices, bool)
         mask[[0, 2, 4]] = True
-        _, analytic = eg.loss_and_grad(m, g, X, g.labels, mask, eg.CATEGORICAL)
-        numeric = fd_gradients(m, g, X, g.labels, mask, eg.CATEGORICAL)
+        _, analytic = eg.loss_and_grad(m, g, g.labels, mask, eg.CATEGORICAL)
+        numeric = fd_gradients(m, g, g.labels, mask, eg.CATEGORICAL)
         assert_grads_close(analytic, numeric)
 
 
@@ -277,15 +311,15 @@ class TestTrain:
         g = small_graph()
         m = eg.init_model("mlp", 3, 4, 3, seed=0)
         cfg = eg.TrainConfig(epochs=1, seed=0)
-        m2 = eg.train(m, g, g.features, g.labels, np.ones(g.num_vertices, bool), cfg)
+        m2 = eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), cfg)
         assert not np.array_equal(m2.layers[0][0], m.layers[0][0])
 
     def test_separable_toy_reaches_full_accuracy(self):
         g = two_class_blobs()
         m = eg.init_model("mlp", 2, 8, 2, seed=0)
         cfg = eg.TrainConfig(learning_rate=0.05, epochs=200, seed=0)
-        m2 = eg.train(m, g, g.features, g.labels, np.ones(g.num_vertices, bool), cfg)
-        pred = np.argmax(eg.forward(m2, g, g.features), axis=1)
+        m2 = eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), cfg)
+        pred = np.argmax(eg.forward(m2, g), axis=1)
         assert np.mean(pred == g.labels) == 1.0
 
     def test_diverging_run_names_epoch(self):
@@ -294,7 +328,7 @@ class TestTrain:
         cfg = eg.TrainConfig(learning_rate=1e200, epochs=5, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="non-finite logits at epoch 2$"):
-                eg.train(m, g, g.features, g.labels, np.ones(g.num_vertices, bool), cfg)
+                eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), cfg)
 
     @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
     @pytest.mark.parametrize("bad", [-1, 3])
@@ -305,7 +339,7 @@ class TestTrain:
         m = eg.init_model("mlp", 3, 4, 3, seed=0)
         cfg = eg.TrainConfig(epochs=1, loss_mode=loss_mode)
         with pytest.raises(ValidationError, match="labels on masked rows must be valid"):
-            eg.train(m, g, g.features, labels, np.ones(g.num_vertices, bool), cfg)
+            eg.train(m, g, labels, np.ones(g.num_vertices, bool), cfg)
 
     def test_deterministic_given_seed(self):
         g = small_graph(seed=2)
@@ -314,7 +348,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             m = eg.init_model("sage", 3, 4, 3, seed=1)
-            runs.append(eg.train(m, g, g.features, g.labels, mask, cfg))
+            runs.append(eg.train(m, g, g.labels, mask, cfg))
         for (w1, b1), (w2, b2) in zip(runs[0].layers, runs[1].layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
@@ -341,9 +375,8 @@ class TestExpandOutputLayer:
         g = small_graph()
         for kind in ("mlp", "sgc", "sage"):
             m = eg.init_model(kind, 3, 4, 3, seed=2, dropout_rate=0.0)
-            X = eg.model_inputs(m, g)
-            before = eg.forward(m, g, X)
-            after = eg.forward(eg.expand_output_layer(m, 2, seed=3), g, X)
+            before = eg.forward(m, g)
+            after = eg.forward(eg.expand_output_layer(m, 2, seed=3), g)
             assert np.array_equal(after[:, :3], before)
             assert np.array_equal(
                 np.argmax(after[:, :3], axis=1), np.argmax(before, axis=1)
@@ -360,13 +393,38 @@ class TestCheckpoint:
             assert np.array_equal(w1.astype(np.float32), w2.astype(np.float32))
             assert np.array_equal(b1.astype(np.float32), b2.astype(np.float32))
 
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            pytest.param("short", "params.bin holds 62 floats, expected 64", id="short"),
+            pytest.param("trailing", "params.bin holds 65 floats, expected 64", id="trailing"),
+            pytest.param(
+                "output_dim",
+                "manifest output_dim=7 disagrees with the layer<i>_shape lines, which give 4",
+                id="output_dim",
+            ),
+        ],
+    )
+    def test_inconsistent_checkpoint_raises(self, tmp_path, case, match):
+        m = eg.init_model("sage", 3, 4, 4, seed=11)  # (6*4 + 4) + (8*4 + 4) = 64 floats
+        eg.save_checkpoint(m, tmp_path)
+        params, manifest = tmp_path / "params.bin", tmp_path / "manifest"
+        if case == "short":
+            params.write_bytes(params.read_bytes()[:-8])
+        elif case == "trailing":
+            params.write_bytes(params.read_bytes() + bytes(4))
+        else:
+            manifest.write_text(manifest.read_text().replace("output_dim=4", "output_dim=7"))
+        with pytest.raises(ValidationError, match=match):
+            eg.load_checkpoint(tmp_path)
+
     def test_forward_close_after_round_trip(self, tmp_path):
         g = small_graph()
         m = eg.init_model("mlp", 3, 4, 3, seed=4)
         eg.save_checkpoint(m, tmp_path / "c2")
         back = eg.load_checkpoint(tmp_path / "c2")
-        a = eg.forward(m, g, g.features)
-        b = eg.forward(back, g, g.features)
+        a = eg.forward(m, g)
+        b = eg.forward(back, g)
         assert np.allclose(a, b, atol=1e-5)
 
 
@@ -402,7 +460,7 @@ class TestReferenceOracle:
             )
 
         seen, expected_seen = [], []
-        trained = eg.train(m, g, X, g.labels, mask, cfg, on_epoch=recorder(seen))
+        trained = eg.train(m, g, g.labels, mask, cfg, on_epoch=recorder(seen))
         expected = ref.train(m, g, X, g.labels, mask, cfg, on_epoch=recorder(expected_seen))
         for (w1, b1), (w2, b2) in zip(trained.layers, expected.layers):
             assert np.array_equal(ref.bits(w1), ref.bits(w2))
