@@ -1,10 +1,11 @@
 """Pre-training then up-training on unlabeled insertions.
 
-Pre-trains on the labeled induced subgraph, then inserts the remaining
-(unlabeled) vertices and edges and continues training.  The pre-trained
-model's test accuracy plateaus immediately, i.e. new unlabeled data does
-not require retraining; a model without pre-training starts near chance
-and has to learn everything during the inference epochs.
+Pre-trains on the subgraph induced on the labeled vertices before the final
+timestamp, then inserts the remaining vertices and edges and continues
+training on the same labels.  The pre-trained model's accuracy on the
+labeled vertices at the final timestamp plateaus immediately, i.e. new
+unlabeled data does not require retraining; a model without pre-training
+starts near chance and has to learn everything during the inference epochs.
 
 Run:  python demos/04_two_phase_inference.py
 """
@@ -27,14 +28,15 @@ graph = eg.generate(
         seed=30,
     )
 )
-keep = np.nonzero((graph.time < 1) & (graph.labels != eg.UNLABELED))[0]
-g_train = eg.induced_subgraph(graph, keep)
-print(f"pre-training graph: {g_train.num_vertices} labeled vertices; "
-      f"{graph.num_vertices - g_train.num_vertices} vertices inserted afterwards\n")
+# two_task_experiment pre-trains on the labeled vertices before the final timestamp
+final = graph.timestamps()[-1]
+pretrain = int(np.sum((graph.time < final) & (graph.labels != eg.UNLABELED)))
+print(f"pre-training graph: {pretrain} labeled vertices; "
+      f"{graph.num_vertices - pretrain} vertices inserted afterwards\n")
 
 cfg = eg.ExperimentConfig(model="sage", learning_rate=0.01, seeds=(0,))
-pre = eg.two_task_experiment(g_train, graph, cfg, pretrain_epochs=200, inference_epochs=35)
-naive = eg.two_task_experiment(g_train, graph, cfg, pretrain_epochs=0, inference_epochs=35)
+pre = eg.two_task_experiment(graph, cfg, pretrain_epochs=200, inference_epochs=35)
+naive = eg.two_task_experiment(graph, cfg, pretrain_epochs=0, inference_epochs=35)
 
 print("epoch   pre-trained   from-scratch")
 for e in (0, 1, 2, 5, 10, 20, 35):

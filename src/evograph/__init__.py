@@ -7,9 +7,7 @@ from .graph import (
     TemporalGraph,
     build_task_sequence,
     induced_subgraph,
-    labeled_subgraph,
     start_timestamp,
-    trim_history,
 )
 from .dataio import dataset_fingerprint, load_dataset, save_dataset
 from .tdiff import TimeDiffHistogram, k_hop_time_diffs, percentile, suggest_history_sizes
@@ -60,7 +58,6 @@ from .lifelong import (
     ExperimentConfig,
     label_rate_subsample,
     run_sequence,
-    run_sequence_with_model,
     run_sequences,
     two_task_experiment,
 )

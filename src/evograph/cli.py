@@ -24,8 +24,8 @@ from .config import (
 )
 from .dataio import dataset_fingerprint, load_dataset, save_dataset
 from .errors import ConfigError, EvographError
-from .graph import UNLABELED, induced_subgraph
-from .lifelong import run_sequence_with_model, two_task_experiment
+from .graph import UNLABELED
+from .lifelong import run_sequences, two_task_experiment
 from .metrics import drift_magnitude, forward_transfer, mean_ci95
 from .models import save_checkpoint
 from .synth import SynthConfig, generate
@@ -188,22 +188,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _two_task_split(g):
-    """Labeled induced subgraph of everything before the final snapshot."""
-    split_time = int(g.timestamps()[-1])
-    keep = np.nonzero((g.time < split_time) & (g.labels != UNLABELED))[0]
-    return induced_subgraph(g, keep)
-
-
 def _seed_job(spec: RunSpec, g, seed: int):
     """Run one seed: (report text, the report or two-task trace it encodes,
     final model or None); top-level so process pools can pickle it."""
     if spec.mode == MODE_SEQUENCE:
-        report, model = run_sequence_with_model(g, spec.experiment, seed=seed)
+        (report,), model = run_sequences(g, [spec.experiment], seed=seed)
         return report.to_jsonl(), report, model
     trace = two_task_experiment(
-        _two_task_split(g), g, spec.experiment,
-        spec.pretrain_epochs, spec.inference_epochs, seed=seed,
+        g, spec.experiment, spec.pretrain_epochs, spec.inference_epochs, seed=seed
     )
     lines = [
         json.dumps({"kind": "epoch", "epoch": i, "accuracy": a}, sort_keys=True)

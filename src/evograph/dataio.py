@@ -78,6 +78,29 @@ def _read_edges(path: Path) -> tuple[np.ndarray, int]:
     return arr, int(np.count_nonzero(arr[:, 0] == arr[:, 1]))
 
 
+def _bad_csv_line(path: Path) -> str | None:
+    """``file:line: why`` for the first bad line of a features CSV, or None.
+
+    Skips what numpy skips, blank lines and ``#`` comments, and checks each
+    cell with ``float()``; None if that finds no fault numpy would report.
+    """
+    width = None
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        for col, cell in enumerate(cells, start=1):
+            try:
+                float(cell)
+            except ValueError:
+                return f"{path.name}:{lineno}: non-numeric value {cell.strip()!r} in column {col}"
+        width = width or len(cells)
+        if len(cells) != width:
+            return f"{path.name}:{lineno}: {len(cells)} values, expected {width}"
+    return None
+
+
 def load_dataset(path) -> TemporalGraph:
     """Load and validate a dataset directory into a TemporalGraph.
 
@@ -126,7 +149,7 @@ def load_dataset(path) -> TemporalGraph:
         try:
             features = np.loadtxt(csv_path, delimiter=",", dtype=np.float32, ndmin=2)
         except ValueError as exc:
-            raise DatasetError(f"features.csv: {exc}") from None
+            raise DatasetError(_bad_csv_line(csv_path) or f"features.csv: {exc}") from None
         if features.shape != (num_vertices, feature_dim):
             raise ValidationError(
                 f"features.csv is {features.shape[0]} x {features.shape[1]}, "

@@ -1,10 +1,11 @@
-"""Temporal graph storage, history trimming, and task-sequence construction.
+"""Temporal graph storage, induced subgraphs, and task-sequence construction.
 
 A :class:`TemporalGraph` is an immutable snapshot container: vertices carry a
 feature row, an integer timestamp, and an optional class label; edges are
-undirected and stored once in canonical (min, max) order.  All views derived
-from a graph (trimming, induced subgraphs) re-index vertices densely and keep
-an ``origin_ids`` mapping back to the source graph for reporting.
+undirected and stored once in canonical (min, max) order.  An induced
+subgraph re-indexes vertices densely and keeps an ``origin_ids`` mapping back
+to the source graph for reporting.  A task's history windows are vertex-id
+arrays (see :class:`TaskView`), induced only where a model needs the graph.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import TaskSequenceError, ValidationError
 
 UNLABELED = -1
 
-# Sentinel for "keep the entire history" in trim/window operations.
+# Sentinel history size: a task window keeps the entire history.
 FULL = None
 
 
@@ -120,9 +121,6 @@ class TemporalGraph:
                 self._csr = sp.csr_matrix((data, (src, dst)), shape=(n, n))
         return self._csr
 
-    def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency().sum(axis=1)).ravel()
-
     def timestamps(self) -> np.ndarray:
         """Distinct timestamps present, ascending."""
         return np.unique(self.time)
@@ -201,19 +199,6 @@ def _window(g: TemporalGraph, t: int, c) -> np.ndarray:
     return np.nonzero((g.time >= t - c) & (g.time <= t))[0]
 
 
-def trim_history(g: TemporalGraph, t: int, c=FULL) -> TemporalGraph:
-    """Vertices with ``t - c <= time(v) <= t`` (all ``time <= t`` when FULL).
-
-    An empty window yields an empty graph, not an error.
-    """
-    return induced_subgraph(g, _window(g, t, c))
-
-
-def labeled_subgraph(g: TemporalGraph) -> TemporalGraph:
-    """Induced subgraph on labeled vertices (edges need both endpoints labeled)."""
-    return induced_subgraph(g, np.nonzero(g.labels != UNLABELED)[0])
-
-
 def start_timestamp(g: TemporalGraph, fraction: float = 0.25) -> int:
     """Smallest timestamp whose cumulative vertex count reaches ``fraction``."""
     ts = g.timestamps()
@@ -229,10 +214,10 @@ def build_task_sequence(g: TemporalGraph, c=FULL) -> list[TaskView]:
 
     The start timestamp is where the cumulative vertex count first reaches
     25% of the graph.  Each later timestamp ``tau`` becomes one task: it
-    trains on the window of history size ``c`` (in time units, as in
-    :func:`trim_history`) ending at the timestamp just before ``tau``, and is
-    tested on the labeled vertices at ``tau`` within the window ending at
-    ``tau``.
+    trains on the window ``prev - c <= time <= prev`` (``c`` in time units;
+    all ``time <= prev`` when FULL), where ``prev`` is the timestamp just
+    before ``tau``, and is tested on the labeled vertices at ``tau`` within
+    the window ending at ``tau``.
     """
     ts = g.timestamps()
     if ts.size < 2:

@@ -1,7 +1,7 @@
 """Incremental training over a task sequence: restarts, growth, label budgets.
 
-For each evaluation task the engine trains on the history-trimmed graph
-through the previous timestamp (warm restarts reuse the surviving
+For each evaluation task the engine trains on the history window ending at
+the previous timestamp (warm restarts reuse the surviving
 parameters, cold restarts reinitialize), grows the output layer when classes
 enter the training data for the first time, predicts the vertices new at the
 task's timestamp, and scores each config's unseen-class detector, if any,
@@ -145,16 +145,8 @@ def run_sequence(g: TemporalGraph, cfg: ExperimentConfig, seed: Optional[int] = 
     list, receives one dict per task with the model bookkeeping
     (output_dim, new_classes, known_classes) for inspection.
     """
-    report, _ = run_sequence_with_model(g, cfg, seed=seed, trace=trace)
+    (report,), _ = run_sequences(g, [cfg], seed=seed, traces=[trace])
     return report
-
-
-def run_sequence_with_model(
-    g: TemporalGraph, cfg: ExperimentConfig, seed: Optional[int] = None, trace=None
-) -> tuple[MetricsReport, ModelState]:
-    """Like :func:`run_sequence` but also returns the final task's model."""
-    (report,), model = run_sequences(g, [cfg], seed=seed, traces=[trace])
-    return report, model
 
 
 def _score_task(t, train_probs, y_units_train, train_sel, test_logits, y_true, known_order, detector):
@@ -274,55 +266,45 @@ def run_sequences(
     return [MetricsReport(records=r) for r in records], model
 
 
-def _validate_two_task_inputs(g_train: TemporalGraph, g_full: TemporalGraph) -> np.ndarray:
-    if g_train.origin_ids is None:
-        raise ValidationError(
-            "g_train must carry origin_ids into g_full (use labeled_subgraph)"
-        )
-    origin = g_train.origin_ids
-    if np.unique(origin).size != origin.size or origin.max(initial=-1) >= g_full.num_vertices:
-        raise ValidationError("g_train origin_ids are not a valid vertex subset of g_full")
-    if np.any(g_train.labels == UNLABELED):
-        raise ValidationError("g_train must contain labeled vertices only")
-    if (
-        not np.array_equal(g_train.time, g_full.time[origin])
-        or not np.array_equal(g_train.labels, g_full.labels[origin])
-        or not np.array_equal(g_train.features, g_full.features[origin])
-    ):
-        raise ValidationError("g_train vertex data does not match g_full")
-    expected = induced_subgraph(g_full, origin)
-    if not np.array_equal(expected.edges, g_train.edges):
-        raise ValidationError("g_train edges are not the induced edges of g_full")
-    return origin
-
-
 def two_task_experiment(
-    g_train: TemporalGraph,
-    g_full: TemporalGraph,
+    g: TemporalGraph,
     cfg: ExperimentConfig,
     pretrain_epochs: int,
     inference_epochs: int,
     seed: Optional[int] = None,
 ) -> list[float]:
-    """Pre-train on the labeled subgraph, then up-train after inserting the rest.
+    """Pre-train on the labeled past, then up-train after inserting the rest.
 
-    Returns the test accuracy before the first and after each of the
+    With ``T`` the final timestamp of ``g``, pre-training sees only the
+    subgraph induced on the labeled vertices with ``time < T``.  Inference
+    inserts every other vertex and edge of ``g`` and keeps training on the
+    same labels; no new label appears.  Returns the accuracy on the labeled
+    vertices at ``T`` before the first and after each of the
     ``inference_epochs`` continued-training epochs (length
-    ``inference_epochs + 1``).  Test vertices are the labeled vertices of
-    ``g_full`` outside ``g_train``; no new labels appear at inference time.
+    ``inference_epochs + 1``).
     """
     if pretrain_epochs < 0 or inference_epochs < 0:
         raise ConfigError("epoch counts must be >= 0")
     if seed is None:
         seed = cfg.seeds[0]
-    origin = _validate_two_task_inputs(g_train, g_full)
+    if g.num_vertices == 0:
+        raise ValidationError("the graph has no vertices")
+    final = int(g.timestamps()[-1])
+    labeled = g.labels != UNLABELED
+    train_mask = labeled & (g.time < final)
+    test_mask = labeled & (g.time == final)
+    if not train_mask.any():
+        raise ValidationError(f"no labeled vertices before the final timestamp {final}")
+    if not test_mask.any():
+        raise ValidationError(f"no labeled vertices at the final timestamp {final}")
+    g_train = induced_subgraph(g, np.nonzero(train_mask)[0])
 
     classes = sorted(int(c) for c in np.unique(g_train.labels))
     unit_of = {cls: j for j, cls in enumerate(classes)}
     order_arr = np.asarray(classes, dtype=np.int64)
 
     model = init_model(
-        cfg.model, g_full.feature_dim, cfg.hidden_dim, len(classes),
+        cfg.model, g.feature_dim, cfg.hidden_dim, len(classes),
         sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate, seed=_derive_seed(seed, 0),
     )
     y_units_train = _unit_labels(g_train.labels, unit_of)
@@ -331,16 +313,10 @@ def two_task_experiment(
             model, g_train, y_units_train, np.ones(g_train.num_vertices, dtype=bool),
             replace(cfg.train_config(_derive_seed(seed, 1)), epochs=pretrain_epochs),
         )
-
-    train_mask_full = np.zeros(g_full.num_vertices, dtype=bool)
-    train_mask_full[origin] = True
-    test_mask = (g_full.labels != UNLABELED) & ~train_mask_full
-    if not test_mask.any():
-        raise ValidationError("g_full has no labeled vertices outside g_train")
-    y_true = g_full.labels[test_mask]
+    y_true = g.labels[test_mask]
 
     def test_accuracy(m: ModelState) -> float:
-        logits = forward(m, g_full)
+        logits = forward(m, g)
         pred = order_arr[np.argmax(logits[test_mask], axis=1)]
         return float(np.mean(pred == y_true))
 
@@ -348,7 +324,7 @@ def two_task_experiment(
     if inference_epochs > 0:
         # optimizer state restarts fresh for the inference phase
         train(
-            model, g_full, _unit_labels(g_full.labels, unit_of), train_mask_full,
+            model, g, _unit_labels(g.labels, unit_of), train_mask,
             replace(cfg.train_config(_derive_seed(seed, 2)), epochs=inference_epochs),
             on_epoch=lambda epoch, loss, m: trace.append(test_accuracy(m)),
         )

@@ -196,14 +196,6 @@ class MetricsReport:
                 records.append(TaskRecord(**obj))
         return MetricsReport(records=records)
 
-    def to_csv(self) -> str:
-        header = "t,accuracy,tp,tn,fp,fn,open_f1"
-        rows = [
-            f"{r.t},{r.accuracy!r},{r.tp},{r.tn},{r.fp},{r.fn},{r.open_f1!r}"
-            for r in self.records
-        ]
-        return "\n".join([header] + rows) + "\n"
-
 
 def mean_ci95(values) -> tuple[float, float]:
     """Mean and 1.96 * standard error of the mean (0 for a single value)."""

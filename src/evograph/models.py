@@ -449,18 +449,58 @@ def save_checkpoint(model: ModelState, path) -> None:
     (root / "params.bin").write_bytes(b"".join(blocks))
 
 
-def load_checkpoint(path) -> ModelState:
-    """Inverse of :func:`save_checkpoint` (parameters come back as float32-exact)."""
-    root = Path(path)
+def _read_checkpoint_manifest(path: Path) -> dict:
     manifest = {}
-    for line in (root / "manifest").read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if line.strip():
+            if "=" not in line:
+                raise ValidationError(f"{path.name}:{lineno}: expected key=value, got {line!r}")
             k, v = line.split("=", 1)
             manifest[k] = v
-    shapes = [
-        tuple(int(x) for x in manifest[f"layer{i}_shape"].split(","))
-        for i in range(int(manifest["num_layers"]))
-    ]
+    return manifest
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _shape(text: str) -> tuple[int, int]:
+    fan_in, fan_out = map(_positive_int, text.split(","))
+    return fan_in, fan_out
+
+
+def load_checkpoint(path) -> ModelState:
+    """Inverse of :func:`save_checkpoint` (parameters come back as float32-exact).
+
+    A malformed manifest or params.bin raises ValidationError naming the
+    line, key or size at fault.
+    """
+    root = Path(path)
+    manifest = _read_checkpoint_manifest(root / "manifest")
+
+    def get(key: str, parse=int):
+        if key not in manifest:
+            raise ValidationError(f"checkpoint manifest: missing key {key!r}")
+        try:
+            return parse(manifest[key])
+        except ValueError:
+            raise ValidationError(
+                f"checkpoint manifest: bad value {key}={manifest[key]!r}"
+            ) from None
+
+    if get("format_version") != 1:
+        raise ValidationError(
+            f"checkpoint manifest: unsupported format_version {manifest['format_version']!r}"
+        )
+    kind = get("kind", str)
+    if kind not in MODEL_KINDS:
+        raise ValidationError(f"checkpoint manifest: unknown model kind {kind!r}")
+    sgc_k, dropout_rate, rng_seed = get("sgc_k"), get("dropout_rate", float), get("rng_seed")
+    shapes = [get(f"layer{i}_shape", _shape) for i in range(get("num_layers", _positive_int))]
+    dims = {key: get(key) for key in ("hidden_dim", "output_dim")}
     expected = sum(fi * fo + fo for fi, fo in shapes)
     data = (root / "params.bin").read_bytes()
     if len(data) != 4 * expected:
@@ -475,14 +515,10 @@ def load_checkpoint(path) -> ModelState:
         offset += fo
         layers.append((w, b))
     model = ModelState(
-        kind=manifest["kind"],
-        layers=layers,
-        sgc_k=int(manifest["sgc_k"]),
-        dropout_rate=float(manifest["dropout_rate"]),
-        rng_seed=int(manifest["rng_seed"]),
+        kind=kind, layers=layers, sgc_k=sgc_k, dropout_rate=dropout_rate, rng_seed=rng_seed
     )
-    for key in ("hidden_dim", "output_dim"):
-        if int(manifest[key]) != getattr(model, key):
+    for key, value in dims.items():
+        if value != getattr(model, key):
             raise ValidationError(
                 f"manifest {key}={manifest[key]} disagrees with the layer<i>_shape lines, "
                 f"which give {getattr(model, key)}"

@@ -124,8 +124,7 @@ class TestAnalyze:
         rc = main(["analyze-tdiff", str(tmp_path / "ds"), "--output-dir", str(tmp_path / "an")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: features.csv: could not convert string 'abc'")
-        assert "row 2, column 1" in err
+        assert err == "error: features.csv:3: non-numeric value 'abc' in column 1\n"
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -308,6 +307,15 @@ class TestRun:
         assert len(epochs) == 5
         summary = json.loads((out / "summary.json").read_text())
         assert summary["trace_mean"] == [e["accuracy"] for e in epochs]
+
+    def test_two_task_single_timestamp_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "one"
+        assert main(["generate", str(data), "--num-timestamps", "1", "--quiet"]) == 0
+        cfg = write_config(tmp_path / "tt.cfg", data, mode="two-task", seeds="0")
+        out = tmp_path / "tt"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: no labeled vertices before the final timestamp 0\n"
+        assert not (out / "manifest.json").exists()
 
 
 @pytest.fixture(scope="module")

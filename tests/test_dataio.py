@@ -64,8 +64,23 @@ def test_non_integer_timestamp_cites_line(fixture_dir):
 
 def test_non_numeric_feature_cites_file_and_cell(fixture_dir):
     (fixture_dir / "features.csv").write_text("0.5,1.0\n1.5,2.0\nabc,3.0\n3.5,4.0\n")
-    match = r"^features.csv: could not convert string 'abc' .*row 2, column 1"
+    match = r"^features.csv:3: non-numeric value 'abc' in column 1$"
     with pytest.raises(DatasetError, match=match):
+        eg.load_dataset(fixture_dir)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("0.5,1.0\n\n# note\n1.5\n2.5,3.0\n3.5,4.0\n", "features.csv:4: 1 values, expected 2"),
+        ("# h\n0.5,1.0\n1.5,2.0 # c\n2.5,3.0,\n3.5,4.0\n",
+         "features.csv:4: non-numeric value '' in column 3"),
+    ],
+    ids=["ragged-after-blank-and-comment", "trailing-comma"],
+)
+def test_bad_feature_line_counts_blank_and_comment_lines(fixture_dir, text, match):
+    (fixture_dir / "features.csv").write_text(text)
+    with pytest.raises(DatasetError, match=f"^{match}$"):
         eg.load_dataset(fixture_dir)
 
 

@@ -70,27 +70,36 @@ class TestTemporalGraph:
             g.time[0] = 9
 
 
+def induce_window(g, t, c):
+    """``induced_subgraph`` on ``trim_oracle``'s keep ids."""
+    keep, _ = trim_oracle(g, t, c)
+    return eg.induced_subgraph(g, np.asarray(keep, dtype=np.int64))
+
+
 class TestTrimHistory:
+    """``induced_subgraph`` on history windows: edge re-indexing, the empty keep
+    set, ``origin_ids`` composition and bit-exact features."""
+
     def test_full_keeps_everything(self, path4):
-        trimmed = eg.trim_history(path4, 4, eg.FULL)
+        trimmed = induce_window(path4, 4, eg.FULL)
         assert trimmed.num_vertices == 4
         assert trimmed.num_edges == path4.num_edges
 
     def test_c1_keeps_last_two_times(self, path4):
-        trimmed = eg.trim_history(path4, 4, 1)
+        trimmed = induce_window(path4, 4, 1)
         keep, edges = trim_oracle(path4, 4, 1)
         assert trimmed.num_vertices == len(keep) == 2
         assert sorted(map(tuple, trimmed.edges.tolist())) == edges
         assert np.array_equal(trimmed.time, path4.time[keep])
 
     def test_c0_only_exact_time(self, path4):
-        trimmed = eg.trim_history(path4, 4, 0)
+        trimmed = induce_window(path4, 4, 0)
         keep, _ = trim_oracle(path4, 4, 0)
         assert trimmed.num_vertices == 1
         assert np.array_equal(trimmed.origin_ids, keep)
 
     def test_empty_window_is_empty_graph(self, path4):
-        trimmed = eg.trim_history(path4, 0, 0)
+        trimmed = induce_window(path4, 0, 0)
         assert trimmed.num_vertices == 0
         assert trimmed.num_edges == 0
 
@@ -99,7 +108,7 @@ class TestTrimHistory:
             g = graph_factory(seed)
             for t in range(6):
                 for c in (eg.FULL, 0, 1, 2):
-                    trimmed = eg.trim_history(g, t, c)
+                    trimmed = induce_window(g, t, c)
                     keep, edges = trim_oracle(g, t, c)
                     assert np.array_equal(trimmed.origin_ids, keep)
                     assert sorted(map(tuple, trimmed.edges.tolist())) == edges
@@ -109,13 +118,13 @@ class TestTrimHistory:
             g = graph_factory(seed)
             t = 4
             for c in (0, 1, 2):
-                once = eg.trim_history(g, t, c)
-                twice = eg.trim_history(eg.trim_history(g, t, eg.FULL), t, c)
+                once = induce_window(g, t, c)
+                twice = induce_window(induce_window(g, t, eg.FULL), t, c)
                 assert once.equals(twice)
 
     def test_features_preserved_bit_exactly(self, graph_factory):
         g = graph_factory(3)
-        trimmed = eg.trim_history(g, 4, 2)
+        trimmed = induce_window(g, 4, 2)
         for new_id, old_id in enumerate(trimmed.origin_ids):
             assert np.array_equal(trimmed.features[new_id], g.features[old_id])
 
@@ -202,7 +211,7 @@ class TestTaskSequence:
             [1, 2], [4], [7], [7, 8]
         ]
 
-    def test_windows_match_trim_history(self, graph_factory):
+    def test_windows_match_trim_oracle(self, graph_factory):
         for seed in range(10):
             g = graph_factory(seed, unlabeled_frac=0.3)
             gapped = eg.TemporalGraph(
@@ -213,9 +222,5 @@ class TestTaskSequence:
                 for c in (eg.FULL, 0, 1, 2, 3):
                     for task in eg.build_task_sequence(h, c):
                         prev = int(ts[ts < task.time][-1])
-                        assert np.array_equal(
-                            task.train_vertices, eg.trim_history(h, prev, c).origin_ids
-                        )
-                        assert np.array_equal(
-                            task.vertices, eg.trim_history(h, task.time, c).origin_ids
-                        )
+                        assert np.array_equal(task.train_vertices, trim_oracle(h, prev, c)[0])
+                        assert np.array_equal(task.vertices, trim_oracle(h, task.time, c)[0])

@@ -164,12 +164,12 @@ class TestRunSequence:
 
         # independent single-shot training on everything through prev_time
         label_mask = eg.label_rate_subsample(g, 1.0, 0)
-        train_g = eg.trim_history(g, prev_time, eg.FULL)
+        train_g = eg.induced_subgraph(g, np.nonzero(g.time <= prev_time)[0])
         train_sel = (train_g.labels != eg.UNLABELED) & label_mask[train_g.origin_ids]
         known_order = []
         for tk in tasks[:t_star]:
-            window_g = eg.trim_history(
-                g, int(timestamps[timestamps < tk.time][-1]), eg.FULL
+            window_g = eg.induced_subgraph(
+                g, np.nonzero(g.time <= timestamps[timestamps < tk.time][-1])[0]
             )
             sel = (window_g.labels != eg.UNLABELED) & label_mask[window_g.origin_ids]
             for c in np.unique(window_g.labels[sel]):
@@ -184,7 +184,7 @@ class TestRunSequence:
             model, train_g, y_units, train_sel,
             eg.TrainConfig(epochs=15, loss_mode=eg.CATEGORICAL, seed=_derive_seed(seed, t_star, 2)),
         )
-        eval_g = eg.trim_history(g, task.time, eg.FULL)
+        eval_g = eg.induced_subgraph(g, np.nonzero(g.time <= task.time)[0])
         logits = eg.forward(model, eval_g)
         test_sel = (eval_g.time == task.time) & (eval_g.labels != eg.UNLABELED)
         pred = np.asarray(known_order)[np.argmax(logits[test_sel], axis=1)]
@@ -199,9 +199,10 @@ class TestRunSequence:
         final_known = set(trace[-1]["known_classes"])
         expected = set()
         timestamps = g.timestamps()
+        assert cfg.history_size is eg.FULL
         for task in eg.build_task_sequence(g, cfg.history_size):
             prev_time = int(timestamps[timestamps < task.time][-1])
-            window = eg.trim_history(g, prev_time, cfg.history_size)
+            window = eg.induced_subgraph(g, np.nonzero(g.time <= prev_time)[0])
             expected.update(int(c) for c in window.labels[window.labels != eg.UNLABELED])
         assert final_known == expected
 
@@ -331,7 +332,7 @@ class TestRunSequences:
         assert len(reports) == len(cfgs)
         for cfg, report, trace in zip(cfgs, reports, traces):
             expected_trace = []
-            expected, expected_model = eg.run_sequence_with_model(g, cfg, seed=4, trace=expected_trace)
+            (expected,), expected_model = eg.run_sequences(g, [cfg], seed=4, traces=[expected_trace])
             assert report.to_jsonl() == expected.to_jsonl()
             assert json.dumps(trace) == json.dumps(expected_trace)
             for (w, b), (we, be) in zip(model.layers, expected_model.layers):
@@ -397,7 +398,8 @@ class TestRunSequences:
 
 class TestTwoTask:
     def fixture(self, seed=0):
-        g = eg.generate(
+        """Two timestamps: pre-training sees labels at 0, evaluation those at 1."""
+        return eg.generate(
             eg.SynthConfig(
                 num_timestamps=2,
                 vertices_per_timestamp=60,
@@ -410,78 +412,49 @@ class TestTwoTask:
                 seed=seed,
             )
         )
-        labels = g.labels.copy()
-        labels[g.time == 1] = eg.UNLABELED  # second snapshot is unlabeled at train time
-        g_unl = eg.TemporalGraph(
-            g.num_vertices, g.edges, g.time, g.features, labels, g.num_classes
-        )
-        g_train = eg.labeled_subgraph(g_unl)
-        # evaluation labels live in the full graph
-        return g_train, g
-
-    def test_requires_origin_ids(self):
-        g_train, g_full = self.fixture()
-        stripped = eg.TemporalGraph(
-            g_train.num_vertices, g_train.edges, g_train.time,
-            g_train.features, g_train.labels, g_train.num_classes,
-        )
-        cfg = eg.ExperimentConfig(model="mlp", epochs=5)
-        with pytest.raises(ValidationError):
-            eg.two_task_experiment(stripped, g_full, cfg, 5, 3)
-
-    def test_rejects_tampered_edges(self):
-        g_train, g_full = self.fixture()
-        edges = g_train.edges[1:]
-        bad = eg.TemporalGraph(
-            g_train.num_vertices, edges, g_train.time, g_train.features,
-            g_train.labels, g_train.num_classes, origin_ids=g_train.origin_ids,
-        )
-        cfg = eg.ExperimentConfig(model="mlp", epochs=5)
-        with pytest.raises(ValidationError):
-            eg.two_task_experiment(bad, g_full, cfg, 5, 3)
 
     def test_trace_length_and_determinism(self):
-        g_train, g_full = self.fixture(seed=2)
+        g = self.fixture(seed=2)
         cfg = eg.ExperimentConfig(model="sage", epochs=5, learning_rate=0.01)
-        a = eg.two_task_experiment(g_train, g_full, cfg, 20, 10, seed=3)
-        b = eg.two_task_experiment(g_train, g_full, cfg, 20, 10, seed=3)
+        a = eg.two_task_experiment(g, cfg, 20, 10, seed=3)
+        b = eg.two_task_experiment(g, cfg, 20, 10, seed=3)
         assert len(a) == 11
         assert a == b
 
     def test_untrained_starts_near_chance_and_rises(self):
-        g_train, g_full = self.fixture(seed=4)
+        g = self.fixture(seed=4)
         cfg = eg.ExperimentConfig(model="sage", learning_rate=0.02)
-        trace = eg.two_task_experiment(g_train, g_full, cfg, 0, 30, seed=1)
+        trace = eg.two_task_experiment(g, cfg, 0, 30, seed=1)
         assert trace[0] < 0.6
         assert max(trace[10:]) > trace[0] + 0.2
 
     def test_no_inference_epochs_gives_pretrained_accuracy_only(self):
-        g_train, g_full = self.fixture(seed=2)
+        g = self.fixture(seed=2)
         cfg = eg.ExperimentConfig(model="mlp")
-        trace = eg.two_task_experiment(g_train, g_full, cfg, 10, 0, seed=1)
+        trace = eg.two_task_experiment(g, cfg, 10, 0, seed=1)
         assert len(trace) == 1
-        assert trace == eg.two_task_experiment(g_train, g_full, cfg, 10, 4, seed=1)[:1]
+        assert trace == eg.two_task_experiment(g, cfg, 10, 4, seed=1)[:1]
 
     def test_inference_phase_matches_explicit_update_loop(self):
-        g_train, g_full = self.fixture(seed=1)
+        g = self.fixture(seed=1)
         cfg = eg.ExperimentConfig(model="sage", learning_rate=0.02, detector=eg.DetectorConfig())
-        trace = eg.two_task_experiment(g_train, g_full, cfg, 0, 6, seed=5)
+        trace = eg.two_task_experiment(g, cfg, 0, 6, seed=5)
 
-        classes = sorted(int(c) for c in np.unique(g_train.labels))
-        y = _unit_labels(g_full.labels, {c: j for j, c in enumerate(classes)})
-        train_mask = np.zeros(g_full.num_vertices, bool)
-        train_mask[g_train.origin_ids] = True
-        test_mask = (g_full.labels != eg.UNLABELED) & ~train_mask
+        labeled = g.labels != eg.UNLABELED
+        train_mask = labeled & (g.time == 0)
+        test_mask = labeled & (g.time == 1)
+        classes = sorted(int(c) for c in np.unique(g.labels[train_mask]))
+        y = _unit_labels(g.labels, {c: j for j, c in enumerate(classes)})
         model = eg.init_model(
-            "sage", g_full.feature_dim, cfg.hidden_dim, len(classes),
+            "sage", g.feature_dim, cfg.hidden_dim, len(classes),
             dropout_rate=cfg.dropout_rate, seed=_derive_seed(5, 0),
         )
-        X = eg.model_inputs(model, g_full)
+        X = eg.model_inputs(model, g)
         weights = eg.class_weights(y, train_mask, len(classes))
 
         def accuracy(m):
-            pred = np.asarray(classes)[np.argmax(eg.forward(m, g_full)[test_mask], axis=1)]
-            return float(np.mean(pred == g_full.labels[test_mask]))
+            pred = np.asarray(classes)[np.argmax(eg.forward(m, g)[test_mask], axis=1)]
+            return float(np.mean(pred == g.labels[test_mask]))
 
         expected = [accuracy(model)]
         ref_cfg = eg.TrainConfig(
@@ -489,7 +462,47 @@ class TestTwoTask:
             loss_mode=eg.WEIGHTED_BCE, seed=_derive_seed(5, 2),
         )
         ref.train(
-            model, g_full, X, y, train_mask, ref_cfg, weights,
+            model, g, X, y, train_mask, ref_cfg, weights,
             on_epoch=lambda epoch, loss, m: expected.append(accuracy(m)),
         )
         assert trace == expected
+
+    def test_pretraining_sees_only_the_labeled_past(self):
+        g = self.fixture(seed=3)
+        cfg = eg.ExperimentConfig(model="sage", learning_rate=0.02)
+        trace = eg.two_task_experiment(g, cfg, 7, 0, seed=2)
+
+        labeled = g.labels != eg.UNLABELED
+        g_train = eg.induced_subgraph(g, np.nonzero(labeled & (g.time == 0))[0])
+        classes = sorted(int(c) for c in np.unique(g_train.labels))
+        model = eg.init_model(
+            "sage", g.feature_dim, cfg.hidden_dim, len(classes),
+            dropout_rate=cfg.dropout_rate, seed=_derive_seed(2, 0),
+        )
+        model = eg.train(
+            model, g_train, _unit_labels(g_train.labels, {c: j for j, c in enumerate(classes)}),
+            np.ones(g_train.num_vertices, bool),
+            eg.TrainConfig(
+                learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay, epochs=7,
+                loss_mode=eg.CATEGORICAL, seed=_derive_seed(2, 1),
+            ),
+        )
+        test_mask = labeled & (g.time == 1)
+        pred = np.asarray(classes)[np.argmax(eg.forward(model, g)[test_mask], axis=1)]
+        assert trace == [float(np.mean(pred == g.labels[test_mask]))]
+
+    @pytest.mark.parametrize(
+        "times, labels, match",
+        [
+            ([3, 3, 3], [0, 1, 0], "no labeled vertices before the final timestamp 3"),
+            ([1, 1, 2, 2], [-1, -1, 0, 1], "no labeled vertices before the final timestamp 2"),
+            ([1, 1, 2, 2], [0, 1, -1, -1], "no labeled vertices at the final timestamp 2"),
+            ([], [], "the graph has no vertices"),
+        ],
+        ids=["single-timestamp", "unlabeled-past", "unlabeled-final", "empty"],
+    )
+    def test_split_without_labels_raises(self, times, labels, match):
+        n = len(times)
+        g = eg.TemporalGraph(n, [], times, np.ones((n, 2), np.float32), labels, 2)
+        with pytest.raises(ValidationError, match=match):
+            eg.two_task_experiment(g, eg.ExperimentConfig(model="mlp", epochs=2), 2, 2)

@@ -210,12 +210,6 @@ class TestMetricsReport:
         line = json.loads(self.build().to_jsonl().splitlines()[0])
         assert set(line) == {"kind", "t", "accuracy", "tp", "tn", "fp", "fn", "open_f1"}
 
-    def test_csv_export(self):
-        text = self.build().to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,accuracy,tp,tn,fp,fn,open_f1"
-        assert len(lines) == 3
-
 
 def test_mean_ci95():
     mean, ci = eg.mean_ci95([1.0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -418,6 +420,44 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match=match):
             eg.load_checkpoint(tmp_path)
 
+    # case -> (manifest key, its replacement line or None to drop it, expected message)
+    BAD_MANIFESTS = {
+        **{
+            f"missing-{key}": (key, None, f"checkpoint manifest: missing key '{key}'")
+            for key in (
+                "format_version", "kind", "sgc_k", "dropout_rate", "rng_seed", "num_layers",
+                "layer0_shape", "layer1_shape", "hidden_dim", "output_dim",
+            )
+        },
+        "no-equals": ("sgc_k", "sgc_k 2", "manifest:5: expected key=value, got 'sgc_k 2'"),
+        "sgc_k=two": ("sgc_k", "sgc_k=two", "bad value sgc_k='two'"),
+        "dropout_rate=half": ("dropout_rate", "dropout_rate=half", "bad value dropout_rate='half'"),
+        "rng_seed=1.5": ("rng_seed", "rng_seed=1.5", "bad value rng_seed='1.5'"),
+        "num_layers=two": ("num_layers", "num_layers=two", "bad value num_layers='two'"),
+        "num_layers=0": ("num_layers", "num_layers=0", "bad value num_layers='0'"),
+        "layer0_shape=6": ("layer0_shape", "layer0_shape=6", "bad value layer0_shape='6'"),
+        "layer0_shape=6,x": ("layer0_shape", "layer0_shape=6,x", "bad value layer0_shape='6,x'"),
+        "hidden_dim=four": ("hidden_dim", "hidden_dim=four", "bad value hidden_dim='four'"),
+        "format_version=x": ("format_version", "format_version=x", "bad value format_version='x'"),
+        "format_version=2": (
+            "format_version", "format_version=2", "unsupported format_version '2'"
+        ),
+        "kind=gat": ("kind", "kind=gat", "unknown model kind 'gat'"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_MANIFESTS))
+    def test_bad_manifest_raises(self, tmp_path, case):
+        key, line, match = self.BAD_MANIFESTS[case]
+        eg.save_checkpoint(eg.init_model("sage", 3, 4, 4, seed=11), tmp_path)
+        manifest = tmp_path / "manifest"
+        lines = [
+            (line if x.split("=", 1)[0] == key else x)
+            for x in manifest.read_text().splitlines()
+        ]
+        manifest.write_text("".join(f"{x}\n" for x in lines if x is not None))
+        with pytest.raises(ValidationError, match=re.escape(match)):
+            eg.load_checkpoint(tmp_path)
+
     def test_forward_close_after_round_trip(self, tmp_path):
         g = small_graph()
         m = eg.init_model("mlp", 3, 4, 3, seed=4)
@@ -437,7 +477,7 @@ class TestReferenceOracle:
         g = eg.TemporalGraph(
             30, g0.edges[(g0.edges != 29).all(axis=1)], g0.time, g0.features, g0.labels, 4
         )
-        assert g.degrees()[29] == 0 and g.num_edges > 0
+        assert g.adjacency()[29].nnz == 0 and g.num_edges > 0
         return g
 
     @pytest.mark.parametrize("kind", ["mlp", "sgc", "sage"])
