@@ -22,7 +22,7 @@ from .config import (
     load_manifest,
     write_manifest,
 )
-from .dataio import dataset_fingerprint, load_dataset, save_dataset
+from .dataio import dataset_fingerprint, load_dataset, read_json, save_dataset
 from .errors import ConfigError, EvographError
 from .graph import UNLABELED
 from .lifelong import run_sequences, two_task_experiment
@@ -303,6 +303,10 @@ def cmd_run(args) -> int:
     return 0
 
 
+# what report reads of a sequence run's summary.json
+_SUMMARY_KEYS = ("avg_accuracy", "mcc", "open_macro_f1", "per_task_accuracy_mean")
+
+
 def _load_run(path) -> dict:
     p = Path(path)
     if p.is_dir():
@@ -314,7 +318,7 @@ def _load_run(path) -> dict:
     summary_path = p.parent / manifest["summary"]
     if not summary_path.exists():
         raise EvographError(f"missing file: {summary_path}")
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    summary = read_json(summary_path, EvographError, _SUMMARY_KEYS)
     return {"manifest": manifest, "summary": summary, "dir": p.parent}
 
 

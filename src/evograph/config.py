@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
+from .dataio import read_json, read_key_values, read_text
 from .errors import ConfigError, ValidationError
 from .graph import FULL
 from .lifelong import ExperimentConfig, LOSS_AUTO
@@ -129,23 +130,14 @@ class RunSpec:
 
 
 def parse_config_text(text: str) -> RunSpec:
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return RunSpec(entries)
+    return RunSpec(read_key_values(text, "<config>", ConfigError))
 
 
 def load_config(path) -> RunSpec:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"))
+    return RunSpec(read_key_values(read_text(p, ConfigError), str(p), ConfigError))
 
 
 def config_text(snapshot: dict) -> str:
@@ -168,7 +160,7 @@ def load_manifest(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"manifest not found: {p}")
-    payload = json.loads(p.read_text(encoding="utf-8"))
+    payload = read_json(p, ConfigError, ("config", "dataset_fingerprint", "reports", "summary"))
     if payload.get("format_version") != 1:
         raise ConfigError("manifest: unsupported format_version")
     return payload

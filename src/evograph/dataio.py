@@ -2,8 +2,8 @@
 
 A dataset is a directory of line-oriented UTF-8 text files plus features:
 
-* ``manifest`` -- ``key=value`` lines; required keys ``format_version=1``,
-  ``num_vertices``, ``feature_dim``, ``num_classes``.
+* ``manifest`` -- ``key=value`` lines (see :func:`read_key_values`); required
+  keys ``format_version=1``, ``num_vertices``, ``feature_dim``, ``num_classes``.
 * ``edges``    -- one ``src dst`` pair of 0-based decimal integers per line;
   direction is ignored.
 * ``times``    -- one decimal integer per vertex, line i = vertex i.
@@ -17,28 +17,57 @@ A dataset is a directory of line-oriented UTF-8 text files plus features:
 from __future__ import annotations
 
 import hashlib
+import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, ValidationError
+from .errors import DatasetError, EvographError, ValidationError
 from .graph import TemporalGraph
 
 _DATASET_FILES = ("manifest", "edges", "times", "labels", "features.bin", "features.csv")
 
 
-def _read_manifest(path: Path) -> dict:
+def read_text(path: Path, error: type[EvographError]) -> str:
+    """``path``'s UTF-8 text; raises ``error`` naming the file if it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_key_values(text: str, name: str, error: type[EvographError]) -> dict:
+    """``text``'s ``key=value`` lines, split at the first ``=`` and stripped.
+
+    Blank and ``#`` lines are skipped; any other line raises ``error`` as ``name:line: ...``.
+    """
     entries = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DatasetError(f"{path.name}:{lineno}: expected key=value, got {line!r}")
+            raise error(f"{name}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         entries[key.strip()] = value.strip()
     return entries
+
+
+def read_json(path: Path, error: type[EvographError], keys=()) -> dict:
+    """The JSON object in ``path``; raises ``error`` naming the file if the
+    text is not a JSON object or lacks one of ``keys``."""
+    text = read_text(path, error)
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise error(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise error(f"{path}: missing key {key!r}")
+    return obj
 
 
 def _read_int_rows(path: Path, width: int, bad_width: str, bad_value: str) -> np.ndarray:
@@ -49,7 +78,7 @@ def _read_int_rows(path: Path, width: int, bad_width: str, bad_value: str) -> np
     scanned in order, and DatasetError names the first bad one as
     ``file:line`` with ``bad_width`` or ``bad_value`` and the line.
     """
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path, DatasetError)
     widths = np.fromiter(map(len, map(str.split, text.splitlines())), dtype=np.int64)
     try:
         if np.any((widths != 0) & (widths != width)):
@@ -85,7 +114,7 @@ def _bad_csv_line(path: Path) -> str | None:
     cell with ``float()``; None if that finds no fault numpy would report.
     """
     width = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, DatasetError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -117,7 +146,7 @@ def load_dataset(path) -> TemporalGraph:
             raise DatasetError(f"missing file: {name} (in {root})")
         return p
 
-    manifest = _read_manifest(require("manifest"))
+    manifest = read_key_values(read_text(require("manifest"), DatasetError), "manifest", DatasetError)
     for key in ("format_version", "num_vertices", "feature_dim", "num_classes"):
         if key not in manifest:
             raise DatasetError(f"manifest: missing required key {key!r}")

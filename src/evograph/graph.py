@@ -3,8 +3,7 @@
 A :class:`TemporalGraph` is an immutable snapshot container: vertices carry a
 feature row, an integer timestamp, and an optional class label; edges are
 undirected and stored once in canonical (min, max) order.  An induced
-subgraph re-indexes vertices densely and keeps an ``origin_ids`` mapping back
-to the source graph for reporting.  A task's history windows are vertex-id
+subgraph re-indexes vertices densely.  A task's history windows are vertex-id
 arrays (see :class:`TaskView`), induced only where a model needs the graph.
 """
 
@@ -61,7 +60,6 @@ class TemporalGraph:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    origin_ids: Optional[np.ndarray] = None
 
     _csr: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False, compare=False)
     # (kind, sgc_k) -> (layer-0 input, propagation pair) of a models pass on this graph
@@ -72,8 +70,6 @@ class TemporalGraph:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.features = np.asarray(self.features, dtype=np.float32)
         self.edges = _canonical_edges(self.edges, self.num_vertices)
-        if self.origin_ids is not None:
-            self.origin_ids = np.asarray(self.origin_ids, dtype=np.int64)
 
         n = self.num_vertices
         if self.time.shape != (n,):
@@ -92,13 +88,9 @@ class TemporalGraph:
             raise ValidationError(
                 f"label {bad} out of range for {self.num_classes} classes"
             )
-        if self.origin_ids is not None and self.origin_ids.shape != (n,):
-            raise ValidationError("origin_ids length does not match num_vertices")
 
         for arr in (self.edges, self.time, self.features, self.labels):
             arr.flags.writeable = False
-        if self.origin_ids is not None:
-            self.origin_ids.flags.writeable = False
 
     @property
     def num_edges(self) -> int:
@@ -126,21 +118,15 @@ class TemporalGraph:
         return np.unique(self.time)
 
     def equals(self, other: "TemporalGraph") -> bool:
-        """Structural equality including the origin mapping."""
-        if self.num_vertices != other.num_vertices or self.num_classes != other.num_classes:
-            return False
-        if not (
-            np.array_equal(self.edges, other.edges)
+        """Structural equality: same vertices, edges, times, labels and features."""
+        return (
+            self.num_vertices == other.num_vertices
+            and self.num_classes == other.num_classes
+            and np.array_equal(self.edges, other.edges)
             and np.array_equal(self.time, other.time)
             and np.array_equal(self.labels, other.labels)
             and np.array_equal(self.features, other.features)
-        ):
-            return False
-        if (self.origin_ids is None) != (other.origin_ids is None):
-            return False
-        if self.origin_ids is not None and not np.array_equal(self.origin_ids, other.origin_ids):
-            return False
-        return True
+        )
 
 
 @dataclass(frozen=True)
@@ -164,9 +150,8 @@ class TaskView:
 def induced_subgraph(g: TemporalGraph, keep: np.ndarray) -> TemporalGraph:
     """Subgraph on ``keep`` (vertex ids of ``g``), densely re-indexed.
 
-    Keeps an edge only when both endpoints survive.  The result's
-    ``origin_ids`` maps into ``g``'s original source: if ``g`` itself was
-    derived, mappings compose.
+    Keeps an edge only when both endpoints survive; the result's vertex
+    ``i`` is ``g``'s vertex ``np.unique(keep)[i]``.
     """
     keep = np.unique(np.asarray(keep, dtype=np.int64))
     if keep.size and (keep.min() < 0 or keep.max() >= g.num_vertices):
@@ -178,7 +163,6 @@ def induced_subgraph(g: TemporalGraph, keep: np.ndarray) -> TemporalGraph:
         new_edges = remap[g.edges[mask]]
     else:
         new_edges = np.empty((0, 2), dtype=np.int64)
-    origin = g.origin_ids[keep] if g.origin_ids is not None else keep
     return TemporalGraph(
         num_vertices=int(keep.size),
         edges=new_edges,
@@ -186,7 +170,6 @@ def induced_subgraph(g: TemporalGraph, keep: np.ndarray) -> TemporalGraph:
         features=g.features[keep],
         labels=g.labels[keep],
         num_classes=g.num_classes,
-        origin_ids=origin,
     )
 
 

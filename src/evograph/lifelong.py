@@ -138,14 +138,15 @@ def _unit_labels(labels: np.ndarray, unit_of: dict) -> np.ndarray:
     return out
 
 
-def run_sequence(g: TemporalGraph, cfg: ExperimentConfig, seed: Optional[int] = None, trace=None) -> MetricsReport:
+def run_sequence(g: TemporalGraph, cfg: ExperimentConfig, seed: Optional[int] = None) -> MetricsReport:
     """Execute the incremental training loop over the full task sequence.
 
-    ``seed`` defaults to the first entry of ``cfg.seeds``.  ``trace``, if a
-    list, receives one dict per task with the model bookkeeping
-    (output_dim, new_classes, known_classes) for inspection.
+    ``seed`` defaults to the first entry of ``cfg.seeds``.  The report's
+    ``events`` hold one dict per task with the model bookkeeping (``t``,
+    ``time``, ``output_dim``, ``new_classes``, ``known_classes``) and, with a
+    detector, the fitted ``thresholds`` and ``sd``.
     """
-    (report,), _ = run_sequences(g, [cfg], seed=seed, traces=[trace])
+    (report,), _ = run_sequences(g, [cfg], seed=seed)
     return report
 
 
@@ -174,14 +175,14 @@ def _score_task(t, train_probs, y_units_train, train_sel, test_logits, y_true, k
 
 
 def run_sequences(
-    g: TemporalGraph, cfgs, seed: Optional[int] = None, traces=None
+    g: TemporalGraph, cfgs, seed: Optional[int] = None
 ) -> tuple[list[MetricsReport], ModelState]:
     """Train once over the task sequence and score every config on each task.
 
     The configs may differ only in ``detector`` and must share one
     ``effective_loss_mode()``, so a single training serves them all; each
-    gets the report, and in ``traces`` the trace, that :func:`run_sequence`
-    gives it alone.  Returns the reports in order and the final task's model.
+    gets the report, events included, that :func:`run_sequence` gives it
+    alone.  Returns the reports in order and the final task's model.
     """
     if not cfgs:
         raise ConfigError("need at least one config")
@@ -192,15 +193,12 @@ def run_sequences(
         raise ConfigError("configs must share one effective loss mode")
     if seed is None:
         seed = cfg.seeds[0]
-    traces = [None] * len(cfgs) if traces is None else list(traces)
-    if len(traces) != len(cfgs):
-        raise ConfigError(f"{len(traces)} traces for {len(cfgs)} configs")
     tasks = build_task_sequence(g, cfg.history_size)
     label_mask = label_rate_subsample(g, cfg.label_rate, cfg.label_seed)
 
     known_order: list[int] = []
     model: Optional[ModelState] = None
-    records: list[list[TaskRecord]] = [[] for _ in cfgs]
+    reports = [MetricsReport() for _ in cfgs]
 
     for task in tasks:
         try:
@@ -241,29 +239,28 @@ def run_sequences(
             if any(c.detector is not None for c in cfgs):
                 train_probs = sigmoid(forward(model, train_g))
 
-            for c, task_records, trace in zip(cfgs, records, traces):
+            for c, report in zip(cfgs, reports):
                 record, thresholds = _score_task(
                     task.t, train_probs, y_units_train, train_sel,
                     test_logits, y_true, known_order, c.detector,
                 )
-                task_records.append(record)
-                if trace is not None:
-                    entry = {
-                        "t": task.t,
-                        "time": task.time,
-                        "output_dim": model.output_dim,
-                        "new_classes": list(new_classes),
-                        "known_classes": list(known_order),
-                    }
-                    if thresholds is not None:
-                        entry["thresholds"] = thresholds.tau.tolist()
-                        entry["sd"] = None if thresholds.sd is None else thresholds.sd.tolist()
-                    trace.append(entry)
+                report.records.append(record)
+                event = {
+                    "t": task.t,
+                    "time": task.time,
+                    "output_dim": model.output_dim,
+                    "new_classes": list(new_classes),
+                    "known_classes": list(known_order),
+                }
+                if thresholds is not None:
+                    event["thresholds"] = thresholds.tau.tolist()
+                    event["sd"] = None if thresholds.sd is None else thresholds.sd.tolist()
+                report.events.append(event)
         except RunError:
             raise
         except EvographError as exc:
             raise RunError(task.t, str(exc)) from exc
-    return [MetricsReport(records=r) for r in records], model
+    return reports, model
 
 
 def two_task_experiment(

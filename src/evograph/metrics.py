@@ -139,6 +139,8 @@ class MetricsReport:
     """Per-task records plus aggregates recomputable from them."""
 
     records: list[TaskRecord] = field(default_factory=list)
+    # per-task run bookkeeping (see run_sequence); not part of the value or the JSONL form
+    events: list[dict] = field(default_factory=list, compare=False)
 
     def accuracies(self) -> list[float]:
         return [r.accuracy for r in self.records]

@@ -35,6 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .dataio import read_key_values, read_text
 from .errors import ValidationError
 from .graph import TemporalGraph
 from .openworld import _sigmoid_exp, class_weights as _class_weights
@@ -106,6 +107,15 @@ def glorot_init(fan_in: int, fan_out: int, seed: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def _layer_shapes(kind: str, input_dim: int, hidden_dim: int, output_dim: int) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) per layer of a ``kind`` model; sgc has no hidden layer."""
+    if kind == "mlp":
+        return [(input_dim, hidden_dim), (hidden_dim, output_dim)]
+    if kind == "sage":
+        return [(2 * input_dim, hidden_dim), (2 * hidden_dim, output_dim)]
+    return [(input_dim, output_dim)]
+
+
 def init_model(
     kind: str,
     input_dim: int,
@@ -119,12 +129,7 @@ def init_model(
     """Fresh Glorot-initialized model; biases start at zero."""
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}")
-    if kind == "mlp":
-        shapes = [(input_dim, hidden_dim), (hidden_dim, output_dim)]
-    elif kind == "sage":
-        shapes = [(2 * input_dim, hidden_dim), (2 * hidden_dim, output_dim)]
-    else:
-        shapes = [(input_dim, output_dim)]
+    shapes = _layer_shapes(kind, input_dim, hidden_dim, output_dim)
     layer_seeds = np.random.default_rng(seed).integers(0, 2**31 - 1, size=len(shapes))
     layers = [
         (glorot_init(fi, fo, int(s)), np.zeros(fo, dtype=np.float64))
@@ -449,17 +454,6 @@ def save_checkpoint(model: ModelState, path) -> None:
     (root / "params.bin").write_bytes(b"".join(blocks))
 
 
-def _read_checkpoint_manifest(path: Path) -> dict:
-    manifest = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if line.strip():
-            if "=" not in line:
-                raise ValidationError(f"{path.name}:{lineno}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            manifest[k] = v
-    return manifest
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -476,10 +470,10 @@ def load_checkpoint(path) -> ModelState:
     """Inverse of :func:`save_checkpoint` (parameters come back as float32-exact).
 
     A malformed manifest or params.bin raises ValidationError naming the
-    line, key or size at fault.
+    line, key, layer or size at fault.
     """
     root = Path(path)
-    manifest = _read_checkpoint_manifest(root / "manifest")
+    manifest = read_key_values(read_text(root / "manifest", ValidationError), "manifest", ValidationError)
 
     def get(key: str, parse=int):
         if key not in manifest:
@@ -500,7 +494,21 @@ def load_checkpoint(path) -> ModelState:
         raise ValidationError(f"checkpoint manifest: unknown model kind {kind!r}")
     sgc_k, dropout_rate, rng_seed = get("sgc_k"), get("dropout_rate", float), get("rng_seed")
     shapes = [get(f"layer{i}_shape", _shape) for i in range(get("num_layers", _positive_int))]
-    dims = {key: get(key) for key in ("hidden_dim", "output_dim")}
+    input_dim = shapes[0][0] // 2 if kind == "sage" else shapes[0][0]
+    hidden_dim, output_dim = get("hidden_dim"), get("output_dim")
+    if kind == "sgc" and hidden_dim != 0:
+        raise ValidationError(f"checkpoint manifest: hidden_dim={hidden_dim}, but a sgc model has none (0)")
+    rule = _layer_shapes(kind, input_dim, hidden_dim, output_dim)
+    if len(shapes) != len(rule):
+        raise ValidationError(
+            f"checkpoint manifest: num_layers={len(shapes)}, but a {kind} model has {len(rule)}"
+        )
+    for i, (shape, want) in enumerate(zip(shapes, rule)):
+        if shape != want:
+            raise ValidationError(
+                f"checkpoint manifest: layer{i}_shape={manifest[f'layer{i}_shape']}, but a {kind} "
+                f"model with hidden_dim={hidden_dim} and output_dim={output_dim} has {want[0]},{want[1]}"
+            )
     expected = sum(fi * fo + fo for fi, fo in shapes)
     data = (root / "params.bin").read_bytes()
     if len(data) != 4 * expected:
@@ -514,13 +522,6 @@ def load_checkpoint(path) -> ModelState:
         b = raw[offset : offset + fo].astype(np.float64)
         offset += fo
         layers.append((w, b))
-    model = ModelState(
+    return ModelState(
         kind=kind, layers=layers, sgc_k=sgc_k, dropout_rate=dropout_rate, rng_seed=rng_seed
     )
-    for key, value in dims.items():
-        if value != getattr(model, key):
-            raise ValidationError(
-                f"manifest {key}={manifest[key]} disagrees with the layer<i>_shape lines, "
-                f"which give {getattr(model, key)}"
-            )
-    return model

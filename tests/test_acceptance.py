@@ -103,7 +103,7 @@ def det_runs(det_graph):
         "gdoc_a2": eg.DetectorConfig(variant="gdoc", tau_min=0.75, alpha=2.0, use_risk_reduction=True),
         "gdoc_a3": eg.DetectorConfig(variant="gdoc", tau_min=0.75, alpha=3.0, use_risk_reduction=True),
     }
-    out = {name: {"reports": [], "traces": [], "cfg": det} for name, det in detectors.items()}
+    out = {name: {"reports": [], "cfg": det} for name, det in detectors.items()}
     for names in (["doc"], ["gdoc_a0", "gdoc_a1", "gdoc_a2", "gdoc_a3"]):
         for s in SEEDS:
             cfgs = [
@@ -113,11 +113,9 @@ def det_runs(det_graph):
                 )
                 for name in names
             ]
-            traces = [[] for _ in names]
-            reports, _ = eg.run_sequences(det_graph, cfgs, seed=s, traces=traces)
-            for name, report, trace in zip(names, reports, traces):
+            reports, _ = eg.run_sequences(det_graph, cfgs, seed=s)
+            for name, report in zip(names, reports):
                 out[name]["reports"].append(report)
-                out[name]["traces"].append(trace)
     out["elapsed"] = time.time() - t0
     return out
 
@@ -295,8 +293,8 @@ def test_criterion_07_risk_reduction_changes_little(det_runs):
     above_at_3 = 0
     total_at_3 = 0
     for a in (1, 2, 3):
-        for trace in det_runs[f"gdoc_a{a}"]["traces"]:
-            for entry in trace:
+        for report in det_runs[f"gdoc_a{a}"]["reports"]:
+            for entry in report.events:
                 for tau_i, sd_i in zip(entry["thresholds"], entry["sd"]):
                     if math.isnan(sd_i):
                         continue

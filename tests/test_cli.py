@@ -379,6 +379,26 @@ class TestReport:
         assert main(["report", str(run)]) == 1
         assert capsys.readouterr().err == f"error: missing file: {run / 'summary.json'}\n"
 
+    @pytest.mark.parametrize("mode", ["accuracy-table", "fwt", "open"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"x": 1}', "missing key 'avg_accuracy'"),
+            ('{"avg_accuracy": {"mean"', "not valid JSON"),
+            ("[1]", "expected a JSON object"),
+        ],
+        ids=["missing-key", "truncated", "not-an-object"],
+    )
+    def test_bad_summary_exit_1(self, warm_cold_runs, tmp_path, capsys, mode, text, message):
+        run = tmp_path / "warm"
+        shutil.copytree(warm_cold_runs["warm"], run)
+        (run / "summary.json").write_text(text)
+        assert main(["report", str(run), "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {run / 'summary.json'}: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_empty_args_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["report", "--mode", "fwt"])
@@ -408,6 +428,38 @@ class TestReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(out) in captured.err and "two-task" in captured.err
+
+
+def _drop_key(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+# run manifest.json edit -> what the config error says about the file
+BAD_RUN_MANIFESTS = {
+    "truncated": (lambda text: text[: len(text) // 2], "not valid JSON"),
+    "format-version-only": (lambda text: '{"format_version": 1}', "missing key 'config'"),
+    **{f"no-{key}": (_drop_key(key), f"missing key '{key}'")
+       for key in ("config", "dataset_fingerprint", "reports", "summary")},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+@pytest.mark.parametrize("case", BAD_RUN_MANIFESTS)
+def test_bad_run_manifest_exit_2(warm_cold_runs, tmp_path, capsys, command, case):
+    run = tmp_path / "warm"
+    shutil.copytree(warm_cold_runs["warm"], run)
+    manifest = run / "manifest.json"
+    edit, message = BAD_RUN_MANIFESTS[case]
+    manifest.write_text(edit(manifest.read_text()))
+    if command == "run":
+        argv = ["run", "--from-manifest", str(manifest), "--output-dir", str(tmp_path / "r"), "--quiet"]
+    else:
+        argv = ["report", str(run)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {manifest}: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_readme_example_config_parses(dataset):

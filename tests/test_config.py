@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import evograph as eg
@@ -69,6 +71,15 @@ def test_detector_variant_defaults():
 def test_comments_and_blank_lines_ignored():
     spec = parse_config_text("# comment\n\n" + MINIMAL + "# another\nepochs=7\n")
     assert spec.experiment.epochs == 7
+
+
+def test_syntax_error_names_file_and_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# header\n" + MINIMAL + "\nepochs 7\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:5: expected key=value, got 'epochs 7'$"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="^<config>:1: expected key=value"):
+        parse_config_text("epochs 7\n")
 
 
 def test_load_config_missing_file(tmp_path):

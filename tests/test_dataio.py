@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import evograph as eg
 from evograph import dataio
-from evograph.errors import DatasetError, ValidationError
+from evograph.config import load_config
+from evograph.errors import ConfigError, DatasetError, ValidationError
 
 
 @pytest.fixture
@@ -262,3 +265,39 @@ def test_load_dataset_names_bad_edge_line(fixture_dir):
     (fixture_dir / "edges").write_text("0 1\n\n1 2 3\n")
     with pytest.raises(DatasetError, match="edges:3: expected 'src dst'"):
         eg.load_dataset(fixture_dir)
+
+
+def test_read_key_values_rules():
+    text = "# a comment\n\n  a = 1 \nb=x=y\n   # indented comment\nc=\n"
+    assert dataio.read_key_values(text, "f", DatasetError) == {"a": "1", "b": "x=y", "c": ""}
+    with pytest.raises(ConfigError, match=r"^f:3: expected key=value, got 'oops'$"):
+        dataio.read_key_values("a=1\n\noops\n", "f", ConfigError)
+
+
+def test_manifest_comment_lines_skipped(fixture_dir):
+    manifest = fixture_dir / "manifest"
+    manifest.write_text("# written by hand\n" + manifest.read_text())
+    assert eg.load_dataset(fixture_dir).num_vertices == 4
+
+
+# file with one non-UTF-8 byte -> (what reads it, the error it must raise);
+# ``ds`` is ``fixture_dir``
+NON_UTF8 = {
+    "run.cfg": (load_config, ConfigError),
+    **{f"ds/{name}": (lambda p: eg.load_dataset(p.parent), DatasetError)
+       for name in ("manifest", "edges", "times", "labels", "features.csv")},
+    "model/manifest": (lambda p: eg.load_checkpoint(p.parent), ValidationError),
+}
+
+
+@pytest.mark.parametrize("name", NON_UTF8)
+def test_non_utf8_byte_names_the_file(tmp_path, fixture_dir, name):
+    eg.save_checkpoint(eg.init_model("mlp", 2, 3, 2), tmp_path / "model")
+    (tmp_path / "run.cfg").write_text(f"format_version=1\ndataset={fixture_dir}\n")
+    path = tmp_path / name
+    data = path.read_bytes()
+    cut = data.index(b"\n") + 1
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    read, error = NON_UTF8[name]
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        read(path)

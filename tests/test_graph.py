@@ -78,7 +78,7 @@ def induce_window(g, t, c):
 
 class TestTrimHistory:
     """``induced_subgraph`` on history windows: edge re-indexing, the empty keep
-    set, ``origin_ids`` composition and bit-exact features."""
+    set, composition and bit-exact features."""
 
     def test_full_keeps_everything(self, path4):
         trimmed = induce_window(path4, 4, eg.FULL)
@@ -95,8 +95,8 @@ class TestTrimHistory:
     def test_c0_only_exact_time(self, path4):
         trimmed = induce_window(path4, 4, 0)
         keep, _ = trim_oracle(path4, 4, 0)
-        assert trimmed.num_vertices == 1
-        assert np.array_equal(trimmed.origin_ids, keep)
+        assert trimmed.num_vertices == len(keep) == 1
+        assert np.array_equal(trimmed.time, path4.time[keep])
 
     def test_empty_window_is_empty_graph(self, path4):
         trimmed = induce_window(path4, 0, 0)
@@ -110,7 +110,9 @@ class TestTrimHistory:
                 for c in (eg.FULL, 0, 1, 2):
                     trimmed = induce_window(g, t, c)
                     keep, edges = trim_oracle(g, t, c)
-                    assert np.array_equal(trimmed.origin_ids, keep)
+                    assert trimmed.num_vertices == len(keep)
+                    assert np.array_equal(trimmed.time, g.time[keep])
+                    assert np.array_equal(trimmed.labels, g.labels[keep])
                     assert sorted(map(tuple, trimmed.edges.tolist())) == edges
 
     def test_idempotent_composition(self, graph_factory):
@@ -125,7 +127,8 @@ class TestTrimHistory:
     def test_features_preserved_bit_exactly(self, graph_factory):
         g = graph_factory(3)
         trimmed = induce_window(g, 4, 2)
-        for new_id, old_id in enumerate(trimmed.origin_ids):
+        keep, _ = trim_oracle(g, 4, 2)
+        for new_id, old_id in enumerate(keep):
             assert np.array_equal(trimmed.features[new_id], g.features[old_id])
 
 

@@ -75,8 +75,7 @@ class TestRunSequence:
     )
     def test_report_equals_reference_kernels(self, cfg, monkeypatch):
         g = schedule_graph(seed=3)
-        trace = []
-        report = eg.run_sequence(g, cfg, seed=2, trace=trace)
+        report = eg.run_sequence(g, cfg, seed=2)
 
         def reference_train(model, g, labels, train_mask, cfg, on_epoch=None):
             X = eg.model_inputs(model, g)
@@ -86,35 +85,32 @@ class TestRunSequence:
         monkeypatch.setattr(eg.models, "_forward_cached", ref._forward_cached)
         monkeypatch.setattr(eg.lifelong, "sigmoid", ref.sigmoid)
         monkeypatch.setattr(eg.openworld, "sigmoid", ref.sigmoid)
-        expected_trace = []
-        expected = eg.run_sequence(g, cfg, seed=2, trace=expected_trace)
+        expected = eg.run_sequence(g, cfg, seed=2)
         assert report.to_jsonl() == expected.to_jsonl()
-        assert trace == expected_trace
+        assert report.events == expected.events
 
     def test_no_new_classes_never_grows(self):
         g = eg.generate(eg.SynthConfig(num_timestamps=7, vertices_per_timestamp=15, seed=1))
-        trace = []
         cfg = eg.ExperimentConfig(model="mlp", epochs=5, restart="cold")
-        report = eg.run_sequence(g, cfg, seed=0, trace=trace)
-        dims = [t["output_dim"] for t in trace]
+        report = eg.run_sequence(g, cfg, seed=0)
+        dims = [t["output_dim"] for t in report.events]
         assert len(set(dims)) == 1
         n_eval_times = sum(1 for s in g.timestamps() if s > eg.start_timestamp(g))
         assert len(report.records) == n_eval_times
 
     def test_output_grows_when_class_enters_training(self):
         g = schedule_graph()
-        trace = []
         cfg = eg.ExperimentConfig(model="mlp", epochs=5, restart="warm")
-        eg.run_sequence(g, cfg, seed=0, trace=trace)
+        events = eg.run_sequence(g, cfg, seed=0).events
         new_class_time = int(g.time[g.labels == 4].min())
-        for entry in trace:
+        for entry in events:
             if entry["time"] <= new_class_time:
                 assert 4 not in entry["known_classes"]
                 assert entry["output_dim"] == 4
             else:
                 assert 4 in entry["known_classes"]
                 assert entry["output_dim"] == 5
-        grew = [e["t"] for e in trace if e["new_classes"]]
+        grew = [e["t"] for e in events if e["new_classes"]]
         # growth happens exactly once after the initial task
         assert len(grew) == 2 and grew[0] == 1
 
@@ -164,14 +160,14 @@ class TestRunSequence:
 
         # independent single-shot training on everything through prev_time
         label_mask = eg.label_rate_subsample(g, 1.0, 0)
-        train_g = eg.induced_subgraph(g, np.nonzero(g.time <= prev_time)[0])
-        train_sel = (train_g.labels != eg.UNLABELED) & label_mask[train_g.origin_ids]
+        train_keep = np.nonzero(g.time <= prev_time)[0]
+        train_g = eg.induced_subgraph(g, train_keep)
+        train_sel = (train_g.labels != eg.UNLABELED) & label_mask[train_keep]
         known_order = []
         for tk in tasks[:t_star]:
-            window_g = eg.induced_subgraph(
-                g, np.nonzero(g.time <= timestamps[timestamps < tk.time][-1])[0]
-            )
-            sel = (window_g.labels != eg.UNLABELED) & label_mask[window_g.origin_ids]
+            window_keep = np.nonzero(g.time <= timestamps[timestamps < tk.time][-1])[0]
+            window_g = eg.induced_subgraph(g, window_keep)
+            sel = (window_g.labels != eg.UNLABELED) & label_mask[window_keep]
             for c in np.unique(window_g.labels[sel]):
                 if int(c) not in known_order:
                     known_order.append(int(c))
@@ -193,10 +189,9 @@ class TestRunSequence:
 
     def test_known_classes_cover_training_windows(self):
         g = schedule_graph(seed=7)
-        trace = []
         cfg = eg.ExperimentConfig(model="mlp", epochs=5)
-        eg.run_sequence(g, cfg, seed=0, trace=trace)
-        final_known = set(trace[-1]["known_classes"])
+        events = eg.run_sequence(g, cfg, seed=0).events
+        final_known = set(events[-1]["known_classes"])
         expected = set()
         timestamps = g.timestamps()
         assert cfg.history_size is eg.FULL
@@ -255,7 +250,7 @@ class TestRunSequence:
             eg.run_sequence(g, cfg, seed=0)
 
     def test_derived_graph_runs_like_its_copy(self):
-        # label_mask is indexed by ids of the graph passed in, not by origin_ids
+        # label_mask is indexed by ids of the graph passed in, not of its source
         src = schedule_graph(seed=4)
         g = eg.induced_subgraph(src, np.arange(10, src.num_vertices))
         plain = eg.TemporalGraph(
@@ -327,14 +322,12 @@ class TestRunSequences:
             eg.ExperimentConfig(epochs=12, loss_mode=loss_mode, detector=d, **base)
             for d in detectors
         ]
-        traces = [[] for _ in cfgs]
-        reports, model = eg.run_sequences(g, cfgs, seed=4, traces=traces)
+        reports, model = eg.run_sequences(g, cfgs, seed=4)
         assert len(reports) == len(cfgs)
-        for cfg, report, trace in zip(cfgs, reports, traces):
-            expected_trace = []
-            (expected,), expected_model = eg.run_sequences(g, [cfg], seed=4, traces=[expected_trace])
+        for cfg, report in zip(cfgs, reports):
+            (expected,), expected_model = eg.run_sequences(g, [cfg], seed=4)
             assert report.to_jsonl() == expected.to_jsonl()
-            assert json.dumps(trace) == json.dumps(expected_trace)
+            assert json.dumps(report.events) == json.dumps(expected.events)
             for (w, b), (we, be) in zip(model.layers, expected_model.layers):
                 assert np.array_equal(w, we) and np.array_equal(b, be)
 
@@ -389,11 +382,6 @@ class TestRunSequences:
         g = schedule_graph()
         with pytest.raises(ConfigError, match=match):
             eg.run_sequences(g, cfgs)
-
-    def test_trace_count_must_match(self):
-        cfgs = [eg.ExperimentConfig(detector=DOC_05), eg.ExperimentConfig(detector=DOC_075)]
-        with pytest.raises(ConfigError, match="traces"):
-            eg.run_sequences(schedule_graph(), cfgs, traces=[[]])
 
 
 class TestTwoTask:

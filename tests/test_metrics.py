@@ -210,6 +210,13 @@ class TestMetricsReport:
         line = json.loads(self.build().to_jsonl().splitlines()[0])
         assert set(line) == {"kind", "t", "accuracy", "tp", "tn", "fp", "fn", "open_f1"}
 
+    def test_events_stay_out_of_the_value(self):
+        rep = self.build()
+        rep.events.extend([{"t": 1, "thresholds": [0.75]}, {"t": 2, "thresholds": [0.8]}])
+        assert rep == self.build()
+        assert rep.to_jsonl() == self.build().to_jsonl()
+        assert eg.MetricsReport.from_jsonl(rep.to_jsonl()).events == []
+
 
 def test_mean_ci95():
     mean, ci = eg.mean_ci95([1.0])

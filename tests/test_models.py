@@ -395,28 +395,46 @@ class TestCheckpoint:
             assert np.array_equal(w1.astype(np.float32), w2.astype(np.float32))
             assert np.array_equal(b1.astype(np.float32), b2.astype(np.float32))
 
+    # sage 3 -> 4 -> 4 holds (6*4 + 4) + (8*4 + 4) = 64 floats
+    DIMS = {"sage": (3, 4, 4), "sgc": (4, 8, 3), "mlp": (4, 8, 3)}
+
     @pytest.mark.parametrize(
-        "case, match",
+        "kind, edits, params_bytes, match",
         [
-            pytest.param("short", "params.bin holds 62 floats, expected 64", id="short"),
-            pytest.param("trailing", "params.bin holds 65 floats, expected 64", id="trailing"),
+            pytest.param("sage", {}, -8, "params.bin holds 62 floats, expected 64", id="short"),
+            pytest.param("sage", {}, 4, "params.bin holds 65 floats, expected 64", id="trailing"),
             pytest.param(
-                "output_dim",
-                "manifest output_dim=7 disagrees with the layer<i>_shape lines, which give 4",
+                "sage", {"output_dim=4": "output_dim=7"}, 0,
+                "layer1_shape=8,4, but a sage model with hidden_dim=4 and output_dim=7 has 8,7",
                 id="output_dim",
+            ),
+            # would load as a one-layer "mlp" that forward runs as a linear model
+            pytest.param(
+                "sgc", {"kind=sgc": "kind=mlp", "hidden_dim=0": "hidden_dim=3"}, 0,
+                "num_layers=1, but a mlp model has 2", id="sgc-as-mlp",
+            ),
+            pytest.param(
+                "sgc", {"hidden_dim=0": "hidden_dim=5"}, 0,
+                "hidden_dim=5, but a sgc model has none", id="sgc-hidden_dim",
+            ),
+            # as many floats as the 4 -> 8 -> 3 mlp, so params.bin's length passes
+            pytest.param(
+                "mlp", {"layer1_shape=8,3": "layer1_shape=26,1", "output_dim=3": "output_dim=1"}, 0,
+                "layer1_shape=26,1, but a mlp model with hidden_dim=8 and output_dim=1 has 8,1",
+                id="mlp-reshaped",
             ),
         ],
     )
-    def test_inconsistent_checkpoint_raises(self, tmp_path, case, match):
-        m = eg.init_model("sage", 3, 4, 4, seed=11)  # (6*4 + 4) + (8*4 + 4) = 64 floats
-        eg.save_checkpoint(m, tmp_path)
+    def test_inconsistent_checkpoint_raises(self, tmp_path, kind, edits, params_bytes, match):
+        eg.save_checkpoint(eg.init_model(kind, *self.DIMS[kind], seed=11), tmp_path)
         params, manifest = tmp_path / "params.bin", tmp_path / "manifest"
-        if case == "short":
-            params.write_bytes(params.read_bytes()[:-8])
-        elif case == "trailing":
-            params.write_bytes(params.read_bytes() + bytes(4))
-        else:
-            manifest.write_text(manifest.read_text().replace("output_dim=4", "output_dim=7"))
+        data = params.read_bytes()
+        params.write_bytes(data[:params_bytes] if params_bytes < 0 else data + bytes(params_bytes))
+        text = manifest.read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        manifest.write_text(text)
         with pytest.raises(ValidationError, match=match):
             eg.load_checkpoint(tmp_path)
 
