@@ -210,29 +210,26 @@ def _seed_job(spec: RunSpec, g, seed: int):
     return "\n".join(lines) + "\n", trace, None
 
 
-def _apply_detector_overrides(snapshot: dict, args) -> dict:
-    snapshot = dict(snapshot)
-    if args.detector is not None:
-        snapshot["detector"] = args.detector
-    if args.tau_min is not None:
-        snapshot["tau_min"] = repr(args.tau_min)
-    if args.alpha is not None:
-        snapshot["alpha"] = repr(args.alpha)
-    if args.risk_reduction is not None:
-        snapshot["risk_reduction"] = args.risk_reduction
-    return snapshot
+def _detector_overrides(args) -> dict:
+    """The config entries that the detector flags set."""
+    flags = {
+        "detector": args.detector,
+        "tau_min": None if args.tau_min is None else repr(args.tau_min),
+        "alpha": None if args.alpha is None else repr(args.alpha),
+        "risk_reduction": args.risk_reduction,
+    }
+    return {key: value for key, value in flags.items() if value is not None}
 
 
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs: need at least 1 worker slot, got {args.jobs}")
     if args.config:
-        spec = load_config(args.config)
+        entries = load_config(args.config)
     else:
         manifest = load_manifest(args.from_manifest)
-        spec = RunSpec(manifest["config"])
-    snapshot = _apply_detector_overrides(spec.snapshot(), args)
-    spec = RunSpec(snapshot)
+        entries = manifest["config"]
+    spec = RunSpec({**entries, **_detector_overrides(args)})
 
     fingerprint = dataset_fingerprint(spec.dataset)
     if args.from_manifest and manifest["dataset_fingerprint"] != fingerprint:
@@ -292,7 +289,7 @@ def cmd_run(args) -> int:
     )
     write_manifest(
         out_dir / "manifest.json",
-        snapshot=snapshot,
+        snapshot=spec.snapshot(),
         dataset_fingerprint=fingerprint,
         reports=reports,
         summary="summary.json",
@@ -308,18 +305,23 @@ _SUMMARY_KEYS = ("avg_accuracy", "mcc", "open_macro_f1", "per_task_accuracy_mean
 
 
 def _load_run(path) -> dict:
+    """A sequence run's resolved config, dataset fingerprint and summary."""
     p = Path(path)
     if p.is_dir():
         p = p / "manifest.json"
     manifest = load_manifest(p)
-    mode = manifest["config"]["mode"]
-    if mode != MODE_SEQUENCE:
-        raise EvographError(f"{path} is a {mode} run; report reads sequence runs only")
-    summary_path = p.parent / manifest["summary"]
-    if not summary_path.exists():
-        raise EvographError(f"missing file: {summary_path}")
-    summary = read_json(summary_path, EvographError, _SUMMARY_KEYS)
-    return {"manifest": manifest, "summary": summary, "dir": p.parent}
+    try:
+        spec = RunSpec(manifest["config"])
+    except ConfigError as exc:
+        raise ConfigError(f"{p}: {exc}") from None
+    if spec.mode != MODE_SEQUENCE:
+        raise EvographError(f"{path} is a {spec.mode} run; report reads sequence runs only")
+    summary = read_json(p.parent / manifest["summary"], EvographError, _SUMMARY_KEYS)
+    return {
+        "config": spec.snapshot(),
+        "fingerprint": manifest["dataset_fingerprint"],
+        "summary": summary,
+    }
 
 
 def _fmt(x: float) -> str:
@@ -328,14 +330,14 @@ def _fmt(x: float) -> str:
 
 def cmd_report(args) -> int:
     runs = [_load_run(p) for p in args.reports]
-    fingerprints = {r["manifest"]["dataset_fingerprint"] for r in runs}
+    fingerprints = {r["fingerprint"] for r in runs}
     if len(fingerprints) > 1:
         raise EvographError("reports mix incompatible dataset fingerprints")
     rows = []
     if args.mode == "accuracy-table":
         cells, paths = {}, {}
         for path, r in zip(args.reports, runs):
-            cfg = r["manifest"]["config"]
+            cfg = r["config"]
             cell = (cfg["model"], cfg["history_size"], cfg["restart"])
             if cell in paths:
                 raise EvographError(
@@ -363,7 +365,7 @@ def cmd_report(args) -> int:
     elif args.mode == "fwt":
         pairs = {}
         for r in runs:
-            cfg = dict(r["manifest"]["config"])
+            cfg = dict(r["config"])
             restart = cfg.pop("restart")
             key = json.dumps(cfg, sort_keys=True)
             pairs.setdefault(key, {})[restart] = r
@@ -381,7 +383,7 @@ def cmd_report(args) -> int:
         rows.append("model,history_size,restart,detector,tau_min,alpha,mcc,mcc_ci,open_f1,open_f1_ci")
         entries = []
         for r in runs:
-            cfg = r["manifest"]["config"]
+            cfg = r["config"]
             entries.append(
                 (
                     cfg["model"], cfg["history_size"], cfg["restart"], cfg["detector"],

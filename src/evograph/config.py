@@ -133,11 +133,9 @@ def parse_config_text(text: str) -> RunSpec:
     return RunSpec(read_key_values(text, "<config>", ConfigError))
 
 
-def load_config(path) -> RunSpec:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    return RunSpec(read_key_values(read_text(p, ConfigError), str(p), ConfigError))
+def load_config(path) -> dict:
+    """The config file's ``key=value`` entries, for :class:`RunSpec` to parse."""
+    return read_key_values(read_text(Path(path), ConfigError), str(path), ConfigError)
 
 
 def config_text(snapshot: dict) -> str:
@@ -157,10 +155,14 @@ def write_manifest(path, *, snapshot: dict, dataset_fingerprint: str, reports: d
 
 
 def load_manifest(path) -> dict:
+    """A run manifest; its ``config`` holds ``key=value`` entries for :class:`RunSpec`."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"manifest not found: {p}")
     payload = read_json(p, ConfigError, ("config", "dataset_fingerprint", "reports", "summary"))
     if payload.get("format_version") != 1:
-        raise ConfigError("manifest: unsupported format_version")
+        raise ConfigError(f"{p}: unsupported format_version")
+    config = payload["config"]
+    if not isinstance(config, dict) or not all(isinstance(v, str) for v in config.values()):
+        raise ConfigError(f"{p}: config must be an object of string values")
+    if not isinstance(payload["summary"], str) or not isinstance(payload["dataset_fingerprint"], str):
+        raise ConfigError(f"{p}: summary and dataset_fingerprint must be strings")
     return payload

@@ -29,10 +29,20 @@ from .graph import TemporalGraph
 _DATASET_FILES = ("manifest", "edges", "times", "labels", "features.bin", "features.csv")
 
 
-def read_text(path: Path, error: type[EvographError]) -> str:
-    """``path``'s UTF-8 text; raises ``error`` naming the file if it is not UTF-8."""
+def read_bytes(path: Path, error: type[EvographError]) -> bytes:
+    """``path``'s bytes; raises ``error`` naming the file if it cannot be read."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror})") from None
+
+
+def read_text(path: Path, error: type[EvographError]) -> str:
+    """``path``'s UTF-8 text; raises ``error`` naming the file if it cannot be
+    read or is not UTF-8."""
+    data = read_bytes(path, error)
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
@@ -140,13 +150,7 @@ def load_dataset(path) -> TemporalGraph:
     if not root.is_dir():
         raise DatasetError(f"not a dataset directory: {root}")
 
-    def require(name: str) -> Path:
-        p = root / name
-        if not p.exists():
-            raise DatasetError(f"missing file: {name} (in {root})")
-        return p
-
-    manifest = read_key_values(read_text(require("manifest"), DatasetError), "manifest", DatasetError)
+    manifest = read_key_values(read_text(root / "manifest", DatasetError), "manifest", DatasetError)
     for key in ("format_version", "num_vertices", "feature_dim", "num_classes"):
         if key not in manifest:
             raise DatasetError(f"manifest: missing required key {key!r}")
@@ -159,24 +163,25 @@ def load_dataset(path) -> TemporalGraph:
     except ValueError as exc:
         raise DatasetError(f"manifest: non-integer value ({exc})") from None
 
-    edges, loops = _read_edges(require("edges"))
-    times = _read_ints(require("times"), "timestamp")
-    labels = _read_ints(require("labels"), "label")
+    edges, loops = _read_edges(root / "edges")
+    times = _read_ints(root / "times", "timestamp")
+    labels = _read_ints(root / "labels", "label")
 
     bin_path = root / "features.bin"
     csv_path = root / "features.csv"
     if bin_path.exists():
-        raw = np.fromfile(bin_path, dtype="<f4")
+        data = read_bytes(bin_path, DatasetError)
         expected = num_vertices * feature_dim
-        if raw.size != expected:
+        if len(data) != 4 * expected:
             raise ValidationError(
-                f"features.bin holds {raw.size} values, expected {expected} "
+                f"features.bin holds {len(data) / 4:.12g} values, expected {expected} "
                 f"({num_vertices} x {feature_dim})"
             )
-        features = raw.reshape(num_vertices, feature_dim)
+        features = np.frombuffer(data, dtype="<f4").reshape(num_vertices, feature_dim)
     elif csv_path.exists():
+        lines = read_text(csv_path, DatasetError).splitlines()
         try:
-            features = np.loadtxt(csv_path, delimiter=",", dtype=np.float32, ndmin=2)
+            features = np.loadtxt(lines, delimiter=",", dtype=np.float32, ndmin=2)
         except ValueError as exc:
             raise DatasetError(_bad_csv_line(csv_path) or f"features.csv: {exc}") from None
         if features.shape != (num_vertices, feature_dim):
@@ -237,5 +242,5 @@ def dataset_fingerprint(path) -> str:
         if p.exists():
             digest.update(name.encode())
             digest.update(b"\0")
-            digest.update(p.read_bytes())
+            digest.update(read_bytes(p, DatasetError))
     return digest.hexdigest()

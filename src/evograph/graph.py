@@ -22,6 +22,8 @@ UNLABELED = -1
 # Sentinel history size: a task window keeps the entire history.
 FULL = None
 
+_START_FRACTION = 0.25  # share of the vertices up to the start timestamp
+
 
 def _canonical_edges(edges, num_vertices: int) -> np.ndarray:
     """Symmetrize, deduplicate, and drop self-loops; returns (E, 2) int64."""
@@ -182,14 +184,11 @@ def _window(g: TemporalGraph, t: int, c) -> np.ndarray:
     return np.nonzero((g.time >= t - c) & (g.time <= t))[0]
 
 
-def start_timestamp(g: TemporalGraph, fraction: float = 0.25) -> int:
-    """Smallest timestamp whose cumulative vertex count reaches ``fraction``."""
-    ts = g.timestamps()
-    counts = np.array([(g.time == s).sum() for s in ts], dtype=np.int64)
-    cum = np.cumsum(counts)
-    idx = int(np.searchsorted(cum, fraction * g.num_vertices))
-    idx = min(idx, ts.size - 1)
-    return int(ts[idx])
+def start_timestamp(g: TemporalGraph) -> int:
+    """Smallest timestamp whose cumulative vertex count reaches 25% of ``g``."""
+    ts, counts = np.unique(g.time, return_counts=True)
+    idx = int(np.searchsorted(np.cumsum(counts), _START_FRACTION * g.num_vertices))
+    return int(ts[min(idx, ts.size - 1)])
 
 
 def build_task_sequence(g: TemporalGraph, c=FULL) -> list[TaskView]:
@@ -200,7 +199,8 @@ def build_task_sequence(g: TemporalGraph, c=FULL) -> list[TaskView]:
     trains on the window ``prev - c <= time <= prev`` (``c`` in time units;
     all ``time <= prev`` when FULL), where ``prev`` is the timestamp just
     before ``tau``, and is tested on the labeled vertices at ``tau`` within
-    the window ending at ``tau``.
+    the window ending at ``tau``, which is the next task's training window
+    (the same array).
     """
     ts = g.timestamps()
     if ts.size < 2:
@@ -212,17 +212,16 @@ def build_task_sequence(g: TemporalGraph, c=FULL) -> list[TaskView]:
             f"no timestamps after the 25% start timestamp {t0}"
         )
     labeled = g.labels != UNLABELED
-    tasks: list[TaskView] = []
-    for i in range(first, ts.size):
-        prev, tau = int(ts[i - 1]), int(ts[i])
-        vertices = _window(g, tau, c)
-        tasks.append(
-            TaskView(
-                t=i - first + 1,
-                time=tau,
-                train_vertices=_window(g, prev, c),
-                vertices=vertices,
-                test_mask=(g.time[vertices] == tau) & labeled[vertices],
-            )
+    windows = [_window(g, int(s), c) for s in ts[first - 1:]]
+    return [
+        TaskView(
+            t=t,
+            time=int(tau),
+            train_vertices=train_vertices,
+            vertices=vertices,
+            test_mask=(g.time[vertices] == tau) & labeled[vertices],
         )
-    return tasks
+        for t, (tau, train_vertices, vertices) in enumerate(
+            zip(ts[first:], windows, windows[1:]), start=1
+        )
+    ]

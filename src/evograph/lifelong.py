@@ -200,12 +200,16 @@ def run_sequences(
     model: Optional[ModelState] = None
     reports = [MetricsReport() for _ in cfgs]
 
+    # task t's eval graph, with its cached inputs, is task t+1's train graph
+    eval_g = induced_subgraph(g, tasks[0].train_vertices)
     for task in tasks:
         try:
-            train_g = induced_subgraph(g, task.train_vertices)
+            train_g, eval_g = eval_g, induced_subgraph(g, task.vertices)
             train_sel = (train_g.labels != UNLABELED) & label_mask[task.train_vertices]
             if not train_sel.any():
                 raise ValidationError("no labeled training vertices in the window")
+            if not task.test_mask.any():
+                raise ValidationError("no labeled test vertices at this timestamp")
 
             new_classes = [
                 int(c)
@@ -229,11 +233,7 @@ def run_sequences(
                 cfg.train_config(_derive_seed(seed, task.t, 2)),
             )
 
-            eval_g = induced_subgraph(g, task.vertices)
-            logits = forward(model, eval_g)
-            if not task.test_mask.any():
-                raise ValidationError("no labeled test vertices at this timestamp")
-            test_logits = logits[task.test_mask]
+            test_logits = forward(model, eval_g)[task.test_mask]
             y_true = eval_g.labels[task.test_mask]
             train_probs = None
             if any(c.detector is not None for c in cfgs):

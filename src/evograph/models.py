@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .dataio import read_key_values, read_text
+from .dataio import read_bytes, read_key_values, read_text
 from .errors import ValidationError
 from .graph import TemporalGraph
 from .openworld import _sigmoid_exp, class_weights as _class_weights
@@ -510,7 +510,7 @@ def load_checkpoint(path) -> ModelState:
                 f"model with hidden_dim={hidden_dim} and output_dim={output_dim} has {want[0]},{want[1]}"
             )
     expected = sum(fi * fo + fo for fi, fo in shapes)
-    data = (root / "params.bin").read_bytes()
+    data = read_bytes(root / "params.bin", ValidationError)
     if len(data) != 4 * expected:
         raise ValidationError(f"params.bin holds {len(data) / 4:.12g} floats, expected {expected}")
     raw = np.frombuffer(data, dtype="<f4")

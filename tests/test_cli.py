@@ -229,6 +229,31 @@ class TestRun:
         assert manifest["config"]["tau_min"] == "0.6"
         assert manifest["config"]["risk_reduction"] == "true"
 
+    def test_detector_flag_matches_config_file(self, dataset, tmp_path):
+        # both resolve tau_min to DOC's default, 0.5
+        plain = write_config(tmp_path / "plain.cfg", dataset, seeds="0")
+        doc = write_config(tmp_path / "doc.cfg", dataset, seeds="0", detector="doc")
+        flag, file = tmp_path / "flag", tmp_path / "file"
+        argv = ["run", "--quiet", "--output-dir"]
+        assert main(argv + [str(flag), "--config", str(plain), "--detector", "doc"]) == 0
+        assert main(argv + [str(file), "--config", str(doc)]) == 0
+        names = sorted(p.relative_to(file) for p in file.rglob("*") if p.is_file())
+        assert names == sorted(p.relative_to(flag) for p in flag.rglob("*") if p.is_file())
+        for name in names:
+            assert (flag / name).read_bytes() == (file / name).read_bytes()
+        assert json.loads((flag / "manifest.json").read_text())["config"]["tau_min"] == "0.5"
+
+    @pytest.mark.parametrize("source", ["--config", "--from-manifest"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_source_exit_2(self, tmp_path, capsys, source, kind):
+        path = tmp_path / "source"
+        if kind == "directory":
+            path.mkdir()
+        assert main(["run", source, str(path), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {path}: cannot read (")
+        assert captured.err.count("\n") == 1
+
     def test_gdoc_summary_has_open_metrics(self, dataset, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", dataset, detector="gdoc", seeds="0")
         out = tmp_path / "g"
@@ -377,7 +402,9 @@ class TestReport:
         shutil.copytree(warm_cold_runs["warm"], run)
         (run / "summary.json").unlink()
         assert main(["report", str(run)]) == 1
-        assert capsys.readouterr().err == f"error: missing file: {run / 'summary.json'}\n"
+        assert capsys.readouterr().err == (
+            f"error: {run / 'summary.json'}: cannot read (No such file or directory)\n"
+        )
 
     @pytest.mark.parametrize("mode", ["accuracy-table", "fwt", "open"])
     @pytest.mark.parametrize(
@@ -430,20 +457,42 @@ class TestReport:
         assert str(out) in captured.err and "two-task" in captured.err
 
 
-def _drop_key(key):
-    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+def _edit(change):
+    """A manifest.json edit that applies ``change`` to the parsed object."""
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+    return edit
 
 
 # run manifest.json edit -> what the config error says about the file
 BAD_RUN_MANIFESTS = {
     "truncated": (lambda text: text[: len(text) // 2], "not valid JSON"),
     "format-version-only": (lambda text: '{"format_version": 1}', "missing key 'config'"),
-    **{f"no-{key}": (_drop_key(key), f"missing key '{key}'")
+    **{f"no-{key}": (_edit(lambda m, key=key: m.pop(key)), f"missing key '{key}'")
        for key in ("config", "dataset_fingerprint", "reports", "summary")},
+    "config-list": (
+        _edit(lambda m: m.update(config=["model=mlp"])), "config must be an object of string values"
+    ),
+    "config-number": (
+        _edit(lambda m: m["config"].update(dataset=5)), "config must be an object of string values"
+    ),
+    "summary-number": (
+        _edit(lambda m: m.update(summary=5)), "summary and dataset_fingerprint must be strings"
+    ),
+}
+
+# command -> its mode arguments; "report" runs the default mode
+MANIFEST_COMMANDS = {
+    "run": [],
+    "report": [],
+    "report-fwt": ["--mode", "fwt"],
+    "report-open": ["--mode", "open"],
 }
 
 
-@pytest.mark.parametrize("command", ["run", "report"])
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
 @pytest.mark.parametrize("case", BAD_RUN_MANIFESTS)
 def test_bad_run_manifest_exit_2(warm_cold_runs, tmp_path, capsys, command, case):
     run = tmp_path / "warm"
@@ -454,12 +503,47 @@ def test_bad_run_manifest_exit_2(warm_cold_runs, tmp_path, capsys, command, case
     if command == "run":
         argv = ["run", "--from-manifest", str(manifest), "--output-dir", str(tmp_path / "r"), "--quiet"]
     else:
-        argv = ["report", str(run)]
+        argv = ["report", str(run), *MANIFEST_COMMANDS[command]]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {manifest}: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["accuracy-table", "fwt", "open"])
+def test_report_reads_manifest_config_with_defaults(warm_cold_runs, tmp_path, capsys, mode):
+    # a config key the manifest lacks takes its default, as under run --from-manifest
+    def report(edit):
+        runs = []
+        for side in ("warm", "cold"):
+            run = tmp_path / edit.__name__ / side
+            shutil.copytree(warm_cold_runs[side], run)
+            payload = json.loads((run / "manifest.json").read_text())
+            edit(payload["config"])
+            (run / "manifest.json").write_text(json.dumps(payload))
+            runs.append(str(run))
+        rc = main(["report", *runs, "--mode", mode])
+        return rc, capsys.readouterr()
+
+    def dropped(config):
+        del config["mode"], config["model"]
+
+    def explicit(config):
+        config.update(mode="sequence", model="sage")
+
+    def bad_model(config):
+        config["model"] = "gat"
+
+    rc, out = report(dropped)
+    assert rc == 0
+    assert (rc, out) == report(explicit)
+    assert "sage," in out.out
+    rc, out = report(bad_model)
+    assert rc == 2
+    manifest = tmp_path / "bad_model" / "warm" / "manifest.json"
+    assert out.err.startswith(f"config error: {manifest}: model must be one of")
+    assert out.err.count("\n") == 1
 
 
 def test_readme_example_config_parses(dataset):

@@ -83,7 +83,7 @@ def test_syntax_error_names_file_and_line(tmp_path):
 
 
 def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(ConfigError, match="nope.cfg: cannot read"):
         load_config(tmp_path / "nope.cfg")
 
 

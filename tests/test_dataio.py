@@ -5,7 +5,7 @@ import pytest
 
 import evograph as eg
 from evograph import dataio
-from evograph.config import load_config
+from evograph.config import load_config, load_manifest
 from evograph.errors import ConfigError, DatasetError, ValidationError
 
 
@@ -301,3 +301,42 @@ def test_non_utf8_byte_names_the_file(tmp_path, fixture_dir, name):
     read, error = NON_UTF8[name]
     with pytest.raises(error, match=f"^{re.escape(str(path))}: not UTF-8 text"):
         read(path)
+
+
+# file that cannot be read -> (what reads it, the error it must raise);
+# ``ds`` is ``fixture_dir``.  Each is tried as a directory, the required ones
+# also missing.
+UNREADABLE = {
+    "run.cfg": (load_config, ConfigError),
+    "run/manifest.json": (load_manifest, ConfigError),
+    **{f"ds/{name}": (lambda p: eg.load_dataset(p.parent), DatasetError)
+       for name in ("manifest", "edges", "times", "labels", "features.bin", "features.csv")},
+    "model/manifest": (lambda p: eg.load_checkpoint(p.parent), ValidationError),
+    "model/params.bin": (lambda p: eg.load_checkpoint(p.parent), ValidationError),
+    "no-model/manifest": (lambda p: eg.load_checkpoint(p.parent), ValidationError),
+}
+OPTIONAL = ("ds/features.bin", "ds/features.csv")
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [(name, kind) for name in UNREADABLE for kind in ("missing", "directory")
+     if kind == "directory" or name not in OPTIONAL],
+)
+def test_unreadable_file_names_the_file(tmp_path, fixture_dir, name, kind):
+    eg.save_checkpoint(eg.init_model("mlp", 2, 3, 2), tmp_path / "model")
+    path = tmp_path / name
+    path.unlink(missing_ok=True)
+    if kind == "directory":
+        path.mkdir(parents=True)
+    read, error = UNREADABLE[name]
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: cannot read \\("):
+        read(path)
+
+
+def test_fingerprint_names_unreadable_file(fixture_dir):
+    path = fixture_dir / "edges"
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: cannot read \\("):
+        eg.dataset_fingerprint(fixture_dir)

@@ -214,6 +214,17 @@ class TestTaskSequence:
             [1, 2], [4], [7], [7, 8]
         ]
 
+    @pytest.mark.parametrize("c", [1, 3, eg.FULL])
+    def test_each_window_built_once(self, graph_factory, monkeypatch, c):
+        g = graph_factory(5)
+        calls = []
+        window = eg.graph._window
+        monkeypatch.setattr(eg.graph, "_window", lambda *a: calls.append(a) or window(*a))
+        tasks = eg.build_task_sequence(g, c)
+        assert len(calls) == len(tasks) + 1
+        for prev, curr in zip(tasks, tasks[1:]):
+            assert curr.train_vertices is prev.vertices
+
     def test_windows_match_trim_oracle(self, graph_factory):
         for seed in range(10):
             g = graph_factory(seed, unlabeled_frac=0.3)

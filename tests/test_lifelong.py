@@ -239,15 +239,35 @@ class TestRunSequence:
             eg.run_sequence(g, cfg, seed=0)
 
     @pytest.mark.parametrize("label_rate", [1.0, 0.5])
-    def test_unlabeled_task_timestamp_aborts(self, label_rate):
+    def test_unlabeled_task_timestamp_aborts(self, label_rate, monkeypatch):
         g = schedule_graph(seed=2)
         tasks = eg.build_task_sequence(g, eg.FULL)
         labels = g.labels.copy()
         labels[g.time == tasks[2].time] = eg.UNLABELED
         g = eg.TemporalGraph(g.num_vertices, g.edges, g.time, g.features, labels, g.num_classes)
         cfg = eg.ExperimentConfig(model="mlp", epochs=2, label_rate=label_rate)
+        trained = []
+        train = eg.lifelong.train
+        monkeypatch.setattr(eg.lifelong, "train", lambda *a: trained.append(a) or train(*a))
         with pytest.raises(RunError, match=r"^task 3: no labeled test vertices at this timestamp$"):
             eg.run_sequence(g, cfg, seed=0)
+        # the task that cannot be scored fails before it trains
+        assert len(trained) == 2
+
+    @pytest.mark.parametrize("model", ["sgc", "sage"])
+    @pytest.mark.parametrize("restart", ["warm", "cold"])
+    def test_each_window_induced_once(self, monkeypatch, model, restart):
+        g = schedule_graph(seed=1)
+        n_tasks = len(eg.build_task_sequence(g, eg.FULL))
+        counts = {"induced_subgraph": 0, "model_inputs": 0}
+        for module, name in ((eg.lifelong, "induced_subgraph"), (eg.models, "model_inputs")):
+            def counted(*a, _fn=getattr(module, name), _name=name):
+                counts[_name] += 1
+                return _fn(*a)
+            monkeypatch.setattr(module, name, counted)
+        cfg = eg.ExperimentConfig(model=model, restart=restart, epochs=2, detector=eg.DetectorConfig())
+        eg.run_sequence(g, cfg, seed=0)
+        assert counts == {"induced_subgraph": n_tasks + 1, "model_inputs": n_tasks + 1}
 
     def test_derived_graph_runs_like_its_copy(self):
         # label_mask is indexed by ids of the graph passed in, not of its source
