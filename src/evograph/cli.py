@@ -229,7 +229,15 @@ def cmd_run(args) -> int:
     else:
         manifest = load_manifest(args.from_manifest)
         entries = manifest["config"]
-    spec = RunSpec({**entries, **_detector_overrides(args)})
+    try:
+        spec = RunSpec({**entries, **_detector_overrides(args)})
+    except ConfigError:
+        # name the file when its own entries are at fault, not a detector flag
+        try:
+            RunSpec(entries)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config or args.from_manifest}: {exc}") from None
+        raise
 
     fingerprint = dataset_fingerprint(spec.dataset)
     if args.from_manifest and manifest["dataset_fingerprint"] != fingerprint:
@@ -300,8 +308,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-# what report reads of a sequence run's summary.json
+# what report reads of a sequence run's summary.json: three {mean, ci95} objects and a list
 _SUMMARY_KEYS = ("avg_accuracy", "mcc", "open_macro_f1", "per_task_accuracy_mean")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _load_run(path) -> dict:
@@ -316,7 +328,15 @@ def _load_run(path) -> dict:
         raise ConfigError(f"{p}: {exc}") from None
     if spec.mode != MODE_SEQUENCE:
         raise EvographError(f"{path} is a {spec.mode} run; report reads sequence runs only")
-    summary = read_json(p.parent / manifest["summary"], EvographError, _SUMMARY_KEYS)
+    summary_path = p.parent / manifest["summary"]
+    summary = read_json(summary_path, EvographError, _SUMMARY_KEYS)
+    for key in _SUMMARY_KEYS[:3]:
+        value = summary[key]
+        if not (isinstance(value, dict) and all(_is_number(value.get(k)) for k in ("mean", "ci95"))):
+            raise EvographError(f'{summary_path}: {key} must be {{"mean": number, "ci95": number}}')
+    trace = summary["per_task_accuracy_mean"]
+    if not (isinstance(trace, list) and all(map(_is_number, trace))):
+        raise EvographError(f"{summary_path}: per_task_accuracy_mean must be a list of numbers")
     return {
         "config": spec.snapshot(),
         "fingerprint": manifest["dataset_fingerprint"],

@@ -4,13 +4,16 @@ Parameters live in float64 for numerical headroom; checkpoints serialize as
 32-bit little-endian blocks (see :func:`save_checkpoint`).  Models are values:
 every public update (:func:`train`, :func:`expand_output_layer`) returns a
 new :class:`ModelState` and never mutates its input.  :func:`train` is the
-one training loop: it copies its input's parameters once into one flat
-float64 buffer and gives the working model's layers views into it; the Adam
-moments are flat buffers of the same length, so each epoch's update is one
-element-wise pass written in place.  The model that ``on_epoch`` receives is
-that working model, a view into the buffer.  Dropout fires only inside
-``train``, with masks drawn from a generator seeded by ``cfg.seed``;
-:func:`forward` and :func:`loss_and_grad` are deterministic.  All three take
+one training loop.  It allocates one epoch workspace and one Adam state
+array per call, and every epoch writes into them in place: the flat
+parameter buffer (the working model's layers, which ``on_epoch`` receives,
+are views into it), the flat gradient buffer, the hidden pre-activation, one
+keep mask (relu > 0 and the dropout draw) and layer 1's input (sage:
+``[H | P H]``).  The loss *value* is computed only where it is read: with
+``on_epoch``, and in :func:`loss_and_grad` and :func:`loss_from_logits`.
+Dropout fires only inside ``train``, with masks drawn from a generator
+seeded by ``cfg.seed``; :func:`forward` and :func:`loss_and_grad` run the
+same workspace passes without one, so they are deterministic.  All three take
 the graph, not its features: layer 0's input (:func:`model_inputs`, for sage
 ``[X | P X]``) and ``P`` are built once per graph object and model kind and
 cached on the graph, read-only.  Weighted-bce's class weights are not passed:
@@ -28,6 +31,7 @@ Layer conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -175,11 +179,6 @@ def model_inputs(model: ModelState, g: TemporalGraph) -> np.ndarray:
     return np.asarray(g.features, dtype=np.float64)
 
 
-def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
-    """Boolean keep-mask: True where the unit survives dropout."""
-    return rng.random(shape) >= rate
-
-
 def _graph_inputs(model: ModelState, g: TemporalGraph):
     """Layer 0's input and the propagation pair for ``model`` on ``g``, cached on ``g``.
 
@@ -202,36 +201,111 @@ def _graph_inputs(model: ModelState, g: TemporalGraph):
     return g._model_inputs[key]
 
 
-def _forward_cached(model, H_in, prop, rng):
-    """Logits and the backward cache, from layer 0's input ``H_in``.
+def _views(flat: np.ndarray, layers) -> list:
+    """Per-layer ``(weights, bias)`` views into ``flat``, shaped like ``layers``."""
+    out, offset = [], 0
+    for pair in layers:
+        views = []
+        for a in pair:
+            views.append(flat[offset : offset + a.size].reshape(a.shape))
+            offset += a.size
+        out.append(tuple(views))
+    return out
 
-    ``prop`` is the sage propagation pair (None for other kinds); dropout
-    masks are drawn from ``rng`` unless it is None.
+
+class _Workspace:
+    """The buffers of one model's forward and backward passes on one graph.
+
+    ``model`` is a copy whose layers are views into the flat ``params``;
+    ``grad_layers`` are views into ``grads``, which the backward pass fills.
+    The forward pass leaves for it the ``keep`` mask, as 0.0/1.0 floats
+    (a float multiply is about three times cheaper than a boolean one), and
+    layer 1's input ``H1``.
     """
-    cache = {"inputs": [], "prelin": [], "drop": [], "prop": prop}
-    last = len(model.layers) - 1
-    for i, (W, b) in enumerate(model.layers):
-        cache["inputs"].append(H_in)
-        Z = H_in @ W
-        Z += b
-        if i == last:
-            return Z, cache
-        cache["prelin"].append(Z)
-        H = np.maximum(Z, 0.0)
-        mask = None
-        if rng is not None:
-            mask = _dropout_mask(rng, H.shape, model.dropout_rate)
-            H *= mask
-            H /= 1.0 - model.dropout_rate
-        cache["drop"].append(mask)
-        H_in = H if prop is None else np.hstack([H, prop[0] @ H])
+
+    def __init__(self, model: ModelState, g: TemporalGraph):
+        self.H_in, self.prop = _graph_inputs(model, g)
+        self.params = np.concatenate([a.ravel() for pair in model.layers for a in pair])
+        self.model = replace(model, layers=_views(self.params, model.layers))
+        self.grads = np.empty_like(self.params)
+        self.grad_layers = _views(self.grads, model.layers)
+        n = self.H_in.shape[0]
+        self.logits = np.empty((n, model.output_dim))
+        self.dlogits = np.zeros_like(self.logits)  # rows outside a train mask stay zero
+        self.dropped = False  # whether the last forward pass drew dropout masks
+        # the division by 1 - rate; by a power of two it is a multiply by the exact inverse
+        scale = 1.0 - model.dropout_rate
+        self.rescale = (np.multiply, 1.0 / scale) if math.frexp(scale)[0] == 0.5 else (np.divide, scale)
+        if model.kind != "sgc":
+            h = model.hidden_dim
+            self.Z, self.keep, self.dH = np.empty((n, h)), np.empty((n, h)), np.empty((n, h))
+            self.relu = np.empty((n, h), dtype=bool)
+            self.H = self.H1 = np.empty((n, h))
+            if self.prop is not None:
+                self.H1, self.dPH = np.empty((n, 2 * h)), np.empty((n, h))
+
+    def forward(self, rng=None) -> np.ndarray:
+        """Logits of ``model``; dropout masks are drawn from ``rng`` unless it is None."""
+        layers = self.model.layers
+        if len(layers) == 1:
+            (W, b), = layers
+            np.matmul(self.H_in, W, out=self.logits)
+            self.logits += b
+            return self.logits
+        (W0, b0), (W1, b1) = layers
+        Z, relu, H = self.Z, self.relu, self.H
+        np.matmul(self.H_in, W0, out=Z)
+        Z += b0
+        np.greater(Z, 0.0, out=relu)
+        np.maximum(Z, 0.0, out=H)
+        self.dropped = rng is not None
+        if self.dropped:
+            # the draw lands in dH, which the backward pass overwrites
+            relu &= rng.random(out=self.dH) >= self.model.dropout_rate
+        np.copyto(self.keep, relu)
+        if self.dropped:
+            H *= self.keep
+            op, c = self.rescale
+            op(H, c, out=H)
+        if self.prop is not None:
+            h = H.shape[1]
+            self.H1[:, :h] = H
+            self.H1[:, h:] = self.prop[0] @ H
+        np.matmul(self.H1, W1, out=self.logits)
+        self.logits += b1
+        return self.logits
+
+    def backward(self, targets: _Targets, loss_mode: str, want_loss: bool) -> Optional[float]:
+        """Fill ``grads`` for the last forward pass; the loss value if ``want_loss``, else None."""
+        loss, dZ = _loss_kernel(self.logits, targets, loss_mode, want_loss, self.dlogits)
+        layers = self.model.layers
+        gW, gb = self.grad_layers[-1]
+        np.matmul((self.H_in if len(layers) == 1 else self.H1).T, dZ, out=gW)
+        np.add.reduce(dZ, axis=0, out=gb)
+        if len(layers) == 1:
+            return loss
+        W1, dH = layers[1][0], self.dH
+        if self.prop is None:
+            np.matmul(dZ, W1.T, out=dH)
+        else:
+            # one product per half of W1, so no strided column slice reaches scipy
+            h = dH.shape[1]
+            np.matmul(dZ, W1[:h].T, out=dH)
+            np.matmul(dZ, W1[h:].T, out=self.dPH)
+            dH += self.prop[1] @ self.dPH
+        dH *= self.keep
+        if self.dropped:
+            op, c = self.rescale
+            op(dH, c, out=dH)
+        gW, gb = self.grad_layers[0]
+        np.matmul(self.H_in.T, dH, out=gW)
+        np.add.reduce(dH, axis=0, out=gb)
+        return loss
 
 
 def forward(model: ModelState, g: TemporalGraph) -> np.ndarray:
     """Logits per vertex (rows) and output unit (columns), without dropout."""
-    H_in, prop = _graph_inputs(model, g)
-    logits, _ = _forward_cached(model, H_in, prop, None)
-    return logits
+    return _Workspace(model, g).forward()
 
 
 class _Targets(NamedTuple):
@@ -264,30 +338,47 @@ def _loss_targets(labels, train_mask, shape, loss_mode) -> _Targets:
     return _Targets(None if idx.size == num_rows else idx, y, onehot, weights)
 
 
-def _loss_kernel(logits: np.ndarray, targets: _Targets, loss_mode: str):
-    """Loss and d(loss)/d(logits) for finite logits and validated targets."""
+def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlogits=None):
+    """The loss value (None unless ``want_loss``) and d(loss)/d(logits).
+
+    ``logits`` are finite and ``targets`` validated.  Under a partial mask
+    the gradient's masked rows are written into ``dlogits`` (zeros outside
+    them; allocated when None), which is returned.
+    """
     idx, y, onehot, weights = targets
     n, C = onehot.shape
     Z = logits if idx is None else logits[idx]
+    loss = None
     if loss_mode == CATEGORICAL:
-        shifted = Z - Z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        loss = float(np.mean(np.log(e.sum(axis=1)) - shifted[np.arange(n), y]))
-        grad = e / e.sum(axis=1, keepdims=True) - onehot
+        rows = np.arange(n)
+        # the row max, one column at a time: much cheaper than max(axis=1) on narrow rows
+        top = Z[:, 0].copy()
+        for j in range(1, C):
+            np.maximum(top, Z[:, j], out=top)
+        shifted = Z - top[:, None]
+        grad = np.exp(shifted)
+        total = grad.sum(axis=1, keepdims=True)
+        if want_loss:
+            loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, y]))
+        grad /= total
+        grad[rows, y] -= 1.0
         grad /= n
     else:
         # stable elementwise: max(z,0) - z*y + log(1 + exp(-|z|))
         grad, e = _sigmoid_exp(Z)
-        elem = np.maximum(Z, 0.0) - Z * onehot + np.log1p(e)
+        if want_loss:
+            elem = np.maximum(Z, 0.0) - Z * onehot + np.log1p(e)
+            if weights is not None:
+                elem *= weights
+            loss = float(elem.sum() / (n * C))
         grad -= onehot
         if weights is not None:
-            elem *= weights
             grad *= weights
-        loss = float(elem.sum() / (n * C))
         grad /= n * C
     if idx is None:
         return loss, grad
-    dlogits = np.zeros_like(logits)
+    if dlogits is None:
+        dlogits = np.zeros_like(logits)
     dlogits[idx] = grad
     return loss, dlogits
 
@@ -305,70 +396,44 @@ def loss_from_logits(logits, labels, train_mask, loss_mode):
     if not np.all(np.isfinite(logits)):
         raise ValidationError("non-finite logits")
     targets = _loss_targets(labels, train_mask, logits.shape, loss_mode)
-    return _loss_kernel(logits, targets, loss_mode)
-
-
-def _backward(model, cache, dlogits):
-    grads = [None] * len(model.layers)
-    dZ = dlogits
-    prop = cache["prop"]
-    for i in range(len(model.layers) - 1, -1, -1):
-        W, _ = model.layers[i]
-        H_in = cache["inputs"][i]
-        grads[i] = (H_in.T @ dZ, dZ.sum(axis=0))
-        if i == 0:
-            break
-        if prop is None:
-            dH = dZ @ W.T
-        else:
-            # one product per half of W, so no strided column slice reaches scipy
-            d = W.shape[0] // 2
-            dH = dZ @ W[:d].T
-            dH += prop[1] @ (dZ @ W[d:].T)
-        mask = cache["drop"][i - 1]
-        if mask is not None:
-            dH *= mask
-            dH /= 1.0 - model.dropout_rate
-        dH *= cache["prelin"][i - 1] > 0
-        dZ = dH
-    return grads
+    return _loss_kernel(logits, targets, loss_mode, want_loss=True)
 
 
 def loss_and_grad(model: ModelState, g: TemporalGraph, labels, train_mask, loss_mode: str):
     """Loss plus parameter gradients of the dropout-free forward pass."""
-    H_in, prop = _graph_inputs(model, g)
-    logits, cache = _forward_cached(model, H_in, prop, None)
-    loss, dlogits = loss_from_logits(logits, labels, train_mask, loss_mode)
-    return loss, _backward(model, cache, dlogits)
+    ws = _Workspace(model, g)
+    if not np.all(np.isfinite(ws.forward())):
+        raise ValidationError("non-finite logits")
+    targets = _loss_targets(labels, train_mask, ws.logits.shape, loss_mode)
+    return ws.backward(targets, loss_mode, want_loss=True), ws.grad_layers
 
 
-def _flat(layers) -> np.ndarray:
-    """The arrays of per-layer ``(weights, bias)`` pairs, copied into one vector."""
-    return np.concatenate([a.ravel() for pair in layers for a in pair])
+def _adam_update(params, grads, state, step: int, lr: float, weight_decay: float) -> None:
+    """Adam update number ``step``, written into the flat ``params`` and ``state``.
 
-
-def _views(flat: np.ndarray, layers) -> list:
-    """Per-layer ``(weights, bias)`` views into ``flat``, shaped like ``layers``."""
-    out, offset = [], 0
-    for pair in layers:
-        views = []
-        for a in pair:
-            views.append(flat[offset : offset + a.size].reshape(a.shape))
-            offset += a.size
-        out.append(tuple(views))
-    return out
-
-
-def _adam_update(params, grads, m, v, step: int, lr: float, weight_decay: float) -> None:
-    """Adam update number ``step``, written into the flat ``params``, ``m`` and ``v``."""
+    ``state`` holds four rows of ``params``' length: the first and second
+    moments, then two scratch rows for the effective gradient and the step.
+    """
+    m, v, gr, t = state
     c1 = 1.0 - ADAM_BETA1**step
     c2 = 1.0 - ADAM_BETA2**step
-    gr = grads + weight_decay * params
+    np.multiply(params, weight_decay, out=gr)
+    gr += grads
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * gr
+    np.multiply(gr, 1.0 - ADAM_BETA1, out=t)
+    m += t
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * gr * gr
-    params -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    np.multiply(gr, 1.0 - ADAM_BETA2, out=t)
+    t *= gr
+    v += t
+    # params -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+    np.divide(m, c1, out=t)
+    t *= lr
+    np.divide(v, c2, out=gr)
+    np.sqrt(gr, out=gr)
+    gr += ADAM_EPS
+    t /= gr
+    params -= t
 
 
 def train(
@@ -389,24 +454,21 @@ def train(
     after each update, with epochs counted from 1 and ``loss`` taken before
     the update.  That model is the working copy, whose layers are views
     into the flat parameter buffer: read it during the call, do not keep
-    it.  Logits that turn non-finite raise ValidationError naming the epoch.
+    it.  Without ``on_epoch`` no loss value is computed.  Logits that turn
+    non-finite raise ValidationError naming the epoch.
     """
-    H_in, prop = _graph_inputs(model, g)
-    targets = _loss_targets(labels, train_mask, (H_in.shape[0], model.output_dim), cfg.loss_mode)
+    ws = _Workspace(model, g)
+    targets = _loss_targets(labels, train_mask, ws.logits.shape, cfg.loss_mode)
     rng = np.random.default_rng(cfg.seed) if model.dropout_rate > 0 else None
-    params = _flat(model.layers)
-    model = replace(model, layers=_views(params, model.layers))
-    m, v = np.zeros_like(params), np.zeros_like(params)
+    state = np.zeros((4, ws.params.size))
     for epoch in range(1, cfg.epochs + 1):
-        logits, cache = _forward_cached(model, H_in, prop, rng)
-        if not np.all(np.isfinite(logits)):
+        if not np.all(np.isfinite(ws.forward(rng))):
             raise ValidationError(f"non-finite logits at epoch {epoch}")
-        loss, dlogits = _loss_kernel(logits, targets, cfg.loss_mode)
-        grads = _flat(_backward(model, cache, dlogits))
-        _adam_update(params, grads, m, v, epoch, cfg.learning_rate, cfg.weight_decay)
+        loss = ws.backward(targets, cfg.loss_mode, on_epoch is not None)
+        _adam_update(ws.params, ws.grads, state, epoch, cfg.learning_rate, cfg.weight_decay)
         if on_epoch is not None:
-            on_epoch(epoch, loss, model)
-    return model
+            on_epoch(epoch, loss, ws.model)
+    return ws.model
 
 
 def expand_output_layer(model: ModelState, l: int, seed: int) -> ModelState:

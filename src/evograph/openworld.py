@@ -116,19 +116,23 @@ def fit_thresholds(train_outputs, labels, train_mask, cfg: DetectorConfig) -> Th
 
 
 def sigmoid(z) -> np.ndarray:
-    return _sigmoid_exp(np.asarray(z, dtype=np.float64))[0]
+    return np.asarray(_sigmoid_exp(np.asarray(z, dtype=np.float64))[0])
 
 
 def _sigmoid_exp(z: np.ndarray):
-    """``(sigmoid(z), exp(-|z|))`` for a float64 array, from one ``exp``.
+    """``(sigmoid(z), exp(-|z|))`` for a float64 array.
 
     Equal bit for bit to ``1 / (1 + exp(-z))`` for z >= 0 and
-    ``exp(z) / (1 + exp(z))`` otherwise: ``min(z, -z)`` is ``-z`` or ``z``
-    exactly, and unlike ``-|z|`` it keeps the sign of a nan input.
+    ``exp(z) / (1 + exp(z))`` otherwise.  With ``e = exp(min(z, -z))`` both
+    branches divide by ``1 + e``, and the numerator ``exp(min(z, 0))`` is
+    exactly 1 for z >= 0 and ``e`` otherwise, so one quotient serves both
+    without a select.  ``min(z, -z)`` is ``-z`` or ``z`` exactly and, unlike
+    ``-|z|``, keeps the sign of a nan input.
     """
     e = np.exp(np.minimum(z, -z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d), e
+    s = np.exp(np.minimum(z, 0.0))
+    s /= 1.0 + e
+    return s, e
 
 
 def predict_open(logits, thresholds: Thresholds) -> np.ndarray:

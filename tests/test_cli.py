@@ -426,6 +426,31 @@ class TestReport:
         assert captured.err.startswith(f"error: {run / 'summary.json'}: {message}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["accuracy-table", "fwt", "open"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("avg_accuracy", "x"),
+            ("mcc", {"ci95": 0.1}),
+            ("open_macro_f1", {"mean": 0.5, "ci95": "0.1"}),
+            ("avg_accuracy", {"mean": True, "ci95": 0.1}),
+            ("per_task_accuracy_mean", {"0": 0.5}),
+            ("per_task_accuracy_mean", [0.5, None]),
+        ],
+        ids=["string", "no-mean", "string-ci95", "bool-mean", "trace-object", "trace-null"],
+    )
+    def test_bad_summary_value_exit_1(self, warm_cold_runs, tmp_path, capsys, mode, key, value):
+        run = tmp_path / "warm"
+        shutil.copytree(warm_cold_runs["warm"], run)
+        summary = json.loads((run / "summary.json").read_text())
+        summary[key] = value
+        (run / "summary.json").write_text(json.dumps(summary))
+        assert main(["report", str(run), "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        shape = "a list of numbers" if key == "per_task_accuracy_mean" else '{"mean": number, "ci95": number}'
+        assert captured.err == f"error: {run / 'summary.json'}: {key} must be {shape}\n"
+
     def test_empty_args_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["report", "--mode", "fwt"])
@@ -509,6 +534,35 @@ def test_bad_run_manifest_exit_2(warm_cold_runs, tmp_path, capsys, command, case
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {manifest}: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["--config", "--from-manifest"])
+@pytest.mark.parametrize(
+    "entries, flags, message",
+    [
+        ({"model": "gat"}, [], "{path}: model must be one of"),
+        ({}, ["--detector", "gdoc", "--tau-min", "2"], "tau_min must be in (0, 1]"),
+    ],
+    ids=["bad-entry", "bad-flag"],
+)
+def test_run_config_error_names_file_of_bad_entry(
+    warm_cold_runs, dataset, tmp_path, capsys, source, entries, flags, message
+):
+    if source == "--config":
+        path = write_config(tmp_path / "c.cfg", dataset, **entries)
+    else:
+        run = tmp_path / "warm"
+        shutil.copytree(warm_cold_runs["warm"], run)
+        path = run / "manifest.json"
+        payload = json.loads(path.read_text())
+        payload["config"].update(entries)
+        path.write_text(json.dumps(payload))
+    out = tmp_path / "r"
+    assert main(["run", source, str(path), "--output-dir", str(out), "--quiet", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: " + message.format(path=path))
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["accuracy-table", "fwt", "open"])

@@ -81,8 +81,12 @@ class TestRunSequence:
             X = eg.model_inputs(model, g)
             return ref.train(model, g, X, labels, train_mask, cfg, on_epoch=on_epoch)
 
+        def reference_forward(model, g):
+            H_in, prop = ref._graph_inputs(model, g, eg.model_inputs(model, g))
+            return ref._forward_cached(model, H_in, prop, None)[0]
+
         monkeypatch.setattr(eg.lifelong, "train", reference_train)
-        monkeypatch.setattr(eg.models, "_forward_cached", ref._forward_cached)
+        monkeypatch.setattr(eg.lifelong, "forward", reference_forward)
         monkeypatch.setattr(eg.lifelong, "sigmoid", ref.sigmoid)
         monkeypatch.setattr(eg.openworld, "sigmoid", ref.sigmoid)
         expected = eg.run_sequence(g, cfg, seed=2)

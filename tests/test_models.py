@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -278,9 +279,9 @@ class TestAdam:
     def run(params, grads, steps=1, lr=0.1, weight_decay=0.0):
         params = np.array(params, dtype=np.float64)
         grads = np.array(grads, dtype=np.float64)
-        m, v = np.zeros_like(params), np.zeros_like(params)
+        state = np.zeros((4, params.size))
         for step in range(1, steps + 1):
-            eg.models._adam_update(params, grads, m, v, step, lr, weight_decay)
+            eg.models._adam_update(params, grads, state, step, lr, weight_decay)
         return params
 
     def test_zero_gradient_fixed_point(self):
@@ -331,6 +332,39 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="non-finite logits at epoch 2$"):
                 eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), cfg)
+
+    def test_overflowing_logit_sum_neither_raises_nor_warns(self):
+        # every logit is finite though their sum is not; the finite check must not trip on
+        # it, and train without on_epoch computes no loss value, which would overflow here
+        g = small_graph()
+        m = eg.init_model("mlp", 3, 4, 3, seed=0)
+        m.layers[-1][1][:2] = 1e308
+        mask = np.ones(g.num_vertices, bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logits = eg.forward(m, g)
+            assert np.all(np.isfinite(logits)) and logits[:, :2].min() > 1e307
+            eg.train(m, g, g.labels, mask, eg.TrainConfig(weight_decay=0.0, epochs=3))
+            # labels on the two large units keep the loss value itself finite
+            eg.loss_from_logits(logits, g.labels % 2, mask, eg.CATEGORICAL)
+
+    @pytest.mark.parametrize("w, bad", [(1.0, np.inf), (0.0, np.nan)], ids=["inf", "nan"])
+    def test_nonfinite_logit_outside_mask_names_epoch(self, w, bad):
+        g0 = small_graph()
+        features = np.array(g0.features)
+        features[0] = [3e38, 0.0, 0.0]
+        g = eg.TemporalGraph(g0.num_vertices, g0.edges, g0.time, features, g0.labels, 3)
+        m = eg.init_model("mlp", 3, 4, 3, seed=0, dropout_rate=0.0)
+        # vertex 0's first hidden unit overflows to inf; w * inf is its first logit
+        m.layers[0][0][0, 0] = 1e300
+        m.layers[1][0][0, 0] = w
+        mask = np.ones(g.num_vertices, bool)
+        mask[0] = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = eg.forward(m, g)
+            assert np.array_equal(logits[0, 0], bad, equal_nan=True) and np.all(np.isfinite(logits[1:]))
+            with pytest.raises(ValidationError, match="non-finite logits at epoch 1$"):
+                eg.train(m, g, g.labels, mask, eg.TrainConfig(epochs=3))
 
     @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
     @pytest.mark.parametrize("bad", [-1, 3])
@@ -527,3 +561,50 @@ class TestReferenceOracle:
         # train works on its own copy: the caller's model is untouched
         for (w1, b1), (w2, b2) in zip(m.layers, before.layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+
+    @staticmethod
+    def grid_point(kind, full_mask, dropout):
+        g = TestReferenceOracle.graph_with_isolated_vertex()
+        m = eg.init_model(kind, 5, 8, 4, seed=3, dropout_rate=dropout)
+        mask = np.ones(30, bool)
+        if not full_mask:
+            mask[[0, 4, 5, 17, 29]] = False
+        return g, m, mask
+
+    @staticmethod
+    def assert_same_layers(got, expected):
+        assert len(got) == len(expected)
+        for (w1, b1), (w2, b2) in zip(got, expected):
+            assert np.array_equal(ref.bits(w1), ref.bits(w2))
+            assert np.array_equal(ref.bits(b1), ref.bits(b2))
+
+    @pytest.mark.parametrize("kind", ["mlp", "sgc", "sage"])
+    @pytest.mark.parametrize("loss_mode", [eg.CATEGORICAL, eg.BCE, eg.WEIGHTED_BCE])
+    @pytest.mark.parametrize("full_mask", [True, False])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5, 0.3])
+    def test_train_without_on_epoch_equals_reference(self, kind, loss_mode, full_mask, dropout):
+        # without on_epoch no loss value is computed; the updates stay the same.  Dropout
+        # 0.5 rescales by a multiply, 0.3 by a divide.
+        g, m, mask = self.grid_point(kind, full_mask, dropout)
+        cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=6)
+        expected = ref.train(m, g, eg.model_inputs(m, g), g.labels, mask, cfg)
+        self.assert_same_layers(eg.train(m, g, g.labels, mask, cfg).layers, expected.layers)
+
+    @pytest.mark.parametrize("kind", ["mlp", "sgc", "sage"])
+    @pytest.mark.parametrize("loss_mode", [eg.CATEGORICAL, eg.BCE, eg.WEIGHTED_BCE])
+    @pytest.mark.parametrize("full_mask", [True, False])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_forward_and_loss_and_grad_equal_reference(self, kind, loss_mode, full_mask, dropout):
+        g, m, mask = self.grid_point(kind, full_mask, dropout)
+        # a trained model, so that dead relu units and nonzero biases occur
+        cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=6)
+        m = eg.train(m, g, g.labels, mask, cfg)
+        H_in, prop = ref._graph_inputs(m, g, eg.model_inputs(m, g))
+        logits, cache = ref._forward_cached(m, H_in, prop, None)
+        assert np.array_equal(ref.bits(eg.forward(m, g)), ref.bits(logits))
+        weights = eg.class_weights(g.labels, mask, 4) if loss_mode == eg.WEIGHTED_BCE else None
+        targets = ref._loss_targets(g.labels, mask, 4, loss_mode, weights)
+        loss, dlogits = ref._loss_kernel(logits, targets, loss_mode)
+        got_loss, got_grads = eg.loss_and_grad(m, g, g.labels, mask, loss_mode)
+        assert ref.bits(np.float64(got_loss)) == ref.bits(np.float64(loss))
+        self.assert_same_layers(got_grads, ref._backward(m, cache, dlogits))
