@@ -28,6 +28,7 @@ from .graph import UNLABELED
 from .lifelong import run_sequences, two_task_experiment
 from .metrics import drift_magnitude, forward_transfer, mean_ci95
 from .models import save_checkpoint
+from .openworld import GDOC
 from .synth import SynthConfig, generate
 from .tdiff import history_sizes, k_hop_time_diffs, percentile
 
@@ -229,15 +230,13 @@ def cmd_run(args) -> int:
     else:
         manifest = load_manifest(args.from_manifest)
         entries = manifest["config"]
+    overrides = _detector_overrides(args)
     try:
-        spec = RunSpec({**entries, **_detector_overrides(args)})
-    except ConfigError:
-        # name the file when its own entries are at fault, not a detector flag
-        try:
-            RunSpec(entries)
-        except ConfigError as exc:
-            raise ConfigError(f"{args.config or args.from_manifest}: {exc}") from None
-        raise
+        spec = RunSpec({**entries, **overrides})
+    except ConfigError as exc:
+        # a detector flag that is bad on its own is reported as it is; else the file is at fault
+        RunSpec({"dataset": "-", "detector": GDOC, **overrides})
+        raise ConfigError(f"{args.config or args.from_manifest}: {exc}") from None
 
     fingerprint = dataset_fingerprint(spec.dataset)
     if args.from_manifest and manifest["dataset_fingerprint"] != fingerprint:

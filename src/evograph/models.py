@@ -7,16 +7,18 @@ new :class:`ModelState` and never mutates its input.  :func:`train` is the
 one training loop.  It allocates one epoch workspace and one Adam state
 array per call, and every epoch writes into them in place: the flat
 parameter buffer (the working model's layers, which ``on_epoch`` receives,
-are views into it), the flat gradient buffer, the hidden pre-activation, one
-keep mask (relu > 0 and the dropout draw) and layer 1's input (sage:
+are views into it), the flat gradient buffer, the hidden layer, one keep
+mask (relu > 0 and the dropout draw) and layer 1's input (sage:
 ``[H | P H]``).  The loss *value* is computed only where it is read: with
 ``on_epoch``, and in :func:`loss_and_grad` and :func:`loss_from_logits`.
 Dropout fires only inside ``train``, with masks drawn from a generator
-seeded by ``cfg.seed``; :func:`forward` and :func:`loss_and_grad` run the
-same workspace passes without one, so they are deterministic.  All three take
-the graph, not its features: layer 0's input (:func:`model_inputs`, for sage
-``[X | P X]``) and ``P`` are built once per graph object and model kind and
-cached on the graph, read-only.  Weighted-bce's class weights are not passed:
+seeded by ``cfg.seed``.  :func:`loss_and_grad` runs the same workspace
+passes without one, so it is deterministic; :func:`forward` runs the same
+forward pass with only its own buffers (hidden layer, layer 1's input,
+logits) over the model's own layers.  All three take the graph, not its
+features: layer 0's input (:func:`model_inputs`, for sage ``[X | P X]``)
+and ``P`` are built once per graph object and model kind and cached on the
+graph, read-only.  Weighted-bce's class weights are not passed:
 they are :func:`evograph.openworld.class_weights` of the masked labels.
 
 Layer conventions
@@ -31,7 +33,6 @@ Layer conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -213,36 +214,26 @@ def _views(flat: np.ndarray, layers) -> list:
     return out
 
 
-class _Workspace:
-    """The buffers of one model's forward and backward passes on one graph.
+class _Forward:
+    """The buffers of one model's forward pass on one graph.
 
-    ``model`` is a copy whose layers are views into the flat ``params``;
-    ``grad_layers`` are views into ``grads``, which the backward pass fills.
-    The forward pass leaves for it the ``keep`` mask, as 0.0/1.0 floats
-    (a float multiply is about three times cheaper than a boolean one), and
-    layer 1's input ``H1``.
+    They are the hidden layer ``H`` (the pre-activation, then in place the
+    activation), layer 1's input ``H1`` (sage: ``[H | P H]``, else ``H``
+    itself) and the logits.  The pass reads ``model.layers`` as they are.
     """
 
+    keep = None  # no backward pass follows, so the pass records no mask
+
     def __init__(self, model: ModelState, g: TemporalGraph):
+        self.model = model
         self.H_in, self.prop = _graph_inputs(model, g)
-        self.params = np.concatenate([a.ravel() for pair in model.layers for a in pair])
-        self.model = replace(model, layers=_views(self.params, model.layers))
-        self.grads = np.empty_like(self.params)
-        self.grad_layers = _views(self.grads, model.layers)
         n = self.H_in.shape[0]
         self.logits = np.empty((n, model.output_dim))
-        self.dlogits = np.zeros_like(self.logits)  # rows outside a train mask stay zero
-        self.dropped = False  # whether the last forward pass drew dropout masks
-        # the division by 1 - rate; by a power of two it is a multiply by the exact inverse
-        scale = 1.0 - model.dropout_rate
-        self.rescale = (np.multiply, 1.0 / scale) if math.frexp(scale)[0] == 0.5 else (np.divide, scale)
         if model.kind != "sgc":
             h = model.hidden_dim
-            self.Z, self.keep, self.dH = np.empty((n, h)), np.empty((n, h)), np.empty((n, h))
-            self.relu = np.empty((n, h), dtype=bool)
             self.H = self.H1 = np.empty((n, h))
             if self.prop is not None:
-                self.H1, self.dPH = np.empty((n, 2 * h)), np.empty((n, h))
+                self.H1 = np.empty((n, 2 * h))
 
     def forward(self, rng=None) -> np.ndarray:
         """Logits of ``model``; dropout masks are drawn from ``rng`` unless it is None."""
@@ -253,20 +244,21 @@ class _Workspace:
             self.logits += b
             return self.logits
         (W0, b0), (W1, b1) = layers
-        Z, relu, H = self.Z, self.relu, self.H
-        np.matmul(self.H_in, W0, out=Z)
-        Z += b0
-        np.greater(Z, 0.0, out=relu)
-        np.maximum(Z, 0.0, out=H)
-        self.dropped = rng is not None
-        if self.dropped:
-            # the draw lands in dH, which the backward pass overwrites
-            relu &= rng.random(out=self.dH) >= self.model.dropout_rate
-        np.copyto(self.keep, relu)
-        if self.dropped:
+        H = self.H
+        np.matmul(self.H_in, W0, out=H)
+        H += b0
+        if self.keep is not None:
+            relu = self.relu
+            np.greater(H, 0.0, out=relu)
+            self.dropped = rng is not None
+            if self.dropped:
+                # the draw lands in dH, which the backward pass overwrites
+                relu &= rng.random(out=self.dH) >= self.model.dropout_rate
+            np.copyto(self.keep, relu)
+        np.maximum(H, 0.0, out=H)
+        if rng is not None:
             H *= self.keep
-            op, c = self.rescale
-            op(H, c, out=H)
+            H /= 1.0 - self.model.dropout_rate
         if self.prop is not None:
             h = H.shape[1]
             self.H1[:, :h] = H
@@ -274,6 +266,31 @@ class _Workspace:
         np.matmul(self.H1, W1, out=self.logits)
         self.logits += b1
         return self.logits
+
+
+class _Workspace(_Forward):
+    """A forward pass over a flat copy of the parameters, plus its backward pass.
+
+    ``model`` is a copy whose layers are views into the flat ``params``;
+    ``grad_layers`` are views into ``grads``, which the backward pass fills.
+    The forward pass leaves for it the ``keep`` mask (relu > 0 and the
+    dropout draw) as 0.0/1.0 floats, since a float multiply is about three
+    times cheaper than a boolean one.
+    """
+
+    def __init__(self, model: ModelState, g: TemporalGraph):
+        self.params = np.concatenate([a.ravel() for pair in model.layers for a in pair])
+        super().__init__(replace(model, layers=_views(self.params, model.layers)), g)
+        self.grads = np.empty_like(self.params)
+        self.grad_layers = _views(self.grads, model.layers)
+        self.dlogits = np.zeros_like(self.logits)  # rows outside a train mask stay zero
+        self.dropped = False  # whether the last forward pass drew dropout masks
+        if model.kind != "sgc":
+            shape = self.H.shape
+            self.keep, self.dH = np.empty(shape), np.empty(shape)
+            self.relu = np.empty(shape, dtype=bool)
+            if self.prop is not None:
+                self.dPH = np.empty(shape)
 
     def backward(self, targets: _Targets, loss_mode: str, want_loss: bool) -> Optional[float]:
         """Fill ``grads`` for the last forward pass; the loss value if ``want_loss``, else None."""
@@ -295,8 +312,7 @@ class _Workspace:
             dH += self.prop[1] @ self.dPH
         dH *= self.keep
         if self.dropped:
-            op, c = self.rescale
-            op(dH, c, out=dH)
+            dH /= 1.0 - self.model.dropout_rate
         gW, gb = self.grad_layers[0]
         np.matmul(self.H_in.T, dH, out=gW)
         np.add.reduce(dH, axis=0, out=gb)
@@ -305,7 +321,7 @@ class _Workspace:
 
 def forward(model: ModelState, g: TemporalGraph) -> np.ndarray:
     """Logits per vertex (rows) and output unit (columns), without dropout."""
-    return _Workspace(model, g).forward()
+    return _Forward(model, g).forward()
 
 
 class _Targets(NamedTuple):

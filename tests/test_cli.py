@@ -542,8 +542,12 @@ def test_bad_run_manifest_exit_2(warm_cold_runs, tmp_path, capsys, command, case
     [
         ({"model": "gat"}, [], "{path}: model must be one of"),
         ({}, ["--detector", "gdoc", "--tau-min", "2"], "tau_min must be in (0, 1]"),
+        # the file's tau_min is checked once a flag turns its detector on
+        ({"detector": "none", "tau_min": "2"}, ["--detector", "gdoc"], "{path}: tau_min must be in (0, 1]"),
+        # the file's bad detector is overridden; the flag's tau_min is at fault
+        ({"detector": "bogus"}, ["--detector", "gdoc", "--tau-min", "2"], "tau_min must be in (0, 1]"),
     ],
-    ids=["bad-entry", "bad-flag"],
+    ids=["bad-entry", "bad-flag", "flag-checks-entry", "flag-overrides-entry"],
 )
 def test_run_config_error_names_file_of_bad_entry(
     warm_cold_runs, dataset, tmp_path, capsys, source, entries, flags, message

@@ -583,8 +583,7 @@ class TestReferenceOracle:
     @pytest.mark.parametrize("full_mask", [True, False])
     @pytest.mark.parametrize("dropout", [0.0, 0.5, 0.3])
     def test_train_without_on_epoch_equals_reference(self, kind, loss_mode, full_mask, dropout):
-        # without on_epoch no loss value is computed; the updates stay the same.  Dropout
-        # 0.5 rescales by a multiply, 0.3 by a divide.
+        # without on_epoch no loss value is computed; the updates stay the same
         g, m, mask = self.grid_point(kind, full_mask, dropout)
         cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=6)
         expected = ref.train(m, g, eg.model_inputs(m, g), g.labels, mask, cfg)
