@@ -16,7 +16,7 @@ from .dataio import read_json, read_key_values, read_text
 from .errors import ConfigError, ValidationError
 from .graph import FULL
 from .lifelong import ExperimentConfig, LOSS_AUTO
-from .openworld import DOC, GDOC, DetectorConfig
+from .openworld import DEFAULT_TAU_MIN, DOC, GDOC, DetectorConfig
 
 MODE_SEQUENCE = "sequence"
 MODE_TWO_TASK = "two-task"
@@ -38,7 +38,7 @@ _DEFAULTS = {
     "label_rate": "1.0",
     "label_seed": "0",
     "detector": "none",
-    "tau_min": "0.75",
+    "tau_min": repr(DEFAULT_TAU_MIN[GDOC]),
     "alpha": "0.0",
     "risk_reduction": "false",
     "seeds": "0",
@@ -71,9 +71,8 @@ class RunSpec:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         vals = dict(_DEFAULTS)
         vals.update(entries)
-        # the plain-DOC baseline defaults to the sigmoid inflection point
         if vals["detector"] == DOC and "tau_min" not in entries:
-            vals["tau_min"] = repr(DetectorConfig.doc_default().tau_min)
+            vals["tau_min"] = repr(DEFAULT_TAU_MIN[DOC])
         if vals["format_version"] != "1":
             raise ConfigError(f"format_version: unsupported {vals['format_version']!r}")
         if vals["mode"] not in (MODE_SEQUENCE, MODE_TWO_TASK):

@@ -256,8 +256,6 @@ def run_sequences(
                     event["thresholds"] = thresholds.tau.tolist()
                     event["sd"] = None if thresholds.sd is None else thresholds.sd.tolist()
                 report.events.append(event)
-        except RunError:
-            raise
         except EvographError as exc:
             raise RunError(task.t, str(exc)) from exc
     return reports, model

@@ -7,10 +7,13 @@ new :class:`ModelState` and never mutates its input.  :func:`train` is the
 one training loop.  It allocates one epoch workspace and one Adam state
 array per call, and every epoch writes into them in place: the flat
 parameter buffer (the working model's layers, which ``on_epoch`` receives,
-are views into it), the flat gradient buffer, the hidden layer, one keep
-mask (relu > 0 and the dropout draw) and layer 1's input (sage:
-``[H | P H]``).  The loss *value* is computed only where it is read: with
-``on_epoch``, and in :func:`loss_and_grad` and :func:`loss_from_logits`.
+are views into it), the flat gradient buffer, the hidden layer, one dropout
+buffer and layer 1's input (sage: ``[H | P H]``), all float64.  The
+backward pass masks the hidden gradient wherever the activation is positive:
+after relu and inverted dropout, that is exactly where the pre-activation
+was positive and the draw kept the unit.  The loss *value* is computed only
+where it is read: with ``on_epoch``, and in :func:`loss_and_grad` and
+:func:`loss_from_logits`.
 Dropout fires only inside ``train``, with masks drawn from a generator
 seeded by ``cfg.seed``.  :func:`loss_and_grad` runs the same workspace
 passes without one, so it is deterministic; :func:`forward` runs the same
@@ -218,17 +221,17 @@ class _Forward:
     """The buffers of one model's forward pass on one graph.
 
     They are the hidden layer ``H`` (the pre-activation, then in place the
-    activation), layer 1's input ``H1`` (sage: ``[H | P H]``, else ``H``
-    itself) and the logits.  The pass reads ``model.layers`` as they are.
+    activation), layer 1's input ``H1`` (sage: ``[H | P H]``; mlp: ``H``
+    itself; sgc, which has no hidden layer: layer 0's input) and the
+    logits.  The pass reads ``model.layers`` as they are.
     """
-
-    keep = None  # no backward pass follows, so the pass records no mask
 
     def __init__(self, model: ModelState, g: TemporalGraph):
         self.model = model
         self.H_in, self.prop = _graph_inputs(model, g)
         n = self.H_in.shape[0]
         self.logits = np.empty((n, model.output_dim))
+        self.H1 = self.H_in
         if model.kind != "sgc":
             h = model.hidden_dim
             self.H = self.H1 = np.empty((n, h))
@@ -237,34 +240,25 @@ class _Forward:
 
     def forward(self, rng=None) -> np.ndarray:
         """Logits of ``model``; dropout masks are drawn from ``rng`` unless it is None."""
-        layers = self.model.layers
-        if len(layers) == 1:
-            (W, b), = layers
-            np.matmul(self.H_in, W, out=self.logits)
-            self.logits += b
-            return self.logits
-        (W0, b0), (W1, b1) = layers
-        H = self.H
-        np.matmul(self.H_in, W0, out=H)
-        H += b0
-        if self.keep is not None:
-            relu = self.relu
-            np.greater(H, 0.0, out=relu)
-            self.dropped = rng is not None
+        *hidden, (W, b) = self.model.layers
+        self.dropped = rng is not None
+        if hidden:
+            (W0, b0), = hidden
+            H = self.H
+            np.matmul(self.H_in, W0, out=H)
+            H += b0
+            np.maximum(H, 0.0, out=H)
             if self.dropped:
-                # the draw lands in dH, which the backward pass overwrites
-                relu &= rng.random(out=self.dH) >= self.model.dropout_rate
-            np.copyto(self.keep, relu)
-        np.maximum(H, 0.0, out=H)
-        if rng is not None:
-            H *= self.keep
-            H /= 1.0 - self.model.dropout_rate
-        if self.prop is not None:
-            h = H.shape[1]
-            self.H1[:, :h] = H
-            self.H1[:, h:] = self.prop[0] @ H
-        np.matmul(self.H1, W1, out=self.logits)
-        self.logits += b1
+                drop, rate = self.drop, self.model.dropout_rate
+                np.greater_equal(rng.random(out=drop), rate, out=drop)
+                H *= drop
+                H /= 1.0 - rate
+            if self.prop is not None:
+                h = H.shape[1]
+                self.H1[:, :h] = H
+                self.H1[:, h:] = self.prop[0] @ H
+        np.matmul(self.H1, W, out=self.logits)
+        self.logits += b
         return self.logits
 
 
@@ -273,9 +267,11 @@ class _Workspace(_Forward):
 
     ``model`` is a copy whose layers are views into the flat ``params``;
     ``grad_layers`` are views into ``grads``, which the backward pass fills.
-    The forward pass leaves for it the ``keep`` mask (relu > 0 and the
-    dropout draw) as 0.0/1.0 floats, since a float multiply is about three
-    times cheaper than a boolean one.
+    The backward mask is ``H > 0``: ``H`` is ``relu(pre) * drop / (1 - rate)``
+    with ``1 - rate`` in (0, 1], so it is positive exactly where ``pre`` is
+    and the draw kept the unit.  The one ``drop`` buffer holds the draw, then
+    that mask, as 0.0/1.0 floats: a float multiply is about three times
+    cheaper than a boolean one.
     """
 
     def __init__(self, model: ModelState, g: TemporalGraph):
@@ -284,11 +280,9 @@ class _Workspace(_Forward):
         self.grads = np.empty_like(self.params)
         self.grad_layers = _views(self.grads, model.layers)
         self.dlogits = np.zeros_like(self.logits)  # rows outside a train mask stay zero
-        self.dropped = False  # whether the last forward pass drew dropout masks
         if model.kind != "sgc":
             shape = self.H.shape
-            self.keep, self.dH = np.empty(shape), np.empty(shape)
-            self.relu = np.empty(shape, dtype=bool)
+            self.drop, self.dH = np.empty(shape), np.empty(shape)
             if self.prop is not None:
                 self.dPH = np.empty(shape)
 
@@ -297,7 +291,7 @@ class _Workspace(_Forward):
         loss, dZ = _loss_kernel(self.logits, targets, loss_mode, want_loss, self.dlogits)
         layers = self.model.layers
         gW, gb = self.grad_layers[-1]
-        np.matmul((self.H_in if len(layers) == 1 else self.H1).T, dZ, out=gW)
+        np.matmul(self.H1.T, dZ, out=gW)
         np.add.reduce(dZ, axis=0, out=gb)
         if len(layers) == 1:
             return loss
@@ -310,7 +304,7 @@ class _Workspace(_Forward):
             np.matmul(dZ, W1[:h].T, out=dH)
             np.matmul(dZ, W1[h:].T, out=self.dPH)
             dH += self.prop[1] @ self.dPH
-        dH *= self.keep
+        dH *= np.greater(self.H, 0.0, out=self.drop)
         if self.dropped:
             dH /= 1.0 - self.model.dropout_rate
         gW, gb = self.grad_layers[0]
@@ -354,12 +348,12 @@ def _loss_targets(labels, train_mask, shape, loss_mode) -> _Targets:
     return _Targets(None if idx.size == num_rows else idx, y, onehot, weights)
 
 
-def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlogits=None):
+def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlogits):
     """The loss value (None unless ``want_loss``) and d(loss)/d(logits).
 
     ``logits`` are finite and ``targets`` validated.  Under a partial mask
     the gradient's masked rows are written into ``dlogits`` (zeros outside
-    them; allocated when None), which is returned.
+    them), which is returned.
     """
     idx, y, onehot, weights = targets
     n, C = onehot.shape
@@ -393,8 +387,6 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
         grad /= n * C
     if idx is None:
         return loss, grad
-    if dlogits is None:
-        dlogits = np.zeros_like(logits)
     dlogits[idx] = grad
     return loss, dlogits
 
@@ -412,7 +404,7 @@ def loss_from_logits(logits, labels, train_mask, loss_mode):
     if not np.all(np.isfinite(logits)):
         raise ValidationError("non-finite logits")
     targets = _loss_targets(labels, train_mask, logits.shape, loss_mode)
-    return _loss_kernel(logits, targets, loss_mode, want_loss=True)
+    return _loss_kernel(logits, targets, loss_mode, True, np.zeros_like(logits))
 
 
 def loss_and_grad(model: ModelState, g: TemporalGraph, labels, train_mask, loss_mode: str):

@@ -4,12 +4,13 @@ Both variants share the rejection rule: sigmoid every logit, reject a vertex
 ("unseen") when every class output falls below its threshold, else take the
 argmax of the raw logits.  gDOC differs from DOC only by training the base
 model with class-weighted binary cross-entropy and by a higher default
-minimum threshold.
+minimum threshold (:data:`DEFAULT_TAU_MIN`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,17 +21,22 @@ UNSEEN = -1
 DOC = "doc"
 GDOC = "gdoc"
 
+# each variant's default tau_min: DOC's is the sigmoid inflection point
+DEFAULT_TAU_MIN = {DOC: 0.5, GDOC: 0.75}
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
     variant: str = GDOC
-    tau_min: float = 0.75
+    tau_min: Optional[float] = None  # None: the variant's DEFAULT_TAU_MIN
     alpha: float = 0.0
     use_risk_reduction: bool = False
 
     def __post_init__(self):
         if self.variant not in (DOC, GDOC):
             raise ValidationError(f"unknown detector variant {self.variant!r}")
+        if self.tau_min is None:
+            object.__setattr__(self, "tau_min", DEFAULT_TAU_MIN[self.variant])
         if not 0 < self.tau_min <= 1:
             raise ValidationError("tau_min must be in (0, 1]")
         if not self.alpha >= 0:
@@ -38,11 +44,11 @@ class DetectorConfig:
 
     @staticmethod
     def doc_default() -> "DetectorConfig":
-        return DetectorConfig(variant=DOC, tau_min=0.5)
+        return DetectorConfig(variant=DOC)
 
     @staticmethod
     def gdoc_default() -> "DetectorConfig":
-        return DetectorConfig(variant=GDOC, tau_min=0.75)
+        return DetectorConfig(variant=GDOC)
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,11 @@ class SynthConfig:
                 )
         if not 0 <= self.inter_class_edge_prob <= self.intra_class_edge_prob <= 1:
             raise ConfigError("need 0 <= inter_class_edge_prob <= intra_class_edge_prob <= 1")
-        if self.class_skew < 0 or self.feature_noise < 0 or self.window_back < 0:
-            raise ConfigError("class_skew, feature_noise, window_back must be >= 0")
+        for name in ("class_skew", "feature_noise"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if self.window_back < 0:
+            raise ConfigError("window_back must be >= 0")
         total = self.total_classes
         if self.feature_dim < total:
             raise ConfigError(

@@ -66,6 +66,10 @@ def test_detector_variant_defaults():
     assert parse_config_text(MINIMAL + "detector=doc\n").experiment.detector.tau_min == 0.5
     explicit = parse_config_text(MINIMAL + "detector=doc\ntau_min=0.9\n")
     assert explicit.experiment.detector.tau_min == 0.9
+    # the snapshot a manifest records
+    for detector, tau_min in [("none", "0.75"), ("doc", "0.5"), ("gdoc", "0.75")]:
+        spec = parse_config_text(MINIMAL + f"detector={detector}\n")
+        assert spec.snapshot()["tau_min"] == tau_min
 
 
 def test_comments_and_blank_lines_ignored():

@@ -181,6 +181,38 @@ class TestForward:
             assert np.allclose(logits2, logits[perm], atol=1e-10)
 
 
+class TestWorkspace:
+    @staticmethod
+    def arrays(value):
+        """Every ndarray in ``value``, looking into lists, tuples and model states."""
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from TestWorkspace.arrays(item)
+        elif isinstance(value, eg.ModelState):
+            yield from TestWorkspace.arrays(value.layers)
+
+    @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
+    def test_every_buffer_is_float64(self, kind):
+        g = small_graph(seed=2, n=12)
+        m = eg.init_model(kind, 3, 4, 3, seed=0)
+        ws = eg.models._Workspace(m, g)
+        targets = eg.models._loss_targets(g.labels, np.arange(12) % 3 > 0, ws.logits.shape, eg.BCE)
+        ws.forward(np.random.default_rng(1))
+        ws.backward(targets, eg.BCE, want_loss=True)
+        arrays = list(self.arrays(list(vars(ws).values())))
+        assert {id(a) for a in arrays} >= {id(ws.params), id(ws.grads), id(ws.logits)}
+        assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
+    def test_forward_only_allocates_no_backward_buffers(self, kind):
+        g = small_graph(seed=2, n=12)
+        f = eg.models._Forward(eg.init_model(kind, 3, 4, 3, seed=0), g)
+        f.forward()
+        assert not {"drop", "dH", "dPH", "grads", "dlogits", "params"} & set(vars(f))
+
+
 class TestGraphInputs:
     """Layer 0's input and sage's propagation pair, built once per graph and model kind."""
 

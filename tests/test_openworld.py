@@ -38,6 +38,16 @@ class TestClassWeights:
         assert np.array_equal(w, [1.0, 1.0])
 
 
+class TestDetectorConfig:
+    def test_default_tau_min_follows_variant(self):
+        assert eg.DetectorConfig(variant=eg.DOC).tau_min == 0.5
+        assert eg.DetectorConfig(variant=eg.GDOC).tau_min == 0.75
+        assert eg.DetectorConfig().tau_min == 0.75
+        assert eg.DetectorConfig.doc_default() == eg.DetectorConfig(variant=eg.DOC, tau_min=0.5)
+        assert eg.DetectorConfig.gdoc_default() == eg.DetectorConfig(variant=eg.GDOC, tau_min=0.75)
+        assert eg.DetectorConfig(variant=eg.DOC, tau_min=0.9).tau_min == 0.9
+
+
 class TestFitThresholds:
     def fit_one_class(self, outputs, cfg):
         arr = np.asarray(outputs, dtype=np.float64)[:, None]

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from test_acceptance import DET_BENCH, SEQ_BENCH
 
 import evograph as eg
 from evograph import synth
+from evograph.cli import main
 from evograph.errors import ConfigError
 
 
@@ -46,6 +48,19 @@ def test_schedule_at_zero_rejected():
 def test_schedule_count_out_of_range_rejected(schedule, per_ts, message):
     with pytest.raises(ConfigError, match=message):
         eg.SynthConfig(vertices_per_timestamp=per_ts, new_class_schedule=schedule)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["class_skew", "feature_noise"])
+def test_nonfinite_skew_and_noise_rejected(field, value, tmp_path, capsys):
+    message = f"{field} must be finite and >= 0, got {float(value)!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        eg.SynthConfig(**{field: float(value)})
+    out = tmp_path / "d"
+    flag = "--" + field.replace("_", "-")
+    assert main(["generate", str(out), f"{flag}={value}", "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_feature_dim_must_cover_classes():
