@@ -8,7 +8,7 @@ one training loop.  It allocates one epoch workspace and one Adam state
 array per call, and every epoch writes into them in place: the flat
 parameter buffer (the working model's layers, which ``on_epoch`` receives,
 are views into it), the flat gradient buffer, the hidden layer, one dropout
-buffer and layer 1's input (sage: ``[H | P H]``), all float64.  The
+buffer and, for sage, ``H @ W_n`` on the output columns, all float64.  The
 backward pass masks the hidden gradient wherever the activation is positive:
 after relu and inverted dropout, that is exactly where the pre-activation
 was positive and the draw kept the unit.  The loss *value* is computed only
@@ -17,8 +17,8 @@ where it is read: with ``on_epoch``, and in :func:`loss_and_grad` and
 Dropout fires only inside ``train``, with masks drawn from a generator
 seeded by ``cfg.seed``.  :func:`loss_and_grad` runs the same workspace
 passes without one, so it is deterministic; :func:`forward` runs the same
-forward pass with only its own buffers (hidden layer, layer 1's input,
-logits) over the model's own layers.  All three take the graph, not its
+forward pass with only its own buffers (hidden layer, logits and sage's
+``H @ W_n``) over the model's own layers.  All three take the graph, not its
 features: layer 0's input (:func:`model_inputs`, for sage ``[X | P X]``)
 and ``P`` are built once per graph object and model kind and cached on the
 graph, read-only.  Weighted-bce's class weights are not passed:
@@ -31,7 +31,12 @@ Layer conventions
   (see :func:`sgc_precompute`); the model itself ignores the graph.
 * sage: each layer concatenates a vertex's representation with the mean of
   its neighbors' (zero vector for isolated vertices), so layer i maps
-  2 * d_in -> d_out; relu + dropout after the hidden layer only.
+  2 * d_in -> d_out; relu + dropout after the hidden layer only.  Layer 0's
+  input ``[X | P X]`` is built once per graph.  Layer 1 never builds
+  ``[H | P H]``: with its weights split by rows into the self half ``W_s``
+  and the neighbor half ``W_n``, it computes ``H @ W_s + P @ (H @ W_n) + b``,
+  so its sparse products, forward and backward, run on the C output columns
+  instead of the h hidden ones.
 """
 
 from __future__ import annotations
@@ -221,9 +226,11 @@ class _Forward:
     """The buffers of one model's forward pass on one graph.
 
     They are the hidden layer ``H`` (the pre-activation, then in place the
-    activation), layer 1's input ``H1`` (sage: ``[H | P H]``; mlp: ``H``
-    itself; sgc, which has no hidden layer: layer 0's input) and the
-    logits.  The pass reads ``model.layers`` as they are.
+    activation), the logits and, for sage, ``HWn = H @ W_n``.  ``H1`` is the
+    input of the last layer's self half ``W[:d]``: ``H`` (mlp, sage), or
+    layer 0's input for sgc, which has no hidden layer.  sage adds the
+    neighbor half as ``P @ (H @ W_n)``, with ``W_n = W[d:]``.  The pass
+    reads ``model.layers`` as they are.
     """
 
     def __init__(self, model: ModelState, g: TemporalGraph):
@@ -233,10 +240,9 @@ class _Forward:
         self.logits = np.empty((n, model.output_dim))
         self.H1 = self.H_in
         if model.kind != "sgc":
-            h = model.hidden_dim
-            self.H = self.H1 = np.empty((n, h))
-            if self.prop is not None:
-                self.H1 = np.empty((n, 2 * h))
+            self.H = self.H1 = np.empty((n, model.hidden_dim))
+        if self.prop is not None:
+            self.HWn = np.empty_like(self.logits)
 
     def forward(self, rng=None) -> np.ndarray:
         """Logits of ``model``; dropout masks are drawn from ``rng`` unless it is None."""
@@ -253,11 +259,11 @@ class _Forward:
                 np.greater_equal(rng.random(out=drop), rate, out=drop)
                 H *= drop
                 H /= 1.0 - rate
-            if self.prop is not None:
-                h = H.shape[1]
-                self.H1[:, :h] = H
-                self.H1[:, h:] = self.prop[0] @ H
-        np.matmul(self.H1, W, out=self.logits)
+        d = self.H1.shape[1]
+        np.matmul(self.H1, W[:d], out=self.logits)
+        if self.prop is not None:
+            np.matmul(self.H1, W[d:], out=self.HWn)
+            self.logits += self.prop[0] @ self.HWn
         self.logits += b
         return self.logits
 
@@ -267,6 +273,9 @@ class _Workspace(_Forward):
 
     ``model`` is a copy whose layers are views into the flat ``params``;
     ``grad_layers`` are views into ``grads``, which the backward pass fills.
+    For sage the backward pass takes ``Q = P.T @ dZ`` on the output columns;
+    layer 1's gradient is ``H.T @ dZ`` over ``H.T @ Q`` by rows, and
+    ``dH = dZ @ W_s.T + Q @ W_n.T``.
     The backward mask is ``H > 0``: ``H`` is ``relu(pre) * drop / (1 - rate)``
     with ``1 - rate`` in (0, 1], so it is positive exactly where ``pre`` is
     and the draw kept the unit.  The one ``drop`` buffer holds the draw, then
@@ -281,29 +290,26 @@ class _Workspace(_Forward):
         self.grad_layers = _views(self.grads, model.layers)
         self.dlogits = np.zeros_like(self.logits)  # rows outside a train mask stay zero
         if model.kind != "sgc":
-            shape = self.H.shape
-            self.drop, self.dH = np.empty(shape), np.empty(shape)
-            if self.prop is not None:
-                self.dPH = np.empty(shape)
+            self.drop, self.dH = np.empty_like(self.H), np.empty_like(self.H)
 
     def backward(self, targets: _Targets, loss_mode: str, want_loss: bool) -> Optional[float]:
         """Fill ``grads`` for the last forward pass; the loss value if ``want_loss``, else None."""
         loss, dZ = _loss_kernel(self.logits, targets, loss_mode, want_loss, self.dlogits)
         layers = self.model.layers
         gW, gb = self.grad_layers[-1]
-        np.matmul(self.H1.T, dZ, out=gW)
+        d = self.H1.shape[1]
+        np.matmul(self.H1.T, dZ, out=gW[:d])
+        if self.prop is not None:
+            Q = self.prop[1] @ dZ
+            np.matmul(self.H1.T, Q, out=gW[d:])
         np.add.reduce(dZ, axis=0, out=gb)
         if len(layers) == 1:
             return loss
         W1, dH = layers[1][0], self.dH
-        if self.prop is None:
-            np.matmul(dZ, W1.T, out=dH)
-        else:
-            # one product per half of W1, so no strided column slice reaches scipy
-            h = dH.shape[1]
-            np.matmul(dZ, W1[:h].T, out=dH)
-            np.matmul(dZ, W1[h:].T, out=self.dPH)
-            dH += self.prop[1] @ self.dPH
+        np.matmul(dZ, W1[:d].T, out=dH)
+        if self.prop is not None:
+            # drop is free until it takes the mask below
+            dH += np.matmul(Q, W1[d:].T, out=self.drop)
         dH *= np.greater(self.H, 0.0, out=self.drop)
         if self.dropped:
             dH /= 1.0 - self.model.dropout_rate
@@ -348,6 +354,21 @@ def _loss_targets(labels, train_mask, shape, loss_mode) -> _Targets:
     return _Targets(None if idx.size == num_rows else idx, y, onehot, weights)
 
 
+def _mean(terms, count: int, weights=None) -> float:
+    """``sum(terms * weights) / count`` (no weights: 1), finite wherever that mean is.
+
+    The terms are finite and >= 0, yet their weighted products or their sum
+    can overflow where the mean does not.  Only then is each term divided by
+    ``count`` first, which may change the value's last bits.
+    """
+    with np.errstate(over="ignore"):
+        loss = float((terms if weights is None else terms * weights).sum() / count)
+        if loss == np.inf:
+            terms = terms / count
+            loss = float((terms if weights is None else terms * weights).sum())
+    return loss
+
+
 def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlogits):
     """The loss value (None unless ``want_loss``) and d(loss)/d(logits).
 
@@ -369,7 +390,7 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
         grad = np.exp(shifted)
         total = grad.sum(axis=1, keepdims=True)
         if want_loss:
-            loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, y]))
+            loss = _mean(np.log(total[:, 0]) - shifted[rows, y], n)
         grad /= total
         grad[rows, y] -= 1.0
         grad /= n
@@ -377,10 +398,7 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
         # stable elementwise: max(z,0) - z*y + log(1 + exp(-|z|))
         grad, e = _sigmoid_exp(Z)
         if want_loss:
-            elem = np.maximum(Z, 0.0) - Z * onehot + np.log1p(e)
-            if weights is not None:
-                elem *= weights
-            loss = float(elem.sum() / (n * C))
+            loss = _mean(np.maximum(Z, 0.0) - Z * onehot + np.log1p(e), n * C, weights)
         grad -= onehot
         if weights is not None:
             grad *= weights

@@ -210,7 +210,19 @@ class TestWorkspace:
         g = small_graph(seed=2, n=12)
         f = eg.models._Forward(eg.init_model(kind, 3, 4, 3, seed=0), g)
         f.forward()
-        assert not {"drop", "dH", "dPH", "grads", "dlogits", "params"} & set(vars(f))
+        assert not {"drop", "dH", "grads", "dlogits", "params"} & set(vars(f))
+
+    def test_sage_holds_no_concatenated_hidden_layer(self):
+        # layer 1 runs as H @ W_s + P @ (H @ W_n): nothing is (n, 2h) wide, in either pass
+        g = small_graph(seed=2, n=12)
+        m = eg.init_model("sage", 3, 4, 3, seed=0)
+        ws = eg.models._Workspace(m, g)
+        targets = eg.models._loss_targets(g.labels, np.ones(12, bool), ws.logits.shape, eg.BCE)
+        ws.forward(np.random.default_rng(1))
+        ws.backward(targets, eg.BCE, want_loss=True)
+        shapes = [a.shape for a in self.arrays(list(vars(ws).values()))]
+        assert (12, 4) in shapes and (12, 3) in shapes
+        assert not [s for s in shapes if len(s) == 2 and s[1] == 2 * m.hidden_dim]
 
 
 class TestGraphInputs:
@@ -280,6 +292,22 @@ class TestLoss:
     def test_mask_length_must_match_rows(self):
         with pytest.raises(ValidationError, match="train mask of shape"):
             eg.loss_from_logits(np.zeros((3, 2)), [0, 1, 0], np.ones(2, bool), eg.BCE)
+
+
+    @pytest.mark.parametrize(
+        "loss_mode, share",
+        [(eg.CATEGORICAL, 2 / 3), (eg.BCE, 5 / 9), (eg.WEIGHTED_BCE, 7 / 9)],
+        ids=eg.models.LOSS_MODES,
+    )
+    def test_finite_mean_of_overflowing_terms(self, loss_mode, share):
+        # every term is finite and so is their mean, but their sum is not; weighted-bce's
+        # weight 2 on unit 0 also overflows single weighted terms
+        big = 1e308
+        logits = np.array([[big, big, 0.0]] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, _ = eg.loss_from_logits(logits, [0, 2, 2], np.ones(3, bool), loss_mode)
+        assert np.isclose(loss, share * big, rtol=1e-14, atol=0.0)
 
 
 class TestGradients:
@@ -639,3 +667,45 @@ class TestReferenceOracle:
         got_loss, got_grads = eg.loss_and_grad(m, g, g.labels, mask, loss_mode)
         assert ref.bits(np.float64(got_loss)) == ref.bits(np.float64(loss))
         self.assert_same_layers(got_grads, ref._backward(m, cache, dlogits))
+
+
+class TestOrderOracle:
+    """sage's re-associated output layer against the concatenated order, within the stated bound."""
+
+    GRAPHS = {
+        "isolated-vertex": TestReferenceOracle.graph_with_isolated_vertex,
+        "dense": lambda: small_graph(seed=11, n=40, dim=5, num_classes=4),
+        "synth": lambda: eg.generate(
+            eg.SynthConfig(num_timestamps=4, vertices_per_timestamp=30, feature_dim=5, seed=3)
+        ),
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_within_bound_of_concatenated_order(self, graph, loss_mode, dropout):
+        g = self.GRAPHS[graph]()
+        mask = np.arange(g.num_vertices) % 5 > 0
+        m = eg.init_model("sage", 5, 32, 4, seed=3, dropout_rate=dropout)
+        X = eg.model_inputs(m, g)
+        cfg = eg.TrainConfig(learning_rate=0.02, epochs=200, loss_mode=loss_mode, seed=6)
+        concat = (ref._forward_cached_concat, ref._backward_concat)
+        trained = eg.train(m, g, g.labels, mask, cfg)
+        oracle = ref.train(m, g, X, g.labels, mask, cfg, kernels=concat)
+        for got, want in zip(trained.layers, oracle.layers):
+            for a, b in zip(got, want):
+                assert ref.rel_dev(a, b) <= ref.TRAINED_RTOL
+        # one pass of a briefly trained model: dead relu units and nonzero biases occur, and
+        # its gradients are not yet the near-cancelling sums of a converged one
+        m = eg.train(m, g, g.labels, mask, replace(cfg, epochs=15))
+        H_in, prop = ref._graph_inputs(m, g, X)
+        logits, cache = ref._forward_cached_concat(m, H_in, prop, None)
+        assert ref.rel_dev(eg.forward(m, g), logits) <= ref.PASS_RTOL
+        weights = eg.class_weights(g.labels, mask, 4) if loss_mode == eg.WEIGHTED_BCE else None
+        targets = ref._loss_targets(g.labels, mask, 4, loss_mode, weights)
+        loss, dlogits = ref._loss_kernel(logits, targets, loss_mode)
+        got_loss, got_grads = eg.loss_and_grad(m, g, g.labels, mask, loss_mode)
+        assert ref.rel_dev(got_loss, loss) <= ref.PASS_RTOL
+        for got, want in zip(got_grads, ref._backward_concat(m, cache, dlogits)):
+            for a, b in zip(got, want):
+                assert ref.rel_dev(a, b) <= ref.PASS_RTOL
