@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .config import (
     MODE_SEQUENCE,
+    MODE_TWO_TASK,
     RunSpec,
     load_config,
     load_manifest,
@@ -189,26 +190,30 @@ def cmd_generate(args) -> int:
     return 0
 
 
+# summary.json's scores per mode: a {mean, ci95} object per seed score, then
+# the mean per-step accuracy trace under the last key
+_SUMMARY = {
+    MODE_SEQUENCE: ("avg_accuracy", "mcc", "open_macro_f1", "per_task_accuracy_mean"),
+    MODE_TWO_TASK: ("initial_accuracy", "final_accuracy", "trace_mean"),
+}
+
+
 def _seed_job(spec: RunSpec, g, seed: int):
-    """Run one seed: (report text, the report or two-task trace it encodes,
-    final model or None); top-level so process pools can pickle it."""
+    """Run one seed: (report text, its scores, per-step accuracies, final model
+    or None); top-level so process pools can pickle it."""
     if spec.mode == MODE_SEQUENCE:
         (report,), model = run_sequences(g, [spec.experiment], seed=seed)
-        return report.to_jsonl(), report, model
+        return report.to_jsonl(), report.summary(), report.accuracies(), model
     trace = two_task_experiment(
         g, spec.experiment, spec.pretrain_epochs, spec.inference_epochs, seed=seed
     )
+    scores = {"initial_accuracy": trace[0], "final_accuracy": trace[-1]}
     lines = [
         json.dumps({"kind": "epoch", "epoch": i, "accuracy": a}, sort_keys=True)
         for i, a in enumerate(trace)
     ]
-    lines.append(
-        json.dumps(
-            {"kind": "summary", "initial_accuracy": trace[0], "final_accuracy": trace[-1]},
-            sort_keys=True,
-        )
-    )
-    return "\n".join(lines) + "\n", trace, None
+    lines.append(json.dumps({"kind": "summary", **scores}, sort_keys=True))
+    return "\n".join(lines) + "\n", scores, trace, None
 
 
 def _detector_overrides(args) -> dict:
@@ -254,10 +259,10 @@ def cmd_run(args) -> int:
             results = list(pool.map(job, seeds))
     else:
         results = [job(seed) for seed in seeds]
-    parsed = [result for _, result, _ in results]
+    texts, scores, traces, models = zip(*results)
 
     reports = {}
-    for seed, (text, _, model) in zip(seeds, results):
+    for seed, text, model in zip(seeds, texts, models):
         name = f"report_seed{seed}.jsonl"
         (out_dir / name).write_text(text, encoding="utf-8")
         reports[str(seed)] = name
@@ -265,32 +270,12 @@ def cmd_run(args) -> int:
         if model is not None:
             save_checkpoint(model, out_dir / f"model_seed{seed}")
 
-    if spec.mode == MODE_SEQUENCE:
-        acc_mean, acc_ci = mean_ci95([r.avg_accuracy() for r in parsed])
-        mcc_mean, mcc_ci = mean_ci95([r.mcc() for r in parsed])
-        f1_mean, f1_ci = mean_ci95([r.open_macro_f1() for r in parsed])
-        traces = np.array([[rec.accuracy for rec in r.records] for r in parsed])
-        summary = {
-            "mode": spec.mode,
-            "n_seeds": len(seeds),
-            "dataset_fingerprint": fingerprint,
-            "avg_accuracy": {"mean": acc_mean, "ci95": acc_ci},
-            "mcc": {"mean": mcc_mean, "ci95": mcc_ci},
-            "open_macro_f1": {"mean": f1_mean, "ci95": f1_ci},
-            "per_task_accuracy_mean": [float(x) for x in traces.mean(axis=0)],
-        }
-    else:
-        arr = np.array(parsed)
-        init_mean, init_ci = mean_ci95(arr[:, 0])
-        final_mean, final_ci = mean_ci95(arr[:, -1])
-        summary = {
-            "mode": spec.mode,
-            "n_seeds": len(seeds),
-            "dataset_fingerprint": fingerprint,
-            "initial_accuracy": {"mean": init_mean, "ci95": init_ci},
-            "final_accuracy": {"mean": final_mean, "ci95": final_ci},
-            "trace_mean": [float(x) for x in arr.mean(axis=0)],
-        }
+    summary = {"mode": spec.mode, "n_seeds": len(seeds), "dataset_fingerprint": fingerprint}
+    *score_keys, trace_key = _SUMMARY[spec.mode]
+    for key in score_keys:
+        mean, ci = mean_ci95([s[key] for s in scores])
+        summary[key] = {"mean": mean, "ci95": ci}
+    summary[trace_key] = [float(x) for x in np.mean(traces, axis=0)]
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -305,10 +290,6 @@ def cmd_run(args) -> int:
     if not args.quiet:
         print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
-
-
-# what report reads of a sequence run's summary.json: three {mean, ci95} objects and a list
-_SUMMARY_KEYS = ("avg_accuracy", "mcc", "open_macro_f1", "per_task_accuracy_mean")
 
 
 def _is_number(value) -> bool:
@@ -328,14 +309,15 @@ def _load_run(path) -> dict:
     if spec.mode != MODE_SEQUENCE:
         raise EvographError(f"{path} is a {spec.mode} run; report reads sequence runs only")
     summary_path = p.parent / manifest["summary"]
-    summary = read_json(summary_path, EvographError, _SUMMARY_KEYS)
-    for key in _SUMMARY_KEYS[:3]:
+    *score_keys, trace_key = _SUMMARY[MODE_SEQUENCE]
+    summary = read_json(summary_path, EvographError, _SUMMARY[MODE_SEQUENCE])
+    for key in score_keys:
         value = summary[key]
         if not (isinstance(value, dict) and all(_is_number(value.get(k)) for k in ("mean", "ci95"))):
             raise EvographError(f'{summary_path}: {key} must be {{"mean": number, "ci95": number}}')
-    trace = summary["per_task_accuracy_mean"]
+    trace = summary[trace_key]
     if not (isinstance(trace, list) and all(map(_is_number, trace))):
-        raise EvographError(f"{summary_path}: per_task_accuracy_mean must be a list of numbers")
+        raise EvographError(f"{summary_path}: {trace_key} must be a list of numbers")
     return {
         "config": spec.snapshot(),
         "fingerprint": manifest["dataset_fingerprint"],

@@ -3,7 +3,8 @@
 A dataset is a directory of line-oriented UTF-8 text files plus features:
 
 * ``manifest`` -- ``key=value`` lines (see :func:`read_key_values`); required
-  keys ``format_version=1``, ``num_vertices``, ``feature_dim``, ``num_classes``.
+  keys ``format_version=1``, ``num_vertices``, ``feature_dim``, ``num_classes``,
+  the last three non-negative integers.
 * ``edges``    -- one ``src dst`` pair of 0-based decimal integers per line;
   direction is ignored.
 * ``times``    -- one decimal integer per vertex, line i = vertex i.
@@ -156,12 +157,16 @@ def load_dataset(path) -> TemporalGraph:
             raise DatasetError(f"manifest: missing required key {key!r}")
     if manifest["format_version"] != "1":
         raise DatasetError(f"manifest: unsupported format_version {manifest['format_version']!r}")
-    try:
-        num_vertices = int(manifest["num_vertices"])
-        feature_dim = int(manifest["feature_dim"])
-        num_classes = int(manifest["num_classes"])
-    except ValueError as exc:
-        raise DatasetError(f"manifest: non-integer value ({exc})") from None
+    counts = []
+    for key in ("num_vertices", "feature_dim", "num_classes"):
+        try:
+            value = int(manifest[key])
+        except ValueError:
+            value = None
+        if value is None or value < 0:
+            raise DatasetError(f"manifest: {key} must be an integer >= 0, got {manifest[key]!r}")
+        counts.append(value)
+    num_vertices, feature_dim, num_classes = counts
 
     edges, loops = _read_edges(root / "edges")
     times = _read_ints(root / "times", "timestamp")

@@ -25,6 +25,7 @@ from .models import (
     WEIGHTED_BCE,
     ModelState,
     TrainConfig,
+    check_model_settings,
     expand_output_layer,
     forward,
     init_model,
@@ -80,11 +81,8 @@ class ExperimentConfig:
             raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.hidden_dim < 1:
             raise ConfigError("hidden_dim must be >= 1")
-        if self.sgc_k < 0:
-            raise ConfigError("sgc_k must be >= 0")
-        if not 0 <= self.dropout_rate < 1:
-            raise ConfigError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
         try:
+            check_model_settings(self.sgc_k, self.dropout_rate)
             self.train_config(0)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
@@ -122,9 +120,6 @@ def label_rate_subsample(g: TemporalGraph, rate: float, seed: int) -> np.ndarray
     labeled_ids = np.nonzero(g.labels != UNLABELED)[0]
     k = int(np.floor(rate * labeled_ids.size + 0.5))
     mask = np.zeros(g.num_vertices, dtype=bool)
-    if k >= labeled_ids.size:
-        mask[labeled_ids] = True
-        return mask
     chosen = np.random.default_rng(seed).choice(labeled_ids, size=k, replace=False)
     mask[chosen] = True
     return mask

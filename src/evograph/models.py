@@ -111,6 +111,14 @@ class ModelState:
         return replace(self, layers=[(w.copy(), b.copy()) for w, b in self.layers])
 
 
+def check_model_settings(sgc_k: int, dropout_rate: float) -> None:
+    """The ranges of a model's settings, for a config and a checkpoint alike."""
+    if sgc_k < 0:
+        raise ValidationError(f"sgc_k must be >= 0, got {sgc_k}")
+    if not 0 <= dropout_rate < 1:
+        raise ValidationError(f"dropout_rate {dropout_rate} outside [0, 1)")
+
+
 def glorot_init(fan_in: int, fan_out: int, seed: int) -> np.ndarray:
     """Uniform Glorot matrix in [-sqrt(6/(fan_in+fan_out)), +...], seeded."""
     if fan_in < 1 or fan_out < 1:
@@ -581,6 +589,10 @@ def load_checkpoint(path) -> ModelState:
     if kind not in MODEL_KINDS:
         raise ValidationError(f"checkpoint manifest: unknown model kind {kind!r}")
     sgc_k, dropout_rate, rng_seed = get("sgc_k"), get("dropout_rate", float), get("rng_seed")
+    try:
+        check_model_settings(sgc_k, dropout_rate)
+    except ValidationError as exc:
+        raise ValidationError(f"checkpoint manifest: {exc}") from None
     shapes = [get(f"layer{i}_shape", _shape) for i in range(get("num_layers", _positive_int))]
     input_dim = shapes[0][0] // 2 if kind == "sage" else shapes[0][0]
     hidden_dim, output_dim = get("hidden_dim"), get("output_dim")

@@ -199,8 +199,9 @@ class TestRun:
             eg.MetricsReport.from_jsonl((out / f"report_seed{s}.jsonl").read_text())
             for s in (0, 1, 2)
         ]
-        mean, ci = eg.mean_ci95([r.mcc() for r in reports])
-        assert summary["mcc"] == {"mean": mean, "ci95": ci}
+        for key in ("avg_accuracy", "mcc", "open_macro_f1"):
+            mean, ci = eg.mean_ci95([getattr(r, key)() for r in reports])
+            assert summary[key] == {"mean": mean, "ci95": ci}
         per_task = np.mean([r.accuracies() for r in reports], axis=0)
         assert summary["per_task_accuracy_mean"] == [float(x) for x in per_task]
 
@@ -332,6 +333,26 @@ class TestRun:
         assert len(epochs) == 5
         summary = json.loads((out / "summary.json").read_text())
         assert summary["trace_mean"] == [e["accuracy"] for e in epochs]
+
+    def test_two_task_summary_agrees_with_report_files(self, dataset, tmp_path):
+        cfg = write_config(
+            tmp_path / "tt.cfg", dataset, mode="two-task", seeds="0,1,2",
+            pretrain_epochs="5", inference_epochs="4",
+        )
+        out = tmp_path / "tt"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        lines = [
+            [json.loads(x) for x in (out / f"report_seed{s}.jsonl").read_text().splitlines()]
+            for s in (0, 1, 2)
+        ]
+        # exactly one summary line per report file
+        (finals,) = zip(*[[obj for obj in seed if obj["kind"] == "summary"] for seed in lines])
+        for key in ("initial_accuracy", "final_accuracy"):
+            mean, ci = eg.mean_ci95([obj[key] for obj in finals])
+            assert summary[key] == {"mean": mean, "ci95": ci}
+        traces = [[obj["accuracy"] for obj in seed if obj["kind"] == "epoch"] for seed in lines]
+        assert summary["trace_mean"] == [float(x) for x in np.mean(traces, axis=0)]
 
     def test_two_task_single_timestamp_exit_1(self, tmp_path, capsys):
         data = tmp_path / "one"

@@ -106,6 +106,30 @@ def test_bin_length_mismatch(fixture_dir):
         eg.load_dataset(fixture_dir)
 
 
+# case -> (manifest counts, features.bin bytes or None for the fixture's csv, the key at fault)
+BAD_COUNTS = {
+    "num_vertices=-1,feature_dim=-4": (("-1", "-4", "2"), 16, "num_vertices"),
+    "num_vertices=0,feature_dim=-3": (("0", "-3", "2"), 0, "feature_dim"),
+    "feature_dim=-2": (("4", "-2", "2"), None, "feature_dim"),
+    "num_classes=-1": (("4", "2", "-1"), None, "num_classes"),
+    "num_classes=two": (("4", "2", "two"), None, "num_classes"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_COUNTS)
+def test_bad_manifest_count_names_the_key(fixture_dir, case):
+    counts, bin_bytes, key = BAD_COUNTS[case]
+    entries = dict(zip(("num_vertices", "feature_dim", "num_classes"), counts))
+    (fixture_dir / "manifest").write_text(
+        "format_version=1\n" + "".join(f"{k}={v}\n" for k, v in entries.items())
+    )
+    if bin_bytes is not None:
+        (fixture_dir / "features.bin").write_bytes(bytes(bin_bytes))
+    match = f"manifest: {key} must be an integer >= 0, got {entries[key]!r}"
+    with pytest.raises(DatasetError, match=f"^{re.escape(match)}$"):
+        eg.load_dataset(fixture_dir)
+
+
 def test_save_load_round_trip(tmp_path, graph_factory):
     g = graph_factory(11, unlabeled_frac=0.2)
     for fmt in ("bin", "csv"):

@@ -39,6 +39,10 @@ class TestLabelRateSubsample:
         mask = eg.label_rate_subsample(g, 1.0, seed=0)
         assert np.array_equal(mask, g.labels != eg.UNLABELED)
 
+    def test_no_labeled_vertices_empty_mask(self):
+        g = eg.TemporalGraph(4, [], np.arange(4), np.zeros((4, 2), np.float32), [eg.UNLABELED] * 4, 2)
+        assert not eg.label_rate_subsample(g, 1.0, seed=0).any()
+
     def test_half_rate_exact_count(self):
         g = eg.TemporalGraph(
             12, [], np.arange(12) % 3, np.zeros((12, 2), np.float32),

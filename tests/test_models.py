@@ -555,6 +555,11 @@ class TestCheckpoint:
             "format_version", "format_version=2", "unsupported format_version '2'"
         ),
         "kind=gat": ("kind", "kind=gat", "unknown model kind 'gat'"),
+        # the ranges ExperimentConfig applies
+        "dropout_rate=1.5": ("dropout_rate", "dropout_rate=1.5", "dropout_rate 1.5 outside [0, 1)"),
+        "dropout_rate=nan": ("dropout_rate", "dropout_rate=nan", "dropout_rate nan outside [0, 1)"),
+        "dropout_rate=-0.1": ("dropout_rate", "dropout_rate=-0.1", "dropout_rate -0.1 outside [0, 1)"),
+        "sgc_k=-3": ("sgc_k", "sgc_k=-3", "sgc_k must be >= 0, got -3"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_MANIFESTS))
