@@ -35,26 +35,15 @@ from .tdiff import history_sizes, k_hop_time_diffs, percentile
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # global flags are accepted both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="parallel worker slots for seeds")
-    common.add_argument("--output-dir", default=argparse.SUPPRESS,
-                        help="directory for emitted files")
-    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
-                        help="suppress stdout reports")
-
-    parser = argparse.ArgumentParser(prog="evograph", parents=[common])
-    parser.set_defaults(jobs=1, output_dir=".", quiet=False)
+    parser = argparse.ArgumentParser(prog="evograph")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze-tdiff", parents=[common],
-                          help="time-difference and drift analysis of a dataset")
+    p_an = sub.add_parser("analyze-tdiff", help="time-difference and drift analysis of a dataset")
     p_an.add_argument("dataset")
     p_an.add_argument("--k", type=int, default=2)
     p_an.add_argument("--percentiles", default="25,50,75,100")
 
-    p_gen = sub.add_parser("generate", parents=[common], help="write a synthetic dataset")
+    p_gen = sub.add_parser("generate", help="write a synthetic dataset")
     p_gen.add_argument("out_dir")
     p_gen.add_argument("--num-timestamps", type=int, default=10)
     p_gen.add_argument("--vertices-per-timestamp", type=int, default=30)
@@ -69,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--features-format", choices=["bin", "csv"], default="bin")
 
-    p_run = sub.add_parser("run", parents=[common], help="execute an experiment config over its seeds")
+    p_run = sub.add_parser("run", help="execute an experiment config over its seeds")
+    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker slots for seeds")
     src = p_run.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="experiment config file")
     src.add_argument("--from-manifest", help="re-run the config snapshot of a manifest")
@@ -86,9 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override detector risk reduction",
     )
 
-    p_rep = sub.add_parser("report", parents=[common], help="tabulate one or more completed runs")
+    p_rep = sub.add_parser("report", help="tabulate one or more completed runs")
     p_rep.add_argument("reports", nargs="+", help="manifest.json files or run directories")
     p_rep.add_argument("--mode", choices=["accuracy-table", "fwt", "open"], default="accuracy-table")
+
+    # each subcommand takes only the flags it reads, after its name
+    for p in (p_an, p_run):
+        p.add_argument("--output-dir", default=".", help="directory for emitted files")
+    for p in (p_an, p_gen, p_run):
+        p.add_argument("--quiet", action="store_true", help="suppress stdout reports")
     return parser
 
 

@@ -141,15 +141,20 @@ def _bad_csv_line(path: Path) -> str | None:
     return None
 
 
+def _dataset_dir(path) -> Path:
+    root = Path(path)
+    if not root.is_dir():
+        raise DatasetError(f"not a dataset directory: {root}")
+    return root
+
+
 def load_dataset(path) -> TemporalGraph:
     """Load and validate a dataset directory into a TemporalGraph.
 
     Raises DatasetError naming the missing/offending file, or
     ValidationError with the offending counts on dimension mismatch.
     """
-    root = Path(path)
-    if not root.is_dir():
-        raise DatasetError(f"not a dataset directory: {root}")
+    root = _dataset_dir(path)
 
     manifest = read_key_values(read_text(root / "manifest", DatasetError), "manifest", DatasetError)
     for key in ("format_version", "num_vertices", "feature_dim", "num_classes"):
@@ -239,8 +244,11 @@ def save_dataset(g: TemporalGraph, path, features_format: str = "bin") -> None:
 
 
 def dataset_fingerprint(path) -> str:
-    """SHA-256 over the dataset files' names and bytes, order-independent."""
-    root = Path(path)
+    """SHA-256 over the dataset files' names and bytes, order-independent.
+
+    Raises DatasetError if ``path`` is not a directory.
+    """
+    root = _dataset_dir(path)
     digest = hashlib.sha256()
     for name in _DATASET_FILES:
         p = root / name

@@ -1,7 +1,10 @@
 """Dense graph models with hand-written gradients: MLP, SGC, GraphSAGE-mean.
 
-Parameters live in float64 for numerical headroom; checkpoints serialize as
-32-bit little-endian blocks (see :func:`save_checkpoint`).  Models are values:
+Parameters live in float64 for numerical headroom.  One flat layout (per
+layer, the weights row-major, then the bias) serves :func:`train`'s parameter
+buffer and checkpoints, which store it as 32-bit little-endian floats under
+a manifest of the kind, its settings and the layer shapes (see
+:func:`save_checkpoint`).  Models are values:
 every public update (:func:`train`, :func:`expand_output_layer`) returns a
 new :class:`ModelState` and never mutates its input.  :func:`train` is the
 one training loop.  It allocates one epoch workspace and one Adam state
@@ -90,9 +93,8 @@ class ModelState:
 
     kind: str
     layers: list[tuple[np.ndarray, np.ndarray]]
-    sgc_k: int = 2
-    dropout_rate: float = 0.5
-    rng_seed: int = 0
+    sgc_k: int
+    dropout_rate: float
 
     @property
     def input_dim(self) -> int:
@@ -156,13 +158,7 @@ def init_model(
         (glorot_init(fi, fo, int(s)), np.zeros(fo, dtype=np.float64))
         for (fi, fo), s in zip(shapes, layer_seeds)
     ]
-    return ModelState(
-        kind=kind,
-        layers=layers,
-        sgc_k=sgc_k,
-        dropout_rate=dropout_rate,
-        rng_seed=seed,
-    )
+    return ModelState(kind=kind, layers=layers, sgc_k=sgc_k, dropout_rate=dropout_rate)
 
 
 def mean_propagation(g: TemporalGraph) -> sp.csr_matrix:
@@ -218,15 +214,18 @@ def _graph_inputs(model: ModelState, g: TemporalGraph):
     return g._model_inputs[key]
 
 
-def _views(flat: np.ndarray, layers) -> list:
-    """Per-layer ``(weights, bias)`` views into ``flat``, shaped like ``layers``."""
+def _flat(layers) -> np.ndarray:
+    """The parameters as one vector: per layer, the weights row-major, then the bias."""
+    return np.concatenate([a.ravel() for pair in layers for a in pair])
+
+
+def _views(flat: np.ndarray, shapes) -> list:
+    """Per-layer ``(weights, bias)`` views into a :func:`_flat` vector of ``(fan_in, fan_out)`` shapes."""
     out, offset = [], 0
-    for pair in layers:
-        views = []
-        for a in pair:
-            views.append(flat[offset : offset + a.size].reshape(a.shape))
-            offset += a.size
-        out.append(tuple(views))
+    for fan_in, fan_out in shapes:
+        end = offset + fan_in * fan_out
+        out.append((flat[offset:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
+        offset = end + fan_out
     return out
 
 
@@ -292,10 +291,11 @@ class _Workspace(_Forward):
     """
 
     def __init__(self, model: ModelState, g: TemporalGraph):
-        self.params = np.concatenate([a.ravel() for pair in model.layers for a in pair])
-        super().__init__(replace(model, layers=_views(self.params, model.layers)), g)
+        shapes = [w.shape for w, _ in model.layers]
+        self.params = _flat(model.layers)
+        super().__init__(replace(model, layers=_views(self.params, shapes)), g)
         self.grads = np.empty_like(self.params)
-        self.grad_layers = _views(self.grads, model.layers)
+        self.grad_layers = _views(self.grads, shapes)
         self.dlogits = np.zeros_like(self.logits)  # rows outside a train mask stay zero
         if model.kind != "sgc":
             self.drop, self.dH = np.empty_like(self.H), np.empty_like(self.H)
@@ -525,29 +525,23 @@ def expand_output_layer(model: ModelState, l: int, seed: int) -> ModelState:
 def save_checkpoint(model: ModelState, path) -> None:
     """Write a checkpoint directory: text manifest + params.bin.
 
-    params.bin concatenates, per layer in order, the weight matrix in
-    row-major 32-bit little-endian floats followed by the bias vector.
+    The manifest (format 2) holds the kind, ``sgc_k``, ``dropout_rate``,
+    ``num_layers`` and each ``layer<i>_shape``.  params.bin is the
+    :func:`_flat` vector in 32-bit little-endian floats.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     lines = [
-        "format_version=1",
+        "format_version=2",
         f"kind={model.kind}",
-        f"hidden_dim={model.hidden_dim}",
-        f"output_dim={model.output_dim}",
         f"sgc_k={model.sgc_k}",
         f"dropout_rate={model.dropout_rate!r}",
-        f"rng_seed={model.rng_seed}",
         f"num_layers={len(model.layers)}",
     ]
     for i, (w, _) in enumerate(model.layers):
         lines.append(f"layer{i}_shape={w.shape[0]},{w.shape[1]}")
     (root / "manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    blocks = []
-    for w, b in model.layers:
-        blocks.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
-        blocks.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
-    (root / "params.bin").write_bytes(b"".join(blocks))
+    (root / "params.bin").write_bytes(_flat(model.layers).astype("<f4").tobytes())
 
 
 def _positive_int(text: str) -> int:
@@ -565,8 +559,11 @@ def _shape(text: str) -> tuple[int, int]:
 def load_checkpoint(path) -> ModelState:
     """Inverse of :func:`save_checkpoint` (parameters come back as float32-exact).
 
-    A malformed manifest or params.bin raises ValidationError naming the
-    line, key, layer or size at fault.
+    Format 1 manifests load too: their extra ``hidden_dim``, ``output_dim``
+    and ``rng_seed`` keys are not read, as any other unknown key.  The
+    dimensions come from the layer shapes, which must follow the kind's
+    rule.  A malformed manifest or params.bin raises ValidationError naming
+    the line, key, layer or size at fault.
     """
     root = Path(path)
     manifest = read_key_values(read_text(root / "manifest", ValidationError), "manifest", ValidationError)
@@ -581,23 +578,21 @@ def load_checkpoint(path) -> ModelState:
                 f"checkpoint manifest: bad value {key}={manifest[key]!r}"
             ) from None
 
-    if get("format_version") != 1:
+    if get("format_version") not in (1, 2):
         raise ValidationError(
             f"checkpoint manifest: unsupported format_version {manifest['format_version']!r}"
         )
     kind = get("kind", str)
     if kind not in MODEL_KINDS:
         raise ValidationError(f"checkpoint manifest: unknown model kind {kind!r}")
-    sgc_k, dropout_rate, rng_seed = get("sgc_k"), get("dropout_rate", float), get("rng_seed")
+    sgc_k, dropout_rate = get("sgc_k"), get("dropout_rate", float)
     try:
         check_model_settings(sgc_k, dropout_rate)
     except ValidationError as exc:
         raise ValidationError(f"checkpoint manifest: {exc}") from None
     shapes = [get(f"layer{i}_shape", _shape) for i in range(get("num_layers", _positive_int))]
     input_dim = shapes[0][0] // 2 if kind == "sage" else shapes[0][0]
-    hidden_dim, output_dim = get("hidden_dim"), get("output_dim")
-    if kind == "sgc" and hidden_dim != 0:
-        raise ValidationError(f"checkpoint manifest: hidden_dim={hidden_dim}, but a sgc model has none (0)")
+    hidden_dim, output_dim = (0 if kind == "sgc" else shapes[0][1]), shapes[-1][1]
     rule = _layer_shapes(kind, input_dim, hidden_dim, output_dim)
     if len(shapes) != len(rule):
         raise ValidationError(
@@ -613,15 +608,5 @@ def load_checkpoint(path) -> ModelState:
     data = read_bytes(root / "params.bin", ValidationError)
     if len(data) != 4 * expected:
         raise ValidationError(f"params.bin holds {len(data) / 4:.12g} floats, expected {expected}")
-    raw = np.frombuffer(data, dtype="<f4")
-    layers = []
-    offset = 0
-    for fi, fo in shapes:
-        w = raw[offset : offset + fi * fo].reshape(fi, fo).astype(np.float64)
-        offset += fi * fo
-        b = raw[offset : offset + fo].astype(np.float64)
-        offset += fo
-        layers.append((w, b))
-    return ModelState(
-        kind=kind, layers=layers, sgc_k=sgc_k, dropout_rate=dropout_rate, rng_seed=rng_seed
-    )
+    layers = _views(np.frombuffer(data, "<f4").astype(np.float64), shapes)
+    return ModelState(kind=kind, layers=layers, sgc_k=sgc_k, dropout_rate=dropout_rate)

@@ -42,14 +42,6 @@ class DetectorConfig:
         if not self.alpha >= 0:
             raise ValidationError("alpha must be >= 0")
 
-    @staticmethod
-    def doc_default() -> "DetectorConfig":
-        return DetectorConfig(variant=DOC)
-
-    @staticmethod
-    def gdoc_default() -> "DetectorConfig":
-        return DetectorConfig(variant=GDOC)
-
 
 @dataclass(frozen=True)
 class Thresholds:

@@ -72,6 +72,28 @@ def test_generate_produces_loadable_dataset(dataset):
     assert g.num_classes == 5
 
 
+# each subcommand takes only the flags it reads, and only after its name
+UNREAD_FLAGS = {
+    "generate-output-dir": ["generate", "d", "--output-dir", "x"],
+    "generate-jobs": ["generate", "d", "--jobs", "2"],
+    "report-jobs": ["report", "run1", "--jobs", "2"],
+    "report-quiet": ["report", "run1", "--quiet"],
+    "report-output-dir": ["report", "run1", "--output-dir", "z"],
+    "analyze-jobs": ["analyze-tdiff", "d", "--jobs", "2"],
+    "before-subcommand": ["--quiet", "generate", "d"],
+}
+
+
+@pytest.mark.parametrize("case", UNREAD_FLAGS)
+def test_unread_flag_usage_error(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(UNREAD_FLAGS[case])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_duplicate_schedule_timestamp_exit_2(tmp_path, capsys):
     out = tmp_path / "dup"
     rc = main(["generate", str(out), "--new-class-schedule", "5:1,5:2", "--quiet"])
@@ -189,6 +211,21 @@ class TestRun:
             "--output-dir", str(tmp_path / "r2"), "--quiet",
         ]) == 1
         assert "changed since the manifest was written" in capsys.readouterr().err
+
+    def test_rerun_from_moved_dataset_exit_1(self, dataset, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        cfg = write_config(tmp_path / "c.cfg", data, seeds="0")
+        out = tmp_path / "r1"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        data.rename(tmp_path / "moved")
+        capsys.readouterr()
+        assert main([
+            "run", "--from-manifest", str(out / "manifest.json"),
+            "--output-dir", str(tmp_path / "r2"), "--quiet",
+        ]) == 1
+        assert capsys.readouterr().err == f"error: not a dataset directory: {data}\n"
+        assert not (tmp_path / "r2").exists()
 
     def test_summary_agrees_with_report_files(self, dataset, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", dataset, detector="doc", seeds="0,1,2")

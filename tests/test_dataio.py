@@ -163,6 +163,12 @@ def test_fingerprint_tracks_content(tmp_path, graph_factory):
     assert eg.dataset_fingerprint(out) != fp1
 
 
+def test_fingerprint_of_missing_directory_raises(tmp_path):
+    # not the digest of no bytes, which a run manifest would report as a changed dataset
+    with pytest.raises(DatasetError, match=f"^not a dataset directory: {re.escape(str(tmp_path / 'gone'))}$"):
+        eg.dataset_fingerprint(tmp_path / "gone")
+
+
 def test_save_bytes_unchanged(tmp_path):
     # pinned digests: saved files must stay byte-identical whenever the writer changes
     g = eg.TemporalGraph(

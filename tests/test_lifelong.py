@@ -213,7 +213,7 @@ class TestRunSequence:
         g = schedule_graph(seed=8)
         cfg = eg.ExperimentConfig(
             model="sage", epochs=10, history_size=1,
-            detector=eg.DetectorConfig.gdoc_default(),
+            detector=eg.DetectorConfig(variant=eg.GDOC),
         )
         report = eg.run_sequence(g, cfg, seed=0)
         tp, tn, fp, fn = report.counts()

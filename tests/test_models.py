@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -492,28 +493,50 @@ class TestCheckpoint:
     # sage 3 -> 4 -> 4 holds (6*4 + 4) + (8*4 + 4) = 64 floats
     DIMS = {"sage": (3, 4, 4), "sgc": (4, 8, 3), "mlp": (4, 8, 3)}
 
+    # SHA-256 prefixes of params.bin for init_model(kind, *DIMS[kind], seed=11)
+    PARAMS_SHA256 = {"sage": "f585ac288c511994", "sgc": "1451f3d277340300", "mlp": "daba65b662241a73"}
+
+    @pytest.mark.parametrize("kind", list(DIMS))
+    def test_params_bin_bytes_pinned(self, tmp_path, kind):
+        eg.save_checkpoint(eg.init_model(kind, *self.DIMS[kind], seed=11), tmp_path)
+        digest = hashlib.sha256((tmp_path / "params.bin").read_bytes()).hexdigest()
+        assert digest[:16] == self.PARAMS_SHA256[kind]
+
+    # format-1 manifests as earlier versions wrote them for DIMS, seed=11
+    FORMAT1_MANIFESTS = {
+        "sage": "format_version=1\nkind=sage\nhidden_dim=4\noutput_dim=4\nsgc_k=2\n"
+        "dropout_rate=0.5\nrng_seed=11\nnum_layers=2\nlayer0_shape=6,4\nlayer1_shape=8,4\n",
+        "sgc": "format_version=1\nkind=sgc\nhidden_dim=0\noutput_dim=3\nsgc_k=2\n"
+        "dropout_rate=0.5\nrng_seed=11\nnum_layers=1\nlayer0_shape=4,3\n",
+        "mlp": "format_version=1\nkind=mlp\nhidden_dim=8\noutput_dim=3\nsgc_k=2\n"
+        "dropout_rate=0.5\nrng_seed=11\nnum_layers=2\nlayer0_shape=4,8\nlayer1_shape=8,3\n",
+    }
+
+    @pytest.mark.parametrize("kind", list(DIMS))
+    def test_format1_loads_like_format2(self, tmp_path, kind):
+        m = eg.init_model(kind, *self.DIMS[kind], seed=11)
+        eg.save_checkpoint(m, tmp_path / "v2")
+        eg.save_checkpoint(m, tmp_path / "v1")
+        (tmp_path / "v1" / "manifest").write_text(self.FORMAT1_MANIFESTS[kind])
+        v1, v2 = eg.load_checkpoint(tmp_path / "v1"), eg.load_checkpoint(tmp_path / "v2")
+        assert v1.kind == v2.kind == kind and v1.sgc_k == v2.sgc_k == 2
+        assert v1.dropout_rate == v2.dropout_rate == 0.5
+        assert (v1.hidden_dim, v1.output_dim) == (v2.hidden_dim, v2.output_dim) == (m.hidden_dim, m.output_dim)
+        TestReferenceOracle.assert_same_layers(v1.layers, v2.layers)
+
     @pytest.mark.parametrize(
         "kind, edits, params_bytes, match",
         [
             pytest.param("sage", {}, -8, "params.bin holds 62 floats, expected 64", id="short"),
             pytest.param("sage", {}, 4, "params.bin holds 65 floats, expected 64", id="trailing"),
-            pytest.param(
-                "sage", {"output_dim=4": "output_dim=7"}, 0,
-                "layer1_shape=8,4, but a sage model with hidden_dim=4 and output_dim=7 has 8,7",
-                id="output_dim",
-            ),
             # would load as a one-layer "mlp" that forward runs as a linear model
             pytest.param(
-                "sgc", {"kind=sgc": "kind=mlp", "hidden_dim=0": "hidden_dim=3"}, 0,
+                "sgc", {"kind=sgc": "kind=mlp"}, 0,
                 "num_layers=1, but a mlp model has 2", id="sgc-as-mlp",
-            ),
-            pytest.param(
-                "sgc", {"hidden_dim=0": "hidden_dim=5"}, 0,
-                "hidden_dim=5, but a sgc model has none", id="sgc-hidden_dim",
             ),
             # as many floats as the 4 -> 8 -> 3 mlp, so params.bin's length passes
             pytest.param(
-                "mlp", {"layer1_shape=8,3": "layer1_shape=26,1", "output_dim=3": "output_dim=1"}, 0,
+                "mlp", {"layer1_shape=8,3": "layer1_shape=26,1"}, 0,
                 "layer1_shape=26,1, but a mlp model with hidden_dim=8 and output_dim=1 has 8,1",
                 id="mlp-reshaped",
             ),
@@ -537,22 +560,20 @@ class TestCheckpoint:
         **{
             f"missing-{key}": (key, None, f"checkpoint manifest: missing key '{key}'")
             for key in (
-                "format_version", "kind", "sgc_k", "dropout_rate", "rng_seed", "num_layers",
-                "layer0_shape", "layer1_shape", "hidden_dim", "output_dim",
+                "format_version", "kind", "sgc_k", "dropout_rate", "num_layers",
+                "layer0_shape", "layer1_shape",
             )
         },
-        "no-equals": ("sgc_k", "sgc_k 2", "manifest:5: expected key=value, got 'sgc_k 2'"),
+        "no-equals": ("sgc_k", "sgc_k 2", "manifest:3: expected key=value, got 'sgc_k 2'"),
         "sgc_k=two": ("sgc_k", "sgc_k=two", "bad value sgc_k='two'"),
         "dropout_rate=half": ("dropout_rate", "dropout_rate=half", "bad value dropout_rate='half'"),
-        "rng_seed=1.5": ("rng_seed", "rng_seed=1.5", "bad value rng_seed='1.5'"),
         "num_layers=two": ("num_layers", "num_layers=two", "bad value num_layers='two'"),
         "num_layers=0": ("num_layers", "num_layers=0", "bad value num_layers='0'"),
         "layer0_shape=6": ("layer0_shape", "layer0_shape=6", "bad value layer0_shape='6'"),
         "layer0_shape=6,x": ("layer0_shape", "layer0_shape=6,x", "bad value layer0_shape='6,x'"),
-        "hidden_dim=four": ("hidden_dim", "hidden_dim=four", "bad value hidden_dim='four'"),
         "format_version=x": ("format_version", "format_version=x", "bad value format_version='x'"),
-        "format_version=2": (
-            "format_version", "format_version=2", "unsupported format_version '2'"
+        "format_version=3": (
+            "format_version", "format_version=3", "unsupported format_version '3'"
         ),
         "kind=gat": ("kind", "kind=gat", "unknown model kind 'gat'"),
         # the ranges ExperimentConfig applies

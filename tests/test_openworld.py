@@ -43,8 +43,6 @@ class TestDetectorConfig:
         assert eg.DetectorConfig(variant=eg.DOC).tau_min == 0.5
         assert eg.DetectorConfig(variant=eg.GDOC).tau_min == 0.75
         assert eg.DetectorConfig().tau_min == 0.75
-        assert eg.DetectorConfig.doc_default() == eg.DetectorConfig(variant=eg.DOC, tau_min=0.5)
-        assert eg.DetectorConfig.gdoc_default() == eg.DetectorConfig(variant=eg.GDOC, tau_min=0.75)
         assert eg.DetectorConfig(variant=eg.DOC, tau_min=0.9).tau_min == 0.9
 
 
