@@ -262,7 +262,7 @@ def cmd_run(args) -> int:
         name = f"report_seed{seed}.jsonl"
         (out_dir / name).write_text(text, encoding="utf-8")
         reports[str(seed)] = name
-        # final-task model, reusable for warm starts across invocations
+        # the final task's model, which load_checkpoint reads back
         if model is not None:
             save_checkpoint(model, out_dir / f"model_seed{seed}")
 

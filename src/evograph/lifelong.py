@@ -125,10 +125,10 @@ def label_rate_subsample(g: TemporalGraph, rate: float, seed: int) -> np.ndarray
     return mask
 
 
-def _unit_labels(labels: np.ndarray, unit_of: dict) -> np.ndarray:
-    """Map class ids to output-unit indices; unmapped ids become -1."""
+def _unit_labels(labels: np.ndarray, classes) -> np.ndarray:
+    """Map class ids to their output unit, the index in ``classes``; others become -1."""
     out = np.full(labels.shape, -1, dtype=np.int64)
-    for cls, unit in unit_of.items():
+    for unit, cls in enumerate(classes):
         out[labels == cls] = unit
     return out
 
@@ -145,39 +145,16 @@ def run_sequence(g: TemporalGraph, cfg: ExperimentConfig, seed: Optional[int] = 
     return report
 
 
-def _score_task(t, train_probs, y_units_train, train_sel, test_logits, y_true, known_order, detector):
-    """Task ``t``'s record and thresholds (None without a detector) from its outputs."""
-    order_arr = np.asarray(known_order, dtype=np.int64)
-    pred_ids = order_arr[np.argmax(test_logits, axis=1)]
-    thresholds = None
-    open_ids = pred_ids
-    if detector is not None:
-        thresholds = fit_thresholds(train_probs, y_units_train, train_sel, detector)
-        open_units = predict_open(test_logits, thresholds)
-        open_ids = np.where(open_units == UNSEEN, UNSEEN, order_arr[open_units])
-    truly_unseen = ~np.isin(y_true, order_arr)
-    said_unseen = open_ids == UNSEEN
-    record = TaskRecord(
-        t=t,
-        accuracy=float(np.mean(pred_ids == y_true)),
-        tp=int(np.sum(said_unseen & truly_unseen)),
-        tn=int(np.sum(~said_unseen & ~truly_unseen)),
-        fp=int(np.sum(said_unseen & ~truly_unseen)),
-        fn=int(np.sum(~said_unseen & truly_unseen)),
-        open_f1=open_macro_f1(y_true, open_ids, set(known_order)),
-    )
-    return record, thresholds
-
-
 def run_sequences(
     g: TemporalGraph, cfgs, seed: Optional[int] = None
 ) -> tuple[list[MetricsReport], ModelState]:
     """Train once over the task sequence and score every config on each task.
 
     The configs may differ only in ``detector`` and must share one
-    ``effective_loss_mode()``, so a single training serves them all; each
-    gets the report, events included, that :func:`run_sequence` gives it
-    alone.  Returns the reports in order and the final task's model.
+    ``effective_loss_mode()``, so a single training serves them all, and
+    each task's argmax, accuracy and truly-unseen mask are computed once.
+    Each config gets the report, events included, that :func:`run_sequence`
+    gives it alone.  Returns the reports in order and the final task's model.
     """
     if not cfgs:
         raise ConfigError("need at least one config")
@@ -221,8 +198,7 @@ def run_sequences(
                     seed=_derive_seed(seed, task.t, 0),
                 )
 
-            unit_of = {cls: j for j, cls in enumerate(known_order)}
-            y_units_train = _unit_labels(train_g.labels, unit_of)
+            y_units_train = _unit_labels(train_g.labels, known_order)
             model = train(
                 model, train_g, y_units_train, train_sel,
                 cfg.train_config(_derive_seed(seed, task.t, 2)),
@@ -230,16 +206,15 @@ def run_sequences(
 
             test_logits = forward(model, eval_g)[task.test_mask]
             y_true = eval_g.labels[task.test_mask]
+            order_arr = np.asarray(known_order, dtype=np.int64)
+            pred_ids = order_arr[np.argmax(test_logits, axis=1)]
+            accuracy = float(np.mean(pred_ids == y_true))
+            truly_unseen = ~np.isin(y_true, order_arr)
             train_probs = None
             if any(c.detector is not None for c in cfgs):
                 train_probs = sigmoid(forward(model, train_g))
 
             for c, report in zip(cfgs, reports):
-                record, thresholds = _score_task(
-                    task.t, train_probs, y_units_train, train_sel,
-                    test_logits, y_true, known_order, c.detector,
-                )
-                report.records.append(record)
                 event = {
                     "t": task.t,
                     "time": task.time,
@@ -247,9 +222,23 @@ def run_sequences(
                     "new_classes": list(new_classes),
                     "known_classes": list(known_order),
                 }
-                if thresholds is not None:
+                open_ids = pred_ids
+                if c.detector is not None:
+                    thresholds = fit_thresholds(train_probs, y_units_train, train_sel, c.detector)
+                    open_units = predict_open(test_logits, thresholds)
+                    open_ids = np.where(open_units == UNSEEN, UNSEEN, order_arr[open_units])
                     event["thresholds"] = thresholds.tau.tolist()
                     event["sd"] = None if thresholds.sd is None else thresholds.sd.tolist()
+                said_unseen = open_ids == UNSEEN
+                report.records.append(TaskRecord(
+                    t=task.t,
+                    accuracy=accuracy,
+                    tp=int(np.sum(said_unseen & truly_unseen)),
+                    tn=int(np.sum(~said_unseen & ~truly_unseen)),
+                    fp=int(np.sum(said_unseen & ~truly_unseen)),
+                    fn=int(np.sum(~said_unseen & truly_unseen)),
+                    open_f1=open_macro_f1(y_true, open_ids, set(known_order)),
+                ))
                 report.events.append(event)
         except EvographError as exc:
             raise RunError(task.t, str(exc)) from exc
@@ -290,14 +279,13 @@ def two_task_experiment(
     g_train = induced_subgraph(g, np.nonzero(train_mask)[0])
 
     classes = sorted(int(c) for c in np.unique(g_train.labels))
-    unit_of = {cls: j for j, cls in enumerate(classes)}
     order_arr = np.asarray(classes, dtype=np.int64)
 
     model = init_model(
         cfg.model, g.feature_dim, cfg.hidden_dim, len(classes),
         sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate, seed=_derive_seed(seed, 0),
     )
-    y_units_train = _unit_labels(g_train.labels, unit_of)
+    y_units_train = _unit_labels(g_train.labels, classes)
     if pretrain_epochs > 0:
         model = train(
             model, g_train, y_units_train, np.ones(g_train.num_vertices, dtype=bool),
@@ -314,7 +302,7 @@ def two_task_experiment(
     if inference_epochs > 0:
         # optimizer state restarts fresh for the inference phase
         train(
-            model, g, _unit_labels(g.labels, unit_of), train_mask,
+            model, g, _unit_labels(g.labels, classes), train_mask,
             replace(cfg.train_config(_derive_seed(seed, 2)), epochs=inference_epochs),
             on_epoch=lambda epoch, loss, m: trace.append(test_accuracy(m)),
         )

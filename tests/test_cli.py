@@ -9,7 +9,7 @@ import pytest
 import evograph as eg
 from evograph import cli
 from evograph.cli import main
-from evograph.config import parse_config_text
+from evograph.config import RunSpec, parse_config_text
 from evograph.errors import EvographError
 
 NAN = float("nan")
@@ -673,3 +673,29 @@ def test_readme_example_config_parses(dataset):
     assert spec.experiment.history_size == 3
     assert spec.experiment.detector.variant == eg.GDOC
     assert spec.experiment.seeds == tuple(range(10))
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md (Library quick start)", "exec"), {})
+
+
+def test_run_spec_defaults_are_the_library_defaults():
+    assert RunSpec({"dataset": "x"}).experiment == eg.ExperimentConfig()
+    for variant in (eg.DOC, eg.GDOC):
+        spec = RunSpec({"dataset": "x", "detector": variant})
+        assert spec.experiment.detector == eg.DetectorConfig(variant=variant)
+
+
+def test_generate_defaults_are_the_library_defaults(tmp_path, monkeypatch):
+    built = []
+
+    def fake_generate(cfg):
+        built.append(cfg)
+        return eg.TemporalGraph(2, [], [0, 1], np.zeros((2, 1), np.float32), [0, 1], 2)
+
+    monkeypatch.setattr(cli, "generate", fake_generate)
+    monkeypatch.setattr(cli, "save_dataset", lambda *args, **kwargs: None)
+    assert main(["generate", str(tmp_path / "d")]) == 0
+    assert built == [eg.SynthConfig()]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ class TestRunSequence:
             "sgc", g.feature_dim, 32, len(known_order),
             sgc_k=2, dropout_rate=0.5, seed=_derive_seed(seed, t_star, 0),
         )
-        y_units = _unit_labels(train_g.labels, {c: j for j, c in enumerate(known_order)})
+        y_units = _unit_labels(train_g.labels, known_order)
         model = eg.train(
             model, train_g, y_units, train_sel,
             eg.TrainConfig(epochs=15, loss_mode=eg.CATEGORICAL, seed=_derive_seed(seed, t_star, 2)),
@@ -412,6 +413,90 @@ class TestRunSequences:
             eg.run_sequences(g, cfgs)
 
 
+def _plain_sigmoid(z):
+    return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
+
+
+def _plain_f1(tp, fp, fn):
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
+def plain_task_scores(logits, y_true, known, tau):
+    """A task record's fields, recounted in plain Python; ``tau`` None: no detector."""
+    unseen = eg.UNSEEN
+    pred, said = [], []
+    for z in logits:
+        cls = known[max(range(len(z)), key=lambda j: z[j])]
+        pred.append(cls)
+        rejected = tau is not None and all(_plain_sigmoid(zj) < tj for zj, tj in zip(z, tau))
+        said.append(unseen if rejected else cls)
+    mapped = [y if y in known else unseen for y in y_true]
+    pairs = list(zip(said, mapped))
+    counts = (
+        sum(1 for s, y in pairs if s == unseen and y == unseen),  # tp
+        sum(1 for s, y in pairs if s != unseen and y != unseen),  # tn
+        sum(1 for s, y in pairs if s == unseen and y != unseen),  # fp
+        sum(1 for s, y in pairs if s != unseen and y == unseen),  # fn
+    )
+    f1s = []
+    for cls in list(known) + [unseen]:
+        tp = sum(1 for s, y in pairs if s == cls and y == cls)
+        n_said = sum(1 for s in said if s == cls)
+        n_true = sum(1 for y in mapped if y == cls)
+        if n_said or n_true:
+            f1s.append(_plain_f1(tp, n_said - tp, n_true - tp))
+    accuracy = sum(1 for p, y in zip(pred, y_true) if p == y) / len(y_true)
+    return accuracy, counts, sum(f1s) / len(f1s)
+
+
+class TestScoringOracle:
+    """Every task record against a plain recount from that task's trained model."""
+
+    @pytest.mark.parametrize(
+        "model, detectors",
+        [("sage", GDOC_SWEEP[:3]), ("mlp", [None])],
+        ids=["gdoc-sweep", "no-detector"],
+    )
+    def test_records_match_plain_recount(self, model, detectors, monkeypatch):
+        real_train = eg.lifelong.train
+        trained = []
+
+        def capture(*args, **kwargs):
+            trained.append(real_train(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(eg.lifelong, "train", capture)
+        g = schedule_graph(seed=5)
+        cfgs = [
+            eg.ExperimentConfig(model=model, epochs=15, history_size=2, detector=d)
+            for d in detectors
+        ]
+        reports, _ = eg.run_sequences(g, cfgs, seed=1)
+        tasks = eg.build_task_sequence(g, 2)
+        assert len(trained) == len(tasks)
+        said_unseen = truly_unseen = 0
+        for report in reports:
+            assert len(report.records) == len(report.events) == len(tasks)
+            for task, m, record, event in zip(tasks, trained, report.records, report.events):
+                sub = eg.induced_subgraph(g, task.vertices)
+                logits = eg.forward(m, sub)[task.test_mask].tolist()
+                y_true = sub.labels[task.test_mask].tolist()
+                accuracy, counts, open_f1 = plain_task_scores(
+                    logits, y_true, event["known_classes"], event.get("thresholds")
+                )
+                assert record.t == task.t
+                assert record.accuracy == pytest.approx(accuracy, rel=0, abs=1e-12)
+                assert (record.tp, record.tn, record.fp, record.fn) == counts
+                assert record.open_f1 == pytest.approx(open_f1, rel=0, abs=1e-12)
+                said_unseen += counts[0] + counts[2]
+                truly_unseen += counts[0] + counts[3]
+        # the runs exercise both sides of the unseen decision
+        assert truly_unseen > 0
+        assert (said_unseen > 0) == (detectors[0] is not None)
+
+
 class TestTwoTask:
     def fixture(self, seed=0):
         """Two timestamps: pre-training sees labels at 0, evaluation those at 1."""
@@ -460,7 +545,7 @@ class TestTwoTask:
         train_mask = labeled & (g.time == 0)
         test_mask = labeled & (g.time == 1)
         classes = sorted(int(c) for c in np.unique(g.labels[train_mask]))
-        y = _unit_labels(g.labels, {c: j for j, c in enumerate(classes)})
+        y = _unit_labels(g.labels, classes)
         model = eg.init_model(
             "sage", g.feature_dim, cfg.hidden_dim, len(classes),
             dropout_rate=cfg.dropout_rate, seed=_derive_seed(5, 0),
@@ -496,7 +581,7 @@ class TestTwoTask:
             dropout_rate=cfg.dropout_rate, seed=_derive_seed(2, 0),
         )
         model = eg.train(
-            model, g_train, _unit_labels(g_train.labels, {c: j for j, c in enumerate(classes)}),
+            model, g_train, _unit_labels(g_train.labels, classes),
             np.ones(g_train.num_vertices, bool),
             eg.TrainConfig(
                 learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay, epochs=7,
