@@ -91,8 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _class_distribution(g, ts) -> dict:
     sel = (g.time == ts) & (g.labels != UNLABELED)
     labels = g.labels[sel]
-    if labels.size == 0:
-        return {}
     values, counts = np.unique(labels, return_counts=True)
     return {int(v): float(c) / labels.size for v, c in zip(values, counts)}
 
@@ -115,11 +113,11 @@ def cmd_analyze(args) -> int:
     hist = k_hop_time_diffs(g, args.k)
     pct = {p: (percentile(hist, p) if hist.counts else 0) for p in ps}
 
+    ts, sizes = np.unique(g.time, return_counts=True)
+    ts = ts.tolist()
+    shares = [_class_distribution(g, t) for t in ts]
     drift = []
-    ts = [int(t) for t in g.timestamps()]
-    for prev, curr in zip(ts, ts[1:]):
-        p_prev = _class_distribution(g, prev)
-        p_curr = _class_distribution(g, curr)
+    for prev, curr, p_prev, p_curr in zip(ts, ts[1:], shares, shares[1:]):
         if p_prev and p_curr:
             drift.append({"from": prev, "to": curr, "sigma": drift_magnitude(p_prev, p_curr)})
 
@@ -129,7 +127,7 @@ def cmd_analyze(args) -> int:
         "num_edges": g.num_edges,
         "feature_dim": g.feature_dim,
         "num_classes": g.num_classes,
-        "per_timestamp_counts": {str(t): int((g.time == t).sum()) for t in ts},
+        "per_timestamp_counts": {str(t): int(c) for t, c in zip(ts, sizes)},
         "k": args.k,
         "histogram": {str(d): c for d, c in hist.as_sorted_items()},
         "percentiles": {str(p): pct[p] for p in ps},

@@ -27,3 +27,8 @@ class RunError(EvographError):
     def __init__(self, task_index: int, message: str):
         super().__init__(f"task {task_index}: {message}")
         self.task_index = task_index
+        self._message = message
+
+    def __reduce__(self):
+        # pickle (a process pool's result) rebuilds from these arguments, not from ``args``
+        return RunError, (self.task_index, self._message)

@@ -106,13 +106,10 @@ class TemporalGraph:
         """Symmetric CSR adjacency (no self-loops), built once and cached."""
         if self._csr is None:
             n = self.num_vertices
-            if self.num_edges == 0:
-                self._csr = sp.csr_matrix((n, n), dtype=np.float64)
-            else:
-                src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-                dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-                data = np.ones(src.shape[0], dtype=np.float64)
-                self._csr = sp.csr_matrix((data, (src, dst)), shape=(n, n))
+            src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+            dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+            data = np.ones(src.shape[0], dtype=np.float64)
+            self._csr = sp.csr_matrix((data, (src, dst)), shape=(n, n))
         return self._csr
 
     def timestamps(self) -> np.ndarray:
@@ -160,14 +157,10 @@ def induced_subgraph(g: TemporalGraph, keep: np.ndarray) -> TemporalGraph:
         raise ValidationError("keep ids out of range")
     remap = np.full(g.num_vertices, -1, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
-    if g.num_edges:
-        mask = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
-        new_edges = remap[g.edges[mask]]
-    else:
-        new_edges = np.empty((0, 2), dtype=np.int64)
+    mask = (remap[g.edges[:, 0]] >= 0) & (remap[g.edges[:, 1]] >= 0)
     return TemporalGraph(
         num_vertices=int(keep.size),
-        edges=new_edges,
+        edges=remap[g.edges[mask]],
         time=g.time[keep],
         features=g.features[keep],
         labels=g.labels[keep],

@@ -133,6 +133,19 @@ def _unit_labels(labels: np.ndarray, classes) -> np.ndarray:
     return out
 
 
+def _scoring_logits(model: ModelState, g: TemporalGraph, epoch: int) -> np.ndarray:
+    """``forward(model, g)`` for a model that has trained ``epoch`` epochs.
+
+    As in ``train``, logits that are not finite raise ValidationError naming
+    the epoch, and the overflows that lead there raise no RuntimeWarning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward(model, g)
+    if not np.all(np.isfinite(logits)):
+        raise ValidationError(f"non-finite logits after epoch {epoch}")
+    return logits
+
+
 def run_sequence(g: TemporalGraph, cfg: ExperimentConfig, seed: Optional[int] = None) -> MetricsReport:
     """Execute the incremental training loop over the full task sequence.
 
@@ -204,7 +217,7 @@ def run_sequences(
                 cfg.train_config(_derive_seed(seed, task.t, 2)),
             )
 
-            test_logits = forward(model, eval_g)[task.test_mask]
+            test_logits = _scoring_logits(model, eval_g, cfg.epochs)[task.test_mask]
             y_true = eval_g.labels[task.test_mask]
             order_arr = np.asarray(known_order, dtype=np.int64)
             pred_ids = order_arr[np.argmax(test_logits, axis=1)]
@@ -212,7 +225,7 @@ def run_sequences(
             truly_unseen = ~np.isin(y_true, order_arr)
             train_probs = None
             if any(c.detector is not None for c in cfgs):
-                train_probs = sigmoid(forward(model, train_g))
+                train_probs = sigmoid(_scoring_logits(model, train_g, cfg.epochs))
 
             for c, report in zip(cfgs, reports):
                 event = {
@@ -293,17 +306,17 @@ def two_task_experiment(
         )
     y_true = g.labels[test_mask]
 
-    def test_accuracy(m: ModelState) -> float:
-        logits = forward(m, g)
+    def test_accuracy(m: ModelState, epoch: int) -> float:
+        logits = _scoring_logits(m, g, epoch)
         pred = order_arr[np.argmax(logits[test_mask], axis=1)]
         return float(np.mean(pred == y_true))
 
-    trace = [test_accuracy(model)]
+    trace = [test_accuracy(model, pretrain_epochs)]
     if inference_epochs > 0:
         # optimizer state restarts fresh for the inference phase
         train(
             model, g, _unit_labels(g.labels, classes), train_mask,
             replace(cfg.train_config(_derive_seed(seed, 2)), epochs=inference_epochs),
-            on_epoch=lambda epoch, loss, m: trace.append(test_accuracy(m)),
+            on_epoch=lambda epoch, loss, m: trace.append(test_accuracy(m, epoch)),
         )
     return trace

@@ -489,19 +489,21 @@ def train(
     the update.  That model is the working copy, whose layers are views
     into the flat parameter buffer: read it during the call, do not keep
     it.  Without ``on_epoch`` no loss value is computed.  Logits that turn
-    non-finite raise ValidationError naming the epoch.
+    non-finite raise ValidationError naming the epoch; the overflows that
+    lead there raise no RuntimeWarning, since that error reports them.
     """
     ws = _Workspace(model, g)
     targets = _loss_targets(labels, train_mask, ws.logits.shape, cfg.loss_mode)
     rng = np.random.default_rng(cfg.seed) if model.dropout_rate > 0 else None
     state = np.zeros((4, ws.params.size))
-    for epoch in range(1, cfg.epochs + 1):
-        if not np.all(np.isfinite(ws.forward(rng))):
-            raise ValidationError(f"non-finite logits at epoch {epoch}")
-        loss = ws.backward(targets, cfg.loss_mode, on_epoch is not None)
-        _adam_update(ws.params, ws.grads, state, epoch, cfg.learning_rate, cfg.weight_decay)
-        if on_epoch is not None:
-            on_epoch(epoch, loss, ws.model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            if not np.all(np.isfinite(ws.forward(rng))):
+                raise ValidationError(f"non-finite logits at epoch {epoch}")
+            loss = ws.backward(targets, cfg.loss_mode, on_epoch is not None)
+            _adam_update(ws.params, ws.grads, state, epoch, cfg.learning_rate, cfg.weight_decay)
+            if on_epoch is not None:
+                on_epoch(epoch, loss, ws.model)
     return ws.model
 
 

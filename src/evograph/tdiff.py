@@ -78,14 +78,9 @@ def percentile(h: TimeDiffHistogram, p: float) -> int:
         raise ValidationError("percentile of an empty histogram")
     if not 0 < p <= 100:
         raise ValidationError(f"percentile {p} outside (0, 100]")
-    total = h.total()
-    rank = math.ceil(p / 100.0 * total)
-    cum = 0
-    for value, count in h.as_sorted_items():
-        cum += count
-        if cum >= rank:
-            return value
-    return h.max_diff()
+    values, counts = zip(*h.as_sorted_items())
+    rank = math.ceil(p / 100.0 * h.total())
+    return values[int(np.searchsorted(np.cumsum(counts), rank))]
 
 
 def history_sizes(h: TimeDiffHistogram, percentiles) -> list[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -102,7 +103,56 @@ def test_generate_duplicate_schedule_timestamp_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def analyze_case(name):
+    """A small graph for analyze-tdiff's output pins."""
+    g = eg.generate(eg.SynthConfig(
+        num_timestamps=6, vertices_per_timestamp=12, new_class_schedule={3: 1}, feature_dim=8, seed=5,
+    ))
+    if name == "edgeless":
+        return eg.TemporalGraph(g.num_vertices, [], g.time, g.features, g.labels, g.num_classes)
+    if name == "partly-unlabeled":
+        labels = g.labels.copy()
+        labels[np.arange(g.num_vertices) % 3 == 0] = eg.UNLABELED
+        labels[g.time == 2] = eg.UNLABELED
+        return eg.TemporalGraph(g.num_vertices, g.edges, g.time, g.features, labels, g.num_classes)
+    return g
+
+
+# SHA-256 of tdiff.csv and of tdiff.json without its "dataset" line (the path
+# as given), for --k 2 --percentiles 10,25,50,75,90,99.5,100
+ANALYZE_PINS = {
+    "synth": (
+        "3d380ded80464745818ab7b19a2e3910856d9a7270ebd04e2545fb4ca27ae06d",
+        "e425e6f1bb7cb96b0c57f460e2507e486219a90f821ec43437e18b194b323a86",
+    ),
+    "edgeless": (
+        "b47d4764ab1cfe7bd507eb523bb0a47ed3ddf42dcb5fbb603a654fa25ae5e982",
+        "f1bf3c61ae2dec40b71d394ad2a2cc867f52333a3199bdc08163ff2a682a6bb3",
+    ),
+    "partly-unlabeled": (
+        "3d380ded80464745818ab7b19a2e3910856d9a7270ebd04e2545fb4ca27ae06d",
+        "cba2fe62b830a2174be59d2452bfbdd3c7ffb8003fd70027cb38c484031ec265",
+    ),
+}
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("name", sorted(ANALYZE_PINS))
+    def test_outputs_pinned(self, tmp_path, name):
+        eg.save_dataset(analyze_case(name), tmp_path / "ds")
+        out = tmp_path / "an"
+        rc = main(["analyze-tdiff", str(tmp_path / "ds"), "--k", "2",
+                   "--percentiles", "10,25,50,75,90,99.5,100", "--output-dir", str(out), "--quiet"])
+        assert rc == 0
+        report = (out / "tdiff.json").read_text()
+        kept = "".join(line for line in report.splitlines(True) if not line.startswith('  "dataset": '))
+        assert len(kept) < len(report)
+        digests = tuple(
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for text in ((out / "tdiff.csv").read_text(), kept)
+        )
+        assert digests == ANALYZE_PINS[name]
+
     def test_wiring_matches_library(self, dataset, tmp_path, capsys):
         out = tmp_path / "an"
         rc = main(["analyze-tdiff", str(dataset), "--k", "2", "--output-dir", str(out)])
@@ -390,6 +440,22 @@ class TestRun:
             assert summary[key] == {"mean": mean, "ci95": ci}
         traces = [[obj["accuracy"] for obj in seed if obj["kind"] == "epoch"] for seed in lines]
         assert summary["trace_mean"] == [float(x) for x in np.mean(traces, axis=0)]
+
+    @pytest.mark.parametrize(
+        "restart, epochs, message",
+        [("warm", "20", "at epoch 2"), ("cold", "1", "after epoch 1")],
+        ids=["diverges-in-training", "diverges-in-the-last-update"],
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_diverging_run_prints_one_error_line(self, tmp_path, capsys, jobs, restart, epochs, message):
+        data = tmp_path / "d"
+        assert main(["generate", str(data), "--num-timestamps", "6", "--vertices-per-timestamp", "12",
+                     "--feature-dim", "4", "--quiet"]) == 0
+        cfg = write_config(tmp_path / "c.cfg", data, epochs=epochs, restart=restart, learning_rate="1e300")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: task 1: non-finite logits {message}\n"
+        assert not (out / "manifest.json").exists()
 
     def test_two_task_single_timestamp_exit_1(self, tmp_path, capsys):
         data = tmp_path / "one"

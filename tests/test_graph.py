@@ -69,6 +69,16 @@ class TestTemporalGraph:
         with pytest.raises(ValueError):
             g.time[0] = 9
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless_adjacency_is_empty_csr(self, n):
+        adj = make_graph([1] * n).adjacency()
+        assert adj.format == "csr" and adj.dtype == np.float64
+        assert adj.shape == (n, n) and adj.nnz == 0
+
+    def test_induced_subgraph_of_edgeless_graph_has_no_edges(self):
+        sub = eg.induced_subgraph(make_graph([1, 2, 3]), [0, 2])
+        assert sub.edges.shape == (0, 2) and sub.edges.dtype == np.int64
+
 
 def induce_window(g, t, c):
     """``induced_subgraph`` on ``trim_oracle``'s keep ids."""

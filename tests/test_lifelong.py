@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -296,6 +297,20 @@ class TestRunSequence:
             with pytest.raises(RunError, match=r"^task 1: non-finite logits at epoch \d+$"):
                 eg.run_sequence(g, cfg, seed=0)
 
+    def test_divergence_in_the_last_update_is_not_scored(self):
+        # one epoch per task: the update that diverges is the last before scoring;
+        # without an errstate here, an overflow warning would fail the test too
+        g = schedule_graph(seed=1)
+        cfg = eg.ExperimentConfig(model="mlp", epochs=1, restart="cold", learning_rate=1e300)
+        with pytest.raises(RunError, match=r"^task 1: non-finite logits after epoch 1$"):
+            eg.run_sequence(g, cfg, seed=0)
+
+    def test_run_error_round_trips_through_pickle(self):
+        # a process pool sends a failed seed's RunError back pickled
+        err = pickle.loads(pickle.dumps(RunError(3, "x")))
+        assert type(err) is RunError
+        assert str(err) == "task 3: x" and err.task_index == 3
+
 
 DOC_05 = eg.DetectorConfig(variant="doc", tau_min=0.5)
 DOC_075 = eg.DetectorConfig(variant="doc", tau_min=0.75)
@@ -528,6 +543,13 @@ class TestTwoTask:
         trace = eg.two_task_experiment(g, cfg, 0, 30, seed=1)
         assert trace[0] < 0.6
         assert max(trace[10:]) > trace[0] + 0.2
+
+    @pytest.mark.parametrize("pretrain_epochs, inference_epochs", [(1, 0), (0, 1)])
+    def test_divergence_in_the_last_update_is_not_scored(self, pretrain_epochs, inference_epochs):
+        g = self.fixture(seed=2)
+        cfg = eg.ExperimentConfig(model="mlp", learning_rate=1e300)
+        with pytest.raises(ValidationError, match=r"^non-finite logits after epoch 1$"):
+            eg.two_task_experiment(g, cfg, pretrain_epochs, inference_epochs, seed=0)
 
     def test_no_inference_epochs_gives_pretrained_accuracy_only(self):
         g = self.fixture(seed=2)
