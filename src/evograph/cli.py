@@ -24,11 +24,11 @@ from .config import (
     write_manifest,
 )
 from .dataio import dataset_fingerprint, load_dataset, read_json, save_dataset
-from .errors import ConfigError, EvographError
+from .errors import ConfigError, EvographError, ValidationError
 from .graph import UNLABELED
 from .lifelong import run_sequences, two_task_experiment
 from .metrics import drift_magnitude, forward_transfer, mean_ci95
-from .models import save_checkpoint
+from .models import checkpoint_params, save_checkpoint
 from .openworld import GDOC
 from .synth import SynthConfig, generate
 from .tdiff import history_sizes, k_hop_time_diffs, percentile
@@ -192,11 +192,25 @@ _SUMMARY = {
 }
 
 
-def _seed_job(spec: RunSpec, g, seed: int):
-    """Run one seed: (report text, its scores, per-step accuracies, final model
-    or None); top-level so process pools can pickle it."""
+def _chunk_job(spec: RunSpec, g, seeds):
+    """The records of a chunk of seeds, in order; top-level so process pools can pickle it.
+
+    A sequence run trains the chunk's seeds together first (see
+    :func:`run_sequences`); each record is then built by :func:`_seed_job`.
+    """
+    trained = {}
     if spec.mode == MODE_SEQUENCE:
-        (report,), model = run_sequences(g, [spec.experiment], seed=seed)
+        (reports,), models = run_sequences(g, [spec.experiment], seeds)
+        trained = dict(zip(seeds, zip(reports, models)))
+    return [_seed_job(spec, g, seed, trained.get(seed)) for seed in seeds]
+
+
+def _seed_job(spec: RunSpec, g, seed: int, trained):
+    """One seed's record: (report text, its scores, per-step accuracies, final
+    model or None).  ``trained`` is the seed's (report, final model) from its
+    chunk's training in a sequence run; a two-task run trains here."""
+    if trained is not None:
+        report, model = trained
         return report.to_jsonl(), report.summary(), report.accuracies(), model
     trace = two_task_experiment(
         g, spec.experiment, spec.pretrain_epochs, spec.inference_epochs, seed=seed
@@ -247,13 +261,21 @@ def cmd_run(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = spec.experiment.seeds
-    job = partial(_seed_job, spec, g)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(job, seeds))
+    # one job per contiguous chunk of seeds, one chunk per worker slot
+    chunks = [c.tolist() for c in np.array_split(seeds, min(args.jobs, len(seeds)))]
+    job = partial(_chunk_job, spec, g)
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            results = [record for records in pool.map(job, chunks) for record in records]
     else:
-        results = [job(seed) for seed in seeds]
+        results = job(chunks[0])
     texts, scores, traces, models = zip(*results)
+    for seed, model in zip(seeds, models):
+        if model is not None:
+            try:
+                checkpoint_params(model)
+            except ValidationError as exc:
+                raise EvographError(f"seed {seed}: {exc}") from None
 
     reports = {}
     for seed, text, model in zip(seeds, texts, models):

@@ -31,7 +31,7 @@ from .models import (
     init_model,
     train,
 )
-from .openworld import GDOC, UNSEEN, DetectorConfig, fit_thresholds, predict_open, sigmoid
+from .openworld import GDOC, UNSEEN, DetectorConfig, class_sd, predict_open, sigmoid, thresholds_from_sd
 
 WARM = "warm"
 COLD = "cold"
@@ -154,20 +154,37 @@ def run_sequence(g: TemporalGraph, cfg: ExperimentConfig, seed: Optional[int] = 
     ``time``, ``output_dim``, ``new_classes``, ``known_classes``) and, with a
     detector, the fitted ``thresholds`` and ``sd``.
     """
-    (report,), _ = run_sequences(g, [cfg], seed=seed)
+    ((report,),), _ = run_sequences(g, [cfg], [cfg.seeds[0] if seed is None else seed])
     return report
 
 
+# Seeds per training batch are max(1, _BATCH_ENTRIES // (|V| * (h + C))), with
+# |V| the largest training window, h the hidden width and C the graph's class
+# count.  A batch's epoch buffers are a dozen or so arrays of |V| * h or
+# |V| * C entries per seed, so this bounds them near 100 MB.
+_BATCH_ENTRIES = 1 << 20
+
+
 def run_sequences(
-    g: TemporalGraph, cfgs, seed: Optional[int] = None
-) -> tuple[list[MetricsReport], ModelState]:
-    """Train once over the task sequence and score every config on each task.
+    g: TemporalGraph, cfgs, seeds=None
+) -> tuple[list[list[MetricsReport]], list[ModelState]]:
+    """Train every seed over the task sequence and score every config on each task.
 
     The configs may differ only in ``detector`` and must share one
-    ``effective_loss_mode()``, so a single training serves them all, and
-    each task's argmax, accuracy and truly-unseen mask are computed once.
-    Each config gets the report, events included, that :func:`run_sequence`
-    gives it alone.  Returns the reports in order and the final task's model.
+    ``effective_loss_mode()``, so a single training per seed serves them
+    all, and each task's argmax, accuracy and truly-unseen mask are computed
+    once per seed, its detector statistic (:func:`class_sd`) too.  ``seeds``
+    defaults to ``cfgs[0].seeds``.  The seeds train in batches of
+    consecutive seeds, each batch with one :func:`train` call per task; a
+    private entries budget over the largest training window sets the batch
+    size.  Returns ``(reports, models)``: ``reports[i][j]`` is config
+    ``i``'s report, events included, for ``seeds[j]``, the one
+    :func:`run_sequence` gives that config and seed alone, and ``models[j]``
+    is that seed's final model.
+
+    A seed that fails leaves the seeds before it in its batch to finish;
+    then the RunError of the first seed, in order, that failed is raised:
+    the one a run of the seeds one after another would raise.
     """
     if not cfgs:
         raise ConfigError("need at least one config")
@@ -176,14 +193,35 @@ def run_sequences(
         raise ConfigError("configs may differ only in their detector")
     if len({c.effective_loss_mode() for c in cfgs}) > 1:
         raise ConfigError("configs must share one effective loss mode")
-    if seed is None:
-        seed = cfg.seeds[0]
+    seeds = list(cfg.seeds if seeds is None else seeds)
+    if not seeds:
+        raise ConfigError("need at least one seed")
     tasks = build_task_sequence(g, cfg.history_size)
     label_mask = label_rate_subsample(g, cfg.label_rate, cfg.label_seed)
+    largest = max(task.train_vertices.size for task in tasks)
+    size = max(1, _BATCH_ENTRIES // max(1, largest * (cfg.hidden_dim + g.num_classes)))
+    reports, models = [[] for _ in cfgs], []
+    for lo in range(0, len(seeds), size):
+        batch_reports, batch_models = _run_batch(g, cfgs, seeds[lo : lo + size], tasks, label_mask)
+        for out, batch in zip(reports, batch_reports):
+            out.extend(batch)
+        models.extend(batch_models)
+    return reports, models
 
+
+def _run_batch(g, cfgs, seeds, tasks, label_mask):
+    """:func:`run_sequences` for one batch of seeds: the reports per config and seed, and the models.
+
+    The seeds still training are always a prefix of ``seeds``: when one
+    fails, it and every seed after it leave the batch, since the error of
+    an earlier seed, if any, takes precedence over theirs.
+    """
+    cfg = cfgs[0]
+    detect = any(c.detector is not None for c in cfgs)
     known_order: list[int] = []
-    model: Optional[ModelState] = None
-    reports = [MetricsReport() for _ in cfgs]
+    models: Optional[list] = None
+    reports = [[MetricsReport() for _ in seeds] for _ in cfgs]
+    failure: Optional[RunError] = None
 
     # task t's eval graph, with its cached inputs, is task t+1's train graph
     eval_g = induced_subgraph(g, tasks[0].train_vertices)
@@ -201,33 +239,49 @@ def run_sequences(
                 for c in np.unique(train_g.labels[train_sel])
                 if int(c) not in known_order
             ]
-            if model is not None and cfg.restart == WARM and new_classes:
-                model = expand_output_layer(model, len(new_classes), _derive_seed(seed, task.t, 1))
+            if models is not None and cfg.restart == WARM and new_classes:
+                models = [
+                    expand_output_layer(m, len(new_classes), _derive_seed(s, task.t, 1))
+                    for m, s in zip(models, seeds)
+                ]
             known_order.extend(new_classes)
-            if model is None or cfg.restart == COLD:
-                model = init_model(
-                    cfg.model, g.feature_dim, cfg.hidden_dim, len(known_order),
-                    sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate,
-                    seed=_derive_seed(seed, task.t, 0),
-                )
+            if models is None or cfg.restart == COLD:
+                models = [
+                    init_model(
+                        cfg.model, g.feature_dim, cfg.hidden_dim, len(known_order),
+                        sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate,
+                        seed=_derive_seed(s, task.t, 0),
+                    )
+                    for s in seeds
+                ]
 
             y_units_train = _unit_labels(train_g.labels, known_order)
-            model = train(
-                model, train_g, y_units_train, train_sel,
-                cfg.train_config(_derive_seed(seed, task.t, 2)),
+            trained = train(
+                models, train_g, y_units_train, train_sel,
+                [cfg.train_config(_derive_seed(s, task.t, 2)) for s in seeds],
             )
+        except EvographError as exc:
+            # every seed still training meets this error, the first one too
+            raise RunError(task.t, str(exc)) from exc
 
-            test_logits = _scoring_logits(model, eval_g, cfg.epochs)[task.test_mask]
-            y_true = eval_g.labels[task.test_mask]
-            order_arr = np.asarray(known_order, dtype=np.int64)
+        y_true = eval_g.labels[task.test_mask]
+        order_arr = np.asarray(known_order, dtype=np.int64)
+        truly_unseen = ~np.isin(y_true, order_arr)
+        for j, model in enumerate(trained):
+            try:
+                if isinstance(model, EvographError):
+                    raise model
+                test_logits = _scoring_logits(model, eval_g, cfg.epochs)[task.test_mask]
+                if detect:
+                    train_probs = sigmoid(_scoring_logits(model, train_g, cfg.epochs))
+                    sd = class_sd(train_probs, y_units_train, train_sel)
+            except EvographError as exc:
+                failure = RunError(task.t, str(exc))
+                trained = trained[:j]
+                break
             pred_ids = order_arr[np.argmax(test_logits, axis=1)]
             accuracy = float(np.mean(pred_ids == y_true))
-            truly_unseen = ~np.isin(y_true, order_arr)
-            train_probs = None
-            if any(c.detector is not None for c in cfgs):
-                train_probs = sigmoid(_scoring_logits(model, train_g, cfg.epochs))
-
-            for c, report in zip(cfgs, reports):
+            for c, per_seed in zip(cfgs, reports):
                 event = {
                     "t": task.t,
                     "time": task.time,
@@ -237,13 +291,13 @@ def run_sequences(
                 }
                 open_ids = pred_ids
                 if c.detector is not None:
-                    thresholds = fit_thresholds(train_probs, y_units_train, train_sel, c.detector)
+                    thresholds = thresholds_from_sd(sd, c.detector)
                     open_units = predict_open(test_logits, thresholds)
                     open_ids = np.where(open_units == UNSEEN, UNSEEN, order_arr[open_units])
                     event["thresholds"] = thresholds.tau.tolist()
                     event["sd"] = None if thresholds.sd is None else thresholds.sd.tolist()
                 said_unseen = open_ids == UNSEEN
-                report.records.append(TaskRecord(
+                per_seed[j].records.append(TaskRecord(
                     t=task.t,
                     accuracy=accuracy,
                     tp=int(np.sum(said_unseen & truly_unseen)),
@@ -252,10 +306,13 @@ def run_sequences(
                     fn=int(np.sum(~said_unseen & truly_unseen)),
                     open_f1=open_macro_f1(y_true, open_ids, set(known_order)),
                 ))
-                report.events.append(event)
-        except EvographError as exc:
-            raise RunError(task.t, str(exc)) from exc
-    return reports, model
+                per_seed[j].events.append(event)
+        if not trained:
+            raise failure
+        seeds, models = seeds[: len(trained)], trained
+    if failure is not None:
+        raise failure
+    return reports, models
 
 
 def two_task_experiment(

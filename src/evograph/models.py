@@ -7,24 +7,29 @@ a manifest of the kind, its settings and the layer shapes (see
 :func:`save_checkpoint`).  Models are values:
 every public update (:func:`train`, :func:`expand_output_layer`) returns a
 new :class:`ModelState` and never mutates its input.  :func:`train` is the
-one training loop.  It allocates one epoch workspace and one Adam state
-array per call, and every epoch writes into them in place: the flat
-parameter buffer (the working model's layers, which ``on_epoch`` receives,
-are views into it), the flat gradient buffer, the hidden layer, one dropout
-buffer and, for sage, ``H @ W_n`` on the output columns, all float64.  The
-backward pass masks the hidden gradient wherever the activation is positive:
-after relu and inverted dropout, that is exactly where the pre-activation
-was positive and the draw kept the unit.  The loss *value* is computed only
-where it is read: with ``on_epoch``, and in :func:`loss_and_grad` and
-:func:`loss_from_logits`.
-Dropout fires only inside ``train``, with masks drawn from a generator
-seeded by ``cfg.seed``.  :func:`loss_and_grad` runs the same workspace
-passes without one, so it is deterministic; :func:`forward` runs the same
-forward pass with only its own buffers (hidden layer, logits and sage's
-``H @ W_n``) over the model's own layers.  All three take the graph, not its
-features: layer 0's input (:func:`model_inputs`, for sage ``[X | P X]``)
-and ``P`` are built once per graph object and model kind and cached on the
-graph, read-only.  Weighted-bce's class weights are not passed:
+one training loop, for one model or for a stack of S models of one shape
+that share a graph, labels, mask and config but for the seed (the seeds of
+one experiment): one epoch pass trains them all, and each model gets the
+bits it gets when trained alone.  A call allocates one epoch workspace and
+one Adam state array, and every epoch writes into them in place: the
+parameter buffer, one flat row per model (the working models' layers, which
+``on_epoch`` receives, are views into it), the gradient rows, the hidden
+layer, one dropout buffer and, for sage, ``H @ W_n`` on the output columns,
+all float64.  The hidden buffers are ``(S, n, h)``; the logits and the other
+output-column buffers are ``(n, S, C)``, so each sparse product runs once
+for the stack.  The backward pass masks the hidden gradient wherever the
+activation is positive: after relu and inverted dropout, that is exactly
+where the pre-activation was positive and the draw kept the unit.  The loss
+*value* is computed only where it is read: with ``on_epoch``, and in
+:func:`loss_and_grad` and :func:`loss_from_logits`.
+Dropout fires only inside ``train``, with masks drawn from a generator per
+model seeded by its ``cfg.seed``.  :func:`loss_and_grad` runs the same
+workspace passes without one, so it is deterministic; :func:`forward` runs
+the same forward pass with only its own buffers (hidden layer, logits and
+sage's ``H @ W_n``) over the model's own layers.  All three take the graph,
+not its features: layer 0's input (:func:`model_inputs`, for sage
+``[X | P X]``) and ``P`` are built once per graph object and model kind and
+cached on the graph, read-only.  Weighted-bce's class weights are not passed:
 they are :func:`evograph.openworld.class_weights` of the masked labels.
 
 Layer conventions
@@ -220,66 +225,88 @@ def _flat(layers) -> np.ndarray:
 
 
 def _views(flat: np.ndarray, shapes) -> list:
-    """Per-layer ``(weights, bias)`` views into a :func:`_flat` vector of ``(fan_in, fan_out)`` shapes."""
-    out, offset = [], 0
+    """Per-layer ``(weights, bias)`` views into a :func:`_flat` vector of ``(fan_in, fan_out)`` shapes.
+
+    ``flat`` may be a stack of such vectors, one per row; each view then
+    keeps that leading axis: ``(S, fan_in, fan_out)`` and ``(S, fan_out)``.
+    """
+    lead, out, offset = flat.shape[:-1], [], 0
     for fan_in, fan_out in shapes:
         end = offset + fan_in * fan_out
-        out.append((flat[offset:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
+        out.append((flat[..., offset:end].reshape(*lead, fan_in, fan_out), flat[..., end : end + fan_out]))
         offset = end + fan_out
     return out
 
 
 class _Forward:
-    """The buffers of one model's forward pass on one graph.
+    """The buffers of the forward pass of S models of one shape on one graph.
 
-    They are the hidden layer ``H`` (the pre-activation, then in place the
-    activation), the logits and, for sage, ``HWn = H @ W_n``.  ``H1`` is the
-    input of the last layer's self half ``W[:d]``: ``H`` (mlp, sage), or
-    layer 0's input for sgc, which has no hidden layer.  sage adds the
-    neighbor half as ``P @ (H @ W_n)``, with ``W_n = W[d:]``.  The pass
-    reads ``model.layers`` as they are.
+    ``layers`` are per-layer stacks ``(W, b)`` of shapes ``(S, fan_in,
+    fan_out)`` and ``(S, fan_out)``; by default the one model's own layers,
+    S = 1.  The buffers are the hidden layer ``H``, ``(S, n, h)`` (the
+    pre-activation, then in place the activation), the logits and, for
+    sage, ``HWn = H @ W_n``, both ``(n, S, C)``: the models' output columns
+    side by side, so that each sparse product runs once on ``(n, S * C)``.
+    ``H1`` is the input of the last layer's self half ``W_s = W[:d]``: ``H``
+    (mlp, sage), or layer 0's input for sgc, which has no hidden layer.
+    sage adds the neighbor half as ``P @ (H @ W_n)``, with ``W_n = W[d:]``.
+    Each product on the stack is one broadcast ``np.matmul`` that makes,
+    per model, the BLAS call of a lone model, so each model gets the bits it
+    would get alone.  Every view an epoch needs (the halves, the bias rows,
+    the model-major views of the ``(n, S, C)`` buffers) is made here once,
+    and the pass reads ``layers`` as they are.
     """
 
-    def __init__(self, model: ModelState, g: TemporalGraph):
+    def __init__(self, model: ModelState, g: TemporalGraph, layers=None):
         self.model = model
+        self.layers = [(w[None], b[None]) for w, b in model.layers] if layers is None else layers
         self.H_in, self.prop = _graph_inputs(model, g)
-        n = self.H_in.shape[0]
-        self.logits = np.empty((n, model.output_dim))
+        n, S = self.H_in.shape[0], self.layers[0][0].shape[0]
+        self.logits = np.empty((n, S, model.output_dim))
         self.H1 = self.H_in
         if model.kind != "sgc":
-            self.H = self.H1 = np.empty((n, model.hidden_dim))
+            self.H = self.H1 = np.empty((S, n, model.hidden_dim))
+            self.W0, b0 = self.layers[0]
+            self.b0 = b0[:, None]
+        d = self.H1.shape[-1]
+        W, self.b = self.layers[-1]
+        self.W_s, self.W_n = W[:, :d], W[:, d:]
+        self.logits_by_model, self.logits_cols = self.logits.transpose(1, 0, 2), self.logits.reshape(n, -1)
         if self.prop is not None:
             self.HWn = np.empty_like(self.logits)
+            self.HWn_by_model, self.HWn_cols = self.HWn.transpose(1, 0, 2), self.HWn.reshape(n, -1)
 
-    def forward(self, rng=None) -> np.ndarray:
-        """Logits of ``model``; dropout masks are drawn from ``rng`` unless it is None."""
-        *hidden, (W, b) = self.model.layers
-        self.dropped = rng is not None
-        if hidden:
-            (W0, b0), = hidden
+    def forward(self, rngs=None) -> np.ndarray:
+        """The stack's logits; model s draws its dropout masks from ``rngs[s]``, none if ``rngs`` is None."""
+        self.dropped = rngs is not None
+        if len(self.layers) > 1:
             H = self.H
-            np.matmul(self.H_in, W0, out=H)
-            H += b0
+            np.matmul(self.H_in, self.W0, out=H)
+            H += self.b0
             np.maximum(H, 0.0, out=H)
             if self.dropped:
                 drop, rate = self.drop, self.model.dropout_rate
-                np.greater_equal(rng.random(out=drop), rate, out=drop)
+                for rng, model_drop in zip(rngs, drop):
+                    rng.random(out=model_drop)
+                np.greater_equal(drop, rate, out=drop)
                 H *= drop
                 H /= 1.0 - rate
-        d = self.H1.shape[1]
-        np.matmul(self.H1, W[:d], out=self.logits)
+        np.matmul(self.H1, self.W_s, out=self.logits_by_model)
         if self.prop is not None:
-            np.matmul(self.H1, W[d:], out=self.HWn)
-            self.logits += self.prop[0] @ self.HWn
-        self.logits += b
+            np.matmul(self.H1, self.W_n, out=self.HWn_by_model)
+            self.logits_cols += self.prop[0] @ self.HWn_cols
+        self.logits += self.b
         return self.logits
 
 
 class _Workspace(_Forward):
-    """A forward pass over a flat copy of the parameters, plus its backward pass.
+    """A forward pass over a flat copy of S models' parameters, plus its backward pass.
 
-    ``model`` is a copy whose layers are views into the flat ``params``;
-    ``grad_layers`` are views into ``grads``, which the backward pass fills.
+    ``params`` holds one :func:`_flat` row per model, ``grads`` the matching
+    gradient rows, which the backward pass fills; ``layers`` and
+    ``grad_layers`` are stacked views into them, and ``models`` holds each
+    model as a copy whose layers are views into its row.  The models share
+    kind, settings and shapes.
     For sage the backward pass takes ``Q = P.T @ dZ`` on the output columns;
     layer 1's gradient is ``H.T @ dZ`` over ``H.T @ Q`` by rows, and
     ``dH = dZ @ W_s.T + Q @ W_n.T``.
@@ -290,46 +317,51 @@ class _Workspace(_Forward):
     cheaper than a boolean one.
     """
 
-    def __init__(self, model: ModelState, g: TemporalGraph):
+    def __init__(self, models: list, g: TemporalGraph):
+        model = models[0]
         shapes = [w.shape for w, _ in model.layers]
-        self.params = _flat(model.layers)
-        super().__init__(replace(model, layers=_views(self.params, shapes)), g)
+        self.params = np.stack([_flat(m.layers) for m in models])
+        super().__init__(model, g, _views(self.params, shapes))
+        self.models = [replace(m, layers=_views(row, shapes)) for m, row in zip(models, self.params)]
         self.grads = np.empty_like(self.params)
         self.grad_layers = _views(self.grads, shapes)
         self.dlogits = np.zeros_like(self.logits)  # rows outside a train mask stay zero
+        d = self.H1.shape[-1]
+        gW, self.gb = self.grad_layers[-1]
+        self.gW_s, self.gW_n, self.H1_T = gW[:, :d], gW[:, d:], self.H1.swapaxes(-1, -2)
         if model.kind != "sgc":
             self.drop, self.dH = np.empty_like(self.H), np.empty_like(self.H)
+            self.gW0, self.gb0 = self.grad_layers[0]
+            self.W_s_T, self.W_n_T = self.W_s.swapaxes(1, 2), self.W_n.swapaxes(1, 2)
 
-    def backward(self, targets: _Targets, loss_mode: str, want_loss: bool) -> Optional[float]:
-        """Fill ``grads`` for the last forward pass; the loss value if ``want_loss``, else None."""
-        loss, dZ = _loss_kernel(self.logits, targets, loss_mode, want_loss, self.dlogits)
-        layers = self.model.layers
-        gW, gb = self.grad_layers[-1]
-        d = self.H1.shape[1]
-        np.matmul(self.H1.T, dZ, out=gW[:d])
+    def backward(self, targets: _Targets, loss_mode: str, want_loss: bool) -> Optional[list]:
+        """Fill ``grads`` for the last forward pass; the per-model losses if ``want_loss``, else None."""
+        losses, dZ = _loss_kernel(self.logits, targets, loss_mode, want_loss, self.dlogits)
+        dZ_by_model = dZ.transpose(1, 0, 2)
+        np.matmul(self.H1_T, dZ_by_model, out=self.gW_s)
         if self.prop is not None:
-            Q = self.prop[1] @ dZ
-            np.matmul(self.H1.T, Q, out=gW[d:])
-        np.add.reduce(dZ, axis=0, out=gb)
-        if len(layers) == 1:
-            return loss
-        W1, dH = layers[1][0], self.dH
-        np.matmul(dZ, W1[:d].T, out=dH)
+            n = dZ.shape[0]
+            Q_by_model = (self.prop[1] @ dZ.reshape(n, -1)).reshape(dZ.shape).transpose(1, 0, 2)
+            np.matmul(self.H1_T, Q_by_model, out=self.gW_n)
+        np.add.reduce(dZ, axis=0, out=self.gb)
+        if len(self.layers) == 1:
+            return losses
+        dH = self.dH
+        np.matmul(dZ_by_model, self.W_s_T, out=dH)
         if self.prop is not None:
             # drop is free until it takes the mask below
-            dH += np.matmul(Q, W1[d:].T, out=self.drop)
+            dH += np.matmul(Q_by_model, self.W_n_T, out=self.drop)
         dH *= np.greater(self.H, 0.0, out=self.drop)
         if self.dropped:
             dH /= 1.0 - self.model.dropout_rate
-        gW, gb = self.grad_layers[0]
-        np.matmul(self.H_in.T, dH, out=gW)
-        np.add.reduce(dH, axis=0, out=gb)
-        return loss
+        np.matmul(self.H_in.T, dH, out=self.gW0)
+        np.add.reduce(dH, axis=1, out=self.gb0)
+        return losses
 
 
 def forward(model: ModelState, g: TemporalGraph) -> np.ndarray:
     """Logits per vertex (rows) and output unit (columns), without dropout."""
-    return _Forward(model, g).forward()
+    return _Forward(model, g).forward()[:, 0]
 
 
 class _Targets(NamedTuple):
@@ -342,8 +374,8 @@ class _Targets(NamedTuple):
 
 
 def _loss_targets(labels, train_mask, shape, loss_mode) -> _Targets:
-    """Checked targets for logits of ``shape`` (rows, output units)."""
-    num_rows, num_units = shape
+    """Checked targets for logits of ``shape``: rows first, output units last."""
+    num_rows, num_units = shape[0], shape[-1]
     labels = np.asarray(labels)
     mask = np.asarray(train_mask, dtype=bool)
     if mask.shape != (num_rows,):
@@ -378,18 +410,22 @@ def _mean(terms, count: int, weights=None) -> float:
 
 
 def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlogits):
-    """The loss value (None unless ``want_loss``) and d(loss)/d(logits).
+    """The per-model loss values (None unless ``want_loss``) and d(loss)/d(logits).
 
-    ``logits`` are finite and ``targets`` validated.  Under a partial mask
-    the gradient's masked rows are written into ``dlogits`` (zeros outside
+    ``logits`` are ``(n, S, C)``, one ``(n, C)`` column block per model, and
+    ``targets`` validated.  Each model's loss value is summed over its own
+    block, copied out, as a lone model's is.  Under a partial mask the
+    gradient's masked rows are written into ``dlogits`` (zeros outside
     them), which is returned.
     """
     idx, y, onehot, weights = targets
     n, C = onehot.shape
     Z = logits if idx is None else logits[idx]
-    loss = None
+    models = range(Z.shape[1])
+    losses = None
     if loss_mode == CATEGORICAL:
-        rows = np.arange(n)
+        # row by row on the (rows * S, C) view, whose row i * S + s is row i of model s
+        S, rows, Z = len(models), np.arange(n), Z.reshape(-1, C)
         # the row max, one column at a time: much cheaper than max(axis=1) on narrow rows
         top = Z[:, 0].copy()
         for j in range(1, C):
@@ -398,23 +434,27 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
         grad = np.exp(shifted)
         total = grad.sum(axis=1, keepdims=True)
         if want_loss:
-            loss = _mean(np.log(total[:, 0]) - shifted[rows, y], n)
+            losses = [_mean(np.log(total[s::S, 0]) - shifted[s::S][rows, y], n) for s in models]
         grad /= total
-        grad[rows, y] -= 1.0
+        grad = grad.reshape(n, S, C)
+        grad[rows, :, y] -= 1.0
         grad /= n
     else:
         # stable elementwise: max(z,0) - z*y + log(1 + exp(-|z|))
         grad, e = _sigmoid_exp(Z)
         if want_loss:
-            loss = _mean(np.maximum(Z, 0.0) - Z * onehot + np.log1p(e), n * C, weights)
-        grad -= onehot
+            losses = [
+                _mean(np.maximum(Z[:, s], 0.0) - Z[:, s] * onehot + np.log1p(e[:, s]), n * C, weights)
+                for s in models
+            ]
+        grad -= onehot[:, None]
         if weights is not None:
             grad *= weights
         grad /= n * C
     if idx is None:
-        return loss, grad
+        return losses, grad
     dlogits[idx] = grad
-    return loss, dlogits
+    return losses, dlogits
 
 
 def loss_from_logits(logits, labels, train_mask, loss_mode):
@@ -430,23 +470,25 @@ def loss_from_logits(logits, labels, train_mask, loss_mode):
     if not np.all(np.isfinite(logits)):
         raise ValidationError("non-finite logits")
     targets = _loss_targets(labels, train_mask, logits.shape, loss_mode)
-    return _loss_kernel(logits, targets, loss_mode, True, np.zeros_like(logits))
+    (loss,), grad = _loss_kernel(logits[:, None], targets, loss_mode, True, np.zeros_like(logits)[:, None])
+    return loss, grad[:, 0]
 
 
 def loss_and_grad(model: ModelState, g: TemporalGraph, labels, train_mask, loss_mode: str):
     """Loss plus parameter gradients of the dropout-free forward pass."""
-    ws = _Workspace(model, g)
+    ws = _Workspace([model], g)
     if not np.all(np.isfinite(ws.forward())):
         raise ValidationError("non-finite logits")
     targets = _loss_targets(labels, train_mask, ws.logits.shape, loss_mode)
-    return ws.backward(targets, loss_mode, want_loss=True), ws.grad_layers
+    (loss,) = ws.backward(targets, loss_mode, want_loss=True)
+    return loss, [(w[0], b[0]) for w, b in ws.grad_layers]
 
 
 def _adam_update(params, grads, state, step: int, lr: float, weight_decay: float) -> None:
     """Adam update number ``step``, written into the flat ``params`` and ``state``.
 
-    ``state`` holds four rows of ``params``' length: the first and second
-    moments, then two scratch rows for the effective gradient and the step.
+    ``state`` holds four arrays of ``params``' shape: the first and second
+    moments, then two scratch arrays for the effective gradient and the step.
     """
     m, v, gr, t = state
     c1 = 1.0 - ADAM_BETA1**step
@@ -471,40 +513,82 @@ def _adam_update(params, grads, state, step: int, lr: float, weight_decay: float
 
 
 def train(
-    model: ModelState,
+    model,
     g: TemporalGraph,
     labels,
     train_mask,
-    cfg: TrainConfig,
+    cfg,
     on_epoch=None,
-) -> ModelState:
+):
     """Full-batch training: one update step per epoch, deterministic per seed.
 
     Optimizer moments start at zero.  In weighted-bce mode the per-class
     weights are (n - n_i) / n_i over the masked labels.  Returns a new
     model; ``model`` is left untouched.
 
+    ``model`` and ``cfg`` may also be equal-length lists: a stack of models
+    of one kind, settings and shapes, with configs that differ only in
+    ``seed``, trained in one epoch loop on the one graph, labels and mask.
+    Each model then gets the bits it gets when trained alone: its own
+    dropout generator, seeded by its config, draws into its own slice of
+    the dropout buffer, and one Adam update runs over all their flat
+    parameters, an elementwise rule.  The list form returns a list in the
+    same order.  A stack with a layer of width 1 (one output unit, one
+    hidden unit, one input column) trains one model at a time: such a
+    product runs in a BLAS vector kernel, whose bits depend on where the
+    vector lies in the stack.
+
     ``on_epoch``, if given, is called as ``on_epoch(epoch, loss, model)``
     after each update, with epochs counted from 1 and ``loss`` taken before
-    the update.  That model is the working copy, whose layers are views
-    into the flat parameter buffer: read it during the call, do not keep
-    it.  Without ``on_epoch`` no loss value is computed.  Logits that turn
-    non-finite raise ValidationError naming the epoch; the overflows that
-    lead there raise no RuntimeWarning, since that error reports them.
+    the update.  That model is the working copy, whose layers are views into
+    the flat parameter buffer: read it during the call, do not keep it.
+    Only the single form takes ``on_epoch``; without it no loss value is
+    computed.  Logits that turn non-finite raise ValidationError naming the
+    epoch; the overflows that lead there raise no RuntimeWarning, since that
+    error reports them.  In the list form that error takes the model's place
+    in the result instead, and the other models train on: no arithmetic
+    mixes two models' numbers.
     """
-    ws = _Workspace(model, g)
+    stacked = not isinstance(model, ModelState)
+    models, cfgs = (list(model), list(cfg)) if stacked else ([model], [cfg])
+    if not models or len(models) != len(cfgs):
+        raise ValidationError(f"{len(models)} models and {len(cfgs)} configs; need one config per model")
+    cfg, first = cfgs[0], models[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs[1:]):
+        raise ValidationError("configs of models trained together may differ only in seed")
+    shapes = [w.shape for w, _ in first.layers]
+    if any(
+        (m.kind, m.sgc_k, m.dropout_rate, [w.shape for w, _ in m.layers])
+        != (first.kind, first.sgc_k, first.dropout_rate, shapes)
+        for m in models[1:]
+    ):
+        raise ValidationError("models trained together must share kind, settings and shapes")
+    if stacked and on_epoch is not None:
+        raise ValidationError("on_epoch takes a single model, not a list")
+    if len(models) > 1 and min(min(shape) for shape in shapes) < 2:
+        return [out for m, c in zip(models, cfgs) for out in train([m], g, labels, train_mask, [c])]
+    ws = _Workspace(models, g)
     targets = _loss_targets(labels, train_mask, ws.logits.shape, cfg.loss_mode)
-    rng = np.random.default_rng(cfg.seed) if model.dropout_rate > 0 else None
-    state = np.zeros((4, ws.params.size))
+    rngs = [np.random.default_rng(c.seed) for c in cfgs] if first.dropout_rate > 0 else None
+    state = np.zeros((4,) + ws.params.shape)
+    errors = [None] * len(models)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
-            if not np.all(np.isfinite(ws.forward(rng))):
-                raise ValidationError(f"non-finite logits at epoch {epoch}")
-            loss = ws.backward(targets, cfg.loss_mode, on_epoch is not None)
+            logits = ws.forward(rngs)
+            if not np.all(np.isfinite(logits)):
+                for s in np.flatnonzero(~np.isfinite(logits).all(axis=(0, 2))):
+                    errors[s] = errors[s] or ValidationError(f"non-finite logits at epoch {epoch}")
+                if None not in errors:
+                    break
+            losses = ws.backward(targets, cfg.loss_mode, on_epoch is not None)
             _adam_update(ws.params, ws.grads, state, epoch, cfg.learning_rate, cfg.weight_decay)
             if on_epoch is not None:
-                on_epoch(epoch, loss, ws.model)
-    return ws.model
+                on_epoch(epoch, losses[0], ws.models[0])
+    if stacked:
+        return [m if e is None else e for m, e in zip(ws.models, errors)]
+    if errors[0] is not None:
+        raise errors[0]
+    return ws.models[0]
 
 
 def expand_output_layer(model: ModelState, l: int, seed: int) -> ModelState:
@@ -529,8 +613,11 @@ def save_checkpoint(model: ModelState, path) -> None:
 
     The manifest (format 2) holds the kind, ``sgc_k``, ``dropout_rate``,
     ``num_layers`` and each ``layer<i>_shape``.  params.bin is the
-    :func:`_flat` vector in 32-bit little-endian floats.
+    :func:`_flat` vector in 32-bit little-endian floats; parameters that do
+    not fit them raise ValidationError (see :func:`checkpoint_params`)
+    before anything is written.
     """
+    params = checkpoint_params(model)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -543,7 +630,22 @@ def save_checkpoint(model: ModelState, path) -> None:
     for i, (w, _) in enumerate(model.layers):
         lines.append(f"layer{i}_shape={w.shape[0]},{w.shape[1]}")
     (root / "manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (root / "params.bin").write_bytes(_flat(model.layers).astype("<f4").tobytes())
+    (root / "params.bin").write_bytes(params.tobytes())
+
+
+def checkpoint_params(model: ModelState) -> np.ndarray:
+    """The :func:`_flat` parameters as params.bin stores them, 32-bit little-endian floats.
+
+    A parameter that is not finite in that range (a float64 beyond float32's
+    largest value, inf or nan) raises ValidationError naming its layer.
+    """
+    with np.errstate(over="ignore"):
+        params = _flat(model.layers).astype("<f4")
+    if not np.all(np.isfinite(params)):
+        layers = _views(params, [w.shape for w, _ in model.layers])
+        bad = next(i for i, pair in enumerate(layers) if not all(np.isfinite(a).all() for a in pair))
+        raise ValidationError(f"layer {bad} has parameters outside the float32 range of a checkpoint")
+    return params
 
 
 def _positive_int(text: str) -> int:
@@ -611,4 +713,7 @@ def load_checkpoint(path) -> ModelState:
     if len(data) != 4 * expected:
         raise ValidationError(f"params.bin holds {len(data) / 4:.12g} floats, expected {expected}")
     layers = _views(np.frombuffer(data, "<f4").astype(np.float64), shapes)
+    for i, (w, b) in enumerate(layers):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValidationError(f"params.bin: layer {i} holds non-finite parameters")
     return ModelState(kind=kind, layers=layers, sgc_k=sgc_k, dropout_rate=dropout_rate)

@@ -82,35 +82,53 @@ def class_weights(labels, train_mask, num_classes: int) -> np.ndarray:
     return weights
 
 
-def fit_thresholds(train_outputs, labels, train_mask, cfg: DetectorConfig) -> Thresholds:
-    """Per-class thresholds from sigmoid training outputs.
+def class_sd(train_outputs, labels, train_mask) -> np.ndarray:
+    """The per-task statistic of :func:`fit_thresholds`: one SD per class.
 
-    Without risk reduction every threshold is tau_min.  With it, the outputs
-    of class i are mirrored around 1 (y -> 1 + (1 - y)), the standard
-    deviation is taken about the fixed mean 1 with divisor = set size, and
-    tau_i = max(tau_min, 1 - alpha * SD_i).  Classes with no training
-    instances fall back to tau_min.
+    Checks that the outputs are sigmoid values in [0, 1].  The outputs of
+    class i's masked training instances are mirrored around 1
+    (y -> 1 + (1 - y)) and their standard deviation is taken about the
+    fixed mean 1 with divisor = set size.  Classes with no training
+    instances get NaN.
     """
     outputs = np.asarray(train_outputs, dtype=np.float64)
     if np.any(outputs < 0) or np.any(outputs > 1):
         raise ValidationError("train_outputs must be sigmoid values in [0, 1]")
-    num_classes = outputs.shape[1]
-    if not cfg.use_risk_reduction:
-        return Thresholds(np.full(num_classes, cfg.tau_min))
     mask = np.asarray(train_mask, dtype=bool)
     y = np.asarray(labels)
-    tau = np.full(num_classes, cfg.tau_min, dtype=np.float64)
-    sds = np.full(num_classes, np.nan)
-    for i in range(num_classes):
+    sds = np.full(outputs.shape[1], np.nan)
+    for i in range(sds.size):
         vals = outputs[mask & (y == i), i]
-        if vals.size == 0:
-            continue
-        # mirrored set {y} U {2 - y} has mean 1 by construction; SD about 1
-        # with divisor 2n collapses to sqrt(mean((1 - y)^2))
-        sd = float(np.sqrt(np.mean((1.0 - vals) ** 2)))
-        sds[i] = sd
-        tau[i] = max(cfg.tau_min, 1.0 - cfg.alpha * sd)
-    return Thresholds(tau, sd=sds)
+        if vals.size:
+            # mirrored set {y} U {2 - y} has mean 1 by construction; SD about 1
+            # with divisor 2n collapses to sqrt(mean((1 - y)^2))
+            sds[i] = np.sqrt(np.mean((1.0 - vals) ** 2))
+    return sds
+
+
+def thresholds_from_sd(sd, cfg: DetectorConfig) -> Thresholds:
+    """The per-config step of :func:`fit_thresholds`, from :func:`class_sd`'s statistic.
+
+    Without risk reduction every threshold is tau_min.  With it,
+    tau_i = max(tau_min, 1 - alpha * SD_i), and classes without an SD fall
+    back to tau_min.
+    """
+    tau = np.full(len(sd), cfg.tau_min, dtype=np.float64)
+    if not cfg.use_risk_reduction:
+        return Thresholds(tau)
+    present = ~np.isnan(sd)
+    tau[present] = np.maximum(cfg.tau_min, 1.0 - cfg.alpha * sd[present])
+    return Thresholds(tau, sd=sd)
+
+
+def fit_thresholds(train_outputs, labels, train_mask, cfg: DetectorConfig) -> Thresholds:
+    """Per-class thresholds from sigmoid training outputs.
+
+    :func:`class_sd`, then :func:`thresholds_from_sd`: a grid of detectors
+    on one training can compute the statistic once and each threshold from
+    it.
+    """
+    return thresholds_from_sd(class_sd(train_outputs, labels, train_mask), cfg)
 
 
 def sigmoid(z) -> np.ndarray:

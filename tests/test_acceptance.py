@@ -15,7 +15,6 @@ Expensive run batches are built once per module and shared across criteria.
 import json
 import math
 import time
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -69,20 +68,27 @@ def det_graph():
     return eg.generate(DET_BENCH)
 
 
+def seq_config(history_size, restart, seeds=SEEDS):
+    return eg.ExperimentConfig(
+        model="sage", epochs=200, history_size=history_size, restart=restart,
+        learning_rate=0.01, seeds=seeds,
+    )
+
+
 @pytest.fixture(scope="module")
 def seq_runs(seq_graph):
-    """Per-seed reports for history x restart on the sequence benchmark."""
+    """Per-seed reports for history x restart on the sequence benchmark.
+
+    Each (history, restart) trains its seeds side by side in one
+    ``run_sequences`` call, which gives each seed the report ``run_sequence``
+    would (``test_seq_runs_equal_per_seed_runs``).
+    """
     t0 = time.time()
     c_med = max(1, eg.percentile(eg.k_hop_time_diffs(seq_graph, 2), 50))
-    runs = defaultdict(list)
+    runs = {}
     for c in {1, c_med, eg.FULL}:
         for restart in ("warm", "cold"):
-            for s in SEEDS:
-                cfg = eg.ExperimentConfig(
-                    model="sage", epochs=200, history_size=c, restart=restart,
-                    learning_rate=0.01, seeds=(s,),
-                )
-                runs[(c, restart)].append(eg.run_sequence(seq_graph, cfg, seed=s))
+            (runs[(c, restart)],), _ = eg.run_sequences(seq_graph, [seq_config(c, restart)])
     return {"runs": runs, "c_med": c_med, "elapsed": time.time() - t0}
 
 
@@ -113,8 +119,8 @@ def det_runs(det_graph):
                 )
                 for name in names
             ]
-            reports, _ = eg.run_sequences(det_graph, cfgs, seed=s)
-            for name, report in zip(names, reports):
+            reports, _ = eg.run_sequences(det_graph, cfgs, [s])
+            for name, (report,) in zip(names, reports):
                 out[name]["reports"].append(report)
     out["elapsed"] = time.time() - t0
     return out
@@ -407,3 +413,18 @@ def test_criterion_10_metric_unit_fixtures():
         "metric fixtures (MCC 0.60784, divergence 0.13733, tau 0.61270, Open-F1 5/9) "
         f"all within 1e-5 of their oracles (worst error {worst:.2e})",
     )
+
+
+# seed positions in a batch whose reports are recomputed one seed at a time
+CHECKED_POSITIONS = (0, len(SEEDS) - 1, len(SEEDS) // 2)
+
+
+def test_seq_runs_equal_per_seed_runs(seq_graph, seq_runs):
+    keys = sorted(seq_runs["runs"], key=lambda key: (key[0] is eg.FULL, key[0] or 0, key[1]))
+    for k, (c, restart) in enumerate(keys):
+        pos = CHECKED_POSITIONS[k % len(CHECKED_POSITIONS)]
+        s = SEEDS[pos]
+        alone = eg.run_sequence(seq_graph, seq_config(c, restart, seeds=(s,)), seed=s)
+        batched = seq_runs["runs"][(c, restart)][pos]
+        assert batched.to_jsonl() == alone.to_jsonl()
+        assert json.dumps(batched.events) == json.dumps(alone.events)

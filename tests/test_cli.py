@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,46 @@ class TestRun:
         for name in ("report_seed0.jsonl", "report_seed1.jsonl", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_seed_chunks_write_the_files_of_one_batch(self, dataset, tmp_path, jobs):
+        cfg = write_config(tmp_path / "c.cfg", dataset, model="sage", seeds="0,1,2", detector="gdoc")
+        outs = {j: tmp_path / f"jobs{j}" for j in ("1", jobs)}
+        for j, out in outs.items():
+            assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", j, "--quiet"]) == 0
+        files = sorted(p.relative_to(outs["1"]) for p in outs["1"].rglob("*") if p.is_file())
+        assert len(files) == 3 + 2 + 3 * 2  # reports, summary and manifest, checkpoints
+        for f in files:
+            assert (outs["1"] / f).read_bytes() == (outs[jobs] / f).read_bytes()
+
+    @pytest.mark.parametrize("jobs, chunks", [(1, [[0, 1, 2]]), (2, [[0, 1], [2]]), (5, [[0], [1], [2]])])
+    def test_one_job_per_contiguous_chunk_of_seeds(self, dataset, tmp_path, monkeypatch, jobs, chunks):
+        batches, pools = [], []
+        real = cli.run_sequences
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(
+            cli, "run_sequences", lambda g, cfgs, seeds: batches.append(seeds) or real(g, cfgs, seeds)
+        )
+        cfg = write_config(tmp_path / "c.cfg", dataset, seeds="0,1,2", epochs="2")
+        out = tmp_path / "run"
+        argv = ["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", str(jobs), "--quiet"]
+        assert main(argv) == 0
+        assert batches == chunks
+        assert pools == ([len(chunks)] if len(chunks) > 1 else [])
+
     def test_detector_flags_override(self, dataset, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", dataset)
         out = tmp_path / "ov"
@@ -456,6 +497,43 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"]) == 1
         assert capsys.readouterr().err == f"error: task 1: non-finite logits {message}\n"
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_first_seed_line_wins_over_later_seeds_failing_earlier(self, dataset, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "c.cfg", dataset, epochs="2", learning_rate="1e153", seeds="0,1,2,3")
+        spec = parse_config_text(cfg.read_text())
+        g = eg.load_dataset(dataset)
+        alone = {}
+        for s in spec.experiment.seeds:
+            try:
+                eg.run_sequence(g, spec.experiment, seed=s)
+            except eg.RunError as exc:
+                alone[s] = exc
+        # seed 0 fails last; seed 1 fails in scoring and seed 3 in training, both at earlier tasks
+        assert alone[1].task_index < alone[0].task_index and alone[3].task_index < alone[0].task_index
+        assert "after epoch" in str(alone[1]) and "at epoch" in str(alone[3])
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {alone[0]}\n"
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_final_model_beyond_float32_exits_1_before_writing(self, tmp_path, capsys, jobs):
+        data = tmp_path / "d"
+        assert main(["generate", str(data), "--num-timestamps", "6", "--vertices-per-timestamp", "12",
+                     "--feature-dim", "4", "--quiet"]) == 0
+        # finite logits throughout, but weights beyond float32's largest value
+        cfg = write_config(tmp_path / "c.cfg", data, epochs="3", learning_rate="1e50")
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"])
+        assert rc == 1
+        assert re.fullmatch(
+            r"error: seed 0: layer \d has parameters outside the float32 range of a checkpoint\n",
+            capsys.readouterr().err,
+        )
+        assert list(out.iterdir()) == []
 
     def test_two_task_single_timestamp_exit_1(self, tmp_path, capsys):
         data = tmp_path / "one"

@@ -83,9 +83,9 @@ class TestRunSequence:
         g = schedule_graph(seed=3)
         report = eg.run_sequence(g, cfg, seed=2)
 
-        def reference_train(model, g, labels, train_mask, cfg, on_epoch=None):
-            X = eg.model_inputs(model, g)
-            return ref.train(model, g, X, labels, train_mask, cfg, on_epoch=on_epoch)
+        def reference_train(models, g, labels, train_mask, cfgs):
+            X = eg.model_inputs(models[0], g)
+            return [ref.train(m, g, X, labels, train_mask, c) for m, c in zip(models, cfgs)]
 
         def reference_forward(model, g):
             H_in, prop = ref._graph_inputs(model, g, eg.model_inputs(model, g))
@@ -366,10 +366,10 @@ class TestRunSequences:
             eg.ExperimentConfig(epochs=12, loss_mode=loss_mode, detector=d, **base)
             for d in detectors
         ]
-        reports, model = eg.run_sequences(g, cfgs, seed=4)
+        reports, (model,) = eg.run_sequences(g, cfgs, [4])
         assert len(reports) == len(cfgs)
-        for cfg, report in zip(cfgs, reports):
-            (expected,), expected_model = eg.run_sequences(g, [cfg], seed=4)
+        for cfg, (report,) in zip(cfgs, reports):
+            ((expected,),), (expected_model,) = eg.run_sequences(g, [cfg], [4])
             assert report.to_jsonl() == expected.to_jsonl()
             assert json.dumps(report.events) == json.dumps(expected.events)
             for (w, b), (we, be) in zip(model.layers, expected_model.layers):
@@ -382,7 +382,7 @@ class TestRunSequences:
                 eg.run_sequence(g, cfg, seed=seed)
             texts.append(str(alone.value))
         with pytest.raises(RunError) as shared:
-            eg.run_sequences(g, cfgs, seed=seed)
+            eg.run_sequences(g, cfgs, [seed])
         return texts, str(shared.value)
 
     def test_unlabeled_first_window_error_matches(self):
@@ -426,6 +426,88 @@ class TestRunSequences:
         g = schedule_graph()
         with pytest.raises(ConfigError, match=match):
             eg.run_sequences(g, cfgs)
+
+
+def _params_bin(model, path) -> bytes:
+    eg.save_checkpoint(model, path)
+    return (path / "params.bin").read_bytes()
+
+
+class TestSeedBatches:
+    """A batched ``run_sequences`` against per-seed runs: reports, events and checkpoint bytes."""
+
+    SEEDS = (3, 0, 7)
+    # case -> (config fields, detectors); schedule_graph grows the output layer at timestamp 4
+    CASES = {
+        "mlp-warm-gdoc-sweep": (dict(model="mlp"), GDOC_SWEEP[:3]),
+        "sgc-cold-half-labels-doc": (dict(model="sgc", restart="cold", label_rate=0.5), [DOC_05, DOC_075]),
+        "sage-warm-h2-half-labels": (dict(model="sage", history_size=2, label_rate=0.5), [None]),
+        "sage-cold-gdoc": (dict(model="sage", restart="cold"), [GDOC_SWEEP[2]]),
+        "sage-warm-bce-none-and-doc": (dict(model="sage", loss_mode=eg.BCE), [None, DOC_05]),
+        # a width-1 hidden layer: the stack trains one model at a time
+        "mlp-hidden-1": (dict(model="mlp", hidden_dim=1), [None]),
+    }
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["one-batch", "capped-batches"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_batch_equals_per_seed_runs(self, case, capped, tmp_path, monkeypatch):
+        base, detectors = self.CASES[case]
+        g = schedule_graph(seed=6)
+        cfgs = [eg.ExperimentConfig(epochs=12, detector=d, seeds=self.SEEDS, **base) for d in detectors]
+        if capped:
+            # the budget of two seeds on the largest window: batches of 2 and 1
+            largest = max(t.train_vertices.size for t in eg.build_task_sequence(g, cfgs[0].history_size))
+            budget = 2 * largest * (cfgs[0].hidden_dim + g.num_classes)
+            monkeypatch.setattr(eg.lifelong, "_BATCH_ENTRIES", budget)
+        stacks = []
+        real_train = eg.lifelong.train
+
+        def counted(models, *args):
+            stacks.append(len(models))
+            return real_train(models, *args)
+
+        monkeypatch.setattr(eg.lifelong, "train", counted)
+        reports, models = eg.run_sequences(g, cfgs)
+        n_tasks = len(reports[0][0].records)
+        assert stacks == ([2] * n_tasks + [1] * n_tasks if capped else [3] * n_tasks)
+        assert len(models) == len(self.SEEDS) and all(len(r) == len(self.SEEDS) for r in reports)
+        for j, s in enumerate(self.SEEDS):
+            alone, (model,) = eg.run_sequences(g, cfgs, [s])
+            for per_seed, (expected,) in zip(reports, alone):
+                assert per_seed[j].to_jsonl() == expected.to_jsonl()
+                assert json.dumps(per_seed[j].events) == json.dumps(expected.events)
+            assert _params_bin(models[j], tmp_path / f"b{j}") == _params_bin(model, tmp_path / f"a{j}")
+
+    def test_first_seed_error_wins_over_a_later_seed_failing_earlier(self):
+        g = schedule_graph(seed=1)
+        cfg = eg.ExperimentConfig(model="mlp", epochs=4, learning_rate=1e153, history_size=2)
+        alone = []
+        for s in (0, 1):
+            with pytest.raises(RunError) as exc:
+                eg.run_sequence(g, cfg, seed=s)
+            alone.append(exc.value)
+        # the later seed fails at an earlier task
+        assert alone[1].task_index < alone[0].task_index
+        with pytest.raises(RunError) as batched:
+            eg.run_sequences(g, [cfg], [0, 1])
+        assert str(batched.value) == str(alone[0])
+        with pytest.raises(RunError) as batched:
+            eg.run_sequences(g, [cfg], [1, 0])
+        assert str(batched.value) == str(alone[1])
+
+    def test_gdoc_sweep_fits_the_sds_once_per_task_and_seed(self, monkeypatch):
+        calls = []
+        real = eg.lifelong.class_sd
+        monkeypatch.setattr(eg.lifelong, "class_sd", lambda *a: calls.append(1) or real(*a))
+        g = schedule_graph(seed=2)
+        sweep = [eg.DetectorConfig(alpha=a, use_risk_reduction=True) for a in (1.0, 2.0, 3.0)]
+        cfgs = [eg.ExperimentConfig(model="mlp", epochs=5, detector=d, seeds=(0, 1)) for d in sweep]
+        reports, _ = eg.run_sequences(g, cfgs)
+        n_tasks = len(eg.build_task_sequence(g, eg.FULL))
+        assert len(calls) == 2 * n_tasks
+        for per_seed in zip(*reports):
+            sds = [[e["sd"] for e in r.events] for r in per_seed]
+            assert sds[0] == sds[1] == sds[2]
 
 
 def _plain_sigmoid(z):
@@ -479,8 +561,9 @@ class TestScoringOracle:
         trained = []
 
         def capture(*args, **kwargs):
-            trained.append(real_train(*args, **kwargs))
-            return trained[-1]
+            (model,) = result = real_train(*args, **kwargs)
+            trained.append(model)
+            return result
 
         monkeypatch.setattr(eg.lifelong, "train", capture)
         g = schedule_graph(seed=5)
@@ -488,7 +571,8 @@ class TestScoringOracle:
             eg.ExperimentConfig(model=model, epochs=15, history_size=2, detector=d)
             for d in detectors
         ]
-        reports, _ = eg.run_sequences(g, cfgs, seed=1)
+        reports, _ = eg.run_sequences(g, cfgs, [1])
+        reports = [report for (report,) in reports]
         tasks = eg.build_task_sequence(g, 2)
         assert len(trained) == len(tasks)
         said_unseen = truly_unseen = 0

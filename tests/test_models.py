@@ -198,9 +198,9 @@ class TestWorkspace:
     def test_every_buffer_is_float64(self, kind):
         g = small_graph(seed=2, n=12)
         m = eg.init_model(kind, 3, 4, 3, seed=0)
-        ws = eg.models._Workspace(m, g)
+        ws = eg.models._Workspace([m], g)
         targets = eg.models._loss_targets(g.labels, np.arange(12) % 3 > 0, ws.logits.shape, eg.BCE)
-        ws.forward(np.random.default_rng(1))
+        ws.forward([np.random.default_rng(1)])
         ws.backward(targets, eg.BCE, want_loss=True)
         arrays = list(self.arrays(list(vars(ws).values())))
         assert {id(a) for a in arrays} >= {id(ws.params), id(ws.grads), id(ws.logits)}
@@ -217,13 +217,14 @@ class TestWorkspace:
         # layer 1 runs as H @ W_s + P @ (H @ W_n): nothing is (n, 2h) wide, in either pass
         g = small_graph(seed=2, n=12)
         m = eg.init_model("sage", 3, 4, 3, seed=0)
-        ws = eg.models._Workspace(m, g)
+        ws = eg.models._Workspace([m], g)
         targets = eg.models._loss_targets(g.labels, np.ones(12, bool), ws.logits.shape, eg.BCE)
-        ws.forward(np.random.default_rng(1))
+        ws.forward([np.random.default_rng(1)])
         ws.backward(targets, eg.BCE, want_loss=True)
+        # (S, n, h) hidden buffers and (n, S, C) output buffers, S = 1
         shapes = [a.shape for a in self.arrays(list(vars(ws).values()))]
-        assert (12, 4) in shapes and (12, 3) in shapes
-        assert not [s for s in shapes if len(s) == 2 and s[1] == 2 * m.hidden_dim]
+        assert (1, 12, 4) in shapes and (12, 1, 3) in shapes
+        assert not [s for s in shapes if len(s) >= 2 and s[-1] == 2 * m.hidden_dim]
 
 
 class TestGraphInputs:
@@ -450,6 +451,86 @@ class TestTrain:
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
 
+class TestTrainStack:
+    """``train`` on a list of models: each gets the bits it gets when trained alone."""
+
+    @staticmethod
+    def stack(kind, n, dropout, S=3, hidden=8, out=4):
+        g = small_graph(seed=8, n=n, dim=5, num_classes=4)
+        models = [eg.init_model(kind, 5, hidden, out, seed=20 + s, dropout_rate=dropout) for s in range(S)]
+        return g, models
+
+    @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
+    @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
+    @pytest.mark.parametrize("full_mask", [True, False])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_each_model_equals_its_lone_training(self, kind, loss_mode, full_mask, dropout):
+        g, models = self.stack(kind, 30, dropout)
+        mask = np.arange(30) % 4 > 0 if not full_mask else np.ones(30, bool)
+        cfgs = [eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=s) for s in (6, 1, 9)]
+        stacked = eg.train(models, g, g.labels, mask, cfgs)
+        for m, cfg, got in zip(models, cfgs, stacked):
+            TestReferenceOracle.assert_same_layers(got.layers, eg.train(m, g, g.labels, mask, cfg).layers)
+
+    @pytest.mark.parametrize("hidden, out", [(1, 4), (8, 1)], ids=["one-hidden-unit", "one-output-unit"])
+    def test_width_one_layers_equal_lone_training(self, hidden, out):
+        g, models = self.stack("sage", 30, 0.5, hidden=hidden, out=out)
+        labels = np.zeros(30, dtype=np.int64) if out == 1 else g.labels
+        mask = np.ones(30, bool)
+        cfgs = [eg.TrainConfig(epochs=10, loss_mode=eg.BCE, seed=s) for s in range(3)]
+        stacked = eg.train(models, g, labels, mask, cfgs)
+        for m, cfg, got in zip(models, cfgs, stacked):
+            TestReferenceOracle.assert_same_layers(got.layers, eg.train(m, g, labels, mask, cfg).layers)
+
+    def test_diverging_model_leaves_the_others_alone(self):
+        g, models = self.stack("mlp", 12, 0.5)
+        models[1].layers[0][0][0, 0] = 1e300
+        models[1].layers[1][0][0, 0] = 1e300
+        cfgs = [eg.TrainConfig(epochs=5, seed=s) for s in range(3)]
+        mask = np.ones(12, bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = eg.train(models, g, g.labels, mask, cfgs)
+            with pytest.raises(ValidationError) as alone:
+                eg.train(models[1], g, g.labels, mask, cfgs[1])
+        assert isinstance(stacked[1], ValidationError) and str(stacked[1]) == str(alone.value)
+        for s in (0, 2):
+            expected = eg.train(models[s], g, g.labels, mask, cfgs[s])
+            TestReferenceOracle.assert_same_layers(stacked[s].layers, expected.layers)
+
+    def test_stack_leaves_inputs_untouched_and_returns_one_model_per_input(self):
+        g, models = self.stack("sage", 12, 0.5)
+        before = [m.copy() for m in models]
+        cfgs = [eg.TrainConfig(epochs=2, seed=s) for s in range(3)]
+        out = eg.train(models, g, g.labels, np.ones(12, bool), cfgs)
+        assert len(out) == 3 and all(isinstance(m, eg.ModelState) for m in out)
+        for m, b in zip(models, before):
+            TestReferenceOracle.assert_same_layers(m.layers, b.layers)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("configs-differ", "may differ only in seed"),
+            ("shapes-differ", "share kind, settings and shapes"),
+            ("count-differs", "need one config per model"),
+            ("on-epoch", "on_epoch takes a single model"),
+        ],
+    )
+    def test_stack_misuse_raises(self, case, match):
+        g, models = self.stack("mlp", 12, 0.5, S=2)
+        cfgs = [eg.TrainConfig(epochs=2, seed=s) for s in range(2)]
+        kwargs = {}
+        if case == "configs-differ":
+            cfgs[1] = replace(cfgs[1], learning_rate=0.5)
+        elif case == "shapes-differ":
+            models[1] = eg.init_model("mlp", 5, 8, 3, seed=1)
+        elif case == "count-differs":
+            cfgs = cfgs[:1]
+        else:
+            kwargs["on_epoch"] = lambda *a: None
+        with pytest.raises(ValidationError, match=match):
+            eg.train(models, g, g.labels, np.ones(12, bool), cfgs, **kwargs)
+
+
 class TestExpandOutputLayer:
     def test_identity_when_zero(self):
         m = eg.init_model("mlp", 3, 4, 3, seed=0)
@@ -594,6 +675,26 @@ class TestCheckpoint:
         ]
         manifest.write_text("".join(f"{x}\n" for x in lines if x is not None))
         with pytest.raises(ValidationError, match=re.escape(match)):
+            eg.load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_parameters_beyond_float32_raise_before_writing(self, tmp_path, layer):
+        m = eg.init_model("mlp", 3, 4, 3, seed=4)
+        m.layers[layer][1][0] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = f"^layer {layer} has parameters outside the float32 range"
+            with pytest.raises(ValidationError, match=match):
+                eg.save_checkpoint(m, tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_parameters_do_not_load(self, tmp_path, bad):
+        eg.save_checkpoint(eg.init_model("mlp", 3, 4, 3, seed=4), tmp_path)
+        params = np.frombuffer((tmp_path / "params.bin").read_bytes(), "<f4").copy()
+        params[3 * 4 + 4 + 2] = bad  # the second entry of layer 1's weights
+        (tmp_path / "params.bin").write_bytes(params.tobytes())
+        with pytest.raises(ValidationError, match="^params.bin: layer 1 holds non-finite parameters$"):
             eg.load_checkpoint(tmp_path)
 
     def test_forward_close_after_round_trip(self, tmp_path):
