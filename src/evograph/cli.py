@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    DETECTOR_KEYS,
     MODE_SEQUENCE,
     MODE_TWO_TASK,
     RunSpec,
@@ -34,6 +36,10 @@ from .synth import SynthConfig, generate
 from .tdiff import history_sizes, k_hop_time_diffs, percentile
 
 
+# generate's flag for a SynthConfig field, where it is not the field's name
+_SYNTH_FLAGS = {"num_initial_classes": "--initial-classes"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evograph")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -45,17 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic dataset")
     p_gen.add_argument("out_dir")
-    p_gen.add_argument("--num-timestamps", type=int, default=10)
-    p_gen.add_argument("--vertices-per-timestamp", type=int, default=30)
-    p_gen.add_argument("--initial-classes", type=int, default=4)
-    p_gen.add_argument("--new-class-schedule", default="", help="e.g. 5:1,7:1")
-    p_gen.add_argument("--class-skew", type=float, default=1.0)
-    p_gen.add_argument("--feature-dim", type=int, default=16)
-    p_gen.add_argument("--feature-noise", type=float, default=0.5)
-    p_gen.add_argument("--intra-class-edge-prob", type=float, default=0.08)
-    p_gen.add_argument("--inter-class-edge-prob", type=float, default=0.01)
-    p_gen.add_argument("--window-back", type=int, default=3)
-    p_gen.add_argument("--seed", type=int, default=0)
+    # one flag per SynthConfig field; a flag not given leaves the field's default
+    for f in fields(SynthConfig):
+        flag = _SYNTH_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+        options = {"help": "e.g. 5:1,7:1"} if f.name == "new_class_schedule" else {"type": type(f.default)}
+        p_gen.add_argument(flag, dest=f.name, default=argparse.SUPPRESS, **options)
     p_gen.add_argument("--features-format", choices=["bin", "csv"], default="bin")
 
     p_run = sub.add_parser("run", help="execute an experiment config over its seeds")
@@ -63,18 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p_run.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="experiment config file")
     src.add_argument("--from-manifest", help="re-run the config snapshot of a manifest")
-    p_run.add_argument(
-        "--detector",
-        choices=["none", "doc", "gdoc"],
-        help="override the config's detector block",
-    )
-    p_run.add_argument("--tau-min", type=float, help="override detector tau_min")
-    p_run.add_argument("--alpha", type=float, help="override detector alpha")
-    p_run.add_argument(
-        "--risk-reduction",
-        choices=["true", "false"],
-        help="override detector risk reduction",
-    )
+    for key, row in DETECTOR_KEYS.items():
+        p_run.add_argument("--" + key.replace("_", "-"), help=f"override the config's {key}", **row.flag)
 
     p_rep = sub.add_parser("report", help="tabulate one or more completed runs")
     p_rep.add_argument("reports", nargs="+", help="manifest.json files or run directories")
@@ -161,20 +151,10 @@ def _parse_schedule(text: str) -> dict:
 
 
 def cmd_generate(args) -> int:
-    cfg = SynthConfig(
-        num_timestamps=args.num_timestamps,
-        vertices_per_timestamp=args.vertices_per_timestamp,
-        num_initial_classes=args.initial_classes,
-        new_class_schedule=_parse_schedule(args.new_class_schedule),
-        class_skew=args.class_skew,
-        feature_dim=args.feature_dim,
-        feature_noise=args.feature_noise,
-        intra_class_edge_prob=args.intra_class_edge_prob,
-        inter_class_edge_prob=args.inter_class_edge_prob,
-        window_back=args.window_back,
-        seed=args.seed,
-    )
-    g = generate(cfg)
+    given = {f.name: getattr(args, f.name) for f in fields(SynthConfig) if hasattr(args, f.name)}
+    if "new_class_schedule" in given:
+        given["new_class_schedule"] = _parse_schedule(given["new_class_schedule"])
+    g = generate(SynthConfig(**given))
     save_dataset(g, args.out_dir, features_format=args.features_format)
     if not args.quiet:
         print(
@@ -225,14 +205,13 @@ def _seed_job(spec: RunSpec, g, seed: int, trained):
 
 
 def _detector_overrides(args) -> dict:
-    """The config entries that the detector flags set."""
-    flags = {
-        "detector": args.detector,
-        "tau_min": None if args.tau_min is None else repr(args.tau_min),
-        "alpha": None if args.alpha is None else repr(args.alpha),
-        "risk_reduction": args.risk_reduction,
+    """The config entries that the detector flags set, as a snapshot writes them
+    (a float as ``repr(float(value))``)."""
+    return {
+        key: row.show(row.parse(key, str(value)))
+        for key, row in DETECTOR_KEYS.items()
+        if (value := getattr(args, key)) is not None
     }
-    return {key: value for key, value in flags.items() if value is not None}
 
 
 def cmd_run(args) -> int:
@@ -258,8 +237,6 @@ def cmd_run(args) -> int:
         )
 
     g = load_dataset(spec.dataset)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = spec.experiment.seeds
     # one job per contiguous chunk of seeds, one chunk per worker slot
     chunks = [c.tolist() for c in np.array_split(seeds, min(args.jobs, len(seeds)))]
@@ -277,6 +254,9 @@ def cmd_run(args) -> int:
             except ValidationError as exc:
                 raise EvographError(f"seed {seed}: {exc}") from None
 
+    # created only now, so a run that fails leaves no directory behind
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     reports = {}
     for seed, text, model in zip(seeds, texts, models):
         name = f"report_seed{seed}.jsonl"
@@ -341,8 +321,9 @@ def _load_run(path) -> dict:
     }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
+def _cells(score) -> list:
+    """A ``{mean, ci95}`` score's two table cells; two empty cells for no score."""
+    return [f"{score['mean']:.4f}", f"{score['ci95']:.4f}"] if score else ["", ""]
 
 
 def cmd_report(args) -> int:
@@ -365,20 +346,8 @@ def cmd_report(args) -> int:
             cells.setdefault(cell[:2], {})[cell[2]] = r["summary"]["avg_accuracy"]
         rows.append("model,history_size,accuracy_cold,ci_cold,accuracy_warm,ci_warm")
         for (model, history), by_restart in sorted(cells.items()):
-            cold = by_restart.get("cold")
-            warm = by_restart.get("warm")
-            rows.append(
-                ",".join(
-                    [
-                        model,
-                        history,
-                        _fmt(cold["mean"]) if cold else "",
-                        _fmt(cold["ci95"]) if cold else "",
-                        _fmt(warm["mean"]) if warm else "",
-                        _fmt(warm["ci95"]) if warm else "",
-                    ]
-                )
-            )
+            cold, warm = _cells(by_restart.get("cold")), _cells(by_restart.get("warm"))
+            rows.append(",".join([model, history, *cold, *warm]))
     elif args.mode == "fwt":
         pairs = {}
         for r in runs:
@@ -395,24 +364,13 @@ def cmd_report(args) -> int:
             warm_trace = sides["warm"]["summary"]["per_task_accuracy_mean"]
             cold_trace = sides["cold"]["summary"]["per_task_accuracy_mean"]
             fwt = forward_transfer(warm_trace, cold_trace)
-            rows.append(f"{cfg['model']},{cfg['history_size']},{_fmt(fwt)}")
+            rows.append(f"{cfg['model']},{cfg['history_size']},{fwt:.4f}")
     else:  # open
-        rows.append("model,history_size,restart,detector,tau_min,alpha,mcc,mcc_ci,open_f1,open_f1_ci")
-        entries = []
-        for r in runs:
-            cfg = r["config"]
-            entries.append(
-                (
-                    cfg["model"], cfg["history_size"], cfg["restart"], cfg["detector"],
-                    cfg["tau_min"], cfg["alpha"],
-                    r["summary"]["mcc"], r["summary"]["open_macro_f1"],
-                )
-            )
-        for model, history, restart, det, tau, alpha, m, f in sorted(entries, key=lambda e: e[:6]):
-            rows.append(
-                f"{model},{history},{restart},{det},{tau},{alpha},"
-                f"{_fmt(m['mean'])},{_fmt(m['ci95'])},{_fmt(f['mean'])},{_fmt(f['ci95'])}"
-            )
+        keys = ("model", "history_size", "restart", "detector", "tau_min", "alpha")
+        rows.append(",".join(keys) + ",mcc,mcc_ci,open_f1,open_f1_ci")
+        for r in sorted(runs, key=lambda r: [r["config"][k] for k in keys]):
+            scores = _cells(r["summary"]["mcc"]) + _cells(r["summary"]["open_macro_f1"])
+            rows.append(",".join([r["config"][k] for k in keys] + scores))
     print("\n".join(rows))
     return 0
 
@@ -433,6 +391,11 @@ def main(argv=None) -> int:
         return 2
     except EvographError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # reads fail as EvographErrors, so this is an output directory or file
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}cannot write ({exc.strerror or exc})", file=sys.stderr)
         return 1
 
 

@@ -10,41 +10,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple
 
 from .dataio import read_json, read_key_values, read_text
 from .errors import ConfigError, ValidationError
 from .graph import FULL
-from .lifelong import ExperimentConfig, LOSS_AUTO
-from .openworld import DEFAULT_TAU_MIN, DOC, GDOC, DetectorConfig
+from .lifelong import ExperimentConfig
+from .openworld import DOC, GDOC, DetectorConfig
 
 MODE_SEQUENCE = "sequence"
 MODE_TWO_TASK = "two-task"
-
-_DEFAULTS = {
-    "format_version": "1",
-    "mode": MODE_SEQUENCE,
-    "dataset": "",
-    "model": "sage",
-    "hidden_dim": "32",
-    "sgc_k": "2",
-    "dropout": "0.5",
-    "learning_rate": "0.01",
-    "weight_decay": "0.0005",
-    "epochs": "200",
-    "loss_mode": LOSS_AUTO,
-    "history_size": "full",
-    "restart": "warm",
-    "label_rate": "1.0",
-    "label_seed": "0",
-    "detector": "none",
-    "tau_min": repr(DEFAULT_TAU_MIN[GDOC]),
-    "alpha": "0.0",
-    "risk_reduction": "false",
-    "seeds": "0",
-    "pretrain_epochs": "200",
-    "inference_epochs": "35",
-}
 
 
 def _parse_bool(field: str, value: str) -> bool:
@@ -62,25 +37,105 @@ def _parse_number(field: str, value: str, conv):
         raise ConfigError(f"{field}: cannot parse {value!r}") from None
 
 
+# a value's (parse, show[, argparse options of a flag that sets it]); see _Field
+_TEXT = (lambda key, text: text, str)
+_INT = (lambda key, text: _parse_number(key, text, int), str)
+_FLOAT = (lambda key, text: _parse_number(key, text, float), repr, {"type": float})
+_BOOL = (_parse_bool, lambda value: "true" if value else "false", {"choices": ["true", "false"]})
+# "none" is no detector (None), ExperimentConfig's default
+_VARIANT = (
+    lambda key, text: None if text == "none" else text,
+    lambda value: value or "none",
+    {"choices": ["none", DOC, GDOC]},
+)
+_HISTORY = (
+    lambda key, text: FULL if text == "full" else _parse_number(key, text, int),
+    lambda value: "full" if value is FULL else str(value),
+)
+_SEEDS = (
+    lambda key, text: tuple(_parse_number(key, s.strip(), int) for s in text.split(",") if s.strip()),
+    lambda seeds: ",".join(map(str, seeds)),
+)
+
+
+class _Field(NamedTuple):
+    """The dataclass field that a config key sets.  ``parse(key, text)``
+    raises a ConfigError that names the key, ``show(value)`` is the text a
+    snapshot records, and ``flag`` holds a command-line flag's options."""
+
+    owner: type  # ExperimentConfig or DetectorConfig
+    name: str
+    parse: Callable
+    show: Callable
+    flag: dict = {}
+
+
+# every config key, in config_text's order: the dataclass field it sets, or,
+# for a run-level key, its default text.  A field's default is its class's.
+_KEYS = {
+    "format_version": "1",
+    "mode": MODE_SEQUENCE,
+    "dataset": "",
+    "model": _Field(ExperimentConfig, "model", *_TEXT),
+    "hidden_dim": _Field(ExperimentConfig, "hidden_dim", *_INT),
+    "sgc_k": _Field(ExperimentConfig, "sgc_k", *_INT),
+    "dropout": _Field(ExperimentConfig, "dropout_rate", *_FLOAT),
+    "learning_rate": _Field(ExperimentConfig, "learning_rate", *_FLOAT),
+    "weight_decay": _Field(ExperimentConfig, "weight_decay", *_FLOAT),
+    "epochs": _Field(ExperimentConfig, "epochs", *_INT),
+    "loss_mode": _Field(ExperimentConfig, "loss_mode", *_TEXT),
+    "history_size": _Field(ExperimentConfig, "history_size", *_HISTORY),
+    "restart": _Field(ExperimentConfig, "restart", *_TEXT),
+    "label_rate": _Field(ExperimentConfig, "label_rate", *_FLOAT),
+    "label_seed": _Field(ExperimentConfig, "label_seed", *_INT),
+    "detector": _Field(DetectorConfig, "variant", *_VARIANT),
+    "tau_min": _Field(DetectorConfig, "tau_min", *_FLOAT),
+    "alpha": _Field(DetectorConfig, "alpha", *_FLOAT),
+    "risk_reduction": _Field(DetectorConfig, "use_risk_reduction", *_BOOL),
+    "seeds": _Field(ExperimentConfig, "seeds", *_SEEDS),
+    "pretrain_epochs": "200",
+    "inference_epochs": "35",
+}
+_DETECTOR = _KEYS["detector"]
+
+# the keys that choose and tune ExperimentConfig's detector
+DETECTOR_KEYS = {
+    key: row for key, row in _KEYS.items() if isinstance(row, _Field) and row.owner is DetectorConfig
+}
+
+
+def _defaults(variant) -> dict:
+    """Each key's default text.  A detector field's is that of ``variant``'s
+    DetectorConfig (gDOC's if it names none); the detector key's is
+    ExperimentConfig's: no detector."""
+    experiment = ExperimentConfig()
+    detector = DetectorConfig(variant) if variant in (DOC, GDOC) else DetectorConfig()
+    values = {ExperimentConfig: experiment, DetectorConfig: detector}
+    text = {
+        key: row.show(getattr(values[row.owner], row.name)) if isinstance(row, _Field) else row
+        for key, row in _KEYS.items()
+    }
+    text["detector"] = _DETECTOR.show(experiment.detector and experiment.detector.variant)
+    return text
+
+
 class RunSpec:
     """A parsed config document: experiment config plus run-level fields."""
 
     def __init__(self, entries: dict):
-        unknown = set(entries) - set(_DEFAULTS)
+        unknown = set(entries) - set(_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        vals = dict(_DEFAULTS)
-        vals.update(entries)
-        if vals["detector"] == DOC and "tau_min" not in entries:
-            vals["tau_min"] = repr(DEFAULT_TAU_MIN[DOC])
+        vals = {**_defaults(entries.get("detector")), **entries}
         if vals["format_version"] != "1":
             raise ConfigError(f"format_version: unsupported {vals['format_version']!r}")
         if vals["mode"] not in (MODE_SEQUENCE, MODE_TWO_TASK):
             raise ConfigError(f"mode: expected sequence or two-task, got {vals['mode']!r}")
         if not vals["dataset"]:
             raise ConfigError("dataset: required")
-        if vals["detector"] not in ("none", DOC, GDOC):
+        if vals["detector"] not in _DETECTOR.flag["choices"]:
             raise ConfigError(f"detector: expected none, doc, or gdoc, got {vals['detector']!r}")
+        variant = _DETECTOR.parse("detector", vals["detector"])
         self.mode = vals["mode"]
         self.dataset = vals["dataset"]
         self.pretrain_epochs = _parse_number("pretrain_epochs", vals["pretrain_epochs"], int)
@@ -88,37 +143,15 @@ class RunSpec:
         if min(self.pretrain_epochs, self.inference_epochs) < 0:
             raise ConfigError("pretrain_epochs and inference_epochs must be >= 0")
 
-        # the experiment fields are only parsed here; their config classes check the ranges
-        history = vals["history_size"]
-        history_size = FULL if history == "full" else _parse_number("history_size", history, int)
-        seeds = tuple(
-            _parse_number("seeds", s.strip(), int) for s in vals["seeds"].split(",") if s.strip()
-        )
+        # the fields are only parsed here, the detector's only if one is chosen;
+        # their config classes check the ranges
+        fields = {ExperimentConfig: {}, DetectorConfig: {}}
+        for key, row in _KEYS.items():
+            if isinstance(row, _Field) and (row.owner is ExperimentConfig or variant):
+                fields[row.owner][row.name] = row.parse(key, vals[key])
         try:
-            detector: Optional[DetectorConfig] = None
-            if vals["detector"] != "none":
-                detector = DetectorConfig(
-                    variant=vals["detector"],
-                    tau_min=_parse_number("tau_min", vals["tau_min"], float),
-                    alpha=_parse_number("alpha", vals["alpha"], float),
-                    use_risk_reduction=_parse_bool("risk_reduction", vals["risk_reduction"]),
-                )
-            self.experiment = ExperimentConfig(
-                model=vals["model"],
-                hidden_dim=_parse_number("hidden_dim", vals["hidden_dim"], int),
-                sgc_k=_parse_number("sgc_k", vals["sgc_k"], int),
-                dropout_rate=_parse_number("dropout", vals["dropout"], float),
-                learning_rate=_parse_number("learning_rate", vals["learning_rate"], float),
-                weight_decay=_parse_number("weight_decay", vals["weight_decay"], float),
-                epochs=_parse_number("epochs", vals["epochs"], int),
-                loss_mode=vals["loss_mode"],
-                history_size=history_size,
-                restart=vals["restart"],
-                label_rate=_parse_number("label_rate", vals["label_rate"], float),
-                label_seed=_parse_number("label_seed", vals["label_seed"], int),
-                detector=detector,
-                seeds=seeds,
-            )
+            detector = DetectorConfig(**fields[DetectorConfig]) if variant else None
+            self.experiment = ExperimentConfig(detector=detector, **fields[ExperimentConfig])
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
         self._snapshot = vals
@@ -138,7 +171,7 @@ def load_config(path) -> dict:
 
 
 def config_text(snapshot: dict) -> str:
-    return "".join(f"{k}={snapshot[k]}\n" for k in _DEFAULTS)
+    return "".join(f"{k}={snapshot[k]}\n" for k in _KEYS)
 
 
 def write_manifest(path, *, snapshot: dict, dataset_fingerprint: str, reports: dict, summary: str, version: str) -> None:

@@ -188,14 +188,24 @@ class MetricsReport:
 
     @staticmethod
     def from_jsonl(text: str) -> "MetricsReport":
+        """The report of :meth:`to_jsonl`'s text; ValidationError names the
+        1-based line at fault."""
         records = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise ValidationError(f"line {lineno}: not valid JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise ValidationError(f"line {lineno}: expected a JSON object")
             if obj.get("kind") == "task":
                 obj.pop("kind")
-                records.append(TaskRecord(**obj))
+                try:
+                    records.append(TaskRecord(**obj))
+                except TypeError as exc:  # a key missing or unknown
+                    raise ValidationError(f"line {lineno}: bad task record ({exc})") from None
         return MetricsReport(records=records)
 
 

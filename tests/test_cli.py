@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import evograph as eg
-from evograph import cli
+from evograph import cli, config
 from evograph.cli import main
 from evograph.config import RunSpec, parse_config_text
 from evograph.errors import EvographError
@@ -94,6 +96,27 @@ def test_unread_flag_usage_error(tmp_path, monkeypatch, capsys, case):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_flags_reach_every_synth_field(tmp_path, monkeypatch):
+    # one flag per SynthConfig field: a new field with no flag fails here
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = [a.dest for a in sub.choices["generate"]._actions]
+    assert all(dests.count(f.name) == 1 for f in dataclasses.fields(eg.SynthConfig))
+    built = []
+    monkeypatch.setattr(cli, "generate", lambda cfg: built.append(cfg) or eg.generate(eg.SynthConfig()))
+    monkeypatch.setattr(cli, "save_dataset", lambda *args, **kwargs: None)
+    assert main([
+        "generate", str(tmp_path / "d"), "--num-timestamps", "12", "--vertices-per-timestamp", "31",
+        "--initial-classes", "5", "--new-class-schedule", "3:1,6:2", "--class-skew", "1.5",
+        "--feature-dim", "17", "--feature-noise", "0.25", "--intra-class-edge-prob", "0.09",
+        "--inter-class-edge-prob", "0.02", "--window-back", "2", "--seed", "7", "--quiet",
+    ]) == 0
+    assert built == [eg.SynthConfig(
+        num_timestamps=12, vertices_per_timestamp=31, num_initial_classes=5, new_class_schedule={3: 1, 6: 2},
+        class_skew=1.5, feature_dim=17, feature_noise=0.25, intra_class_edge_prob=0.09,
+        inter_class_edge_prob=0.02, window_back=2, seed=7,
+    )]
 
 
 def test_generate_duplicate_schedule_timestamp_exit_2(tmp_path, capsys):
@@ -358,6 +381,24 @@ class TestRun:
         assert manifest["config"]["tau_min"] == "0.6"
         assert manifest["config"]["risk_reduction"] == "true"
 
+    def test_detector_flags_recorded_config_pinned(self, dataset, tmp_path):
+        # a float flag is recorded as repr(float(value)): --alpha 1 as 1.0
+        cfg = write_config(tmp_path / "c.cfg", dataset, seeds="0")
+        out = tmp_path / "ov"
+        rc = main([
+            "run", "--config", str(cfg), "--output-dir", str(out), "--quiet",
+            "--detector", "gdoc", "--tau-min", "0.6", "--alpha", "1", "--risk-reduction", "true",
+        ])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == {
+            "format_version": "1", "mode": "sequence", "dataset": str(dataset), "model": "mlp",
+            "hidden_dim": "32", "sgc_k": "2", "dropout": "0.5", "learning_rate": "0.01",
+            "weight_decay": "0.0005", "epochs": "8", "loss_mode": "auto", "history_size": "1",
+            "restart": "warm", "label_rate": "1.0", "label_seed": "0", "detector": "gdoc",
+            "tau_min": "0.6", "alpha": "1.0", "risk_reduction": "true", "seeds": "0",
+            "pretrain_epochs": "200", "inference_epochs": "35",
+        }
+
     def test_detector_flag_matches_config_file(self, dataset, tmp_path):
         # both resolve tau_min to DOC's default, 0.5
         plain = write_config(tmp_path / "plain.cfg", dataset, seeds="0")
@@ -533,7 +574,7 @@ class TestRun:
             r"error: seed 0: layer \d has parameters outside the float32 range of a checkpoint\n",
             capsys.readouterr().err,
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_two_task_single_timestamp_exit_1(self, tmp_path, capsys):
         data = tmp_path / "one"
@@ -771,6 +812,26 @@ def test_run_config_error_names_file_of_bad_entry(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["run", "--config", "{cfg}", "--output-dir", "{file}/out"], "{file}/out"),
+        (["analyze-tdiff", "{data}", "--output-dir", "{file}"], "{file}"),
+        (["generate", "{file}"], "{file}"),
+    ],
+    ids=["run", "analyze-tdiff", "generate"],
+)
+def test_output_dir_that_cannot_be_created_exit_1(dataset, tmp_path, capsys, argv, out):
+    # a regular file stands where the output directory would go
+    names = {"cfg": write_config(tmp_path / "c.cfg", dataset, seeds="0", epochs="2"), "data": dataset,
+             "file": tmp_path / "file"}
+    names["file"].write_text("")
+    assert main([arg.format(**names) for arg in argv] + ["--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out.format(**names)}: cannot write (")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mode", ["accuracy-table", "fwt", "open"])
 def test_report_reads_manifest_config_with_defaults(warm_cold_runs, tmp_path, capsys, mode):
     # a config key the manifest lacks takes its default, as under run --from-manifest
@@ -810,6 +871,9 @@ def test_readme_example_config_parses(dataset):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     assert "dataset=data/toy\n" in block
+    # the example names every config key, once
+    keys = [line.partition("=")[0] for line in block.splitlines() if not line.startswith("#")]
+    assert sorted(keys) == sorted(config._KEYS)
     spec = parse_config_text(block.replace("dataset=data/toy\n", f"dataset={dataset}\n"))
     assert spec.dataset == str(dataset)
     assert spec.mode == "sequence"

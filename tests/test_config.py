@@ -1,12 +1,41 @@
+import dataclasses
 import re
+from collections import Counter
 
 import pytest
 
 import evograph as eg
+from evograph import config
 from evograph.config import RunSpec, config_text, load_config, parse_config_text
 from evograph.errors import ConfigError
 
 MINIMAL = "format_version=1\ndataset=somewhere\n"
+
+# config_text of a RunSpec that names only the dataset and the detector
+DEFAULT_TEXT = """\
+format_version=1
+mode=sequence
+dataset=x
+model=sage
+hidden_dim=32
+sgc_k=2
+dropout=0.5
+learning_rate=0.01
+weight_decay=0.0005
+epochs=200
+loss_mode=auto
+history_size=full
+restart=warm
+label_rate=1.0
+label_seed=0
+detector={detector}
+tau_min={tau_min}
+alpha=0.0
+risk_reduction=false
+seeds=0
+pretrain_epochs=200
+inference_epochs=35
+"""
 
 
 def test_defaults_fill_in():
@@ -16,6 +45,23 @@ def test_defaults_fill_in():
     assert spec.experiment.history_size is eg.FULL
     assert spec.experiment.seeds == (0,)
     assert spec.experiment.detector is None
+
+
+@pytest.mark.parametrize("detector, tau_min", [("none", "0.75"), ("doc", "0.5"), ("gdoc", "0.75")])
+def test_default_config_text_pinned(detector, tau_min):
+    text = config_text(RunSpec({"dataset": "x", "detector": detector}).snapshot())
+    assert text == DEFAULT_TEXT.format(detector=detector, tau_min=tau_min)
+
+
+def test_every_library_field_has_one_config_key():
+    # a new ExperimentConfig or DetectorConfig field with no config key fails here
+    rows = [row for row in config._KEYS.values() if not isinstance(row, str)]
+    reached = Counter((row.owner, row.name) for row in rows)
+    fields = {(cls, f.name) for cls in (eg.ExperimentConfig, eg.DetectorConfig) for f in dataclasses.fields(cls)}
+    # ExperimentConfig.detector is the DetectorConfig that the detector keys build
+    assert set(reached) == fields - {(eg.ExperimentConfig, "detector")}
+    assert set(reached.values()) == {1}
+    assert list(config.DETECTOR_KEYS) == ["detector", "tau_min", "alpha", "risk_reduction"]
 
 
 def test_snapshot_round_trips():

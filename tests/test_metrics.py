@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +210,22 @@ class TestMetricsReport:
     def test_record_key_set(self):
         line = json.loads(self.build().to_jsonl().splitlines()[0])
         assert set(line) == {"kind", "t", "accuracy", "tp", "tn", "fp", "fn", "open_f1"}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "not valid JSON"),
+            ("[1, 2]", "expected a JSON object"),
+            ('{"kind": "task", "t": 3}', "missing 1 required positional argument: 'accuracy'"),
+            ('{"kind": "task", "t": 3, "accuracy": 0.5, "f1": 1}', "unexpected keyword argument 'f1'"),
+        ],
+        ids=["not-json", "json-list", "task-without-accuracy", "task-with-unknown-key"],
+    )
+    def test_from_jsonl_malformed_line_names_it(self, line, message):
+        lines = self.build().to_jsonl().splitlines()
+        lines.insert(2, line)
+        with pytest.raises(ValidationError, match=rf"^line 3: .*{re.escape(message)}"):
+            eg.MetricsReport.from_jsonl("\n".join(lines) + "\n")
 
     def test_events_stay_out_of_the_value(self):
         rep = self.build()
