@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 runtime error, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
@@ -214,6 +216,23 @@ def _detector_overrides(args) -> dict:
     }
 
 
+def _check_output_dir(path: Path) -> None:
+    """Raise the OSError that making directory ``path`` would meet, creating nothing.
+
+    Its nearest existing ancestor must be a directory this process can write.
+    """
+    ancestor = path
+    while not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        code = errno.EEXIST if ancestor == path else errno.ENOTDIR
+    elif not os.access(ancestor, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs: need at least 1 worker slot, got {args.jobs}")
@@ -236,6 +255,8 @@ def cmd_run(args) -> int:
             f"dataset at {spec.dataset} changed since the manifest was written"
         )
 
+    out_dir = Path(args.output_dir)
+    _check_output_dir(out_dir)  # before any seed trains
     g = load_dataset(spec.dataset)
     seeds = spec.experiment.seeds
     # one job per contiguous chunk of seeds, one chunk per worker slot
@@ -255,7 +276,6 @@ def cmd_run(args) -> int:
                 raise EvographError(f"seed {seed}: {exc}") from None
 
     # created only now, so a run that fails leaves no directory behind
-    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = {}
     for seed, text, model in zip(seeds, texts, models):

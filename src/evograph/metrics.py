@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -189,7 +189,9 @@ class MetricsReport:
     @staticmethod
     def from_jsonl(text: str) -> "MetricsReport":
         """The report of :meth:`to_jsonl`'s text; ValidationError names the
-        1-based line at fault."""
+        1-based line at fault: not a JSON object, or a task record with a key
+        missing or unknown, a count or ``t`` not an integer, or a score not a
+        number."""
         records = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -206,6 +208,11 @@ class MetricsReport:
                     records.append(TaskRecord(**obj))
                 except TypeError as exc:  # a key missing or unknown
                     raise ValidationError(f"line {lineno}: bad task record ({exc})") from None
+                for f in fields(TaskRecord):
+                    value, number = getattr(records[-1], f.name), f.type == "float"
+                    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+                        kind = "a number" if number else "an integer"
+                        raise ValidationError(f"line {lineno}: {f.name} must be {kind}, got {value!r}")
         return MetricsReport(records=records)
 
 

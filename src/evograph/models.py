@@ -17,7 +17,11 @@ parameter buffer, one flat row per model (the working models' layers, which
 layer, one dropout buffer and, for sage, ``H @ W_n`` on the output columns,
 all float64.  The hidden buffers are ``(S, n, h)``; the logits and the other
 output-column buffers are ``(n, S, C)``, so each sparse product runs once
-for the stack.  The backward pass masks the hidden gradient wherever the
+for the stack.  Biases ride in the BLAS products: layer 0's input carries a
+ones column, so ``[X | 1] @ [W0; b0]`` and its transpose product give layer
+0's output and both its gradients, and the last layer's bias gradient is
+``ones(n) @ dZ``.  Dropout and the loss gradient multiply by precomputed
+scales.  The backward pass masks the hidden gradient wherever the
 activation is positive: after relu and inverted dropout, that is exactly
 where the pre-activation was positive and the draw kept the unit.  The loss
 *value* is computed only where it is read: with ``on_epoch``, and in
@@ -26,11 +30,12 @@ Dropout fires only inside ``train``, with masks drawn from a generator per
 model seeded by its ``cfg.seed``.  :func:`loss_and_grad` runs the same
 workspace passes without one, so it is deterministic; :func:`forward` runs
 the same forward pass with only its own buffers (hidden layer, logits and
-sage's ``H @ W_n``) over the model's own layers.  All three take the graph,
+sage's ``H @ W_n``) over a flat copy of the model.  All three take the graph,
 not its features: layer 0's input (:func:`model_inputs`, for sage
-``[X | P X]``) and ``P`` are built once per graph object and model kind and
-cached on the graph, read-only.  Weighted-bce's class weights are not passed:
-they are :func:`evograph.openworld.class_weights` of the masked labels.
+``[X | P X]``, then the ones column) and ``P`` are built once per graph
+object and model kind and cached on the graph, read-only.  Weighted-bce's
+class weights are not passed: they are
+:func:`evograph.openworld.class_weights` of the masked labels.
 
 Layer conventions
 -----------------
@@ -200,9 +205,9 @@ def model_inputs(model: ModelState, g: TemporalGraph) -> np.ndarray:
 def _graph_inputs(model: ModelState, g: TemporalGraph):
     """Layer 0's input and the propagation pair for ``model`` on ``g``, cached on ``g``.
 
-    For sage the input is ``[X | P X]`` and the pair ``(P, P.T)``, with ``X``
-    from :func:`model_inputs` and ``P`` from :func:`mean_propagation`; the
-    other kinds take ``X`` as it is and no pair.  The input is read-only.
+    For sage the input is ``[X | P X | 1]`` and the pair ``(P, P.T)``, with
+    ``X`` from :func:`model_inputs` and ``P`` from :func:`mean_propagation`;
+    the other kinds take ``[X | 1]`` and no pair.  The input is read-only.
     """
     if g.feature_dim != model.input_dim:
         raise ValidationError(
@@ -210,10 +215,11 @@ def _graph_inputs(model: ModelState, g: TemporalGraph):
         )
     key = (model.kind, model.sgc_k)
     if key not in g._model_inputs:
-        H_in, prop = model_inputs(model, g), None
+        X, prop = model_inputs(model, g), None
         if model.kind == "sage":
             P = mean_propagation(g)
-            H_in, prop = np.hstack([H_in, P @ H_in]), (P, P.T)
+            X, prop = np.hstack([X, P @ X]), (P, P.T)
+        H_in = np.hstack([X, np.ones((len(X), 1))])
         H_in.flags.writeable = False
         g._model_inputs[key] = (H_in, prop)
     return g._model_inputs[key]
@@ -238,38 +244,46 @@ def _views(flat: np.ndarray, shapes) -> list:
     return out
 
 
+def _layer0(flat: np.ndarray, fan_in: int, fan_out: int) -> np.ndarray:
+    """Layer 0's ``[W0; b0]`` in a stack of :func:`_flat` rows, as one ``(S, fan_in + 1, fan_out)`` view."""
+    return flat[:, : (fan_in + 1) * fan_out].reshape(len(flat), fan_in + 1, fan_out)
+
+
 class _Forward:
     """The buffers of the forward pass of S models of one shape on one graph.
 
-    ``layers`` are per-layer stacks ``(W, b)`` of shapes ``(S, fan_in,
-    fan_out)`` and ``(S, fan_out)``; by default the one model's own layers,
-    S = 1.  The buffers are the hidden layer ``H``, ``(S, n, h)`` (the
+    ``flat`` holds one :func:`_flat` row per model (by default a copy of
+    the one model's, S = 1); ``layers`` are stacked views ``(W, b)`` into it,
+    ``(S, fan_in, fan_out)`` and ``(S, fan_out)``, and ``Wb0`` is layer 0's
+    ``[W0; b0]``, ``(S, fan_in + 1, fan_out)``, which multiplies the cached
+    ``[X | 1]``.  The buffers are the hidden layer ``H``, ``(S, n, h)`` (the
     pre-activation, then in place the activation), the logits and, for
     sage, ``HWn = H @ W_n``, both ``(n, S, C)``: the models' output columns
     side by side, so that each sparse product runs once on ``(n, S * C)``.
     ``H1`` is the input of the last layer's self half ``W_s = W[:d]``: ``H``
-    (mlp, sage), or layer 0's input for sgc, which has no hidden layer.
+    (mlp, sage), then plus the bias ``b``, or layer 0's input for sgc, which
+    has no hidden layer and whose ``W`` is ``Wb0``.
     sage adds the neighbor half as ``P @ (H @ W_n)``, with ``W_n = W[d:]``.
     Each product on the stack is one broadcast ``np.matmul`` that makes,
     per model, the BLAS call of a lone model, so each model gets the bits it
     would get alone.  Every view an epoch needs (the halves, the bias rows,
     the model-major views of the ``(n, S, C)`` buffers) is made here once,
-    and the pass reads ``layers`` as they are.
+    and the pass reads ``flat`` as it is.
     """
 
-    def __init__(self, model: ModelState, g: TemporalGraph, layers=None):
+    def __init__(self, model: ModelState, g: TemporalGraph, flat=None):
         self.model = model
-        self.layers = [(w[None], b[None]) for w, b in model.layers] if layers is None else layers
+        shapes = [w.shape for w, _ in model.layers]
+        flat = _flat(model.layers)[None] if flat is None else flat
+        self.layers, self.Wb0 = _views(flat, shapes), _layer0(flat, *shapes[0])
         self.H_in, self.prop = _graph_inputs(model, g)
-        n, S = self.H_in.shape[0], self.layers[0][0].shape[0]
+        n, S = self.H_in.shape[0], len(flat)
         self.logits = np.empty((n, S, model.output_dim))
+        W, self.b = (self.Wb0, None) if model.kind == "sgc" else self.layers[-1]
         self.H1 = self.H_in
         if model.kind != "sgc":
             self.H = self.H1 = np.empty((S, n, model.hidden_dim))
-            self.W0, b0 = self.layers[0]
-            self.b0 = b0[:, None]
         d = self.H1.shape[-1]
-        W, self.b = self.layers[-1]
         self.W_s, self.W_n = W[:, :d], W[:, d:]
         self.logits_by_model, self.logits_cols = self.logits.transpose(1, 0, 2), self.logits.reshape(n, -1)
         if self.prop is not None:
@@ -281,21 +295,21 @@ class _Forward:
         self.dropped = rngs is not None
         if len(self.layers) > 1:
             H = self.H
-            np.matmul(self.H_in, self.W0, out=H)
-            H += self.b0
+            np.matmul(self.H_in, self.Wb0, out=H)
             np.maximum(H, 0.0, out=H)
             if self.dropped:
-                drop, rate = self.drop, self.model.dropout_rate
+                drop = self.drop
                 for rng, model_drop in zip(rngs, drop):
                     rng.random(out=model_drop)
-                np.greater_equal(drop, rate, out=drop)
+                np.greater_equal(drop, self.model.dropout_rate, out=drop)
                 H *= drop
-                H /= 1.0 - rate
+                H *= self.scale
         np.matmul(self.H1, self.W_s, out=self.logits_by_model)
         if self.prop is not None:
             np.matmul(self.H1, self.W_n, out=self.HWn_by_model)
             self.logits_cols += self.prop[0] @ self.HWn_cols
-        self.logits += self.b
+        if self.b is not None:
+            self.logits += self.b
         return self.logits
 
 
@@ -307,31 +321,34 @@ class _Workspace(_Forward):
     ``grad_layers`` are stacked views into them, and ``models`` holds each
     model as a copy whose layers are views into its row.  The models share
     kind, settings and shapes.
+    The bias gradients come out of BLAS products: ``[X | 1].T @ dH`` fills
+    ``gWb0``, layer 0's ``[gW0; gb0]``, and mlp's and sage's ``gb`` is
+    ``ones(n) @ dZ``.
     For sage the backward pass takes ``Q = P.T @ dZ`` on the output columns;
     layer 1's gradient is ``H.T @ dZ`` over ``H.T @ Q`` by rows, and
     ``dH = dZ @ W_s.T + Q @ W_n.T``.
-    The backward mask is ``H > 0``: ``H`` is ``relu(pre) * drop / (1 - rate)``
-    with ``1 - rate`` in (0, 1], so it is positive exactly where ``pre`` is
-    and the draw kept the unit.  The one ``drop`` buffer holds the draw, then
-    that mask, as 0.0/1.0 floats: a float multiply is about three times
-    cheaper than a boolean one.
+    The backward mask is ``H > 0``: ``H`` is ``relu(pre) * drop * scale``
+    with ``scale = 1 / (1 - rate) >= 1``, so it is positive exactly where
+    ``pre`` is and the draw kept the unit.  The one ``drop`` buffer holds the
+    draw, then that mask, as 0.0/1.0 floats: a float multiply is about three
+    times cheaper than a boolean one.
     """
 
     def __init__(self, models: list, g: TemporalGraph):
         model = models[0]
         shapes = [w.shape for w, _ in model.layers]
         self.params = np.stack([_flat(m.layers) for m in models])
-        super().__init__(model, g, _views(self.params, shapes))
+        super().__init__(model, g, self.params)
         self.models = [replace(m, layers=_views(row, shapes)) for m, row in zip(models, self.params)]
         self.grads = np.empty_like(self.params)
-        self.grad_layers = _views(self.grads, shapes)
+        self.grad_layers, self.gWb0 = _views(self.grads, shapes), _layer0(self.grads, *shapes[0])
         self.dlogits = np.zeros_like(self.logits)  # rows outside a train mask stay zero
+        gW, self.gb = (self.gWb0, None) if model.kind == "sgc" else self.grad_layers[-1]
         d = self.H1.shape[-1]
-        gW, self.gb = self.grad_layers[-1]
         self.gW_s, self.gW_n, self.H1_T = gW[:, :d], gW[:, d:], self.H1.swapaxes(-1, -2)
         if model.kind != "sgc":
             self.drop, self.dH = np.empty_like(self.H), np.empty_like(self.H)
-            self.gW0, self.gb0 = self.grad_layers[0]
+            self.ones, self.scale = np.ones(len(self.H_in)), 1.0 / (1.0 - model.dropout_rate)
             self.W_s_T, self.W_n_T = self.W_s.swapaxes(1, 2), self.W_n.swapaxes(1, 2)
 
     def backward(self, targets: _Targets, loss_mode: str, want_loss: bool) -> Optional[list]:
@@ -343,9 +360,9 @@ class _Workspace(_Forward):
             n = dZ.shape[0]
             Q_by_model = (self.prop[1] @ dZ.reshape(n, -1)).reshape(dZ.shape).transpose(1, 0, 2)
             np.matmul(self.H1_T, Q_by_model, out=self.gW_n)
-        np.add.reduce(dZ, axis=0, out=self.gb)
         if len(self.layers) == 1:
             return losses
+        np.matmul(self.ones, dZ_by_model, out=self.gb)
         dH = self.dH
         np.matmul(dZ_by_model, self.W_s_T, out=dH)
         if self.prop is not None:
@@ -353,9 +370,8 @@ class _Workspace(_Forward):
             dH += np.matmul(Q_by_model, self.W_n_T, out=self.drop)
         dH *= np.greater(self.H, 0.0, out=self.drop)
         if self.dropped:
-            dH /= 1.0 - self.model.dropout_rate
-        np.matmul(self.H_in.T, dH, out=self.gW0)
-        np.add.reduce(dH, axis=1, out=self.gb0)
+            dH *= self.scale
+        np.matmul(self.H_in.T, dH, out=self.gWb0)
         return losses
 
 
@@ -371,6 +387,7 @@ class _Targets(NamedTuple):
     y: np.ndarray  # their output units
     onehot: np.ndarray  # (masked rows, C)
     weights: Optional[np.ndarray]  # per-unit weights, weighted-bce only
+    scale: object  # the gradient's factor per unit: weights / (n * C), 1 / (n * C) or 1 / n (categorical)
 
 
 def _loss_targets(labels, train_mask, shape, loss_mode) -> _Targets:
@@ -391,7 +408,8 @@ def _loss_targets(labels, train_mask, shape, loss_mode) -> _Targets:
     weights = _class_weights(labels, mask, num_units) if loss_mode == WEIGHTED_BCE else None
     onehot = np.zeros((idx.size, num_units), dtype=np.float64)
     onehot[np.arange(idx.size), y] = 1.0
-    return _Targets(None if idx.size == num_rows else idx, y, onehot, weights)
+    scale = 1.0 / idx.size if loss_mode == CATEGORICAL else (1.0 if weights is None else weights) / onehot.size
+    return _Targets(None if idx.size == num_rows else idx, y, onehot, weights, scale)
 
 
 def _mean(terms, count: int, weights=None) -> float:
@@ -418,7 +436,7 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
     gradient's masked rows are written into ``dlogits`` (zeros outside
     them), which is returned.
     """
-    idx, y, onehot, weights = targets
+    idx, y, onehot, weights, scale = targets
     n, C = onehot.shape
     Z = logits if idx is None else logits[idx]
     models = range(Z.shape[1])
@@ -438,7 +456,7 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
         grad /= total
         grad = grad.reshape(n, S, C)
         grad[rows, :, y] -= 1.0
-        grad /= n
+        grad *= scale
     else:
         # stable elementwise: max(z,0) - z*y + log(1 + exp(-|z|))
         grad, e = _sigmoid_exp(Z)
@@ -448,9 +466,7 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
                 for s in models
             ]
         grad -= onehot[:, None]
-        if weights is not None:
-            grad *= weights
-        grad /= n * C
+        grad *= scale
     if idx is None:
         return losses, grad
     dlogits[idx] = grad

@@ -4,18 +4,29 @@ These are the earlier ``models`` kernels, kept as the oracle the tests hold
 :func:`evograph.train`, :func:`evograph.forward` and :func:`evograph.sigmoid`
 to, bit for bit: a two-branch sigmoid, float dropout masks, the loss
 gathered and scattered through the row index even when the mask covers every
-row, and Adam run per parameter array on a list-of-pairs state.  Sage's
-output layer runs in the re-associated order ``H @ W_s + P @ (H @ W_n)``,
-with ``W_s``/``W_n`` the row halves of its weights, and backward
-``Q = P.T @ dZ``, ``dH = dZ @ W_s.T + Q @ W_n.T``, as ``models`` does.
+row, and Adam run per parameter array on a list-of-pairs state.  They run
+the arithmetic in the order ``models`` does:
+
+* Layer 0 (for sgc, its one layer) is one product with the bias as the last
+  row of the weights, ``[H_in | 1] @ [W; b]``, and its backward pass one
+  product ``[H_in | 1].T @ dZ``, whose last row is the bias gradient.  The
+  last layer of mlp and sage adds its bias and takes its bias gradient as
+  ``ones(n) @ dZ``.
+* Sage's output layer runs in the re-associated order ``H @ W_s + P @ (H @
+  W_n) + b``, with ``W_s``/``W_n`` the row halves of its weights, and
+  backward ``Q = P.T @ dZ``, ``dH = dZ @ W_s.T + Q @ W_n.T``.
+* Inverted dropout multiplies by ``1 / (1 - rate)``, and the loss gradient
+  by ``targets.scale`` (``weights / (n * C)``, ``1 / (n * C)`` or ``1 / n``).
+
 ``train`` keeps the earlier signature: the caller passes layer 0's features
 ``X`` and, optionally, weighted-bce's class weights.
 
-``_forward_cached_concat`` and ``_backward_concat`` keep the earlier sage
-order verbatim: layer 1's input ``[H | P H]`` times the whole weight matrix,
-and ``P.T @ dPH`` on the hidden columns.  They are the order oracle: a
-kernel whose summation order differs from the one above is held to them
-within ``PASS_RTOL`` (one pass) and ``TRAINED_RTOL`` (trained weights).
+With ``folded=False`` the kernels run the order before the bias fold: ``H_in
+@ W + b``, bias gradients as column sums ``dZ.sum(axis=0)``, dropout divided
+by ``1 - rate``, and the loss gradient times the weights, then divided by
+``n * C`` (``n``, categorical).  That is the order oracle: a kernel whose
+summation order differs from the one above is held to it within
+``PASS_RTOL`` (one pass) and ``TRAINED_RTOL`` (trained weights).
 """
 
 from dataclasses import dataclass
@@ -77,33 +88,31 @@ def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
     return (rng.random(shape) >= rate).astype(np.float64)
 
 
-def _forward_cached(model, H_in, prop, rng):
-    cache = {"inputs": [], "prelin": [], "drop": [], "prop": prop}
+def _with_ones(H_in) -> np.ndarray:
+    return np.hstack([H_in, np.ones((len(H_in), 1))])
+
+
+def _affine(H_in, W, b, folded: bool) -> np.ndarray:
+    """``H_in @ W + b``; folded, one product ``[H_in | 1] @ [W; b]``."""
+    return _with_ones(H_in) @ np.vstack([W, b]) if folded else H_in @ W + b
+
+
+def _inverted_dropout(H, mask, rate: float, folded: bool) -> np.ndarray:
+    return H * mask * (1.0 / (1.0 - rate)) if folded else H * mask / (1.0 - rate)
+
+
+def _forward_cached(model, H_in, prop, rng, folded=True):
+    cache = {"inputs": [], "prelin": [], "drop": [], "prop": prop, "folded": folded}
     last = len(model.layers) - 1
     for i, (W, b) in enumerate(model.layers):
         cache["inputs"].append(H_in)
-        if i == last:
-            if prop is None or i == 0:
-                return H_in @ W + b, cache
+        if i == 0:
+            Z = _affine(H_in, W, b, folded)
+        elif prop is None:
+            Z = H_in @ W + b
+        else:
             d = H_in.shape[1]
-            return H_in @ W[:d] + prop[0] @ (H_in @ W[d:]) + b, cache
-        Z = H_in @ W + b
-        cache["prelin"].append(Z)
-        H = np.maximum(Z, 0.0)
-        mask = None
-        if rng is not None:
-            mask = _dropout_mask(rng, H.shape, model.dropout_rate)
-            H = H * mask / (1.0 - model.dropout_rate)
-        cache["drop"].append(mask)
-        H_in = H
-
-
-def _forward_cached_concat(model, H_in, prop, rng):
-    cache = {"inputs": [], "prelin": [], "drop": [], "prop": prop}
-    last = len(model.layers) - 1
-    for i, (W, b) in enumerate(model.layers):
-        cache["inputs"].append(H_in)
-        Z = H_in @ W + b
+            Z = H_in @ W[:d] + prop[0] @ (H_in @ W[d:]) + b
         if i == last:
             return Z, cache
         cache["prelin"].append(Z)
@@ -111,9 +120,9 @@ def _forward_cached_concat(model, H_in, prop, rng):
         mask = None
         if rng is not None:
             mask = _dropout_mask(rng, H.shape, model.dropout_rate)
-            H = H * mask / (1.0 - model.dropout_rate)
+            H = _inverted_dropout(H, mask, model.dropout_rate, folded)
         cache["drop"].append(mask)
-        H_in = H if prop is None else np.hstack([H, prop[0] @ H])
+        H_in = H
 
 
 def _loss_targets(labels, train_mask, num_units: int, loss_mode, class_weights) -> _Targets:
@@ -135,11 +144,15 @@ def _loss_targets(labels, train_mask, num_units: int, loss_mode, class_weights) 
             raise ValidationError("class_weights must be positive, one per output unit")
     onehot = np.zeros((idx.size, num_units), dtype=np.float64)
     onehot[np.arange(idx.size), y] = 1.0
-    return _Targets(idx, y, onehot, weights)
+    if loss_mode == CATEGORICAL:
+        scale = 1.0 / idx.size
+    else:
+        scale = (1.0 if weights is None else weights) / (idx.size * num_units)
+    return _Targets(idx, y, onehot, weights, scale)
 
 
-def _loss_kernel(logits: np.ndarray, targets: _Targets, loss_mode: str):
-    idx, y, onehot, weights = targets
+def _loss_kernel(logits: np.ndarray, targets: _Targets, loss_mode: str, folded=True):
+    idx, y, onehot, weights, scale = targets
     n, C = onehot.shape
     Z = logits[idx]
     dlogits = np.zeros_like(logits)
@@ -147,61 +160,48 @@ def _loss_kernel(logits: np.ndarray, targets: _Targets, loss_mode: str):
         shifted = Z - Z.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         loss = float(np.mean(np.log(e.sum(axis=1)) - shifted[np.arange(n), y]))
-        dlogits[idx] = (e / e.sum(axis=1, keepdims=True) - onehot) / n
+        grad = e / e.sum(axis=1, keepdims=True) - onehot
+        dlogits[idx] = grad * scale if folded else grad / n
     else:
         elem = np.maximum(Z, 0.0) - Z * onehot + np.log1p(np.exp(-np.abs(Z)))
         grad = sigmoid(Z) - onehot
         if weights is not None:
             elem = elem * weights
-            grad = grad * weights
         loss = float(elem.sum() / (n * C))
-        dlogits[idx] = grad / (n * C)
+        if folded:
+            dlogits[idx] = grad * scale
+        else:
+            dlogits[idx] = (grad if weights is None else grad * weights) / (n * C)
     return loss, dlogits
 
 
 def _backward(model, cache, dlogits):
+    folded = cache["folded"]
     grads = [None] * len(model.layers)
     dZ = dlogits
     prop = cache["prop"]
     for i in range(len(model.layers) - 1, -1, -1):
         W, _ = model.layers[i]
         H_in = cache["inputs"][i]
-        if i == 0 or prop is None:
-            grads[i] = (H_in.T @ dZ, dZ.sum(axis=0))
-            if i == 0:
-                break
+        if i == 0:
+            if not folded:
+                grads[0] = (H_in.T @ dZ, dZ.sum(axis=0))
+            else:
+                both = _with_ones(H_in).T @ dZ
+                grads[0] = (both[:-1], both[-1])
+            break
+        gb = np.ones(len(dZ)) @ dZ if folded else dZ.sum(axis=0)
+        if prop is None:
+            grads[i] = (H_in.T @ dZ, gb)
             dH = dZ @ W.T
         else:
             d = H_in.shape[1]
             Q = prop[1] @ dZ
-            grads[i] = (np.vstack([H_in.T @ dZ, H_in.T @ Q]), dZ.sum(axis=0))
+            grads[i] = (np.vstack([H_in.T @ dZ, H_in.T @ Q]), gb)
             dH = dZ @ W[:d].T + Q @ W[d:].T
         mask = cache["drop"][i - 1]
         if mask is not None:
-            dH = dH * mask / (1.0 - model.dropout_rate)
-        dZ = dH * (cache["prelin"][i - 1] > 0)
-    return grads
-
-
-def _backward_concat(model, cache, dlogits):
-    grads = [None] * len(model.layers)
-    dZ = dlogits
-    prop = cache["prop"]
-    for i in range(len(model.layers) - 1, -1, -1):
-        W, _ = model.layers[i]
-        H_in = cache["inputs"][i]
-        grads[i] = (H_in.T @ dZ, dZ.sum(axis=0))
-        if i == 0:
-            break
-        dH_in = dZ @ W.T
-        if prop is not None:
-            d = dH_in.shape[1] // 2
-            dH = dH_in[:, :d] + prop[1] @ dH_in[:, d:]
-        else:
-            dH = dH_in
-        mask = cache["drop"][i - 1]
-        if mask is not None:
-            dH = dH * mask / (1.0 - model.dropout_rate)
+            dH = _inverted_dropout(dH, mask, model.dropout_rate, folded)
         dZ = dH * (cache["prelin"][i - 1] > 0)
     return grads
 
@@ -220,12 +220,8 @@ def _adam_update(model, grads, opt: AdamState, lr: float, weight_decay: float) -
             p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def train(
-    model, g, X, labels, train_mask, cfg, class_weights=None, on_epoch=None,
-    kernels=(_forward_cached, _backward),
-):
-    """The earlier ``train``; ``kernels`` is the (forward, backward) pair it runs."""
-    forward_cached, backward = kernels
+def train(model, g, X, labels, train_mask, cfg, class_weights=None, on_epoch=None, folded=True):
+    """The earlier ``train``, in the bias-folded order or, with ``folded=False``, the one before."""
     if cfg.loss_mode == WEIGHTED_BCE and class_weights is None:
         class_weights = _class_weights(labels, train_mask, model.output_dim)
     H_in, prop = _graph_inputs(model, g, X)
@@ -236,11 +232,11 @@ def train(
     model = model.copy()
     opt = init_adam_state(model)
     for epoch in range(1, cfg.epochs + 1):
-        logits, cache = forward_cached(model, H_in, prop, rng)
+        logits, cache = _forward_cached(model, H_in, prop, rng, folded)
         if not np.all(np.isfinite(logits)):
             raise ValidationError(f"non-finite logits at epoch {epoch}")
-        loss, dlogits = _loss_kernel(logits, targets, cfg.loss_mode)
-        _adam_update(model, backward(model, cache, dlogits), opt, cfg.learning_rate, cfg.weight_decay)
+        loss, dlogits = _loss_kernel(logits, targets, cfg.loss_mode, folded)
+        _adam_update(model, _backward(model, cache, dlogits), opt, cfg.learning_rate, cfg.weight_decay)
         if on_epoch is not None:
             on_epoch(epoch, loss, model)
     return model
@@ -249,7 +245,9 @@ def train(
 # How far a kernel whose summation order differs from the order oracle may
 # deviate from it, as max|got - oracle| over max|oracle| per array.  On the
 # grid of test_models.py's TestOrderOracle, sage's re-associated output layer
-# measured up to 1.1e-15 for one pass and 3.4e-14 for weights after 200 epochs.
+# measured up to 1.1e-15 for one pass and 3.4e-14 for weights after 200 epochs
+# against the concatenated order before it; the bias fold and the reciprocal
+# scales, up to 1.6e-15 and 6.1e-15 against the unfolded order.
 PASS_RTOL = 1e-13  # forward logits and one pass's loss gradients
 TRAINED_RTOL = 1e-10  # weights after ``train``
 

@@ -832,6 +832,21 @@ def test_output_dir_that_cannot_be_created_exit_1(dataset, tmp_path, capsys, arg
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("out, reason", [("{file}/out", "Not a directory"), ("{file}", "File exists")])
+def test_run_output_dir_checked_before_training(dataset, tmp_path, capsys, monkeypatch, out, reason):
+    def run_sequences(*args, **kwargs):
+        pytest.fail("a seed trained although the output directory cannot be created")
+
+    monkeypatch.setattr(cli, "run_sequences", run_sequences)
+    cfg = write_config(tmp_path / "c.cfg", dataset, seeds="0,1", epochs="2")
+    (tmp_path / "file").write_text("")
+    out = out.format(file=tmp_path / "file")
+    assert main(["run", "--config", str(cfg), "--output-dir", out, "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {out}: cannot write ({reason})\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
 @pytest.mark.parametrize("mode", ["accuracy-table", "fwt", "open"])
 def test_report_reads_manifest_config_with_defaults(warm_cold_runs, tmp_path, capsys, mode):
     # a config key the manifest lacks takes its default, as under run --from-manifest

@@ -227,6 +227,33 @@ class TestMetricsReport:
         with pytest.raises(ValidationError, match=rf"^line 3: .*{re.escape(message)}"):
             eg.MetricsReport.from_jsonl("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("accuracy", '"x"', "a number"),
+            ("accuracy", "true", "a number"),
+            ("accuracy", "null", "a number"),
+            ("open_f1", "[0.5]", "a number"),
+            ("t", "1.0", "an integer"),
+            ("t", "false", "an integer"),
+            ("tp", '"3"', "an integer"),
+            ("fn", "2.5", "an integer"),
+        ],
+    )
+    def test_from_jsonl_value_of_wrong_type_names_line(self, key, value, kind):
+        record = {"kind": "task", "t": 1, "accuracy": 0.5, "tp": 1, "tn": 2, "fp": 0, "fn": 1, "open_f1": 0.5}
+        line = json.dumps(record).replace(f'"{key}": {json.dumps(record[key])}', f'"{key}": {value}')
+        assert line != json.dumps(record)
+        lines = self.build().to_jsonl().splitlines()
+        lines.insert(1, line)
+        with pytest.raises(ValidationError, match=rf"^line 2: {key} must be {kind}, got "):
+            eg.MetricsReport.from_jsonl("\n".join(lines) + "\n")
+
+    def test_from_jsonl_takes_integral_numbers_as_scores(self):
+        back = eg.MetricsReport.from_jsonl('{"kind": "task", "t": 1, "accuracy": 1, "open_f1": 0}\n')
+        assert back.records == [TaskRecord(t=1, accuracy=1, open_f1=0)]
+        assert back.avg_accuracy() == 1.0
+
     def test_events_stay_out_of_the_value(self):
         rep = self.build()
         rep.events.extend([{"t": 1, "thresholds": [0.75]}, {"t": 2, "thresholds": [0.8]}])

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -211,7 +212,63 @@ class TestWorkspace:
         g = small_graph(seed=2, n=12)
         f = eg.models._Forward(eg.init_model(kind, 3, 4, 3, seed=0), g)
         f.forward()
-        assert not {"drop", "dH", "grads", "dlogits", "params"} & set(vars(f))
+        assert not {"drop", "dH", "grads", "gWb0", "dlogits", "params", "ones"} & set(vars(f))
+
+    @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
+    def test_layer0_weights_and_bias_are_one_view_into_the_flat_rows(self, kind):
+        g = small_graph(seed=2, n=12)
+        models = [eg.init_model(kind, 3, 4, 3, seed=s) for s in range(2)]
+        for m in models:
+            m.layers[0][1][:] = np.arange(1.0, m.layers[0][1].size + 1)
+        ws = eg.models._Workspace(models, g)
+        fan_in, fan_out = models[0].layers[0][0].shape
+        assert ws.Wb0.shape == ws.gWb0.shape == (2, fan_in + 1, fan_out)
+        assert np.shares_memory(ws.Wb0, ws.params) and np.shares_memory(ws.gWb0, ws.grads)
+        ws.grads[:] = np.arange(ws.grads.size).reshape(ws.grads.shape)
+        gW0, gb0 = ws.grad_layers[0]
+        for s, m in enumerate(models):
+            assert np.array_equal(ws.Wb0[s], np.vstack(m.layers[0]))
+            assert np.array_equal(ws.gWb0[s], np.vstack([gW0[s], gb0[s]]))
+
+    @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
+    def test_cached_input_ends_in_a_read_only_ones_column(self, kind):
+        g = small_graph(seed=2, n=12)
+        m = eg.init_model(kind, 3, 4, 3, seed=0)
+        H_in, prop = eg.models._graph_inputs(m, g)
+        X = eg.model_inputs(m, g)
+        assert np.array_equal(H_in[:, :-1], X if prop is None else np.hstack([X, prop[0] @ X]))
+        assert np.array_equal(H_in[:, -1], np.ones(12))
+        with pytest.raises(ValueError, match="read-only"):
+            H_in[0, -1] = 2.0
+
+    @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
+    def test_epoch_allocates_no_hidden_buffer_and_rebinds_none(self, kind):
+        S, n, h, C = 2, 300, 64, 3
+        g = small_graph(seed=2, n=n, dim=5, num_classes=C)
+        models = [eg.init_model(kind, 5, h, C, seed=s, dropout_rate=0.5) for s in range(S)]
+        ws = eg.models._Workspace(models, g)
+        targets = eg.models._loss_targets(g.labels, np.ones(n, bool), ws.logits.shape, eg.BCE)
+        rngs = [np.random.default_rng(s) for s in range(S)]
+        ws.forward(rngs)
+        ws.backward(targets, eg.BCE, want_loss=False)
+        buffers = {name: id(a) for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ws.forward(rngs)
+            ws.backward(targets, eg.BCE, want_loss=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # every (S, n, h) and (n, S, C) buffer is the workspace's own, made once
+        assert buffers == {name: id(a) for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
+        # what an epoch allocates (the loss kernel's and numpy's temporaries, a few (n, S, C)
+        # arrays) stays below one (S, n, h) buffer, 21 times as large here
+        assert peak < S * n * h * 8
 
     def test_sage_holds_no_concatenated_hidden_layer(self):
         # layer 1 runs as H @ W_s + P @ (H @ W_n): nothing is (n, 2h) wide, in either pass
@@ -797,7 +854,7 @@ class TestReferenceOracle:
 
 
 class TestOrderOracle:
-    """sage's re-associated output layer against the concatenated order, within the stated bound."""
+    """``train`` against the order before the bias fold (``folded=False``), within the stated bound."""
 
     GRAPHS = {
         "isolated-vertex": TestReferenceOracle.graph_with_isolated_vertex,
@@ -809,16 +866,18 @@ class TestOrderOracle:
 
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
-    @pytest.mark.parametrize("dropout", [0.0, 0.5])
-    def test_within_bound_of_concatenated_order(self, graph, loss_mode, dropout):
+    @pytest.mark.parametrize(
+        "kind, dropout",
+        [("sage", 0.0), ("sage", 0.5), ("sage", 0.3), ("mlp", 0.0), ("mlp", 0.5), ("mlp", 0.3), ("sgc", 0.0)],
+    )
+    def test_within_bound_of_unfolded_order(self, graph, loss_mode, kind, dropout):
         g = self.GRAPHS[graph]()
         mask = np.arange(g.num_vertices) % 5 > 0
-        m = eg.init_model("sage", 5, 32, 4, seed=3, dropout_rate=dropout)
+        m = eg.init_model(kind, 5, 32, 4, seed=3, dropout_rate=dropout)
         X = eg.model_inputs(m, g)
         cfg = eg.TrainConfig(learning_rate=0.02, epochs=200, loss_mode=loss_mode, seed=6)
-        concat = (ref._forward_cached_concat, ref._backward_concat)
         trained = eg.train(m, g, g.labels, mask, cfg)
-        oracle = ref.train(m, g, X, g.labels, mask, cfg, kernels=concat)
+        oracle = ref.train(m, g, X, g.labels, mask, cfg, folded=False)
         for got, want in zip(trained.layers, oracle.layers):
             for a, b in zip(got, want):
                 assert ref.rel_dev(a, b) <= ref.TRAINED_RTOL
@@ -826,13 +885,13 @@ class TestOrderOracle:
         # its gradients are not yet the near-cancelling sums of a converged one
         m = eg.train(m, g, g.labels, mask, replace(cfg, epochs=15))
         H_in, prop = ref._graph_inputs(m, g, X)
-        logits, cache = ref._forward_cached_concat(m, H_in, prop, None)
+        logits, cache = ref._forward_cached(m, H_in, prop, None, folded=False)
         assert ref.rel_dev(eg.forward(m, g), logits) <= ref.PASS_RTOL
         weights = eg.class_weights(g.labels, mask, 4) if loss_mode == eg.WEIGHTED_BCE else None
         targets = ref._loss_targets(g.labels, mask, 4, loss_mode, weights)
-        loss, dlogits = ref._loss_kernel(logits, targets, loss_mode)
+        loss, dlogits = ref._loss_kernel(logits, targets, loss_mode, folded=False)
         got_loss, got_grads = eg.loss_and_grad(m, g, g.labels, mask, loss_mode)
         assert ref.rel_dev(got_loss, loss) <= ref.PASS_RTOL
-        for got, want in zip(got_grads, ref._backward_concat(m, cache, dlogits)):
+        for got, want in zip(got_grads, ref._backward(m, cache, dlogits)):
             for a, b in zip(got, want):
                 assert ref.rel_dev(a, b) <= ref.PASS_RTOL
