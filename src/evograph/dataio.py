@@ -5,20 +5,27 @@ A dataset is a directory of line-oriented UTF-8 text files plus features:
 * ``manifest`` -- ``key=value`` lines (see :func:`read_key_values`); required
   keys ``format_version=1``, ``num_vertices``, ``feature_dim``, ``num_classes``,
   the last three non-negative integers.
-* ``edges``    -- one ``src dst`` pair of 0-based decimal integers per line;
-  direction is ignored.
-* ``times``    -- one decimal integer per vertex, line i = vertex i.
-* ``labels``   -- one decimal integer per vertex; ``-1`` means unlabeled.
+* ``edges``    -- one ``src dst`` pair of integers per line, 0-based vertex
+  ids; direction is ignored.
+* ``times``    -- one integer per vertex, line i = vertex i.
+* ``labels``   -- one integer per vertex; ``-1`` means unlabeled.
 * ``features.bin`` -- row-major 32-bit little-endian reals, no header,
   length num_vertices * feature_dim; or ``features.csv`` with
   comma-separated decimal reals, row i = vertex i.  When both exist the
   binary file wins.
+
+Integers follow ``int()``'s rules and must fit in 64 bits.  A file of plain
+ASCII decimals (digits, signs, spaces, tabs, line ends) is parsed in one C
+pass; any other file line by line.  The results are the same either way.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import io
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -28,6 +35,9 @@ from .errors import DatasetError, EvographError, ValidationError
 from .graph import TemporalGraph
 
 _DATASET_FILES = ("manifest", "edges", "times", "labels", "features.bin", "features.csv")
+# the bytes of an integer file that np.loadtxt parses exactly as int() does
+_PLAIN = b"0123456789 \t\r\n+-"
+_INT64 = np.iinfo(np.int64)
 
 
 def read_bytes(path: Path, error: type[EvographError]) -> bytes:
@@ -38,14 +48,17 @@ def read_bytes(path: Path, error: type[EvographError]) -> bytes:
         raise error(f"{path}: cannot read ({exc.strerror})") from None
 
 
-def read_text(path: Path, error: type[EvographError]) -> str:
-    """``path``'s UTF-8 text; raises ``error`` naming the file if it cannot be
-    read or is not UTF-8."""
-    data = read_bytes(path, error)
+def _decode(data: bytes, path: Path, error: type[EvographError]) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_text(path: Path, error: type[EvographError]) -> str:
+    """``path``'s UTF-8 text; raises ``error`` naming the file if it cannot be
+    read or is not UTF-8."""
+    return _decode(read_bytes(path, error), path, error)
 
 
 def read_key_values(text: str, name: str, error: type[EvographError]) -> dict:
@@ -81,51 +94,79 @@ def read_json(path: Path, error: type[EvographError], keys=()) -> dict:
     return obj
 
 
-def _read_int_rows(path: Path, width: int, bad_width: str, bad_value: str) -> np.ndarray:
-    """The integers of ``path``, ``width`` per non-blank line, as an (N, width) array.
+def _read_int_rows(path: Path, data: bytes, width: int, bad_width: str, bad_value: str,
+                   out_of_range: str) -> np.ndarray:
+    """The integers in ``data``, the bytes of ``path``, ``width`` per non-blank
+    line, as an (N, width) array.
 
-    numpy converts all tokens in one call (with ``int()``'s rules).  Only if
-    that fails, or a line holds another number of tokens, are the lines
-    scanned in order, and DatasetError names the first bad one as
-    ``file:line`` with ``bad_width`` or ``bad_value`` and the line.
+    Plain text (``_PLAIN`` bytes only, not blank) is parsed by one
+    ``np.loadtxt``, kept if it succeeds with ``width`` columns; on this
+    alphabet loadtxt accepts exactly what ``int()`` accepts.  Any other text
+    goes to :func:`_int_rows_by_line`, which raises DatasetError with the
+    messages.
     """
-    text = read_text(path, DatasetError)
+    # plain bytes are ASCII, so UTF-8 too; a blank text would make loadtxt warn
+    if data.strip() and not data.translate(None, _PLAIN):
+        try:
+            rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, ndmin=2, comments=None, encoding="ascii")
+        except ValueError:
+            rows = None
+        if rows is not None and rows.shape[1] == width:
+            return rows
+    text = _decode(data, path, DatasetError)
+    return _int_rows_by_line(text, path.name, width, bad_width, bad_value, out_of_range)
+
+
+def _int_rows_by_line(text: str, name: str, width: int, bad_width: str, bad_value: str,
+                      out_of_range: str) -> np.ndarray:
+    """:func:`_read_int_rows` for any text, with ``int()``'s rules.
+
+    numpy converts all tokens in one call.  Only if that fails, or a line
+    holds another number of tokens, are the lines scanned in order, and
+    DatasetError names the first bad one as ``name:line`` with ``bad_width``,
+    ``bad_value`` or ``out_of_range`` (beyond int64) and the line.
+    """
     widths = np.fromiter(map(len, map(str.split, text.splitlines())), dtype=np.int64)
     try:
         if np.any((widths != 0) & (widths != width)):
             raise ValueError(f"a line without {width} tokens")
         return np.array(text.split(), dtype=np.int64).reshape(-1, width)
-    except ValueError:
+    except (ValueError, OverflowError):
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             parts = line.split()
             if parts and len(parts) != width:
-                raise DatasetError(f"{path.name}:{lineno}: {bad_width} {line!r}") from None
+                raise DatasetError(f"{name}:{lineno}: {bad_width} {line!r}") from None
             try:
-                for part in parts:
-                    int(part)
+                values = [int(part) for part in parts]
             except ValueError:
-                raise DatasetError(f"{path.name}:{lineno}: {bad_value} {line!r}") from None
+                raise DatasetError(f"{name}:{lineno}: {bad_value} {line!r}") from None
+            if not all(_INT64.min <= v <= _INT64.max for v in values):
+                raise DatasetError(f"{name}:{lineno}: {out_of_range} {line!r}") from None
         raise
 
 
-def _read_ints(path: Path, what: str) -> np.ndarray:
-    return _read_int_rows(path, 1, f"non-integer {what}", f"non-integer {what}").ravel()
+def _read_ints(path: Path, data: bytes, what: str) -> np.ndarray:
+    return _read_int_rows(
+        path, data, 1, f"non-integer {what}", f"non-integer {what}", f"{what} out of range"
+    ).ravel()
 
 
-def _read_edges(path: Path) -> tuple[np.ndarray, int]:
-    arr = _read_int_rows(path, 2, "expected 'src dst', got", "non-integer vertex id in")
+def _read_edges(path: Path, data: bytes) -> tuple[np.ndarray, int]:
+    arr = _read_int_rows(
+        path, data, 2, "expected 'src dst', got", "non-integer vertex id in", "vertex id out of range in"
+    )
     return arr, int(np.count_nonzero(arr[:, 0] == arr[:, 1]))
 
 
-def _bad_csv_line(path: Path) -> str | None:
+def _bad_csv_line(text: str, name: str) -> str | None:
     """``file:line: why`` for the first bad line of a features CSV, or None.
 
     Skips what numpy skips, blank lines and ``#`` comments, and checks each
     cell with ``float()``; None if that finds no fault numpy would report.
     """
     width = None
-    for lineno, raw in enumerate(read_text(path, DatasetError).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -134,10 +175,10 @@ def _bad_csv_line(path: Path) -> str | None:
             try:
                 float(cell)
             except ValueError:
-                return f"{path.name}:{lineno}: non-numeric value {cell.strip()!r} in column {col}"
+                return f"{name}:{lineno}: non-numeric value {cell.strip()!r} in column {col}"
         width = width or len(cells)
         if len(cells) != width:
-            return f"{path.name}:{lineno}: {len(cells)} values, expected {width}"
+            return f"{name}:{lineno}: {len(cells)} values, expected {width}"
     return None
 
 
@@ -148,15 +189,56 @@ def _dataset_dir(path) -> Path:
     return root
 
 
+class DatasetFiles(os.PathLike):
+    """A dataset directory whose files are each read at most once.
+
+    :func:`load_dataset` and :func:`dataset_fingerprint` accept it as their
+    ``path``, so a caller of both parses the very bytes it hashed.  As an
+    ``os.PathLike`` it stands for its directory wherever a path is taken.
+    Raises DatasetError if ``path`` is not a directory.
+    """
+
+    def __init__(self, path):
+        self.root = _dataset_dir(path)
+        self._data: dict[str, bytes | None] = {}  # file name -> bytes, None if absent
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.root)
+
+    def get(self, name: str) -> bytes | None:
+        """The bytes of file ``name``, or None if it does not exist."""
+        if name not in self._data:
+            p = self.root / name
+            self._data[name] = read_bytes(p, DatasetError) if p.exists() else None
+        return self._data[name]
+
+    def data(self, name: str) -> bytes:
+        """The bytes of file ``name``; raises DatasetError naming it if it does not exist."""
+        data = self.get(name)
+        if data is None:
+            raise DatasetError(f"{self.root / name}: cannot read ({os.strerror(errno.ENOENT)})")
+        return data
+
+    def text(self, name: str) -> str:
+        """The UTF-8 text of file ``name`` (see :func:`read_text`)."""
+        return _decode(self.data(name), self.root / name, DatasetError)
+
+
+def _files(path) -> DatasetFiles:
+    return path if isinstance(path, DatasetFiles) else DatasetFiles(path)
+
+
 def load_dataset(path) -> TemporalGraph:
     """Load and validate a dataset directory into a TemporalGraph.
 
+    ``path`` may be a :class:`DatasetFiles`, whose bytes are then reused.
     Raises DatasetError naming the missing/offending file, or
     ValidationError with the offending counts on dimension mismatch.
     """
-    root = _dataset_dir(path)
+    files = _files(path)
+    root = files.root
 
-    manifest = read_key_values(read_text(root / "manifest", DatasetError), "manifest", DatasetError)
+    manifest = read_key_values(files.text("manifest"), "manifest", DatasetError)
     for key in ("format_version", "num_vertices", "feature_dim", "num_classes"):
         if key not in manifest:
             raise DatasetError(f"manifest: missing required key {key!r}")
@@ -173,14 +255,11 @@ def load_dataset(path) -> TemporalGraph:
         counts.append(value)
     num_vertices, feature_dim, num_classes = counts
 
-    edges, loops = _read_edges(root / "edges")
-    times = _read_ints(root / "times", "timestamp")
-    labels = _read_ints(root / "labels", "label")
+    edges, loops = _read_edges(root / "edges", files.data("edges"))
+    times = _read_ints(root / "times", files.data("times"), "timestamp")
+    labels = _read_ints(root / "labels", files.data("labels"), "label")
 
-    bin_path = root / "features.bin"
-    csv_path = root / "features.csv"
-    if bin_path.exists():
-        data = read_bytes(bin_path, DatasetError)
+    if (data := files.get("features.bin")) is not None:
         expected = num_vertices * feature_dim
         if len(data) != 4 * expected:
             raise ValidationError(
@@ -188,12 +267,12 @@ def load_dataset(path) -> TemporalGraph:
                 f"({num_vertices} x {feature_dim})"
             )
         features = np.frombuffer(data, dtype="<f4").reshape(num_vertices, feature_dim)
-    elif csv_path.exists():
-        lines = read_text(csv_path, DatasetError).splitlines()
+    elif files.get("features.csv") is not None:
+        text = files.text("features.csv")
         try:
-            features = np.loadtxt(lines, delimiter=",", dtype=np.float32, ndmin=2)
+            features = np.loadtxt(text.splitlines(), delimiter=",", dtype=np.float32, ndmin=2)
         except ValueError as exc:
-            raise DatasetError(_bad_csv_line(csv_path) or f"features.csv: {exc}") from None
+            raise DatasetError(_bad_csv_line(text, "features.csv") or f"features.csv: {exc}") from None
         if features.shape != (num_vertices, feature_dim):
             raise ValidationError(
                 f"features.csv is {features.shape[0]} x {features.shape[1]}, "
@@ -246,14 +325,15 @@ def save_dataset(g: TemporalGraph, path, features_format: str = "bin") -> None:
 def dataset_fingerprint(path) -> str:
     """SHA-256 over the dataset files' names and bytes, order-independent.
 
+    ``path`` may be a :class:`DatasetFiles`, whose bytes are then reused.
     Raises DatasetError if ``path`` is not a directory.
     """
-    root = _dataset_dir(path)
+    files = _files(path)
     digest = hashlib.sha256()
     for name in _DATASET_FILES:
-        p = root / name
-        if p.exists():
+        data = files.get(name)
+        if data is not None:
             digest.update(name.encode())
             digest.update(b"\0")
-            digest.update(read_bytes(p, DatasetError))
+            digest.update(data)
     return digest.hexdigest()

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ValidationError
 from .graph import TemporalGraph
@@ -43,32 +44,35 @@ def k_hop_time_diffs(g: TemporalGraph, k: int) -> TimeDiffHistogram:
     """Distribution of time differences within each vertex's k-hop neighborhood.
 
     One sparse pass over row blocks of the adjacency matrix A.  A block's
-    reach is the boolean A + A^2 + ... + A^k restricted to its rows, so a pair
-    counts once however many paths connect it; the diagonal (the source
-    itself) is dropped.  Memory is bounded by the block, at most
-    max(2**23, |V|) reach entries, whose differences are tallied with
-    ``np.unique`` so that no array grows with the range of the timestamps.
-    O(|V| * b^k) work for average degree b, all of it in numpy and scipy.
+    reach is its rows of the boolean A (A + I)^(k-1) = A + A^2 + ... + A^k,
+    so a pair counts once however many paths connect it.  The reach holds the
+    diagonal (the source itself, a 0-difference) wherever a closed walk of at
+    most k edges exists; those entries are subtracted from bin 0.  Memory is
+    bounded by the block, at most max(2**23, |V|) reach entries, whose
+    differences are tallied with ``np.unique`` so that no array grows with the
+    range of the timestamps.  O(|V| * b^k) work for average degree b, all of
+    it in numpy and scipy.
     """
     if k < 1:
         raise ValidationError("hop bound k must be >= 1")
     n = g.num_vertices
     # Boolean products are OR-of-ANDs, so entries mark reachability and never wrap.
     adj = g.adjacency().astype(bool)
+    step = adj + sp.identity(n, dtype=bool, format="csr")
     time = g.time
     rows = max(1, _BLOCK_ENTRIES // max(n, 1))
     counts: dict[int, int] = {}
     for lo in range(0, n, rows):
-        front = reach = adj[lo:lo + rows]
+        reach = adj[lo:lo + rows]
         for _ in range(k - 1):
-            front = front @ adj
-            reach = reach + front
-        reach = reach.tocoo()
-        src = reach.row + lo
-        diffs = time[src] - time[reach.col]
-        values, tally = np.unique(diffs[(diffs >= 0) & (src != reach.col)], return_counts=True)
+            reach = reach @ step
+        diffs = np.repeat(time[lo:lo + rows], np.diff(reach.indptr)) - time[reach.indices]
+        values, tally = np.unique(diffs[diffs >= 0], return_counts=True)
+        if tally.size:  # a diagonal entry is a 0-difference, so bin 0 is values[0]
+            tally[0] -= np.count_nonzero(reach.diagonal(k=lo))
         for d, c in zip(values.tolist(), tally.tolist()):
-            counts[d] = counts.get(d, 0) + c
+            if c:
+                counts[d] = counts.get(d, 0) + c
     return TimeDiffHistogram(counts=counts, k=k)
 
 

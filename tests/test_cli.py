@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import evograph as eg
-from evograph import cli, config
+from evograph import cli, config, dataio
 from evograph.cli import main
 from evograph.config import RunSpec, parse_config_text
 from evograph.errors import EvographError
@@ -285,6 +285,30 @@ class TestRun:
             "--output-dir", str(tmp_path / "r2"), "--quiet",
         ]) == 1
         assert "changed since the manifest was written" in capsys.readouterr().err
+
+    def test_rerun_from_unparseable_dataset_names_the_change(self, dataset, tmp_path, capsys):
+        # the digest is compared before any file is parsed
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        cfg = write_config(tmp_path / "c.cfg", data, seeds="0")
+        out = tmp_path / "r1"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        (data / "times").write_text("x\n")
+        capsys.readouterr()
+        assert main([
+            "run", "--from-manifest", str(out / "manifest.json"),
+            "--output-dir", str(tmp_path / "r2"), "--quiet",
+        ]) == 1
+        assert capsys.readouterr().err == f"error: dataset at {data} changed since the manifest was written\n"
+
+    def test_one_read_per_dataset_file(self, dataset, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.cfg", dataset, seeds="0")
+        reads = []
+        read_bytes = dataio.read_bytes
+        monkeypatch.setattr(dataio, "read_bytes", lambda p, error: reads.append(p) or read_bytes(p, error))
+        assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
+        names = [p.name for p in reads if p.parent == dataset]
+        assert names == ["manifest", "edges", "times", "labels", "features.bin"]
 
     def test_rerun_from_moved_dataset_exit_1(self, dataset, tmp_path, capsys):
         data = tmp_path / "ds"

@@ -188,6 +188,9 @@ def test_save_bytes_unchanged(tmp_path):
         assert eg.dataset_fingerprint(tmp_path / fmt) == digest
 
 
+INT64 = np.iinfo(np.int64)
+
+
 def line_by_line_ints(path, what):
     """Reference reader: one int() per stripped non-blank line."""
     values = []
@@ -196,9 +199,12 @@ def line_by_line_ints(path, what):
         if not line:
             continue
         try:
-            values.append(int(line))
+            value = int(line)
         except ValueError:
             raise DatasetError(f"{path.name}:{lineno}: non-integer {what} {line!r}") from None
+        if not INT64.min <= value <= INT64.max:
+            raise DatasetError(f"{path.name}:{lineno}: {what} out of range {line!r}")
+        values.append(value)
     return np.asarray(values, dtype=np.int64)
 
 
@@ -217,6 +223,8 @@ def line_by_line_edges(path):
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise DatasetError(f"{path.name}:{lineno}: non-integer vertex id in {line!r}") from None
+        if not (INT64.min <= u <= INT64.max and INT64.min <= v <= INT64.max):
+            raise DatasetError(f"{path.name}:{lineno}: vertex id out of range in {line!r}")
         loops += u == v
         pairs.append((u, v))
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), loops
@@ -233,8 +241,11 @@ def outcome(read, path):
 
 
 READERS = {
-    "edges": (dataio._read_edges, line_by_line_edges),
-    "times": (lambda p: dataio._read_ints(p, "timestamp"), lambda p: line_by_line_ints(p, "timestamp")),
+    "edges": (lambda p: dataio._read_edges(p, p.read_bytes()), line_by_line_edges),
+    "times": (
+        lambda p: dataio._read_ints(p, p.read_bytes(), "timestamp"),
+        lambda p: line_by_line_ints(p, "timestamp"),
+    ),
 }
 
 
@@ -261,6 +272,12 @@ def assert_reads_like_reference(tmp_path, text):
         " -1 +2\t\n1_0 ٣\n",  # int() accepts signs, digit separators and non-ASCII digits
         "0 1\x0c1 2\n",  # form feed splits lines like a newline
         "0\xa01\n",  # no-break space separates tokens
+        "-0\n007\n+5\n",  # plain text: signs, leading zeros
+        "1-2\n", "-\n", "+-1\n", "\r", "1\r2\n",  # plain text loadtxt rejects
+        "0 1\n2\n",  # mixed widths
+        f"{2**63 - 1} {-2**63}\n",  # the int64 bounds
+        f"0 1\n{2**63} 1\n",  # one past them
+        f"{-2**63 - 1}\n",
     ],
 )
 def test_loader_matches_line_by_line(tmp_path, text):
@@ -289,6 +306,86 @@ def test_loader_fuzz(tmp_path):
             assert_reads_like_reference(tmp_path, "".join(chars))
     for _ in range(150):
         assert_reads_like_reference(tmp_path, "".join(rng.choice(alphabet, size=int(rng.integers(0, 16)))))
+
+
+PLAIN_TOKENS = ["0", "-0", "+0", "7", "007", "-012", "+3", "1-2", "-", "+", "+-1", "--1", "3+",
+                str(2**63 - 1), str(-2**63), str(2**63), str(-2**63 - 1)]
+
+
+def plain_text(rng):
+    """A random text of ``dataio._PLAIN`` bytes: lines of mostly one width, mixed separators and ends."""
+    if rng.random() < 0.1:
+        return "".join(rng.choice(list("0123456789 \t\r\n+-"), size=int(rng.integers(0, 12))))
+    sep = ["", " ", "  ", "\t", " \t"]
+    end = ["\n", "\n", "\r\n", "\r", "\n\n", " \n", ""]
+    base = int(rng.integers(1, 3))
+    lines = []
+    for _ in range(int(rng.integers(0, 5))):
+        width = base if rng.random() < 0.85 else int(rng.integers(0, 4))
+        tokens = [str(rng.choice(PLAIN_TOKENS)) if rng.random() < 0.1 else str(rng.integers(-99, 999))
+                  for _ in range(width)]
+        lines.append(str(rng.choice(sep)) + str(rng.choice(sep[1:])).join(tokens) + str(rng.choice(end)))
+    return "".join(lines)
+
+
+def test_plain_text_fuzz(tmp_path, monkeypatch):
+    # the one-pass parse of plain text against the line-by-line reference
+    by_line = []
+    fallback = dataio._int_rows_by_line
+    monkeypatch.setattr(dataio, "_int_rows_by_line", lambda *args: by_line.append(1) or fallback(*args))
+    rng = np.random.default_rng(24)
+    for _ in range(400):
+        text = plain_text(rng)
+        assert not text.encode().translate(None, dataio._PLAIN)
+        assert_reads_like_reference(tmp_path, text)
+    # each path read over 100 of the 800 texts (two readers per text)
+    assert 100 < len(by_line) < 700
+
+
+@pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("times", "1\n2\n3\n{}\n", "times:4: timestamp out of range '{}'"),
+        ("labels", "0\n{}\n-1\n1\n", "labels:2: label out of range '{}'"),
+        ("edges", "0 1\n1 2\n2 {}\n", "edges:3: vertex id out of range in '2 {}'"),
+    ],
+)
+def test_integer_beyond_int64_names_the_line(fixture_dir, value, name, text, message):
+    (fixture_dir / name).write_text(text.format(value))
+    with pytest.raises(DatasetError, match=f"^{re.escape(message.format(value))}$"):
+        eg.load_dataset(fixture_dir)
+
+
+def test_saved_graph_takes_the_one_pass_parse(tmp_path, monkeypatch):
+    # what save_dataset writes never needs the line-by-line fallback
+    g = eg.generate(eg.SynthConfig(num_timestamps=10, vertices_per_timestamp=100, seed=5))
+    eg.save_dataset(g, tmp_path / "ds")
+
+    def fallback(*args):
+        raise AssertionError("line-by-line fallback reached")
+
+    monkeypatch.setattr(dataio, "_int_rows_by_line", fallback)
+    assert g.num_vertices == 1000 and g.num_edges > 1000
+    assert eg.load_dataset(tmp_path / "ds").equals(g)
+
+
+def test_fingerprint_and_load_read_each_file_once(tmp_path, graph_factory, monkeypatch):
+    eg.save_dataset(graph_factory(4), tmp_path / "ds")
+    (tmp_path / "ds" / "features.csv").write_text("not loaded, hashed all the same\n")
+    fingerprint = eg.dataset_fingerprint(tmp_path / "ds")
+    g = eg.load_dataset(tmp_path / "ds")
+    reads = []
+    read_bytes = dataio.read_bytes
+    monkeypatch.setattr(dataio, "read_bytes", lambda p, error: reads.append(p.name) or read_bytes(p, error))
+    files = dataio.DatasetFiles(tmp_path / "ds")
+    assert eg.dataset_fingerprint(files) == fingerprint
+    assert eg.load_dataset(files).equals(g)
+    assert reads == list(dataio._DATASET_FILES)
+    # alone, load_dataset reads what it parses: features.bin wins over features.csv
+    reads.clear()
+    eg.load_dataset(tmp_path / "ds")
+    assert reads == ["manifest", "edges", "times", "labels", "features.bin"]
 
 
 def test_load_dataset_names_bad_edge_line(fixture_dir):

@@ -95,6 +95,27 @@ def test_row_blocks_match_oracle(monkeypatch, graph_factory, rows):
             assert eg.k_hop_time_diffs(g, k).counts == bounded_pairs_oracle(g, k)
 
 
+def test_diagonal_zeros_leave_no_empty_bin():
+    # strictly increasing times on a path: every 0-difference within 2 hops is a
+    # vertex and itself, so bin 0 is absent, not a zero count
+    g = graph_from([1, 2, 3, 4, 5], [(0, 1), (1, 2), (2, 3), (3, 4)])
+    h = eg.k_hop_time_diffs(g, 2)
+    assert h.counts == {1: 4, 2: 3} == bounded_pairs_oracle(g, 2)
+    assert 0 not in h.counts
+
+
+def test_generated_graph_in_blocks_matches_oracle(monkeypatch):
+    # sparser than the default, to keep the brute-force oracle at k = 3 quick
+    cfg = eg.SynthConfig(num_timestamps=10, vertices_per_timestamp=110, intra_class_edge_prob=0.03,
+                         inter_class_edge_prob=0.004, seed=2)
+    g = eg.generate(cfg)
+    assert g.num_vertices >= 1000 and g.num_edges > 3 * g.num_vertices
+    # about 300 rows per block: four blocks, the last one ragged
+    monkeypatch.setattr(tdiff, "_BLOCK_ENTRIES", 300 * g.num_vertices)
+    for k in (1, 2, 3):
+        assert eg.k_hop_time_diffs(g, k).counts == bounded_pairs_oracle(g, k)
+
+
 def complete_graph(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
