@@ -28,11 +28,11 @@ from .config import (
     write_manifest,
 )
 from .dataio import DatasetFiles, dataset_fingerprint, load_dataset, read_json, save_dataset
-from .errors import ConfigError, EvographError, ValidationError
+from .errors import ConfigError, EvographError
 from .graph import UNLABELED
 from .lifelong import run_sequences, two_task_experiment
 from .metrics import drift_magnitude, forward_transfer, mean_ci95
-from .models import checkpoint_params, save_checkpoint
+from .models import save_checkpoint
 from .openworld import GDOC
 from .synth import SynthConfig, generate
 from .tdiff import history_sizes, k_hop_time_diffs, percentile
@@ -270,12 +270,6 @@ def cmd_run(args) -> int:
     else:
         results = job(chunks[0])
     texts, scores, traces, models = zip(*results)
-    for seed, model in zip(seeds, models):
-        if model is not None:
-            try:
-                checkpoint_params(model)
-            except ValidationError as exc:
-                raise EvographError(f"seed {seed}: {exc}") from None
 
     # created only now, so a run that fails leaves no directory behind
     out_dir.mkdir(parents=True, exist_ok=True)

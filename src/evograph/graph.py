@@ -33,7 +33,12 @@ def _canonical_edges(edges, num_vertices: int) -> np.ndarray:
         raise ValidationError(
             f"edge endpoint {bad} out of range for {num_vertices} vertices"
         )
-    keep = arr[:, 0] != arr[:, 1]
+    src, dst = arr[:, 0], arr[:, 1]
+    keys = src * num_vertices + dst
+    if np.all(src < dst) and np.all(keys[1:] > keys[:-1]):
+        # already canonical, as save_dataset writes them: no sort; copied if the caller holds it
+        return arr.copy() if isinstance(edges, np.ndarray) and np.may_share_memory(arr, edges) else arr
+    keep = src != dst
     arr = arr[keep]
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])

@@ -1,10 +1,10 @@
 """Dense graph models with hand-written gradients: MLP, SGC, GraphSAGE-mean.
 
-Parameters live in float64 for numerical headroom.  One flat layout (per
-layer, the weights row-major, then the bias) serves :func:`train`'s parameter
-buffer and checkpoints, which store it as 32-bit little-endian floats under
-a manifest of the kind, its settings and the layer shapes (see
-:func:`save_checkpoint`).  Models are values:
+Models hold float64 parameters; :func:`train`'s epochs run in float32.  One
+flat layout (per layer, the weights row-major, then the bias) serves
+:func:`train`'s parameter buffer and checkpoints, which store it as 32-bit
+little-endian floats under a manifest of the kind, its settings and the
+layer shapes (see :func:`save_checkpoint`).  Models are values:
 every public update (:func:`train`, :func:`expand_output_layer`) returns a
 new :class:`ModelState` and never mutates its input.  :func:`train` is the
 one training loop, for one model or for a stack of S models of one shape
@@ -14,16 +14,26 @@ bits it gets when trained alone.  A call allocates one epoch workspace and
 one Adam state array, and every epoch writes into them in place: the
 parameter buffer, one flat row per model (the working models' layers, which
 ``on_epoch`` receives, are views into it), the gradient rows, the hidden
-layer, one dropout buffer and, for sage, ``H @ W_n`` on the output columns,
-all float64.  The hidden buffers are ``(S, n, h)``; the logits and the other
-output-column buffers are ``(n, S, C)``, so each sparse product runs once
-for the stack.  Biases ride in the BLAS products: layer 0's input carries a
-ones column, so ``[X | 1] @ [W0; b0]`` and its transpose product give layer
-0's output and both its gradients, and the last layer's bias gradient is
-``ones(n) @ dZ``.  Dropout and the loss gradient multiply by precomputed
-scales.  The backward pass masks the hidden gradient wherever the
-activation is positive: after relu and inverted dropout, that is exactly
-where the pre-activation was positive and the draw kept the unit.  The loss
+layer, the dropout mask, the loss kernel's buffers and, for sage, ``H @
+W_n`` on the output columns, all float32, as are the Adam state, the cached
+layer-0 input and ``P`` it reads.  Only the dropout draw is float64: each
+model's generator fills its float64 slice and the mask is taken from it, so
+the masks are those of a float64 draw.  ``train`` returns the trained
+parameters cast back to float64, exactly, so a trained model is
+float32-exact and its checkpoint round-trips it without loss.  Mixed
+precision in this sense (Micikevicius et al., *Mixed Precision Training*,
+ICLR 2018) keeps float64 where precision is checked: :func:`forward`, which
+scores, and :func:`loss_and_grad`, which the finite-difference checks use,
+run the same passes in float64.  The hidden buffers are ``(S, n, h)``; the
+logits and the other output-column buffers are ``(n, S, C)``, so each
+sparse product runs once for the stack.  Biases ride in the BLAS products:
+layer 0's input carries a ones column, so ``[X | 1] @ [W0; b0]`` and its
+transpose product give layer 0's output and both its gradients, and the
+last layer's bias gradient is ``ones(n) @ dZ``.  Dropout and the loss
+gradient multiply by precomputed scales.  The backward pass masks the
+hidden gradient wherever the activation is positive: after relu and
+inverted dropout, that is exactly where the pre-activation was positive and
+the draw kept the unit.  The loss
 *value* is computed only where it is read: with ``on_epoch``, and in
 :func:`loss_and_grad` and :func:`loss_from_logits`.
 Dropout fires only inside ``train``, with masks drawn from a generator per
@@ -33,8 +43,8 @@ the same forward pass with only its own buffers (hidden layer, logits and
 sage's ``H @ W_n``) over a flat copy of the model.  All three take the graph,
 not its features: layer 0's input (:func:`model_inputs`, for sage
 ``[X | P X]``, then the ones column) and ``P`` are built once per graph
-object and model kind and cached on the graph, read-only.  Weighted-bce's
-class weights are not passed: they are
+object, model kind and dtype and cached on the graph, read-only.
+Weighted-bce's class weights are not passed: they are
 :func:`evograph.openworld.class_weights` of the masked labels.
 
 Layer conventions
@@ -64,7 +74,7 @@ import scipy.sparse as sp
 from .dataio import read_bytes, read_key_values, read_text
 from .errors import ValidationError
 from .graph import TemporalGraph
-from .openworld import _sigmoid_exp, class_weights as _class_weights
+from .openworld import _exp_neg_abs, _sigmoid, class_weights as _class_weights
 
 CATEGORICAL = "categorical"
 BCE = "bce"
@@ -202,32 +212,40 @@ def model_inputs(model: ModelState, g: TemporalGraph) -> np.ndarray:
     return np.asarray(g.features, dtype=np.float64)
 
 
-def _graph_inputs(model: ModelState, g: TemporalGraph):
-    """Layer 0's input and the propagation pair for ``model`` on ``g``, cached on ``g``.
+def _graph_inputs(model: ModelState, g: TemporalGraph, dtype):
+    """Layer 0's input and the propagation pair for ``model`` on ``g`` in ``dtype``, cached on ``g``.
 
     For sage the input is ``[X | P X | 1]`` and the pair ``(P, P.T)``, with
     ``X`` from :func:`model_inputs` and ``P`` from :func:`mean_propagation`;
     the other kinds take ``[X | 1]`` and no pair.  The input is read-only.
+    Both are built in float64; another dtype's entry is that one, cast once.
     """
     if g.feature_dim != model.input_dim:
         raise ValidationError(
             f"feature width {g.feature_dim} does not match layer-0 input {model.input_dim}"
         )
-    key = (model.kind, model.sgc_k)
+    key = (model.kind, model.sgc_k, np.dtype(dtype))
     if key not in g._model_inputs:
-        X, prop = model_inputs(model, g), None
-        if model.kind == "sage":
-            P = mean_propagation(g)
-            X, prop = np.hstack([X, P @ X]), (P, P.T)
-        H_in = np.hstack([X, np.ones((len(X), 1))])
+        if key[2] != np.float64:
+            H_in, prop = _graph_inputs(model, g, np.float64)
+            H_in = H_in.astype(dtype)
+            if prop is not None:
+                P = prop[0].astype(dtype)
+                prop = (P, P.T)
+        else:
+            X, prop = model_inputs(model, g), None
+            if model.kind == "sage":
+                P = mean_propagation(g)
+                X, prop = np.hstack([X, P @ X]), (P, P.T)
+            H_in = np.hstack([X, np.ones((len(X), 1))])
         H_in.flags.writeable = False
         g._model_inputs[key] = (H_in, prop)
     return g._model_inputs[key]
 
 
-def _flat(layers) -> np.ndarray:
-    """The parameters as one vector: per layer, the weights row-major, then the bias."""
-    return np.concatenate([a.ravel() for pair in layers for a in pair])
+def _flat(layers, dtype=np.float64) -> np.ndarray:
+    """The parameters as one ``dtype`` vector: per layer, the weights row-major, then the bias."""
+    return np.concatenate([a.ravel() for pair in layers for a in pair], dtype=dtype)
 
 
 def _views(flat: np.ndarray, shapes) -> list:
@@ -252,9 +270,11 @@ def _layer0(flat: np.ndarray, fan_in: int, fan_out: int) -> np.ndarray:
 class _Forward:
     """The buffers of the forward pass of S models of one shape on one graph.
 
-    ``flat`` holds one :func:`_flat` row per model (by default a copy of
-    the one model's, S = 1); ``layers`` are stacked views ``(W, b)`` into it,
-    ``(S, fan_in, fan_out)`` and ``(S, fan_out)``, and ``Wb0`` is layer 0's
+    ``flat`` holds one :func:`_flat` row per model (by default a float64
+    copy of the one model's, S = 1), and its dtype is the pass's: the
+    buffers and the cached graph inputs take it.  ``layers`` are stacked
+    views ``(W, b)`` into it, ``(S, fan_in, fan_out)`` and ``(S,
+    fan_out)``, and ``Wb0`` is layer 0's
     ``[W0; b0]``, ``(S, fan_in + 1, fan_out)``, which multiplies the cached
     ``[X | 1]``.  The buffers are the hidden layer ``H``, ``(S, n, h)`` (the
     pre-activation, then in place the activation), the logits and, for
@@ -276,13 +296,13 @@ class _Forward:
         shapes = [w.shape for w, _ in model.layers]
         flat = _flat(model.layers)[None] if flat is None else flat
         self.layers, self.Wb0 = _views(flat, shapes), _layer0(flat, *shapes[0])
-        self.H_in, self.prop = _graph_inputs(model, g)
+        self.H_in, self.prop = _graph_inputs(model, g, flat.dtype)
         n, S = self.H_in.shape[0], len(flat)
-        self.logits = np.empty((n, S, model.output_dim))
+        self.logits = np.empty((n, S, model.output_dim), flat.dtype)
         W, self.b = (self.Wb0, None) if model.kind == "sgc" else self.layers[-1]
         self.H1 = self.H_in
         if model.kind != "sgc":
-            self.H = self.H1 = np.empty((S, n, model.hidden_dim))
+            self.H = self.H1 = np.empty((S, n, model.hidden_dim), flat.dtype)
         d = self.H1.shape[-1]
         self.W_s, self.W_n = W[:, :d], W[:, d:]
         self.logits_by_model, self.logits_cols = self.logits.transpose(1, 0, 2), self.logits.reshape(n, -1)
@@ -298,10 +318,9 @@ class _Forward:
             np.matmul(self.H_in, self.Wb0, out=H)
             np.maximum(H, 0.0, out=H)
             if self.dropped:
-                drop = self.drop
-                for rng, model_drop in zip(rngs, drop):
-                    rng.random(out=model_drop)
-                np.greater_equal(drop, self.model.dropout_rate, out=drop)
+                for rng, model_draw in zip(rngs, self.draw):
+                    rng.random(out=model_draw)
+                drop = np.greater_equal(self.draw, self.model.dropout_rate, out=self.drop)
                 H *= drop
                 H *= self.scale
         np.matmul(self.H1, self.W_s, out=self.logits_by_model)
@@ -314,7 +333,7 @@ class _Forward:
 
 
 class _Workspace(_Forward):
-    """A forward pass over a flat copy of S models' parameters, plus its backward pass.
+    """A forward pass over a flat ``dtype`` copy of S models' parameters, plus its backward pass.
 
     ``params`` holds one :func:`_flat` row per model, ``grads`` the matching
     gradient rows, which the backward pass fills; ``layers`` and
@@ -329,31 +348,36 @@ class _Workspace(_Forward):
     ``dH = dZ @ W_s.T + Q @ W_n.T``.
     The backward mask is ``H > 0``: ``H`` is ``relu(pre) * drop * scale``
     with ``scale = 1 / (1 - rate) >= 1``, so it is positive exactly where
-    ``pre`` is and the draw kept the unit.  The one ``drop`` buffer holds the
-    draw, then that mask, as 0.0/1.0 floats: a float multiply is about three
-    times cheaper than a boolean one.
+    ``pre`` is and the draw kept the unit.  Each model's generator draws
+    float64 uniforms into its slice of ``draw``, whatever the dtype, so its
+    masks do not depend on it; the ``drop`` buffer takes the mask as 0.0/1.0
+    floats: a float multiply is about three times cheaper than a boolean one.
+    The loss kernel writes the gradient into ``dlogits`` and ``exp(-|z|)``
+    (bce) or the shifted logits (categorical) into ``work``.
     """
 
-    def __init__(self, models: list, g: TemporalGraph):
+    def __init__(self, models: list, g: TemporalGraph, dtype):
         model = models[0]
         shapes = [w.shape for w, _ in model.layers]
-        self.params = np.stack([_flat(m.layers) for m in models])
+        self.params = np.stack([_flat(m.layers, dtype) for m in models])
         super().__init__(model, g, self.params)
         self.models = [replace(m, layers=_views(row, shapes)) for m, row in zip(models, self.params)]
         self.grads = np.empty_like(self.params)
         self.grad_layers, self.gWb0 = _views(self.grads, shapes), _layer0(self.grads, *shapes[0])
         self.dlogits = np.zeros_like(self.logits)  # rows outside a train mask stay zero
+        self.work = np.empty_like(self.logits)
         gW, self.gb = (self.gWb0, None) if model.kind == "sgc" else self.grad_layers[-1]
         d = self.H1.shape[-1]
         self.gW_s, self.gW_n, self.H1_T = gW[:, :d], gW[:, d:], self.H1.swapaxes(-1, -2)
         if model.kind != "sgc":
+            self.draw = np.empty(self.H.shape)
             self.drop, self.dH = np.empty_like(self.H), np.empty_like(self.H)
-            self.ones, self.scale = np.ones(len(self.H_in)), 1.0 / (1.0 - model.dropout_rate)
+            self.ones, self.scale = np.ones(len(self.H_in), dtype), 1.0 / (1.0 - model.dropout_rate)
             self.W_s_T, self.W_n_T = self.W_s.swapaxes(1, 2), self.W_n.swapaxes(1, 2)
 
     def backward(self, targets: _Targets, loss_mode: str, want_loss: bool) -> Optional[list]:
         """Fill ``grads`` for the last forward pass; the per-model losses if ``want_loss``, else None."""
-        losses, dZ = _loss_kernel(self.logits, targets, loss_mode, want_loss, self.dlogits)
+        losses, dZ = _loss_kernel(self.logits, targets, loss_mode, want_loss, self.dlogits, self.work)
         dZ_by_model = dZ.transpose(1, 0, 2)
         np.matmul(self.H1_T, dZ_by_model, out=self.gW_s)
         if self.prop is not None:
@@ -390,9 +414,12 @@ class _Targets(NamedTuple):
     scale: object  # the gradient's factor per unit: weights / (n * C), 1 / (n * C) or 1 / n (categorical)
 
 
-def _loss_targets(labels, train_mask, shape, loss_mode) -> _Targets:
-    """Checked targets for logits of ``shape``: rows first, output units last."""
-    num_rows, num_units = shape[0], shape[-1]
+def _loss_targets(labels, train_mask, logits, loss_mode) -> _Targets:
+    """Checked targets for ``logits``: rows first, output units last.
+
+    ``onehot``, ``weights`` and ``scale`` take the logits' dtype.
+    """
+    num_rows, num_units = logits.shape[0], logits.shape[-1]
     labels = np.asarray(labels)
     mask = np.asarray(train_mask, dtype=bool)
     if mask.shape != (num_rows,):
@@ -406,9 +433,12 @@ def _loss_targets(labels, train_mask, shape, loss_mode) -> _Targets:
     if loss_mode not in LOSS_MODES:
         raise ValidationError(f"unknown loss_mode {loss_mode!r}")
     weights = _class_weights(labels, mask, num_units) if loss_mode == WEIGHTED_BCE else None
-    onehot = np.zeros((idx.size, num_units), dtype=np.float64)
+    onehot = np.zeros((idx.size, num_units), dtype=logits.dtype)
     onehot[np.arange(idx.size), y] = 1.0
     scale = 1.0 / idx.size if loss_mode == CATEGORICAL else (1.0 if weights is None else weights) / onehot.size
+    if weights is not None:
+        weights = weights.astype(logits.dtype)
+    scale = np.asarray(scale, dtype=logits.dtype)
     return _Targets(None if idx.size == num_rows else idx, y, onehot, weights, scale)
 
 
@@ -427,49 +457,50 @@ def _mean(terms, count: int, weights=None) -> float:
     return loss
 
 
-def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlogits):
+def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlogits, work):
     """The per-model loss values (None unless ``want_loss``) and d(loss)/d(logits).
 
     ``logits`` are ``(n, S, C)``, one ``(n, C)`` column block per model, and
     ``targets`` validated.  Each model's loss value is summed over its own
-    block, copied out, as a lone model's is.  Under a partial mask the
-    gradient's masked rows are written into ``dlogits`` (zeros outside
-    them), which is returned.
+    block, copied out, as a lone model's is.  The gradient is written into
+    ``dlogits``, which is returned: all of it under a full mask, else its
+    masked rows (zeros outside them), computed in the gathered rows' copy.
+    ``work``, of the logits' shape, takes ``exp(-|z|)`` (bce) or the shifted
+    logits (categorical).
     """
     idx, y, onehot, weights, scale = targets
     n, C = onehot.shape
-    Z = logits if idx is None else logits[idx]
+    Z, grad = (logits, dlogits) if idx is None else (logits[idx],) * 2
+    work = work[:n]
     models = range(Z.shape[1])
     losses = None
     if loss_mode == CATEGORICAL:
         # row by row on the (rows * S, C) view, whose row i * S + s is row i of model s
-        S, rows, Z = len(models), np.arange(n), Z.reshape(-1, C)
+        S, rows, Z_rows = len(models), np.arange(n), Z.reshape(-1, C)
         # the row max, one column at a time: much cheaper than max(axis=1) on narrow rows
-        top = Z[:, 0].copy()
+        top = Z_rows[:, 0].copy()
         for j in range(1, C):
-            np.maximum(top, Z[:, j], out=top)
-        shifted = Z - top[:, None]
-        grad = np.exp(shifted)
-        total = grad.sum(axis=1, keepdims=True)
+            np.maximum(top, Z_rows[:, j], out=top)
+        shifted = np.subtract(Z_rows, top[:, None], out=work.reshape(-1, C))
+        exps = np.exp(shifted, out=grad.reshape(-1, C))
+        total = exps.sum(axis=1, keepdims=True)
         if want_loss:
             losses = [_mean(np.log(total[s::S, 0]) - shifted[s::S][rows, y], n) for s in models]
-        grad /= total
-        grad = grad.reshape(n, S, C)
+        exps /= total
         grad[rows, :, y] -= 1.0
-        grad *= scale
     else:
-        # stable elementwise: max(z,0) - z*y + log(1 + exp(-|z|))
-        grad, e = _sigmoid_exp(Z)
+        # stable elementwise: max(z,0) - z*y + log1p(exp(-|z|)), taken before the sigmoid spends e
+        e = _exp_neg_abs(Z, work)
         if want_loss:
             losses = [
                 _mean(np.maximum(Z[:, s], 0.0) - Z[:, s] * onehot + np.log1p(e[:, s]), n * C, weights)
                 for s in models
             ]
+        _sigmoid(Z, e, grad)
         grad -= onehot[:, None]
-        grad *= scale
-    if idx is None:
-        return losses, grad
-    dlogits[idx] = grad
+    grad *= scale
+    if idx is not None:
+        dlogits[idx] = grad
     return losses, dlogits
 
 
@@ -485,17 +516,19 @@ def loss_from_logits(logits, labels, train_mask, loss_mode):
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValidationError("non-finite logits")
-    targets = _loss_targets(labels, train_mask, logits.shape, loss_mode)
-    (loss,), grad = _loss_kernel(logits[:, None], targets, loss_mode, True, np.zeros_like(logits)[:, None])
+    targets = _loss_targets(labels, train_mask, logits, loss_mode)
+    logits = logits[:, None]
+    dlogits, work = np.zeros_like(logits), np.empty_like(logits)
+    (loss,), grad = _loss_kernel(logits, targets, loss_mode, True, dlogits, work)
     return loss, grad[:, 0]
 
 
 def loss_and_grad(model: ModelState, g: TemporalGraph, labels, train_mask, loss_mode: str):
-    """Loss plus parameter gradients of the dropout-free forward pass."""
-    ws = _Workspace([model], g)
+    """Loss plus parameter gradients of the dropout-free forward pass, in float64."""
+    ws = _Workspace([model], g, np.float64)
     if not np.all(np.isfinite(ws.forward())):
         raise ValidationError("non-finite logits")
-    targets = _loss_targets(labels, train_mask, ws.logits.shape, loss_mode)
+    targets = _loss_targets(labels, train_mask, ws.logits, loss_mode)
     (loss,) = ws.backward(targets, loss_mode, want_loss=True)
     return loss, [(w[0], b[0]) for w, b in ws.grad_layers]
 
@@ -554,10 +587,14 @@ def train(
     product runs in a BLAS vector kernel, whose bits depend on where the
     vector lies in the stack.
 
+    The epochs run in float32, with float64 dropout draws; the returned
+    models hold the trained float32 parameters as float64.
+
     ``on_epoch``, if given, is called as ``on_epoch(epoch, loss, model)``
     after each update, with epochs counted from 1 and ``loss`` taken before
-    the update.  That model is the working copy, whose layers are views into
-    the flat parameter buffer: read it during the call, do not keep it.
+    the update.  That model is the working copy, whose float32 layers are
+    views into the flat parameter buffer: read it during the call, do not
+    keep it.
     Only the single form takes ``on_epoch``; without it no loss value is
     computed.  Logits that turn non-finite raise ValidationError naming the
     epoch; the overflows that lead there raise no RuntimeWarning, since that
@@ -583,12 +620,13 @@ def train(
         raise ValidationError("on_epoch takes a single model, not a list")
     if len(models) > 1 and min(min(shape) for shape in shapes) < 2:
         return [out for m, c in zip(models, cfgs) for out in train([m], g, labels, train_mask, [c])]
-    ws = _Workspace(models, g)
-    targets = _loss_targets(labels, train_mask, ws.logits.shape, cfg.loss_mode)
-    rngs = [np.random.default_rng(c.seed) for c in cfgs] if first.dropout_rate > 0 else None
-    state = np.zeros((4,) + ws.params.shape)
-    errors = [None] * len(models)
     with np.errstate(over="ignore", invalid="ignore"):
+        # a parameter beyond float32's range becomes inf here, and the first epoch reports it
+        ws = _Workspace(models, g, np.float32)
+        targets = _loss_targets(labels, train_mask, ws.logits, cfg.loss_mode)
+        rngs = [np.random.default_rng(c.seed) for c in cfgs] if first.dropout_rate > 0 else None
+        state = np.zeros((4,) + ws.params.shape, ws.params.dtype)
+        errors = [None] * len(models)
         for epoch in range(1, cfg.epochs + 1):
             logits = ws.forward(rngs)
             if not np.all(np.isfinite(logits)):
@@ -600,11 +638,12 @@ def train(
             _adam_update(ws.params, ws.grads, state, epoch, cfg.learning_rate, cfg.weight_decay)
             if on_epoch is not None:
                 on_epoch(epoch, losses[0], ws.models[0])
+    trained = [replace(m, layers=_views(row, shapes)) for m, row in zip(models, ws.params.astype(np.float64))]
     if stacked:
-        return [m if e is None else e for m, e in zip(ws.models, errors)]
+        return [m if e is None else e for m, e in zip(trained, errors)]
     if errors[0] is not None:
         raise errors[0]
-    return ws.models[0]
+    return trained[0]
 
 
 def expand_output_layer(model: ModelState, l: int, seed: int) -> ModelState:
@@ -629,11 +668,18 @@ def save_checkpoint(model: ModelState, path) -> None:
 
     The manifest (format 2) holds the kind, ``sgc_k``, ``dropout_rate``,
     ``num_layers`` and each ``layer<i>_shape``.  params.bin is the
-    :func:`_flat` vector in 32-bit little-endian floats; parameters that do
-    not fit them raise ValidationError (see :func:`checkpoint_params`)
+    :func:`_flat` vector in 32-bit little-endian floats.  A model that
+    :func:`train` returned fits them exactly; a parameter that is not finite
+    in that range (a float64 beyond float32's largest value, inf or nan, as
+    a hand-built model may hold) raises ValidationError naming its layer
     before anything is written.
     """
-    params = checkpoint_params(model)
+    with np.errstate(over="ignore"):
+        params = _flat(model.layers).astype("<f4")
+    if not np.all(np.isfinite(params)):
+        layers = _views(params, [w.shape for w, _ in model.layers])
+        bad = next(i for i, pair in enumerate(layers) if not all(np.isfinite(a).all() for a in pair))
+        raise ValidationError(f"layer {bad} has parameters outside the float32 range of a checkpoint")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -649,21 +695,6 @@ def save_checkpoint(model: ModelState, path) -> None:
     (root / "params.bin").write_bytes(params.tobytes())
 
 
-def checkpoint_params(model: ModelState) -> np.ndarray:
-    """The :func:`_flat` parameters as params.bin stores them, 32-bit little-endian floats.
-
-    A parameter that is not finite in that range (a float64 beyond float32's
-    largest value, inf or nan) raises ValidationError naming its layer.
-    """
-    with np.errstate(over="ignore"):
-        params = _flat(model.layers).astype("<f4")
-    if not np.all(np.isfinite(params)):
-        layers = _views(params, [w.shape for w, _ in model.layers])
-        bad = next(i for i, pair in enumerate(layers) if not all(np.isfinite(a).all() for a in pair))
-        raise ValidationError(f"layer {bad} has parameters outside the float32 range of a checkpoint")
-    return params
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -677,7 +708,10 @@ def _shape(text: str) -> tuple[int, int]:
 
 
 def load_checkpoint(path) -> ModelState:
-    """Inverse of :func:`save_checkpoint` (parameters come back as float32-exact).
+    """Inverse of :func:`save_checkpoint`: parameters come back as float64 holding the stored float32 values.
+
+    A model that :func:`train` returned is float32-exact, so it round-trips
+    without loss; other float64 parameters come back rounded to float32.
 
     Format 1 manifests load too: their extra ``hidden_dim``, ``output_dim``
     and ``rng_seed`` keys are not read, as any other unknown key.  The

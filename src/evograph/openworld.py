@@ -132,23 +132,34 @@ def fit_thresholds(train_outputs, labels, train_mask, cfg: DetectorConfig) -> Th
 
 
 def sigmoid(z) -> np.ndarray:
-    return np.asarray(_sigmoid_exp(np.asarray(z, dtype=np.float64))[0])
+    z = np.asarray(z, dtype=np.float64)
+    return _sigmoid(z, _exp_neg_abs(z, np.empty_like(z)), np.empty_like(z))
 
 
-def _sigmoid_exp(z: np.ndarray):
-    """``(sigmoid(z), exp(-|z|))`` for a float64 array.
+def _exp_neg_abs(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``exp(-|z|)`` as ``exp(min(z, -z))``, written into ``out``.
+
+    ``min(z, -z)`` is ``-z`` or ``z`` exactly and, unlike ``-|z|``, keeps
+    the sign of a nan input.
+    """
+    np.negative(z, out=out)
+    np.minimum(z, out, out=out)
+    return np.exp(out, out=out)
+
+
+def _sigmoid(z: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sigmoid(z)`` from ``e = exp(-|z|)``, written into ``out``; ``e`` becomes ``1 + e``.
 
     Equal bit for bit to ``1 / (1 + exp(-z))`` for z >= 0 and
-    ``exp(z) / (1 + exp(z))`` otherwise.  With ``e = exp(min(z, -z))`` both
+    ``exp(z) / (1 + exp(z))`` otherwise, in float64 and in float32: both
     branches divide by ``1 + e``, and the numerator ``exp(min(z, 0))`` is
     exactly 1 for z >= 0 and ``e`` otherwise, so one quotient serves both
-    without a select.  ``min(z, -z)`` is ``-z`` or ``z`` exactly and, unlike
-    ``-|z|``, keeps the sign of a nan input.
+    without a select.
     """
-    e = np.exp(np.minimum(z, -z))
-    s = np.exp(np.minimum(z, 0.0))
-    s /= 1.0 + e
-    return s, e
+    np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
+    out /= np.add(e, 1.0, out=e)
+    return out
 
 
 def predict_open(logits, thresholds: Thresholds) -> np.ndarray:

@@ -21,6 +21,13 @@ the arithmetic in the order ``models`` does:
 ``train`` keeps the earlier signature: the caller passes layer 0's features
 ``X`` and, optionally, weighted-bce's class weights.
 
+The kernels run in the dtype of their inputs, and ``train`` in the ``dtype``
+it is given: float32 is the precision of :func:`evograph.train`'s epochs,
+float64 that of :func:`evograph.forward` and :func:`evograph.loss_and_grad`.
+Layer 0's input and ``P`` are built in float64 and cast, the loss targets
+are cast, and the dropout masks come from float64 draws, as in ``models``.
+``train`` returns float64 layers, as :func:`evograph.train` does.
+
 With ``folded=False`` the kernels run the order before the bias fold: ``H_in
 @ W + b``, bias gradients as column sums ``dZ.sum(axis=0)``, dropout divided
 by ``1 - rate``, and the loss gradient times the weights, then divided by
@@ -29,7 +36,7 @@ summation order differs from the one above is held to it within
 ``PASS_RTOL`` (one pass) and ``TRAINED_RTOL`` (trained weights).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,20 +69,21 @@ def init_adam_state(model) -> AdamState:
     )
 
 
-def _graph_inputs(model, g, X):
+def _graph_inputs(model, g, X, dtype=np.float64):
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != model.input_dim:
         raise ValidationError(
             f"feature width {X.shape[1]} does not match layer-0 input {model.input_dim}"
         )
     if model.kind != "sage":
-        return X, None
+        return X.astype(dtype), None
     P = mean_propagation(g)
-    return np.hstack([X, P @ X]), (P, P.T)
+    X, P = np.hstack([X, P @ X]).astype(dtype), P.astype(dtype)
+    return X, (P, P.T)
 
 
-def sigmoid(z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
+def sigmoid(z, dtype=np.float64) -> np.ndarray:
+    z = np.asarray(z, dtype=dtype)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -84,12 +92,12 @@ def sigmoid(z) -> np.ndarray:
     return out
 
 
-def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
-    return (rng.random(shape) >= rate).astype(np.float64)
+def _dropout_mask(rng, shape, rate: float, dtype) -> np.ndarray:
+    return (rng.random(shape) >= rate).astype(dtype)
 
 
 def _with_ones(H_in) -> np.ndarray:
-    return np.hstack([H_in, np.ones((len(H_in), 1))])
+    return np.hstack([H_in, np.ones((len(H_in), 1), H_in.dtype)])
 
 
 def _affine(H_in, W, b, folded: bool) -> np.ndarray:
@@ -119,13 +127,13 @@ def _forward_cached(model, H_in, prop, rng, folded=True):
         H = np.maximum(Z, 0.0)
         mask = None
         if rng is not None:
-            mask = _dropout_mask(rng, H.shape, model.dropout_rate)
+            mask = _dropout_mask(rng, H.shape, model.dropout_rate, H.dtype)
             H = _inverted_dropout(H, mask, model.dropout_rate, folded)
         cache["drop"].append(mask)
         H_in = H
 
 
-def _loss_targets(labels, train_mask, num_units: int, loss_mode, class_weights) -> _Targets:
+def _loss_targets(labels, train_mask, num_units: int, loss_mode, class_weights, dtype=np.float64) -> _Targets:
     labels = np.asarray(labels)
     idx = np.nonzero(np.asarray(train_mask, dtype=bool))[0]
     if idx.size == 0:
@@ -142,13 +150,14 @@ def _loss_targets(labels, train_mask, num_units: int, loss_mode, class_weights) 
         weights = np.asarray(class_weights, dtype=np.float64)
         if weights.shape != (num_units,) or np.any(weights <= 0):
             raise ValidationError("class_weights must be positive, one per output unit")
-    onehot = np.zeros((idx.size, num_units), dtype=np.float64)
+    onehot = np.zeros((idx.size, num_units), dtype=dtype)
     onehot[np.arange(idx.size), y] = 1.0
     if loss_mode == CATEGORICAL:
         scale = 1.0 / idx.size
     else:
         scale = (1.0 if weights is None else weights) / (idx.size * num_units)
-    return _Targets(idx, y, onehot, weights, scale)
+    weights = None if weights is None else weights.astype(dtype)
+    return _Targets(idx, y, onehot, weights, np.asarray(scale, dtype=dtype))
 
 
 def _loss_kernel(logits: np.ndarray, targets: _Targets, loss_mode: str, folded=True):
@@ -164,7 +173,7 @@ def _loss_kernel(logits: np.ndarray, targets: _Targets, loss_mode: str, folded=T
         dlogits[idx] = grad * scale if folded else grad / n
     else:
         elem = np.maximum(Z, 0.0) - Z * onehot + np.log1p(np.exp(-np.abs(Z)))
-        grad = sigmoid(Z) - onehot
+        grad = sigmoid(Z, Z.dtype) - onehot
         if weights is not None:
             elem = elem * weights
         loss = float(elem.sum() / (n * C))
@@ -190,7 +199,7 @@ def _backward(model, cache, dlogits):
                 both = _with_ones(H_in).T @ dZ
                 grads[0] = (both[:-1], both[-1])
             break
-        gb = np.ones(len(dZ)) @ dZ if folded else dZ.sum(axis=0)
+        gb = np.ones(len(dZ), dZ.dtype) @ dZ if folded else dZ.sum(axis=0)
         if prop is None:
             grads[i] = (H_in.T @ dZ, gb)
             dH = dZ @ W.T
@@ -220,16 +229,16 @@ def _adam_update(model, grads, opt: AdamState, lr: float, weight_decay: float) -
             p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def train(model, g, X, labels, train_mask, cfg, class_weights=None, on_epoch=None, folded=True):
-    """The earlier ``train``, in the bias-folded order or, with ``folded=False``, the one before."""
+def train(model, g, X, labels, train_mask, cfg, class_weights=None, on_epoch=None, folded=True, *, dtype):
+    """The earlier ``train`` in ``dtype``: the bias-folded order or, ``folded=False``, the one before."""
     if cfg.loss_mode == WEIGHTED_BCE and class_weights is None:
         class_weights = _class_weights(labels, train_mask, model.output_dim)
-    H_in, prop = _graph_inputs(model, g, X)
+    H_in, prop = _graph_inputs(model, g, X, dtype)
     targets = _loss_targets(
-        labels, train_mask, model.layers[-1][0].shape[1], cfg.loss_mode, class_weights
+        labels, train_mask, model.layers[-1][0].shape[1], cfg.loss_mode, class_weights, dtype
     )
     rng = np.random.default_rng(cfg.seed) if model.dropout_rate > 0 else None
-    model = model.copy()
+    model = replace(model, layers=[(w.astype(dtype), b.astype(dtype)) for w, b in model.layers])
     opt = init_adam_state(model)
     for epoch in range(1, cfg.epochs + 1):
         logits, cache = _forward_cached(model, H_in, prop, rng, folded)
@@ -239,7 +248,7 @@ def train(model, g, X, labels, train_mask, cfg, class_weights=None, on_epoch=Non
         _adam_update(model, _backward(model, cache, dlogits), opt, cfg.learning_rate, cfg.weight_decay)
         if on_epoch is not None:
             on_epoch(epoch, loss, model)
-    return model
+    return replace(model, layers=[(w.astype(np.float64), b.astype(np.float64)) for w, b in model.layers])
 
 
 # How far a kernel whose summation order differs from the order oracle may
@@ -262,5 +271,5 @@ def rel_dev(got, oracle) -> float:
 
 
 def bits(a) -> np.ndarray:
-    """The raw 64-bit patterns of a float64 array, for bit-for-bit comparison."""
+    """The raw 64-bit patterns of an array as float64 (exact for float32), for bit-for-bit comparison."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)

@@ -4,7 +4,6 @@ import hashlib
 import json
 import re
 import shutil
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -563,9 +562,23 @@ class TestRun:
         assert capsys.readouterr().err == f"error: task 1: non-finite logits {message}\n"
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, route",
+        [
+            # float32 training logits overflow: seed 1 at task 5, seed 3 at task 4, seed 0 at task 6
+            ({"epochs": "2", "learning_rate": "1.28e18"}, "at epoch"),
+            # a weighted-bce gradient times the learning rate passes float32's range, so the one
+            # update leaves a parameter inf: seeds 1 and 2 at task 1, seed 0 at task 4
+            ({"epochs": "1", "learning_rate": "2.5e38", "loss_mode": "weighted-bce", "hidden_dim": "4",
+              "restart": "cold"}, "after epoch"),
+        ],
+        ids=["in-training", "in-scoring"],
+    )
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_first_seed_line_wins_over_later_seeds_failing_earlier(self, dataset, tmp_path, capsys, jobs):
-        cfg = write_config(tmp_path / "c.cfg", dataset, epochs="2", learning_rate="1e153", seeds="0,1,2,3")
+    def test_first_seed_line_wins_over_later_seeds_failing_earlier(
+        self, dataset, tmp_path, capsys, jobs, overrides, route
+    ):
+        cfg = write_config(tmp_path / "c.cfg", dataset, seeds="0,1,2,3", **overrides)
         spec = parse_config_text(cfg.read_text())
         g = eg.load_dataset(dataset)
         alone = {}
@@ -574,31 +587,13 @@ class TestRun:
                 eg.run_sequence(g, spec.experiment, seed=s)
             except eg.RunError as exc:
                 alone[s] = exc
-        # seed 0 fails last; seed 1 fails in scoring and seed 3 in training, both at earlier tasks
-        assert alone[1].task_index < alone[0].task_index and alone[3].task_index < alone[0].task_index
-        assert "after epoch" in str(alone[1]) and "at epoch" in str(alone[3])
+        # seed 0 fails last; later seeds fail at earlier tasks, by the route under test
+        earlier = [s for s, exc in alone.items() if s > 0 and exc.task_index < alone[0].task_index]
+        assert len(earlier) >= 2 and all(route in str(alone[s]) for s in earlier)
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"]) == 1
         assert capsys.readouterr().err == f"error: {alone[0]}\n"
         assert not (out / "manifest.json").exists()
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_final_model_beyond_float32_exits_1_before_writing(self, tmp_path, capsys, jobs):
-        data = tmp_path / "d"
-        assert main(["generate", str(data), "--num-timestamps", "6", "--vertices-per-timestamp", "12",
-                     "--feature-dim", "4", "--quiet"]) == 0
-        # finite logits throughout, but weights beyond float32's largest value
-        cfg = write_config(tmp_path / "c.cfg", data, epochs="3", learning_rate="1e50")
-        out = tmp_path / "run"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"])
-        assert rc == 1
-        assert re.fullmatch(
-            r"error: seed 0: layer \d has parameters outside the float32 range of a checkpoint\n",
-            capsys.readouterr().err,
-        )
-        assert not out.exists()
 
     def test_two_task_single_timestamp_exit_1(self, tmp_path, capsys):
         data = tmp_path / "one"

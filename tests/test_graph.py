@@ -75,6 +75,31 @@ class TestTemporalGraph:
         assert adj.format == "csr" and adj.dtype == np.float64
         assert adj.shape == (n, n) and adj.nnz == 0
 
+    def test_canonical_shuffled_duplicated_and_looped_edges_agree(self, monkeypatch):
+        g = eg.generate(eg.SynthConfig(num_timestamps=4, vertices_per_timestamp=40, seed=2))
+        canonical = np.array(g.edges)
+        assert canonical.shape[0] > 100
+        rng = np.random.default_rng(0)
+        messy = np.concatenate([canonical, canonical[:, ::-1], canonical[: canonical.shape[0] // 3]])
+        messy = messy[rng.permutation(len(messy))]
+        loops = np.repeat(np.arange(0, g.num_vertices, 7), 2).reshape(-1, 2)
+        looped = np.concatenate([canonical[:50], loops, canonical[50:]])
+        sorts = []
+        monkeypatch.setattr(np, "sort", lambda *a, _sort=np.sort, **k: sorts.append(1) or _sort(*a, **k))
+        results = {}
+        for name, edges in {"canonical": canonical, "list": canonical.tolist(), "messy": messy,
+                            "looped": looped, "int32": canonical.astype(np.int32)}.items():
+            sorts.clear()
+            results[name] = eg.TemporalGraph(
+                g.num_vertices, edges, g.time, g.features, g.labels, g.num_classes
+            )
+            # canonical input takes the early return; the others are sorted
+            assert sorts == ([] if name in ("canonical", "list", "int32") else [1])
+        for h in results.values():
+            assert h.edges.dtype == np.int64 and np.array_equal(h.edges, canonical)
+        # the caller's canonical array is neither frozen nor shared
+        assert canonical.flags.writeable and not np.may_share_memory(results["canonical"].edges, canonical)
+
     def test_induced_subgraph_of_edgeless_graph_has_no_edges(self):
         sub = eg.induced_subgraph(make_graph([1, 2, 3]), [0, 2])
         assert sub.edges.shape == (0, 2) and sub.edges.dtype == np.int64

@@ -195,24 +195,78 @@ class TestWorkspace:
         elif isinstance(value, eg.ModelState):
             yield from TestWorkspace.arrays(value.layers)
 
+    @staticmethod
+    def peak_allocation(fn) -> int:
+        """Bytes allocated by ``fn()`` at its peak, over what was allocated before, per tracemalloc."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
     @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
-    def test_every_buffer_is_float64(self, kind):
+    @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
+    def test_epoch_buffers_are_float32_and_the_draw_float64(self, kind, loss_mode):
         g = small_graph(seed=2, n=12)
         m = eg.init_model(kind, 3, 4, 3, seed=0)
-        ws = eg.models._Workspace([m], g)
-        targets = eg.models._loss_targets(g.labels, np.arange(12) % 3 > 0, ws.logits.shape, eg.BCE)
+        ws = eg.models._Workspace([m], g, np.float32)
+        targets = eg.models._loss_targets(g.labels, np.arange(12) % 3 > 0, ws.logits, loss_mode)
+        assert {a.dtype for a in self.arrays([targets.onehot, targets.weights, targets.scale])} == {
+            np.dtype(np.float32)
+        }
         ws.forward([np.random.default_rng(1)])
-        ws.backward(targets, eg.BCE, want_loss=True)
-        arrays = list(self.arrays(list(vars(ws).values())))
-        assert {id(a) for a in arrays} >= {id(ws.params), id(ws.grads), id(ws.logits)}
-        assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+        ws.backward(targets, loss_mode, want_loss=True)
+        arrays = {name: list(self.arrays(a)) for name, a in vars(ws).items()}
+        assert {"params", "grads", "logits", "dlogits", "work", "H_in"} <= set(arrays)
+        # the caller's model, kept for its settings, and the dropout draw stay float64
+        float64 = {"model", "draw"} if kind != "sgc" else {"model"}
+        assert {name for name, a in arrays.items() if a} - float64 == {
+            name for name, a in arrays.items() if {b.dtype for b in a} == {np.dtype(np.float32)}
+        }
+        if kind != "sgc":
+            assert ws.draw.dtype == np.float64 and ws.draw.shape == ws.drop.shape
+        if ws.prop is not None:
+            assert {P.dtype for P in ws.prop} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
+    def test_train_runs_in_float32_and_forward_and_loss_and_grad_in_float64(self, kind, monkeypatch):
+        g = small_graph(seed=2, n=12)
+        m = eg.init_model(kind, 3, 4, 3, seed=0)
+        mask = np.arange(12) % 3 > 0
+        passes, pass_ = [], eg.models._Forward.forward
+        monkeypatch.setattr(
+            eg.models._Forward, "forward", lambda self, *a: passes.append(self) or pass_(self, *a)
+        )
+        seen = []
+        cfg = eg.TrainConfig(epochs=2)
+        trained = eg.train(m, g, g.labels, mask, cfg, on_epoch=lambda *a: seen.append(a[2]))
+        # the working model is float32; the returned one float64, with float32 values
+        assert {a.dtype for a in self.arrays(seen)} == {np.dtype(np.float32)}
+        assert {a.dtype for a in self.arrays(trained)} == {np.dtype(np.float64)}
+        for a in self.arrays(trained):
+            assert np.array_equal(a, a.astype(np.float32))
+        assert [type(p) for p in passes] == [eg.models._Workspace] * 2 and passes[0] is passes[1]
+        assert passes[0].params.dtype == np.float32
+        assert eg.forward(trained, g).dtype == np.float64
+        _, grads = eg.loss_and_grad(trained, g, g.labels, mask, eg.BCE)
+        assert {a.dtype for a in self.arrays(grads)} == {np.dtype(np.float64)}
+        for p in passes[2:]:
+            arrays = list(self.arrays(list(vars(p).values())))
+            assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+        assert [type(p) for p in passes[2:]] == [eg.models._Forward, eg.models._Workspace]
 
     @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
     def test_forward_only_allocates_no_backward_buffers(self, kind):
         g = small_graph(seed=2, n=12)
         f = eg.models._Forward(eg.init_model(kind, 3, 4, 3, seed=0), g)
         f.forward()
-        assert not {"drop", "dH", "grads", "gWb0", "dlogits", "params", "ones"} & set(vars(f))
+        assert not {"draw", "drop", "dH", "grads", "gWb0", "dlogits", "work", "params", "ones"} & set(vars(f))
 
     @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
     def test_layer0_weights_and_bias_are_one_view_into_the_flat_rows(self, kind):
@@ -220,62 +274,100 @@ class TestWorkspace:
         models = [eg.init_model(kind, 3, 4, 3, seed=s) for s in range(2)]
         for m in models:
             m.layers[0][1][:] = np.arange(1.0, m.layers[0][1].size + 1)
-        ws = eg.models._Workspace(models, g)
+        ws = eg.models._Workspace(models, g, np.float32)
         fan_in, fan_out = models[0].layers[0][0].shape
         assert ws.Wb0.shape == ws.gWb0.shape == (2, fan_in + 1, fan_out)
         assert np.shares_memory(ws.Wb0, ws.params) and np.shares_memory(ws.gWb0, ws.grads)
         ws.grads[:] = np.arange(ws.grads.size).reshape(ws.grads.shape)
         gW0, gb0 = ws.grad_layers[0]
         for s, m in enumerate(models):
-            assert np.array_equal(ws.Wb0[s], np.vstack(m.layers[0]))
+            assert np.array_equal(ws.Wb0[s], np.vstack(m.layers[0]).astype(np.float32))
             assert np.array_equal(ws.gWb0[s], np.vstack([gW0[s], gb0[s]]))
 
     @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
     def test_cached_input_ends_in_a_read_only_ones_column(self, kind):
         g = small_graph(seed=2, n=12)
         m = eg.init_model(kind, 3, 4, 3, seed=0)
-        H_in, prop = eg.models._graph_inputs(m, g)
+        H_in, prop = eg.models._graph_inputs(m, g, np.float64)
         X = eg.model_inputs(m, g)
         assert np.array_equal(H_in[:, :-1], X if prop is None else np.hstack([X, prop[0] @ X]))
         assert np.array_equal(H_in[:, -1], np.ones(12))
-        with pytest.raises(ValueError, match="read-only"):
-            H_in[0, -1] = 2.0
+        # the float32 entry is the float64 one, cast once
+        H_in32, prop32 = eg.models._graph_inputs(m, g, np.float32)
+        assert H_in32.dtype == np.float32 and np.array_equal(H_in32, H_in.astype(np.float32))
+        assert eg.models._graph_inputs(m, g, np.float32)[0] is H_in32
+        if prop is not None:
+            assert prop32[0].dtype == np.float32 and (prop32[0] != prop[0].astype(np.float32)).nnz == 0
+            assert (prop32[1] != prop32[0].T).nnz == 0
+        for a in (H_in, H_in32):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, -1] = 2.0
 
     @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
     def test_epoch_allocates_no_hidden_buffer_and_rebinds_none(self, kind):
         S, n, h, C = 2, 300, 64, 3
         g = small_graph(seed=2, n=n, dim=5, num_classes=C)
         models = [eg.init_model(kind, 5, h, C, seed=s, dropout_rate=0.5) for s in range(S)]
-        ws = eg.models._Workspace(models, g)
-        targets = eg.models._loss_targets(g.labels, np.ones(n, bool), ws.logits.shape, eg.BCE)
+        ws = eg.models._Workspace(models, g, np.float32)
+        targets = eg.models._loss_targets(g.labels, np.ones(n, bool), ws.logits, eg.BCE)
         rngs = [np.random.default_rng(s) for s in range(S)]
         ws.forward(rngs)
         ws.backward(targets, eg.BCE, want_loss=False)
         buffers = {name: id(a) for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            ws.forward(rngs)
-            ws.backward(targets, eg.BCE, want_loss=False)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = self.peak_allocation(lambda: (ws.forward(rngs), ws.backward(targets, eg.BCE, want_loss=False)))
         # every (S, n, h) and (n, S, C) buffer is the workspace's own, made once
         assert buffers == {name: id(a) for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
-        # what an epoch allocates (the loss kernel's and numpy's temporaries, a few (n, S, C)
-        # arrays) stays below one (S, n, h) buffer, 21 times as large here
-        assert peak < S * n * h * 8
+        # what an epoch allocates (the sparse products' outputs and numpy's iteration buffers,
+        # at most 32 KB each) stays below one float32 (S, n, h) buffer, 21 times an (n, S, C) one
+        assert peak < S * n * h * 4
+
+    @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
+    @pytest.mark.parametrize("full_mask", [True, False])
+    def test_loss_kernel_writes_into_the_workspace(self, loss_mode, full_mask):
+        S, n, C = 2, 6000, 3
+        rng = np.random.default_rng(2)
+        features, labels = rng.normal(size=(n, 5)), rng.integers(0, C, n)
+        g = eg.TemporalGraph(n, np.empty((0, 2), np.int64), np.zeros(n, np.int64), features, labels, C)
+        ws = eg.models._Workspace([eg.init_model("sgc", 5, 0, C, seed=s) for s in range(S)], g, np.float32)
+        mask = np.ones(n, bool) if full_mask else np.arange(n) % 4 > 0
+        targets = eg.models._loss_targets(g.labels, mask, ws.logits, loss_mode)
+        logits = ws.forward().copy()
+        kernel = lambda: eg.models._loss_kernel(ws.logits, targets, loss_mode, False, ws.dlogits, ws.work)
+        assert kernel()[1] is ws.dlogits
+        if loss_mode != eg.CATEGORICAL and full_mask:
+            # the work buffer holds 1 + exp(-|z|), the sigmoid's denominator
+            e = np.exp(-np.abs(logits))
+            assert np.array_equal(ws.work, e + np.float32(1.0))
+        peak, unit = self.peak_allocation(kernel), ws.logits.nbytes
+        if full_mask:
+            # bce: numpy's iteration buffers, at most 32 KB; categorical adds its per-row
+            # arrays, (n * S,) each (the row max and sum, the label entries)
+            assert peak < (0.5 if loss_mode != eg.CATEGORICAL else 1.5) * unit
+        else:
+            # plus the gathered masked rows, in which the gradient is computed
+            assert peak < (1.5 if loss_mode != eg.CATEGORICAL else 2.5) * unit
+
+    @pytest.mark.parametrize("kind", ["mlp", "sage"])
+    def test_dropout_masks_come_from_float64_draws(self, kind):
+        # each model's masks are the ones its generator gives in float64, as in float64 epochs;
+        # a float32 draw would give others
+        n, h, rate = 12, 4, 0.3
+        g = small_graph(seed=2, n=n)
+        models = [eg.init_model(kind, 3, h, 3, seed=s, dropout_rate=rate) for s in range(2)]
+        ws = eg.models._Workspace(models, g, np.float32)
+        rngs, oracles = ([np.random.default_rng(s) for s in (5, 9)] for _ in range(2))
+        for _ in range(3):
+            ws.forward(rngs)
+            for drop, oracle in zip(ws.drop, oracles):
+                assert drop.dtype == np.float32
+                assert np.array_equal(drop, oracle.random((n, h)) >= rate)
 
     def test_sage_holds_no_concatenated_hidden_layer(self):
         # layer 1 runs as H @ W_s + P @ (H @ W_n): nothing is (n, 2h) wide, in either pass
         g = small_graph(seed=2, n=12)
         m = eg.init_model("sage", 3, 4, 3, seed=0)
-        ws = eg.models._Workspace([m], g)
-        targets = eg.models._loss_targets(g.labels, np.ones(12, bool), ws.logits.shape, eg.BCE)
+        ws = eg.models._Workspace([m], g, np.float32)
+        targets = eg.models._loss_targets(g.labels, np.ones(12, bool), ws.logits, eg.BCE)
         ws.forward([np.random.default_rng(1)])
         ws.backward(targets, eg.BCE, want_loss=True)
         # (S, n, h) hidden buffers and (n, S, C) output buffers, S = 1
@@ -453,19 +545,32 @@ class TestTrain:
                 eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), cfg)
 
     def test_overflowing_logit_sum_neither_raises_nor_warns(self):
-        # every logit is finite though their sum is not; the finite check must not trip on
-        # it, and train without on_epoch computes no loss value, which would overflow here
+        # every logit is finite though their sum is not, in train's float32; the finite check
+        # must not trip on it, and train without on_epoch computes no loss value, which would
+        # overflow here
         g = small_graph()
         m = eg.init_model("mlp", 3, 4, 3, seed=0)
-        m.layers[-1][1][:2] = 1e308
+        m.layers[-1][1][:2] = 3e38
         mask = np.ones(g.num_vertices, bool)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             logits = eg.forward(m, g)
-            assert np.all(np.isfinite(logits)) and logits[:, :2].min() > 1e307
+            assert np.all(np.isfinite(logits.astype(np.float32))) and logits[:, :2].min() > 2e38
+            with np.errstate(over="ignore"):
+                assert np.isinf(logits.astype(np.float32).sum(axis=1)).all()
             eg.train(m, g, g.labels, mask, eg.TrainConfig(weight_decay=0.0, epochs=3))
             # labels on the two large units keep the loss value itself finite
             eg.loss_from_logits(logits, g.labels % 2, mask, eg.CATEGORICAL)
+
+    def test_parameter_beyond_float32_fails_at_epoch_1_without_warning(self):
+        # train casts the model to float32, where 1e39 is inf, and reports the logits it gives
+        g = small_graph()
+        m = eg.init_model("mlp", 3, 4, 3, seed=0)
+        m.layers[-1][1][0] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite logits at epoch 1$"):
+                eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), eg.TrainConfig(epochs=3))
 
     @pytest.mark.parametrize("w, bad", [(1.0, np.inf), (0.0, np.nan)], ids=["inf", "nan"])
     def test_nonfinite_logit_outside_mask_names_epoch(self, w, bad):
@@ -746,6 +851,27 @@ class TestCheckpoint:
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_parameters_raise_before_writing(self, tmp_path, bad):
+        # the only parameters a trained model can hold that a checkpoint cannot
+        m = eg.init_model("sage", 3, 4, 3, seed=4)
+        m.layers[0][1][2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^layer 0 has parameters outside the float32 range"):
+                eg.save_checkpoint(m, tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
+    def test_trained_model_round_trips_losslessly(self, tmp_path, kind):
+        g = small_graph(seed=3, n=12)
+        m = eg.init_model(kind, 3, 4, 3, seed=4)
+        trained = eg.train(m, g, g.labels, np.ones(12, bool), eg.TrainConfig(epochs=5))
+        eg.save_checkpoint(trained, tmp_path)
+        back = eg.load_checkpoint(tmp_path)
+        TestReferenceOracle.assert_same_layers(back.layers, trained.layers)
+        assert np.array_equal(ref.bits(eg.forward(back, g)), ref.bits(eg.forward(trained, g)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_parameters_do_not_load(self, tmp_path, bad):
         eg.save_checkpoint(eg.init_model("mlp", 3, 4, 3, seed=4), tmp_path)
         params = np.frombuffer((tmp_path / "params.bin").read_bytes(), "<f4").copy()
@@ -797,7 +923,7 @@ class TestReferenceOracle:
 
         seen, expected_seen = [], []
         trained = eg.train(m, g, g.labels, mask, cfg, on_epoch=recorder(seen))
-        expected = ref.train(m, g, X, g.labels, mask, cfg, on_epoch=recorder(expected_seen))
+        expected = ref.train(m, g, X, g.labels, mask, cfg, on_epoch=recorder(expected_seen), dtype=np.float32)
         for (w1, b1), (w2, b2) in zip(trained.layers, expected.layers):
             assert np.array_equal(ref.bits(w1), ref.bits(w2))
             assert np.array_equal(ref.bits(b1), ref.bits(b2))
@@ -830,7 +956,7 @@ class TestReferenceOracle:
         # without on_epoch no loss value is computed; the updates stay the same
         g, m, mask = self.grid_point(kind, full_mask, dropout)
         cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=6)
-        expected = ref.train(m, g, eg.model_inputs(m, g), g.labels, mask, cfg)
+        expected = ref.train(m, g, eg.model_inputs(m, g), g.labels, mask, cfg, dtype=np.float32)
         self.assert_same_layers(eg.train(m, g, g.labels, mask, cfg).layers, expected.layers)
 
     @pytest.mark.parametrize("kind", ["mlp", "sgc", "sage"])
@@ -854,7 +980,12 @@ class TestReferenceOracle:
 
 
 class TestOrderOracle:
-    """``train`` against the order before the bias fold (``folded=False``), within the stated bound."""
+    """The order of ``models`` against the one before the bias fold (``folded=False``), in float64.
+
+    The bound is stated for float64 arithmetic, so the trained weights compare the folded
+    reference, which ``train`` equals bit for bit in float32 (``TestReferenceOracle``), in
+    float64; one pass compares ``forward`` and ``loss_and_grad``, which run in float64.
+    """
 
     GRAPHS = {
         "isolated-vertex": TestReferenceOracle.graph_with_isolated_vertex,
@@ -876,8 +1007,8 @@ class TestOrderOracle:
         m = eg.init_model(kind, 5, 32, 4, seed=3, dropout_rate=dropout)
         X = eg.model_inputs(m, g)
         cfg = eg.TrainConfig(learning_rate=0.02, epochs=200, loss_mode=loss_mode, seed=6)
-        trained = eg.train(m, g, g.labels, mask, cfg)
-        oracle = ref.train(m, g, X, g.labels, mask, cfg, folded=False)
+        trained = ref.train(m, g, X, g.labels, mask, cfg, dtype=np.float64)
+        oracle = ref.train(m, g, X, g.labels, mask, cfg, folded=False, dtype=np.float64)
         for got, want in zip(trained.layers, oracle.layers):
             for a, b in zip(got, want):
                 assert ref.rel_dev(a, b) <= ref.TRAINED_RTOL
@@ -895,3 +1026,44 @@ class TestOrderOracle:
         for got, want in zip(got_grads, ref._backward(m, cache, dlogits)):
             for a, b in zip(got, want):
                 assert ref.rel_dev(a, b) <= ref.PASS_RTOL
+
+
+class TestPrecisionOracle:
+    """float32 ``train`` against the float64 reference over a few epochs, within a stated bound.
+
+    ``train``'s epochs run in float32 and equal the float32 reference bit for bit
+    (``TestReferenceOracle``); this bounds what float32 costs against float64
+    arithmetic.  Per array, max|got - oracle| / max|oracle| after ``EPOCHS`` epochs
+    stays within ``TRAINED_RTOL``, and every epoch's loss value within ``LOSS_RTOL``
+    relative.  On this grid the loss values measured up to 3.7e-7 and most arrays deviate
+    by float32's rounding, about 1e-6.  The largest deviation, 1.1e-4 (sage, weighted-bce,
+    "dense", a layer-0 weight, there from the first step on), comes from Adam: its first
+    step is ``lr * g / (|g| + eps)``, and a gradient component of about ``eps = 1e-8``
+    that float32 rounds by a few percent moves by a few thousandths of ``lr`` more or
+    less.  Over hundreds of epochs such differences grow as any perturbation of a
+    training run does (up to 2e-2 after 100-200 epochs at width 32), so the bound holds
+    for a few epochs only.
+    """
+
+    EPOCHS = 10
+    TRAINED_RTOL = 1e-3
+    LOSS_RTOL = 1e-5
+
+    @pytest.mark.parametrize("graph", sorted(TestOrderOracle.GRAPHS))
+    @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
+    @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
+    def test_float32_train_within_bound_of_float64_reference(self, graph, loss_mode, kind):
+        g = TestOrderOracle.GRAPHS[graph]()
+        mask = np.arange(g.num_vertices) % 5 > 0
+        m = eg.init_model(kind, 5, 32, 4, seed=3, dropout_rate=0.0 if kind == "sgc" else 0.5)
+        cfg = eg.TrainConfig(learning_rate=0.02, epochs=self.EPOCHS, loss_mode=loss_mode, seed=6)
+        losses, oracle_losses = [], []
+        trained = eg.train(m, g, g.labels, mask, cfg, on_epoch=lambda e, loss, _: losses.append(loss))
+        oracle = ref.train(
+            m, g, eg.model_inputs(m, g), g.labels, mask, cfg,
+            on_epoch=lambda e, loss, _: oracle_losses.append(loss), dtype=np.float64,
+        )
+        for got, want in zip(trained.layers, oracle.layers):
+            for a, b in zip(got, want):
+                assert ref.rel_dev(a, b) <= self.TRAINED_RTOL
+        assert np.allclose(losses, oracle_losses, rtol=self.LOSS_RTOL, atol=0.0)
