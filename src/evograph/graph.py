@@ -69,7 +69,7 @@ class TemporalGraph:
     num_classes: int
 
     _csr: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False, compare=False)
-    # (kind, sgc_k) -> (layer-0 input, propagation pair) of a models pass on this graph
+    # (kind, sgc_k, dtype) -> (layer-0 input, propagation pair) of a models pass on this graph
     _model_inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -408,8 +408,7 @@ class _Targets(NamedTuple):
     """Validated loss inputs that stay fixed while a model trains."""
 
     idx: Optional[np.ndarray]  # masked rows; None when the mask covers every row
-    y: np.ndarray  # their output units
-    onehot: np.ndarray  # (masked rows, C)
+    onehot: np.ndarray  # (masked rows, C), their output units
     weights: Optional[np.ndarray]  # per-unit weights, weighted-bce only
     scale: object  # the gradient's factor per unit: weights / (n * C), 1 / (n * C) or 1 / n (categorical)
 
@@ -439,7 +438,7 @@ def _loss_targets(labels, train_mask, logits, loss_mode) -> _Targets:
     if weights is not None:
         weights = weights.astype(logits.dtype)
     scale = np.asarray(scale, dtype=logits.dtype)
-    return _Targets(None if idx.size == num_rows else idx, y, onehot, weights, scale)
+    return _Targets(None if idx.size == num_rows else idx, onehot, weights, scale)
 
 
 def _mean(terms, count: int, weights=None) -> float:
@@ -468,7 +467,7 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
     ``work``, of the logits' shape, takes ``exp(-|z|)`` (bce) or the shifted
     logits (categorical).
     """
-    idx, y, onehot, weights, scale = targets
+    idx, onehot, weights, scale = targets
     n, C = onehot.shape
     Z, grad = (logits, dlogits) if idx is None else (logits[idx],) * 2
     work = work[:n]
@@ -476,7 +475,7 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
     losses = None
     if loss_mode == CATEGORICAL:
         # row by row on the (rows * S, C) view, whose row i * S + s is row i of model s
-        S, rows, Z_rows = len(models), np.arange(n), Z.reshape(-1, C)
+        S, Z_rows = len(models), Z.reshape(-1, C)
         # the row max, one column at a time: much cheaper than max(axis=1) on narrow rows
         top = Z_rows[:, 0].copy()
         for j in range(1, C):
@@ -484,10 +483,10 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
         shifted = np.subtract(Z_rows, top[:, None], out=work.reshape(-1, C))
         exps = np.exp(shifted, out=grad.reshape(-1, C))
         total = exps.sum(axis=1, keepdims=True)
-        if want_loss:
-            losses = [_mean(np.log(total[s::S, 0]) - shifted[s::S][rows, y], n) for s in models]
+        if want_loss:  # the label's shift picked, not multiplied out: another unit's may be -inf
+            picked = np.where(onehot[:, None], shifted.reshape(n, S, C), 0.0).sum(axis=2)
+            losses = [_mean(np.log(total[s::S, 0]) - picked[:, s], n) for s in models]
         exps /= total
-        grad[rows, :, y] -= 1.0
     else:
         # stable elementwise: max(z,0) - z*y + log1p(exp(-|z|)), taken before the sigmoid spends e
         e = _exp_neg_abs(Z, work)
@@ -497,7 +496,7 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
                 for s in models
             ]
         _sigmoid(Z, e, grad)
-        grad -= onehot[:, None]
+    grad -= onehot[:, None]
     grad *= scale
     if idx is not None:
         dlogits[idx] = grad
@@ -713,9 +712,7 @@ def load_checkpoint(path) -> ModelState:
     A model that :func:`train` returned is float32-exact, so it round-trips
     without loss; other float64 parameters come back rounded to float32.
 
-    Format 1 manifests load too: their extra ``hidden_dim``, ``output_dim``
-    and ``rng_seed`` keys are not read, as any other unknown key.  The
-    dimensions come from the layer shapes, which must follow the kind's
+    The dimensions come from the layer shapes, which must follow the kind's
     rule.  A malformed manifest or params.bin raises ValidationError naming
     the line, key, layer or size at fault.
     """
@@ -732,7 +729,7 @@ def load_checkpoint(path) -> ModelState:
                 f"checkpoint manifest: bad value {key}={manifest[key]!r}"
             ) from None
 
-    if get("format_version") not in (1, 2):
+    if get("format_version") != 2:
         raise ValidationError(
             f"checkpoint manifest: unsupported format_version {manifest['format_version']!r}"
         )

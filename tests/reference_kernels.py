@@ -157,12 +157,13 @@ def _loss_targets(labels, train_mask, num_units: int, loss_mode, class_weights, 
     else:
         scale = (1.0 if weights is None else weights) / (idx.size * num_units)
     weights = None if weights is None else weights.astype(dtype)
-    return _Targets(idx, y, onehot, weights, np.asarray(scale, dtype=dtype))
+    return _Targets(idx, onehot, weights, np.asarray(scale, dtype=dtype))
 
 
 def _loss_kernel(logits: np.ndarray, targets: _Targets, loss_mode: str, folded=True):
-    idx, y, onehot, weights, scale = targets
+    idx, onehot, weights, scale = targets
     n, C = onehot.shape
+    y = onehot.argmax(axis=1)
     Z = logits[idx]
     dlogits = np.zeros_like(logits)
     if loss_mode == CATEGORICAL:

@@ -1,0 +1,87 @@
+#!/usr/bin/env bash
+# The repository's checks, in the order CI runs them after installing the package:
+# the console-script smoke test, the tier-1 tests, the benchmark harness self-check
+# and the demos.  Run from any directory:
+#
+#     bash tools/ci.sh
+#
+# It drives the `evograph` on PATH if there is one, else `python -m evograph.cli`,
+# and says which.  PYTHONPATH puts this checkout's src/ first, so either form, the
+# tests and the demos import this checkout.  It stops at the first check that fails.
+set -euo pipefail
+
+repo=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
+cd "$repo"
+export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
+if command -v evograph > /dev/null; then
+    echo "ci.sh: evograph is $(command -v evograph)"
+else
+    evograph() { python -m evograph.cli "$@"; }
+    echo "ci.sh: evograph is python -m evograph.cli (no evograph on PATH)"
+fi
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+
+# re-runs run directory $1 from its manifest through the process pool (--jobs 2: chunks of
+# two seeds and one) and requires the same manifest (its config snapshot included),
+# summary, report files and checkpoints
+rerun_reproduces() {
+    evograph run --from-manifest "$1/manifest.json" --output-dir "$1-rerun" --jobs 2 --quiet
+    for f in manifest.json summary.json report_seed{0,1,2}.jsonl model_seed{0,1,2}/params.bin; do
+        cmp "$1/$f" "$1-rerun/$f"
+    done
+}
+
+# the entry point, end to end: generate, analyze-tdiff, run, report, re-run
+smoke_test() {
+    evograph generate "$smoke/data" --num-timestamps 6 --vertices-per-timestamp 12 --feature-dim 4 --quiet
+    evograph analyze-tdiff "$smoke/data" --output-dir "$smoke/tdiff" --quiet
+    # the integer files with tabs and CRLF line ends (the one-pass parse) and with
+    # no-break spaces (the line-by-line fallback) give the same analysis
+    local nbsp f copy code=0
+    nbsp=$(printf '\302\240')
+    cp -r "$smoke/data" "$smoke/crlf"
+    cp -r "$smoke/data" "$smoke/nbsp"
+    sed 's/ /\t/; s/$/\r/' "$smoke/data/edges" > "$smoke/crlf/edges"
+    sed "s/ /$nbsp/" "$smoke/data/edges" > "$smoke/nbsp/edges"
+    for f in times labels; do
+        sed 's/^/\t/; s/$/\r/' "$smoke/data/$f" > "$smoke/crlf/$f"
+        sed "s/^/$nbsp/" "$smoke/data/$f" > "$smoke/nbsp/$f"
+    done
+    grep -v '"dataset":' "$smoke/tdiff/tdiff.json" > "$smoke/tdiff.json"
+    for copy in crlf nbsp; do
+        evograph analyze-tdiff "$smoke/$copy" --output-dir "$smoke/tdiff-$copy" --quiet
+        cmp "$smoke/tdiff/tdiff.csv" "$smoke/tdiff-$copy/tdiff.csv"
+        grep -v '"dataset":' "$smoke/tdiff-$copy/tdiff.json" | cmp "$smoke/tdiff.json" -
+    done
+    printf 'dataset=%s\nmodel=mlp\nhistory_size=2\nepochs=2\nseeds=0,1,2\n' "$smoke/data" > "$smoke/run.cfg"
+    evograph run --config "$smoke/run.cfg" --output-dir "$smoke/run" --quiet
+    evograph report "$smoke/run"
+    # --jobs 1 (the default) trains the three seeds as one batch
+    rerun_reproduces "$smoke/run"
+    # the same for sage + gDOC
+    printf 'dataset=%s\nmodel=sage\ndetector=gdoc\nhistory_size=2\nepochs=5\nseeds=0,1,2\n' "$smoke/data" > "$smoke/sage.cfg"
+    evograph run --config "$smoke/sage.cfg" --output-dir "$smoke/sage" --jobs 1 --quiet
+    rerun_reproduces "$smoke/sage"
+    # a diverging run through the process pool ends in exit 1 and one error line
+    sed 's/^epochs=2$/epochs=3/' "$smoke/run.cfg" > "$smoke/diverge.cfg"
+    echo 'learning_rate=1e300' >> "$smoke/diverge.cfg"
+    evograph run --config "$smoke/diverge.cfg" --output-dir "$smoke/diverge" --jobs 2 --quiet 2> "$smoke/diverge.err" || code=$?
+    cat "$smoke/diverge.err"
+    test "$code" -eq 1
+    test "$(wc -l < "$smoke/diverge.err")" -eq 1
+    grep -Eq '^error: task 1: non-finite logits' "$smoke/diverge.err"
+}
+
+echo "== console script smoke test"
+# any warning is an error here, as under pytest (filterwarnings = ["error"])
+PYTHONWARNINGS=error smoke_test
+echo "== tier-1 tests"
+python -m pytest -q --continue-on-collection-errors --durations=10
+echo "== benchmark harness self-check"
+python perfbench/selfcheck.py
+echo "== demos"
+for demo in demos/*.py; do
+    python -W error "$demo"
+done
+echo "ci.sh: all checks passed"
