@@ -756,6 +756,24 @@ class TestCheckpoint:
         digest = hashlib.sha256((tmp_path / "params.bin").read_bytes()).hexdigest()
         assert digest[:16] == self.PARAMS_SHA256[kind]
 
+    # format-1 manifests as earlier versions wrote them for DIMS, seed=11; their extra keys
+    # (hidden_dim, output_dim, rng_seed) must not hide the version from the message
+    FORMAT1_MANIFESTS = {
+        "sage": "format_version=1\nkind=sage\nhidden_dim=4\noutput_dim=4\nsgc_k=2\n"
+        "dropout_rate=0.5\nrng_seed=11\nnum_layers=2\nlayer0_shape=6,4\nlayer1_shape=8,4\n",
+        "sgc": "format_version=1\nkind=sgc\nhidden_dim=0\noutput_dim=3\nsgc_k=2\n"
+        "dropout_rate=0.5\nrng_seed=11\nnum_layers=1\nlayer0_shape=4,3\n",
+        "mlp": "format_version=1\nkind=mlp\nhidden_dim=8\noutput_dim=3\nsgc_k=2\n"
+        "dropout_rate=0.5\nrng_seed=11\nnum_layers=2\nlayer0_shape=4,8\nlayer1_shape=8,3\n",
+    }
+
+    @pytest.mark.parametrize("kind", list(DIMS))
+    def test_format1_checkpoint_is_refused(self, tmp_path, kind):
+        eg.save_checkpoint(eg.init_model(kind, *self.DIMS[kind], seed=11), tmp_path)
+        (tmp_path / "manifest").write_text(self.FORMAT1_MANIFESTS[kind])
+        with pytest.raises(ValidationError, match="^checkpoint manifest: unsupported format_version '1'$"):
+            eg.load_checkpoint(tmp_path)
+
     @pytest.mark.parametrize(
         "kind, edits, params_bytes, match",
         [
