@@ -114,7 +114,6 @@ def cmd_analyze(args) -> int:
             drift.append({"from": prev, "to": curr, "sigma": drift_magnitude(p_prev, p_curr)})
 
     report = {
-        "dataset": str(args.dataset),
         "num_vertices": g.num_vertices,
         "num_edges": g.num_edges,
         "feature_dim": g.feature_dim,

@@ -119,31 +119,28 @@ def _read_int_rows(path: Path, data: bytes, width: int, bad_width: str, bad_valu
 
 def _int_rows_by_line(text: str, name: str, width: int, bad_width: str, bad_value: str,
                       out_of_range: str) -> np.ndarray:
-    """:func:`_read_int_rows` for any text, with ``int()``'s rules.
+    """:func:`_read_int_rows` for any text: the one fallback, a line at a time.
 
-    numpy converts all tokens in one call.  Only if that fails, or a line
-    holds another number of tokens, are the lines scanned in order, and
-    DatasetError names the first bad one as ``name:line`` with ``bad_width``,
-    ``bad_value`` or ``out_of_range`` (beyond int64) and the line.
+    Each token is parsed by ``int()``; DatasetError names the first bad line
+    as ``name:line`` with ``bad_width``, ``bad_value`` or ``out_of_range``
+    (beyond int64) and the line.  Several times slower than the one-pass
+    parse; no file :func:`save_dataset` writes comes here.
     """
-    widths = np.fromiter(map(len, map(str.split, text.splitlines())), dtype=np.int64)
-    try:
-        if np.any((widths != 0) & (widths != width)):
-            raise ValueError(f"a line without {width} tokens")
-        return np.array(text.split(), dtype=np.int64).reshape(-1, width)
-    except (ValueError, OverflowError):
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            parts = line.split()
-            if parts and len(parts) != width:
-                raise DatasetError(f"{name}:{lineno}: {bad_width} {line!r}") from None
-            try:
-                values = [int(part) for part in parts]
-            except ValueError:
-                raise DatasetError(f"{name}:{lineno}: {bad_value} {line!r}") from None
-            if not all(_INT64.min <= v <= _INT64.max for v in values):
-                raise DatasetError(f"{name}:{lineno}: {out_of_range} {line!r}") from None
-        raise
+    values = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != width:
+            raise DatasetError(f"{name}:{lineno}: {bad_width} {raw.strip()!r}")
+        try:
+            row = list(map(int, parts))
+        except ValueError:
+            raise DatasetError(f"{name}:{lineno}: {bad_value} {raw.strip()!r}") from None
+        if not _INT64.min <= min(row) <= max(row) <= _INT64.max:
+            raise DatasetError(f"{name}:{lineno}: {out_of_range} {raw.strip()!r}")
+        values += row
+    return np.array(values, dtype=np.int64).reshape(-1, width)
 
 
 def _read_ints(path: Path, data: bytes, what: str) -> np.ndarray:
@@ -159,27 +156,45 @@ def _read_edges(path: Path, data: bytes) -> tuple[np.ndarray, int]:
     return arr, int(np.count_nonzero(arr[:, 0] == arr[:, 1]))
 
 
-def _bad_csv_line(text: str, name: str) -> str | None:
-    """``file:line: why`` for the first bad line of a features CSV, or None.
+def _csv_rows(lines) -> np.ndarray:
+    """The features CSV's rows, parsed from its lines as float32."""
+    return np.loadtxt(lines, delimiter=",", dtype=np.float32, ndmin=2)
 
-    Skips what numpy skips, blank lines and ``#`` comments, and checks each
-    cell with ``float()``; None if that finds no fault numpy would report.
+
+def _csv_parses(text: str) -> bool:
+    """Whether :func:`_csv_rows` accepts ``text``, a line or a cell, as one row."""
+    if not text:  # loadtxt would skip it, with a warning
+        return False
+    try:
+        _csv_rows([text])
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_csv_line(text: str, name: str) -> str:
+    """``file:line: why`` for the first line of a features CSV that
+    :func:`_csv_rows` rejects.
+
+    The lines are judged as numpy judges them: a line empty up to a ``#``
+    comment is skipped (a line of spaces is a row), the first row sets the
+    width, and a rejected line is parsed again one cell at a time to name
+    the cell.  Every text that :func:`_csv_rows` rejects has such a line,
+    since a rejected file holds a rejected row or a row of another width.
     """
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0]
         if not line:
             continue
         cells = line.split(",")
-        for col, cell in enumerate(cells, start=1):
-            try:
-                float(cell)
-            except ValueError:
-                return f"{name}:{lineno}: non-numeric value {cell.strip()!r} in column {col}"
+        if not _csv_parses(line):
+            for col, cell in enumerate(cells, start=1):
+                if not _csv_parses(cell):
+                    return f"{name}:{lineno}: non-numeric value {cell.strip()!r} in column {col}"
         width = width or len(cells)
         if len(cells) != width:
             return f"{name}:{lineno}: {len(cells)} values, expected {width}"
-    return None
 
 
 def _dataset_dir(path) -> Path:
@@ -270,9 +285,9 @@ def load_dataset(path) -> TemporalGraph:
     elif files.get("features.csv") is not None:
         text = files.text("features.csv")
         try:
-            features = np.loadtxt(text.splitlines(), delimiter=",", dtype=np.float32, ndmin=2)
-        except ValueError as exc:
-            raise DatasetError(_bad_csv_line(text, "features.csv") or f"features.csv: {exc}") from None
+            features = _csv_rows(text.splitlines())
+        except ValueError:
+            raise DatasetError(_bad_csv_line(text, "features.csv")) from None
         if features.shape != (num_vertices, feature_dim):
             raise ValidationError(
                 f"features.csv is {features.shape[0]} x {features.shape[1]}, "

@@ -295,7 +295,7 @@ def _run_batch(g, cfgs, seeds, tasks, label_mask):
                     open_units = predict_open(test_logits, thresholds)
                     open_ids = np.where(open_units == UNSEEN, UNSEEN, order_arr[open_units])
                     event["thresholds"] = thresholds.tau.tolist()
-                    event["sd"] = None if thresholds.sd is None else thresholds.sd.tolist()
+                    event["sd"] = sd.tolist() if c.detector.use_risk_reduction else None
                 said_unseen = open_ids == UNSEEN
                 per_seed[j].records.append(TaskRecord(
                     t=task.t,

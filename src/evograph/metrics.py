@@ -95,25 +95,19 @@ def drift_magnitude(p_prev: dict, p_curr: dict) -> float:
     return 0.5 * sum(abs(p_prev.get(y, 0.0) - p_curr.get(y, 0.0)) for y in support)
 
 
-def symmetric_divergence(p: dict, q: dict, smooth: bool = False) -> float:
+def symmetric_divergence(p: dict, q: dict) -> float:
     """Symmetrized KL divergence 0.5*KL(P||Q) + 0.5*KL(Q||P), natural log.
 
-    Unsmoothed, a zero q-mass where p > 0 (or vice versa) is an error; with
-    ``smooth`` both distributions get 1e-12 added everywhere on the union
-    support and are renormalized.
+    Both distributions must have the same support: a zero q-mass where
+    p > 0 (or vice versa) makes the divergence infinite and is an error.
     """
     support = sorted(set(p) | set(q))
     pv = np.array([p.get(y, 0.0) for y in support], dtype=np.float64)
     qv = np.array([q.get(y, 0.0) for y in support], dtype=np.float64)
     if np.any(pv < 0) or np.any(qv < 0):
         raise ValidationError("negative probabilities")
-    if smooth:
-        pv = pv + 1e-12
-        qv = qv + 1e-12
-        pv /= pv.sum()
-        qv /= qv.sum()
-    elif np.any((qv == 0) & (pv > 0)) or np.any((pv == 0) & (qv > 0)):
-        raise ValidationError("zero mass on the other distribution's support (enable smoothing)")
+    if np.any((qv == 0) & (pv > 0)) or np.any((pv == 0) & (qv > 0)):
+        raise ValidationError("zero mass on the other distribution's support")
     kept = (pv > 0) & (qv > 0)
     pk, qk = pv[kept], qv[kept]
     kl_pq = float(np.sum(pk * np.log(pk / qk)))

@@ -45,23 +45,16 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Per-class rejection thresholds, each >= the configured minimum.
-
-    ``sd`` carries the mirrored-output standard deviations the thresholds
-    were fitted from (NaN for classes without training instances, None when
-    risk reduction was off); diagnostic only.
-    """
+    """Per-class rejection thresholds ``tau``, each in (0, 1]; not the
+    :func:`class_sd` statistic they were fitted from."""
 
     tau: np.ndarray
-    sd: np.ndarray = None
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=np.float64)
         if np.any(tau <= 0) or np.any(tau > 1):
             raise ValidationError("thresholds must lie in (0, 1]")
         object.__setattr__(self, "tau", tau)
-        if self.sd is not None:
-            object.__setattr__(self, "sd", np.asarray(self.sd, dtype=np.float64))
 
 
 def class_weights(labels, train_mask, num_classes: int) -> np.ndarray:
@@ -111,14 +104,14 @@ def thresholds_from_sd(sd, cfg: DetectorConfig) -> Thresholds:
 
     Without risk reduction every threshold is tau_min.  With it,
     tau_i = max(tau_min, 1 - alpha * SD_i), and classes without an SD fall
-    back to tau_min.
+    back to tau_min.  A caller that records ``sd`` keeps its own copy.
     """
     tau = np.full(len(sd), cfg.tau_min, dtype=np.float64)
     if not cfg.use_risk_reduction:
         return Thresholds(tau)
     present = ~np.isnan(sd)
     tau[present] = np.maximum(cfg.tau_min, 1.0 - cfg.alpha * sd[present])
-    return Thresholds(tau, sd=sd)
+    return Thresholds(tau)
 
 
 def fit_thresholds(train_outputs, labels, train_mask, cfg: DetectorConfig) -> Thresholds:

@@ -23,13 +23,9 @@ class TimeDiffHistogram:
     """Histogram of non-negative integer time differences within k hops."""
 
     counts: dict[int, int]
-    k: int
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def max_diff(self) -> int:
-        return max(self.counts) if self.counts else 0
 
     def as_sorted_items(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
@@ -73,7 +69,7 @@ def k_hop_time_diffs(g: TemporalGraph, k: int) -> TimeDiffHistogram:
         for d, c in zip(values.tolist(), tally.tolist()):
             if c:
                 counts[d] = counts.get(d, 0) + c
-    return TimeDiffHistogram(counts=counts, k=k)
+    return TimeDiffHistogram(counts)
 
 
 def percentile(h: TimeDiffHistogram, p: float) -> int:

@@ -107,7 +107,7 @@ def test_generate_flags_reach_every_synth_field(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "save_dataset", lambda *args, **kwargs: None)
     assert main([
         "generate", str(tmp_path / "d"), "--num-timestamps", "12", "--vertices-per-timestamp", "31",
-        "--initial-classes", "5", "--new-class-schedule", "3:1,6:2", "--class-skew", "1.5",
+        "--initial-classes", "5", "--new-class-schedule", "3:1,,6:2, ", "--class-skew", "1.5",
         "--feature-dim", "17", "--feature-noise", "0.25", "--intra-class-edge-prob", "0.09",
         "--inter-class-edge-prob", "0.02", "--window-back", "2", "--seed", "7", "--quiet",
     ]) == 0
@@ -118,11 +118,20 @@ def test_generate_flags_reach_every_synth_field(tmp_path, monkeypatch):
     )]
 
 
-def test_generate_duplicate_schedule_timestamp_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ("5:1,5:2", "new-class-schedule: timestamp 5 given twice"),
+        ("5:1,5", "new-class-schedule: cannot parse '5'"),
+        ("5:1,x:2", "new-class-schedule: cannot parse 'x:2'"),
+    ],
+    ids=["duplicate", "no-count", "non-integer"],
+)
+def test_generate_bad_schedule_exit_2(tmp_path, capsys, schedule, message):
     out = tmp_path / "dup"
-    rc = main(["generate", str(out), "--new-class-schedule", "5:1,5:2", "--quiet"])
+    rc = main(["generate", str(out), "--new-class-schedule", schedule, "--quiet"])
     assert rc == 2
-    assert "timestamp 5 given twice" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -141,8 +150,7 @@ def analyze_case(name):
     return g
 
 
-# SHA-256 of tdiff.csv and of tdiff.json without its "dataset" line (the path
-# as given), for --k 2 --percentiles 10,25,50,75,90,99.5,100
+# SHA-256 of tdiff.csv and tdiff.json, for --k 2 --percentiles 10,25,50,75,90,99.5,100
 ANALYZE_PINS = {
     "synth": (
         "3d380ded80464745818ab7b19a2e3910856d9a7270ebd04e2545fb4ca27ae06d",
@@ -167,12 +175,8 @@ class TestAnalyze:
         rc = main(["analyze-tdiff", str(tmp_path / "ds"), "--k", "2",
                    "--percentiles", "10,25,50,75,90,99.5,100", "--output-dir", str(out), "--quiet"])
         assert rc == 0
-        report = (out / "tdiff.json").read_text()
-        kept = "".join(line for line in report.splitlines(True) if not line.startswith('  "dataset": '))
-        assert len(kept) < len(report)
         digests = tuple(
-            hashlib.sha256(text.encode("utf-8")).hexdigest()
-            for text in ((out / "tdiff.csv").read_text(), kept)
+            hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("tdiff.csv", "tdiff.json")
         )
         assert digests == ANALYZE_PINS[name]
 
@@ -324,10 +328,12 @@ class TestRun:
         assert capsys.readouterr().err == f"error: not a dataset directory: {data}\n"
         assert not (tmp_path / "r2").exists()
 
-    def test_summary_agrees_with_report_files(self, dataset, tmp_path):
+    def test_summary_agrees_with_report_files(self, dataset, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", dataset, detector="doc", seeds="0,1,2")
         out = tmp_path / "s"
-        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        # without --quiet, run prints the summary it wrote
+        assert capsys.readouterr().out == (out / "summary.json").read_text()
         summary = json.loads((out / "summary.json").read_text())
         reports = [
             eg.MetricsReport.from_jsonl((out / f"report_seed{s}.jsonl").read_text())
@@ -595,6 +601,25 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {alone[0]}\n"
         assert not (out / "manifest.json").exists()
 
+    def test_later_seed_failing_after_the_first_finishes_is_raised(self, dataset, tmp_path, capsys):
+        # float32 training logits overflow for seed 1 at task 5; seed 0 finishes every task
+        # (learning rates 1.85e18 to 2.15e18 do the same)
+        cfg = write_config(tmp_path / "c.cfg", dataset, epochs="1", learning_rate="2e18")
+        spec = parse_config_text(cfg.read_text())
+        g = eg.load_dataset(dataset)
+        eg.run_sequence(g, spec.experiment, seed=0)
+        with pytest.raises(eg.RunError) as alone:
+            eg.run_sequence(g, spec.experiment, seed=1)
+        # the batch of both seeds trains seed 0 to the end, then raises seed 1's error
+        with pytest.raises(eg.RunError) as batched:
+            eg.run_sequences(g, [spec.experiment], [0, 1])
+        assert (batched.value.task_index, str(batched.value)) == (alone.value.task_index, str(alone.value))
+        for jobs in ("1", "2"):
+            out = tmp_path / f"run{jobs}"
+            assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"]) == 1
+            assert capsys.readouterr().err == f"error: {alone.value}\n"
+            assert not out.exists()
+
     def test_two_task_single_timestamp_exit_1(self, tmp_path, capsys):
         data = tmp_path / "one"
         assert main(["generate", str(data), "--num-timestamps", "1", "--quiet"]) == 0
@@ -652,6 +677,9 @@ class TestReport:
             warm["per_task_accuracy_mean"], cold["per_task_accuracy_mean"]
         )
         assert abs(reported - expected) < 1e-4
+        # a config without its warm/cold pair gets no row
+        assert main(["report", str(warm_cold_runs["warm"]), "--mode", "fwt"]) == 0
+        assert capsys.readouterr().out == "model,history_size,fwt\n"
 
     def test_open_mode_columns(self, warm_cold_runs, capsys):
         rc = main(["report", str(warm_cold_runs["warm"]), "--mode", "open"])
@@ -768,6 +796,7 @@ BAD_RUN_MANIFESTS = {
     "summary-number": (
         _edit(lambda m: m.update(summary=5)), "summary and dataset_fingerprint must be strings"
     ),
+    "format-version-2": (_edit(lambda m: m.update(format_version=2)), "unsupported format_version"),
 }
 
 # command -> its mode arguments; "report" runs the default mode
@@ -808,8 +837,15 @@ def test_bad_run_manifest_exit_2(warm_cold_runs, tmp_path, capsys, command, case
         ({"detector": "none", "tau_min": "2"}, ["--detector", "gdoc"], "{path}: tau_min must be in (0, 1]"),
         # the file's bad detector is overridden; the flag's tau_min is at fault
         ({"detector": "bogus"}, ["--detector", "gdoc", "--tau-min", "2"], "tau_min must be in (0, 1]"),
+        ({"detector": "bogus"}, [], "{path}: detector: expected none, doc, or gdoc, got 'bogus'"),
+        ({"format_version": "2"}, [], "{path}: format_version: unsupported '2'"),
+        ({"hidden_dim": "ten"}, [], "{path}: hidden_dim: cannot parse 'ten'"),
+        ({"detector": "doc", "risk_reduction": "maybe"}, [],
+         "{path}: risk_reduction: expected true/false, got 'maybe'"),
+        ({"inference_epochs": "-1"}, [], "{path}: pretrain_epochs and inference_epochs must be >= 0"),
     ],
-    ids=["bad-entry", "bad-flag", "flag-checks-entry", "flag-overrides-entry"],
+    ids=["bad-entry", "bad-flag", "flag-checks-entry", "flag-overrides-entry", "bad-detector",
+         "bad-format-version", "unparsable-number", "bad-bool", "negative-epoch-count"],
 )
 def test_run_config_error_names_file_of_bad_entry(
     warm_cold_runs, dataset, tmp_path, capsys, source, entries, flags, message

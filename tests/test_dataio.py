@@ -1,12 +1,15 @@
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import evograph as eg
 from evograph import dataio
+from evograph.cli import main
 from evograph.config import load_config, load_manifest
-from evograph.errors import ConfigError, DatasetError, ValidationError
+from evograph.errors import ConfigError, DatasetError, TaskSequenceError, ValidationError
 
 
 @pytest.fixture
@@ -78,13 +81,36 @@ def test_non_numeric_feature_cites_file_and_cell(fixture_dir):
         ("0.5,1.0\n\n# note\n1.5\n2.5,3.0\n3.5,4.0\n", "features.csv:4: 1 values, expected 2"),
         ("# h\n0.5,1.0\n1.5,2.0 # c\n2.5,3.0,\n3.5,4.0\n",
          "features.csv:4: non-numeric value '' in column 3"),
+        # float() accepts these two cells, np.loadtxt does not
+        ("1_0,1.0\n1.5,2.0\n2.5,3.0\n3.5,4.0\n", "features.csv:1: non-numeric value '1_0' in column 1"),
+        ("\u0661,1.0\n1.5,2.0\n2.5,3.0\n3.5,4.0\n", "features.csv:1: non-numeric value '\u0661' in column 1"),
+        # numpy skips only a line empty up to its comment: a line of spaces is a row
+        ("0.5,1.0\n1.5,2.0\n  # note\n2.5,3.0\n3.5,4.0\n", "features.csv:3: non-numeric value '' in column 1"),
     ],
-    ids=["ragged-after-blank-and-comment", "trailing-comma"],
+    ids=["ragged-after-blank-and-comment", "trailing-comma", "underscore-in-number", "arabic-indic-digit",
+         "spaces-before-comment"],
 )
 def test_bad_feature_line_counts_blank_and_comment_lines(fixture_dir, text, match):
     (fixture_dir / "features.csv").write_text(text)
     with pytest.raises(DatasetError, match=f"^{match}$"):
         eg.load_dataset(fixture_dir)
+
+
+def test_every_rejected_features_csv_names_a_line():
+    # random short texts over the characters that numpy's CSV parse and float() treat apart
+    rng = np.random.default_rng(0)
+    alphabet = [*"0123456789,,,  ..e-+#\t_n", "\xa0", "\u0661", "inf", "\n", "\r\n", "\u2028"]
+    rejected = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet, size=rng.integers(1, 15)))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a text with no row
+                dataio._csv_rows(text.splitlines())
+        except ValueError:
+            rejected += 1
+            assert re.match(r"f:\d+: ", dataio._bad_csv_line(text, "f")), repr(text)
+    assert rejected > 1000
 
 
 def test_dimension_mismatch_cites_counts(fixture_dir):
@@ -128,6 +154,52 @@ def test_bad_manifest_count_names_the_key(fixture_dir, case):
     match = f"manifest: {key} must be an integer >= 0, got {entries[key]!r}"
     with pytest.raises(DatasetError, match=f"^{re.escape(match)}$"):
         eg.load_dataset(fixture_dir)
+
+
+# case -> (fixture file -> its new text, None to delete it; the error class; its message,
+# "{ds}" the dataset directory)
+DATASET_FAULTS = {
+    "no-manifest-key": (
+        {"manifest": "format_version=1\nnum_vertices=4\nfeature_dim=2\n"},
+        DatasetError, "manifest: missing required key 'num_classes'",
+    ),
+    "format-version-2": (
+        {"manifest": "format_version=2\nnum_vertices=4\nfeature_dim=2\nnum_classes=2\n"},
+        DatasetError, "manifest: unsupported format_version '2'",
+    ),
+    "features-csv-shape": (
+        {"features.csv": "0.5\n1.5\n2.5\n"}, ValidationError, "features.csv is 3 x 1, expected 4 x 2",
+    ),
+    "no-features-file": (
+        {"features.csv": None}, DatasetError, "missing file: features.bin or features.csv (in {ds})",
+    ),
+    "times-count": ({"times": "1\n2\n3\n"}, ValidationError, "times has 3 entries, expected 4"),
+    # loads, but 25% of the vertices is first reached at the last timestamp: no task follows
+    "no-task-after-start": (
+        {"manifest": "format_version=1\nnum_vertices=5\nfeature_dim=2\nnum_classes=2\n",
+         "times": "1\n2\n2\n2\n2\n", "labels": "0\n1\n0\n1\n1\n",
+         "features.csv": "0,0\n" * 5},
+        TaskSequenceError, "no timestamps after the 25% start timestamp 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DATASET_FAULTS)
+def test_dataset_fault_fails_library_and_run(fixture_dir, tmp_path, capsys, case):
+    files, error, message = DATASET_FAULTS[case]
+    for name, text in files.items():
+        if text is None:
+            (fixture_dir / name).unlink()
+        else:
+            (fixture_dir / name).write_text(text)
+    message = message.format(ds=fixture_dir)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        eg.run_sequence(eg.load_dataset(fixture_dir), eg.ExperimentConfig(epochs=1))
+    (tmp_path / "c.cfg").write_text(f"dataset={fixture_dir}\nepochs=1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "c.cfg"), "--output-dir", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_save_load_round_trip(tmp_path, graph_factory):
@@ -379,6 +451,8 @@ def test_fingerprint_and_load_read_each_file_once(tmp_path, graph_factory, monke
     read_bytes = dataio.read_bytes
     monkeypatch.setattr(dataio, "read_bytes", lambda p, error: reads.append(p.name) or read_bytes(p, error))
     files = dataio.DatasetFiles(tmp_path / "ds")
+    # a path to its directory wherever a path is taken (the benchmark tracer sizes it so)
+    assert Path(files) == tmp_path / "ds"
     assert eg.dataset_fingerprint(files) == fingerprint
     assert eg.load_dataset(files).equals(g)
     assert reads == list(dataio._DATASET_FILES)

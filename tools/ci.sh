@@ -48,11 +48,11 @@ smoke_test() {
         sed 's/^/\t/; s/$/\r/' "$smoke/data/$f" > "$smoke/crlf/$f"
         sed "s/^/$nbsp/" "$smoke/data/$f" > "$smoke/nbsp/$f"
     done
-    grep -v '"dataset":' "$smoke/tdiff/tdiff.json" > "$smoke/tdiff.json"
     for copy in crlf nbsp; do
         evograph analyze-tdiff "$smoke/$copy" --output-dir "$smoke/tdiff-$copy" --quiet
-        cmp "$smoke/tdiff/tdiff.csv" "$smoke/tdiff-$copy/tdiff.csv"
-        grep -v '"dataset":' "$smoke/tdiff-$copy/tdiff.json" | cmp "$smoke/tdiff.json" -
+        for f in tdiff.csv tdiff.json; do
+            cmp "$smoke/tdiff/$f" "$smoke/tdiff-$copy/$f"
+        done
     done
     printf 'dataset=%s\nmodel=mlp\nhistory_size=2\nepochs=2\nseeds=0,1,2\n' "$smoke/data" > "$smoke/run.cfg"
     evograph run --config "$smoke/run.cfg" --output-dir "$smoke/run" --quiet
