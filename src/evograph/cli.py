@@ -28,7 +28,7 @@ from .config import (
     write_manifest,
 )
 from .dataio import DatasetFiles, dataset_fingerprint, load_dataset, read_json, save_dataset
-from .errors import ConfigError, EvographError
+from .errors import ConfigError, EvographError, ValidationError
 from .graph import UNLABELED
 from .lifelong import run_sequences, two_task_experiment
 from .metrics import drift_magnitude, forward_transfer, mean_ci95
@@ -103,7 +103,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--k: hop bound must be >= 1, got {args.k}")
     g = load_dataset(args.dataset)
     hist = k_hop_time_diffs(g, args.k)
-    pct = {p: (percentile(hist, p) if hist.counts else 0) for p in ps}
+    pct = {p: percentile(hist, p) for p in ps}
 
     ts, sizes = np.unique(g.time, return_counts=True)
     ts = ts.tolist()
@@ -304,7 +304,10 @@ def cmd_run(args) -> int:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that a float holds (JSON integers have no bound)."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    )
 
 
 def _load_run(path) -> dict:
@@ -330,6 +333,7 @@ def _load_run(path) -> dict:
     if not (isinstance(trace, list) and all(map(_is_number, trace))):
         raise EvographError(f"{summary_path}: {trace_key} must be a list of numbers")
     return {
+        "path": path,
         "config": spec.snapshot(),
         "fingerprint": manifest["dataset_fingerprint"],
         "summary": summary,
@@ -343,9 +347,9 @@ def _cells(score) -> list:
 
 def cmd_report(args) -> int:
     runs = [_load_run(p) for p in args.reports]
-    fingerprints = {r["fingerprint"] for r in runs}
-    if len(fingerprints) > 1:
-        raise EvographError("reports mix incompatible dataset fingerprints")
+    for r in runs:
+        if r["fingerprint"] != runs[0]["fingerprint"]:
+            raise EvographError(f"{r['path']} and {runs[0]['path']} ran on datasets of different fingerprints")
     rows = []
     if args.mode == "accuracy-table":
         cells, paths = {}, {}
@@ -376,9 +380,12 @@ def cmd_report(args) -> int:
             if "warm" not in sides or "cold" not in sides:
                 continue
             cfg = json.loads(key)
-            warm_trace = sides["warm"]["summary"]["per_task_accuracy_mean"]
-            cold_trace = sides["cold"]["summary"]["per_task_accuracy_mean"]
-            fwt = forward_transfer(warm_trace, cold_trace)
+            warm, cold = sides["warm"], sides["cold"]
+            try:
+                fwt = forward_transfer(warm["summary"]["per_task_accuracy_mean"],
+                                       cold["summary"]["per_task_accuracy_mean"])
+            except ValidationError as exc:
+                raise EvographError(f"{warm['path']} and {cold['path']}: {exc}") from None
             rows.append(f"{cfg['model']},{cfg['history_size']},{fwt:.4f}")
     else:  # open
         keys = ("model", "history_size", "restart", "detector", "tau_min", "alpha")

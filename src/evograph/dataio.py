@@ -298,12 +298,8 @@ def load_dataset(path) -> TemporalGraph:
 
     if times.size != num_vertices:
         raise ValidationError(f"times has {times.size} entries, expected {num_vertices}")
-    if labels.size != num_vertices:
-        raise ValidationError(f"labels has {labels.size} entries, expected {num_vertices}")
-    if loops:
-        warnings.warn(f"{root.name}: dropped {loops} self-loop(s)", stacklevel=2)
-
-    return TemporalGraph(
+    # TemporalGraph checks the labels count, the label range and the edge endpoints
+    g = TemporalGraph(
         num_vertices=num_vertices,
         edges=edges,
         time=times,
@@ -311,6 +307,9 @@ def load_dataset(path) -> TemporalGraph:
         labels=labels,
         num_classes=num_classes,
     )
+    if loops:
+        warnings.warn(f"{root.name}: dropped {loops} self-loop(s)", stacklevel=2)
+    return g
 
 
 def save_dataset(g: TemporalGraph, path, features_format: str = "bin") -> None:

@@ -76,17 +76,14 @@ class TemporalGraph:
         self.time = np.asarray(self.time, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.features = np.asarray(self.features, dtype=np.float32)
-        self.edges = _canonical_edges(self.edges, self.num_vertices)
 
         n = self.num_vertices
-        if self.time.shape != (n,):
-            raise ValidationError(f"time has {self.time.shape[0]} entries, expected {n}")
-        if self.labels.shape != (n,):
-            raise ValidationError(f"labels has {self.labels.shape[0]} entries, expected {n}")
-        if self.features.ndim != 2 or self.features.shape[0] != n:
-            raise ValidationError(
-                f"features has {self.features.shape[0]} rows, expected {n}"
-            )
+        for name, ndim, unit in (("time", 1, "entries"), ("labels", 1, "entries"), ("features", 2, "rows")):
+            shape = getattr(self, name).shape
+            if len(shape) != ndim:
+                raise ValidationError(f"{name} must be {ndim}-D, got shape {shape}")
+            if shape[0] != n:
+                raise ValidationError(f"{name} has {shape[0]} {unit}, expected {n}")
         if not np.all(np.isfinite(self.features)):
             raise ValidationError("features contain non-finite values")
         labeled = self.labels != UNLABELED
@@ -95,6 +92,7 @@ class TemporalGraph:
             raise ValidationError(
                 f"label {bad} out of range for {self.num_classes} classes"
             )
+        self.edges = _canonical_edges(self.edges, n)
 
         for arr in (self.edges, self.time, self.features, self.labels):
             arr.flags.writeable = False

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -121,11 +121,11 @@ class TaskRecord:
 
     t: int
     accuracy: float
-    tp: int = 0
-    tn: int = 0
-    fp: int = 0
-    fn: int = 0
-    open_f1: float = 0.0
+    tp: int
+    tn: int
+    fp: int
+    fn: int
+    open_f1: float
 
 
 @dataclass
@@ -179,35 +179,6 @@ class MetricsReport:
         ]
         lines.append(json.dumps({"kind": "summary", **self.summary()}, sort_keys=True))
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_jsonl(text: str) -> "MetricsReport":
-        """The report of :meth:`to_jsonl`'s text; ValidationError names the
-        1-based line at fault: not a JSON object, or a task record with a key
-        missing or unknown, a count or ``t`` not an integer, or a score not a
-        number."""
-        records = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: not valid JSON ({exc})") from None
-            if not isinstance(obj, dict):
-                raise ValidationError(f"line {lineno}: expected a JSON object")
-            if obj.get("kind") == "task":
-                obj.pop("kind")
-                try:
-                    records.append(TaskRecord(**obj))
-                except TypeError as exc:  # a key missing or unknown
-                    raise ValidationError(f"line {lineno}: bad task record ({exc})") from None
-                for f in fields(TaskRecord):
-                    value, number = getattr(records[-1], f.name), f.type == "float"
-                    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
-                        kind = "a number" if number else "an integer"
-                        raise ValidationError(f"line {lineno}: {f.name} must be {kind}, got {value!r}")
-        return MetricsReport(records=records)
 
 
 def mean_ci95(values) -> tuple[float, float]:

@@ -525,7 +525,9 @@ def loss_from_logits(logits, labels, train_mask, loss_mode):
 def loss_and_grad(model: ModelState, g: TemporalGraph, labels, train_mask, loss_mode: str):
     """Loss plus parameter gradients of the dropout-free forward pass, in float64."""
     ws = _Workspace([model], g, np.float64)
-    if not np.all(np.isfinite(ws.forward())):
+    with np.errstate(over="ignore", invalid="ignore"):  # as in train: the check below reports it
+        logits = ws.forward()
+    if not np.all(np.isfinite(logits)):
         raise ValidationError("non-finite logits")
     targets = _loss_targets(labels, train_mask, ws.logits, loss_mode)
     (loss,) = ws.backward(targets, loss_mode, want_loss=True)

@@ -52,7 +52,7 @@ class Thresholds:
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=np.float64)
-        if np.any(tau <= 0) or np.any(tau > 1):
+        if not np.all((tau > 0) & (tau <= 1)):  # NaN fails too
             raise ValidationError("thresholds must lie in (0, 1]")
         object.__setattr__(self, "tau", tau)
 
@@ -85,7 +85,7 @@ def class_sd(train_outputs, labels, train_mask) -> np.ndarray:
     instances get NaN.
     """
     outputs = np.asarray(train_outputs, dtype=np.float64)
-    if np.any(outputs < 0) or np.any(outputs > 1):
+    if not np.all((outputs >= 0) & (outputs <= 1)):  # NaN fails too
         raise ValidationError("train_outputs must be sigmoid values in [0, 1]")
     mask = np.asarray(train_mask, dtype=bool)
     y = np.asarray(labels)

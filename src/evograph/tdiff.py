@@ -73,11 +73,14 @@ def k_hop_time_diffs(g: TemporalGraph, k: int) -> TimeDiffHistogram:
 
 
 def percentile(h: TimeDiffHistogram, p: float) -> int:
-    """Nearest-rank percentile: smallest d with cumulative count >= ceil(p/100 * total)."""
-    if not h.counts:
-        raise ValidationError("percentile of an empty histogram")
+    """Nearest-rank percentile: smallest d with cumulative count >= ceil(p/100 * total).
+
+    An empty histogram (no pair within k hops) has every percentile 0.
+    """
     if not 0 < p <= 100:
         raise ValidationError(f"percentile {p} outside (0, 100]")
+    if not h.counts:
+        return 0
     values, counts = zip(*h.as_sorted_items())
     rank = math.ceil(p / 100.0 * h.total())
     return values[int(np.searchsorted(np.cumsum(counts), rank))]
@@ -86,12 +89,12 @@ def percentile(h: TimeDiffHistogram, p: float) -> int:
 def history_sizes(h: TimeDiffHistogram, percentiles) -> list[int]:
     """Percentiles of ``h``, floored to 1, deduplicated in order.
 
-    An empty histogram (no pair within k hops) counts as percentile 0 and so
+    An empty histogram has every percentile 0 (see :func:`percentile`) and so
     suggests ``[1]``.
     """
     out: list[int] = []
     for p in percentiles:
-        size = max(1, percentile(h, p)) if h.counts else 1
+        size = max(1, percentile(h, p))
         if size not in out:
             out.append(size)
     return out

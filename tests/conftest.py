@@ -61,3 +61,11 @@ def two_class_blobs(n_per_class=10, dim=2, separation=4.0, seed=0, edge_prob=0.3
         labels=labels,
         num_classes=2,
     )
+
+
+def raises_exactly(call, error, message):
+    """Check that ``call()`` raises ``error`` itself, not a subclass, with the whole ``message``."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

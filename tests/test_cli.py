@@ -14,6 +14,7 @@ from evograph import cli, config, dataio
 from evograph.cli import main
 from evograph.config import RunSpec, parse_config_text
 from evograph.errors import EvographError
+from evograph.metrics import TaskRecord
 
 NAN = float("nan")
 
@@ -335,10 +336,14 @@ class TestRun:
         # without --quiet, run prints the summary it wrote
         assert capsys.readouterr().out == (out / "summary.json").read_text()
         summary = json.loads((out / "summary.json").read_text())
-        reports = [
-            eg.MetricsReport.from_jsonl((out / f"report_seed{s}.jsonl").read_text())
-            for s in (0, 1, 2)
-        ]
+        # a report is one JSON object per line: the task records, then the summary
+        reports = []
+        for s in (0, 1, 2):
+            *tasks, last = map(json.loads, (out / f"report_seed{s}.jsonl").read_text().splitlines())
+            assert [obj.pop("kind") for obj in tasks] == ["task"] * len(tasks)
+            report = eg.MetricsReport([TaskRecord(**obj) for obj in tasks])
+            assert last == {"kind": "summary", **report.summary()}
+            reports.append(report)
         for key in ("avg_accuracy", "mcc", "open_macro_f1"):
             mean, ci = eg.mean_ci95([getattr(r, key)() for r in reports])
             assert summary[key] == {"mean": mean, "ci95": ci}
@@ -726,8 +731,12 @@ class TestReport:
             ("avg_accuracy", {"mean": True, "ci95": 0.1}),
             ("per_task_accuracy_mean", {"0": 0.5}),
             ("per_task_accuracy_mean", [0.5, None]),
+            # JSON integers have no bound; these once ended in an OverflowError traceback
+            ("mcc", {"mean": 10**400, "ci95": 0.1}),
+            ("per_task_accuracy_mean", [0.5, -(10**400)]),
         ],
-        ids=["string", "no-mean", "string-ci95", "bool-mean", "trace-object", "trace-null"],
+        ids=["string", "no-mean", "string-ci95", "bool-mean", "trace-object", "trace-null",
+             "integer-beyond-float", "trace-integer-beyond-float"],
     )
     def test_bad_summary_value_exit_1(self, warm_cold_runs, tmp_path, capsys, mode, key, value):
         run = tmp_path / "warm"
@@ -754,7 +763,31 @@ class TestReport:
         assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
         rc = main(["report", str(warm_cold_runs["warm"]), str(out)])
         assert rc == 1
-        assert "fingerprint" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {out} and {warm_cold_runs['warm']} ran on datasets of different fingerprints\n"
+        )
+
+    @pytest.mark.parametrize(
+        "warm_trace, cold_trace, message",
+        [
+            (slice(None), slice(-1), "warm/cold accuracy sequences differ in length"),
+            (slice(1), slice(1), "forward transfer needs at least 2 tasks"),
+        ],
+        ids=["cold-trace-shorter", "one-task"],
+    )
+    def test_fwt_of_traces_that_do_not_pair_exit_1(self, warm_cold_runs, tmp_path, capsys,
+                                                    warm_trace, cold_trace, message):
+        runs = {}
+        for side, cut in (("warm", warm_trace), ("cold", cold_trace)):
+            runs[side] = tmp_path / side
+            shutil.copytree(warm_cold_runs[side], runs[side])
+            summary = json.loads((runs[side] / "summary.json").read_text())
+            summary["per_task_accuracy_mean"] = summary["per_task_accuracy_mean"][cut]
+            (runs[side] / "summary.json").write_text(json.dumps(summary))
+        assert main(["report", str(runs["warm"]), str(runs["cold"]), "--mode", "fwt"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {runs['warm']} and {runs['cold']}: {message}\n"
 
     @pytest.mark.parametrize("mode", ["accuracy-table", "fwt", "open"])
     def test_two_task_run_rejected(self, warm_cold_runs, dataset, tmp_path, capsys, mode):

@@ -174,6 +174,14 @@ DATASET_FAULTS = {
         {"features.csv": None}, DatasetError, "missing file: features.bin or features.csv (in {ds})",
     ),
     "times-count": ({"times": "1\n2\n3\n"}, ValidationError, "times has 3 entries, expected 4"),
+    "labels-count": ({"labels": "0\n1\n0\n"}, ValidationError, "labels has 3 entries, expected 4"),
+    # the count is checked before the edges, and no self-loop warning comes first
+    "labels-count-bad-edge": (
+        {"labels": "0\n1\n0\n", "edges": "0 9\n"}, ValidationError, "labels has 3 entries, expected 4",
+    ),
+    "labels-count-self-loop": (
+        {"labels": "0\n1\n0\n", "edges": "0 0\n0 1\n"}, ValidationError, "labels has 3 entries, expected 4",
+    ),
     # loads, but 25% of the vertices is first reached at the last timestamp: no task follows
     "no-task-after-start": (
         {"manifest": "format_version=1\nnum_vertices=5\nfeature_dim=2\nnum_classes=2\n",

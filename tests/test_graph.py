@@ -3,6 +3,7 @@ import pytest
 
 import evograph as eg
 from evograph.errors import TaskSequenceError, ValidationError
+from conftest import raises_exactly
 
 
 def make_graph(times, edges=(), labels=None, num_classes=3, feature_dim=2):
@@ -273,3 +274,34 @@ class TestTaskSequence:
                         prev = int(ts[ts < task.time][-1])
                         assert np.array_equal(task.train_vertices, trim_oracle(h, prev, c)[0])
                         assert np.array_equal(task.vertices, trim_oracle(h, task.time, c)[0])
+
+
+FEATURES3 = np.zeros((3, 2), np.float32)
+
+# call, exception class, whole message
+ARGUMENT_ERRORS = {
+    "time-count": (lambda: eg.TemporalGraph(3, [], [1, 1], FEATURES3, [0, 0, 0], 1),
+                   ValidationError, "time has 2 entries, expected 3"),
+    "time-2d": (lambda: eg.TemporalGraph(3, [], [[1], [1], [1]], FEATURES3, [0, 0, 0], 1),
+                ValidationError, "time must be 1-D, got shape (3, 1)"),
+    "labels-count": (lambda: eg.TemporalGraph(3, [], [1, 1, 1], FEATURES3, [0, 0], 1),
+                     ValidationError, "labels has 2 entries, expected 3"),
+    "labels-scalar": (lambda: eg.TemporalGraph(3, [], [1, 1, 1], FEATURES3, 0, 1),
+                      ValidationError, "labels must be 1-D, got shape ()"),
+    "features-rows": (lambda: eg.TemporalGraph(3, [], [1, 1, 1], FEATURES3[:2], [0, 0, 0], 1),
+                      ValidationError, "features has 2 rows, expected 3"),
+    "features-1d": (lambda: eg.TemporalGraph(3, [], [1, 1, 1], np.zeros(3), [0, 0, 0], 1),
+                    ValidationError, "features must be 2-D, got shape (3,)"),
+    # the length checks come before the edge check, as load_dataset had them
+    "labels-count-before-edges": (lambda: eg.TemporalGraph(3, [(0, 9)], [1, 1, 1], FEATURES3, [0], 1),
+                                  ValidationError, "labels has 1 entries, expected 3"),
+    "keep-range": (lambda: eg.induced_subgraph(make_graph([1, 2, 3]), [0, 3]),
+                   ValidationError, "keep ids out of range"),
+    "negative-history": (lambda: eg.build_task_sequence(make_graph([1, 2, 3, 4]), -1),
+                         ValidationError, "history size must be >= 0 or FULL"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_bad_argument_raises(case):
+    raises_exactly(*ARGUMENT_ERRORS[case])

@@ -9,6 +9,7 @@ import evograph as eg
 import reference_kernels as ref
 from evograph.errors import ConfigError, RunError, ValidationError
 from evograph.lifelong import _derive_seed, _unit_labels
+from conftest import raises_exactly
 
 
 def schedule_graph(seed=0):
@@ -714,3 +715,25 @@ class TestTwoTask:
         g = eg.TemporalGraph(n, [], times, np.ones((n, 2), np.float32), labels, 2)
         with pytest.raises(ValidationError, match=match):
             eg.two_task_experiment(g, eg.ExperimentConfig(model="mlp", epochs=2), 2, 2)
+
+
+def _path_graph(n=4):
+    return eg.TemporalGraph(n, [(i, i + 1) for i in range(n - 1)], list(range(n)),
+                            np.zeros((n, 2), np.float32), [0, 1] * (n // 2), 2)
+
+
+# call, exception class, whole message
+ARGUMENT_ERRORS = {
+    "restart": (lambda: eg.ExperimentConfig(restart="lukewarm"),
+                ConfigError, "restart must be warm or cold, got 'lukewarm'"),
+    "negative-seed": (lambda: eg.ExperimentConfig(seeds=(0, -1)), ConfigError, "seeds must be non-negative"),
+    "run-sequences-no-seed": (lambda: eg.run_sequences(_path_graph(), [eg.ExperimentConfig()], []),
+                              ConfigError, "need at least one seed"),
+    "two-task-negative-pretrain": (lambda: eg.two_task_experiment(_path_graph(), eg.ExperimentConfig(), -1, 2),
+                                   ConfigError, "epoch counts must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_bad_argument_raises(case):
+    raises_exactly(*ARGUMENT_ERRORS[case])

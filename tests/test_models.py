@@ -10,7 +10,7 @@ from dataclasses import replace
 import evograph as eg
 import reference_kernels as ref
 from evograph.errors import ValidationError
-from conftest import two_class_blobs
+from conftest import raises_exactly, two_class_blobs
 
 
 def small_graph(seed=0, n=6, dim=3, num_classes=3, time_span=3):
@@ -1077,3 +1077,34 @@ class TestPrecisionOracle:
             for a, b in zip(got, want):
                 assert ref.rel_dev(a, b) <= self.TRAINED_RTOL
         assert np.allclose(losses, oracle_losses, rtol=self.LOSS_RTOL, atol=0.0)
+
+
+def _model_and_graph(bad=None):
+    """A 3-class mlp on ``small_graph``; ``bad`` is written into its first weight."""
+    g = small_graph()
+    model = eg.init_model("mlp", g.feature_dim, 4, 3, seed=0)
+    if bad is not None:
+        model.layers[0][0][0, 0] = bad
+    return model, g
+
+
+def _loss_and_grad(loss_mode, bad=None):
+    model, g = _model_and_graph(bad)
+    return eg.loss_and_grad(model, g, g.labels, np.ones(g.num_vertices, bool), loss_mode)
+
+
+# call, exception class, whole message
+ARGUMENT_ERRORS = {
+    "glorot-fan-in": (lambda: eg.models.glorot_init(0, 3, 0), ValidationError, "fan_in and fan_out must be >= 1"),
+    "model-kind": (lambda: eg.init_model("gat", 3, 4, 3), ValidationError, "unknown model kind 'gat'"),
+    "sgc-power": (lambda: eg.sgc_precompute(small_graph(), -1), ValidationError, "propagation power K must be >= 0"),
+    "loss-mode": (lambda: _loss_and_grad("hinge"), ValidationError, "unknown loss_mode 'hinge'"),
+    "non-finite-logits": (lambda: _loss_and_grad(eg.CATEGORICAL, bad=np.inf), ValidationError, "non-finite logits"),
+    "expand-negative": (lambda: eg.expand_output_layer(_model_and_graph()[0], -1, 0),
+                        ValidationError, "cannot expand by a negative count"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_bad_argument_raises(case):
+    raises_exactly(*ARGUMENT_ERRORS[case])

@@ -6,6 +6,7 @@ import pytest
 import evograph as eg
 import reference_kernels as ref
 from evograph.errors import ValidationError
+from conftest import raises_exactly
 
 
 def logit(p):
@@ -173,3 +174,20 @@ class TestSigmoid:
         self.assert_same(np.empty((0, 3)))
         self.assert_same(np.arange(-40, 41).reshape(9, 9))
         self.assert_same(np.array([[-1.0, 2.0]], dtype=np.float32))
+
+
+# call, exception class, whole message
+ARGUMENT_ERRORS = {
+    "variant": (lambda: eg.DetectorConfig(variant="odin"), ValidationError, "unknown detector variant 'odin'"),
+    "threshold-zero": (lambda: eg.Thresholds(np.array([0.5, 0.0])), ValidationError, "thresholds must lie in (0, 1]"),
+    "threshold-nan": (lambda: eg.Thresholds(np.array([0.5, np.nan])), ValidationError, "thresholds must lie in (0, 1]"),
+    "sd-outputs-above-1": (lambda: eg.openworld.class_sd(np.array([[1.5, 0.5]]), [0], [True]),
+                           ValidationError, "train_outputs must be sigmoid values in [0, 1]"),
+    "sd-outputs-nan": (lambda: eg.openworld.class_sd(np.array([[np.nan, 0.5]]), [0], [True]),
+                       ValidationError, "train_outputs must be sigmoid values in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_bad_argument_raises(case):
+    raises_exactly(*ARGUMENT_ERRORS[case])

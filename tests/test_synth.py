@@ -10,6 +10,7 @@ import evograph as eg
 from evograph import synth
 from evograph.cli import main
 from evograph.errors import ConfigError
+from conftest import raises_exactly
 
 
 def test_same_seed_identical_graphs():
@@ -240,3 +241,19 @@ FIXTURE_SHA256 = {
 @pytest.mark.parametrize("name", FIXTURE_SHA256)
 def test_fixture_graphs_pinned(name):
     assert graph_sha256(eg.generate(ORACLE_CONFIGS[name])) == FIXTURE_SHA256[name]
+
+
+# call, exception class, whole message
+ARGUMENT_ERRORS = {
+    "no-timestamps": (lambda: eg.SynthConfig(num_timestamps=0),
+                      ConfigError, "need at least one timestamp and one vertex per timestamp"),
+    "no-classes": (lambda: eg.SynthConfig(num_initial_classes=0), ConfigError, "need at least one initial class"),
+    "schedule-beyond-range": (lambda: eg.SynthConfig(num_timestamps=4, new_class_schedule={4: 1}),
+                              ConfigError, "new_class_schedule timestamps outside the generated range"),
+    "window-back": (lambda: eg.SynthConfig(window_back=-1), ConfigError, "window_back must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_bad_argument_raises(case):
+    raises_exactly(*ARGUMENT_ERRORS[case])

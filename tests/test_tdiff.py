@@ -7,6 +7,7 @@ import pytest
 import evograph as eg
 from evograph import tdiff
 from evograph.errors import ValidationError
+from conftest import raises_exactly
 
 
 def bounded_pairs_oracle(g, k):
@@ -174,9 +175,10 @@ class TestPercentile:
         h = eg.TimeDiffHistogram({1: 1, 2: 1, 3: 1})
         assert eg.percentile(h, 100) == 3
 
-    def test_empty_errors(self):
-        with pytest.raises(ValidationError):
-            eg.percentile(eg.TimeDiffHistogram({}), 50)
+    def test_empty_is_zero(self):
+        h = eg.TimeDiffHistogram({})
+        assert [eg.percentile(h, p) for p in (1e-9, 50, 100)] == [0, 0, 0]
+        raises_exactly(lambda: eg.percentile(h, 0), ValidationError, "percentile 0 outside (0, 100]")
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(0)
@@ -261,3 +263,19 @@ def test_equal_time_pairs_contribute_exactly_two(graph_factory):
         oracle = bounded_pairs_oracle(g, 2)
         assert h.counts.get(0, 0) == oracle.get(0, 0)
         assert h.counts.get(0, 0) % 2 == 0
+
+
+# call, exception class, whole message
+ARGUMENT_ERRORS = {
+    "zero-hops": (lambda: eg.k_hop_time_diffs(graph_from([1, 2], [(0, 1)]), 0),
+                  ValidationError, "hop bound k must be >= 1"),
+    "p-zero": (lambda: eg.percentile(eg.TimeDiffHistogram({3: 1}), 0),
+               ValidationError, "percentile 0 outside (0, 100]"),
+    "history-sizes-p-zero": (lambda: tdiff.history_sizes(eg.TimeDiffHistogram({}), [50, 0]),
+                             ValidationError, "percentile 0 outside (0, 100]"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_bad_argument_raises(case):
+    raises_exactly(*ARGUMENT_ERRORS[case])

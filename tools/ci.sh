@@ -63,6 +63,18 @@ smoke_test() {
     printf 'dataset=%s\nmodel=sage\ndetector=gdoc\nhistory_size=2\nepochs=5\nseeds=0,1,2\n' "$smoke/data" > "$smoke/sage.cfg"
     evograph run --config "$smoke/sage.cfg" --output-dir "$smoke/sage" --jobs 1 --quiet
     rerun_reproduces "$smoke/sage"
+    # report's other two modes: forward transfer of the mlp run over its cold twin
+    # (a header and one row), and the open-world scores of mlp and sage (a header and two)
+    { cat "$smoke/run.cfg"; echo 'restart=cold'; } > "$smoke/cold.cfg"
+    evograph run --config "$smoke/cold.cfg" --output-dir "$smoke/cold" --quiet
+    evograph report "$smoke/run" "$smoke/cold" --mode fwt > "$smoke/fwt.csv"
+    evograph report "$smoke/run" "$smoke/sage" --mode open > "$smoke/open.csv"
+    cat "$smoke/fwt.csv" "$smoke/open.csv"
+    test "$(wc -l < "$smoke/fwt.csv")" -eq 2
+    grep -q '^model,history_size,fwt$' "$smoke/fwt.csv"
+    grep -Eq '^mlp,2,-?[0-9]+\.[0-9]{4}$' "$smoke/fwt.csv"
+    test "$(wc -l < "$smoke/open.csv")" -eq 3
+    grep -q '^model,history_size,restart,detector,tau_min,alpha,mcc,mcc_ci,open_f1,open_f1_ci$' "$smoke/open.csv"
     # a diverging run through the process pool ends in exit 1 and one error line
     sed 's/^epochs=2$/epochs=3/' "$smoke/run.cfg" > "$smoke/diverge.cfg"
     echo 'learning_rate=1e300' >> "$smoke/diverge.cfg"
