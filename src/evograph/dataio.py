@@ -1,22 +1,28 @@
 """On-disk dataset format: load and save temporal graphs.
 
-A dataset is a directory of line-oriented UTF-8 text files plus features:
+A dataset is a directory holding a text manifest and four data files:
 
 * ``manifest`` -- ``key=value`` lines (see :func:`read_key_values`); required
   keys ``format_version=1``, ``num_vertices``, ``feature_dim``, ``num_classes``,
   the last three non-negative integers.
-* ``edges``    -- one ``src dst`` pair of integers per line, 0-based vertex
-  ids; direction is ignored.
-* ``times``    -- one integer per vertex, line i = vertex i.
+* ``edges``    -- ``src dst`` pairs of 0-based vertex ids; direction is ignored.
+* ``times``    -- one integer per vertex, vertex i first.
 * ``labels``   -- one integer per vertex; ``-1`` means unlabeled.
-* ``features.bin`` -- row-major 32-bit little-endian reals, no header,
-  length num_vertices * feature_dim; or ``features.csv`` with
-  comma-separated decimal reals, row i = vertex i.  When both exist the
-  binary file wins.
+* ``features`` -- num_vertices * feature_dim reals, row-major.
 
-Integers follow ``int()``'s rules and must fit in 64 bits.  A file of plain
-ASCII decimals (digits, signs, spaces, tabs, line ends) is parsed in one C
-pass; any other file line by line.  The results are the same either way.
+Each data file comes in a binary and a text form; when both exist the binary
+file wins.  :func:`save_dataset` writes the binary forms, and the features in
+either form:
+
+* ``edges.bin``, ``times.bin``, ``labels.bin`` -- 64-bit little-endian
+  integers, no header; ``edges.bin`` holds the pairs one after the other.
+* ``edges``, ``times``, ``labels`` -- UTF-8 text, one pair or integer per
+  non-blank line.  Integers follow ``int()``'s rules and must fit in 64 bits.
+  A file of plain ASCII decimals (digits, signs, spaces, tabs, line ends) is
+  parsed in one C pass; any other file line by line.  The results are the
+  same either way.
+* ``features.bin`` -- 32-bit little-endian reals, no header.
+* ``features.csv`` -- comma-separated decimal reals, row i = vertex i.
 """
 
 from __future__ import annotations
@@ -34,7 +40,14 @@ import numpy as np
 from .errors import DatasetError, EvographError, ValidationError
 from .graph import TemporalGraph
 
-_DATASET_FILES = ("manifest", "edges", "times", "labels", "features.bin", "features.csv")
+_DATASET_FILES = ("manifest", "edges", "edges.bin", "times", "times.bin", "labels", "labels.bin",
+                  "features.bin", "features.csv")
+# integer file -> (values per row, the text parse's messages: bad width, bad value, out of range)
+_INT_FILES = {
+    "edges": (2, "expected 'src dst', got", "non-integer vertex id in", "vertex id out of range in"),
+    "times": (1, "non-integer timestamp", "non-integer timestamp", "timestamp out of range"),
+    "labels": (1, "non-integer label", "non-integer label", "label out of range"),
+}
 # the bytes of an integer file that np.loadtxt parses exactly as int() does
 _PLAIN = b"0123456789 \t\r\n+-"
 _INT64 = np.iinfo(np.int64)
@@ -124,7 +137,7 @@ def _int_rows_by_line(text: str, name: str, width: int, bad_width: str, bad_valu
     Each token is parsed by ``int()``; DatasetError names the first bad line
     as ``name:line`` with ``bad_width``, ``bad_value`` or ``out_of_range``
     (beyond int64) and the line.  Several times slower than the one-pass
-    parse; no file :func:`save_dataset` writes comes here.
+    parse.
     """
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -141,19 +154,6 @@ def _int_rows_by_line(text: str, name: str, width: int, bad_width: str, bad_valu
             raise DatasetError(f"{name}:{lineno}: {out_of_range} {raw.strip()!r}")
         values += row
     return np.array(values, dtype=np.int64).reshape(-1, width)
-
-
-def _read_ints(path: Path, data: bytes, what: str) -> np.ndarray:
-    return _read_int_rows(
-        path, data, 1, f"non-integer {what}", f"non-integer {what}", f"{what} out of range"
-    ).ravel()
-
-
-def _read_edges(path: Path, data: bytes) -> tuple[np.ndarray, int]:
-    arr = _read_int_rows(
-        path, data, 2, "expected 'src dst', got", "non-integer vertex id in", "vertex id out of range in"
-    )
-    return arr, int(np.count_nonzero(arr[:, 0] == arr[:, 1]))
 
 
 def _csv_rows(lines) -> np.ndarray:
@@ -243,6 +243,22 @@ def _files(path) -> DatasetFiles:
     return path if isinstance(path, DatasetFiles) else DatasetFiles(path)
 
 
+def _read_int_file(files: DatasetFiles, name: str) -> np.ndarray:
+    """Integer file ``name`` (a key of ``_INT_FILES``) as an (N, width) int64 array.
+
+    ``<name>.bin`` wins if it exists; its byte count must be a whole number
+    of rows, else DatasetError names the file and its size.  Otherwise the
+    text file ``name`` is parsed by :func:`_read_int_rows`.
+    """
+    width, *messages = _INT_FILES[name]
+    data = files.get(f"{name}.bin")
+    if data is None:
+        return _read_int_rows(files.root / name, files.data(name), width, *messages)
+    if len(data) % (8 * width):
+        raise DatasetError(f"{name}.bin holds {len(data)} bytes, not a whole number of {8 * width}-byte rows")
+    return np.frombuffer(data, dtype="<i8").reshape(-1, width)
+
+
 def load_dataset(path) -> TemporalGraph:
     """Load and validate a dataset directory into a TemporalGraph.
 
@@ -270,9 +286,9 @@ def load_dataset(path) -> TemporalGraph:
         counts.append(value)
     num_vertices, feature_dim, num_classes = counts
 
-    edges, loops = _read_edges(root / "edges", files.data("edges"))
-    times = _read_ints(root / "times", files.data("times"), "timestamp")
-    labels = _read_ints(root / "labels", files.data("labels"), "label")
+    edges = _read_int_file(files, "edges")
+    times = _read_int_file(files, "times").ravel()
+    labels = _read_int_file(files, "labels").ravel()
 
     if (data := files.get("features.bin")) is not None:
         expected = num_vertices * feature_dim
@@ -307,17 +323,26 @@ def load_dataset(path) -> TemporalGraph:
         labels=labels,
         num_classes=num_classes,
     )
-    if loops:
+    if loops := int(np.count_nonzero(edges[:, 0] == edges[:, 1])):
         warnings.warn(f"{root.name}: dropped {loops} self-loop(s)", stacklevel=2)
     return g
 
 
 def save_dataset(g: TemporalGraph, path, features_format: str = "bin") -> None:
-    """Write ``g`` in the dataset directory format (see module docstring)."""
+    """Write ``g`` in the dataset directory format (see module docstring).
+
+    Dataset files in ``path`` that this save does not write, such as the
+    text forms an earlier save left, are removed: the directory then holds
+    one graph, and its fingerprint hashes only that graph's files.
+    """
     if features_format not in ("bin", "csv"):
         raise ValidationError(f"unknown features_format {features_format!r}")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
+    written = ("manifest", "edges.bin", "times.bin", "labels.bin", f"features.{features_format}")
+    for name in _DATASET_FILES:
+        if name not in written:
+            (root / name).unlink(missing_ok=True)
     (root / "manifest").write_text(
         "format_version=1\n"
         f"num_vertices={g.num_vertices}\n"
@@ -325,11 +350,8 @@ def save_dataset(g: TemporalGraph, path, features_format: str = "bin") -> None:
         f"num_classes={g.num_classes}\n",
         encoding="utf-8",
     )
-    (root / "edges").write_text(
-        "".join(f"{u} {v}\n" for u, v in g.edges.tolist()), encoding="utf-8"
-    )
-    (root / "times").write_text("".join(f"{t}\n" for t in g.time.tolist()), encoding="utf-8")
-    (root / "labels").write_text("".join(f"{y}\n" for y in g.labels.tolist()), encoding="utf-8")
+    for name, values in (("edges", g.edges), ("times", g.time), ("labels", g.labels)):
+        values.astype("<i8").tofile(root / f"{name}.bin")
     if features_format == "bin":
         g.features.astype("<f4").tofile(root / "features.bin")
     else:

@@ -352,8 +352,9 @@ class _Workspace(_Forward):
     float64 uniforms into its slice of ``draw``, whatever the dtype, so its
     masks do not depend on it; the ``drop`` buffer takes the mask as 0.0/1.0
     floats: a float multiply is about three times cheaper than a boolean one.
-    The loss kernel writes the gradient into ``dlogits`` and ``exp(-|z|)``
-    (bce) or the shifted logits (categorical) into ``work``.
+    The loss kernel writes the gradient into ``dlogits``, ``exp(-|z|)``
+    (bce) or the shifted logits (categorical) into ``work``, and the
+    categorical row max and row sums into ``rows``.
     """
 
     def __init__(self, models: list, g: TemporalGraph, dtype):
@@ -366,6 +367,7 @@ class _Workspace(_Forward):
         self.grad_layers, self.gWb0 = _views(self.grads, shapes), _layer0(self.grads, *shapes[0])
         self.dlogits = np.zeros_like(self.logits)  # rows outside a train mask stay zero
         self.work = np.empty_like(self.logits)
+        self.rows = np.empty((2, self.logits.shape[0] * self.logits.shape[1]), dtype)
         gW, self.gb = (self.gWb0, None) if model.kind == "sgc" else self.grad_layers[-1]
         d = self.H1.shape[-1]
         self.gW_s, self.gW_n, self.H1_T = gW[:, :d], gW[:, d:], self.H1.swapaxes(-1, -2)
@@ -377,7 +379,9 @@ class _Workspace(_Forward):
 
     def backward(self, targets: _Targets, loss_mode: str, want_loss: bool) -> Optional[list]:
         """Fill ``grads`` for the last forward pass; the per-model losses if ``want_loss``, else None."""
-        losses, dZ = _loss_kernel(self.logits, targets, loss_mode, want_loss, self.dlogits, self.work)
+        losses, dZ = _loss_kernel(
+            self.logits, targets, loss_mode, want_loss, self.dlogits, self.work, self.rows
+        )
         dZ_by_model = dZ.transpose(1, 0, 2)
         np.matmul(self.H1_T, dZ_by_model, out=self.gW_s)
         if self.prop is not None:
@@ -456,7 +460,7 @@ def _mean(terms, count: int, weights=None) -> float:
     return loss
 
 
-def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlogits, work):
+def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlogits, work, rows):
     """The per-model loss values (None unless ``want_loss``) and d(loss)/d(logits).
 
     ``logits`` are ``(n, S, C)``, one ``(n, C)`` column block per model, and
@@ -465,7 +469,8 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
     ``dlogits``, which is returned: all of it under a full mask, else its
     masked rows (zeros outside them), computed in the gathered rows' copy.
     ``work``, of the logits' shape, takes ``exp(-|z|)`` (bce) or the shifted
-    logits (categorical).
+    logits (categorical); ``rows``, ``(2, n * S)``, takes the categorical row
+    max and row sums.
     """
     idx, onehot, weights, scale = targets
     n, C = onehot.shape
@@ -476,13 +481,14 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
     if loss_mode == CATEGORICAL:
         # row by row on the (rows * S, C) view, whose row i * S + s is row i of model s
         S, Z_rows = len(models), Z.reshape(-1, C)
+        top, total = rows[0, : len(Z_rows)], rows[1, : len(Z_rows), None]
         # the row max, one column at a time: much cheaper than max(axis=1) on narrow rows
-        top = Z_rows[:, 0].copy()
+        np.copyto(top, Z_rows[:, 0])
         for j in range(1, C):
             np.maximum(top, Z_rows[:, j], out=top)
         shifted = np.subtract(Z_rows, top[:, None], out=work.reshape(-1, C))
         exps = np.exp(shifted, out=grad.reshape(-1, C))
-        total = exps.sum(axis=1, keepdims=True)
+        np.sum(exps, axis=1, keepdims=True, out=total)
         if want_loss:  # the label's shift picked, not multiplied out: another unit's may be -inf
             picked = np.where(onehot[:, None], shifted.reshape(n, S, C), 0.0).sum(axis=2)
             losses = [_mean(np.log(total[s::S, 0]) - picked[:, s], n) for s in models]
@@ -517,8 +523,8 @@ def loss_from_logits(logits, labels, train_mask, loss_mode):
         raise ValidationError("non-finite logits")
     targets = _loss_targets(labels, train_mask, logits, loss_mode)
     logits = logits[:, None]
-    dlogits, work = np.zeros_like(logits), np.empty_like(logits)
-    (loss,), grad = _loss_kernel(logits, targets, loss_mode, True, dlogits, work)
+    dlogits, work, rows = np.zeros_like(logits), np.empty_like(logits), np.empty((2, len(logits)))
+    (loss,), grad = _loss_kernel(logits, targets, loss_mode, True, dlogits, work, rows)
     return loss, grad[:, 0]
 
 
@@ -716,53 +722,50 @@ def load_checkpoint(path) -> ModelState:
 
     The dimensions come from the layer shapes, which must follow the kind's
     rule.  A malformed manifest or params.bin raises ValidationError naming
-    the line, key, layer or size at fault.
+    the file and the line, key, layer or size at fault.
     """
     root = Path(path)
-    manifest = read_key_values(read_text(root / "manifest", ValidationError), "manifest", ValidationError)
+    manifest_path, params_path = root / "manifest", root / "params.bin"
+    manifest = read_key_values(read_text(manifest_path, ValidationError), str(manifest_path), ValidationError)
 
     def get(key: str, parse=int):
         if key not in manifest:
-            raise ValidationError(f"checkpoint manifest: missing key {key!r}")
+            raise ValidationError(f"{manifest_path}: missing key {key!r}")
         try:
             return parse(manifest[key])
         except ValueError:
-            raise ValidationError(
-                f"checkpoint manifest: bad value {key}={manifest[key]!r}"
-            ) from None
+            raise ValidationError(f"{manifest_path}: bad value {key}={manifest[key]!r}") from None
 
     if get("format_version") != 2:
-        raise ValidationError(
-            f"checkpoint manifest: unsupported format_version {manifest['format_version']!r}"
-        )
+        raise ValidationError(f"{manifest_path}: unsupported format_version {manifest['format_version']!r}")
     kind = get("kind", str)
     if kind not in MODEL_KINDS:
-        raise ValidationError(f"checkpoint manifest: unknown model kind {kind!r}")
+        raise ValidationError(f"{manifest_path}: unknown model kind {kind!r}")
     sgc_k, dropout_rate = get("sgc_k"), get("dropout_rate", float)
     try:
         check_model_settings(sgc_k, dropout_rate)
     except ValidationError as exc:
-        raise ValidationError(f"checkpoint manifest: {exc}") from None
+        raise ValidationError(f"{manifest_path}: {exc}") from None
     shapes = [get(f"layer{i}_shape", _shape) for i in range(get("num_layers", _positive_int))]
     input_dim = shapes[0][0] // 2 if kind == "sage" else shapes[0][0]
     hidden_dim, output_dim = (0 if kind == "sgc" else shapes[0][1]), shapes[-1][1]
     rule = _layer_shapes(kind, input_dim, hidden_dim, output_dim)
     if len(shapes) != len(rule):
         raise ValidationError(
-            f"checkpoint manifest: num_layers={len(shapes)}, but a {kind} model has {len(rule)}"
+            f"{manifest_path}: num_layers={len(shapes)}, but a {kind} model has {len(rule)}"
         )
     for i, (shape, want) in enumerate(zip(shapes, rule)):
         if shape != want:
             raise ValidationError(
-                f"checkpoint manifest: layer{i}_shape={manifest[f'layer{i}_shape']}, but a {kind} "
+                f"{manifest_path}: layer{i}_shape={manifest[f'layer{i}_shape']}, but a {kind} "
                 f"model with hidden_dim={hidden_dim} and output_dim={output_dim} has {want[0]},{want[1]}"
             )
     expected = sum(fi * fo + fo for fi, fo in shapes)
-    data = read_bytes(root / "params.bin", ValidationError)
+    data = read_bytes(params_path, ValidationError)
     if len(data) != 4 * expected:
-        raise ValidationError(f"params.bin holds {len(data) / 4:.12g} floats, expected {expected}")
+        raise ValidationError(f"{params_path} holds {len(data) / 4:.12g} floats, expected {expected}")
     layers = _views(np.frombuffer(data, "<f4").astype(np.float64), shapes)
     for i, (w, b) in enumerate(layers):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValidationError(f"params.bin: layer {i} holds non-finite parameters")
+            raise ValidationError(f"{params_path}: layer {i} holds non-finite parameters")
     return ModelState(kind=kind, layers=layers, sgc_k=sgc_k, dropout_rate=dropout_rate)

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,14 @@ def raises_exactly(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def text_copy(src, dst):
+    """Copy dataset ``src`` to ``dst`` with text integer files in place of its ``.bin`` ones:
+    one row per line, values apart by a space, as a dataset written by hand has them."""
+    shutil.copytree(src, dst)
+    for name, width in (("edges", 2), ("times", 1), ("labels", 1)):
+        values = np.fromfile(dst / f"{name}.bin", "<i8").reshape(-1, width)
+        np.savetxt(dst / name, values, fmt="%d")
+        (dst / f"{name}.bin").unlink()
+    return dst

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import evograph as eg
+from conftest import text_copy
 from evograph import cli, config, dataio
 from evograph.cli import main
 from evograph.config import RunSpec, parse_config_text
@@ -71,6 +72,9 @@ def write_config(path, dataset, **overrides):
 
 
 def test_generate_produces_loadable_dataset(dataset):
+    assert sorted(p.name for p in dataset.iterdir()) == [
+        "edges.bin", "features.bin", "labels.bin", "manifest", "times.bin",
+    ]
     g = eg.load_dataset(dataset)
     assert g.num_vertices == 160
     assert g.num_classes == 5
@@ -297,7 +301,7 @@ class TestRun:
         cfg = write_config(tmp_path / "c.cfg", data, seeds="0")
         out = tmp_path / "r1"
         assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
-        (data / "times").write_text("x\n")
+        (data / "times.bin").write_bytes(bytes(3))
         capsys.readouterr()
         assert main([
             "run", "--from-manifest", str(out / "manifest.json"),
@@ -312,7 +316,34 @@ class TestRun:
         monkeypatch.setattr(dataio, "read_bytes", lambda p, error: reads.append(p) or read_bytes(p, error))
         assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
         names = [p.name for p in reads if p.parent == dataset]
-        assert names == ["manifest", "edges", "times", "labels", "features.bin"]
+        assert names == ["manifest", "edges.bin", "times.bin", "labels.bin", "features.bin"]
+
+    def test_text_copy_gives_the_same_outputs(self, dataset, tmp_path):
+        # text integer files in place of the binary ones: the same analysis, reports and
+        # checkpoints; only the fingerprint tells them apart
+        text = text_copy(dataset, tmp_path / "text")
+        runs = {}
+        for name, data in (("bin", dataset), ("text", text)):
+            an = tmp_path / f"an-{name}"
+            assert main(["analyze-tdiff", str(data), "--output-dir", str(an), "--quiet"]) == 0
+            cfg = write_config(tmp_path / f"{name}.cfg", data, model="sage", detector="gdoc")
+            runs[name] = tmp_path / f"run-{name}"
+            assert main(["run", "--config", str(cfg), "--output-dir", str(runs[name]), "--quiet"]) == 0
+        for f in ("tdiff.json", "tdiff.csv"):
+            assert (tmp_path / "an-bin" / f).read_bytes() == (tmp_path / "an-text" / f).read_bytes()
+        files = ["report_seed0.jsonl", "report_seed1.jsonl",
+                 "model_seed0/params.bin", "model_seed1/params.bin"]
+        for f in files:
+            assert (runs["bin"] / f).read_bytes() == (runs["text"] / f).read_bytes()
+        summary = {name: json.loads((run / "summary.json").read_text()) for name, run in runs.items()}
+        assert summary["bin"].pop("dataset_fingerprint") != summary["text"].pop("dataset_fingerprint")
+        assert summary["bin"] == summary["text"]
+        # the text dataset's run re-runs from its manifest byte for byte
+        rerun = tmp_path / "rerun"
+        assert main(["run", "--from-manifest", str(runs["text"] / "manifest.json"),
+                     "--output-dir", str(rerun), "--quiet"]) == 0
+        for f in ["manifest.json", "summary.json", "model_seed0/manifest", "model_seed1/manifest", *files]:
+            assert (runs["text"] / f).read_bytes() == (rerun / f).read_bytes()
 
     def test_rerun_from_moved_dataset_exit_1(self, dataset, tmp_path, capsys):
         data = tmp_path / "ds"

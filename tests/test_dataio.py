@@ -1,4 +1,5 @@
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 
 import evograph as eg
+from conftest import text_copy
 from evograph import dataio
 from evograph.cli import main
 from evograph.config import load_config, load_manifest
-from evograph.errors import ConfigError, DatasetError, TaskSequenceError, ValidationError
+from evograph.errors import ConfigError, DatasetError, EvographError, TaskSequenceError, ValidationError
 
 
 @pytest.fixture
@@ -60,6 +62,10 @@ def test_self_loop_warns_with_count(fixture_dir):
     with pytest.warns(UserWarning, match="2 self-loop"):
         g = eg.load_dataset(fixture_dir)
     assert g.num_edges == 1
+    np.array([(1, 2), (3, 3), (2, 1)], "<i8").tofile(fixture_dir / "edges.bin")
+    with pytest.warns(UserWarning, match="1 self-loop"):
+        g = eg.load_dataset(fixture_dir)
+    assert g.edges.tolist() == [[1, 2]]
 
 
 def test_non_integer_timestamp_cites_line(fixture_dir):
@@ -156,8 +162,8 @@ def test_bad_manifest_count_names_the_key(fixture_dir, case):
         eg.load_dataset(fixture_dir)
 
 
-# case -> (fixture file -> its new text, None to delete it; the error class; its message,
-# "{ds}" the dataset directory)
+# case -> (fixture file -> its new text or bytes, None to delete it; the error class; its
+# message, "{ds}" the dataset directory)
 DATASET_FAULTS = {
     "no-manifest-key": (
         {"manifest": "format_version=1\nnum_vertices=4\nfeature_dim=2\n"},
@@ -182,6 +188,27 @@ DATASET_FAULTS = {
     "labels-count-self-loop": (
         {"labels": "0\n1\n0\n", "edges": "0 0\n0 1\n"}, ValidationError, "labels has 3 entries, expected 4",
     ),
+    # a binary integer file wins over the fixture's text and passes the same checks
+    "edges-bin-partial-row": (
+        {"edges.bin": bytes(24)}, DatasetError,
+        "edges.bin holds 24 bytes, not a whole number of 16-byte rows",
+    ),
+    "times-bin-partial-row": (
+        {"times.bin": bytes(31)}, DatasetError,
+        "times.bin holds 31 bytes, not a whole number of 8-byte rows",
+    ),
+    "times-bin-short": (
+        {"times.bin": np.arange(3, dtype="<i8").tobytes()}, ValidationError,
+        "times has 3 entries, expected 4",
+    ),
+    "edges-bin-endpoint": (
+        {"edges.bin": np.array([(0, 1), (2, 9)], "<i8").tobytes()}, ValidationError,
+        "edge endpoint 9 out of range for 4 vertices",
+    ),
+    "labels-bin-range": (
+        {"labels.bin": np.array([0, 1, 5, -1], "<i8").tobytes()}, ValidationError,
+        "label 5 out of range for 2 classes",
+    ),
     # loads, but 25% of the vertices is first reached at the last timestamp: no task follows
     "no-task-after-start": (
         {"manifest": "format_version=1\nnum_vertices=5\nfeature_dim=2\nnum_classes=2\n",
@@ -195,11 +222,11 @@ DATASET_FAULTS = {
 @pytest.mark.parametrize("case", DATASET_FAULTS)
 def test_dataset_fault_fails_library_and_run(fixture_dir, tmp_path, capsys, case):
     files, error, message = DATASET_FAULTS[case]
-    for name, text in files.items():
-        if text is None:
+    for name, data in files.items():
+        if data is None:
             (fixture_dir / name).unlink()
         else:
-            (fixture_dir / name).write_text(text)
+            (fixture_dir / name).write_bytes(data if isinstance(data, bytes) else data.encode())
     message = message.format(ds=fixture_dir)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         eg.run_sequence(eg.load_dataset(fixture_dir), eg.ExperimentConfig(epochs=1))
@@ -226,6 +253,32 @@ def test_save_load_round_trip(tmp_path, graph_factory):
             assert np.allclose(back.features, g.features, atol=1e-6)
 
 
+def test_text_copy_loads_equal_and_bin_files_win(tmp_path, graph_factory):
+    g = graph_factory(6, unlabeled_frac=0.2)
+    eg.save_dataset(g, tmp_path / "bin")
+    text = text_copy(tmp_path / "bin", tmp_path / "text")
+    assert eg.load_dataset(text).equals(eg.load_dataset(tmp_path / "bin"))
+    assert eg.load_dataset(text).equals(g)
+    # a binary integer file wins over its text form, which is then not parsed
+    for name in ("edges", "times", "labels"):
+        shutil.copy(tmp_path / "bin" / f"{name}.bin", text)
+        (text / name).write_text("not parsed\n")
+        assert eg.load_dataset(text).equals(g)
+
+
+def test_save_over_a_dataset_leaves_only_its_files(tmp_path, graph_factory):
+    # the text files and the other features file of an earlier save would be hashed, and a
+    # reader of the text would see another graph
+    eg.save_dataset(graph_factory(7), tmp_path / "old")
+    text_copy(tmp_path / "old", tmp_path / "ds")
+    eg.save_dataset(graph_factory(8), tmp_path / "ds", features_format="csv")
+    eg.save_dataset(graph_factory(8), tmp_path / "fresh", features_format="csv")
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+        "edges.bin", "features.csv", "labels.bin", "manifest", "times.bin",
+    ]
+    assert eg.dataset_fingerprint(tmp_path / "ds") == eg.dataset_fingerprint(tmp_path / "fresh")
+
+
 def test_unknown_features_format_writes_nothing(tmp_path, graph_factory):
     out = tmp_path / "npy"
     with pytest.raises(ValidationError, match="features_format 'npy'"):
@@ -250,7 +303,8 @@ def test_fingerprint_of_missing_directory_raises(tmp_path):
 
 
 def test_save_bytes_unchanged(tmp_path):
-    # pinned digests: saved files must stay byte-identical whenever the writer changes
+    # pinned digests: saved files must stay byte-identical whenever the writer changes, and a
+    # text copy keeps the digest of the text integer files that earlier versions saved
     g = eg.TemporalGraph(
         num_vertices=6,
         edges=[(3, 1), (0, 5), (1, 3), (2, 2), (5, 0), (0, 1), (4, 2)],
@@ -260,12 +314,15 @@ def test_save_bytes_unchanged(tmp_path):
         num_classes=3,
     )
     expected = {
-        "bin": "7fb8eff3f4038b26cbf3daa994578c97fcad19589e07e32fcf87a74a1797986e",
-        "csv": "3144148259b306877b356d17295c2dc8530a024e85b19d5681ee45d7751efbcf",
+        "bin": ("eb3aa01c5b2c3b63459ae8dc2b75dac7819802281e4d8621489112b6c3502d24",
+                "7fb8eff3f4038b26cbf3daa994578c97fcad19589e07e32fcf87a74a1797986e"),
+        "csv": ("fd32d2960b6f4b6d216a27e9f65f26b0816af393bcf3930b810124f4899b177b",
+                "3144148259b306877b356d17295c2dc8530a024e85b19d5681ee45d7751efbcf"),
     }
-    for fmt, digest in expected.items():
+    for fmt, (digest, text_digest) in expected.items():
         eg.save_dataset(g, tmp_path / fmt, features_format=fmt)
         assert eg.dataset_fingerprint(tmp_path / fmt) == digest
+        assert eg.dataset_fingerprint(text_copy(tmp_path / fmt, tmp_path / f"{fmt}-text")) == text_digest
 
 
 INT64 = np.iinfo(np.int64)
@@ -291,7 +348,6 @@ def line_by_line_ints(path, what):
 def line_by_line_edges(path):
     """Reference reader: split each non-blank line into exactly two int() tokens."""
     pairs = []
-    loops = 0
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -305,25 +361,23 @@ def line_by_line_edges(path):
             raise DatasetError(f"{path.name}:{lineno}: non-integer vertex id in {line!r}") from None
         if not (INT64.min <= u <= INT64.max and INT64.min <= v <= INT64.max):
             raise DatasetError(f"{path.name}:{lineno}: vertex id out of range in {line!r}")
-        loops += u == v
         pairs.append((u, v))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), loops
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def outcome(read, path):
-    """What a reader makes of ``path``: its error message, or its arrays as plain values."""
+    """What a reader makes of ``path``: its error message, or its array as plain values."""
     try:
-        result = read(path)
+        arr = read(path)
     except DatasetError as exc:
         return str(exc)
-    arr, *rest = result if isinstance(result, tuple) else (result,)
-    return arr.dtype, arr.shape, arr.tolist(), rest
+    return arr.dtype, arr.shape, arr.tolist()
 
 
 READERS = {
-    "edges": (lambda p: dataio._read_edges(p, p.read_bytes()), line_by_line_edges),
+    "edges": (lambda p: dataio._read_int_file(dataio.DatasetFiles(p.parent), "edges"), line_by_line_edges),
     "times": (
-        lambda p: dataio._read_ints(p, p.read_bytes(), "timestamp"),
+        lambda p: dataio._read_int_file(dataio.DatasetFiles(p.parent), "times").ravel(),
         lambda p: line_by_line_ints(p, "timestamp"),
     ),
 }
@@ -386,6 +440,35 @@ def test_loader_fuzz(tmp_path):
             assert_reads_like_reference(tmp_path, "".join(chars))
     for _ in range(150):
         assert_reads_like_reference(tmp_path, "".join(rng.choice(alphabet, size=int(rng.integers(0, 16)))))
+    # binary integer files cut, with bits flipped, with bytes appended, or random: each loads
+    # or raises the library's error, never another exception
+    ds = tmp_path / "bin"
+    eg.save_dataset(eg.TemporalGraph(4, [(0, 1), (1, 2), (2, 3)], [1, 2, 3, 4], np.zeros((4, 2)),
+                                     [0, 1, -1, 1], 2), ds)
+    originals = {name: (ds / name).read_bytes() for name in ("edges.bin", "times.bin", "labels.bin")}
+    errors = 0
+    for name, data in originals.items():
+        for _ in range(100):
+            draw = rng.integers(4)
+            if draw == 0:
+                mutated = data[: int(rng.integers(len(data)))]
+            elif draw == 1:
+                mutated = bytearray(data)
+                for i in rng.integers(len(data), size=int(rng.integers(1, 4))):
+                    mutated[i] ^= 1 << int(rng.integers(8))
+            elif draw == 2:
+                mutated = data + rng.bytes(int(rng.integers(1, 17)))
+            else:
+                mutated = rng.bytes(8 * int(rng.integers(0, 9)))
+            (ds / name).write_bytes(bytes(mutated))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # dropped self-loops
+                    eg.load_dataset(ds)
+            except EvographError:
+                errors += 1
+        (ds / name).write_bytes(data)
+    assert 100 < errors < 300
 
 
 PLAIN_TOKENS = ["0", "-0", "+0", "7", "007", "-012", "+3", "1-2", "-", "+", "+-1", "--1", "3+",
@@ -437,22 +520,29 @@ def test_integer_beyond_int64_names_the_line(fixture_dir, value, name, text, mes
         eg.load_dataset(fixture_dir)
 
 
-def test_saved_graph_takes_the_one_pass_parse(tmp_path, monkeypatch):
-    # what save_dataset writes never needs the line-by-line fallback
+def test_saved_graph_reaches_no_text_parser(tmp_path, monkeypatch):
+    # what save_dataset writes is read without a text parse; its text copy takes the one pass,
+    # never the line-by-line fallback
     g = eg.generate(eg.SynthConfig(num_timestamps=10, vertices_per_timestamp=100, seed=5))
     eg.save_dataset(g, tmp_path / "ds")
+    text_copy(tmp_path / "ds", tmp_path / "text")
 
-    def fallback(*args):
-        raise AssertionError("line-by-line fallback reached")
+    def reached(parser):
+        def fail(*args):
+            raise AssertionError(f"{parser} reached")
+        return fail
 
-    monkeypatch.setattr(dataio, "_int_rows_by_line", fallback)
+    monkeypatch.setattr(dataio, "_int_rows_by_line", reached("line-by-line fallback"))
     assert g.num_vertices == 1000 and g.num_edges > 1000
+    assert eg.load_dataset(tmp_path / "text").equals(g)
+    monkeypatch.setattr(dataio, "_read_int_rows", reached("text parse"))
     assert eg.load_dataset(tmp_path / "ds").equals(g)
 
 
 def test_fingerprint_and_load_read_each_file_once(tmp_path, graph_factory, monkeypatch):
     eg.save_dataset(graph_factory(4), tmp_path / "ds")
-    (tmp_path / "ds" / "features.csv").write_text("not loaded, hashed all the same\n")
+    for name in ("edges", "times", "labels", "features.csv"):
+        (tmp_path / "ds" / name).write_text("not loaded, hashed all the same\n")
     fingerprint = eg.dataset_fingerprint(tmp_path / "ds")
     g = eg.load_dataset(tmp_path / "ds")
     reads = []
@@ -464,10 +554,10 @@ def test_fingerprint_and_load_read_each_file_once(tmp_path, graph_factory, monke
     assert eg.dataset_fingerprint(files) == fingerprint
     assert eg.load_dataset(files).equals(g)
     assert reads == list(dataio._DATASET_FILES)
-    # alone, load_dataset reads what it parses: features.bin wins over features.csv
+    # alone, load_dataset reads what it parses: each binary file wins over its text form
     reads.clear()
     eg.load_dataset(tmp_path / "ds")
-    assert reads == ["manifest", "edges", "times", "labels", "features.bin"]
+    assert reads == ["manifest", "edges.bin", "times.bin", "labels.bin", "features.bin"]
 
 
 def test_load_dataset_names_bad_edge_line(fixture_dir):
@@ -519,12 +609,13 @@ UNREADABLE = {
     "run.cfg": (load_config, ConfigError),
     "run/manifest.json": (load_manifest, ConfigError),
     **{f"ds/{name}": (lambda p: eg.load_dataset(p.parent), DatasetError)
-       for name in ("manifest", "edges", "times", "labels", "features.bin", "features.csv")},
+       for name in dataio._DATASET_FILES},
     "model/manifest": (lambda p: eg.load_checkpoint(p.parent), ValidationError),
     "model/params.bin": (lambda p: eg.load_checkpoint(p.parent), ValidationError),
     "no-model/manifest": (lambda p: eg.load_checkpoint(p.parent), ValidationError),
 }
-OPTIONAL = ("ds/features.bin", "ds/features.csv")
+# the fixture needs none of the files with a suffix: binary files and features.bin or features.csv
+OPTIONAL = tuple(f"ds/{name}" for name in dataio._DATASET_FILES if "." in name)
 
 
 @pytest.mark.parametrize(

@@ -177,7 +177,8 @@ def _read_run(root, path, out, capsys):
 def _read_checkpoint(root, path, out, capsys):
     try:
         model = eg.load_checkpoint(path.parent)
-    except EvographError:
+    except EvographError as exc:
+        assert str(exc).startswith(str(path.parent)), exc  # the error names the checkpoint's file
         return
     assert all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in model.layers)
 

@@ -332,7 +332,9 @@ class TestWorkspace:
         mask = np.ones(n, bool) if full_mask else np.arange(n) % 4 > 0
         targets = eg.models._loss_targets(g.labels, mask, ws.logits, loss_mode)
         logits = ws.forward().copy()
-        kernel = lambda: eg.models._loss_kernel(ws.logits, targets, loss_mode, False, ws.dlogits, ws.work)
+        kernel = lambda: eg.models._loss_kernel(
+            ws.logits, targets, loss_mode, False, ws.dlogits, ws.work, ws.rows
+        )
         assert kernel()[1] is ws.dlogits
         if loss_mode != eg.CATEGORICAL and full_mask:
             # the work buffer holds 1 + exp(-|z|), the sigmoid's denominator
@@ -340,12 +342,11 @@ class TestWorkspace:
             assert np.array_equal(ws.work, e + np.float32(1.0))
         peak, unit = self.peak_allocation(kernel), ws.logits.nbytes
         if full_mask:
-            # bce: numpy's iteration buffers, at most 32 KB; categorical adds its per-row
-            # arrays, (n * S,) each (the row max and sum)
-            assert peak < (0.5 if loss_mode != eg.CATEGORICAL else 1.0) * unit
+            # numpy's iteration buffers, at most 32 KB
+            assert peak < 0.5 * unit
         else:
             # plus the gathered masked rows, in which the gradient is computed
-            assert peak < (1.5 if loss_mode != eg.CATEGORICAL else 1.6) * unit
+            assert peak < 1.5 * unit
 
     def test_categorical_loss_value_with_a_shift_beyond_float32(self):
         # row 0's other units shift to -inf in float32; the loss value reads only the label's unit
@@ -353,7 +354,8 @@ class TestWorkspace:
         targets = eg.models._loss_targets(np.array([0, 2]), np.ones(2, bool), logits, eg.CATEGORICAL)
         with np.errstate(over="ignore"):
             (loss,), grad = eg.models._loss_kernel(
-                logits, targets, eg.CATEGORICAL, True, np.zeros_like(logits), np.empty_like(logits)
+                logits, targets, eg.CATEGORICAL, True, np.zeros_like(logits), np.empty_like(logits),
+                np.empty((2, 2), np.float32),
             )
         assert loss == pytest.approx(np.log(np.exp(-2.0) + np.exp(-1.0) + 1.0) / 2, rel=1e-6)
         assert np.isfinite(grad).all()
@@ -771,7 +773,8 @@ class TestCheckpoint:
     def test_format1_checkpoint_is_refused(self, tmp_path, kind):
         eg.save_checkpoint(eg.init_model(kind, *self.DIMS[kind], seed=11), tmp_path)
         (tmp_path / "manifest").write_text(self.FORMAT1_MANIFESTS[kind])
-        with pytest.raises(ValidationError, match="^checkpoint manifest: unsupported format_version '1'$"):
+        message = f"{tmp_path / 'manifest'}: unsupported format_version '1'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             eg.load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize(
@@ -782,12 +785,12 @@ class TestCheckpoint:
             # would load as a one-layer "mlp" that forward runs as a linear model
             pytest.param(
                 "sgc", {"kind=sgc": "kind=mlp"}, 0,
-                "num_layers=1, but a mlp model has 2", id="sgc-as-mlp",
+                "manifest: num_layers=1, but a mlp model has 2", id="sgc-as-mlp",
             ),
             # as many floats as the 4 -> 8 -> 3 mlp, so params.bin's length passes
             pytest.param(
                 "mlp", {"layer1_shape=8,3": "layer1_shape=26,1"}, 0,
-                "layer1_shape=26,1, but a mlp model with hidden_dim=8 and output_dim=1 has 8,1",
+                "manifest: layer1_shape=26,1, but a mlp model with hidden_dim=8 and output_dim=1 has 8,1",
                 id="mlp-reshaped",
             ),
         ],
@@ -802,38 +805,39 @@ class TestCheckpoint:
             assert old in text
             text = text.replace(old, new)
         manifest.write_text(text)
-        with pytest.raises(ValidationError, match=match):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(tmp_path / match))}$"):
             eg.load_checkpoint(tmp_path)
 
-    # case -> (manifest key, its replacement line or None to drop it, expected message)
+    # case -> (manifest key, its replacement line or None to drop it, expected message after
+    # the manifest's path)
     BAD_MANIFESTS = {
         **{
-            f"missing-{key}": (key, None, f"checkpoint manifest: missing key '{key}'")
+            f"missing-{key}": (key, None, f": missing key '{key}'")
             for key in (
                 "format_version", "kind", "sgc_k", "dropout_rate", "num_layers",
                 "layer0_shape", "layer1_shape",
             )
         },
-        "no-equals": ("sgc_k", "sgc_k 2", "manifest:3: expected key=value, got 'sgc_k 2'"),
-        "sgc_k=two": ("sgc_k", "sgc_k=two", "bad value sgc_k='two'"),
-        "dropout_rate=half": ("dropout_rate", "dropout_rate=half", "bad value dropout_rate='half'"),
-        "num_layers=two": ("num_layers", "num_layers=two", "bad value num_layers='two'"),
-        "num_layers=0": ("num_layers", "num_layers=0", "bad value num_layers='0'"),
-        "layer0_shape=6": ("layer0_shape", "layer0_shape=6", "bad value layer0_shape='6'"),
-        "layer0_shape=6,x": ("layer0_shape", "layer0_shape=6,x", "bad value layer0_shape='6,x'"),
-        "format_version=x": ("format_version", "format_version=x", "bad value format_version='x'"),
+        "no-equals": ("sgc_k", "sgc_k 2", ":3: expected key=value, got 'sgc_k 2'"),
+        "sgc_k=two": ("sgc_k", "sgc_k=two", ": bad value sgc_k='two'"),
+        "dropout_rate=half": ("dropout_rate", "dropout_rate=half", ": bad value dropout_rate='half'"),
+        "num_layers=two": ("num_layers", "num_layers=two", ": bad value num_layers='two'"),
+        "num_layers=0": ("num_layers", "num_layers=0", ": bad value num_layers='0'"),
+        "layer0_shape=6": ("layer0_shape", "layer0_shape=6", ": bad value layer0_shape='6'"),
+        "layer0_shape=6,x": ("layer0_shape", "layer0_shape=6,x", ": bad value layer0_shape='6,x'"),
+        "format_version=x": ("format_version", "format_version=x", ": bad value format_version='x'"),
         "format_version=1": (
-            "format_version", "format_version=1", "unsupported format_version '1'"
+            "format_version", "format_version=1", ": unsupported format_version '1'"
         ),
         "format_version=3": (
-            "format_version", "format_version=3", "unsupported format_version '3'"
+            "format_version", "format_version=3", ": unsupported format_version '3'"
         ),
-        "kind=gat": ("kind", "kind=gat", "unknown model kind 'gat'"),
+        "kind=gat": ("kind", "kind=gat", ": unknown model kind 'gat'"),
         # the ranges ExperimentConfig applies
-        "dropout_rate=1.5": ("dropout_rate", "dropout_rate=1.5", "dropout_rate 1.5 outside [0, 1)"),
-        "dropout_rate=nan": ("dropout_rate", "dropout_rate=nan", "dropout_rate nan outside [0, 1)"),
-        "dropout_rate=-0.1": ("dropout_rate", "dropout_rate=-0.1", "dropout_rate -0.1 outside [0, 1)"),
-        "sgc_k=-3": ("sgc_k", "sgc_k=-3", "sgc_k must be >= 0, got -3"),
+        "dropout_rate=1.5": ("dropout_rate", "dropout_rate=1.5", ": dropout_rate 1.5 outside [0, 1)"),
+        "dropout_rate=nan": ("dropout_rate", "dropout_rate=nan", ": dropout_rate nan outside [0, 1)"),
+        "dropout_rate=-0.1": ("dropout_rate", "dropout_rate=-0.1", ": dropout_rate -0.1 outside [0, 1)"),
+        "sgc_k=-3": ("sgc_k", "sgc_k=-3", ": sgc_k must be >= 0, got -3"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_MANIFESTS))
@@ -846,7 +850,7 @@ class TestCheckpoint:
             for x in manifest.read_text().splitlines()
         ]
         manifest.write_text("".join(f"{x}\n" for x in lines if x is not None))
-        with pytest.raises(ValidationError, match=re.escape(match)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(manifest) + match)}$"):
             eg.load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("layer", [0, 1])
@@ -887,7 +891,8 @@ class TestCheckpoint:
         params = np.frombuffer((tmp_path / "params.bin").read_bytes(), "<f4").copy()
         params[3 * 4 + 4 + 2] = bad  # the second entry of layer 1's weights
         (tmp_path / "params.bin").write_bytes(params.tobytes())
-        with pytest.raises(ValidationError, match="^params.bin: layer 1 holds non-finite parameters$"):
+        message = f"{tmp_path / 'params.bin'}: layer 1 holds non-finite parameters"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             eg.load_checkpoint(tmp_path)
 
     def test_forward_close_after_round_trip(self, tmp_path):

@@ -36,17 +36,24 @@ rerun_reproduces() {
 smoke_test() {
     evograph generate "$smoke/data" --num-timestamps 6 --vertices-per-timestamp 12 --feature-dim 4 --quiet
     evograph analyze-tdiff "$smoke/data" --output-dir "$smoke/tdiff" --quiet
-    # the integer files with tabs and CRLF line ends (the one-pass parse) and with
-    # no-break spaces (the line-by-line fallback) give the same analysis
+    # copies with text integer files in place of the .bin ones give the same analysis: with
+    # tabs and CRLF line ends (the one-pass parse) and with no-break spaces (the line-by-line
+    # fallback)
     local nbsp f copy code=0
     nbsp=$(printf '\302\240')
-    cp -r "$smoke/data" "$smoke/crlf"
-    cp -r "$smoke/data" "$smoke/nbsp"
-    sed 's/ /\t/; s/$/\r/' "$smoke/data/edges" > "$smoke/crlf/edges"
-    sed "s/ /$nbsp/" "$smoke/data/edges" > "$smoke/nbsp/edges"
+    for copy in crlf nbsp; do
+        cp -r "$smoke/data" "$smoke/$copy"
+        python -c 'import sys, numpy as np
+for name, width in (("edges", 2), ("times", 1), ("labels", 1)):
+    path = f"{sys.argv[1]}/{name}"
+    np.savetxt(path, np.fromfile(f"{path}.bin", "<i8").reshape(-1, width), fmt="%d")' "$smoke/$copy"
+        rm "$smoke/$copy"/{edges,times,labels}.bin
+    done
+    sed -i 's/ /\t/; s/$/\r/' "$smoke/crlf/edges"
+    sed -i "s/ /$nbsp/" "$smoke/nbsp/edges"
     for f in times labels; do
-        sed 's/^/\t/; s/$/\r/' "$smoke/data/$f" > "$smoke/crlf/$f"
-        sed "s/^/$nbsp/" "$smoke/data/$f" > "$smoke/nbsp/$f"
+        sed -i 's/^/\t/; s/$/\r/' "$smoke/crlf/$f"
+        sed -i "s/^/$nbsp/" "$smoke/nbsp/$f"
     done
     for copy in crlf nbsp; do
         evograph analyze-tdiff "$smoke/$copy" --output-dir "$smoke/tdiff-$copy" --quiet
