@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         flag = _SYNTH_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
         options = {"help": "e.g. 5:1,7:1"} if f.name == "new_class_schedule" else {"type": type(f.default)}
         p_gen.add_argument(flag, dest=f.name, default=argparse.SUPPRESS, **options)
-    p_gen.add_argument("--features-format", choices=["bin", "csv"], default="bin")
 
     p_run = sub.add_parser("run", help="execute an experiment config over its seeds")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel worker slots for seeds")
@@ -156,7 +155,7 @@ def cmd_generate(args) -> int:
     if "new_class_schedule" in given:
         given["new_class_schedule"] = _parse_schedule(given["new_class_schedule"])
     g = generate(SynthConfig(**given))
-    save_dataset(g, args.out_dir, features_format=args.features_format)
+    save_dataset(g, args.out_dir)
     if not args.quiet:
         print(
             f"wrote {g.num_vertices} vertices, {g.num_edges} edges, "

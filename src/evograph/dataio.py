@@ -11,25 +11,22 @@ A dataset is a directory holding a text manifest and four data files:
 * ``features`` -- num_vertices * feature_dim reals, row-major.
 
 Each data file comes in a binary and a text form; when both exist the binary
-file wins.  :func:`save_dataset` writes the binary forms, and the features in
-either form:
+file wins.  :func:`save_dataset` writes only the binary forms.
 
 * ``edges.bin``, ``times.bin``, ``labels.bin`` -- 64-bit little-endian
   integers, no header; ``edges.bin`` holds the pairs one after the other.
 * ``edges``, ``times``, ``labels`` -- UTF-8 text, one pair or integer per
-  non-blank line.  Integers follow ``int()``'s rules and must fit in 64 bits.
-  A file of plain ASCII decimals (digits, signs, spaces, tabs, line ends) is
-  parsed in one C pass; any other file line by line.  The results are the
-  same either way.
+  non-blank line, read a line at a time.  Integers follow ``int()``'s rules
+  and must fit in 64 bits.
 * ``features.bin`` -- 32-bit little-endian reals, no header.
-* ``features.csv`` -- comma-separated decimal reals, row i = vertex i.
+* ``features.csv`` -- comma-separated decimal reals, row i = vertex i; 9
+  significant digits hold a float32 exactly.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
-import io
 import json
 import os
 import warnings
@@ -48,8 +45,6 @@ _INT_FILES = {
     "times": (1, "non-integer timestamp", "non-integer timestamp", "timestamp out of range"),
     "labels": (1, "non-integer label", "non-integer label", "label out of range"),
 }
-# the bytes of an integer file that np.loadtxt parses exactly as int() does
-_PLAIN = b"0123456789 \t\r\n+-"
 _INT64 = np.iinfo(np.int64)
 
 
@@ -107,37 +102,14 @@ def read_json(path: Path, error: type[EvographError], keys=()) -> dict:
     return obj
 
 
-def _read_int_rows(path: Path, data: bytes, width: int, bad_width: str, bad_value: str,
-                   out_of_range: str) -> np.ndarray:
-    """The integers in ``data``, the bytes of ``path``, ``width`` per non-blank
-    line, as an (N, width) array.
-
-    Plain text (``_PLAIN`` bytes only, not blank) is parsed by one
-    ``np.loadtxt``, kept if it succeeds with ``width`` columns; on this
-    alphabet loadtxt accepts exactly what ``int()`` accepts.  Any other text
-    goes to :func:`_int_rows_by_line`, which raises DatasetError with the
-    messages.
-    """
-    # plain bytes are ASCII, so UTF-8 too; a blank text would make loadtxt warn
-    if data.strip() and not data.translate(None, _PLAIN):
-        try:
-            rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, ndmin=2, comments=None, encoding="ascii")
-        except ValueError:
-            rows = None
-        if rows is not None and rows.shape[1] == width:
-            return rows
-    text = _decode(data, path, DatasetError)
-    return _int_rows_by_line(text, path.name, width, bad_width, bad_value, out_of_range)
-
-
 def _int_rows_by_line(text: str, name: str, width: int, bad_width: str, bad_value: str,
                       out_of_range: str) -> np.ndarray:
-    """:func:`_read_int_rows` for any text: the one fallback, a line at a time.
+    """The integers in ``text``, ``width`` per non-blank line, as an (N, width)
+    array: the one reader of a text integer file, a line at a time.
 
     Each token is parsed by ``int()``; DatasetError names the first bad line
     as ``name:line`` with ``bad_width``, ``bad_value`` or ``out_of_range``
-    (beyond int64) and the line.  Several times slower than the one-pass
-    parse.
+    (beyond int64) and the line.
     """
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -248,12 +220,12 @@ def _read_int_file(files: DatasetFiles, name: str) -> np.ndarray:
 
     ``<name>.bin`` wins if it exists; its byte count must be a whole number
     of rows, else DatasetError names the file and its size.  Otherwise the
-    text file ``name`` is parsed by :func:`_read_int_rows`.
+    text file ``name`` is parsed by :func:`_int_rows_by_line`.
     """
     width, *messages = _INT_FILES[name]
     data = files.get(f"{name}.bin")
     if data is None:
-        return _read_int_rows(files.root / name, files.data(name), width, *messages)
+        return _int_rows_by_line(files.text(name), name, width, *messages)
     if len(data) % (8 * width):
         raise DatasetError(f"{name}.bin holds {len(data)} bytes, not a whole number of {8 * width}-byte rows")
     return np.frombuffer(data, dtype="<i8").reshape(-1, width)
@@ -328,18 +300,17 @@ def load_dataset(path) -> TemporalGraph:
     return g
 
 
-def save_dataset(g: TemporalGraph, path, features_format: str = "bin") -> None:
-    """Write ``g`` in the dataset directory format (see module docstring).
+def save_dataset(g: TemporalGraph, path) -> None:
+    """Write ``g`` in the dataset directory format, as its binary files (see
+    module docstring).
 
-    Dataset files in ``path`` that this save does not write, such as the
-    text forms an earlier save left, are removed: the directory then holds
-    one graph, and its fingerprint hashes only that graph's files.
+    Dataset files in ``path`` that this save does not write, such as text
+    forms or a ``features.csv``, are removed: the directory then holds one
+    graph, and its fingerprint hashes only that graph's files.
     """
-    if features_format not in ("bin", "csv"):
-        raise ValidationError(f"unknown features_format {features_format!r}")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    written = ("manifest", "edges.bin", "times.bin", "labels.bin", f"features.{features_format}")
+    written = ("manifest", "edges.bin", "times.bin", "labels.bin", "features.bin")
     for name in _DATASET_FILES:
         if name not in written:
             (root / name).unlink(missing_ok=True)
@@ -352,10 +323,7 @@ def save_dataset(g: TemporalGraph, path, features_format: str = "bin") -> None:
     )
     for name, values in (("edges", g.edges), ("times", g.time), ("labels", g.labels)):
         values.astype("<i8").tofile(root / f"{name}.bin")
-    if features_format == "bin":
-        g.features.astype("<f4").tofile(root / "features.bin")
-    else:
-        np.savetxt(root / "features.csv", g.features, delimiter=",", fmt="%.8g")
+    g.features.astype("<f4").tofile(root / "features.bin")
 
 
 def dataset_fingerprint(path) -> str:

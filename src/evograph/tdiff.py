@@ -46,8 +46,9 @@ def k_hop_time_diffs(g: TemporalGraph, k: int) -> TimeDiffHistogram:
     most k edges exists; those entries are subtracted from bin 0.  Memory is
     bounded by the block, at most max(2**23, |V|) reach entries, whose
     differences are tallied with ``np.unique`` so that no array grows with the
-    range of the timestamps.  O(|V| * b^k) work for average degree b, all of
-    it in numpy and scipy.
+    range of the timestamps.  Differences are exact for any int64 timestamps,
+    up to 2**64 - 1.  O(|V| * b^k) work for average degree b, all of it in
+    numpy and scipy.
     """
     if k < 1:
         raise ValidationError("hop bound k must be >= 1")
@@ -62,8 +63,12 @@ def k_hop_time_diffs(g: TemporalGraph, k: int) -> TimeDiffHistogram:
         reach = adj[lo:lo + rows]
         for _ in range(k - 1):
             reach = reach @ step
-        diffs = np.repeat(time[lo:lo + rows], np.diff(reach.indptr)) - time[reach.indices]
-        values, tally = np.unique(diffs[diffs >= 0], return_counts=True)
+        later = np.repeat(time[lo:lo + rows], np.diff(reach.indptr))
+        earlier = time[reach.indices]
+        # a kept difference lies in [0, 2**64 - 1], so the wrapping int64 subtraction,
+        # read as uint64, is exact
+        diffs = (later - earlier)[later >= earlier].view(np.uint64)
+        values, tally = np.unique(diffs, return_counts=True)
         if tally.size:  # a diagonal entry is a 0-difference, so bin 0 is values[0]
             tally[0] -= np.count_nonzero(reach.diagonal(k=lo))
         for d, c in zip(values.tolist(), tally.tolist()):

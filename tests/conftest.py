@@ -82,3 +82,11 @@ def text_copy(src, dst):
         np.savetxt(dst / name, values, fmt="%d")
         (dst / f"{name}.bin").unlink()
     return dst
+
+
+def csv_features(ds):
+    """Replace dataset ``ds``'s ``features.bin`` with a ``features.csv`` of the same values at 9
+    significant digits, the fewest that hold every float32 exactly."""
+    np.savetxt(ds / "features.csv", eg.load_dataset(ds).features, delimiter=",", fmt="%.9g")
+    (ds / "features.bin").unlink()
+    return ds

@@ -84,6 +84,7 @@ def test_generate_produces_loadable_dataset(dataset):
 UNREAD_FLAGS = {
     "generate-output-dir": ["generate", "d", "--output-dir", "x"],
     "generate-jobs": ["generate", "d", "--jobs", "2"],
+    "generate-features-format": ["generate", "d", "--features-format", "csv"],
     "report-jobs": ["report", "run1", "--jobs", "2"],
     "report-quiet": ["report", "run1", "--quiet"],
     "report-output-dir": ["report", "run1", "--output-dir", "z"],
@@ -109,7 +110,7 @@ def test_generate_flags_reach_every_synth_field(tmp_path, monkeypatch):
     assert all(dests.count(f.name) == 1 for f in dataclasses.fields(eg.SynthConfig))
     built = []
     monkeypatch.setattr(cli, "generate", lambda cfg: built.append(cfg) or eg.generate(eg.SynthConfig()))
-    monkeypatch.setattr(cli, "save_dataset", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "save_dataset", lambda *args: None)
     assert main([
         "generate", str(tmp_path / "d"), "--num-timestamps", "12", "--vertices-per-timestamp", "31",
         "--initial-classes", "5", "--new-class-schedule", "3:1,,6:2, ", "--class-skew", "1.5",
@@ -215,6 +216,17 @@ class TestAnalyze:
         report = json.loads((out / "tdiff.json").read_text())
         assert report["suggested_history_sizes"] == [1]
 
+    def test_difference_beyond_int64_counted(self, tmp_path):
+        # 2**62 - (-2**62) = 2**63 does not fit in int64
+        g = eg.TemporalGraph(
+            3, [(0, 1), (1, 2)], [-2**62, 2**62, 2**62], np.zeros((3, 1), np.float32), [0, 0, 0], 1,
+        )
+        eg.save_dataset(g, tmp_path / "ds")
+        out = tmp_path / "an"
+        assert main(["analyze-tdiff", str(tmp_path / "ds"), "--k", "1", "--output-dir", str(out), "--quiet"]) == 0
+        assert (out / "tdiff.csv").read_text() == "difference,count\n0,2\n9223372036854775808,1\n"
+        assert json.loads((out / "tdiff.json").read_text())["histogram"] == {"0": 2, str(2**63): 1}
+
     def test_missing_dataset_exit_1(self, tmp_path, capsys):
         rc = main(["analyze-tdiff", str(tmp_path / "absent"), "--quiet"])
         assert rc == 1
@@ -223,7 +235,8 @@ class TestAnalyze:
         g = eg.TemporalGraph(
             4, [(0, 1), (1, 2)], [1, 2, 3, 4], np.zeros((4, 2), np.float32), [0, 1, 0, 1], 2,
         )
-        eg.save_dataset(g, tmp_path / "ds", features_format="csv")
+        eg.save_dataset(g, tmp_path / "ds")
+        (tmp_path / "ds" / "features.bin").unlink()
         (tmp_path / "ds" / "features.csv").write_text("0,0\n0,0\nabc,0\n0,0\n")
         rc = main(["analyze-tdiff", str(tmp_path / "ds"), "--output-dir", str(tmp_path / "an")])
         assert rc == 1
@@ -1038,6 +1051,6 @@ def test_generate_defaults_are_the_library_defaults(tmp_path, monkeypatch):
         return eg.TemporalGraph(2, [], [0, 1], np.zeros((2, 1), np.float32), [0, 1], 2)
 
     monkeypatch.setattr(cli, "generate", fake_generate)
-    monkeypatch.setattr(cli, "save_dataset", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "save_dataset", lambda *args: None)
     assert main(["generate", str(tmp_path / "d")]) == 0
     assert built == [eg.SynthConfig()]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import evograph as eg
-from conftest import text_copy
+from conftest import csv_features, text_copy
 from evograph import dataio
 from evograph.cli import main
 from evograph.config import load_config, load_manifest
@@ -239,18 +239,8 @@ def test_dataset_fault_fails_library_and_run(fixture_dir, tmp_path, capsys, case
 
 def test_save_load_round_trip(tmp_path, graph_factory):
     g = graph_factory(11, unlabeled_frac=0.2)
-    for fmt in ("bin", "csv"):
-        out = tmp_path / f"rt_{fmt}"
-        eg.save_dataset(g, out, features_format=fmt)
-        back = eg.load_dataset(out)
-        assert back.num_vertices == g.num_vertices
-        assert np.array_equal(back.edges, g.edges)
-        assert np.array_equal(back.time, g.time)
-        assert np.array_equal(back.labels, g.labels)
-        if fmt == "bin":
-            assert np.array_equal(back.features, g.features)
-        else:
-            assert np.allclose(back.features, g.features, atol=1e-6)
+    eg.save_dataset(g, tmp_path / "rt")
+    assert eg.load_dataset(tmp_path / "rt").equals(g)
 
 
 def test_text_copy_loads_equal_and_bin_files_win(tmp_path, graph_factory):
@@ -267,23 +257,30 @@ def test_text_copy_loads_equal_and_bin_files_win(tmp_path, graph_factory):
 
 
 def test_save_over_a_dataset_leaves_only_its_files(tmp_path, graph_factory):
-    # the text files and the other features file of an earlier save would be hashed, and a
-    # reader of the text would see another graph
+    # the text files and a hand-made features.csv would be hashed, and a reader of the text
+    # would see another graph
     eg.save_dataset(graph_factory(7), tmp_path / "old")
-    text_copy(tmp_path / "old", tmp_path / "ds")
-    eg.save_dataset(graph_factory(8), tmp_path / "ds", features_format="csv")
-    eg.save_dataset(graph_factory(8), tmp_path / "fresh", features_format="csv")
+    csv_features(text_copy(tmp_path / "old", tmp_path / "ds"))
+    eg.save_dataset(graph_factory(8), tmp_path / "ds")
+    eg.save_dataset(graph_factory(8), tmp_path / "fresh")
     assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
-        "edges.bin", "features.csv", "labels.bin", "manifest", "times.bin",
+        "edges.bin", "features.bin", "labels.bin", "manifest", "times.bin",
     ]
     assert eg.dataset_fingerprint(tmp_path / "ds") == eg.dataset_fingerprint(tmp_path / "fresh")
 
 
-def test_unknown_features_format_writes_nothing(tmp_path, graph_factory):
-    out = tmp_path / "npy"
-    with pytest.raises(ValidationError, match="features_format 'npy'"):
-        eg.save_dataset(graph_factory(3), out, features_format="npy")
-    assert not out.exists()
+def test_csv_text_copy_loads_equal_and_analyzes_the_same(tmp_path):
+    # every dataset file in its text form, the features at 9 significant digits
+    g = eg.generate(eg.SynthConfig(num_timestamps=6, vertices_per_timestamp=30, feature_dim=8, seed=4))
+    eg.save_dataset(g, tmp_path / "bin")
+    text = csv_features(text_copy(tmp_path / "bin", tmp_path / "text"))
+    assert sorted(p.name for p in text.iterdir()) == ["edges", "features.csv", "labels", "manifest", "times"]
+    assert eg.load_dataset(text).equals(g)
+    for ds in ("bin", "text"):
+        assert main(["analyze-tdiff", str(tmp_path / ds), "--output-dir", str(tmp_path / f"an-{ds}"),
+                     "--quiet"]) == 0
+    for f in ("tdiff.json", "tdiff.csv"):
+        assert (tmp_path / "an-bin" / f).read_bytes() == (tmp_path / "an-text" / f).read_bytes()
 
 
 def test_fingerprint_tracks_content(tmp_path, graph_factory):
@@ -313,16 +310,11 @@ def test_save_bytes_unchanged(tmp_path):
         labels=[0, -1, 1, 2, 1, -1],
         num_classes=3,
     )
-    expected = {
-        "bin": ("eb3aa01c5b2c3b63459ae8dc2b75dac7819802281e4d8621489112b6c3502d24",
-                "7fb8eff3f4038b26cbf3daa994578c97fcad19589e07e32fcf87a74a1797986e"),
-        "csv": ("fd32d2960b6f4b6d216a27e9f65f26b0816af393bcf3930b810124f4899b177b",
-                "3144148259b306877b356d17295c2dc8530a024e85b19d5681ee45d7751efbcf"),
-    }
-    for fmt, (digest, text_digest) in expected.items():
-        eg.save_dataset(g, tmp_path / fmt, features_format=fmt)
-        assert eg.dataset_fingerprint(tmp_path / fmt) == digest
-        assert eg.dataset_fingerprint(text_copy(tmp_path / fmt, tmp_path / f"{fmt}-text")) == text_digest
+    eg.save_dataset(g, tmp_path / "bin")
+    assert eg.dataset_fingerprint(tmp_path / "bin") == (
+        "eb3aa01c5b2c3b63459ae8dc2b75dac7819802281e4d8621489112b6c3502d24")
+    assert eg.dataset_fingerprint(text_copy(tmp_path / "bin", tmp_path / "bin-text")) == (
+        "7fb8eff3f4038b26cbf3daa994578c97fcad19589e07e32fcf87a74a1797986e")
 
 
 INT64 = np.iinfo(np.int64)
@@ -471,40 +463,6 @@ def test_loader_fuzz(tmp_path):
     assert 100 < errors < 300
 
 
-PLAIN_TOKENS = ["0", "-0", "+0", "7", "007", "-012", "+3", "1-2", "-", "+", "+-1", "--1", "3+",
-                str(2**63 - 1), str(-2**63), str(2**63), str(-2**63 - 1)]
-
-
-def plain_text(rng):
-    """A random text of ``dataio._PLAIN`` bytes: lines of mostly one width, mixed separators and ends."""
-    if rng.random() < 0.1:
-        return "".join(rng.choice(list("0123456789 \t\r\n+-"), size=int(rng.integers(0, 12))))
-    sep = ["", " ", "  ", "\t", " \t"]
-    end = ["\n", "\n", "\r\n", "\r", "\n\n", " \n", ""]
-    base = int(rng.integers(1, 3))
-    lines = []
-    for _ in range(int(rng.integers(0, 5))):
-        width = base if rng.random() < 0.85 else int(rng.integers(0, 4))
-        tokens = [str(rng.choice(PLAIN_TOKENS)) if rng.random() < 0.1 else str(rng.integers(-99, 999))
-                  for _ in range(width)]
-        lines.append(str(rng.choice(sep)) + str(rng.choice(sep[1:])).join(tokens) + str(rng.choice(end)))
-    return "".join(lines)
-
-
-def test_plain_text_fuzz(tmp_path, monkeypatch):
-    # the one-pass parse of plain text against the line-by-line reference
-    by_line = []
-    fallback = dataio._int_rows_by_line
-    monkeypatch.setattr(dataio, "_int_rows_by_line", lambda *args: by_line.append(1) or fallback(*args))
-    rng = np.random.default_rng(24)
-    for _ in range(400):
-        text = plain_text(rng)
-        assert not text.encode().translate(None, dataio._PLAIN)
-        assert_reads_like_reference(tmp_path, text)
-    # each path read over 100 of the 800 texts (two readers per text)
-    assert 100 < len(by_line) < 700
-
-
 @pytest.mark.parametrize("value", [2**63, -2**63 - 1])
 @pytest.mark.parametrize(
     "name, text, message",
@@ -521,22 +479,19 @@ def test_integer_beyond_int64_names_the_line(fixture_dir, value, name, text, mes
 
 
 def test_saved_graph_reaches_no_text_parser(tmp_path, monkeypatch):
-    # what save_dataset writes is read without a text parse; its text copy takes the one pass,
-    # never the line-by-line fallback
-    g = eg.generate(eg.SynthConfig(num_timestamps=10, vertices_per_timestamp=100, seed=5))
+    # what save_dataset writes is read without a text parse; a text copy reaches the parsers
+    g = eg.generate(eg.SynthConfig(num_timestamps=6, vertices_per_timestamp=30, seed=5))
     eg.save_dataset(g, tmp_path / "ds")
-    text_copy(tmp_path / "ds", tmp_path / "text")
+    csv_features(text_copy(tmp_path / "ds", tmp_path / "text"))
 
-    def reached(parser):
-        def fail(*args):
-            raise AssertionError(f"{parser} reached")
-        return fail
+    def reached(*args):
+        raise AssertionError("a text parser reached")
 
-    monkeypatch.setattr(dataio, "_int_rows_by_line", reached("line-by-line fallback"))
-    assert g.num_vertices == 1000 and g.num_edges > 1000
-    assert eg.load_dataset(tmp_path / "text").equals(g)
-    monkeypatch.setattr(dataio, "_read_int_rows", reached("text parse"))
+    for parser in ("_int_rows_by_line", "_csv_rows"):
+        monkeypatch.setattr(dataio, parser, reached)
     assert eg.load_dataset(tmp_path / "ds").equals(g)
+    with pytest.raises(AssertionError, match="a text parser reached"):
+        eg.load_dataset(tmp_path / "text")
 
 
 def test_fingerprint_and_load_read_each_file_once(tmp_path, graph_factory, monkeypatch):

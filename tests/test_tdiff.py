@@ -30,7 +30,7 @@ def bounded_pairs_oracle(g, k):
             frontier = nxt
         for v in dist:
             if v != u and g.time[v] <= g.time[u]:
-                d = int(g.time[u] - g.time[v])
+                d = int(g.time[u]) - int(g.time[v])  # numpy's int64 subtraction would wrap
                 counts[d] = counts.get(d, 0) + 1
     return counts
 
@@ -155,10 +155,28 @@ def test_small_and_isolated_graphs(monkeypatch, times, edges):
         assert eg.k_hop_time_diffs(g, k).counts == bounded_pairs_oracle(g, k)
 
 
-def test_wide_timestamp_range():
-    # differences near 1e12 must not need an array indexed by the difference
-    g = graph_from([0, 10**12, 3 * 10**11, 10**12], [(0, 1), (1, 2), (2, 3)])
-    assert eg.k_hop_time_diffs(g, 2).counts == bounded_pairs_oracle(g, 2)
+INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize(
+    "times, edges, expected",
+    [
+        # differences near 1e12 must not need an array indexed by the difference
+        ([0, 10**12, 3 * 10**11, 10**12], [(0, 1), (1, 2), (2, 3)],
+         {0: 2, 3 * 10**11: 1, 7 * 10**11: 2, 10**12: 1}),
+        # differences of 2**63 and more do not fit in int64, yet are counted exactly
+        ([-2**62, 2**62, 2**62], [(0, 1), (1, 2)], {0: 2, 2**63: 2}),
+        ([INT64.min, INT64.max], [(0, 1)], {2**64 - 1: 1}),
+        ([INT64.max, 0, INT64.min], [(0, 1), (1, 2)], {2**63 - 1: 1, 2**63: 1, 2**64 - 1: 1}),
+    ],
+    ids=["1e12", "2**62", "int64-bounds", "int64-bounds-two-hops"],
+)
+def test_wide_timestamp_range(times, edges, expected):
+    g = graph_from(times, edges)
+    h = eg.k_hop_time_diffs(g, 2)
+    assert h.counts == bounded_pairs_oracle(g, 2) == expected
+    assert all(type(d) is int for d in h.counts)
+    assert eg.k_hop_time_diffs(g, 1).counts == bounded_pairs_oracle(g, 1)
 
 
 class TestPercentile:

@@ -36,33 +36,35 @@ rerun_reproduces() {
 smoke_test() {
     evograph generate "$smoke/data" --num-timestamps 6 --vertices-per-timestamp 12 --feature-dim 4 --quiet
     evograph analyze-tdiff "$smoke/data" --output-dir "$smoke/tdiff" --quiet
-    # copies with text integer files in place of the .bin ones give the same analysis: with
-    # tabs and CRLF line ends (the one-pass parse) and with no-break spaces (the line-by-line
-    # fallback)
-    local nbsp f copy code=0
+    # a copy with every dataset file in its text form gives the same analysis and, below, the
+    # same run: integer files with tabs, CRLF line ends and no-break spaces for the int() line
+    # reader, and features.csv at 9 significant digits, which hold every float32 exactly
+    local nbsp f code=0
     nbsp=$(printf '\302\240')
-    for copy in crlf nbsp; do
-        cp -r "$smoke/data" "$smoke/$copy"
-        python -c 'import sys, numpy as np
+    cp -r "$smoke/data" "$smoke/text"
+    python -c 'import sys, numpy as np, pathlib
+ds = pathlib.Path(sys.argv[1])
 for name, width in (("edges", 2), ("times", 1), ("labels", 1)):
-    path = f"{sys.argv[1]}/{name}"
-    np.savetxt(path, np.fromfile(f"{path}.bin", "<i8").reshape(-1, width), fmt="%d")' "$smoke/$copy"
-        rm "$smoke/$copy"/{edges,times,labels}.bin
-    done
-    sed -i 's/ /\t/; s/$/\r/' "$smoke/crlf/edges"
-    sed -i "s/ /$nbsp/" "$smoke/nbsp/edges"
+    np.savetxt(ds / name, np.fromfile(ds / f"{name}.bin", "<i8").reshape(-1, width), fmt="%d")
+manifest = dict(line.split("=") for line in (ds / "manifest").read_text().split())
+features = np.fromfile(ds / "features.bin", "<f4").reshape(-1, int(manifest["feature_dim"]))
+np.savetxt(ds / "features.csv", features, delimiter=",", fmt="%.9g")' "$smoke/text"
+    rm "$smoke/text"/*.bin
+    sed -i "s/ /\t/; s/^/$nbsp/; s/\$/\r/" "$smoke/text/edges"
     for f in times labels; do
-        sed -i 's/^/\t/; s/$/\r/' "$smoke/crlf/$f"
-        sed -i "s/^/$nbsp/" "$smoke/nbsp/$f"
+        sed -i "s/^/\t/; s/\$/$nbsp\r/" "$smoke/text/$f"
     done
-    for copy in crlf nbsp; do
-        evograph analyze-tdiff "$smoke/$copy" --output-dir "$smoke/tdiff-$copy" --quiet
-        for f in tdiff.csv tdiff.json; do
-            cmp "$smoke/tdiff/$f" "$smoke/tdiff-$copy/$f"
-        done
+    evograph analyze-tdiff "$smoke/text" --output-dir "$smoke/tdiff-text" --quiet
+    for f in tdiff.csv tdiff.json; do
+        cmp "$smoke/tdiff/$f" "$smoke/tdiff-text/$f"
     done
     printf 'dataset=%s\nmodel=mlp\nhistory_size=2\nepochs=2\nseeds=0,1,2\n' "$smoke/data" > "$smoke/run.cfg"
     evograph run --config "$smoke/run.cfg" --output-dir "$smoke/run" --quiet
+    sed "s|^dataset=.*|dataset=$smoke/text|" "$smoke/run.cfg" > "$smoke/text.cfg"
+    evograph run --config "$smoke/text.cfg" --output-dir "$smoke/text-run" --quiet
+    for f in report_seed{0,1,2}.jsonl model_seed{0,1,2}/params.bin; do
+        cmp "$smoke/run/$f" "$smoke/text-run/$f"
+    done
     evograph report "$smoke/run"
     # --jobs 1 (the default) trains the three seeds as one batch
     rerun_reproduces "$smoke/run"
