@@ -10,7 +10,7 @@ import errno
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -264,7 +264,15 @@ def cmd_run(args) -> int:
     job = partial(_chunk_job, spec, g)
     if len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = [record for records in pool.map(job, chunks) for record in records]
+            futures = [pool.submit(job, chunk) for chunk in chunks]
+            try:
+                results = [record for future in futures for record in future.result()]
+            except BrokenProcessPool:
+                # a worker died (the OOM killer, say): the pool fails every chunk not yet done
+                lost = [seed for future, chunk in zip(futures, chunks) if future.exception() for seed in chunk]
+                raise EvographError(
+                    f"seeds {','.join(map(str, lost))}: no result, a worker process ended abruptly"
+                ) from None
     else:
         results = job(chunks[0])
     texts, scores, traces, models = zip(*results)

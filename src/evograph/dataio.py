@@ -19,8 +19,9 @@ file wins.  :func:`save_dataset` writes only the binary forms.
   non-blank line, read a line at a time.  Integers follow ``int()``'s rules
   and must fit in 64 bits.
 * ``features.bin`` -- 32-bit little-endian reals, no header.
-* ``features.csv`` -- comma-separated decimal reals, row i = vertex i; 9
-  significant digits hold a float32 exactly.
+* ``features.csv`` -- UTF-8 text, one row of comma-separated reals per
+  non-blank line, row i = vertex i, read a line at a time.  Cells follow
+  ``float()``'s rules; 9 significant digits hold a float32 exactly.
 """
 
 from __future__ import annotations
@@ -128,45 +129,38 @@ def _int_rows_by_line(text: str, name: str, width: int, bad_width: str, bad_valu
     return np.array(values, dtype=np.int64).reshape(-1, width)
 
 
-def _csv_rows(lines) -> np.ndarray:
-    """The features CSV's rows, parsed from its lines as float32."""
-    return np.loadtxt(lines, delimiter=",", dtype=np.float32, ndmin=2)
+def _float_rows_by_line(text: str, name: str, feature_dim: int) -> np.ndarray:
+    """The reals in ``text``, one row per non-blank line, as an (N, W) float32
+    array: the one reader of ``features.csv``, a line at a time.
 
-
-def _csv_parses(text: str) -> bool:
-    """Whether :func:`_csv_rows` accepts ``text``, a line or a cell, as one row."""
-    if not text:  # loadtxt would skip it, with a warning
-        return False
-    try:
-        _csv_rows([text])
-    except ValueError:
-        return False
-    return True
-
-
-def _bad_csv_line(text: str, name: str) -> str:
-    """``file:line: why`` for the first line of a features CSV that
-    :func:`_csv_rows` rejects.
-
-    The lines are judged as numpy judges them: a line empty up to a ``#``
-    comment is skipped (a line of spaces is a row), the first row sets the
-    width, and a rejected line is parsed again one cell at a time to name
-    the cell.  Every text that :func:`_csv_rows` rejects has such a line,
-    since a rejected file holds a rejected row or a row of another width.
+    Cells are split at ``,`` and parsed by ``float()``, so whitespace around a
+    cell is allowed; the first row sets the width W, and a text with no row
+    gives shape (0, ``feature_dim``).  DatasetError names the first bad line
+    as ``name:line`` with its first bad cell and column, or its width.  A
+    value beyond the float32 range becomes inf, without a warning.
     """
-    width = None
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line:
+        if not raw.strip():
             continue
-        cells = line.split(",")
-        if not _csv_parses(line):
+        cells = raw.split(",")
+        try:
+            row = list(map(float, cells))
+        except ValueError:
             for col, cell in enumerate(cells, start=1):
-                if not _csv_parses(cell):
-                    return f"{name}:{lineno}: non-numeric value {cell.strip()!r} in column {col}"
-        width = width or len(cells)
-        if len(cells) != width:
-            return f"{name}:{lineno}: {len(cells)} values, expected {width}"
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DatasetError(
+                        f"{name}:{lineno}: non-numeric value {cell.strip()!r} in column {col}"
+                    ) from None
+        if rows and len(row) != len(rows[0]):
+            raise DatasetError(f"{name}:{lineno}: {len(row)} values, expected {len(rows[0])}")
+        rows.append(row)
+    if not rows:
+        return np.zeros((0, feature_dim), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        return np.array(rows, dtype=np.float32)
 
 
 def _dataset_dir(path) -> Path:
@@ -271,11 +265,7 @@ def load_dataset(path) -> TemporalGraph:
             )
         features = np.frombuffer(data, dtype="<f4").reshape(num_vertices, feature_dim)
     elif files.get("features.csv") is not None:
-        text = files.text("features.csv")
-        try:
-            features = _csv_rows(text.splitlines())
-        except ValueError:
-            raise DatasetError(_bad_csv_line(text, "features.csv")) from None
+        features = _float_rows_by_line(files.text("features.csv"), "features.csv", feature_dim)
         if features.shape != (num_vertices, feature_dim):
             raise ValidationError(
                 f"features.csv is {features.shape[0]} x {features.shape[1]}, "

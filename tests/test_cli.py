@@ -2,8 +2,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -431,8 +433,10 @@ class TestRun:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                future = Future()
+                future.set_result(fn(item))
+                return future
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(
@@ -669,6 +673,16 @@ class TestRun:
             assert capsys.readouterr().err == f"error: {alone.value}\n"
             assert not out.exists()
 
+    def test_dead_worker_names_the_seeds_without_a_result(self, dataset, tmp_path, monkeypatch, capfd):
+        # the worker of chunk [2, 3] dies as if killed; chunk [0, 1] may be done by then or not
+        monkeypatch.setattr(cli, "_chunk_job", exit_in_chunk_of_seed_2)
+        cfg = write_config(tmp_path / "c.cfg", dataset, seeds="0,1,2,3", epochs="1")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", "2", "--quiet"]) == 1
+        assert re.fullmatch(r"error: seeds (0,1,)?2,3: no result, a worker process ended abruptly\n",
+                            capfd.readouterr().err)
+        assert not out.exists()
+
     def test_two_task_single_timestamp_exit_1(self, tmp_path, capsys):
         data = tmp_path / "one"
         assert main(["generate", str(data), "--num-timestamps", "1", "--quiet"]) == 0
@@ -677,6 +691,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 1
         assert capsys.readouterr().err == "error: no labeled vertices before the final timestamp 0\n"
         assert not (out / "manifest.json").exists()
+
+
+def exit_in_chunk_of_seed_2(spec, g, seeds, chunk_job=cli._chunk_job):
+    """``cli._chunk_job``, but the process ends at once, as if killed, in the chunk of seed 2;
+    top-level so a process pool can pickle it."""
+    if 2 in seeds:
+        os._exit(9)
+    return chunk_job(spec, g, seeds)
 
 
 @pytest.fixture(scope="module")

@@ -84,38 +84,84 @@ def test_non_numeric_feature_cites_file_and_cell(fixture_dir):
 @pytest.mark.parametrize(
     "text, match",
     [
-        ("0.5,1.0\n\n# note\n1.5\n2.5,3.0\n3.5,4.0\n", "features.csv:4: 1 values, expected 2"),
-        ("# h\n0.5,1.0\n1.5,2.0 # c\n2.5,3.0,\n3.5,4.0\n",
-         "features.csv:4: non-numeric value '' in column 3"),
-        # float() accepts these two cells, np.loadtxt does not
-        ("1_0,1.0\n1.5,2.0\n2.5,3.0\n3.5,4.0\n", "features.csv:1: non-numeric value '1_0' in column 1"),
-        ("\u0661,1.0\n1.5,2.0\n2.5,3.0\n3.5,4.0\n", "features.csv:1: non-numeric value '\u0661' in column 1"),
-        # numpy skips only a line empty up to its comment: a line of spaces is a row
-        ("0.5,1.0\n1.5,2.0\n  # note\n2.5,3.0\n3.5,4.0\n", "features.csv:3: non-numeric value '' in column 1"),
+        ("0.5,1.0\n\n  \n1.5\n2.5,3.0\n3.5,4.0\n", "features.csv:4: 1 values, expected 2"),
+        ("0.5,1.0\n1.5,2.0\n2.5,3.0,\n3.5,4.0\n", "features.csv:3: non-numeric value '' in column 3"),
+        # float() reads no comment: a comment line, or one after a value, is a bad cell
+        ("# h\n0.5,1.0\n1.5,2.0\n2.5,3.0\n3.5,4.0\n", "features.csv:1: non-numeric value '# h' in column 1"),
+        ("0.5,1.0\n1.5,2.0 # c\n2.5,3.0\n3.5,4.0\n", "features.csv:2: non-numeric value '2.0 # c' in column 2"),
+        ("0.5,1.0\n1.5,2.0\n  # note\n2.5,3.0\n3.5,4.0\n", "features.csv:3: non-numeric value '# note' in column 1"),
     ],
-    ids=["ragged-after-blank-and-comment", "trailing-comma", "underscore-in-number", "arabic-indic-digit",
-         "spaces-before-comment"],
+    ids=["ragged-after-blank-lines", "trailing-comma", "comment-line", "trailing-comment", "spaces-before-comment"],
 )
-def test_bad_feature_line_counts_blank_and_comment_lines(fixture_dir, text, match):
+def test_bad_feature_line_counts_blank_lines_and_names_comments(fixture_dir, text, match):
     (fixture_dir / "features.csv").write_text(text)
     with pytest.raises(DatasetError, match=f"^{match}$"):
         eg.load_dataset(fixture_dir)
 
 
-def test_every_rejected_features_csv_names_a_line():
-    # random short texts over the characters that numpy's CSV parse and float() treat apart
+def test_features_csv_cells_follow_float(fixture_dir):
+    # as in the integer files: digit separators, non-ASCII digits, whitespace around a cell,
+    # and lines of only whitespace skipped
+    (fixture_dir / "features.csv").write_text("1_0,\u0661\n \t\n\t1.5 ,\xa02.0\r\n2.5,3.0\n\n3.5,-4e0\n")
+    assert eg.load_dataset(fixture_dir).features.tolist() == [[10, 1], [1.5, 2], [2.5, 3], [3.5, -4]]
+
+
+def test_empty_features_csv_gives_no_rows(tmp_path):
+    # a 0-vertex dataset loads from an empty features.csv, as from a 0-byte features.bin
+    ds = tmp_path / "empty"
+    ds.mkdir()
+    (ds / "manifest").write_text("format_version=1\nnum_vertices=0\nfeature_dim=2\nnum_classes=1\n")
+    for name in ("edges", "times", "labels", "features.csv"):
+        (ds / name).write_text("")
+    g = eg.load_dataset(ds)
+    assert g.num_vertices == 0 and g.features.shape == (0, 2) and g.features.dtype == np.float32
+    (ds / "features.csv").unlink()
+    (ds / "features.bin").write_bytes(b"")
+    assert eg.load_dataset(ds).equals(g)
+
+
+def test_features_beyond_float32_fail_in_the_graph_check_without_a_warning(fixture_dir):
+    (fixture_dir / "features.csv").write_text("0.5,1.0\n1.5,1e40\n2.5,3.0\n3.5,4.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="features contain non-finite values"):
+            eg.load_dataset(fixture_dir)
+
+
+def csv_by_cell(text, feature_dim):
+    """Reference reader: float() on each cell of each non-blank line, in order."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        row = []
+        for col, cell in enumerate(raw.split(","), start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                message = f"non-numeric value {cell.strip()!r} in column {col}"
+                raise DatasetError(f"features.csv:{lineno}: {message}") from None
+            with np.errstate(over="ignore"):
+                row.append(np.float32(value))
+        if rows and len(row) != len(rows[0]):
+            raise DatasetError(f"features.csv:{lineno}: {len(row)} values, expected {len(rows[0])}")
+        rows.append(row)
+    return np.array(rows, dtype=np.float32).reshape(len(rows), len(rows[0]) if rows else feature_dim)
+
+
+def test_features_csv_reads_like_reference():
+    # random short texts over the characters that float() and a CSV split treat apart; each
+    # loads to the reference's float32 rows or fails, as the reference does, at a named line
     rng = np.random.default_rng(0)
-    alphabet = [*"0123456789,,,  ..e-+#\t_n", "\xa0", "\u0661", "inf", "\n", "\r\n", "\u2028"]
+    alphabet = [*"0123456789,,,  ..e-+#\t_n", "\xa0", "\u0661", "inf", "e40", "\n", "\r\n", "\u2028"]
     rejected = 0
     for _ in range(3000):
         text = "".join(rng.choice(alphabet, size=rng.integers(1, 15)))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a text with no row
-                dataio._csv_rows(text.splitlines())
-        except ValueError:
+        result = outcome(lambda t: dataio._float_rows_by_line(t, "features.csv", 3), text)
+        assert result == outcome(lambda t: csv_by_cell(t, 3), text), repr(text)
+        if isinstance(result, str):
             rejected += 1
-            assert re.match(r"f:\d+: ", dataio._bad_csv_line(text, "f")), repr(text)
+            assert re.match(r"features.csv:\d+: ", result), repr(text)
     assert rejected > 1000
 
 
@@ -357,13 +403,13 @@ def line_by_line_edges(path):
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def outcome(read, path):
-    """What a reader makes of ``path``: its error message, or its array as plain values."""
+def outcome(read, source):
+    """What a reader makes of ``source``: its error message, or its array's dtype, shape and bytes."""
     try:
-        arr = read(path)
+        arr = read(source)
     except DatasetError as exc:
         return str(exc)
-    return arr.dtype, arr.shape, arr.tolist()
+    return arr.dtype, arr.shape, arr.tobytes()
 
 
 READERS = {
@@ -487,7 +533,7 @@ def test_saved_graph_reaches_no_text_parser(tmp_path, monkeypatch):
     def reached(*args):
         raise AssertionError("a text parser reached")
 
-    for parser in ("_int_rows_by_line", "_csv_rows"):
+    for parser in ("_int_rows_by_line", "_float_rows_by_line"):
         monkeypatch.setattr(dataio, parser, reached)
     assert eg.load_dataset(tmp_path / "ds").equals(g)
     with pytest.raises(AssertionError, match="a text parser reached"):

@@ -37,8 +37,9 @@ smoke_test() {
     evograph generate "$smoke/data" --num-timestamps 6 --vertices-per-timestamp 12 --feature-dim 4 --quiet
     evograph analyze-tdiff "$smoke/data" --output-dir "$smoke/tdiff" --quiet
     # a copy with every dataset file in its text form gives the same analysis and, below, the
-    # same run: integer files with tabs, CRLF line ends and no-break spaces for the int() line
-    # reader, and features.csv at 9 significant digits, which hold every float32 exactly
+    # same run: tabs, CRLF line ends and no-break spaces in every file for the int() and
+    # float() line readers, and features.csv at 9 significant digits, which hold every
+    # float32 exactly
     local nbsp f code=0
     nbsp=$(printf '\302\240')
     cp -r "$smoke/data" "$smoke/text"
@@ -54,6 +55,8 @@ np.savetxt(ds / "features.csv", features, delimiter=",", fmt="%.9g")' "$smoke/te
     for f in times labels; do
         sed -i "s/^/\t/; s/\$/$nbsp\r/" "$smoke/text/$f"
     done
+    sed -i "s/,/\t,$nbsp/g; s/^/$nbsp/; s/\$/\t\r/" "$smoke/text/features.csv"
+    printf '%s\t\r\n' "$nbsp" >> "$smoke/text/features.csv"  # a line of whitespace only is skipped
     evograph analyze-tdiff "$smoke/text" --output-dir "$smoke/tdiff-text" --quiet
     for f in tdiff.csv tdiff.json; do
         cmp "$smoke/tdiff/$f" "$smoke/tdiff-text/$f"
