@@ -27,7 +27,7 @@ from .config import (
     load_manifest,
     write_manifest,
 )
-from .dataio import DatasetFiles, dataset_fingerprint, load_dataset, read_json, save_dataset
+from .dataio import dataset_fingerprint, load_dataset, read_json, save_dataset
 from .errors import ConfigError, EvographError, ValidationError
 from .graph import UNLABELED
 from .lifelong import run_sequences, two_task_experiment
@@ -247,9 +247,8 @@ def cmd_run(args) -> int:
         RunSpec({"dataset": "-", "detector": GDOC, **overrides})
         raise ConfigError(f"{args.config or args.from_manifest}: {exc}") from None
 
-    # one read per file: the graph is parsed from the bytes that were hashed
-    dataset = DatasetFiles(spec.dataset)
-    fingerprint = dataset_fingerprint(dataset)
+    g = load_dataset(spec.dataset)
+    fingerprint = dataset_fingerprint(g)
     if args.from_manifest and manifest["dataset_fingerprint"] != fingerprint:
         raise EvographError(
             f"dataset at {spec.dataset} changed since the manifest was written"
@@ -257,7 +256,6 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.output_dir)
     _check_output_dir(out_dir)  # before any seed trains
-    g = load_dataset(dataset)
     seeds = spec.experiment.seeds
     # one job per contiguous chunk of seeds, one chunk per worker slot
     chunks = [c.tolist() for c in np.array_split(seeds, min(args.jobs, len(seeds)))]

@@ -11,7 +11,9 @@ A dataset is a directory holding a text manifest and four data files:
 * ``features`` -- num_vertices * feature_dim reals, row-major.
 
 Each data file comes in a binary and a text form; when both exist the binary
-file wins.  :func:`save_dataset` writes only the binary forms.
+file wins.  :func:`save_dataset` writes only the binary forms, and
+:func:`dataset_fingerprint` hashes what it would write for the loaded graph,
+so both forms of one graph share a fingerprint.
 
 * ``edges.bin``, ``times.bin``, ``labels.bin`` -- 64-bit little-endian
   integers, no header; ``edges.bin`` holds the pairs one after the other.
@@ -26,10 +28,8 @@ file wins.  :func:`save_dataset` writes only the binary forms.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
-import os
 import warnings
 from pathlib import Path
 
@@ -57,17 +57,13 @@ def read_bytes(path: Path, error: type[EvographError]) -> bytes:
         raise error(f"{path}: cannot read ({exc.strerror})") from None
 
 
-def _decode(data: bytes, path: Path, error: type[EvographError]) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
-
-
 def read_text(path: Path, error: type[EvographError]) -> str:
     """``path``'s UTF-8 text; raises ``error`` naming the file if it cannot be
     read or is not UTF-8."""
-    return _decode(read_bytes(path, error), path, error)
+    try:
+        return read_bytes(path, error).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def read_key_values(text: str, name: str, error: type[EvographError]) -> dict:
@@ -163,53 +159,13 @@ def _float_rows_by_line(text: str, name: str, feature_dim: int) -> np.ndarray:
         return np.array(rows, dtype=np.float32)
 
 
-def _dataset_dir(path) -> Path:
-    root = Path(path)
-    if not root.is_dir():
-        raise DatasetError(f"not a dataset directory: {root}")
-    return root
+def _read_optional(root: Path, name: str) -> bytes | None:
+    """The bytes of dataset file ``name`` in ``root``, or None if it does not exist."""
+    path = root / name
+    return read_bytes(path, DatasetError) if path.exists() else None
 
 
-class DatasetFiles(os.PathLike):
-    """A dataset directory whose files are each read at most once.
-
-    :func:`load_dataset` and :func:`dataset_fingerprint` accept it as their
-    ``path``, so a caller of both parses the very bytes it hashed.  As an
-    ``os.PathLike`` it stands for its directory wherever a path is taken.
-    Raises DatasetError if ``path`` is not a directory.
-    """
-
-    def __init__(self, path):
-        self.root = _dataset_dir(path)
-        self._data: dict[str, bytes | None] = {}  # file name -> bytes, None if absent
-
-    def __fspath__(self) -> str:
-        return os.fspath(self.root)
-
-    def get(self, name: str) -> bytes | None:
-        """The bytes of file ``name``, or None if it does not exist."""
-        if name not in self._data:
-            p = self.root / name
-            self._data[name] = read_bytes(p, DatasetError) if p.exists() else None
-        return self._data[name]
-
-    def data(self, name: str) -> bytes:
-        """The bytes of file ``name``; raises DatasetError naming it if it does not exist."""
-        data = self.get(name)
-        if data is None:
-            raise DatasetError(f"{self.root / name}: cannot read ({os.strerror(errno.ENOENT)})")
-        return data
-
-    def text(self, name: str) -> str:
-        """The UTF-8 text of file ``name`` (see :func:`read_text`)."""
-        return _decode(self.data(name), self.root / name, DatasetError)
-
-
-def _files(path) -> DatasetFiles:
-    return path if isinstance(path, DatasetFiles) else DatasetFiles(path)
-
-
-def _read_int_file(files: DatasetFiles, name: str) -> np.ndarray:
+def _read_int_file(root: Path, name: str) -> np.ndarray:
     """Integer file ``name`` (a key of ``_INT_FILES``) as an (N, width) int64 array.
 
     ``<name>.bin`` wins if it exists; its byte count must be a whole number
@@ -217,9 +173,9 @@ def _read_int_file(files: DatasetFiles, name: str) -> np.ndarray:
     text file ``name`` is parsed by :func:`_int_rows_by_line`.
     """
     width, *messages = _INT_FILES[name]
-    data = files.get(f"{name}.bin")
+    data = _read_optional(root, f"{name}.bin")
     if data is None:
-        return _int_rows_by_line(files.text(name), name, width, *messages)
+        return _int_rows_by_line(read_text(root / name, DatasetError), name, width, *messages)
     if len(data) % (8 * width):
         raise DatasetError(f"{name}.bin holds {len(data)} bytes, not a whole number of {8 * width}-byte rows")
     return np.frombuffer(data, dtype="<i8").reshape(-1, width)
@@ -228,14 +184,14 @@ def _read_int_file(files: DatasetFiles, name: str) -> np.ndarray:
 def load_dataset(path) -> TemporalGraph:
     """Load and validate a dataset directory into a TemporalGraph.
 
-    ``path`` may be a :class:`DatasetFiles`, whose bytes are then reused.
     Raises DatasetError naming the missing/offending file, or
     ValidationError with the offending counts on dimension mismatch.
     """
-    files = _files(path)
-    root = files.root
+    root = Path(path)
+    if not root.is_dir():
+        raise DatasetError(f"not a dataset directory: {root}")
 
-    manifest = read_key_values(files.text("manifest"), "manifest", DatasetError)
+    manifest = read_key_values(read_text(root / "manifest", DatasetError), "manifest", DatasetError)
     for key in ("format_version", "num_vertices", "feature_dim", "num_classes"):
         if key not in manifest:
             raise DatasetError(f"manifest: missing required key {key!r}")
@@ -252,11 +208,11 @@ def load_dataset(path) -> TemporalGraph:
         counts.append(value)
     num_vertices, feature_dim, num_classes = counts
 
-    edges = _read_int_file(files, "edges")
-    times = _read_int_file(files, "times").ravel()
-    labels = _read_int_file(files, "labels").ravel()
+    edges = _read_int_file(root, "edges")
+    times = _read_int_file(root, "times").ravel()
+    labels = _read_int_file(root, "labels").ravel()
 
-    if (data := files.get("features.bin")) is not None:
+    if (data := _read_optional(root, "features.bin")) is not None:
         expected = num_vertices * feature_dim
         if len(data) != 4 * expected:
             raise ValidationError(
@@ -264,8 +220,8 @@ def load_dataset(path) -> TemporalGraph:
                 f"({num_vertices} x {feature_dim})"
             )
         features = np.frombuffer(data, dtype="<f4").reshape(num_vertices, feature_dim)
-    elif files.get("features.csv") is not None:
-        features = _float_rows_by_line(files.text("features.csv"), "features.csv", feature_dim)
+    elif (csv := root / "features.csv").exists():
+        features = _float_rows_by_line(read_text(csv, DatasetError), "features.csv", feature_dim)
         if features.shape != (num_vertices, feature_dim):
             raise ValidationError(
                 f"features.csv is {features.shape[0]} x {features.shape[1]}, "
@@ -290,44 +246,51 @@ def load_dataset(path) -> TemporalGraph:
     return g
 
 
+def _saved_files(g: TemporalGraph) -> dict[str, bytes]:
+    """The bytes of each file :func:`save_dataset` writes for ``g``, by name,
+    in ``_DATASET_FILES`` order."""
+    manifest = (
+        "format_version=1\n"
+        f"num_vertices={g.num_vertices}\n"
+        f"feature_dim={g.feature_dim}\n"
+        f"num_classes={g.num_classes}\n"
+    )
+    return {
+        "manifest": manifest.encode("utf-8"),
+        "edges.bin": g.edges.astype("<i8").tobytes(),
+        "times.bin": g.time.astype("<i8").tobytes(),
+        "labels.bin": g.labels.astype("<i8").tobytes(),
+        "features.bin": g.features.astype("<f4").tobytes(),
+    }
+
+
 def save_dataset(g: TemporalGraph, path) -> None:
     """Write ``g`` in the dataset directory format, as its binary files (see
     module docstring).
 
     Dataset files in ``path`` that this save does not write, such as text
-    forms or a ``features.csv``, are removed: the directory then holds one
-    graph, and its fingerprint hashes only that graph's files.
+    forms or a ``features.csv``, are removed, so the directory holds one graph.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    written = ("manifest", "edges.bin", "times.bin", "labels.bin", "features.bin")
+    files = _saved_files(g)
     for name in _DATASET_FILES:
-        if name not in written:
+        if name not in files:
             (root / name).unlink(missing_ok=True)
-    (root / "manifest").write_text(
-        "format_version=1\n"
-        f"num_vertices={g.num_vertices}\n"
-        f"feature_dim={g.feature_dim}\n"
-        f"num_classes={g.num_classes}\n",
-        encoding="utf-8",
-    )
-    for name, values in (("edges", g.edges), ("times", g.time), ("labels", g.labels)):
-        values.astype("<i8").tofile(root / f"{name}.bin")
-    g.features.astype("<f4").tofile(root / "features.bin")
+    for name, data in files.items():
+        (root / name).write_bytes(data)
 
 
-def dataset_fingerprint(path) -> str:
-    """SHA-256 over the dataset files' names and bytes, order-independent.
+def dataset_fingerprint(g: TemporalGraph) -> str:
+    """SHA-256 over the names and bytes of the files :func:`save_dataset`
+    writes for ``g``: each name, a NUL byte, then the file's bytes.
 
-    ``path`` may be a :class:`DatasetFiles`, whose bytes are then reused.
-    Raises DatasetError if ``path`` is not a directory.
+    It is the graph's, not its files': a text dataset and its binary copy,
+    which load to equal graphs, share it.
     """
-    files = _files(path)
     digest = hashlib.sha256()
-    for name in _DATASET_FILES:
-        data = files.get(name)
-        if data is not None:
-            digest.update(name.encode())
-            digest.update(b"\0")
-            digest.update(data)
+    for name, data in _saved_files(g).items():
+        digest.update(name.encode())
+        digest.update(b"\0")
+        digest.update(data)
     return digest.hexdigest()

@@ -172,6 +172,7 @@ def init_model(
     """Fresh Glorot-initialized model; biases start at zero."""
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}")
+    check_model_settings(sgc_k, dropout_rate)
     shapes = _layer_shapes(kind, input_dim, hidden_dim, output_dim)
     layer_seeds = np.random.default_rng(seed).integers(0, 2**31 - 1, size=len(shapes))
     layers = [
@@ -424,6 +425,8 @@ def _loss_targets(labels, train_mask, logits, loss_mode) -> _Targets:
     """
     num_rows, num_units = logits.shape[0], logits.shape[-1]
     labels = np.asarray(labels)
+    if labels.shape != (num_rows,):
+        raise ValidationError(f"labels of shape {labels.shape} for {num_rows} logit rows")
     mask = np.asarray(train_mask, dtype=bool)
     if mask.shape != (num_rows,):
         raise ValidationError(f"train mask of shape {mask.shape} for {num_rows} logit rows")

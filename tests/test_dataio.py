@@ -1,17 +1,17 @@
 import re
 import shutil
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import evograph as eg
-from conftest import csv_features, text_copy
+from conftest import csv_features, raises_exactly, text_copy
 from evograph import dataio
 from evograph.cli import main
 from evograph.config import load_config, load_manifest
 from evograph.errors import ConfigError, DatasetError, EvographError, TaskSequenceError, ValidationError
+from test_acceptance import DET_BENCH, SEQ_BENCH
 
 
 @pytest.fixture
@@ -118,6 +118,20 @@ def test_empty_features_csv_gives_no_rows(tmp_path):
     (ds / "features.csv").unlink()
     (ds / "features.bin").write_bytes(b"")
     assert eg.load_dataset(ds).equals(g)
+
+
+def test_zero_width_features_need_features_bin(tmp_path):
+    # save_dataset writes a 0-byte features.bin; a CSV cannot hold a row of no cells, and
+    # the empty lines that would stand for them are skipped
+    g = eg.TemporalGraph(2, [(0, 1)], [1, 2], np.zeros((2, 0), np.float32), [0, 1], 2)
+    eg.save_dataset(g, tmp_path / "ds")
+    assert (tmp_path / "ds" / "features.bin").read_bytes() == b""
+    loaded = eg.load_dataset(tmp_path / "ds")
+    assert loaded.features.shape == (2, 0) and loaded.equals(g)
+    (tmp_path / "ds" / "features.bin").unlink()
+    (tmp_path / "ds" / "features.csv").write_text("\n\n")
+    raises_exactly(lambda: eg.load_dataset(tmp_path / "ds"), ValidationError,
+                   "features.csv is 0 x 0, expected 2 x 0")
 
 
 def test_features_beyond_float32_fail_in_the_graph_check_without_a_warning(fixture_dir):
@@ -303,8 +317,8 @@ def test_text_copy_loads_equal_and_bin_files_win(tmp_path, graph_factory):
 
 
 def test_save_over_a_dataset_leaves_only_its_files(tmp_path, graph_factory):
-    # the text files and a hand-made features.csv would be hashed, and a reader of the text
-    # would see another graph
+    # the old text files and hand-made features.csv hold another graph, which a reader of the
+    # text alone would see
     eg.save_dataset(graph_factory(7), tmp_path / "old")
     csv_features(text_copy(tmp_path / "old", tmp_path / "ds"))
     eg.save_dataset(graph_factory(8), tmp_path / "ds")
@@ -312,7 +326,7 @@ def test_save_over_a_dataset_leaves_only_its_files(tmp_path, graph_factory):
     assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
         "edges.bin", "features.bin", "labels.bin", "manifest", "times.bin",
     ]
-    assert eg.dataset_fingerprint(tmp_path / "ds") == eg.dataset_fingerprint(tmp_path / "fresh")
+    assert eg.load_dataset(tmp_path / "ds").equals(eg.load_dataset(tmp_path / "fresh"))
 
 
 def test_csv_text_copy_loads_equal_and_analyzes_the_same(tmp_path):
@@ -329,25 +343,27 @@ def test_csv_text_copy_loads_equal_and_analyzes_the_same(tmp_path):
         assert (tmp_path / "an-bin" / f).read_bytes() == (tmp_path / "an-text" / f).read_bytes()
 
 
-def test_fingerprint_tracks_content(tmp_path, graph_factory):
+def test_fingerprint_tracks_the_graph(tmp_path, graph_factory):
     g = graph_factory(5)
     out = tmp_path / "fp"
     eg.save_dataset(g, out)
-    fp1 = eg.dataset_fingerprint(out)
-    assert fp1 == eg.dataset_fingerprint(out)
+    fp1 = eg.dataset_fingerprint(g)
+    assert eg.dataset_fingerprint(eg.load_dataset(out)) == fp1
+    # a text file beside its binary form is not loaded, so it does not count
     (out / "labels").write_text("0\n" * g.num_vertices)
-    assert eg.dataset_fingerprint(out) != fp1
+    assert eg.dataset_fingerprint(eg.load_dataset(out)) == fp1
+    (out / "labels.bin").unlink()
+    assert eg.dataset_fingerprint(eg.load_dataset(out)) != fp1
 
 
-def test_fingerprint_of_missing_directory_raises(tmp_path):
-    # not the digest of no bytes, which a run manifest would report as a changed dataset
+def test_load_of_missing_directory_raises(tmp_path):
     with pytest.raises(DatasetError, match=f"^not a dataset directory: {re.escape(str(tmp_path / 'gone'))}$"):
-        eg.dataset_fingerprint(tmp_path / "gone")
+        eg.load_dataset(tmp_path / "gone")
 
 
 def test_save_bytes_unchanged(tmp_path):
-    # pinned digests: saved files must stay byte-identical whenever the writer changes, and a
-    # text copy keeps the digest of the text integer files that earlier versions saved
+    # pinned digest: saved files, and so fingerprints, must stay byte-identical whenever the
+    # writer changes; a text copy of the graph shares its fingerprint
     g = eg.TemporalGraph(
         num_vertices=6,
         edges=[(3, 1), (0, 5), (1, 3), (2, 2), (5, 0), (0, 1), (4, 2)],
@@ -357,10 +373,26 @@ def test_save_bytes_unchanged(tmp_path):
         num_classes=3,
     )
     eg.save_dataset(g, tmp_path / "bin")
-    assert eg.dataset_fingerprint(tmp_path / "bin") == (
+    # the fingerprint hashes the very bytes save_dataset writes
+    assert {p.name: p.read_bytes() for p in (tmp_path / "bin").iterdir()} == dataio._saved_files(g)
+    assert eg.dataset_fingerprint(eg.load_dataset(tmp_path / "bin")) == (
         "eb3aa01c5b2c3b63459ae8dc2b75dac7819802281e4d8621489112b6c3502d24")
-    assert eg.dataset_fingerprint(text_copy(tmp_path / "bin", tmp_path / "bin-text")) == (
-        "7fb8eff3f4038b26cbf3daa994578c97fcad19589e07e32fcf87a74a1797986e")
+    text = csv_features(text_copy(tmp_path / "bin", tmp_path / "bin-text"))
+    assert eg.dataset_fingerprint(eg.load_dataset(text)) == (
+        "eb3aa01c5b2c3b63459ae8dc2b75dac7819802281e4d8621489112b6c3502d24")
+
+
+# the fingerprints that earlier versions wrote into run manifests on the acceptance benches
+BENCH_FINGERPRINTS = {
+    "SEQ_BENCH": (SEQ_BENCH, "e5169b2e88589c957920045ae32a5ed83680c3b2cb9845826530de2c1444555d"),
+    "DET_BENCH": (DET_BENCH, "ae101e83cc7d564b4aa00df62ad7398e5404fe03e13ae7c6a74ce2aa4a5230ec"),
+}
+
+
+@pytest.mark.parametrize("name", BENCH_FINGERPRINTS)
+def test_bench_fingerprints_unchanged(name):
+    cfg, fingerprint = BENCH_FINGERPRINTS[name]
+    assert eg.dataset_fingerprint(eg.generate(cfg)) == fingerprint
 
 
 INT64 = np.iinfo(np.int64)
@@ -413,9 +445,9 @@ def outcome(read, source):
 
 
 READERS = {
-    "edges": (lambda p: dataio._read_int_file(dataio.DatasetFiles(p.parent), "edges"), line_by_line_edges),
+    "edges": (lambda p: dataio._read_int_file(p.parent, "edges"), line_by_line_edges),
     "times": (
-        lambda p: dataio._read_int_file(dataio.DatasetFiles(p.parent), "times").ravel(),
+        lambda p: dataio._read_int_file(p.parent, "times").ravel(),
         lambda p: line_by_line_ints(p, "timestamp"),
     ),
 }
@@ -540,24 +572,16 @@ def test_saved_graph_reaches_no_text_parser(tmp_path, monkeypatch):
         eg.load_dataset(tmp_path / "text")
 
 
-def test_fingerprint_and_load_read_each_file_once(tmp_path, graph_factory, monkeypatch):
-    eg.save_dataset(graph_factory(4), tmp_path / "ds")
+def test_load_reads_each_parsed_file_once(tmp_path, graph_factory, monkeypatch):
+    g = graph_factory(4)
+    eg.save_dataset(g, tmp_path / "ds")
     for name in ("edges", "times", "labels", "features.csv"):
-        (tmp_path / "ds" / name).write_text("not loaded, hashed all the same\n")
-    fingerprint = eg.dataset_fingerprint(tmp_path / "ds")
-    g = eg.load_dataset(tmp_path / "ds")
+        (tmp_path / "ds" / name).write_text("not loaded\n")
     reads = []
     read_bytes = dataio.read_bytes
     monkeypatch.setattr(dataio, "read_bytes", lambda p, error: reads.append(p.name) or read_bytes(p, error))
-    files = dataio.DatasetFiles(tmp_path / "ds")
-    # a path to its directory wherever a path is taken (the benchmark tracer sizes it so)
-    assert Path(files) == tmp_path / "ds"
-    assert eg.dataset_fingerprint(files) == fingerprint
-    assert eg.load_dataset(files).equals(g)
-    assert reads == list(dataio._DATASET_FILES)
-    # alone, load_dataset reads what it parses: each binary file wins over its text form
-    reads.clear()
-    eg.load_dataset(tmp_path / "ds")
+    # each binary file wins over its text form, which is not read
+    assert eg.load_dataset(tmp_path / "ds").equals(g)
     assert reads == ["manifest", "edges.bin", "times.bin", "labels.bin", "features.bin"]
 
 
@@ -633,11 +657,3 @@ def test_unreadable_file_names_the_file(tmp_path, fixture_dir, name, kind):
     read, error = UNREADABLE[name]
     with pytest.raises(error, match=f"^{re.escape(str(path))}: cannot read \\("):
         read(path)
-
-
-def test_fingerprint_names_unreadable_file(fixture_dir):
-    path = fixture_dir / "edges"
-    path.unlink()
-    path.mkdir()
-    with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: cannot read \\("):
-        eg.dataset_fingerprint(fixture_dir)

@@ -46,7 +46,7 @@ def relabelled(g, seed=0):
     return eg.TemporalGraph(g.num_vertices, perm[g.edges], time, features, labels, g.num_classes)
 
 
-@pytest.mark.parametrize("history", [1, eg.FULL], ids=["history-1", "full"])
+@pytest.mark.parametrize("history", [1, 3, eg.FULL], ids=["history-1", "history-3", "full"])
 @pytest.mark.parametrize("model, detector", [("mlp", None), ("sgc", None), ("sage", GDOC_RR)],
                          ids=["mlp", "sgc", "sage-gdoc"])
 def test_affine_time(graph, model, detector, history):

@@ -1102,9 +1102,19 @@ def _loss_and_grad(loss_mode, bad=None):
 ARGUMENT_ERRORS = {
     "glorot-fan-in": (lambda: eg.models.glorot_init(0, 3, 0), ValidationError, "fan_in and fan_out must be >= 1"),
     "model-kind": (lambda: eg.init_model("gat", 3, 4, 3), ValidationError, "unknown model kind 'gat'"),
+    # the ranges a checkpoint of the model must hold to load back
+    "dropout-above-one": (lambda: eg.init_model("mlp", 8, 4, 4, dropout_rate=1.5),
+                          ValidationError, "dropout_rate 1.5 outside [0, 1)"),
+    "dropout-negative": (lambda: eg.init_model("mlp", 8, 4, 4, dropout_rate=-0.5),
+                         ValidationError, "dropout_rate -0.5 outside [0, 1)"),
+    "sgc-k-negative": (lambda: eg.init_model("sgc", 3, 4, 3, sgc_k=-1),
+                       ValidationError, "sgc_k must be >= 0, got -1"),
     "sgc-power": (lambda: eg.sgc_precompute(small_graph(), -1), ValidationError, "propagation power K must be >= 0"),
     "loss-mode": (lambda: _loss_and_grad("hinge"), ValidationError, "unknown loss_mode 'hinge'"),
     "non-finite-logits": (lambda: _loss_and_grad(eg.CATEGORICAL, bad=np.inf), ValidationError, "non-finite logits"),
+    "labels-length": (lambda: eg.train(*_model_and_graph(), small_graph().labels[:5], np.ones(6, bool),
+                                       eg.TrainConfig()),
+                      ValidationError, "labels of shape (5,) for 6 logit rows"),
     "expand-negative": (lambda: eg.expand_output_layer(_model_and_graph()[0], -1, 0),
                         ValidationError, "cannot expand by a negative count"),
 }
