@@ -209,12 +209,22 @@ def run_sequences(
     return reports, models
 
 
+def _task_error(t: int, exc: Exception) -> RunError:
+    """The RunError of task ``t`` for ``exc``, a package error or a MemoryError."""
+    message = str(exc)
+    if isinstance(exc, MemoryError):
+        message = f"out of memory: {message}" if message else "out of memory"
+    return RunError(t, message)
+
+
 def _run_batch(g, cfgs, seeds, tasks, label_mask):
     """:func:`run_sequences` for one batch of seeds: the reports per config and seed, and the models.
 
     The seeds still training are always a prefix of ``seeds``: when one
     fails, it and every seed after it leave the batch, since the error of
-    an earlier seed, if any, takes precedence over theirs.
+    an earlier seed, if any, takes precedence over theirs.  A MemoryError
+    while a task trains or scores fails like a package error, naming the
+    task.
     """
     cfg = cfgs[0]
     detect = any(c.detector is not None for c in cfgs)
@@ -260,9 +270,9 @@ def _run_batch(g, cfgs, seeds, tasks, label_mask):
                 models, train_g, y_units_train, train_sel,
                 [cfg.train_config(_derive_seed(s, task.t, 2)) for s in seeds],
             )
-        except EvographError as exc:
+        except (EvographError, MemoryError) as exc:
             # every seed still training meets this error, the first one too
-            raise RunError(task.t, str(exc)) from exc
+            raise _task_error(task.t, exc) from exc
 
         y_true = eval_g.labels[task.test_mask]
         order_arr = np.asarray(known_order, dtype=np.int64)
@@ -275,8 +285,8 @@ def _run_batch(g, cfgs, seeds, tasks, label_mask):
                 if detect:
                     train_probs = sigmoid(_scoring_logits(model, train_g, cfg.epochs))
                     sd = class_sd(train_probs, y_units_train, train_sel)
-            except EvographError as exc:
-                failure = RunError(task.t, str(exc))
+            except (EvographError, MemoryError) as exc:
+                failure = _task_error(task.t, exc)
                 trained = trained[:j]
                 break
             pred_ids = order_arr[np.argmax(test_logits, axis=1)]

@@ -16,9 +16,12 @@ parameter buffer, one flat row per model (the working models' layers, which
 ``on_epoch`` receives, are views into it), the gradient rows, the hidden
 layer, the dropout mask, the loss kernel's buffers and, for sage, ``H @
 W_n`` on the output columns, all float32, as are the Adam state, the cached
-layer-0 input and ``P`` it reads.  Only the dropout draw is float64: each
-model's generator fills its float64 slice and the mask is taken from it, so
-the masks are those of a float64 draw.  ``train`` returns the trained
+layer-0 input and ``P`` it reads: no pass of an epoch runs in float64.
+Each model's dropout mask is read straight off its generator's raw 64-bit
+PCG64 words, as little-endian 16-bit lanes in row-major ``(n, h)`` order: a
+unit is kept iff its lane is >= ``round(rate * 2**16)``, so with
+probability exactly ``1 - rate`` at rate 0.5 and within ``2**-17`` of it at
+any other rate.  ``train`` returns the trained
 parameters cast back to float64, exactly, so a trained model is
 float32-exact and its checkpoint round-trips it without loss.  Mixed
 precision in this sense (Micikevicius et al., *Mixed Precision Training*,
@@ -33,7 +36,7 @@ last layer's bias gradient is ``ones(n) @ dZ``.  Dropout and the loss
 gradient multiply by precomputed scales.  The backward pass masks the
 hidden gradient wherever the activation is positive: after relu and
 inverted dropout, that is exactly where the pre-activation was positive and
-the draw kept the unit.  The loss
+the mask kept the unit.  The loss
 *value* is computed only where it is read: with ``on_epoch``, and in
 :func:`loss_and_grad` and :func:`loss_from_logits`.
 Dropout fires only inside ``train``, with masks drawn from a generator per
@@ -319,10 +322,10 @@ class _Forward:
             np.matmul(self.H_in, self.Wb0, out=H)
             np.maximum(H, 0.0, out=H)
             if self.dropped:
-                for rng, model_draw in zip(rngs, self.draw):
-                    rng.random(out=model_draw)
-                drop = np.greater_equal(self.draw, self.model.dropout_rate, out=self.drop)
-                H *= drop
+                for rng, row in zip(rngs, self.drop.reshape(len(rngs), -1)):
+                    lanes = rng.bit_generator.random_raw(-(-row.size // 4)).astype("<u8", copy=False).view("<u2")
+                    np.greater_equal(lanes[: row.size], self.cut, out=row)
+                H *= self.drop
                 H *= self.scale
         np.matmul(self.H1, self.W_s, out=self.logits_by_model)
         if self.prop is not None:
@@ -349,10 +352,15 @@ class _Workspace(_Forward):
     ``dH = dZ @ W_s.T + Q @ W_n.T``.
     The backward mask is ``H > 0``: ``H`` is ``relu(pre) * drop * scale``
     with ``scale = 1 / (1 - rate) >= 1``, so it is positive exactly where
-    ``pre`` is and the draw kept the unit.  Each model's generator draws
-    float64 uniforms into its slice of ``draw``, whatever the dtype, so its
-    masks do not depend on it; the ``drop`` buffer takes the mask as 0.0/1.0
-    floats: a float multiply is about three times cheaper than a boolean one.
+    ``pre`` is and the mask kept the unit.  Each epoch, model s's generator
+    gives ``ceil(n * h / 4)`` raw 64-bit words, read as little-endian
+    16-bit lanes; the first ``n * h`` of them, row-major, are compared with
+    ``cut = round(rate * 2**16)`` into its slice of ``drop``.
+    The masks thus do not depend on the dtype, and the lanes are the one
+    transient buffer, ``2 * n * h`` bytes per model.  A rate above ``1 -
+    2**-17`` gives ``cut = 65536``, which no lane reaches.  ``drop`` takes
+    the mask as 0.0/1.0 floats: a float multiply is about three times
+    cheaper than a boolean one.
     The loss kernel writes the gradient into ``dlogits``, ``exp(-|z|)``
     (bce) or the shifted logits (categorical) into ``work``, and the
     categorical row max and row sums into ``rows``.
@@ -373,8 +381,8 @@ class _Workspace(_Forward):
         d = self.H1.shape[-1]
         self.gW_s, self.gW_n, self.H1_T = gW[:, :d], gW[:, d:], self.H1.swapaxes(-1, -2)
         if model.kind != "sgc":
-            self.draw = np.empty(self.H.shape)
             self.drop, self.dH = np.empty_like(self.H), np.empty_like(self.H)
+            self.cut = round(model.dropout_rate * 2**16)
             self.ones, self.scale = np.ones(len(self.H_in), dtype), 1.0 / (1.0 - model.dropout_rate)
             self.W_s_T, self.W_n_T = self.W_s.swapaxes(1, 2), self.W_n.swapaxes(1, 2)
 
@@ -589,15 +597,15 @@ def train(
     of one kind, settings and shapes, with configs that differ only in
     ``seed``, trained in one epoch loop on the one graph, labels and mask.
     Each model then gets the bits it gets when trained alone: its own
-    dropout generator, seeded by its config, draws into its own slice of
-    the dropout buffer, and one Adam update runs over all their flat
+    dropout generator, seeded by its config, fills its own slice of the
+    dropout mask, and one Adam update runs over all their flat
     parameters, an elementwise rule.  The list form returns a list in the
     same order.  A stack with a layer of width 1 (one output unit, one
     hidden unit, one input column) trains one model at a time: such a
     product runs in a BLAS vector kernel, whose bits depend on where the
     vector lies in the stack.
 
-    The epochs run in float32, with float64 dropout draws; the returned
+    The epochs run in float32, dropout masks included; the returned
     models hold the trained float32 parameters as float64.
 
     ``on_epoch``, if given, is called as ``on_epoch(epoch, loss, model)``

@@ -2,7 +2,7 @@
 
 These are the earlier ``models`` kernels, kept as the oracle the tests hold
 :func:`evograph.train`, :func:`evograph.forward` and :func:`evograph.sigmoid`
-to, bit for bit: a two-branch sigmoid, float dropout masks, the loss
+to, bit for bit: a two-branch sigmoid, dropout masks unpacked by shifts, the loss
 gathered and scattered through the row index even when the mask covers every
 row, and Adam run per parameter array on a list-of-pairs state.  They run
 the arithmetic in the order ``models`` does:
@@ -25,7 +25,8 @@ The kernels run in the dtype of their inputs, and ``train`` in the ``dtype``
 it is given: float32 is the precision of :func:`evograph.train`'s epochs,
 float64 that of :func:`evograph.forward` and :func:`evograph.loss_and_grad`.
 Layer 0's input and ``P`` are built in float64 and cast, the loss targets
-are cast, and the dropout masks come from float64 draws, as in ``models``.
+are cast, and the dropout masks come from 16-bit lanes of the raw PCG64
+words, as in ``models``.
 ``train`` returns float64 layers, as :func:`evograph.train` does.
 
 With ``folded=False`` the kernels run the order before the bias fold: ``H_in
@@ -93,7 +94,16 @@ def sigmoid(z, dtype=np.float64) -> np.ndarray:
 
 
 def _dropout_mask(rng, shape, rate: float, dtype) -> np.ndarray:
-    return (rng.random(shape) >= rate).astype(dtype)
+    """Keep a unit iff its 16-bit lane is >= ``round(rate * 2**16)``.
+
+    The lanes are cut from ``ceil(size / 4)`` raw 64-bit words of ``rng``'s
+    bit generator by shifts, four per word, low bits first, and the first
+    ``size`` of them fill ``shape`` row-major.
+    """
+    size = int(np.prod(shape))
+    words = rng.bit_generator.random_raw(-(-size // 4))
+    lanes = (words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)
+    return (lanes.ravel()[:size].reshape(shape) >= round(rate * 2**16)).astype(dtype)
 
 
 def _with_ones(H_in) -> np.ndarray:

@@ -622,8 +622,9 @@ class TestRun:
     @pytest.mark.parametrize(
         "overrides, route",
         [
-            # float32 training logits overflow: seed 1 at task 5, seed 3 at task 4, seed 0 at task 6
-            ({"epochs": "2", "learning_rate": "1.28e18"}, "at epoch"),
+            # float32 training logits overflow: seeds 1, 2 and 3 at task 1, seed 0 at task 2
+            # (learning rates 2.42e18 to 2.7e18 do the same)
+            ({"epochs": "2", "learning_rate": "2.56e18"}, "at epoch"),
             # a weighted-bce gradient times the learning rate passes float32's range, so the one
             # update leaves a parameter inf: seeds 1 and 2 at task 1, seed 0 at task 4
             ({"epochs": "1", "learning_rate": "2.5e38", "loss_mode": "weighted-bce", "hidden_dim": "4",
@@ -653,9 +654,10 @@ class TestRun:
         assert not (out / "manifest.json").exists()
 
     def test_later_seed_failing_after_the_first_finishes_is_raised(self, dataset, tmp_path, capsys):
-        # float32 training logits overflow for seed 1 at task 5; seed 0 finishes every task
-        # (learning rates 1.85e18 to 2.15e18 do the same)
-        cfg = write_config(tmp_path / "c.cfg", dataset, epochs="1", learning_rate="2e18")
+        # float32 training logits overflow for seed 1 at task 6; seed 0 finishes every task
+        # (learning rates 1.04e18 to 1.36e18 do the same, seed 1 failing at task 6 or 5; at one
+        # epoch no learning rate from 1.2e18 to 3.1e18 lets seed 0 finish while seed 1 fails)
+        cfg = write_config(tmp_path / "c.cfg", dataset, epochs="2", learning_rate="1.2e18")
         spec = parse_config_text(cfg.read_text())
         g = eg.load_dataset(dataset)
         eg.run_sequence(g, spec.experiment, seed=0)
@@ -670,6 +672,25 @@ class TestRun:
             assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"]) == 1
             assert capsys.readouterr().err == f"error: {alone.value}\n"
             assert not out.exists()
+
+    def test_memory_error_names_its_task(self, dataset, tmp_path, monkeypatch, capsys):
+        # the one train call of the two seeds' second task runs out of memory
+        calls, real_train = [], eg.lifelong.train
+
+        def short_of_memory(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (2, 2**61)")
+            return real_train(*args)
+
+        monkeypatch.setattr(eg.lifelong, "train", short_of_memory)
+        cfg = write_config(tmp_path / "c.cfg", dataset, epochs="1")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", "1", "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: task 2: out of memory: Unable to allocate 8.00 EiB for an array with shape (2, 2**61)\n"
+        )
+        assert not out.exists()
 
     def test_dead_worker_names_the_seeds_without_a_result(self, dataset, tmp_path, monkeypatch, capfd):
         # the worker of chunk [2, 3] dies as if killed; chunk [0, 1] may be done by then or not

@@ -4,7 +4,8 @@ Each row transforms SEQ_BENCH in a way the method must not see and requires the
 transformed run's ``to_jsonl()`` to be byte-identical to the original's:
 
 * affine time -- every timestamp mapped to ``7 * t + 10**12``, with ``history_size``
-  (in time units) scaled by 7;
+  (in time units) scaled by 7; on DET_BENCH too, whose ~320-row windows are those of
+  the benchmark's ``det-gdoc`` workload;
 * relabelling -- a random vertex permutation, edges, times, features and labels carried
   along.  Only at dropout 0: the masks are drawn in window row order, and windows are
   sorted by vertex id, so a permutation reorders them;
@@ -23,7 +24,7 @@ import evograph as eg
 from conftest import csv_features, text_copy
 from evograph.cli import main
 from evograph.graph import start_timestamp
-from test_acceptance import SEQ_BENCH
+from test_acceptance import DET_BENCH, SEQ_BENCH
 
 SEED = 3
 GDOC_RR = eg.DetectorConfig(variant="gdoc", use_risk_reduction=True)
@@ -32,6 +33,11 @@ GDOC_RR = eg.DetectorConfig(variant="gdoc", use_risk_reduction=True)
 @pytest.fixture(scope="module")
 def graph():
     return eg.generate(SEQ_BENCH)
+
+
+@pytest.fixture(scope="module")
+def det_graph():
+    return eg.generate(DET_BENCH)
 
 
 def report(g, **cfg):
@@ -46,15 +52,29 @@ def relabelled(g, seed=0):
     return eg.TemporalGraph(g.num_vertices, perm[g.edges], time, features, labels, g.num_classes)
 
 
-@pytest.mark.parametrize("history", [1, 3, eg.FULL], ids=["history-1", "history-3", "full"])
-@pytest.mark.parametrize("model, detector", [("mlp", None), ("sgc", None), ("sage", GDOC_RR)],
-                         ids=["mlp", "sgc", "sage-gdoc"])
-def test_affine_time(graph, model, detector, history):
-    moved = eg.TemporalGraph(graph.num_vertices, graph.edges, 7 * graph.time + 10**12, graph.features,
-                             graph.labels, graph.num_classes)
+def assert_affine_time(g, model, detector, history):
+    moved = eg.TemporalGraph(g.num_vertices, g.edges, 7 * g.time + 10**12, g.features, g.labels,
+                             g.num_classes)
     cfg = dict(model=model, detector=detector, epochs=20, dropout_rate=0.5)
     scaled = history if history is eg.FULL else 7 * history
-    assert report(moved, history_size=scaled, **cfg) == report(graph, history_size=history, **cfg)
+    assert report(moved, history_size=scaled, **cfg) == report(g, history_size=history, **cfg)
+
+
+HISTORIES = pytest.mark.parametrize("history", [1, 3, eg.FULL], ids=["history-1", "history-3", "full"])
+KINDS = pytest.mark.parametrize("model, detector", [("mlp", None), ("sgc", None), ("sage", GDOC_RR)],
+                                ids=["mlp", "sgc", "sage-gdoc"])
+
+
+@HISTORIES
+@KINDS
+def test_affine_time(graph, model, detector, history):
+    assert_affine_time(graph, model, detector, history)
+
+
+@HISTORIES
+@KINDS
+def test_affine_time_on_det_bench(det_graph, model, detector, history):
+    assert_affine_time(det_graph, model, detector, history)
 
 
 @pytest.mark.parametrize("detector", [None, GDOC_RR], ids=["plain", "gdoc"])

@@ -306,6 +306,23 @@ class TestRunSequence:
         with pytest.raises(RunError, match=r"^task 1: non-finite logits after epoch 1$"):
             eg.run_sequence(g, cfg, seed=0)
 
+    @pytest.mark.parametrize("phase", ["train", "_scoring_logits"])
+    def test_memory_error_names_its_task(self, monkeypatch, phase):
+        # the second call of the phase, at task 2, runs out of memory
+        calls, real = [], getattr(eg.lifelong, phase)
+
+        def short_of_memory(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError()
+            return real(*args)
+
+        monkeypatch.setattr(eg.lifelong, phase, short_of_memory)
+        cfg = eg.ExperimentConfig(model="mlp", epochs=1)
+        with pytest.raises(RunError, match=r"^task 2: out of memory$") as exc:
+            eg.run_sequence(schedule_graph(seed=1), cfg, seed=0)
+        assert exc.value.task_index == 2
+
     def test_run_error_round_trips_through_pickle(self):
         # a process pool sends a failed seed's RunError back pickled
         err = pickle.loads(pickle.dumps(RunError(3, "x")))
@@ -481,21 +498,23 @@ class TestSeedBatches:
 
     def test_first_seed_error_wins_over_a_later_seed_failing_earlier(self):
         g = schedule_graph(seed=1)
-        # train's float32 epochs overflow near lr 1e18: seed 0 fails at task 4, seed 1 at task 2
-        cfg = eg.ExperimentConfig(model="mlp", epochs=4, learning_rate=1.4e18, history_size=2)
-        alone = []
+        # train's float32 epochs overflow near lr 2e18: seed 1 fails at task 5, seed 0 at task 2
+        # (learning rates 1.6e18 to 2.04e18 do the same); at no learning rate from 3e17 to 2.44e18
+        # does seed 1 fail at an earlier task than seed 0, so seed 1 leads the batch here
+        cfg = eg.ExperimentConfig(model="mlp", epochs=4, learning_rate=2e18, history_size=2)
+        alone = {}
         for s in (0, 1):
             with pytest.raises(RunError) as exc:
                 eg.run_sequence(g, cfg, seed=s)
-            alone.append(exc.value)
+            alone[s] = exc.value
         # the later seed fails at an earlier task
-        assert alone[1].task_index < alone[0].task_index
-        with pytest.raises(RunError) as batched:
-            eg.run_sequences(g, [cfg], [0, 1])
-        assert str(batched.value) == str(alone[0])
+        assert alone[0].task_index < alone[1].task_index
         with pytest.raises(RunError) as batched:
             eg.run_sequences(g, [cfg], [1, 0])
         assert str(batched.value) == str(alone[1])
+        with pytest.raises(RunError) as batched:
+            eg.run_sequences(g, [cfg], [0, 1])
+        assert str(batched.value) == str(alone[0])
 
     def test_gdoc_sweep_fits_the_sds_once_per_task_and_seed(self, monkeypatch):
         calls = []

@@ -212,7 +212,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
     @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
-    def test_epoch_buffers_are_float32_and_the_draw_float64(self, kind, loss_mode):
+    def test_epoch_buffers_are_float32(self, kind, loss_mode):
         g = small_graph(seed=2, n=12)
         m = eg.init_model(kind, 3, 4, 3, seed=0)
         ws = eg.models._Workspace([m], g, np.float32)
@@ -224,13 +224,11 @@ class TestWorkspace:
         ws.backward(targets, loss_mode, want_loss=True)
         arrays = {name: list(self.arrays(a)) for name, a in vars(ws).items()}
         assert {"params", "grads", "logits", "dlogits", "work", "H_in"} <= set(arrays)
-        # the caller's model, kept for its settings, and the dropout draw stay float64
-        float64 = {"model", "draw"} if kind != "sgc" else {"model"}
-        assert {name for name, a in arrays.items() if a} - float64 == {
+        # only the caller's model, kept for its settings, stays float64; no dropout buffer is float64
+        assert {name for name, a in arrays.items() if a} - {"model"} == {
             name for name, a in arrays.items() if {b.dtype for b in a} == {np.dtype(np.float32)}
         }
-        if kind != "sgc":
-            assert ws.draw.dtype == np.float64 and ws.draw.shape == ws.drop.shape
+        assert not hasattr(ws, "draw")
         if ws.prop is not None:
             assert {P.dtype for P in ws.prop} == {np.dtype(np.float32)}
 
@@ -360,21 +358,6 @@ class TestWorkspace:
         assert loss == pytest.approx(np.log(np.exp(-2.0) + np.exp(-1.0) + 1.0) / 2, rel=1e-6)
         assert np.isfinite(grad).all()
 
-    @pytest.mark.parametrize("kind", ["mlp", "sage"])
-    def test_dropout_masks_come_from_float64_draws(self, kind):
-        # each model's masks are the ones its generator gives in float64, as in float64 epochs;
-        # a float32 draw would give others
-        n, h, rate = 12, 4, 0.3
-        g = small_graph(seed=2, n=n)
-        models = [eg.init_model(kind, 3, h, 3, seed=s, dropout_rate=rate) for s in range(2)]
-        ws = eg.models._Workspace(models, g, np.float32)
-        rngs, oracles = ([np.random.default_rng(s) for s in (5, 9)] for _ in range(2))
-        for _ in range(3):
-            ws.forward(rngs)
-            for drop, oracle in zip(ws.drop, oracles):
-                assert drop.dtype == np.float32
-                assert np.array_equal(drop, oracle.random((n, h)) >= rate)
-
     def test_sage_holds_no_concatenated_hidden_layer(self):
         # layer 1 runs as H @ W_s + P @ (H @ W_n): nothing is (n, 2h) wide, in either pass
         g = small_graph(seed=2, n=12)
@@ -387,6 +370,61 @@ class TestWorkspace:
         shapes = [a.shape for a in self.arrays(list(vars(ws).values()))]
         assert (1, 12, 4) in shapes and (12, 1, 3) in shapes
         assert not [s for s in shapes if len(s) >= 2 and s[-1] == 2 * m.hidden_dim]
+
+
+class TestDropoutMasks:
+    """Each epoch, model s keeps unit (i, j) iff lane ``i * h + j`` of its raw PCG64 words is >= round(rate * 2**16)."""
+
+    @staticmethod
+    def oracle(seed, n, h, cut):
+        """Per epoch, the (n, h) keep mask of ``PCG64(seed)``: its words cut into 16-bit lanes, low bits first."""
+        bits = np.random.PCG64(seed)
+        while True:
+            words = [int(w) for w in bits.random_raw(-(-n * h // 4))]
+            lanes = [(w >> shift) & 0xFFFF for w in words for shift in (0, 16, 32, 48)]
+            yield np.array(lanes[: n * h]).reshape(n, h) >= cut
+
+    @pytest.mark.parametrize("kind", ["mlp", "sage"])
+    @pytest.mark.parametrize(
+        "rate, cut",
+        # 0.3 * 2**16 = 19660.8; a rate above 1 - 2**-17 rounds to 2**16, which no uint16 lane reaches
+        [(0.5, 32768), (0.3, 19661), (1 - 2**-18, 65536), (2**-18, 0)],
+    )
+    @pytest.mark.parametrize("n, h", [(12, 4), (7, 3)], ids=["n*h=48", "n*h=21"])
+    def test_masks_equal_the_lane_oracle_per_model(self, kind, rate, cut, n, h):
+        # 21 units take 6 words; their last 3 lanes are read by no unit
+        g = small_graph(seed=2, n=n)
+        models = [eg.init_model(kind, 3, h, 3, seed=s, dropout_rate=rate) for s in range(2)]
+        ws = eg.models._Workspace(models, g, np.float32)
+        assert ws.cut == cut and type(ws.cut) is int
+        rngs, oracles = [np.random.default_rng(s) for s in (5, 9)], [self.oracle(s, n, h, cut) for s in (5, 9)]
+        for _ in range(3):
+            ws.forward(rngs)
+            assert ws.drop.dtype == np.float32
+            for drop, oracle in zip(ws.drop, oracles):
+                assert np.array_equal(drop, next(oracle))
+        if cut == 65536:
+            assert not ws.drop.any() and not ws.H.any()
+        if cut == 0:
+            assert ws.drop.all()
+
+    @pytest.mark.parametrize("rate", [0.5, 0.3])
+    def test_keep_rate(self, rate):
+        # 4 epochs of a 2048 x 128 hidden layer: N = 2**20 units, each kept with probability
+        # p = 1 - cut / 2**16, within 2**-17 of 1 - rate; the count lies within 6 binomial
+        # standard deviations of N p, which a fair stream misses with probability below 2e-9
+        n, h, epochs = 2048, 128, 4
+        zeros = np.zeros(n, np.int64)
+        g = eg.TemporalGraph(n, np.empty((0, 2), np.int64), zeros, np.ones((n, 3)), zeros, 3)
+        ws = eg.models._Workspace([eg.init_model("mlp", 3, h, 3, seed=0, dropout_rate=rate)], g, np.float32)
+        p = 1 - ws.cut / 2**16
+        assert abs(p - (1 - rate)) <= 2**-17
+        rngs, kept = [np.random.default_rng(7)], 0
+        for _ in range(epochs):
+            ws.forward(rngs)
+            kept += int(ws.drop.sum(dtype=np.int64))
+        N = epochs * n * h
+        assert abs(kept - N * p) < 6 * np.sqrt(N * p * (1 - p))
 
 
 class TestGraphInputs:
