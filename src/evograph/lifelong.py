@@ -117,6 +117,8 @@ def label_rate_subsample(g: TemporalGraph, rate: float, seed: int) -> np.ndarray
     """
     if not 0 < rate <= 1:
         raise ConfigError(f"label rate {rate} outside (0, 1]")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     labeled_ids = np.nonzero(g.labels != UNLABELED)[0]
     k = int(np.floor(rate * labeled_ids.size + 0.5))
     mask = np.zeros(g.num_vertices, dtype=bool)
@@ -182,9 +184,9 @@ def run_sequences(
     :func:`run_sequence` gives that config and seed alone, and ``models[j]``
     is that seed's final model.
 
-    A seed that fails leaves the seeds before it in its batch to finish;
-    then the RunError of the first seed, in order, that failed is raised:
-    the one a run of the seeds one after another would raise.
+    A batch of several seeds that raises RunError runs again one seed at a
+    time, so the error raised is that of the first seed, in order, that
+    fails alone: the one a run of the seeds one after another raises.
     """
     if not cfgs:
         raise ConfigError("need at least one config")
@@ -202,10 +204,17 @@ def run_sequences(
     size = max(1, _BATCH_ENTRIES // max(1, largest * (cfg.hidden_dim + g.num_classes)))
     reports, models = [[] for _ in cfgs], []
     for lo in range(0, len(seeds), size):
-        batch_reports, batch_models = _run_batch(g, cfgs, seeds[lo : lo + size], tasks, label_mask)
-        for out, batch in zip(reports, batch_reports):
-            out.extend(batch)
-        models.extend(batch_models)
+        batch = seeds[lo : lo + size]
+        try:
+            runs = [_run_batch(g, cfgs, batch, tasks, label_mask)]
+        except RunError:
+            if len(batch) == 1:
+                raise
+            runs = [_run_batch(g, cfgs, [s], tasks, label_mask) for s in batch]
+        for batch_reports, batch_models in runs:
+            for out, per_seed in zip(reports, batch_reports):
+                out.extend(per_seed)
+            models.extend(batch_models)
     return reports, models
 
 
@@ -220,18 +229,14 @@ def _task_error(t: int, exc: Exception) -> RunError:
 def _run_batch(g, cfgs, seeds, tasks, label_mask):
     """:func:`run_sequences` for one batch of seeds: the reports per config and seed, and the models.
 
-    The seeds still training are always a prefix of ``seeds``: when one
-    fails, it and every seed after it leave the batch, since the error of
-    an earlier seed, if any, takes precedence over theirs.  A MemoryError
-    while a task trains or scores fails like a package error, naming the
-    task.
+    A package error or a MemoryError while a task's window is built, trains
+    or is scored raises the RunError naming the task.
     """
     cfg = cfgs[0]
     detect = any(c.detector is not None for c in cfgs)
     known_order: list[int] = []
     models: Optional[list] = None
     reports = [[MetricsReport() for _ in seeds] for _ in cfgs]
-    failure: Optional[RunError] = None
 
     # task t's eval graph, with its cached inputs, is task t+1's train graph
     eval_g = induced_subgraph(g, tasks[0].train_vertices)
@@ -266,62 +271,49 @@ def _run_batch(g, cfgs, seeds, tasks, label_mask):
                 ]
 
             y_units_train = _unit_labels(train_g.labels, known_order)
-            trained = train(
+            models = train(
                 models, train_g, y_units_train, train_sel,
                 [cfg.train_config(_derive_seed(s, task.t, 2)) for s in seeds],
             )
-        except (EvographError, MemoryError) as exc:
-            # every seed still training meets this error, the first one too
-            raise _task_error(task.t, exc) from exc
 
-        y_true = eval_g.labels[task.test_mask]
-        order_arr = np.asarray(known_order, dtype=np.int64)
-        truly_unseen = ~np.isin(y_true, order_arr)
-        for j, model in enumerate(trained):
-            try:
-                if isinstance(model, EvographError):
-                    raise model
+            y_true = eval_g.labels[task.test_mask]
+            order_arr = np.asarray(known_order, dtype=np.int64)
+            truly_unseen = ~np.isin(y_true, order_arr)
+            for j, model in enumerate(models):
                 test_logits = _scoring_logits(model, eval_g, cfg.epochs)[task.test_mask]
                 if detect:
                     train_probs = sigmoid(_scoring_logits(model, train_g, cfg.epochs))
                     sd = class_sd(train_probs, y_units_train, train_sel)
-            except (EvographError, MemoryError) as exc:
-                failure = _task_error(task.t, exc)
-                trained = trained[:j]
-                break
-            pred_ids = order_arr[np.argmax(test_logits, axis=1)]
-            accuracy = float(np.mean(pred_ids == y_true))
-            for c, per_seed in zip(cfgs, reports):
-                event = {
-                    "t": task.t,
-                    "time": task.time,
-                    "output_dim": model.output_dim,
-                    "new_classes": list(new_classes),
-                    "known_classes": list(known_order),
-                }
-                open_ids = pred_ids
-                if c.detector is not None:
-                    thresholds = thresholds_from_sd(sd, c.detector)
-                    open_units = predict_open(test_logits, thresholds)
-                    open_ids = np.where(open_units == UNSEEN, UNSEEN, order_arr[open_units])
-                    event["thresholds"] = thresholds.tau.tolist()
-                    event["sd"] = sd.tolist() if c.detector.use_risk_reduction else None
-                said_unseen = open_ids == UNSEEN
-                per_seed[j].records.append(TaskRecord(
-                    t=task.t,
-                    accuracy=accuracy,
-                    tp=int(np.sum(said_unseen & truly_unseen)),
-                    tn=int(np.sum(~said_unseen & ~truly_unseen)),
-                    fp=int(np.sum(said_unseen & ~truly_unseen)),
-                    fn=int(np.sum(~said_unseen & truly_unseen)),
-                    open_f1=open_macro_f1(y_true, open_ids, set(known_order)),
-                ))
-                per_seed[j].events.append(event)
-        if not trained:
-            raise failure
-        seeds, models = seeds[: len(trained)], trained
-    if failure is not None:
-        raise failure
+                pred_ids = order_arr[np.argmax(test_logits, axis=1)]
+                accuracy = float(np.mean(pred_ids == y_true))
+                for c, per_seed in zip(cfgs, reports):
+                    event = {
+                        "t": task.t,
+                        "time": task.time,
+                        "output_dim": model.output_dim,
+                        "new_classes": list(new_classes),
+                        "known_classes": list(known_order),
+                    }
+                    open_ids = pred_ids
+                    if c.detector is not None:
+                        thresholds = thresholds_from_sd(sd, c.detector)
+                        open_units = predict_open(test_logits, thresholds)
+                        open_ids = np.where(open_units == UNSEEN, UNSEEN, order_arr[open_units])
+                        event["thresholds"] = thresholds.tau.tolist()
+                        event["sd"] = sd.tolist() if c.detector.use_risk_reduction else None
+                    said_unseen = open_ids == UNSEEN
+                    per_seed[j].records.append(TaskRecord(
+                        t=task.t,
+                        accuracy=accuracy,
+                        tp=int(np.sum(said_unseen & truly_unseen)),
+                        tn=int(np.sum(~said_unseen & ~truly_unseen)),
+                        fp=int(np.sum(said_unseen & ~truly_unseen)),
+                        fn=int(np.sum(~said_unseen & truly_unseen)),
+                        open_f1=open_macro_f1(y_true, open_ids, set(known_order)),
+                    ))
+                    per_seed[j].events.append(event)
+        except (EvographError, MemoryError) as exc:
+            raise _task_error(task.t, exc) from exc
     return reports, models
 
 

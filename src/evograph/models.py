@@ -108,6 +108,7 @@ class TrainConfig:
             raise ValidationError("weight_decay must be finite and >= 0")
         if self.loss_mode not in LOSS_MODES:
             raise ValidationError(f"unknown loss_mode {self.loss_mode!r}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -136,6 +137,12 @@ class ModelState:
         return replace(self, layers=[(w.copy(), b.copy()) for w, b in self.layers])
 
 
+def _check_seed(seed: int) -> None:
+    """A seed is a non-negative integer, as numpy's generators take it."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 def check_model_settings(sgc_k: int, dropout_rate: float) -> None:
     """The ranges of a model's settings, for a config and a checkpoint alike."""
     if sgc_k < 0:
@@ -148,6 +155,7 @@ def glorot_init(fan_in: int, fan_out: int, seed: int) -> np.ndarray:
     """Uniform Glorot matrix in [-sqrt(6/(fan_in+fan_out)), +...], seeded."""
     if fan_in < 1 or fan_out < 1:
         raise ValidationError("fan_in and fan_out must be >= 1")
+    _check_seed(seed)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     rng = np.random.default_rng(seed)
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -176,6 +184,7 @@ def init_model(
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}")
     check_model_settings(sgc_k, dropout_rate)
+    _check_seed(seed)
     shapes = _layer_shapes(kind, input_dim, hidden_dim, output_dim)
     layer_seeds = np.random.default_rng(seed).integers(0, 2**31 - 1, size=len(shapes))
     layers = [
@@ -614,11 +623,9 @@ def train(
     views into the flat parameter buffer: read it during the call, do not
     keep it.
     Only the single form takes ``on_epoch``; without it no loss value is
-    computed.  Logits that turn non-finite raise ValidationError naming the
-    epoch; the overflows that lead there raise no RuntimeWarning, since that
-    error reports them.  In the list form that error takes the model's place
-    in the result instead, and the other models train on: no arithmetic
-    mixes two models' numbers.
+    computed.  Logits that turn non-finite, in any model of a stack, raise
+    ValidationError naming the epoch; the overflows that lead there raise no
+    RuntimeWarning, since that error reports them.
     """
     stacked = not isinstance(model, ModelState)
     models, cfgs = (list(model), list(cfg)) if stacked else ([model], [cfg])
@@ -644,24 +651,16 @@ def train(
         targets = _loss_targets(labels, train_mask, ws.logits, cfg.loss_mode)
         rngs = [np.random.default_rng(c.seed) for c in cfgs] if first.dropout_rate > 0 else None
         state = np.zeros((4,) + ws.params.shape, ws.params.dtype)
-        errors = [None] * len(models)
         for epoch in range(1, cfg.epochs + 1):
             logits = ws.forward(rngs)
             if not np.all(np.isfinite(logits)):
-                for s in np.flatnonzero(~np.isfinite(logits).all(axis=(0, 2))):
-                    errors[s] = errors[s] or ValidationError(f"non-finite logits at epoch {epoch}")
-                if None not in errors:
-                    break
+                raise ValidationError(f"non-finite logits at epoch {epoch}")
             losses = ws.backward(targets, cfg.loss_mode, on_epoch is not None)
             _adam_update(ws.params, ws.grads, state, epoch, cfg.learning_rate, cfg.weight_decay)
             if on_epoch is not None:
                 on_epoch(epoch, losses[0], ws.models[0])
     trained = [replace(m, layers=_views(row, shapes)) for m, row in zip(models, ws.params.astype(np.float64))]
-    if stacked:
-        return [m if e is None else e for m, e in zip(trained, errors)]
-    if errors[0] is not None:
-        raise errors[0]
-    return trained[0]
+    return trained if stacked else trained[0]
 
 
 def expand_output_layer(model: ModelState, l: int, seed: int) -> ModelState:
@@ -672,6 +671,7 @@ def expand_output_layer(model: ModelState, l: int, seed: int) -> ModelState:
     """
     if l < 0:
         raise ValidationError("cannot expand by a negative count")
+    _check_seed(seed)
     if l == 0:
         return model.copy()
     W, b = model.layers[-1]

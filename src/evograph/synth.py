@@ -69,6 +69,8 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if self.window_back < 0:
             raise ConfigError("window_back must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         total = self.total_classes
         if self.feature_dim < total:
             raise ConfigError(

@@ -143,6 +143,13 @@ def test_generate_bad_schedule_exit_2(tmp_path, capsys, schedule, message):
     assert not out.exists()
 
 
+def test_generate_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert main(["generate", str(out), "--seed", "-1", "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def analyze_case(name):
     """A small graph for analyze-tdiff's output pins."""
     g = eg.generate(eg.SynthConfig(
@@ -673,17 +680,27 @@ class TestRun:
             assert capsys.readouterr().err == f"error: {alone.value}\n"
             assert not out.exists()
 
-    def test_memory_error_names_its_task(self, dataset, tmp_path, monkeypatch, capsys):
-        # the one train call of the two seeds' second task runs out of memory
-        calls, real_train = [], eg.lifelong.train
+    @staticmethod
+    def short_of_memory_on_task_2(dataset, monkeypatch, batch_only):
+        """Make ``lifelong.train`` run out of memory on task 2's window: on every call, or
+        (``batch_only``) only when handed more than one model.  Returns the list of the
+        stack sizes of the calls that ran out."""
+        g = eg.load_dataset(dataset)
+        window = g.time[eg.build_task_sequence(g, 1)[1].train_vertices].tolist()
+        real_train, ran_out = eg.lifelong.train, []
 
-        def short_of_memory(*args):
-            calls.append(1)
-            if len(calls) == 2:
+        def short_of_memory(models, train_g, *args):
+            if train_g.time.tolist() == window and (len(models) > 1 or not batch_only):
+                ran_out.append(len(models))
                 raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (2, 2**61)")
-            return real_train(*args)
+            return real_train(models, train_g, *args)
 
         monkeypatch.setattr(eg.lifelong, "train", short_of_memory)
+        return ran_out
+
+    def test_memory_error_names_its_task(self, dataset, tmp_path, monkeypatch, capsys):
+        # the two seeds' batch, and then seed 0 alone, run out of memory on task 2
+        ran_out = self.short_of_memory_on_task_2(dataset, monkeypatch, batch_only=False)
         cfg = write_config(tmp_path / "c.cfg", dataset, epochs="1")
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", "1", "--quiet"]) == 1
@@ -691,6 +708,21 @@ class TestRun:
             "error: task 2: out of memory: Unable to allocate 8.00 EiB for an array with shape (2, 2**61)\n"
         )
         assert not out.exists()
+        assert ran_out == [2, 1]
+
+    def test_memory_error_of_the_batch_alone_ends_in_a_normal_run(self, dataset, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.cfg", dataset, epochs="1")
+        outs = {name: tmp_path / name for name in ("plain", "batch-oom")}
+        assert main(["run", "--config", str(cfg), "--output-dir", str(outs["plain"]), "--quiet"]) == 0
+        # the two seeds' batch runs out of memory on task 2; each seed alone fits
+        ran_out = self.short_of_memory_on_task_2(dataset, monkeypatch, batch_only=True)
+        assert main(["run", "--config", str(cfg), "--output-dir", str(outs["batch-oom"]), "--quiet"]) == 0
+        assert ran_out == [2]
+        files = sorted(p.relative_to(outs["plain"]) for p in outs["plain"].rglob("*") if p.is_file())
+        assert len(files) == 2 + 2 + 2 * 2  # reports, summary and manifest, checkpoints
+        assert files == sorted(p.relative_to(outs["batch-oom"]) for p in outs["batch-oom"].rglob("*") if p.is_file())
+        for f in files:
+            assert (outs["plain"] / f).read_bytes() == (outs["batch-oom"] / f).read_bytes()
 
     def test_dead_worker_names_the_seeds_without_a_result(self, dataset, tmp_path, monkeypatch, capfd):
         # the worker of chunk [2, 3] dies as if killed; chunk [0, 1] may be done by then or not

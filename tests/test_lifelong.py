@@ -516,6 +516,31 @@ class TestSeedBatches:
             eg.run_sequences(g, [cfg], [0, 1])
         assert str(batched.value) == str(alone[0])
 
+    def test_batch_out_of_memory_runs_each_seed_alone(self, tmp_path, monkeypatch):
+        g = schedule_graph(seed=6)
+        cfg = eg.ExperimentConfig(model="sage", epochs=12, detector=DOC_05, seeds=(0, 1, 2))
+        stacks, trained = [], []
+        real_train = eg.lifelong.train
+
+        def batch_out_of_memory(models, *args):
+            stacks.append(len(models))
+            if len(models) > 1:
+                raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (3, 2**61)")
+            trained.append(real_train(models, *args))
+            return trained[-1]
+
+        monkeypatch.setattr(eg.lifelong, "train", batch_out_of_memory)
+        (reports,), models = eg.run_sequences(g, [cfg])
+        # the batch fails at its first task, then each seed trains alone at every task
+        assert stacks == [3] + [1] * (3 * len(reports[0].records))
+        for j, s in enumerate(cfg.seeds):
+            trained.clear()
+            alone = eg.run_sequence(g, cfg, seed=s)
+            (final,) = trained[-1]
+            assert reports[j].to_jsonl() == alone.to_jsonl()
+            assert json.dumps(reports[j].events) == json.dumps(alone.events)
+            assert _params_bin(models[j], tmp_path / f"b{j}") == _params_bin(final, tmp_path / f"a{j}")
+
     def test_gdoc_sweep_fits_the_sds_once_per_task_and_seed(self, monkeypatch):
         calls = []
         real = eg.lifelong.class_sd
@@ -746,6 +771,8 @@ ARGUMENT_ERRORS = {
     "restart": (lambda: eg.ExperimentConfig(restart="lukewarm"),
                 ConfigError, "restart must be warm or cold, got 'lukewarm'"),
     "negative-seed": (lambda: eg.ExperimentConfig(seeds=(0, -1)), ConfigError, "seeds must be non-negative"),
+    "label-subsample-negative-seed": (lambda: eg.label_rate_subsample(_path_graph(), 0.5, -1),
+                                      ConfigError, "seed must be >= 0, got -1"),
     "run-sequences-no-seed": (lambda: eg.run_sequences(_path_graph(), [eg.ExperimentConfig()], []),
                               ConfigError, "need at least one seed"),
     "two-task-negative-pretrain": (lambda: eg.two_task_experiment(_path_graph(), eg.ExperimentConfig(), -1, 2),

@@ -695,20 +695,20 @@ class TestTrainStack:
         for m, cfg, got in zip(models, cfgs, stacked):
             TestReferenceOracle.assert_same_layers(got.layers, eg.train(m, g, labels, mask, cfg).layers)
 
-    def test_diverging_model_leaves_the_others_alone(self):
+    def test_diverging_model_raises_its_lone_error(self):
         g, models = self.stack("mlp", 12, 0.5)
         models[1].layers[0][0][0, 0] = 1e300
         models[1].layers[1][0][0, 0] = 1e300
         cfgs = [eg.TrainConfig(epochs=5, seed=s) for s in range(3)]
         mask = np.ones(12, bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stacked = eg.train(models, g, g.labels, mask, cfgs)
-            with pytest.raises(ValidationError) as alone:
-                eg.train(models[1], g, g.labels, mask, cfgs[1])
-        assert isinstance(stacked[1], ValidationError) and str(stacked[1]) == str(alone.value)
+        with pytest.raises(ValidationError, match="^non-finite logits at epoch") as alone:
+            eg.train(models[1], g, g.labels, mask, cfgs[1])
+        with pytest.raises(ValidationError) as stacked:
+            eg.train(models, g, g.labels, mask, cfgs)
+        assert str(stacked.value) == str(alone.value)
+        # the other two train alone without error: the stack's error is model 1's
         for s in (0, 2):
-            expected = eg.train(models[s], g, g.labels, mask, cfgs[s])
-            TestReferenceOracle.assert_same_layers(stacked[s].layers, expected.layers)
+            eg.train(models[s], g, g.labels, mask, cfgs[s])
 
     def test_stack_leaves_inputs_untouched_and_returns_one_model_per_input(self):
         g, models = self.stack("sage", 12, 0.5)
@@ -1155,6 +1155,12 @@ ARGUMENT_ERRORS = {
                       ValidationError, "labels of shape (5,) for 6 logit rows"),
     "expand-negative": (lambda: eg.expand_output_layer(_model_and_graph()[0], -1, 0),
                         ValidationError, "cannot expand by a negative count"),
+    # numpy's generators take no negative seed
+    "glorot-negative-seed": (lambda: eg.models.glorot_init(2, 3, -1), ValidationError, "seed must be >= 0, got -1"),
+    "init-negative-seed": (lambda: eg.init_model("mlp", 3, 4, 3, seed=-1), ValidationError, "seed must be >= 0, got -1"),
+    "expand-negative-seed": (lambda: eg.expand_output_layer(_model_and_graph()[0], 1, -1),
+                             ValidationError, "seed must be >= 0, got -1"),
+    "train-negative-seed": (lambda: eg.TrainConfig(seed=-1), ValidationError, "seed must be >= 0, got -1"),
 }
 
 

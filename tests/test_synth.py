@@ -251,6 +251,7 @@ ARGUMENT_ERRORS = {
     "schedule-beyond-range": (lambda: eg.SynthConfig(num_timestamps=4, new_class_schedule={4: 1}),
                               ConfigError, "new_class_schedule timestamps outside the generated range"),
     "window-back": (lambda: eg.SynthConfig(window_back=-1), ConfigError, "window_back must be >= 0"),
+    "negative-seed": (lambda: eg.SynthConfig(seed=-1), ConfigError, "seed must be >= 0, got -1"),
 }
 
 

@@ -40,7 +40,7 @@ smoke_test() {
     # same run: tabs, CRLF line ends and no-break spaces in every file for the int() and
     # float() line readers, and features.csv at 9 significant digits, which hold every
     # float32 exactly
-    local nbsp f code=0
+    local nbsp f jobs code
     nbsp=$(printf '\302\240')
     cp -r "$smoke/data" "$smoke/text"
     python -c 'import sys, numpy as np, pathlib
@@ -88,14 +88,22 @@ np.savetxt(ds / "features.csv", features, delimiter=",", fmt="%.9g")' "$smoke/te
     grep -Eq '^mlp,2,-?[0-9]+\.[0-9]{4}$' "$smoke/fwt.csv"
     test "$(wc -l < "$smoke/open.csv")" -eq 3
     grep -q '^model,history_size,restart,detector,tau_min,alpha,mcc,mcc_ci,open_f1,open_f1_ci$' "$smoke/open.csv"
-    # a diverging run through the process pool ends in exit 1 and one error line
+    # a diverging run ends in exit 1, no output directory and one error line: the same line
+    # in-process at --jobs 1 (one batch of seeds 0-2, which fails and runs again seed by seed)
+    # and through the process pool at --jobs 2
     sed 's/^epochs=2$/epochs=3/' "$smoke/run.cfg" > "$smoke/diverge.cfg"
     echo 'learning_rate=1e300' >> "$smoke/diverge.cfg"
-    evograph run --config "$smoke/diverge.cfg" --output-dir "$smoke/diverge" --jobs 2 --quiet 2> "$smoke/diverge.err" || code=$?
-    cat "$smoke/diverge.err"
-    test "$code" -eq 1
-    test "$(wc -l < "$smoke/diverge.err")" -eq 1
-    grep -Eq '^error: task 1: non-finite logits' "$smoke/diverge.err"
+    for jobs in 1 2; do
+        code=0
+        evograph run --config "$smoke/diverge.cfg" --output-dir "$smoke/diverge$jobs" --jobs "$jobs" --quiet \
+            2> "$smoke/diverge$jobs.err" || code=$?
+        cat "$smoke/diverge$jobs.err"
+        test "$code" -eq 1
+        test ! -e "$smoke/diverge$jobs"
+        test "$(wc -l < "$smoke/diverge$jobs.err")" -eq 1
+    done
+    grep -Eq '^error: task 1: non-finite logits' "$smoke/diverge1.err"
+    cmp "$smoke/diverge1.err" "$smoke/diverge2.err"
 }
 
 echo "== console script smoke test"
