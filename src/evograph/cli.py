@@ -1,6 +1,6 @@
 """Command-line entry point: analyze-tdiff, generate, run, report.
 
-Exit codes: 0 success, 1 runtime error, 2 usage or config error.
+Exit codes: 0 success, 1 runtime error, 2 usage or config error, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -271,6 +271,10 @@ def cmd_run(args) -> int:
                 raise EvographError(
                     f"seeds {','.join(map(str, lost))}: no result, a worker process ended abruptly"
                 ) from None
+            except KeyboardInterrupt:
+                # leaving the with block waits for every chunk: drop those not started
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         results = job(chunks[0])
     texts, scores, traces, models = zip(*results)
@@ -424,6 +428,9 @@ def main(argv=None) -> int:
         where = "" if exc.filename is None else f"{exc.filename}: "
         print(f"error: {where}cannot write ({exc.strerror or exc})", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

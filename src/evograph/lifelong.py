@@ -160,13 +160,6 @@ def run_sequence(g: TemporalGraph, cfg: ExperimentConfig, seed: Optional[int] = 
     return report
 
 
-# Seeds per training batch are max(1, _BATCH_ENTRIES // (|V| * (h + C))), with
-# |V| the largest training window, h the hidden width and C the graph's class
-# count.  A batch's epoch buffers are a dozen or so arrays of |V| * h or
-# |V| * C entries per seed, so this bounds them near 100 MB.
-_BATCH_ENTRIES = 1 << 20
-
-
 def run_sequences(
     g: TemporalGraph, cfgs, seeds=None
 ) -> tuple[list[list[MetricsReport]], list[ModelState]]:
@@ -176,15 +169,14 @@ def run_sequences(
     ``effective_loss_mode()``, so a single training per seed serves them
     all, and each task's argmax, accuracy and truly-unseen mask are computed
     once per seed, its detector statistic (:func:`class_sd`) too.  ``seeds``
-    defaults to ``cfgs[0].seeds``.  The seeds train in batches of
-    consecutive seeds, each batch with one :func:`train` call per task; a
-    private entries budget over the largest training window sets the batch
-    size.  Returns ``(reports, models)``: ``reports[i][j]`` is config
-    ``i``'s report, events included, for ``seeds[j]``, the one
-    :func:`run_sequence` gives that config and seed alone, and ``models[j]``
-    is that seed's final model.
+    defaults to ``cfgs[0].seeds``.  Each task trains every seed in one
+    :func:`train` call, which sets how many models one epoch pass holds.
+    Returns ``(reports, models)``: ``reports[i][j]`` is config ``i``'s
+    report, events included, for ``seeds[j]``, the one :func:`run_sequence`
+    gives that config and seed alone, and ``models[j]`` is that seed's
+    final model.
 
-    A batch of several seeds that raises RunError runs again one seed at a
+    If several seeds together raise RunError, they run again one seed at a
     time, so the error raised is that of the first seed, in order, that
     fails alone: the one a run of the seeds one after another raises.
     """
@@ -198,24 +190,18 @@ def run_sequences(
     seeds = list(cfg.seeds if seeds is None else seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"seed must be >= 0, got {min(seeds)}")
     tasks = build_task_sequence(g, cfg.history_size)
     label_mask = label_rate_subsample(g, cfg.label_rate, cfg.label_seed)
-    largest = max(task.train_vertices.size for task in tasks)
-    size = max(1, _BATCH_ENTRIES // max(1, largest * (cfg.hidden_dim + g.num_classes)))
-    reports, models = [[] for _ in cfgs], []
-    for lo in range(0, len(seeds), size):
-        batch = seeds[lo : lo + size]
-        try:
-            runs = [_run_batch(g, cfgs, batch, tasks, label_mask)]
-        except RunError:
-            if len(batch) == 1:
-                raise
-            runs = [_run_batch(g, cfgs, [s], tasks, label_mask) for s in batch]
-        for batch_reports, batch_models in runs:
-            for out, per_seed in zip(reports, batch_reports):
-                out.extend(per_seed)
-            models.extend(batch_models)
-    return reports, models
+    try:
+        return _run_batch(g, cfgs, seeds, tasks, label_mask)
+    except RunError:
+        if len(seeds) == 1:
+            raise
+    runs = [_run_batch(g, cfgs, [s], tasks, label_mask) for s in seeds]
+    reports = [[per_cfg[i][0] for per_cfg, _ in runs] for i in range(len(cfgs))]
+    return reports, [m for _, (m,) in runs]
 
 
 def _task_error(t: int, exc: Exception) -> RunError:
@@ -338,6 +324,8 @@ def two_task_experiment(
         raise ConfigError("epoch counts must be >= 0")
     if seed is None:
         seed = cfg.seeds[0]
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if g.num_vertices == 0:
         raise ValidationError("the graph has no vertices")
     final = int(g.timestamps()[-1])

@@ -90,6 +90,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# train's stack budget: on an n-row window, an epoch's buffers are a dozen or so
+# arrays of n * h or n * C entries per model, so this bounds them near 100 MB
+_STACK_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -609,10 +613,11 @@ def train(
     dropout generator, seeded by its config, fills its own slice of the
     dropout mask, and one Adam update runs over all their flat
     parameters, an elementwise rule.  The list form returns a list in the
-    same order.  A stack with a layer of width 1 (one output unit, one
-    hidden unit, one input column) trains one model at a time: such a
-    product runs in a BLAS vector kernel, whose bits depend on where the
-    vector lies in the stack.
+    same order.  A stack trains as consecutive sub-stacks of one size: 1
+    if a layer has width 1 (one output unit, one hidden unit, one input
+    column), as such a product runs in a BLAS vector kernel, whose bits
+    depend on where the vector lies in the stack; else as many models,
+    at least one, as a private entries budget allows on ``g``'s rows.
 
     The epochs run in float32, dropout masks included; the returned
     models hold the trained float32 parameters as float64.
@@ -643,8 +648,13 @@ def train(
         raise ValidationError("models trained together must share kind, settings and shapes")
     if stacked and on_epoch is not None:
         raise ValidationError("on_epoch takes a single model, not a list")
-    if len(models) > 1 and min(min(shape) for shape in shapes) < 2:
-        return [out for m, c in zip(models, cfgs) for out in train([m], g, labels, train_mask, [c])]
+    entries = g.num_vertices * (first.hidden_dim + first.output_dim)
+    size = 1 if min(min(shape) for shape in shapes) < 2 else max(1, _STACK_ENTRIES // max(1, entries))
+    if len(models) > size:
+        return [
+            out for lo in range(0, len(models), size)
+            for out in train(models[lo : lo + size], g, labels, train_mask, cfgs[lo : lo + size])
+        ]
     with np.errstate(over="ignore", invalid="ignore"):
         # a parameter beyond float32's range becomes inf here, and the first epoch reports it
         ws = _Workspace(models, g, np.float32)

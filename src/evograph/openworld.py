@@ -39,8 +39,8 @@ class DetectorConfig:
             object.__setattr__(self, "tau_min", DEFAULT_TAU_MIN[self.variant])
         if not 0 < self.tau_min <= 1:
             raise ValidationError("tau_min must be in (0, 1]")
-        if not self.alpha >= 0:
-            raise ValidationError("alpha must be >= 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ValidationError("alpha must be finite and >= 0")
 
 
 @dataclass(frozen=True)

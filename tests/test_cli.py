@@ -32,6 +32,9 @@ BAD_VALUES = {
         {"weight_decay": "inf"}, lambda: eg.ExperimentConfig(weight_decay=float("inf"))
     ),
     "alpha": ({"detector": "gdoc", "alpha": "nan"}, lambda: eg.DetectorConfig(alpha=NAN)),
+    "alpha=inf": (
+        {"detector": "gdoc", "alpha": "inf", "risk_reduction": "true"}, lambda: eg.DetectorConfig(alpha=float("inf"))
+    ),
     "sgc_k": ({"model": "sgc", "sgc_k": "-1"}, lambda: eg.ExperimentConfig(model="sgc", sgc_k=-1)),
     "label_seed": ({"label_seed": "-1"}, lambda: eg.ExperimentConfig(label_seed=-1)),
     "seeds": ({"seeds": "0,0"}, lambda: eg.ExperimentConfig(seeds=(0, 0))),
@@ -734,6 +737,25 @@ class TestRun:
                             capfd.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_interrupt_ends_in_one_line_and_exit_130(self, dataset, tmp_path, monkeypatch, capfd, jobs):
+        shutdowns = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_chunk_job", interrupt_in_chunk)
+        cfg = write_config(tmp_path / "c.cfg", dataset, seeds="0,1,2,3", epochs="1")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"]) == 130
+        assert capfd.readouterr().err == "error: interrupted\n"
+        assert not out.exists()
+        # the pool cancels the chunks not started, then leaves its with block
+        assert shutdowns == ([] if jobs == "1" else [True, False])
+
     def test_two_task_single_timestamp_exit_1(self, tmp_path, capsys):
         data = tmp_path / "one"
         assert main(["generate", str(data), "--num-timestamps", "1", "--quiet"]) == 0
@@ -750,6 +772,11 @@ def exit_in_chunk_of_seed_2(spec, g, seeds, chunk_job=cli._chunk_job):
     if 2 in seeds:
         os._exit(9)
     return chunk_job(spec, g, seeds)
+
+
+def interrupt_in_chunk(spec, g, seeds):
+    """``cli._chunk_job`` as if Ctrl-C came while it ran; top-level so a process pool can pickle it."""
+    raise KeyboardInterrupt
 
 
 @pytest.fixture(scope="module")

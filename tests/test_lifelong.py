@@ -466,35 +466,77 @@ class TestSeedBatches:
         "mlp-hidden-1": (dict(model="mlp", hidden_dim=1), [None]),
     }
 
+    @staticmethod
+    def record_stacks(monkeypatch):
+        """Record the stack size of each ``lifelong.train`` call, and ``(rows, models)`` of each epoch workspace."""
+        stacks, workspaces = [], []
+        real_train, real_workspace = eg.lifelong.train, eg.models._Workspace.__init__
+
+        def counted(models, *args):
+            stacks.append(len(models))
+            return real_train(models, *args)
+
+        def workspace(self, models, g, dtype):
+            workspaces.append((g.num_vertices, len(models)))
+            real_workspace(self, models, g, dtype)
+
+        monkeypatch.setattr(eg.lifelong, "train", counted)
+        monkeypatch.setattr(eg.models._Workspace, "__init__", workspace)
+        return stacks, workspaces
+
+    @staticmethod
+    def assert_equal_to_per_seed_runs(g, cfgs, seeds, reports, models, tmp_path):
+        assert len(models) == len(seeds) and all(len(r) == len(seeds) for r in reports)
+        for j, s in enumerate(seeds):
+            alone, (model,) = eg.run_sequences(g, cfgs, [s])
+            for per_seed, (expected,) in zip(reports, alone):
+                assert per_seed[j].to_jsonl() == expected.to_jsonl()
+                assert json.dumps(per_seed[j].events) == json.dumps(expected.events)
+            assert _params_bin(models[j], tmp_path / f"b{j}") == _params_bin(model, tmp_path / f"a{j}")
+
     @pytest.mark.parametrize("capped", [False, True], ids=["one-batch", "capped-batches"])
     @pytest.mark.parametrize("case", list(CASES))
     def test_batch_equals_per_seed_runs(self, case, capped, tmp_path, monkeypatch):
         base, detectors = self.CASES[case]
         g = schedule_graph(seed=6)
         cfgs = [eg.ExperimentConfig(epochs=12, detector=d, seeds=self.SEEDS, **base) for d in detectors]
+        tasks = eg.build_task_sequence(g, cfgs[0].history_size)
+        hidden = 0 if cfgs[0].model == "sgc" else cfgs[0].hidden_dim
+        budget = eg.models._STACK_ENTRIES
         if capped:
-            # the budget of two seeds on the largest window: batches of 2 and 1
-            largest = max(t.train_vertices.size for t in eg.build_task_sequence(g, cfgs[0].history_size))
-            budget = 2 * largest * (cfgs[0].hidden_dim + g.num_classes)
-            monkeypatch.setattr(eg.lifelong, "_BATCH_ENTRIES", budget)
-        stacks = []
-        real_train = eg.lifelong.train
-
-        def counted(models, *args):
-            stacks.append(len(models))
-            return real_train(models, *args)
-
-        monkeypatch.setattr(eg.lifelong, "train", counted)
+            # the budget of two seeds on the largest window: stacks of 2 and 1 there
+            budget = 2 * max(t.train_vertices.size for t in tasks) * (hidden + g.num_classes)
+            monkeypatch.setattr(eg.models, "_STACK_ENTRIES", budget)
+        stacks, workspaces = self.record_stacks(monkeypatch)
         reports, models = eg.run_sequences(g, cfgs)
-        n_tasks = len(reports[0][0].records)
-        assert stacks == ([2] * n_tasks + [1] * n_tasks if capped else [3] * n_tasks)
-        assert len(models) == len(self.SEEDS) and all(len(r) == len(self.SEEDS) for r in reports)
-        for j, s in enumerate(self.SEEDS):
-            alone, (model,) = eg.run_sequences(g, cfgs, [s])
-            for per_seed, (expected,) in zip(reports, alone):
-                assert per_seed[j].to_jsonl() == expected.to_jsonl()
-                assert json.dumps(per_seed[j].events) == json.dumps(expected.events)
-            assert _params_bin(models[j], tmp_path / f"b{j}") == _params_bin(model, tmp_path / f"a{j}")
+        assert stacks == [3] * len(tasks)
+        # train's one rule: stacks of 1 with a width-1 layer, else what the budget fits on the window
+        expected = []
+        for task, event in zip(tasks, reports[0][0].events):
+            n = task.train_vertices.size
+            size = 1 if hidden == 1 else max(1, budget // (n * (hidden + event["output_dim"])))
+            expected += [(n, min(size, 3 - lo)) for lo in range(0, 3, size)]
+        assert workspaces == expected
+        if capped or hidden == 1:
+            assert (max(t.train_vertices.size for t in tasks), 1) in workspaces
+        self.assert_equal_to_per_seed_runs(g, cfgs, self.SEEDS, reports, models, tmp_path)
+
+    def test_full_history_stacks_shrink_as_the_window_grows(self, tmp_path, monkeypatch):
+        g = schedule_graph(seed=6)
+        seeds = (3, 0, 7, 1)
+        cfgs = [
+            eg.ExperimentConfig(model="sage", epochs=12, loss_mode=eg.BCE, detector=d, seeds=seeds)
+            for d in (None, DOC_05)
+        ]
+        tasks = eg.build_task_sequence(g, eg.FULL)
+        first, last = tasks[0].train_vertices.size, tasks[-1].train_vertices.size
+        # the budget of two models on the last window (140 rows) fits all four on the first (40)
+        monkeypatch.setattr(eg.models, "_STACK_ENTRIES", 2 * last * (cfgs[0].hidden_dim + g.num_classes))
+        stacks, workspaces = self.record_stacks(monkeypatch)
+        reports, models = eg.run_sequences(g, cfgs)
+        assert stacks == [4] * len(tasks)
+        assert workspaces[0] == (first, 4) and workspaces[-2:] == [(last, 2)] * 2
+        self.assert_equal_to_per_seed_runs(g, cfgs, seeds, reports, models, tmp_path)
 
     def test_first_seed_error_wins_over_a_later_seed_failing_earlier(self):
         g = schedule_graph(seed=1)
@@ -773,6 +815,12 @@ ARGUMENT_ERRORS = {
     "negative-seed": (lambda: eg.ExperimentConfig(seeds=(0, -1)), ConfigError, "seeds must be non-negative"),
     "label-subsample-negative-seed": (lambda: eg.label_rate_subsample(_path_graph(), 0.5, -1),
                                       ConfigError, "seed must be >= 0, got -1"),
+    "run-sequence-negative-seed": (lambda: eg.run_sequence(_path_graph(), eg.ExperimentConfig(), seed=-1),
+                                   ConfigError, "seed must be >= 0, got -1"),
+    "run-sequences-negative-seed": (lambda: eg.run_sequences(_path_graph(), [eg.ExperimentConfig()], [0, -1]),
+                                    ConfigError, "seed must be >= 0, got -1"),
+    "two-task-negative-seed": (lambda: eg.two_task_experiment(_path_graph(), eg.ExperimentConfig(), 1, 1, seed=-1),
+                               ConfigError, "seed must be >= 0, got -1"),
     "run-sequences-no-seed": (lambda: eg.run_sequences(_path_graph(), [eg.ExperimentConfig()], []),
                               ConfigError, "need at least one seed"),
     "two-task-negative-pretrain": (lambda: eg.two_task_experiment(_path_graph(), eg.ExperimentConfig(), -1, 2),

@@ -695,6 +695,25 @@ class TestTrainStack:
         for m, cfg, got in zip(models, cfgs, stacked):
             TestReferenceOracle.assert_same_layers(got.layers, eg.train(m, g, labels, mask, cfg).layers)
 
+    def test_stack_over_the_budget_trains_as_consecutive_sub_stacks(self, monkeypatch):
+        g, models = self.stack("sage", 30, 0.5, S=5)
+        # the budget fits two models of h = 8, C = 4 on 30 rows
+        monkeypatch.setattr(eg.models, "_STACK_ENTRIES", 2 * 30 * (8 + 4) + 1)
+        sizes, real_workspace = [], eg.models._Workspace.__init__
+
+        def workspace(ws, stack, *args):
+            sizes.append(len(stack))
+            real_workspace(ws, stack, *args)
+
+        monkeypatch.setattr(eg.models._Workspace, "__init__", workspace)
+        cfgs = [eg.TrainConfig(epochs=10, loss_mode=eg.WEIGHTED_BCE, seed=s) for s in (4, 0, 8, 2, 6)]
+        mask = np.ones(30, bool)
+        stacked = eg.train(models, g, g.labels, mask, cfgs)
+        assert sizes == [2, 2, 1]
+        for m, cfg, got in zip(models, cfgs, stacked):
+            TestReferenceOracle.assert_same_layers(got.layers, eg.train(m, g, g.labels, mask, cfg).layers)
+        assert sizes == [2, 2, 1] + [1] * 5
+
     def test_diverging_model_raises_its_lone_error(self):
         g, models = self.stack("mlp", 12, 0.5)
         models[1].layers[0][0][0, 0] = 1e300

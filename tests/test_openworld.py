@@ -179,6 +179,7 @@ class TestSigmoid:
 # call, exception class, whole message
 ARGUMENT_ERRORS = {
     "variant": (lambda: eg.DetectorConfig(variant="odin"), ValidationError, "unknown detector variant 'odin'"),
+    "alpha-inf": (lambda: eg.DetectorConfig(alpha=np.inf), ValidationError, "alpha must be finite and >= 0"),
     "threshold-zero": (lambda: eg.Thresholds(np.array([0.5, 0.0])), ValidationError, "thresholds must lie in (0, 1]"),
     "threshold-nan": (lambda: eg.Thresholds(np.array([0.5, np.nan])), ValidationError, "thresholds must lie in (0, 1]"),
     "sd-outputs-above-1": (lambda: eg.openworld.class_sd(np.array([[1.5, 0.5]]), [0], [True]),

@@ -104,6 +104,16 @@ np.savetxt(ds / "features.csv", features, delimiter=",", fmt="%.9g")' "$smoke/te
     done
     grep -Eq '^error: task 1: non-finite logits' "$smoke/diverge1.err"
     cmp "$smoke/diverge1.err" "$smoke/diverge2.err"
+    # an infinite gDOC alpha is a config error (with risk reduction, a class of SD 0 would get a
+    # nan threshold): exit 2, no output directory and one line
+    printf 'detector=gdoc\nalpha=inf\nrisk_reduction=true\n' | cat "$smoke/run.cfg" - > "$smoke/alpha.cfg"
+    code=0
+    evograph run --config "$smoke/alpha.cfg" --output-dir "$smoke/alpha" --quiet 2> "$smoke/alpha.err" || code=$?
+    cat "$smoke/alpha.err"
+    test "$code" -eq 2
+    test ! -e "$smoke/alpha"
+    test "$(wc -l < "$smoke/alpha.err")" -eq 1
+    grep -q '^config error: .*alpha must be finite and >= 0$' "$smoke/alpha.err"
 }
 
 echo "== console script smoke test"
