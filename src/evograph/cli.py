@@ -79,11 +79,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _class_distribution(g, ts) -> dict:
-    sel = (g.time == ts) & (g.labels != UNLABELED)
-    labels = g.labels[sel]
-    values, counts = np.unique(labels, return_counts=True)
-    return {int(v): float(c) / labels.size for v, c in zip(values, counts)}
+def _class_shares(g, at, num_ts: int) -> list:
+    """Each timestamp's class shares of its labeled vertices, by ascending class,
+    ``{}`` where none is labeled; ``at`` holds each vertex's rank among the
+    ``num_ts`` distinct timestamps."""
+    labeled = g.labels != UNLABELED
+    # one count per (timestamp, class) pair that occurs, by timestamp, then class
+    cells, counts = np.unique(at[labeled] * g.num_classes + g.labels[labeled], return_counts=True)
+    totals = np.bincount(at[labeled], minlength=num_ts).tolist()
+    shares = [{} for _ in range(num_ts)]
+    for cell, c in zip(cells.tolist(), counts.tolist()):
+        t, y = divmod(cell, g.num_classes)
+        shares[t][y] = float(c) / totals[t]
+    return shares
 
 
 def _parse_percentiles(text: str) -> list:
@@ -104,9 +112,9 @@ def cmd_analyze(args) -> int:
     hist = k_hop_time_diffs(g, args.k)
     pct = {p: percentile(hist, p) for p in ps}
 
-    ts, sizes = np.unique(g.time, return_counts=True)
+    ts, at, sizes = np.unique(g.time, return_inverse=True, return_counts=True)
+    shares = _class_shares(g, at, ts.size)
     ts = ts.tolist()
-    shares = [_class_distribution(g, t) for t in ts]
     drift = []
     for prev, curr, p_prev, p_curr in zip(ts, ts[1:], shares, shares[1:]):
         if p_prev and p_curr:
@@ -271,10 +279,6 @@ def cmd_run(args) -> int:
                 raise EvographError(
                     f"seeds {','.join(map(str, lost))}: no result, a worker process ended abruptly"
                 ) from None
-            except KeyboardInterrupt:
-                # leaving the with block waits for every chunk: drop those not started
-                pool.shutdown(cancel_futures=True)
-                raise
     else:
         results = job(chunks[0])
     texts, scores, traces, models = zip(*results)

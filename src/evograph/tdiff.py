@@ -41,14 +41,25 @@ def k_hop_time_diffs(g: TemporalGraph, k: int) -> TimeDiffHistogram:
 
     One sparse pass over row blocks of the adjacency matrix A.  A block's
     reach is its rows of the boolean A (A + I)^(k-1) = A + A^2 + ... + A^k,
-    so a pair counts once however many paths connect it.  The reach holds the
-    diagonal (the source itself, a 0-difference) wherever a closed walk of at
-    most k edges exists; those entries are subtracted from bin 0.  Memory is
-    bounded by the block, at most max(2**23, |V|) reach entries, whose
-    differences are tallied with ``np.unique`` so that no array grows with the
-    range of the timestamps.  Differences are exact for any int64 timestamps,
-    up to 2**64 - 1.  O(|V| * b^k) work for average degree b, all of it in
-    numpy and scipy.
+    so a pair counts once however many paths connect it.  A block tallies its
+    reach entries (u, v) in one of two ways:
+
+    * a table of timestamp-rank pairs: with the block's rows at ranks
+      [a, a + span) among the T distinct timestamps, one ``np.bincount`` of
+      ``(rank(u) - a) * T + rank(v)`` into ``span * T`` cells, whose cells
+      with rank(u) >= rank(v) fold into the bins time(u) - time(v);
+    * the kept differences time(u) - time(v) >= 0 themselves, tallied by
+      ``np.unique``, when ``span * T`` exceeds the block's reach entries (as
+      when every vertex has its own timestamp).
+
+    Either tally holds at most as many counters as the block has reach
+    entries, so memory stays bounded by the block, at most max(2**23, |V|)
+    entries, and no array grows with the range of the timestamps.  The reach
+    holds the diagonal (the source itself, a 0-difference) of every
+    non-isolated vertex once k >= 2, and none at k = 1 (no self-loops); those
+    entries are subtracted from bin 0.  Differences are exact for any int64
+    timestamps, up to 2**64 - 1.  O(|V| * b^k) work for average degree b,
+    all of it in numpy and scipy.
     """
     if k < 1:
         raise ValidationError("hop bound k must be >= 1")
@@ -56,24 +67,43 @@ def k_hop_time_diffs(g: TemporalGraph, k: int) -> TimeDiffHistogram:
     # Boolean products are OR-of-ANDs, so entries mark reachability and never wrap.
     adj = g.adjacency().astype(bool)
     step = adj + sp.identity(n, dtype=bool, format="csr")
-    time = g.time
+    ts, rank = np.unique(g.time, return_inverse=True)
+    num_ts = ts.size
     rows = max(1, _BLOCK_ENTRIES // max(n, 1))
     counts: dict[int, int] = {}
     for lo in range(0, n, rows):
-        reach = adj[lo:lo + rows]
+        hi = min(lo + rows, n)
+        first, last = adj.indptr[lo], adj.indptr[hi]
+        reach = sp.csr_matrix(
+            (adj.data[first:last], adj.indices[first:last], adj.indptr[lo:hi + 1] - first), shape=(hi - lo, n)
+        )
         for _ in range(k - 1):
             reach = reach @ step
-        later = np.repeat(time[lo:lo + rows], np.diff(reach.indptr))
-        earlier = time[reach.indices]
-        # a kept difference lies in [0, 2**64 - 1], so the wrapping int64 subtraction,
-        # read as uint64, is exact
-        diffs = (later - earlier)[later >= earlier].view(np.uint64)
-        values, tally = np.unique(diffs, return_counts=True)
-        if tally.size:  # a diagonal entry is a 0-difference, so bin 0 is values[0]
-            tally[0] -= np.count_nonzero(reach.diagonal(k=lo))
+        per_row = np.diff(reach.indptr)
+        block_rank = rank[lo:hi]
+        low = int(block_rank.min())
+        span = int(block_rank.max()) - low + 1
+        if span * num_ts <= reach.nnz:
+            code = np.repeat((block_rank - low) * num_ts, per_row) + rank.take(reach.indices)
+            table = np.bincount(code, minlength=span * num_ts)
+            cells = np.flatnonzero(table)
+            later, earlier = np.divmod(cells, num_ts)
+            later += low
+            keep = later >= earlier
+            # ts[later] - ts[earlier] lies in [0, 2**64 - 1], so the wrapping int64
+            # subtraction, read as uint64, is exact
+            values = (ts[later[keep]] - ts[earlier[keep]]).view(np.uint64)
+            tally = table[cells[keep]]
+        else:
+            later = np.repeat(g.time[lo:hi], per_row)
+            earlier = g.time.take(reach.indices)
+            values, tally = np.unique((later - earlier)[later >= earlier].view(np.uint64), return_counts=True)
         for d, c in zip(values.tolist(), tally.tolist()):
-            if c:
-                counts[d] = counts.get(d, 0) + c
+            counts[d] = counts.get(d, 0) + c
+    if k >= 2 and counts:  # a non-isolated vertex reaches itself in 2 hops: no pair
+        counts[0] -= int(np.count_nonzero(np.diff(adj.indptr)))
+        if not counts[0]:
+            del counts[0]
     return TimeDiffHistogram(counts)
 
 

@@ -168,6 +168,22 @@ def analyze_case(name):
     return g
 
 
+def per_timestamp_reference(g):
+    """analyze-tdiff's per_timestamp_counts and drift, from one masked np.unique per timestamp."""
+    ts, sizes = np.unique(g.time, return_counts=True)
+    shares = []
+    for t in ts:
+        labels = g.labels[(g.time == t) & (g.labels != eg.UNLABELED)]
+        values, counts = np.unique(labels, return_counts=True)
+        shares.append({int(v): float(c) / labels.size for v, c in zip(values, counts)})
+    drift = [
+        {"from": int(a), "to": int(b), "sigma": eg.drift_magnitude(p, q)}
+        for a, b, p, q in zip(ts, ts[1:], shares, shares[1:])
+        if p and q
+    ]
+    return {str(t): int(c) for t, c in zip(ts, sizes)}, drift
+
+
 # SHA-256 of tdiff.csv and tdiff.json, for --k 2 --percentiles 10,25,50,75,90,99.5,100
 ANALYZE_PINS = {
     "synth": (
@@ -197,6 +213,25 @@ class TestAnalyze:
             hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("tdiff.csv", "tdiff.json")
         )
         assert digests == ANALYZE_PINS[name]
+
+    @pytest.mark.parametrize("name", ["partly-unlabeled", "shuffled"])
+    def test_drift_matches_per_timestamp_reference(self, tmp_path, name):
+        g = analyze_case("partly-unlabeled")
+        if name == "shuffled":
+            # timestamps across vertex ids, unlabeled vertices at every timestamp, none labeled at -4
+            rng = np.random.default_rng(11)
+            time = rng.permutation(np.repeat([-4, 0, 1, 2, 7, 30], g.num_vertices // 6))
+            labels = np.where((rng.random(g.num_vertices) < 0.3) | (time == -4), eg.UNLABELED, g.labels)
+            g = eg.TemporalGraph(g.num_vertices, g.edges, time, g.features, labels, g.num_classes)
+        eg.save_dataset(g, tmp_path / "ds")
+        out = tmp_path / "an"
+        assert main(["analyze-tdiff", str(tmp_path / "ds"), "--output-dir", str(out), "--quiet"]) == 0
+        report = json.loads((out / "tdiff.json").read_text())
+        counts, drift = per_timestamp_reference(g)
+        # as tdiff.json writes them
+        for key, expected in (("per_timestamp_counts", counts), ("drift", drift)):
+            assert json.dumps(report[key], sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert len(drift) < len(counts) - 1  # the timestamp with no labeled vertex has no drift
 
     def test_wiring_matches_library(self, dataset, tmp_path, capsys):
         out = tmp_path / "an"
@@ -753,8 +788,8 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"]) == 130
         assert capfd.readouterr().err == "error: interrupted\n"
         assert not out.exists()
-        # the pool cancels the chunks not started, then leaves its with block
-        assert shutdowns == ([] if jobs == "1" else [True, False])
+        # one worker per chunk, so no chunk waits to start: the pool only leaves its with block
+        assert shutdowns == ([] if jobs == "1" else [False])
 
     def test_two_task_single_timestamp_exit_1(self, tmp_path, capsys):
         data = tmp_path / "one"

@@ -179,6 +179,67 @@ def test_wide_timestamp_range(times, edges, expected):
     assert eg.k_hop_time_diffs(g, 1).counts == bounded_pairs_oracle(g, 1)
 
 
+class TallyCalls:
+    """``tdiff``'s numpy, counting its ``bincount`` calls (a block's table of
+    timestamp-rank pairs) and ``unique`` calls (the ranks, once per call of
+    ``k_hop_time_diffs``, and a block's tally of differences)."""
+
+    def __init__(self):
+        self.calls = {"bincount": 0, "unique": 0}
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def tally_case(name):
+    """60 vertices on a ring plus random chords, so that no vertex is isolated."""
+    rng = np.random.default_rng(7)
+    n = 60
+    edges = [(i, (i + 1) % n) for i in range(n)] + rng.integers(0, n, (60, 2)).tolist()
+    times = {
+        "few-timestamps": np.repeat([3, 5, 9], 20),
+        "one-per-vertex": 1_600_000_000 + np.sort(rng.choice(10**6, n, replace=False)),
+        # ids no longer grouped by timestamp: every block spans several groups, each cut
+        "shuffled": rng.permutation(np.repeat([3, 5, 9], 20)),
+        # differences of 2**63 and more, up to 2**64 - 1
+        "wide-range": np.repeat([INT64.min, -2**62, 0, 2**62, INT64.max], 12),
+    }[name]
+    return graph_from(times, edges)
+
+
+# case -> the tally every block takes
+TALLY_PATHS = {
+    "few-timestamps": "bincount",
+    "one-per-vertex": "unique",
+    "shuffled": "bincount",
+    "wide-range": "bincount",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(TALLY_PATHS))
+def test_block_tallies_match_oracle(monkeypatch, name, k):
+    g = tally_case(name)
+    monkeypatch.setattr(tdiff, "_BLOCK_ENTRIES", 6 * g.num_vertices)  # ten blocks of 6 rows
+    spy = TallyCalls()
+    monkeypatch.setattr(tdiff, "np", spy)
+    h = eg.k_hop_time_diffs(g, k)
+    assert h.counts == bounded_pairs_oracle(g, k)
+    assert all(type(d) is int and type(c) is int and c > 0 for d, c in h.counts.items())
+    if name == "wide-range":
+        assert 2**64 - 1 in h.counts  # the ring's edge from INT64.max back to INT64.min
+    table_blocks = 10 if TALLY_PATHS[name] == "bincount" else 0
+    assert spy.calls == {"bincount": table_blocks, "unique": 1 + 10 - table_blocks}
+
+
 class TestPercentile:
     def test_single_value(self):
         h = eg.TimeDiffHistogram({0: 6})

@@ -57,10 +57,25 @@ np.savetxt(ds / "features.csv", features, delimiter=",", fmt="%.9g")' "$smoke/te
     done
     sed -i "s/,/\t,$nbsp/g; s/^/$nbsp/; s/\$/\t\r/" "$smoke/text/features.csv"
     printf '%s\t\r\n' "$nbsp" >> "$smoke/text/features.csv"  # a line of whitespace only is skipped
+    # both datasets hold one graph: the same analysis at k = 2 (the default), 1 and 3
     evograph analyze-tdiff "$smoke/text" --output-dir "$smoke/tdiff-text" --quiet
-    for f in tdiff.csv tdiff.json; do
-        cmp "$smoke/tdiff/$f" "$smoke/tdiff-text/$f"
+    for k in 1 3; do
+        evograph analyze-tdiff "$smoke/data" --k "$k" --output-dir "$smoke/tdiff$k" --quiet
+        evograph analyze-tdiff "$smoke/text" --k "$k" --output-dir "$smoke/tdiff-text$k" --quiet
     done
+    for k in '' 1 3; do
+        for f in tdiff.csv tdiff.json; do
+            cmp "$smoke/tdiff$k/$f" "$smoke/tdiff-text$k/$f"
+        done
+    done
+    # one vertex per timestamp, densely wired: each block tallies its differences, not a table
+    # of timestamp pairs.  Timestamps are distinct, so no pair has difference 0, and edges reach
+    # at most 4 timestamps back, so none differs by more than 8 within 2 hops
+    evograph generate "$smoke/distinct" --num-timestamps 80 --vertices-per-timestamp 1 --feature-dim 4 \
+        --window-back 4 --intra-class-edge-prob 0.9 --inter-class-edge-prob 0.6 --quiet
+    evograph analyze-tdiff "$smoke/distinct" --output-dir "$smoke/tdiff-distinct" --quiet
+    cat "$smoke/tdiff-distinct/tdiff.csv"
+    test "$(sed 1d "$smoke/tdiff-distinct/tdiff.csv" | cut -d, -f1 | tr '\n' ' ')" = "1 2 3 4 5 6 7 8 "
     printf 'dataset=%s\nmodel=mlp\nhistory_size=2\nepochs=2\nseeds=0,1,2\n' "$smoke/data" > "$smoke/run.cfg"
     evograph run --config "$smoke/run.cfg" --output-dir "$smoke/run" --quiet
     sed "s|^dataset=.*|dataset=$smoke/text|" "$smoke/run.cfg" > "$smoke/text.cfg"
