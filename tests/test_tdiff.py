@@ -3,6 +3,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import evograph as eg
 from evograph import tdiff
@@ -63,6 +64,9 @@ def test_path_examples_k1_k2():
     g = graph_from([2000, 2001, 2003], [(0, 1), (1, 2)])
     assert eg.k_hop_time_diffs(g, 1).counts == {1: 1, 2: 1}
     assert eg.k_hop_time_diffs(g, 2).counts == {1: 1, 2: 1, 3: 1}
+    # a numpy integer is a hop bound too
+    assert eg.k_hop_time_diffs(g, np.int64(2)).counts == {1: 1, 2: 1, 3: 1}
+    assert eg.k_hop_time_diffs(g, np.uint8(1)).counts == {1: 1, 2: 1}
 
 
 def test_no_edges_empty_histogram():
@@ -240,6 +244,71 @@ def test_block_tallies_match_oracle(monkeypatch, name, k):
     assert spy.calls == {"bincount": table_blocks, "unique": 1 + 10 - table_blocks}
 
 
+# name -> (times, edges), besides two random graphs
+BLOCK_PRODUCT_GRAPHS = {
+    "complete": (np.arange(12) % 4, complete_graph(12)),
+    "two-hubs": (np.arange(22) % 3, two_hubs(20)),
+    "one-vertex": ([4], []),
+    "edgeless": ([7, 7, 1, 3, 7], []),
+    "path-and-isolated": ([1, 2, 3, 4, 5, 6], [(0, 1), (1, 2)]),
+    "isolated-between": ([6, 1, 3, 5, 2, 0, 4], [(1, 6), (6, 3)]),
+}
+
+
+def row_sets(indptr, indices):
+    return [sorted(indices[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:])]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@pytest.mark.parametrize("name", ["random-0", "random-1", *BLOCK_PRODUCT_GRAPHS])
+def test_block_product_matches_scipy(monkeypatch, graph_factory, name, block_rows):
+    """Each block's kernel-only product holds, row by row, the entries of the public
+    ``reach @ step``, and the kernel never writes past the path-count bound."""
+    if name.startswith("random"):
+        g = graph_factory(int(name[-1]), n_min=20, n_max=40)
+    else:
+        g = graph_from(*BLOCK_PRODUCT_GRAPHS[name])
+    n = g.num_vertices
+    if block_rows is not None:
+        monkeypatch.setattr(tdiff, "_BLOCK_ENTRIES", block_rows * n)
+    adj = g.adjacency().astype(bool)
+    step = adj + sp.identity(n, dtype=bool, format="csr")
+    s_deg = np.diff(step.indptr)
+    products, kernel_calls = [], []
+    block_reach, kernel = tdiff._block_reach, tdiff.csr_matmat
+
+    def spy_block(indptr, indices, data, step_csr, deg, hops):
+        out = block_reach(indptr, indices, data, step_csr, deg, hops)
+        products.append(((indptr, indices), out))
+        return out
+
+    def spy_kernel(rows, cols, ap, aj, ax, bp, bj, bx, cp, cj, cx):
+        assert all(a.dtype == np.int64 for a in (ap, aj, bp, bj, cp, cj))
+        kernel(rows, cols, ap, aj, ax, bp, bj, bx, cp, cj, cx)
+        kernel_calls.append((int(s_deg[aj].sum()), rows * cols, cj.size, int(cp[-1])))
+
+    monkeypatch.setattr(tdiff, "_block_reach", spy_block)
+    monkeypatch.setattr(tdiff, "csr_matmat", spy_kernel)
+    for k in (1, 2, 3, 4):
+        products.clear()
+        kernel_calls.clear()
+        assert eg.k_hop_time_diffs(g, k).counts == bounded_pairs_oracle(g, k)
+        reach = adj
+        for _ in range(k - 1):
+            reach = reach @ step
+        # the blocks are the adjacency's rows in order, and their products are reach's rows
+        assert sum((row_sets(*block) for block, _ in products), []) == row_sets(adj.indptr, adj.indices)
+        assert sum((row_sets(*out) for _, out in products), []) == row_sets(reach.indptr, reach.indices)
+        assert len(kernel_calls) == len(products) * (k - 1)
+        for paths, cells, capacity, written in kernel_calls:
+            assert capacity == min(paths, cells)
+            assert written <= capacity
+        if name == "complete" and k >= 2:
+            # every row is full after one product, with 11 * 12 paths for its 12 entries
+            assert all(cells < paths for paths, cells, _, _ in kernel_calls)
+            assert all(written == capacity for _, _, capacity, written in kernel_calls)
+
+
 class TestPercentile:
     def test_single_value(self):
         h = eg.TimeDiffHistogram({0: 6})
@@ -348,6 +417,15 @@ def test_equal_time_pairs_contribute_exactly_two(graph_factory):
 ARGUMENT_ERRORS = {
     "zero-hops": (lambda: eg.k_hop_time_diffs(graph_from([1, 2], [(0, 1)]), 0),
                   ValidationError, "hop bound k must be >= 1"),
+    "float-hops": (lambda: eg.k_hop_time_diffs(graph_from([1, 2], [(0, 1)]), 2.0),
+                   ValidationError, "hop bound k must be an integer, got 2.0"),
+    "fractional-hops": (lambda: eg.k_hop_time_diffs(graph_from([1, 2], [(0, 1)]), 2.5),
+                        ValidationError, "hop bound k must be an integer, got 2.5"),
+    "string-hops": (lambda: eg.k_hop_time_diffs(graph_from([1, 2], [(0, 1)]), "2"),
+                    ValidationError, "hop bound k must be an integer, got '2'"),
+    # a bool is a flag, not a count, though Python's True is the int 1
+    "bool-hops": (lambda: eg.k_hop_time_diffs(graph_from([1, 2], [(0, 1)]), True),
+                  ValidationError, "hop bound k must be an integer, got True"),
     "p-zero": (lambda: eg.percentile(eg.TimeDiffHistogram({3: 1}), 0),
                ValidationError, "percentile 0 outside (0, 100]"),
     "history-sizes-p-zero": (lambda: tdiff.history_sizes(eg.TimeDiffHistogram({}), [50, 0]),
@@ -358,3 +436,11 @@ ARGUMENT_ERRORS = {
 @pytest.mark.parametrize("case", ARGUMENT_ERRORS)
 def test_bad_argument_raises(case):
     raises_exactly(*ARGUMENT_ERRORS[case])
+
+
+@pytest.mark.parametrize("k", [2.0, "2", True])
+def test_non_integer_hops_fail_before_the_adjacency(k):
+    g = graph_from([1, 2], [(0, 1)])
+    with pytest.raises(ValidationError):
+        eg.k_hop_time_diffs(g, k)
+    assert g._csr is None

@@ -76,6 +76,12 @@ np.savetxt(ds / "features.csv", features, delimiter=",", fmt="%.9g")' "$smoke/te
     evograph analyze-tdiff "$smoke/distinct" --output-dir "$smoke/tdiff-distinct" --quiet
     cat "$smoke/tdiff-distinct/tdiff.csv"
     test "$(sed 1d "$smoke/tdiff-distinct/tdiff.csv" | cut -d, -f1 | tr '\n' ' ')" = "1 2 3 4 5 6 7 8 "
+    # within 3 and 4 hops, the differences 1..12 and 1..16.  The third hop's 6852 paths exceed
+    # the 80 x 80 entries the product can hold, so its buffers are sized by the latter
+    for k in 3 4; do
+        evograph analyze-tdiff "$smoke/distinct" --k "$k" --output-dir "$smoke/tdiff-distinct$k" --quiet
+        test "$(sed 1d "$smoke/tdiff-distinct$k/tdiff.csv" | cut -d, -f1 | tr '\n' ' ')" = "$(seq -s ' ' 1 $((4 * k))) "
+    done
     printf 'dataset=%s\nmodel=mlp\nhistory_size=2\nepochs=2\nseeds=0,1,2\n' "$smoke/data" > "$smoke/run.cfg"
     evograph run --config "$smoke/run.cfg" --output-dir "$smoke/run" --quiet
     sed "s|^dataset=.*|dataset=$smoke/text|" "$smoke/run.cfg" > "$smoke/text.cfg"
