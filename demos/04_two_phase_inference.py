@@ -35,8 +35,9 @@ print(f"pre-training graph: {pretrain} labeled vertices; "
       f"{graph.num_vertices - pretrain} vertices inserted afterwards\n")
 
 cfg = eg.ExperimentConfig(model="sage", learning_rate=0.01, seeds=(0,))
-pre = eg.two_task_experiment(graph, cfg, pretrain_epochs=200, inference_epochs=35)
-naive = eg.two_task_experiment(graph, cfg, pretrain_epochs=0, inference_epochs=35)
+# one accuracy trace per seed of cfg.seeds
+(pre,) = eg.two_task_experiment(graph, cfg, pretrain_epochs=200, inference_epochs=35)
+(naive,) = eg.two_task_experiment(graph, cfg, pretrain_epochs=0, inference_epochs=35)
 
 print("epoch   pre-trained   from-scratch")
 for e in (0, 1, 2, 5, 10, 20, 35):

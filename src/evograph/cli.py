@@ -183,33 +183,30 @@ _SUMMARY = {
 def _chunk_job(spec: RunSpec, g, seeds):
     """The records of a chunk of seeds, in order; top-level so process pools can pickle it.
 
-    A sequence run trains the chunk's seeds together first (see
-    :func:`run_sequences`); each record is then built by :func:`_seed_job`.
+    One library call trains the chunk's seeds as one stack; :func:`_seed_job` builds each record.
     """
-    trained = {}
     if spec.mode == MODE_SEQUENCE:
         (reports,), models = run_sequences(g, [spec.experiment], seeds)
-        trained = dict(zip(seeds, zip(reports, models)))
-    return [_seed_job(spec, g, seed, trained.get(seed)) for seed in seeds]
+        results = zip(reports, models)
+    else:
+        results = two_task_experiment(g, spec.experiment, spec.pretrain_epochs, spec.inference_epochs, seeds)
+    return [_seed_job(spec, result) for result in results]
 
 
-def _seed_job(spec: RunSpec, g, seed: int, trained):
+def _seed_job(spec: RunSpec, result):
     """One seed's record: (report text, its scores, per-step accuracies, final
-    model or None).  ``trained`` is the seed's (report, final model) from its
-    chunk's training in a sequence run; a two-task run trains here."""
-    if trained is not None:
-        report, model = trained
+    model or None), from the seed's result in its chunk's training: a
+    sequence run's (report, final model), a two-task run's accuracy trace."""
+    if spec.mode == MODE_SEQUENCE:
+        report, model = result
         return report.to_jsonl(), report.summary(), report.accuracies(), model
-    trace = two_task_experiment(
-        g, spec.experiment, spec.pretrain_epochs, spec.inference_epochs, seed=seed
-    )
-    scores = {"initial_accuracy": trace[0], "final_accuracy": trace[-1]}
+    scores = {"initial_accuracy": result[0], "final_accuracy": result[-1]}
     lines = [
         json.dumps({"kind": "epoch", "epoch": i, "accuracy": a}, sort_keys=True)
-        for i, a in enumerate(trace)
+        for i, a in enumerate(result)
     ]
     lines.append(json.dumps({"kind": "summary", **scores}, sort_keys=True))
-    return "\n".join(lines) + "\n", scores, trace, None
+    return "\n".join(lines) + "\n", scores, result, None
 
 
 def _detector_overrides(args) -> dict:

@@ -177,8 +177,7 @@ def run_sequences(
     final model.
 
     If several seeds together raise RunError, they run again one seed at a
-    time, so the error raised is that of the first seed, in order, that
-    fails alone: the one a run of the seeds one after another raises.
+    time (see :func:`_for_seeds`).
     """
     if not cfgs:
         raise ConfigError("need at least one config")
@@ -187,33 +186,42 @@ def run_sequences(
         raise ConfigError("configs may differ only in their detector")
     if len({c.effective_loss_mode() for c in cfgs}) > 1:
         raise ConfigError("configs must share one effective loss mode")
+    tasks = build_task_sequence(g, cfg.history_size)
+    label_mask = label_rate_subsample(g, cfg.label_rate, cfg.label_seed)
+    reports, models = zip(*_for_seeds(lambda batch: _run_batch(g, cfgs, batch, tasks, label_mask), cfg, seeds))
+    return [list(r) for r in zip(*reports)], list(models)
+
+
+def _for_seeds(run, cfg: ExperimentConfig, seeds) -> list:
+    """``run(seeds)``, one result per seed of ``seeds`` (default ``cfg.seeds``) trained as one stack.
+
+    If several seeds together raise a package error, they run again one at a
+    time, so the error raised is that of the first seed, in order, that fails
+    alone: the one a run of the seeds one after another raises.
+    """
     seeds = list(cfg.seeds if seeds is None else seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
     if min(seeds) < 0:
         raise ConfigError(f"seed must be >= 0, got {min(seeds)}")
-    tasks = build_task_sequence(g, cfg.history_size)
-    label_mask = label_rate_subsample(g, cfg.label_rate, cfg.label_seed)
     try:
-        return _run_batch(g, cfgs, seeds, tasks, label_mask)
-    except RunError:
+        return run(seeds)
+    except EvographError:
         if len(seeds) == 1:
             raise
-    runs = [_run_batch(g, cfgs, [s], tasks, label_mask) for s in seeds]
-    reports = [[per_cfg[i][0] for per_cfg, _ in runs] for i in range(len(cfgs))]
-    return reports, [m for _, (m,) in runs]
+    return [out for s in seeds for out in run([s])]
 
 
-def _task_error(t: int, exc: Exception) -> RunError:
-    """The RunError of task ``t`` for ``exc``, a package error or a MemoryError."""
+def _failure_message(exc: Exception) -> str:
+    """The message a run reports for ``exc``, a package error or a MemoryError."""
     message = str(exc)
     if isinstance(exc, MemoryError):
         message = f"out of memory: {message}" if message else "out of memory"
-    return RunError(t, message)
+    return message
 
 
 def _run_batch(g, cfgs, seeds, tasks, label_mask):
-    """:func:`run_sequences` for one batch of seeds: the reports per config and seed, and the models.
+    """:func:`run_sequences` for one batch of seeds: per seed, its reports per config and its model.
 
     A package error or a MemoryError while a task's window is built, trains
     or is scored raises the RunError naming the task.
@@ -222,7 +230,7 @@ def _run_batch(g, cfgs, seeds, tasks, label_mask):
     detect = any(c.detector is not None for c in cfgs)
     known_order: list[int] = []
     models: Optional[list] = None
-    reports = [[MetricsReport() for _ in seeds] for _ in cfgs]
+    reports = [[MetricsReport() for _ in cfgs] for _ in seeds]
 
     # task t's eval graph, with its cached inputs, is task t+1's train graph
     eval_g = induced_subgraph(g, tasks[0].train_vertices)
@@ -272,7 +280,7 @@ def _run_batch(g, cfgs, seeds, tasks, label_mask):
                     sd = class_sd(train_probs, y_units_train, train_sel)
                 pred_ids = order_arr[np.argmax(test_logits, axis=1)]
                 accuracy = float(np.mean(pred_ids == y_true))
-                for c, per_seed in zip(cfgs, reports):
+                for c, report in zip(cfgs, reports[j]):
                     event = {
                         "t": task.t,
                         "time": task.time,
@@ -288,7 +296,7 @@ def _run_batch(g, cfgs, seeds, tasks, label_mask):
                         event["thresholds"] = thresholds.tau.tolist()
                         event["sd"] = sd.tolist() if c.detector.use_risk_reduction else None
                     said_unseen = open_ids == UNSEEN
-                    per_seed[j].records.append(TaskRecord(
+                    report.records.append(TaskRecord(
                         t=task.t,
                         accuracy=accuracy,
                         tp=int(np.sum(said_unseen & truly_unseen)),
@@ -297,10 +305,10 @@ def _run_batch(g, cfgs, seeds, tasks, label_mask):
                         fn=int(np.sum(~said_unseen & truly_unseen)),
                         open_f1=open_macro_f1(y_true, open_ids, set(known_order)),
                     ))
-                    per_seed[j].events.append(event)
+                    report.events.append(event)
         except (EvographError, MemoryError) as exc:
-            raise _task_error(task.t, exc) from exc
-    return reports, models
+            raise RunError(task.t, _failure_message(exc)) from exc
+    return list(zip(reports, models))
 
 
 def two_task_experiment(
@@ -308,24 +316,22 @@ def two_task_experiment(
     cfg: ExperimentConfig,
     pretrain_epochs: int,
     inference_epochs: int,
-    seed: Optional[int] = None,
-) -> list[float]:
+    seeds=None,
+) -> list[list[float]]:
     """Pre-train on the labeled past, then up-train after inserting the rest.
 
     With ``T`` the final timestamp of ``g``, pre-training sees only the
     subgraph induced on the labeled vertices with ``time < T``.  Inference
     inserts every other vertex and edge of ``g`` and keeps training on the
-    same labels; no new label appears.  Returns the accuracy on the labeled
-    vertices at ``T`` before the first and after each of the
-    ``inference_epochs`` continued-training epochs (length
-    ``inference_epochs + 1``).
+    same labels; no new label appears.  Returns per seed of ``seeds``
+    (default ``cfg.seeds``) the accuracy on the labeled vertices at ``T``
+    before the first and after each of the ``inference_epochs`` epochs.
+    Both phases train the seeds as one stack, whose hook scores each model
+    after each inference epoch.  Failing seeds raise as in :func:`_for_seeds`,
+    a MemoryError as EvographError ``out of memory: ...``.
     """
     if pretrain_epochs < 0 or inference_epochs < 0:
         raise ConfigError("epoch counts must be >= 0")
-    if seed is None:
-        seed = cfg.seeds[0]
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     if g.num_vertices == 0:
         raise ValidationError("the graph has no vertices")
     final = int(g.timestamps()[-1])
@@ -340,17 +346,6 @@ def two_task_experiment(
 
     classes = sorted(int(c) for c in np.unique(g_train.labels))
     order_arr = np.asarray(classes, dtype=np.int64)
-
-    model = init_model(
-        cfg.model, g.feature_dim, cfg.hidden_dim, len(classes),
-        sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate, seed=_derive_seed(seed, 0),
-    )
-    y_units_train = _unit_labels(g_train.labels, classes)
-    if pretrain_epochs > 0:
-        model = train(
-            model, g_train, y_units_train, np.ones(g_train.num_vertices, dtype=bool),
-            replace(cfg.train_config(_derive_seed(seed, 1)), epochs=pretrain_epochs),
-        )
     y_true = g.labels[test_mask]
 
     def test_accuracy(m: ModelState, epoch: int) -> float:
@@ -358,12 +353,31 @@ def two_task_experiment(
         pred = order_arr[np.argmax(logits[test_mask], axis=1)]
         return float(np.mean(pred == y_true))
 
-    trace = [test_accuracy(model, pretrain_epochs)]
-    if inference_epochs > 0:
-        # optimizer state restarts fresh for the inference phase
-        train(
-            model, g, _unit_labels(g.labels, classes), train_mask,
-            replace(cfg.train_config(_derive_seed(seed, 2)), epochs=inference_epochs),
-            on_epoch=lambda epoch, loss, m: trace.append(test_accuracy(m, epoch)),
-        )
-    return trace
+    def run(batch: list) -> list:
+        try:
+            models = [
+                init_model(
+                    cfg.model, g.feature_dim, cfg.hidden_dim, len(classes),
+                    sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate, seed=_derive_seed(s, 0),
+                )
+                for s in batch
+            ]
+            if pretrain_epochs > 0:
+                models = train(
+                    models, g_train, _unit_labels(g_train.labels, classes),
+                    np.ones(g_train.num_vertices, dtype=bool),
+                    [replace(cfg.train_config(_derive_seed(s, 1)), epochs=pretrain_epochs) for s in batch],
+                )
+            traces = [[test_accuracy(m, pretrain_epochs)] for m in models]
+            if inference_epochs > 0:
+                # optimizer state restarts fresh for the inference phase
+                train(
+                    models, g, _unit_labels(g.labels, classes), train_mask,
+                    [replace(cfg.train_config(_derive_seed(s, 2)), epochs=inference_epochs) for s in batch],
+                    on_epoch=lambda epoch, s, loss, m: traces[s].append(test_accuracy(m, epoch)),
+                )
+            return traces
+        except MemoryError as exc:
+            raise EvographError(_failure_message(exc)) from exc
+
+    return _for_seeds(run, cfg, seeds)

@@ -7,13 +7,13 @@ little-endian floats under a manifest of the kind, its settings and the
 layer shapes (see :func:`save_checkpoint`).  Models are values:
 every public update (:func:`train`, :func:`expand_output_layer`) returns a
 new :class:`ModelState` and never mutates its input.  :func:`train` is the
-one training loop, for one model or for a stack of S models of one shape
-that share a graph, labels, mask and config but for the seed (the seeds of
-one experiment): one epoch pass trains them all, and each model gets the
-bits it gets when trained alone.  A call allocates one epoch workspace and
-one Adam state array, and every epoch writes into them in place: the
-parameter buffer, one flat row per model (the working models' layers, which
-``on_epoch`` receives, are views into it), the gradient rows, the hidden
+one training loop, for a stack of S models (S >= 1) of one shape that share
+a graph, labels, mask and config but for the seed (the seeds of one
+experiment): one epoch pass trains them all, and each model gets the bits it
+gets when trained alone.  A stack allocates one epoch workspace and one Adam
+state array, and every epoch writes into them in place: the parameter
+buffer, one flat row per model (the working models' layers, which
+``on_epoch`` receives one by one, are views into it), the gradient rows, the hidden
 layer, the dropout mask, the loss kernel's buffers and, for sage, ``H @
 W_n`` on the output columns, all float32, as are the Adam state, the cached
 layer-0 input and ``P`` it reads: no pass of an epoch runs in float64.
@@ -36,9 +36,9 @@ last layer's bias gradient is ``ones(n) @ dZ``.  Dropout and the loss
 gradient multiply by precomputed scales.  The backward pass masks the
 hidden gradient wherever the activation is positive: after relu and
 inverted dropout, that is exactly where the pre-activation was positive and
-the mask kept the unit.  The loss
-*value* is computed only where it is read: with ``on_epoch``, and in
-:func:`loss_and_grad` and :func:`loss_from_logits`.
+the mask kept the unit.  The loss *value*, one per model, is computed only
+where it is read: with ``on_epoch``, and in :func:`loss_and_grad` and
+:func:`loss_from_logits`.
 Dropout fires only inside ``train``, with masks drawn from a generator per
 model seeded by its ``cfg.seed``.  :func:`loss_and_grad` runs the same
 workspace passes without one, so it is deterministic; :func:`forward` runs
@@ -376,7 +376,9 @@ class _Workspace(_Forward):
     cheaper than a boolean one.
     The loss kernel writes the gradient into ``dlogits``, ``exp(-|z|)``
     (bce) or the shifted logits (categorical) into ``work``, and the
-    categorical row max and row sums into ``rows``.
+    categorical row max and row sums into ``rows``.  ``gb`` reads ``dZ_rows``,
+    ``dZ`` copied model-major into ``work``: at two or three output units a
+    strided ``(n, S, C)`` view gives other bits than a lone model's rows.
     """
 
     def __init__(self, models: list, g: TemporalGraph, dtype):
@@ -398,6 +400,7 @@ class _Workspace(_Forward):
             self.cut = round(model.dropout_rate * 2**16)
             self.ones, self.scale = np.ones(len(self.H_in), dtype), 1.0 / (1.0 - model.dropout_rate)
             self.W_s_T, self.W_n_T = self.W_s.swapaxes(1, 2), self.W_n.swapaxes(1, 2)
+            self.dZ_rows = self.work.reshape(self.logits_by_model.shape)
 
     def backward(self, targets: _Targets, loss_mode: str, want_loss: bool) -> Optional[list]:
         """Fill ``grads`` for the last forward pass; the per-model losses if ``want_loss``, else None."""
@@ -412,7 +415,8 @@ class _Workspace(_Forward):
             np.matmul(self.H1_T, Q_by_model, out=self.gW_n)
         if len(self.layers) == 1:
             return losses
-        np.matmul(self.ones, dZ_by_model, out=self.gb)
+        np.copyto(self.dZ_rows, dZ_by_model)
+        np.matmul(self.ones, self.dZ_rows, out=self.gb)
         dH = self.dH
         np.matmul(dZ_by_model, self.W_s_T, out=dH)
         if self.prop is not None:
@@ -592,48 +596,35 @@ def _adam_update(params, grads, state, step: int, lr: float, weight_decay: float
     params -= t
 
 
-def train(
-    model,
-    g: TemporalGraph,
-    labels,
-    train_mask,
-    cfg,
-    on_epoch=None,
-):
-    """Full-batch training: one update step per epoch, deterministic per seed.
+def train(models, g: TemporalGraph, labels, train_mask, cfgs, on_epoch=None) -> list:
+    """Full-batch training of a stack of models: one update step per epoch, deterministic per seed.
 
+    The models share kind, settings and shapes, and their equal-length
+    configs differ only in ``seed``; they train on one graph, labels and
+    mask, and come back trained in the same order, the inputs untouched.
     Optimizer moments start at zero.  In weighted-bce mode the per-class
-    weights are (n - n_i) / n_i over the masked labels.  Returns a new
-    model; ``model`` is left untouched.
+    weights are (n - n_i) / n_i over the masked labels.  Each model gets the
+    bits it gets when trained alone: its own dropout generator, seeded by
+    its config, fills its own slice of the dropout mask, and one Adam update
+    runs over all their flat parameters, an elementwise rule.  A stack
+    trains as consecutive sub-stacks of one size, each through all its
+    epochs: 1 if a layer has width 1 (one output unit, one hidden unit, one
+    input column), as such a product runs in a BLAS vector kernel, whose
+    bits depend on where the vector lies in the stack; else as many models,
+    at least one, as a private entries budget allows on ``g``'s rows.  The
+    epochs run in float32, dropout masks included; the returned models hold
+    the trained float32 parameters as float64.
 
-    ``model`` and ``cfg`` may also be equal-length lists: a stack of models
-    of one kind, settings and shapes, with configs that differ only in
-    ``seed``, trained in one epoch loop on the one graph, labels and mask.
-    Each model then gets the bits it gets when trained alone: its own
-    dropout generator, seeded by its config, fills its own slice of the
-    dropout mask, and one Adam update runs over all their flat
-    parameters, an elementwise rule.  The list form returns a list in the
-    same order.  A stack trains as consecutive sub-stacks of one size: 1
-    if a layer has width 1 (one output unit, one hidden unit, one input
-    column), as such a product runs in a BLAS vector kernel, whose bits
-    depend on where the vector lies in the stack; else as many models,
-    at least one, as a private entries budget allows on ``g``'s rows.
-
-    The epochs run in float32, dropout masks included; the returned
-    models hold the trained float32 parameters as float64.
-
-    ``on_epoch``, if given, is called as ``on_epoch(epoch, loss, model)``
-    after each update, with epochs counted from 1 and ``loss`` taken before
-    the update.  That model is the working copy, whose float32 layers are
-    views into the flat parameter buffer: read it during the call, do not
-    keep it.
-    Only the single form takes ``on_epoch``; without it no loss value is
-    computed.  Logits that turn non-finite, in any model of a stack, raise
-    ValidationError naming the epoch; the overflows that lead there raise no
-    RuntimeWarning, since that error reports them.
+    ``on_epoch``, if given, is called as ``on_epoch(epoch, s, loss, model)``
+    for each model after each update: epochs count from 1, ``s`` is the
+    model's index in ``models`` and ``loss`` its loss before the update.
+    ``model`` is the working copy, whose float32 layers are views into the
+    flat parameter buffer: read it during the call, do not keep it.  Without
+    ``on_epoch`` no loss value is computed.  Logits that turn non-finite, in
+    any model, raise ValidationError naming the epoch; the overflows that
+    lead there raise no RuntimeWarning, since that error reports them.
     """
-    stacked = not isinstance(model, ModelState)
-    models, cfgs = (list(model), list(cfg)) if stacked else ([model], [cfg])
+    models, cfgs = list(models), list(cfgs)
     if not models or len(models) != len(cfgs):
         raise ValidationError(f"{len(models)} models and {len(cfgs)} configs; need one config per model")
     cfg, first = cfgs[0], models[0]
@@ -646,31 +637,28 @@ def train(
         for m in models[1:]
     ):
         raise ValidationError("models trained together must share kind, settings and shapes")
-    if stacked and on_epoch is not None:
-        raise ValidationError("on_epoch takes a single model, not a list")
     entries = g.num_vertices * (first.hidden_dim + first.output_dim)
     size = 1 if min(min(shape) for shape in shapes) < 2 else max(1, _STACK_ENTRIES // max(1, entries))
-    if len(models) > size:
-        return [
-            out for lo in range(0, len(models), size)
-            for out in train(models[lo : lo + size], g, labels, train_mask, cfgs[lo : lo + size])
-        ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a parameter beyond float32's range becomes inf here, and the first epoch reports it
-        ws = _Workspace(models, g, np.float32)
-        targets = _loss_targets(labels, train_mask, ws.logits, cfg.loss_mode)
-        rngs = [np.random.default_rng(c.seed) for c in cfgs] if first.dropout_rate > 0 else None
-        state = np.zeros((4,) + ws.params.shape, ws.params.dtype)
-        for epoch in range(1, cfg.epochs + 1):
-            logits = ws.forward(rngs)
-            if not np.all(np.isfinite(logits)):
-                raise ValidationError(f"non-finite logits at epoch {epoch}")
-            losses = ws.backward(targets, cfg.loss_mode, on_epoch is not None)
-            _adam_update(ws.params, ws.grads, state, epoch, cfg.learning_rate, cfg.weight_decay)
-            if on_epoch is not None:
-                on_epoch(epoch, losses[0], ws.models[0])
-    trained = [replace(m, layers=_views(row, shapes)) for m, row in zip(models, ws.params.astype(np.float64))]
-    return trained if stacked else trained[0]
+    trained = []
+    for lo in range(0, len(models), size):
+        stack, stack_cfgs = models[lo : lo + size], cfgs[lo : lo + size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a parameter beyond float32's range becomes inf here, and the first epoch reports it
+            ws = _Workspace(stack, g, np.float32)
+            targets = _loss_targets(labels, train_mask, ws.logits, cfg.loss_mode)
+            rngs = [np.random.default_rng(c.seed) for c in stack_cfgs] if first.dropout_rate > 0 else None
+            state = np.zeros((4,) + ws.params.shape, ws.params.dtype)
+            for epoch in range(1, cfg.epochs + 1):
+                logits = ws.forward(rngs)
+                if not np.all(np.isfinite(logits)):
+                    raise ValidationError(f"non-finite logits at epoch {epoch}")
+                losses = ws.backward(targets, cfg.loss_mode, on_epoch is not None)
+                _adam_update(ws.params, ws.grads, state, epoch, cfg.learning_rate, cfg.weight_decay)
+                if on_epoch is not None:
+                    for s, (loss, model) in enumerate(zip(losses, ws.models), lo):
+                        on_epoch(epoch, s, loss, model)
+        trained += [replace(m, layers=_views(row, shapes)) for m, row in zip(stack, ws.params.astype(np.float64))]
+    return trained
 
 
 def expand_output_layer(model: ModelState, l: int, seed: int) -> ModelState:

@@ -335,8 +335,8 @@ def test_criterion_08_two_task_plateau():
     worst_spread = 0.0
     rises = []
     for seed in range(5):
-        pre = eg.two_task_experiment(g, cfg, 200, 35, seed=seed)
-        naive = eg.two_task_experiment(g, cfg, 0, 35, seed=seed)
+        (pre,) = eg.two_task_experiment(g, cfg, 200, 35, seeds=[seed])
+        (naive,) = eg.two_task_experiment(g, cfg, 0, 35, seeds=[seed])
         worst_spread = max(worst_spread, max(pre) - min(pre))
         rises.append(naive[0] < pre[0] and max(naive[10:]) > naive[0] + 0.1)
     ok = worst_spread < 0.02 and all(rises)

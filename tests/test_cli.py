@@ -649,20 +649,67 @@ class TestRun:
         assert summary["trace_mean"] == [float(x) for x in np.mean(traces, axis=0)]
 
     @pytest.mark.parametrize(
-        "restart, epochs, message",
-        [("warm", "20", "at epoch 2"), ("cold", "1", "after epoch 1")],
-        ids=["diverges-in-training", "diverges-in-the-last-update"],
+        "overrides, message",
+        [
+            ({"restart": "warm", "epochs": "20"}, "task 1: non-finite logits at epoch 2"),
+            ({"restart": "cold", "epochs": "1"}, "task 1: non-finite logits after epoch 1"),
+            # two-task seeds 0-2 train as one stack: it fails, and so does seed 0 alone
+            ({"mode": "two-task", "seeds": "0,1,2", "pretrain_epochs": "20", "inference_epochs": "3"},
+             "non-finite logits at epoch 2"),
+            ({"mode": "two-task", "seeds": "0,1,2", "pretrain_epochs": "0", "inference_epochs": "1"},
+             "non-finite logits after epoch 1"),
+        ],
+        ids=["diverges-in-training", "diverges-in-the-last-update",
+             "two-task-diverges-in-training", "two-task-diverges-in-the-last-update"],
     )
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_diverging_run_prints_one_error_line(self, tmp_path, capsys, jobs, restart, epochs, message):
+    def test_diverging_run_prints_one_error_line(self, tmp_path, capsys, jobs, overrides, message):
         data = tmp_path / "d"
         assert main(["generate", str(data), "--num-timestamps", "6", "--vertices-per-timestamp", "12",
                      "--feature-dim", "4", "--quiet"]) == 0
-        cfg = write_config(tmp_path / "c.cfg", data, epochs=epochs, restart=restart, learning_rate="1e300")
+        cfg = write_config(tmp_path / "c.cfg", data, learning_rate="1e300", **overrides)
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"]) == 1
-        assert capsys.readouterr().err == f"error: task 1: non-finite logits {message}\n"
-        assert not (out / "manifest.json").exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_two_class_run_files_do_not_depend_on_jobs(self, tmp_path):
+        # two output units on windows of 60 rows and more: seed 2 trains alone at --jobs 2
+        data = tmp_path / "d"
+        assert main(["generate", str(data), "--num-timestamps", "6", "--vertices-per-timestamp", "30",
+                     "--initial-classes", "2", "--feature-dim", "6", "--seed", "3", "--quiet"]) == 0
+        cfg = write_config(tmp_path / "c.cfg", data, history_size="full", epochs="20", seeds="0,1,2")
+        for jobs in ("1", "2"):
+            assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / jobs), "--jobs", jobs,
+                         "--quiet"]) == 0
+        files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*") if p.is_file())
+        assert len(files) == 3 + 2 + 3 * 2  # reports, summary and manifest, checkpoints
+        for f in files:
+            assert (tmp_path / "1" / f).read_bytes() == (tmp_path / "2" / f).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_two_task_first_seed_line_wins_over_later_seeds_failing_earlier(self, tmp_path, capsys, jobs):
+        data = tmp_path / "d"
+        assert main(["generate", str(data), "--num-timestamps", "2", "--vertices-per-timestamp", "60",
+                     "--initial-classes", "3", "--feature-dim", "8", "--feature-noise", "0.3",
+                     "--intra-class-edge-prob", "0.12", "--inter-class-edge-prob", "0.01", "--window-back", "1",
+                     "--seed", "2", "--quiet"]) == 0
+        cfg = write_config(tmp_path / "c.cfg", data, mode="two-task", model="sage", hidden_dim="8",
+                           learning_rate="3.16e18", loss_mode="bce", seeds="0,1,2,3",
+                           pretrain_epochs="3", inference_epochs="3")
+        spec = parse_config_text(cfg.read_text())
+        g = eg.load_dataset(data)
+        alone = {}
+        for s in spec.experiment.seeds:
+            with pytest.raises(eg.ValidationError) as exc:
+                eg.two_task_experiment(g, spec.experiment, 3, 3, seeds=[s])
+            alone[s] = str(exc.value)
+        # seed 0 fails last; every later seed fails at an earlier epoch
+        assert alone == {0: "non-finite logits at epoch 3", **{s: "non-finite logits at epoch 2" for s in (1, 2, 3)}}
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", jobs, "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {alone[0]}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides, route",
@@ -761,6 +808,47 @@ class TestRun:
         assert files == sorted(p.relative_to(outs["batch-oom"]) for p in outs["batch-oom"].rglob("*") if p.is_file())
         for f in files:
             assert (outs["plain"] / f).read_bytes() == (outs["batch-oom"] / f).read_bytes()
+
+    @staticmethod
+    def short_of_memory_in_two_task_training(monkeypatch, batch_only):
+        """Make ``lifelong.train`` run out of memory: on every call, or (``batch_only``) only when
+        handed more than one model.  Returns the list of the stack sizes of the calls that ran out."""
+        real_train, ran_out = eg.lifelong.train, []
+
+        def short_of_memory(models, *args, **kwargs):
+            if len(models) > 1 or not batch_only:
+                ran_out.append(len(models))
+                raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (2, 2**61)")
+            return real_train(models, *args, **kwargs)
+
+        monkeypatch.setattr(eg.lifelong, "train", short_of_memory)
+        return ran_out
+
+    def test_two_task_memory_error_ends_in_one_line(self, dataset, tmp_path, monkeypatch, capsys):
+        # the two seeds' stack, and then seed 0 alone, run out of memory in pre-training
+        ran_out = self.short_of_memory_in_two_task_training(monkeypatch, batch_only=False)
+        cfg = write_config(tmp_path / "c.cfg", dataset, mode="two-task", pretrain_epochs="3", inference_epochs="2")
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out), "--jobs", "1", "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 8.00 EiB for an array with shape (2, 2**61)\n"
+        )
+        assert not out.exists()
+        assert ran_out == [2, 1]
+
+    def test_two_task_memory_error_of_the_stack_alone_ends_in_a_normal_run(self, dataset, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.cfg", dataset, mode="two-task", pretrain_epochs="3", inference_epochs="2")
+        outs = {name: tmp_path / name for name in ("plain", "stack-oom")}
+        assert main(["run", "--config", str(cfg), "--output-dir", str(outs["plain"]), "--quiet"]) == 0
+        # the two seeds' stack runs out of memory in pre-training; each seed alone fits
+        ran_out = self.short_of_memory_in_two_task_training(monkeypatch, batch_only=True)
+        assert main(["run", "--config", str(cfg), "--output-dir", str(outs["stack-oom"]), "--quiet"]) == 0
+        assert ran_out == [2]
+        files = sorted(p.relative_to(outs["plain"]) for p in outs["plain"].rglob("*") if p.is_file())
+        assert len(files) == 2 + 2  # reports, summary and manifest
+        assert files == sorted(p.relative_to(outs["stack-oom"]) for p in outs["stack-oom"].rglob("*") if p.is_file())
+        for f in files:
+            assert (outs["plain"] / f).read_bytes() == (outs["stack-oom"] / f).read_bytes()
 
     def test_dead_worker_names_the_seeds_without_a_result(self, dataset, tmp_path, monkeypatch, capfd):
         # the worker of chunk [2, 3] dies as if killed; chunk [0, 1] may be done by then or not

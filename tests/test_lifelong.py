@@ -187,9 +187,9 @@ class TestRunSequence:
             sgc_k=2, dropout_rate=0.5, seed=_derive_seed(seed, t_star, 0),
         )
         y_units = _unit_labels(train_g.labels, known_order)
-        model = eg.train(
-            model, train_g, y_units, train_sel,
-            eg.TrainConfig(epochs=15, loss_mode=eg.CATEGORICAL, seed=_derive_seed(seed, t_star, 2)),
+        (model,) = eg.train(
+            [model], train_g, y_units, train_sel,
+            [eg.TrainConfig(epochs=15, loss_mode=eg.CATEGORICAL, seed=_derive_seed(seed, t_star, 2))],
         )
         eval_g = eg.induced_subgraph(g, np.nonzero(g.time <= task.time)[0])
         logits = eg.forward(model, eval_g)
@@ -704,15 +704,15 @@ class TestTwoTask:
     def test_trace_length_and_determinism(self):
         g = self.fixture(seed=2)
         cfg = eg.ExperimentConfig(model="sage", epochs=5, learning_rate=0.01)
-        a = eg.two_task_experiment(g, cfg, 20, 10, seed=3)
-        b = eg.two_task_experiment(g, cfg, 20, 10, seed=3)
+        (a,) = eg.two_task_experiment(g, cfg, 20, 10, seeds=[3])
+        (b,) = eg.two_task_experiment(g, cfg, 20, 10, seeds=[3])
         assert len(a) == 11
         assert a == b
 
     def test_untrained_starts_near_chance_and_rises(self):
         g = self.fixture(seed=4)
         cfg = eg.ExperimentConfig(model="sage", learning_rate=0.02)
-        trace = eg.two_task_experiment(g, cfg, 0, 30, seed=1)
+        (trace,) = eg.two_task_experiment(g, cfg, 0, 30, seeds=[1])
         assert trace[0] < 0.6
         assert max(trace[10:]) > trace[0] + 0.2
 
@@ -721,19 +721,19 @@ class TestTwoTask:
         g = self.fixture(seed=2)
         cfg = eg.ExperimentConfig(model="mlp", learning_rate=1e300)
         with pytest.raises(ValidationError, match=r"^non-finite logits after epoch 1$"):
-            eg.two_task_experiment(g, cfg, pretrain_epochs, inference_epochs, seed=0)
+            eg.two_task_experiment(g, cfg, pretrain_epochs, inference_epochs, seeds=[0])
 
     def test_no_inference_epochs_gives_pretrained_accuracy_only(self):
         g = self.fixture(seed=2)
         cfg = eg.ExperimentConfig(model="mlp")
-        trace = eg.two_task_experiment(g, cfg, 10, 0, seed=1)
+        (trace,) = eg.two_task_experiment(g, cfg, 10, 0, seeds=[1])
         assert len(trace) == 1
-        assert trace == eg.two_task_experiment(g, cfg, 10, 4, seed=1)[:1]
+        assert trace == eg.two_task_experiment(g, cfg, 10, 4, seeds=[1])[0][:1]
 
     def test_inference_phase_matches_explicit_update_loop(self):
         g = self.fixture(seed=1)
         cfg = eg.ExperimentConfig(model="sage", learning_rate=0.02, detector=eg.DetectorConfig())
-        trace = eg.two_task_experiment(g, cfg, 0, 6, seed=5)
+        (trace,) = eg.two_task_experiment(g, cfg, 0, 6, seeds=[5])
 
         labeled = g.labels != eg.UNLABELED
         train_mask = labeled & (g.time == 0)
@@ -765,7 +765,7 @@ class TestTwoTask:
     def test_pretraining_sees_only_the_labeled_past(self):
         g = self.fixture(seed=3)
         cfg = eg.ExperimentConfig(model="sage", learning_rate=0.02)
-        trace = eg.two_task_experiment(g, cfg, 7, 0, seed=2)
+        (trace,) = eg.two_task_experiment(g, cfg, 7, 0, seeds=[2])
 
         labeled = g.labels != eg.UNLABELED
         g_train = eg.induced_subgraph(g, np.nonzero(labeled & (g.time == 0))[0])
@@ -774,17 +774,92 @@ class TestTwoTask:
             "sage", g.feature_dim, cfg.hidden_dim, len(classes),
             dropout_rate=cfg.dropout_rate, seed=_derive_seed(2, 0),
         )
-        model = eg.train(
-            model, g_train, _unit_labels(g_train.labels, classes),
+        (model,) = eg.train(
+            [model], g_train, _unit_labels(g_train.labels, classes),
             np.ones(g_train.num_vertices, bool),
-            eg.TrainConfig(
+            [eg.TrainConfig(
                 learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay, epochs=7,
                 loss_mode=eg.CATEGORICAL, seed=_derive_seed(2, 1),
-            ),
+            )],
         )
         test_mask = labeled & (g.time == 1)
         pred = np.asarray(classes)[np.argmax(eg.forward(model, g)[test_mask], axis=1)]
         assert trace == [float(np.mean(pred == g.labels[test_mask]))]
+
+    @pytest.mark.parametrize(
+        "pretrain_epochs, inference_epochs", [(6, 0), (0, 5), (6, 5)], ids=["pretrain", "inference", "both"]
+    )
+    @pytest.mark.parametrize("split", ["one-stack", "sub-stacks", "one-class-past"])
+    def test_stacked_seeds_equal_lone_runs(self, pretrain_epochs, inference_epochs, split, monkeypatch):
+        g = self.fixture(seed=2)
+        past = (g.labels != eg.UNLABELED) & (g.time == 0)
+        if split == "one-class-past":
+            # only class 0 stays labeled before the final timestamp: a width-1 output layer
+            labels = np.where(past & (g.labels != 0), eg.UNLABELED, g.labels)
+            g = eg.TemporalGraph(g.num_vertices, g.edges, g.time, g.features, labels, g.num_classes)
+        elif split == "sub-stacks":
+            # the budget fits two models of h = 8, C = 3 on the pre-training rows, one on all rows
+            monkeypatch.setattr(eg.models, "_STACK_ENTRIES", 2 * int(past.sum()) * (8 + 3) + 1)
+        cfg = eg.ExperimentConfig(model="sage", hidden_dim=8, learning_rate=0.02)
+        real_train, real_workspace = eg.lifelong.train, eg.models._Workspace.__init__
+        trained, sizes = [], []
+
+        def spy(models, *args, **kwargs):
+            out = real_train(models, *args, **kwargs)
+            trained.append([[ref.bits(a).tolist() for pair in m.layers for a in pair] for m in out])
+            return out
+
+        def workspace(ws, stack, *args):
+            sizes.append(len(stack))
+            real_workspace(ws, stack, *args)
+
+        monkeypatch.setattr(eg.lifelong, "train", spy)
+        monkeypatch.setattr(eg.models._Workspace, "__init__", workspace)
+        seeds = [3, 0, 5]
+        stacked = eg.two_task_experiment(g, cfg, pretrain_epochs, inference_epochs, seeds=seeds)
+        phases = [n for n in (pretrain_epochs, inference_epochs) if n > 0]
+        assert len(trained) == len(phases) and all(len(t) == 3 for t in trained)
+        by_phase = {"one-stack": ([3], [3]), "sub-stacks": ([2, 1], [1, 1, 1]), "one-class-past": ([1] * 3, [1] * 3)}
+        assert sizes == [n for phase, n in zip(by_phase[split], (pretrain_epochs, inference_epochs)) if n for n in phase]
+        stacked_models, trained[:] = list(trained), []
+        assert len(stacked) == 3 and all(len(trace) == inference_epochs + 1 for trace in stacked)
+        for j, s in enumerate(seeds):
+            assert stacked[j] == eg.two_task_experiment(g, cfg, pretrain_epochs, inference_epochs, seeds=[s])[0]
+            # each phase's trained model too, bit for bit
+            assert trained[-len(phases):] == [[models[j]] for models in stacked_models]
+
+    @pytest.mark.parametrize(
+        "loss_mode, seeds",
+        # seed 0 diverges at epoch 2 and seed 1 at epoch 3 (auto); seed 0 at 3 and seeds 1-3 at 2 (bce)
+        [(eg.lifelong.LOSS_AUTO, [2, 1, 0]), (eg.BCE, [0, 1, 2, 3])],
+        ids=["first-seed-finishes", "first-seed-fails-last"],
+    )
+    def test_diverging_seeds_raise_the_lone_error_of_the_first_failing_seed(self, loss_mode, seeds, monkeypatch):
+        g = self.fixture(seed=2)
+        cfg = eg.ExperimentConfig(model="sage", hidden_dim=8, learning_rate=3.16e18, loss_mode=loss_mode)
+        alone = {}
+        for s in seeds:
+            try:
+                eg.two_task_experiment(g, cfg, 3, 3, seeds=[s])
+            except ValidationError as exc:
+                alone[s] = str(exc)
+        first = next(s for s in seeds if s in alone)
+        assert alone[first] == "non-finite logits at epoch 3"
+        real_train, raised = eg.lifelong.train, []
+
+        def spy(models, *args, **kwargs):
+            try:
+                return real_train(models, *args, **kwargs)
+            except ValidationError as exc:
+                raised.append((len(models), str(exc)))
+                raise
+
+        monkeypatch.setattr(eg.lifelong, "train", spy)
+        with pytest.raises(ValidationError) as stacked:
+            eg.two_task_experiment(g, cfg, 3, 3, seeds=seeds)
+        assert str(stacked.value) == alone[first]
+        # the stack fails first at an earlier epoch, then the seeds run one at a time
+        assert raised == [(len(seeds), "non-finite logits at epoch 2"), (1, alone[first])]
 
     @pytest.mark.parametrize(
         "times, labels, match",
@@ -819,7 +894,7 @@ ARGUMENT_ERRORS = {
                                    ConfigError, "seed must be >= 0, got -1"),
     "run-sequences-negative-seed": (lambda: eg.run_sequences(_path_graph(), [eg.ExperimentConfig()], [0, -1]),
                                     ConfigError, "seed must be >= 0, got -1"),
-    "two-task-negative-seed": (lambda: eg.two_task_experiment(_path_graph(), eg.ExperimentConfig(), 1, 1, seed=-1),
+    "two-task-negative-seed": (lambda: eg.two_task_experiment(_path_graph(), eg.ExperimentConfig(), 1, 1, seeds=[-1]),
                                ConfigError, "seed must be >= 0, got -1"),
     "run-sequences-no-seed": (lambda: eg.run_sequences(_path_graph(), [eg.ExperimentConfig()], []),
                               ConfigError, "need at least one seed"),

@@ -159,7 +159,7 @@ class TestForward:
             with pytest.raises(ValidationError, match=match):
                 eg.forward(m, g)
             with pytest.raises(ValidationError, match=match):
-                eg.train(m, g, g.labels, mask, eg.TrainConfig(epochs=1))
+                eg.train([m], g, g.labels, mask, [eg.TrainConfig(epochs=1)])
             with pytest.raises(ValidationError, match=match):
                 eg.loss_and_grad(m, g, g.labels, mask, eg.CATEGORICAL)
 
@@ -243,7 +243,7 @@ class TestWorkspace:
         )
         seen = []
         cfg = eg.TrainConfig(epochs=2)
-        trained = eg.train(m, g, g.labels, mask, cfg, on_epoch=lambda *a: seen.append(a[2]))
+        (trained,) = eg.train([m], g, g.labels, mask, [cfg], on_epoch=lambda *a: seen.append(a[3]))
         # the working model is float32; the returned one float64, with float32 values
         assert {a.dtype for a in self.arrays(seen)} == {np.dtype(np.float32)}
         assert {a.dtype for a in self.arrays(trained)} == {np.dtype(np.float64)}
@@ -442,7 +442,7 @@ class TestGraphInputs:
             monkeypatch.setattr(eg.models, name, counted)
         g = small_graph(seed=4)
         m = eg.init_model("sage", 3, 4, 3, seed=0)
-        m = eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), eg.TrainConfig(epochs=3))
+        (m,) = eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), [eg.TrainConfig(epochs=3)])
         eg.forward(m, g)
         eg.forward(m, g)
         assert calls == {"model_inputs": 1, "mean_propagation": 1}
@@ -576,14 +576,14 @@ class TestTrain:
         g = small_graph()
         m = eg.init_model("mlp", 3, 4, 3, seed=0)
         cfg = eg.TrainConfig(epochs=1, seed=0)
-        m2 = eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), cfg)
+        (m2,) = eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), [cfg])
         assert not np.array_equal(m2.layers[0][0], m.layers[0][0])
 
     def test_separable_toy_reaches_full_accuracy(self):
         g = two_class_blobs()
         m = eg.init_model("mlp", 2, 8, 2, seed=0)
         cfg = eg.TrainConfig(learning_rate=0.05, epochs=200, seed=0)
-        m2 = eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), cfg)
+        (m2,) = eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), [cfg])
         pred = np.argmax(eg.forward(m2, g), axis=1)
         assert np.mean(pred == g.labels) == 1.0
 
@@ -593,7 +593,7 @@ class TestTrain:
         cfg = eg.TrainConfig(learning_rate=1e200, epochs=5, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="non-finite logits at epoch 2$"):
-                eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), cfg)
+                eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), [cfg])
 
     def test_overflowing_logit_sum_neither_raises_nor_warns(self):
         # every logit is finite though their sum is not, in train's float32; the finite check
@@ -609,7 +609,7 @@ class TestTrain:
             assert np.all(np.isfinite(logits.astype(np.float32))) and logits[:, :2].min() > 2e38
             with np.errstate(over="ignore"):
                 assert np.isinf(logits.astype(np.float32).sum(axis=1)).all()
-            eg.train(m, g, g.labels, mask, eg.TrainConfig(weight_decay=0.0, epochs=3))
+            eg.train([m], g, g.labels, mask, [eg.TrainConfig(weight_decay=0.0, epochs=3)])
             # labels on the two large units keep the loss value itself finite
             eg.loss_from_logits(logits, g.labels % 2, mask, eg.CATEGORICAL)
 
@@ -621,7 +621,7 @@ class TestTrain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="non-finite logits at epoch 1$"):
-                eg.train(m, g, g.labels, np.ones(g.num_vertices, bool), eg.TrainConfig(epochs=3))
+                eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), [eg.TrainConfig(epochs=3)])
 
     @pytest.mark.parametrize("w, bad", [(1.0, np.inf), (0.0, np.nan)], ids=["inf", "nan"])
     def test_nonfinite_logit_outside_mask_names_epoch(self, w, bad):
@@ -639,7 +639,7 @@ class TestTrain:
             logits = eg.forward(m, g)
             assert np.array_equal(logits[0, 0], bad, equal_nan=True) and np.all(np.isfinite(logits[1:]))
             with pytest.raises(ValidationError, match="non-finite logits at epoch 1$"):
-                eg.train(m, g, g.labels, mask, eg.TrainConfig(epochs=3))
+                eg.train([m], g, g.labels, mask, [eg.TrainConfig(epochs=3)])
 
     @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
     @pytest.mark.parametrize("bad", [-1, 3])
@@ -650,7 +650,7 @@ class TestTrain:
         m = eg.init_model("mlp", 3, 4, 3, seed=0)
         cfg = eg.TrainConfig(epochs=1, loss_mode=loss_mode)
         with pytest.raises(ValidationError, match="labels on masked rows must be valid"):
-            eg.train(m, g, labels, np.ones(g.num_vertices, bool), cfg)
+            eg.train([m], g, labels, np.ones(g.num_vertices, bool), [cfg])
 
     def test_deterministic_given_seed(self):
         g = small_graph(seed=2)
@@ -659,7 +659,8 @@ class TestTrain:
         runs = []
         for _ in range(2):
             m = eg.init_model("sage", 3, 4, 3, seed=1)
-            runs.append(eg.train(m, g, g.labels, mask, cfg))
+            (trained,) = eg.train([m], g, g.labels, mask, [cfg])
+            runs.append(trained)
         for (w1, b1), (w2, b2) in zip(runs[0].layers, runs[1].layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
@@ -683,7 +684,8 @@ class TestTrainStack:
         cfgs = [eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=s) for s in (6, 1, 9)]
         stacked = eg.train(models, g, g.labels, mask, cfgs)
         for m, cfg, got in zip(models, cfgs, stacked):
-            TestReferenceOracle.assert_same_layers(got.layers, eg.train(m, g, g.labels, mask, cfg).layers)
+            (alone,) = eg.train([m], g, g.labels, mask, [cfg])
+            TestReferenceOracle.assert_same_layers(got.layers, alone.layers)
 
     @pytest.mark.parametrize("hidden, out", [(1, 4), (8, 1)], ids=["one-hidden-unit", "one-output-unit"])
     def test_width_one_layers_equal_lone_training(self, hidden, out):
@@ -693,7 +695,23 @@ class TestTrainStack:
         cfgs = [eg.TrainConfig(epochs=10, loss_mode=eg.BCE, seed=s) for s in range(3)]
         stacked = eg.train(models, g, labels, mask, cfgs)
         for m, cfg, got in zip(models, cfgs, stacked):
-            TestReferenceOracle.assert_same_layers(got.layers, eg.train(m, g, labels, mask, cfg).layers)
+            (alone,) = eg.train([m], g, labels, mask, [cfg])
+            TestReferenceOracle.assert_same_layers(got.layers, alone.layers)
+
+    @pytest.mark.parametrize("kind", ["mlp", "sage"])
+    @pytest.mark.parametrize("out", [2, 3])
+    def test_narrow_output_layers_on_many_rows_equal_lone_training(self, kind, out):
+        # from about 56 rows on, ones(n) @ dZ over 2 or 3 output columns gives other bits when
+        # the columns are a slice of the stack's (n, S, C) rows than when they are contiguous
+        g, models = self.stack(kind, 64, 0.5, out=out)
+        labels, mask = g.labels % out, np.ones(64, bool)
+        cfgs = [eg.TrainConfig(epochs=5, seed=s) for s in range(3)]
+        stacked = eg.train(models, g, labels, mask, cfgs)
+        for m, cfg, got in zip(models, cfgs, stacked):
+            (alone,) = eg.train([m], g, labels, mask, [cfg])
+            TestReferenceOracle.assert_same_layers(got.layers, alone.layers)
+            expected = ref.train(m, g, eg.model_inputs(m, g), labels, mask, cfg, dtype=np.float32)
+            TestReferenceOracle.assert_same_layers(got.layers, expected.layers)
 
     def test_stack_over_the_budget_trains_as_consecutive_sub_stacks(self, monkeypatch):
         g, models = self.stack("sage", 30, 0.5, S=5)
@@ -711,8 +729,40 @@ class TestTrainStack:
         stacked = eg.train(models, g, g.labels, mask, cfgs)
         assert sizes == [2, 2, 1]
         for m, cfg, got in zip(models, cfgs, stacked):
-            TestReferenceOracle.assert_same_layers(got.layers, eg.train(m, g, g.labels, mask, cfg).layers)
+            (alone,) = eg.train([m], g, g.labels, mask, [cfg])
+            TestReferenceOracle.assert_same_layers(got.layers, alone.layers)
         assert sizes == [2, 2, 1] + [1] * 5
+
+    @pytest.mark.parametrize("split", ["one-stack", "sub-stacks", "one-output-unit"])
+    def test_hook_runs_once_per_epoch_and_model_with_its_lone_loss(self, split, monkeypatch):
+        out = 1 if split == "one-output-unit" else 4
+        g, models = self.stack("sage", 30, 0.5, S=5, out=out)
+        labels = np.zeros(30, dtype=np.int64) if out == 1 else g.labels
+        if split == "sub-stacks":
+            # the budget fits two models of h = 8, C = 4 on 30 rows: sub-stacks of 2, 2 and 1
+            monkeypatch.setattr(eg.models, "_STACK_ENTRIES", 2 * 30 * (8 + 4) + 1)
+        loss_mode = eg.BCE if out == 1 else eg.WEIGHTED_BCE
+        cfgs = [eg.TrainConfig(epochs=6, loss_mode=loss_mode, seed=s) for s in (4, 0, 8, 2, 6)]
+        mask = np.arange(30) % 4 > 0
+
+        def record(calls, epoch, s, loss, model):
+            calls.append((epoch, s, loss, [ref.bits(a).tolist() for pair in model.layers for a in pair]))
+
+        seen = []
+        trained = eg.train(models, g, labels, mask, cfgs, on_epoch=lambda *a: record(seen, *a))
+        # once per (epoch, s), with s the index in the full list; a sub-stack runs all its epochs first
+        stacks = {"one-stack": [range(5)], "sub-stacks": [range(2), range(2, 4), range(4, 5)],
+                  "one-output-unit": [range(s, s + 1) for s in range(5)]}[split]
+        assert [(e, s) for e, s, *_ in seen] == [(e, s) for st in stacks for e in range(1, 7) for s in st]
+        X = eg.model_inputs(models[0], g)
+        for s, (m, cfg, got) in enumerate(zip(models, cfgs, trained)):
+            alone = []
+            expected = ref.train(
+                m, g, X, labels, mask, cfg, on_epoch=lambda e, loss, mm: record(alone, e, s, loss, mm),
+                dtype=np.float32,
+            )
+            assert [call for call in seen if call[1] == s] == alone
+            TestReferenceOracle.assert_same_layers(got.layers, expected.layers)
 
     def test_diverging_model_raises_its_lone_error(self):
         g, models = self.stack("mlp", 12, 0.5)
@@ -721,13 +771,13 @@ class TestTrainStack:
         cfgs = [eg.TrainConfig(epochs=5, seed=s) for s in range(3)]
         mask = np.ones(12, bool)
         with pytest.raises(ValidationError, match="^non-finite logits at epoch") as alone:
-            eg.train(models[1], g, g.labels, mask, cfgs[1])
+            eg.train(models[1:2], g, g.labels, mask, cfgs[1:2])
         with pytest.raises(ValidationError) as stacked:
             eg.train(models, g, g.labels, mask, cfgs)
         assert str(stacked.value) == str(alone.value)
         # the other two train alone without error: the stack's error is model 1's
         for s in (0, 2):
-            eg.train(models[s], g, g.labels, mask, cfgs[s])
+            eg.train([models[s]], g, g.labels, mask, [cfgs[s]])
 
     def test_stack_leaves_inputs_untouched_and_returns_one_model_per_input(self):
         g, models = self.stack("sage", 12, 0.5)
@@ -744,23 +794,19 @@ class TestTrainStack:
             ("configs-differ", "may differ only in seed"),
             ("shapes-differ", "share kind, settings and shapes"),
             ("count-differs", "need one config per model"),
-            ("on-epoch", "on_epoch takes a single model"),
         ],
     )
     def test_stack_misuse_raises(self, case, match):
         g, models = self.stack("mlp", 12, 0.5, S=2)
         cfgs = [eg.TrainConfig(epochs=2, seed=s) for s in range(2)]
-        kwargs = {}
         if case == "configs-differ":
             cfgs[1] = replace(cfgs[1], learning_rate=0.5)
         elif case == "shapes-differ":
             models[1] = eg.init_model("mlp", 5, 8, 3, seed=1)
-        elif case == "count-differs":
-            cfgs = cfgs[:1]
         else:
-            kwargs["on_epoch"] = lambda *a: None
+            cfgs = cfgs[:1]
         with pytest.raises(ValidationError, match=match):
-            eg.train(models, g, g.labels, np.ones(12, bool), cfgs, **kwargs)
+            eg.train(models, g, g.labels, np.ones(12, bool), cfgs)
 
 
 class TestExpandOutputLayer:
@@ -936,7 +982,7 @@ class TestCheckpoint:
     def test_trained_model_round_trips_losslessly(self, tmp_path, kind):
         g = small_graph(seed=3, n=12)
         m = eg.init_model(kind, 3, 4, 3, seed=4)
-        trained = eg.train(m, g, g.labels, np.ones(12, bool), eg.TrainConfig(epochs=5))
+        (trained,) = eg.train([m], g, g.labels, np.ones(12, bool), [eg.TrainConfig(epochs=5)])
         eg.save_checkpoint(trained, tmp_path)
         back = eg.load_checkpoint(tmp_path)
         TestReferenceOracle.assert_same_layers(back.layers, trained.layers)
@@ -994,7 +1040,13 @@ class TestReferenceOracle:
             )
 
         seen, expected_seen = [], []
-        trained = eg.train(m, g, g.labels, mask, cfg, on_epoch=recorder(seen))
+        record = recorder(seen)
+
+        def on_epoch(epoch, s, loss, model):
+            assert s == 0
+            record(epoch, loss, model)
+
+        (trained,) = eg.train([m], g, g.labels, mask, [cfg], on_epoch=on_epoch)
         expected = ref.train(m, g, X, g.labels, mask, cfg, on_epoch=recorder(expected_seen), dtype=np.float32)
         for (w1, b1), (w2, b2) in zip(trained.layers, expected.layers):
             assert np.array_equal(ref.bits(w1), ref.bits(w2))
@@ -1029,7 +1081,8 @@ class TestReferenceOracle:
         g, m, mask = self.grid_point(kind, full_mask, dropout)
         cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=6)
         expected = ref.train(m, g, eg.model_inputs(m, g), g.labels, mask, cfg, dtype=np.float32)
-        self.assert_same_layers(eg.train(m, g, g.labels, mask, cfg).layers, expected.layers)
+        (trained,) = eg.train([m], g, g.labels, mask, [cfg])
+        self.assert_same_layers(trained.layers, expected.layers)
 
     @pytest.mark.parametrize("kind", ["mlp", "sgc", "sage"])
     @pytest.mark.parametrize("loss_mode", [eg.CATEGORICAL, eg.BCE, eg.WEIGHTED_BCE])
@@ -1039,7 +1092,7 @@ class TestReferenceOracle:
         g, m, mask = self.grid_point(kind, full_mask, dropout)
         # a trained model, so that dead relu units and nonzero biases occur
         cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=6)
-        m = eg.train(m, g, g.labels, mask, cfg)
+        (m,) = eg.train([m], g, g.labels, mask, [cfg])
         H_in, prop = ref._graph_inputs(m, g, eg.model_inputs(m, g))
         logits, cache = ref._forward_cached(m, H_in, prop, None)
         assert np.array_equal(ref.bits(eg.forward(m, g)), ref.bits(logits))
@@ -1086,7 +1139,7 @@ class TestOrderOracle:
                 assert ref.rel_dev(a, b) <= ref.TRAINED_RTOL
         # one pass of a briefly trained model: dead relu units and nonzero biases occur, and
         # its gradients are not yet the near-cancelling sums of a converged one
-        m = eg.train(m, g, g.labels, mask, replace(cfg, epochs=15))
+        (m,) = eg.train([m], g, g.labels, mask, [replace(cfg, epochs=15)])
         H_in, prop = ref._graph_inputs(m, g, X)
         logits, cache = ref._forward_cached(m, H_in, prop, None, folded=False)
         assert ref.rel_dev(eg.forward(m, g), logits) <= ref.PASS_RTOL
@@ -1130,7 +1183,7 @@ class TestPrecisionOracle:
         m = eg.init_model(kind, 5, 32, 4, seed=3, dropout_rate=0.0 if kind == "sgc" else 0.5)
         cfg = eg.TrainConfig(learning_rate=0.02, epochs=self.EPOCHS, loss_mode=loss_mode, seed=6)
         losses, oracle_losses = [], []
-        trained = eg.train(m, g, g.labels, mask, cfg, on_epoch=lambda e, loss, _: losses.append(loss))
+        (trained,) = eg.train([m], g, g.labels, mask, [cfg], on_epoch=lambda e, s, loss, _: losses.append(loss))
         oracle = ref.train(
             m, g, eg.model_inputs(m, g), g.labels, mask, cfg,
             on_epoch=lambda e, loss, _: oracle_losses.append(loss), dtype=np.float64,
@@ -1169,8 +1222,8 @@ ARGUMENT_ERRORS = {
     "sgc-power": (lambda: eg.sgc_precompute(small_graph(), -1), ValidationError, "propagation power K must be >= 0"),
     "loss-mode": (lambda: _loss_and_grad("hinge"), ValidationError, "unknown loss_mode 'hinge'"),
     "non-finite-logits": (lambda: _loss_and_grad(eg.CATEGORICAL, bad=np.inf), ValidationError, "non-finite logits"),
-    "labels-length": (lambda: eg.train(*_model_and_graph(), small_graph().labels[:5], np.ones(6, bool),
-                                       eg.TrainConfig()),
+    "labels-length": (lambda: eg.train([_model_and_graph()[0]], small_graph(), small_graph().labels[:5],
+                                       np.ones(6, bool), [eg.TrainConfig()]),
                       ValidationError, "labels of shape (5,) for 6 logit rows"),
     "expand-negative": (lambda: eg.expand_output_layer(_model_and_graph()[0], -1, 0),
                         ValidationError, "cannot expand by a negative count"),

@@ -97,6 +97,16 @@ np.savetxt(ds / "features.csv", features, delimiter=",", fmt="%.9g")' "$smoke/te
     printf 'dataset=%s\nmodel=sage\ndetector=gdoc\nhistory_size=2\nepochs=5\nseeds=0,1,2\n' "$smoke/data" > "$smoke/sage.cfg"
     evograph run --config "$smoke/sage.cfg" --output-dir "$smoke/sage" --jobs 1 --quiet
     rerun_reproduces "$smoke/sage"
+    # a two-task run trains its seeds as one batch as well: the same files through the pool
+    # (chunks of two seeds and one), and no checkpoint
+    printf 'dataset=%s\nmode=two-task\nmodel=sage\npretrain_epochs=10\ninference_epochs=5\nseeds=0,1,2\n' \
+        "$smoke/data" > "$smoke/two.cfg"
+    evograph run --config "$smoke/two.cfg" --output-dir "$smoke/two" --jobs 1 --quiet
+    evograph run --from-manifest "$smoke/two/manifest.json" --output-dir "$smoke/two-rerun" --jobs 2 --quiet
+    for f in manifest.json summary.json report_seed{0,1,2}.jsonl; do
+        cmp "$smoke/two/$f" "$smoke/two-rerun/$f"
+    done
+    test -z "$(find "$smoke/two" "$smoke/two-rerun" -name 'model_seed*')"
     # report's other two modes: forward transfer of the mlp run over its cold twin
     # (a header and one row), and the open-world scores of mlp and sage (a header and two)
     { cat "$smoke/run.cfg"; echo 'restart=cold'; } > "$smoke/cold.cfg"
@@ -109,22 +119,26 @@ np.savetxt(ds / "features.csv", features, delimiter=",", fmt="%.9g")' "$smoke/te
     grep -Eq '^mlp,2,-?[0-9]+\.[0-9]{4}$' "$smoke/fwt.csv"
     test "$(wc -l < "$smoke/open.csv")" -eq 3
     grep -q '^model,history_size,restart,detector,tau_min,alpha,mcc,mcc_ci,open_f1,open_f1_ci$' "$smoke/open.csv"
-    # a diverging run ends in exit 1, no output directory and one error line: the same line
-    # in-process at --jobs 1 (one batch of seeds 0-2, which fails and runs again seed by seed)
-    # and through the process pool at --jobs 2
+    # a diverging run, sequence or two-task, ends in exit 1, no output directory and one error
+    # line: the same line in-process at --jobs 1 (one batch of seeds 0-2, which fails and runs
+    # again seed by seed) and through the process pool at --jobs 2
     sed 's/^epochs=2$/epochs=3/' "$smoke/run.cfg" > "$smoke/diverge.cfg"
     echo 'learning_rate=1e300' >> "$smoke/diverge.cfg"
-    for jobs in 1 2; do
-        code=0
-        evograph run --config "$smoke/diverge.cfg" --output-dir "$smoke/diverge$jobs" --jobs "$jobs" --quiet \
-            2> "$smoke/diverge$jobs.err" || code=$?
-        cat "$smoke/diverge$jobs.err"
-        test "$code" -eq 1
-        test ! -e "$smoke/diverge$jobs"
-        test "$(wc -l < "$smoke/diverge$jobs.err")" -eq 1
+    { cat "$smoke/two.cfg"; echo 'learning_rate=1e300'; } > "$smoke/two-diverge.cfg"
+    for name in diverge two-diverge; do
+        for jobs in 1 2; do
+            code=0
+            evograph run --config "$smoke/$name.cfg" --output-dir "$smoke/$name$jobs" --jobs "$jobs" --quiet \
+                2> "$smoke/$name$jobs.err" || code=$?
+            cat "$smoke/$name$jobs.err"
+            test "$code" -eq 1
+            test ! -e "$smoke/$name$jobs"
+            test "$(wc -l < "$smoke/$name$jobs.err")" -eq 1
+        done
+        cmp "$smoke/${name}1.err" "$smoke/${name}2.err"
     done
     grep -Eq '^error: task 1: non-finite logits' "$smoke/diverge1.err"
-    cmp "$smoke/diverge1.err" "$smoke/diverge2.err"
+    grep -Eq '^error: non-finite logits' "$smoke/two-diverge1.err"
     # an infinite gDOC alpha is a config error (with risk reduction, a class of SD 0 would get a
     # nan threshold): exit 2, no output directory and one line
     printf 'detector=gdoc\nalpha=inf\nrisk_reduction=true\n' | cat "$smoke/run.cfg" - > "$smoke/alpha.cfg"
