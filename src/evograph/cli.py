@@ -30,7 +30,7 @@ from .config import (
 from .dataio import dataset_fingerprint, load_dataset, read_json, save_dataset
 from .errors import ConfigError, EvographError, ValidationError
 from .graph import UNLABELED
-from .lifelong import run_sequences, two_task_experiment
+from .lifelong import _failure_message, run_sequences, two_task_experiment
 from .metrics import drift_magnitude, forward_transfer, mean_ci95
 from .models import save_checkpoint
 from .openworld import GDOC
@@ -109,7 +109,10 @@ def cmd_analyze(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k: hop bound must be >= 1, got {args.k}")
     g = load_dataset(args.dataset)
-    hist = k_hop_time_diffs(g, args.k)
+    try:
+        hist = k_hop_time_diffs(g, args.k)
+    except MemoryError as exc:
+        raise EvographError(_failure_message(exc)) from exc
     pct = {p: percentile(hist, p) for p in ps}
 
     ts, at, sizes = np.unique(g.time, return_inverse=True, return_counts=True)

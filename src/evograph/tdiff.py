@@ -9,11 +9,11 @@ percentiles of this distribution serve as candidate history sizes.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matmat
+from scipy.sparse._sparsetools import coo_tocsr, csr_matmat
 
 from .errors import ValidationError
 from .graph import TemporalGraph
@@ -33,17 +33,35 @@ class TimeDiffHistogram:
 
 
 # Rows per block are max(1, _BLOCK_ENTRIES // |V|), so one block's reach matrix
-# holds at most max(_BLOCK_ENTRIES, |V|) entries: the bound on peak memory.
+# holds at most max(_BLOCK_ENTRIES, |V|) entries; two blocks' products exist at
+# once, so peak memory is bounded by 2 * max(_BLOCK_ENTRIES, |V|) entries.
 _BLOCK_ENTRIES = 1 << 23
 
 
 def k_hop_time_diffs(g: TemporalGraph, k: int) -> TimeDiffHistogram:
     """Distribution of time differences within each vertex's k-hop neighborhood.
 
-    One sparse pass over row blocks of the adjacency matrix A.  A block's
-    reach is its rows of the boolean A (A + I)^(k-1) = A + A^2 + ... + A^k,
-    so a pair counts once however many paths connect it.  A block tallies its
-    reach entries (u, v) in one of two ways:
+    One sparse pass over row blocks of the boolean matrix A + I (A the
+    adjacency), built once from ``g.edges`` with every row sorted (see
+    :func:`_adjacency_plus_identity`).  A block's reach is its rows of
+    (A + I)^k = I + A + ... + A^k, so a pair counts once however many paths
+    connect it, and every vertex reaches itself exactly once at any k >= 1:
+    those |V| entries, no pairs, are subtracted from bin 0.
+
+    A block's reach is built one hop at a time, each hop one pass of scipy's
+    numeric SpGEMM kernel ``scipy.sparse._sparsetools.csr_matmat`` (private to
+    scipy; checked on scipy 1.17.1), with no counting pass before it.  The
+    kernel writes into buffers of min(paths, rows * |V|) entries: each entry of
+    a row's product needs a path, so the row has at most sum(deg(w) + 1)
+    entries over the w in its current reach, and at most |V|, and the kernel
+    never writes past the buffers.  The kernel releases the GIL (checked on
+    scipy 1.17.1 as well), so one worker thread builds block i + 1's reach
+    while the calling thread tallies block i; every tally and its fold into
+    the histogram run on the calling thread, in block order.  A failure in
+    the worker, a MemoryError or a KeyboardInterrupt, is raised on the
+    calling thread, and no thread outlives the call.
+
+    A block tallies its reach entries (u, v) in one of two ways:
 
     * a table of timestamp-rank pairs: with the block's rows at ranks
       [a, a + span) among the T distinct timestamps, one ``np.bincount`` of
@@ -53,69 +71,66 @@ def k_hop_time_diffs(g: TemporalGraph, k: int) -> TimeDiffHistogram:
       ``np.unique``, when ``span * T`` exceeds the block's reach entries (as
       when every vertex has its own timestamp).
 
-    A block's reach is built one hop at a time, each hop one pass of scipy's
-    numeric SpGEMM kernel ``scipy.sparse._sparsetools.csr_matmat`` (private to
-    scipy; checked on scipy 1.17.1), with no counting pass before it.  The
-    kernel writes into buffers of min(paths, rows * |V|) entries: each entry of
-    a row's product needs a path, so the row has at most sum(deg(w) + 1)
-    entries over the w in its current reach, and at most |V|, and the kernel
-    never writes past the buffers.
-
     Neither the buffers nor a tally hold more than rows * |V| entries (a tally
-    holds at most one counter per reach entry), so memory stays bounded by the
-    block, at most max(2**23, |V|) entries, and no array grows with the range
-    of the timestamps.  The reach holds the diagonal (the source itself, a
-    0-difference) of every non-isolated vertex once k >= 2, and none at k = 1
-    (no self-loops); those entries are subtracted from bin 0.  Differences are
-    exact for any int64 timestamps, up to 2**64 - 1.  O(|V| * b^k) work for
-    average degree b, all of it in numpy and scipy.
+    holds at most one counter per reach entry), and at most two blocks'
+    products exist at once, so memory stays bounded by two blocks, at most
+    2 * max(2**23, |V|) entries, and no array grows with the range of the
+    timestamps.  Differences are exact for any int64 timestamps, up to
+    2**64 - 1.  O(|V| * b^k) work for average degree b, all of it in numpy
+    and scipy.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValidationError(f"hop bound k must be an integer, got {k!r}")
     if k < 1:
         raise ValidationError("hop bound k must be >= 1")
     n = g.num_vertices
-    # Boolean products are OR-of-ANDs, so entries mark reachability and never wrap.
-    adj = g.adjacency().astype(bool)
-    step = adj + sp.identity(n, dtype=bool, format="csr")
-    step_csr = (step.indptr.astype(np.int64), step.indices.astype(np.int64), step.data)
-    s_deg = np.diff(step_csr[0])
-    adj_indptr, adj_indices = adj.indptr.astype(np.int64), adj.indices.astype(np.int64)
+    # boolean products are OR-of-ANDs, so entries mark reachability and never wrap
+    step = _adjacency_plus_identity(g)
+    indptr, indices, data = step
+    s_deg = np.diff(indptr)
     ts, rank = np.unique(g.time, return_inverse=True)
-    num_ts = ts.size
     rows = max(1, _BLOCK_ENTRIES // max(n, 1))
     counts: dict[int, int] = {}
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        first, last = adj_indptr[lo], adj_indptr[hi]
-        block = adj_indptr[lo:hi + 1] - first, adj_indices[first:last], adj.data[first:last]
-        indptr, indices = _block_reach(*block, step_csr, s_deg, k - 1)
-        per_row = np.diff(indptr)
-        block_rank = rank[lo:hi]
-        low = int(block_rank.min())
-        span = int(block_rank.max()) - low + 1
-        if span * num_ts <= indices.size:
-            code = np.repeat((block_rank - low) * num_ts, per_row) + rank.take(indices)
-            table = np.bincount(code, minlength=span * num_ts)
-            cells = np.flatnonzero(table)
-            later, earlier = np.divmod(cells, num_ts)
-            later += low
-            keep = later >= earlier
-            # ts[later] - ts[earlier] lies in [0, 2**64 - 1], so the wrapping int64
-            # subtraction, read as uint64, is exact
-            values = (ts[later[keep]] - ts[earlier[keep]]).view(np.uint64)
-            tally = table[cells[keep]]
-        else:
-            later = np.repeat(g.time[lo:hi], per_row)
-            earlier = g.time.take(indices)
-            values, tally = np.unique((later - earlier)[later >= earlier].view(np.uint64), return_counts=True)
-        for d, c in zip(values.tolist(), tally.tolist()):
-            counts[d] = counts.get(d, 0) + c
-    if k >= 2 and counts:  # a non-isolated vertex reaches itself in 2 hops: no pair
-        counts[0] -= int(np.count_nonzero(np.diff(adj.indptr)))
+    with ThreadPoolExecutor(1) as worker:
+
+        def product(lo):
+            hi = min(lo + rows, n)
+            first, last = indptr[lo], indptr[hi]
+            block = indptr[lo:hi + 1] - first, indices[first:last], data[first:last]
+            return worker.submit(_block_reach, *block, step, s_deg, k - 1)
+
+        ahead = product(0) if n else None
+        for lo in range(0, n, rows):
+            reach = ahead.result()
+            if lo + rows < n:
+                ahead = product(lo + rows)
+            values, tally = _block_tally(lo, *reach, rank, ts, g.time)
+            for d, c in zip(values.tolist(), tally.tolist()):
+                counts[d] = counts.get(d, 0) + c
+    if n:  # every vertex reaches itself: a 0-difference, no pair
+        counts[0] -= n
         if not counts[0]:
             del counts[0]
     return TimeDiffHistogram(counts)
+
+
+def _adjacency_plus_identity(g: TemporalGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boolean CSR (indptr, indices, data) of A + I, int64 indices, every row sorted.
+
+    scipy's private ``coo_tocsr`` is a stable counting sort by row, and ``g.edges``
+    lists its (lo, hi) pairs sorted with lo < hi: entries in the order (hi, lo),
+    (v, v), (lo, hi) give each row its lower neighbours, itself, then its higher ones.
+    """
+    n = g.num_vertices
+    lo, hi = g.edges[:, 0], g.edges[:, 1]
+    v = np.arange(n, dtype=np.int64)
+    nnz = n + 2 * lo.size
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indices = np.empty(nnz, dtype=np.int64)
+    data = np.empty(nnz, dtype=bool)
+    coo_tocsr(n, n, nnz, np.concatenate([hi, v, lo]), np.concatenate([lo, v, hi]),
+              np.ones(nnz, dtype=bool), indptr, indices, data)
+    return indptr, indices, data
 
 
 def _block_reach(indptr, indices, data, step, s_deg, hops: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +157,32 @@ def _block_reach(indptr, indices, data, step, s_deg, hops: int) -> tuple[np.ndar
         nnz = out_indptr[-1]
         indptr, indices, data = out_indptr, out_indices[:nnz], out_data[:nnz]
     return indptr, indices
+
+
+def _block_tally(lo: int, indptr, indices, rank, ts, time) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct differences time(u) - time(v) >= 0, as uint64, and their counts, over
+    the entries (u, v) of a block's reach: CSR rows (indptr, indices) of vertices lo, lo + 1, ...
+
+    ``ts`` holds the distinct timestamps, ascending, and ``rank`` each vertex's index in it.
+    """
+    per_row = np.diff(indptr)
+    block_rank = rank[lo:lo + per_row.size]
+    num_ts = ts.size
+    low = int(block_rank.min())
+    span = int(block_rank.max()) - low + 1
+    if span * num_ts <= indices.size:
+        code = np.repeat((block_rank - low) * num_ts, per_row) + rank.take(indices)
+        table = np.bincount(code, minlength=span * num_ts)
+        cells = np.flatnonzero(table)
+        later, earlier = np.divmod(cells, num_ts)
+        later += low
+        keep = later >= earlier
+        # ts[later] - ts[earlier] lies in [0, 2**64 - 1], so the wrapping int64
+        # subtraction, read as uint64, is exact
+        return (ts[later[keep]] - ts[earlier[keep]]).view(np.uint64), table[cells[keep]]
+    later = np.repeat(time[lo:lo + per_row.size], per_row)
+    earlier = time.take(indices)
+    return np.unique((later - earlier)[later >= earlier].view(np.uint64), return_counts=True)
 
 
 def percentile(h: TimeDiffHistogram, p: float) -> int:

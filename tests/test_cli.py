@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import threading
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import evograph as eg
 from conftest import text_copy
-from evograph import cli, config, dataio
+from evograph import cli, config, dataio, tdiff
 from evograph.cli import main
 from evograph.config import RunSpec, parse_config_text
 from evograph.errors import EvographError
@@ -308,6 +309,35 @@ class TestAnalyze:
             assert rc == 2
             assert flag in capsys.readouterr().err
         assert not (tmp_path / "an").exists()
+
+    @pytest.mark.parametrize(
+        "error, code, line",
+        [
+            (MemoryError("Unable to allocate 8.00 EiB"), 1, "error: out of memory: Unable to allocate 8.00 EiB\n"),
+            (KeyboardInterrupt(), 130, "error: interrupted\n"),
+        ],
+        ids=["out-of-memory", "interrupt"],
+    )
+    def test_failing_block_product_ends_in_one_line(self, dataset, tmp_path, monkeypatch, capsys, error, code, line):
+        # four blocks; the second block's product fails, on the worker thread
+        g = eg.load_dataset(dataset)
+        monkeypatch.setattr(tdiff, "_BLOCK_ENTRIES", 40 * g.num_vertices)
+        block_reach, threads = tdiff._block_reach, []
+
+        def failing_second(*args):
+            threads.append(threading.get_ident())
+            if len(threads) == 2:
+                raise error
+            return block_reach(*args)
+
+        monkeypatch.setattr(tdiff, "_block_reach", failing_second)
+        before = threading.active_count()
+        out = tmp_path / "an"
+        assert main(["analyze-tdiff", str(dataset), "--output-dir", str(out), "--quiet"]) == code
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+        assert len(threads) == 2 and threading.get_ident() not in threads
+        assert threading.active_count() == before
 
 
 class TestRun:

@@ -1,4 +1,5 @@
 import math
+import threading
 from collections import defaultdict
 
 import numpy as np
@@ -146,6 +147,7 @@ def test_many_paths_per_pair_do_not_wrap(edges, k):
 @pytest.mark.parametrize(
     "times, edges",
     [
+        ([], []),
         ([4], []),
         ([1, 2, 3], []),
         ([1, 2, 3, 4, 5, 6], [(0, 1), (1, 2)]),  # vertices 3..5 isolated
@@ -259,6 +261,21 @@ def row_sets(indptr, indices):
     return [sorted(indices[a:b].tolist()) for a, b in zip(indptr[:-1], indptr[1:])]
 
 
+@pytest.mark.parametrize("name", ["random-0", "random-1", *BLOCK_PRODUCT_GRAPHS])
+def test_adjacency_plus_identity_is_scipys_sorted_csr(graph_factory, name):
+    if name.startswith("random"):
+        g = graph_factory(int(name[-1]), n_min=20, n_max=40)
+    else:
+        g = graph_from(*BLOCK_PRODUCT_GRAPHS[name])
+    step = g.adjacency().astype(bool) + sp.identity(g.num_vertices, dtype=bool, format="csr")
+    step.sort_indices()
+    indptr, indices, data = tdiff._adjacency_plus_identity(g)
+    assert indptr.dtype == indices.dtype == np.int64 and data.dtype == bool
+    assert indptr.tolist() == step.indptr.tolist()
+    assert indices.tolist() == step.indices.tolist()
+    assert data.all() and data.size == indices.size
+
+
 @pytest.mark.parametrize("block_rows", [1, 3, None])
 @pytest.mark.parametrize("name", ["random-0", "random-1", *BLOCK_PRODUCT_GRAPHS])
 def test_block_product_matches_scipy(monkeypatch, graph_factory, name, block_rows):
@@ -293,20 +310,74 @@ def test_block_product_matches_scipy(monkeypatch, graph_factory, name, block_row
         products.clear()
         kernel_calls.clear()
         assert eg.k_hop_time_diffs(g, k).counts == bounded_pairs_oracle(g, k)
-        reach = adj
+        reach = step
         for _ in range(k - 1):
             reach = reach @ step
-        # the blocks are the adjacency's rows in order, and their products are reach's rows
-        assert sum((row_sets(*block) for block, _ in products), []) == row_sets(adj.indptr, adj.indices)
+        # the blocks are the rows of A + I in order, and their products are the rows of (A + I)^k
+        assert sum((row_sets(*block) for block, _ in products), []) == row_sets(step.indptr, step.indices)
         assert sum((row_sets(*out) for _, out in products), []) == row_sets(reach.indptr, reach.indices)
         assert len(kernel_calls) == len(products) * (k - 1)
         for paths, cells, capacity, written in kernel_calls:
             assert capacity == min(paths, cells)
             assert written <= capacity
         if name == "complete" and k >= 2:
-            # every row is full after one product, with 11 * 12 paths for its 12 entries
+            # every row is full after one product, with 12 * 12 paths for its 12 entries
             assert all(cells < paths for paths, cells, _, _ in kernel_calls)
             assert all(written == capacity for _, _, capacity, written in kernel_calls)
+
+
+def test_products_overlap_tallies_in_block_order(monkeypatch, graph_factory):
+    """Block j's product starts only after block j - 2's tally ran, so at most two
+    products exist at once; products run on one worker thread, and every tally on
+    the calling thread, in block order."""
+    g = graph_factory(4, n_min=40, n_max=40)
+    monkeypatch.setattr(tdiff, "_BLOCK_ENTRIES", 7 * g.num_vertices)  # six blocks, the last ragged
+    block_reach, block_tally = tdiff._block_reach, tdiff._block_tally
+    events = []  # (kind, thread), in the order they happened
+
+    def spy_reach(*args):
+        events.append(("product", threading.get_ident()))
+        return block_reach(*args)
+
+    def spy_tally(lo, *args):
+        out = block_tally(lo, *args)
+        events.append((("tally", lo), threading.get_ident()))
+        return out
+
+    monkeypatch.setattr(tdiff, "_block_reach", spy_reach)
+    monkeypatch.setattr(tdiff, "_block_tally", spy_tally)
+    for k in (1, 2, 3):
+        events.clear()
+        assert eg.k_hop_time_diffs(g, k).counts == bounded_pairs_oracle(g, k)
+        products = [i for i, (kind, _) in enumerate(events) if kind == "product"]
+        tallies = [i for i, (kind, _) in enumerate(events) if kind != "product"]
+        assert [events[i][0] for i in tallies] == [("tally", lo) for lo in range(0, 40, 7)]
+        assert {events[i][1] for i in tallies} == {threading.get_ident()}
+        workers = {events[i][1] for i in products}
+        assert len(products) == 6 and len(workers) == 1 and threading.get_ident() not in workers
+        for j in range(2, 6):
+            assert products[j] > tallies[j - 2]
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_failing_block_product_reaches_the_caller(monkeypatch, graph_factory, error):
+    g = graph_factory(4, n_min=40, n_max=40)
+    monkeypatch.setattr(tdiff, "_BLOCK_ENTRIES", 10 * g.num_vertices)  # four blocks
+    block_reach, threads = tdiff._block_reach, []
+
+    def failing_second(*args):
+        threads.append(threading.get_ident())
+        if len(threads) == 2:
+            raise error("Unable to allocate 8.00 EiB")
+        return block_reach(*args)
+
+    monkeypatch.setattr(tdiff, "_block_reach", failing_second)
+    before = threading.active_count()
+    with pytest.raises(error, match="^Unable to allocate 8.00 EiB$"):
+        eg.k_hop_time_diffs(g, 2)
+    # the second block's product was the last: no third one was started
+    assert len(threads) == 2 and threading.get_ident() not in threads
+    assert threading.active_count() == before
 
 
 class TestPercentile:

@@ -82,6 +82,33 @@ np.savetxt(ds / "features.csv", features, delimiter=",", fmt="%.9g")' "$smoke/te
         evograph analyze-tdiff "$smoke/distinct" --k "$k" --output-dir "$smoke/tdiff-distinct$k" --quiet
         test "$(sed 1d "$smoke/tdiff-distinct$k/tdiff.csv" | cut -d, -f1 | tr '\n' ' ')" = "$(seq -s ' ' 1 $((4 * k))) "
     done
+    # 6000 vertices in five blocks of rows, so a worker thread builds each block's reach while
+    # the calling thread tallies the block before: the histogram at k = 2 and 3 must be that of
+    # scipy's matrix powers A + A^2 (+ A^3), less the diagonal
+    evograph generate "$smoke/blocks" --num-timestamps 60 --vertices-per-timestamp 100 --quiet
+    for k in 2 3; do
+        evograph analyze-tdiff "$smoke/blocks" --k "$k" --output-dir "$smoke/tdiff-blocks$k" --quiet
+        python -c 'import json, sys, numpy as np, evograph as eg
+from evograph import tdiff
+g, k = eg.load_dataset(sys.argv[1]), int(sys.argv[2])
+rows = tdiff._BLOCK_ENTRIES // g.num_vertices
+if -(-g.num_vertices // rows) != 5:
+    sys.exit(f"{g.num_vertices} vertices in blocks of {rows} rows: not five blocks")
+a = (g.adjacency() > 0).astype(np.int64)
+power = reach = a
+for _ in range(k - 1):
+    power = power @ a
+    reach = reach + power
+reach = reach.tocoo()
+off = reach.row != reach.col
+diffs = g.time[reach.row[off]] - g.time[reach.col[off]]
+values, counts = np.unique(diffs[diffs >= 0], return_counts=True)
+expected = {str(d): c for d, c in zip(values.tolist(), counts.tolist())}
+with open(sys.argv[3], encoding="utf-8") as f:
+    if json.load(f)["histogram"] != expected:
+        sys.exit(f"k = {k}: histogram differs from the matrix powers")' \
+            "$smoke/blocks" "$k" "$smoke/tdiff-blocks$k/tdiff.json"
+    done
     printf 'dataset=%s\nmodel=mlp\nhistory_size=2\nepochs=2\nseeds=0,1,2\n' "$smoke/data" > "$smoke/run.cfg"
     evograph run --config "$smoke/run.cfg" --output-dir "$smoke/run" --quiet
     sed "s|^dataset=.*|dataset=$smoke/text|" "$smoke/run.cfg" > "$smoke/text.cfg"
