@@ -15,8 +15,9 @@ state array, and every epoch writes into them in place: the parameter
 buffer, one flat row per model (the working models' layers, which
 ``on_epoch`` receives one by one, are views into it), the gradient rows, the hidden
 layer, the dropout mask, the loss kernel's buffers and, for sage, ``H @
-W_n`` on the output columns, all float32, as are the Adam state, the cached
-layer-0 input and ``P`` it reads: no pass of an epoch runs in float64.
+W_n`` and the sparse products' output on the output columns, all float32,
+as are the Adam state, the cached layer-0 input and ``P`` it reads: no pass
+of an epoch runs in float64.
 Each model's dropout mask is read straight off its generator's raw 64-bit
 PCG64 words, as little-endian 16-bit lanes in row-major ``(n, h)`` order: a
 unit is kept iff its lane is >= ``round(rate * 2**16)``, so with
@@ -29,7 +30,13 @@ ICLR 2018) keeps float64 where precision is checked: :func:`forward`, which
 scores, and :func:`loss_and_grad`, which the finite-difference checks use,
 run the same passes in float64.  The hidden buffers are ``(S, n, h)``; the
 logits and the other output-column buffers are ``(n, S, C)``, so each
-sparse product runs once for the stack.  Biases ride in the BLAS products:
+sparse product runs once for the stack.  Each runs scipy's own kernel, the
+one ``P @ X`` calls (``csr_matvecs`` on ``P``, ``csc_matvecs`` on its CSC
+view ``P.T``), into one ``(n, S, C)`` buffer zeroed before each call, which
+the forward's ``P @ (H @ W_n)`` and then the backward's ``P.T @ dZ`` share:
+the kernel adds each entry's product into its output row, so from the same
+zeros on the same arrays every sum is the operator's, bit for bit, without
+the operator's fresh result array.  Biases ride in the BLAS products:
 layer 0's input carries a ones column, so ``[X | 1] @ [W0; b0]`` and its
 transpose product give layer 0's output and both its gradients, and the
 last layer's bias gradient is ``ones(n) @ dZ``.  Dropout and the loss
@@ -73,6 +80,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .dataio import read_bytes, read_key_values, read_text
 from .errors import ValidationError
@@ -260,6 +268,19 @@ def _graph_inputs(model: ModelState, g: TemporalGraph, dtype):
     return g._model_inputs[key]
 
 
+def _sparse_product(kernel, A, X, out) -> np.ndarray:
+    """``A @ X`` written into ``out``, zeroed first, for C-contiguous ``(n, S, C)`` ``X`` and ``out``.
+
+    ``kernel`` is scipy's ``csr_matvecs`` for ``A = P`` or ``csc_matvecs``
+    for its CSC view ``P.T``: the kernel ``A @ X`` runs on ``(n, S * C)``.
+    At ``S * C = 1`` the operator runs ``csr_matvec`` or ``csc_matvec``
+    instead, whose sums run in the same order.
+    """
+    out.fill(0.0)
+    kernel(*A.shape, X.shape[1] * X.shape[2], A.indptr, A.indices, A.data, X, out)
+    return out
+
+
 def _flat(layers, dtype=np.float64) -> np.ndarray:
     """The parameters as one ``dtype`` vector: per layer, the weights row-major, then the bias."""
     return np.concatenate([a.ravel() for pair in layers for a in pair], dtype=dtype)
@@ -295,8 +316,9 @@ class _Forward:
     ``[W0; b0]``, ``(S, fan_in + 1, fan_out)``, which multiplies the cached
     ``[X | 1]``.  The buffers are the hidden layer ``H``, ``(S, n, h)`` (the
     pre-activation, then in place the activation), the logits and, for
-    sage, ``HWn = H @ W_n``, both ``(n, S, C)``: the models' output columns
-    side by side, so that each sparse product runs once on ``(n, S * C)``.
+    sage, ``HWn = H @ W_n`` and ``PX = P @ HWn``, all ``(n, S, C)``: the
+    models' output columns side by side, so that each sparse product runs
+    once on ``(n, S * C)``.
     ``H1`` is the input of the last layer's self half ``W_s = W[:d]``: ``H``
     (mlp, sage), then plus the bias ``b``, or layer 0's input for sgc, which
     has no hidden layer and whose ``W`` is ``Wb0``.
@@ -322,10 +344,10 @@ class _Forward:
             self.H = self.H1 = np.empty((S, n, model.hidden_dim), flat.dtype)
         d = self.H1.shape[-1]
         self.W_s, self.W_n = W[:, :d], W[:, d:]
-        self.logits_by_model, self.logits_cols = self.logits.transpose(1, 0, 2), self.logits.reshape(n, -1)
+        self.logits_by_model = self.logits.transpose(1, 0, 2)
         if self.prop is not None:
-            self.HWn = np.empty_like(self.logits)
-            self.HWn_by_model, self.HWn_cols = self.HWn.transpose(1, 0, 2), self.HWn.reshape(n, -1)
+            self.HWn, self.PX = np.empty_like(self.logits), np.empty_like(self.logits)
+            self.HWn_by_model, self.PX_by_model = self.HWn.transpose(1, 0, 2), self.PX.transpose(1, 0, 2)
 
     def forward(self, rngs=None) -> np.ndarray:
         """The stack's logits; model s draws its dropout masks from ``rngs[s]``, none if ``rngs`` is None."""
@@ -343,7 +365,7 @@ class _Forward:
         np.matmul(self.H1, self.W_s, out=self.logits_by_model)
         if self.prop is not None:
             np.matmul(self.H1, self.W_n, out=self.HWn_by_model)
-            self.logits_cols += self.prop[0] @ self.HWn_cols
+            self.logits += _sparse_product(_sparsetools.csr_matvecs, self.prop[0], self.HWn, self.PX)
         if self.b is not None:
             self.logits += self.b
         return self.logits
@@ -362,7 +384,12 @@ class _Workspace(_Forward):
     ``ones(n) @ dZ``.
     For sage the backward pass takes ``Q = P.T @ dZ`` on the output columns;
     layer 1's gradient is ``H.T @ dZ`` over ``H.T @ Q`` by rows, and
-    ``dH = dZ @ W_s.T + Q @ W_n.T``.
+    ``dH = dZ @ W_s.T + Q @ W_n.T``.  Both sparse products run scipy's
+    kernels into ``PX``, ``(n, S, C)`` and zeroed before each call: the
+    forward's ``P @ (H @ W_n)`` with ``csr_matvecs`` on ``P``, then, once
+    the forward has added it to the logits, ``Q`` with ``csc_matvecs`` on
+    the CSC view ``P.T``.  ``P @ X`` runs the same kernel on the same arrays
+    into a zeroed result, so the sums are the operator's, bit for bit.
     The backward mask is ``H > 0``: ``H`` is ``relu(pre) * drop * scale``
     with ``scale = 1 / (1 - rate) >= 1``, so it is positive exactly where
     ``pre`` is and the mask kept the unit.  Each epoch, model s's generator
@@ -410,8 +437,9 @@ class _Workspace(_Forward):
         dZ_by_model = dZ.transpose(1, 0, 2)
         np.matmul(self.H1_T, dZ_by_model, out=self.gW_s)
         if self.prop is not None:
-            n = dZ.shape[0]
-            Q_by_model = (self.prop[1] @ dZ.reshape(n, -1)).reshape(dZ.shape).transpose(1, 0, 2)
+            # PX is free once the forward pass has added it: it takes Q = P.T @ dZ
+            _sparse_product(_sparsetools.csc_matvecs, self.prop[1], dZ, self.PX)
+            Q_by_model = self.PX_by_model
             np.matmul(self.H1_T, Q_by_model, out=self.gW_n)
         if len(self.layers) == 1:
             return losses
@@ -438,15 +466,20 @@ class _Targets(NamedTuple):
     """Validated loss inputs that stay fixed while a model trains."""
 
     idx: Optional[np.ndarray]  # masked rows; None when the mask covers every row
-    onehot: np.ndarray  # (masked rows, C), their output units
+    onehot: np.ndarray  # (masked rows, S, C), their output units
     weights: Optional[np.ndarray]  # per-unit weights, weighted-bce only
-    scale: object  # the gradient's factor per unit: weights / (n * C), 1 / (n * C) or 1 / n (categorical)
+    # the gradient's factor: weights / (n * C) per unit, as (masked rows, S, C); 1 / (n * C) or 1 / n
+    # (categorical), 0-d
+    scale: np.ndarray
 
 
 def _loss_targets(labels, train_mask, logits, loss_mode) -> _Targets:
-    """Checked targets for ``logits``: rows first, output units last.
+    """Checked targets for ``(n, S, C)`` logits, in the logits' dtype.
 
-    ``onehot``, ``weights`` and ``scale`` take the logits' dtype.
+    ``onehot`` and a per-unit ``scale`` (weighted-bce) are materialized in the
+    gradient's shape, ``(masked rows, S, C)``, once: numpy subtracts or
+    multiplies a broadcast operand through a copy of it into an iteration
+    buffer, on every call.  Scalar scales stay 0-d.
     """
     num_rows, num_units = logits.shape[0], logits.shape[-1]
     labels = np.asarray(labels)
@@ -464,12 +497,15 @@ def _loss_targets(labels, train_mask, logits, loss_mode) -> _Targets:
     if loss_mode not in LOSS_MODES:
         raise ValidationError(f"unknown loss_mode {loss_mode!r}")
     weights = _class_weights(labels, mask, num_units) if loss_mode == WEIGHTED_BCE else None
-    onehot = np.zeros((idx.size, num_units), dtype=logits.dtype)
-    onehot[np.arange(idx.size), y] = 1.0
-    scale = 1.0 / idx.size if loss_mode == CATEGORICAL else (1.0 if weights is None else weights) / onehot.size
+    onehot = np.zeros((idx.size,) + logits.shape[1:], dtype=logits.dtype)
+    onehot[np.arange(idx.size), ..., y] = 1.0
+    count = idx.size if loss_mode == CATEGORICAL else idx.size * num_units
+    scale = (1.0 if weights is None else weights) / count
     if weights is not None:
         weights = weights.astype(logits.dtype)
     scale = np.asarray(scale, dtype=logits.dtype)
+    if scale.ndim:
+        scale = np.broadcast_to(scale, onehot.shape).copy()
     return _Targets(None if idx.size == num_rows else idx, onehot, weights, scale)
 
 
@@ -501,14 +537,14 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
     max and row sums.
     """
     idx, onehot, weights, scale = targets
-    n, C = onehot.shape
+    n, S, C = onehot.shape
     Z, grad = (logits, dlogits) if idx is None else (logits[idx],) * 2
     work = work[:n]
-    models = range(Z.shape[1])
+    models = range(S)
     losses = None
     if loss_mode == CATEGORICAL:
         # row by row on the (rows * S, C) view, whose row i * S + s is row i of model s
-        S, Z_rows = len(models), Z.reshape(-1, C)
+        Z_rows = Z.reshape(-1, C)
         top, total = rows[0, : len(Z_rows)], rows[1, : len(Z_rows), None]
         # the row max, one column at a time: much cheaper than max(axis=1) on narrow rows
         np.copyto(top, Z_rows[:, 0])
@@ -518,7 +554,7 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
         exps = np.exp(shifted, out=grad.reshape(-1, C))
         np.sum(exps, axis=1, keepdims=True, out=total)
         if want_loss:  # the label's shift picked, not multiplied out: another unit's may be -inf
-            picked = np.where(onehot[:, None], shifted.reshape(n, S, C), 0.0).sum(axis=2)
+            picked = np.where(onehot, shifted.reshape(n, S, C), 0.0).sum(axis=2)
             losses = [_mean(np.log(total[s::S, 0]) - picked[:, s], n) for s in models]
         exps /= total
     else:
@@ -526,11 +562,11 @@ def _loss_kernel(logits, targets: _Targets, loss_mode: str, want_loss: bool, dlo
         e = _exp_neg_abs(Z, work)
         if want_loss:
             losses = [
-                _mean(np.maximum(Z[:, s], 0.0) - Z[:, s] * onehot + np.log1p(e[:, s]), n * C, weights)
+                _mean(np.maximum(Z[:, s], 0.0) - Z[:, s] * onehot[:, s] + np.log1p(e[:, s]), n * C, weights)
                 for s in models
             ]
         _sigmoid(Z, e, grad)
-    grad -= onehot[:, None]
+    grad -= onehot
     grad *= scale
     if idx is not None:
         dlogits[idx] = grad
@@ -549,8 +585,8 @@ def loss_from_logits(logits, labels, train_mask, loss_mode):
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValidationError("non-finite logits")
-    targets = _loss_targets(labels, train_mask, logits, loss_mode)
     logits = logits[:, None]
+    targets = _loss_targets(labels, train_mask, logits, loss_mode)
     dlogits, work, rows = np.zeros_like(logits), np.empty_like(logits), np.empty((2, len(logits)))
     (loss,), grad = _loss_kernel(logits, targets, loss_mode, True, dlogits, work, rows)
     return loss, grad[:, 0]
@@ -650,7 +686,7 @@ def train(models, g: TemporalGraph, labels, train_mask, cfgs, on_epoch=None) -> 
             state = np.zeros((4,) + ws.params.shape, ws.params.dtype)
             for epoch in range(1, cfg.epochs + 1):
                 logits = ws.forward(rngs)
-                if not np.all(np.isfinite(logits)):
+                if not np.isfinite(logits).all():
                     raise ValidationError(f"non-finite logits at epoch {epoch}")
                 losses = ws.backward(targets, cfg.loss_mode, on_epoch is not None)
                 _adam_update(ws.params, ws.grads, state, epoch, cfg.learning_rate, cfg.weight_decay)

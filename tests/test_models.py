@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from dataclasses import replace
 
 import evograph as eg
@@ -302,22 +303,65 @@ class TestWorkspace:
                 a[0, -1] = 2.0
 
     @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
-    def test_epoch_allocates_no_hidden_buffer_and_rebinds_none(self, kind):
+    def test_epoch_allocates_no_hidden_buffer_and_rebinds_none(self, kind, monkeypatch):
         S, n, h, C = 2, 300, 64, 3
         g = small_graph(seed=2, n=n, dim=5, num_classes=C)
         models = [eg.init_model(kind, 5, h, C, seed=s, dropout_rate=0.5) for s in range(S)]
         ws = eg.models._Workspace(models, g, np.float32)
         targets = eg.models._loss_targets(g.labels, np.ones(n, bool), ws.logits, eg.BCE)
         rngs = [np.random.default_rng(s) for s in range(S)]
+
+        def operator(*args):
+            raise AssertionError("an epoch ran a scipy sparse operator")
+
+        # sage's sparse products run scipy's kernels into the workspace, not its operators, which
+        # allocate their result
+        monkeypatch.setattr(sp._base._spbase, "_matmul_dispatch", operator)
         ws.forward(rngs)
         ws.backward(targets, eg.BCE, want_loss=False)
         buffers = {name: id(a) for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
         peak = self.peak_allocation(lambda: (ws.forward(rngs), ws.backward(targets, eg.BCE, want_loss=False)))
         # every (S, n, h) and (n, S, C) buffer is the workspace's own, made once
         assert buffers == {name: id(a) for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
-        # what an epoch allocates (the sparse products' outputs and numpy's iteration buffers,
-        # at most 32 KB each) stays below one float32 (S, n, h) buffer, 21 times an (n, S, C) one
+        # what an epoch allocates (the dropout lanes and numpy's iteration buffers, at most
+        # 32 KB each) stays below one float32 (S, n, h) buffer, 21 times an (n, S, C) one
         assert peak < S * n * h * 4
+
+    @pytest.mark.parametrize("graph", ["edges", "isolated-vertices", "no-edges"])
+    @pytest.mark.parametrize("S, C", [(1, 3), (3, 3), (1, 1)], ids=["S1", "S3", "one-column"])
+    @pytest.mark.parametrize("full_mask", [True, False], ids=["full-mask", "partial-mask"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["train", "score"])
+    def test_sparse_products_equal_scipys_operators(self, dtype, full_mask, S, C, graph):
+        # sage's P @ (H @ W_n) and P.T @ dZ run scipy's private kernels csr_matvecs and
+        # csc_matvecs into the shared PX buffer; their bits must be the operators', which at
+        # S * C = 1 run csr_matvec and csc_matvec instead
+        n, rng = 30, np.random.default_rng(4)
+        linked = {"edges": n, "isolated-vertices": 20, "no-edges": 0}[graph]
+        pairs = [(i, j) for i in range(linked) for j in range(i + 1, linked) if rng.random() < 0.25]
+        g = eg.TemporalGraph(
+            n, np.asarray(pairs, np.int64).reshape(-1, 2), rng.integers(0, 3, n),
+            rng.normal(size=(n, 4)).astype(np.float32), rng.integers(0, C, n), C,
+        )
+        mask = np.ones(n, bool) if full_mask else np.arange(n) % 3 > 0
+        models = [eg.init_model("sage", 4, 8, C, seed=s) for s in range(S)]
+        ws = eg.models._Workspace(models, g, dtype)
+        P, P_T = ws.prop
+        assert P.dtype == P_T.dtype == dtype
+        assert not np.diff(P.indptr)[linked:].any() and (P.nnz == 0) == (graph == "no-edges")
+        targets = eg.models._loss_targets(g.labels, mask, ws.logits, eg.BCE)
+        rngs = [np.random.default_rng(s) for s in range(S)] if dtype == np.float32 else None
+        same_bits = lambda a, b: a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # twice: the second forward product starts from the Q the first backward pass left in PX
+        for _ in range(2):
+            ws.forward(rngs)
+            assert same_bits(ws.PX, P @ ws.HWn.reshape(n, -1))
+            ws.backward(targets, eg.BCE, want_loss=False)
+            assert full_mask or not ws.dlogits[~mask].any()
+            assert same_bits(ws.PX, P_T @ ws.dlogits.reshape(n, -1))
+        if dtype == np.float64:  # forward's scoring pass
+            f = eg.models._Forward(models[0], g)
+            f.forward()
+            assert same_bits(f.PX, P @ f.HWn.reshape(n, -1))
 
     @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
     @pytest.mark.parametrize("full_mask", [True, False])
@@ -339,7 +383,11 @@ class TestWorkspace:
             e = np.exp(-np.abs(logits))
             assert np.array_equal(ws.work, e + np.float32(1.0))
         peak, unit = self.peak_allocation(kernel), ws.logits.nbytes
-        if full_mask:
+        if full_mask and loss_mode != eg.CATEGORICAL:
+            # the one-hot targets and the gradient's scale are of the gradient's shape, so no
+            # operand is broadcast through one of numpy's iteration buffers (32 KB, 0.23 unit)
+            assert peak < 0.05 * unit
+        elif full_mask:
             # numpy's iteration buffers, at most 32 KB
             assert peak < 0.5 * unit
         else:

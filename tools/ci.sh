@@ -124,6 +124,14 @@ with open(sys.argv[3], encoding="utf-8") as f:
     printf 'dataset=%s\nmodel=sage\ndetector=gdoc\nhistory_size=2\nepochs=5\nseeds=0,1,2\n' "$smoke/data" > "$smoke/sage.cfg"
     evograph run --config "$smoke/sage.cfg" --output-dir "$smoke/sage" --jobs 1 --quiet
     rerun_reproduces "$smoke/sage"
+    # and on a graph without edges, where every window's P is empty (no entries, row pointers
+    # all zero): sage's sparse products add nothing
+    evograph generate "$smoke/edgeless" --num-timestamps 6 --vertices-per-timestamp 12 --feature-dim 4 \
+        --intra-class-edge-prob 0 --inter-class-edge-prob 0 --quiet
+    test ! -s "$smoke/edgeless/edges.bin"
+    sed "s|^dataset=.*|dataset=$smoke/edgeless|" "$smoke/sage.cfg" > "$smoke/edgeless.cfg"
+    evograph run --config "$smoke/edgeless.cfg" --output-dir "$smoke/edgeless-run" --jobs 1 --quiet
+    rerun_reproduces "$smoke/edgeless-run"
     # a two-task run trains its seeds as one batch as well: the same files through the pool
     # (chunks of two seeds and one), and no checkpoint
     printf 'dataset=%s\nmode=two-task\nmodel=sage\npretrain_epochs=10\ninference_epochs=5\nseeds=0,1,2\n' \
