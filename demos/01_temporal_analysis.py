@@ -33,7 +33,7 @@ for k in (1, 2, 3):
     quartiles = [eg.percentile(hist, p) for p in (25, 50, 75, 100)]
     print(f"dt_{k}: mass {hist.total():6d}  quartiles {quartiles}")
 
-sizes = eg.suggest_history_sizes(graph, 2, [25, 50, 75, 100])
+sizes = eg.history_sizes(eg.k_hop_time_diffs(graph, 2), [25, 50, 75, 100])
 print(f"suggested history sizes from dt_2 percentiles: {sizes}")
 
 # --- equivariance to temporal granularity ------------------------------

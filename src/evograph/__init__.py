@@ -10,7 +10,7 @@ from .graph import (
     start_timestamp,
 )
 from .dataio import dataset_fingerprint, load_dataset, save_dataset
-from .tdiff import TimeDiffHistogram, k_hop_time_diffs, percentile, suggest_history_sizes
+from .tdiff import TimeDiffHistogram, history_sizes, k_hop_time_diffs, percentile
 from .models import (
     BCE,
     CATEGORICAL,

@@ -83,7 +83,7 @@ class ExperimentConfig:
             raise ConfigError("hidden_dim must be >= 1")
         try:
             check_model_settings(self.sgc_k, self.dropout_rate)
-            self.train_config(0)
+            self.train_config()
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -94,18 +94,28 @@ class ExperimentConfig:
             return CATEGORICAL
         return WEIGHTED_BCE if self.detector.variant == GDOC else BCE
 
-    def train_config(self, seed: int) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.learning_rate,
             weight_decay=self.weight_decay,
             epochs=self.epochs,
             loss_mode=self.effective_loss_mode(),
-            seed=seed,
         )
 
 
 def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def _init_models(cfg: ExperimentConfig, g: TemporalGraph, output_dim: int, seeds, *parts: int) -> list:
+    """One fresh ``cfg.model`` per seed ``s`` of ``seeds``, initialized by ``_derive_seed(s, *parts)``."""
+    return [
+        init_model(
+            cfg.model, g.feature_dim, cfg.hidden_dim, output_dim,
+            sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate, seed=_derive_seed(s, *parts),
+        )
+        for s in seeds
+    ]
 
 
 def label_rate_subsample(g: TemporalGraph, rate: float, seed: int) -> np.ndarray:
@@ -255,19 +265,12 @@ def _run_batch(g, cfgs, seeds, tasks, label_mask):
                 ]
             known_order.extend(new_classes)
             if models is None or cfg.restart == COLD:
-                models = [
-                    init_model(
-                        cfg.model, g.feature_dim, cfg.hidden_dim, len(known_order),
-                        sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate,
-                        seed=_derive_seed(s, task.t, 0),
-                    )
-                    for s in seeds
-                ]
+                models = _init_models(cfg, g, len(known_order), seeds, task.t, 0)
 
             y_units_train = _unit_labels(train_g.labels, known_order)
             models = train(
                 models, train_g, y_units_train, train_sel,
-                [cfg.train_config(_derive_seed(s, task.t, 2)) for s in seeds],
+                cfg.train_config(), [_derive_seed(s, task.t, 2) for s in seeds],
             )
 
             y_true = eval_g.labels[task.test_mask]
@@ -355,25 +358,19 @@ def two_task_experiment(
 
     def run(batch: list) -> list:
         try:
-            models = [
-                init_model(
-                    cfg.model, g.feature_dim, cfg.hidden_dim, len(classes),
-                    sgc_k=cfg.sgc_k, dropout_rate=cfg.dropout_rate, seed=_derive_seed(s, 0),
-                )
-                for s in batch
-            ]
+            models = _init_models(cfg, g, len(classes), batch, 0)
             if pretrain_epochs > 0:
                 models = train(
                     models, g_train, _unit_labels(g_train.labels, classes),
                     np.ones(g_train.num_vertices, dtype=bool),
-                    [replace(cfg.train_config(_derive_seed(s, 1)), epochs=pretrain_epochs) for s in batch],
+                    replace(cfg.train_config(), epochs=pretrain_epochs), [_derive_seed(s, 1) for s in batch],
                 )
             traces = [[test_accuracy(m, pretrain_epochs)] for m in models]
             if inference_epochs > 0:
                 # optimizer state restarts fresh for the inference phase
                 train(
                     models, g, _unit_labels(g.labels, classes), train_mask,
-                    [replace(cfg.train_config(_derive_seed(s, 2)), epochs=inference_epochs) for s in batch],
+                    replace(cfg.train_config(), epochs=inference_epochs), [_derive_seed(s, 2) for s in batch],
                     on_epoch=lambda epoch, s, loss, m: traces[s].append(test_accuracy(m, epoch)),
                 )
             return traces

@@ -8,16 +8,16 @@ layer shapes (see :func:`save_checkpoint`).  Models are values:
 every public update (:func:`train`, :func:`expand_output_layer`) returns a
 new :class:`ModelState` and never mutates its input.  :func:`train` is the
 one training loop, for a stack of S models (S >= 1) of one shape that share
-a graph, labels, mask and config but for the seed (the seeds of one
-experiment): one epoch pass trains them all, and each model gets the bits it
-gets when trained alone.  A stack allocates one epoch workspace and one Adam
-state array, and every epoch writes into them in place: the parameter
-buffer, one flat row per model (the working models' layers, which
-``on_epoch`` receives one by one, are views into it), the gradient rows, the hidden
-layer, the dropout mask, the loss kernel's buffers and, for sage, ``H @
-W_n`` and the sparse products' output on the output columns, all float32,
-as are the Adam state, the cached layer-0 input and ``P`` it reads: no pass
-of an epoch runs in float64.
+a graph, labels, mask and one :class:`TrainConfig`, each with its own
+dropout seed (the seeds of one experiment): one epoch pass trains them all,
+and each model gets the bits it gets when trained alone.  A stack allocates
+one epoch workspace and one Adam state array, and every epoch writes into
+them in place: the parameter buffer, one flat row per model (the working
+models' layers, which ``on_epoch`` receives one by one, are views into it),
+the gradient rows, the hidden layer, the dropout mask, the loss kernel's
+buffers and, for sage, ``H @ W_n`` and the sparse products' output on the
+output columns, all float32, as are the Adam state, the cached layer-0
+input and ``P`` it reads: no pass of an epoch runs in float64.
 Each model's dropout mask is read straight off its generator's raw 64-bit
 PCG64 words, as little-endian 16-bit lanes in row-major ``(n, h)`` order: a
 unit is kept iff its lane is >= ``round(rate * 2**16)``, so with
@@ -47,7 +47,7 @@ the mask kept the unit.  The loss *value*, one per model, is computed only
 where it is read: with ``on_epoch``, and in :func:`loss_and_grad` and
 :func:`loss_from_logits`.
 Dropout fires only inside ``train``, with masks drawn from a generator per
-model seeded by its ``cfg.seed``.  :func:`loss_and_grad` runs the same
+model seeded by its entry of ``seeds``.  :func:`loss_and_grad` runs the same
 workspace passes without one, so it is deterministic; :func:`forward` runs
 the same forward pass with only its own buffers (hidden layer, logits and
 sage's ``H @ W_n``) over a flat copy of the model.  All three take the graph,
@@ -109,7 +109,6 @@ class TrainConfig:
     weight_decay: float = 5e-4
     epochs: int = 200
     loss_mode: str = CATEGORICAL
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -120,7 +119,6 @@ class TrainConfig:
             raise ValidationError("weight_decay must be finite and >= 0")
         if self.loss_mode not in LOSS_MODES:
             raise ValidationError(f"unknown loss_mode {self.loss_mode!r}")
-        _check_seed(self.seed)
 
 
 @dataclass
@@ -632,24 +630,25 @@ def _adam_update(params, grads, state, step: int, lr: float, weight_decay: float
     params -= t
 
 
-def train(models, g: TemporalGraph, labels, train_mask, cfgs, on_epoch=None) -> list:
+def train(models, g: TemporalGraph, labels, train_mask, cfg: TrainConfig, seeds, on_epoch=None) -> list:
     """Full-batch training of a stack of models: one update step per epoch, deterministic per seed.
 
-    The models share kind, settings and shapes, and their equal-length
-    configs differ only in ``seed``; they train on one graph, labels and
-    mask, and come back trained in the same order, the inputs untouched.
-    Optimizer moments start at zero.  In weighted-bce mode the per-class
-    weights are (n - n_i) / n_i over the masked labels.  Each model gets the
-    bits it gets when trained alone: its own dropout generator, seeded by
-    its config, fills its own slice of the dropout mask, and one Adam update
-    runs over all their flat parameters, an elementwise rule.  A stack
-    trains as consecutive sub-stacks of one size, each through all its
-    epochs: 1 if a layer has width 1 (one output unit, one hidden unit, one
-    input column), as such a product runs in a BLAS vector kernel, whose
-    bits depend on where the vector lies in the stack; else as many models,
-    at least one, as a private entries budget allows on ``g``'s rows.  The
-    epochs run in float32, dropout masks included; the returned models hold
-    the trained float32 parameters as float64.
+    The models share kind, settings and shapes; they train under one
+    ``cfg`` on one graph, labels and mask, model s with dropout seed
+    ``seeds[s]``, and come back trained in the same order, the inputs
+    untouched.  Optimizer moments start at zero.  In weighted-bce mode the
+    per-class weights are (n - n_i) / n_i over the masked labels.  Each
+    model gets the bits it gets when trained alone: its own dropout
+    generator, seeded by its seed, fills its own slice of the dropout mask,
+    and one Adam update runs over all their flat parameters, an elementwise
+    rule.  A stack trains as consecutive sub-stacks of one size, each
+    through all its epochs: 1 if a layer has one output unit (h = 1 or C =
+    1; layer 0's input ``[X | 1]`` has at least two columns), as a product
+    with such an operand runs in a BLAS vector kernel, whose bits depend on
+    where the vector lies in the stack; else as many models, at least one,
+    as a private entries budget allows on ``g``'s rows.  The epochs run in
+    float32, dropout masks included; the returned models hold the trained
+    float32 parameters as float64.
 
     ``on_epoch``, if given, is called as ``on_epoch(epoch, s, loss, model)``
     for each model after each update: epochs count from 1, ``s`` is the
@@ -660,12 +659,12 @@ def train(models, g: TemporalGraph, labels, train_mask, cfgs, on_epoch=None) -> 
     any model, raise ValidationError naming the epoch; the overflows that
     lead there raise no RuntimeWarning, since that error reports them.
     """
-    models, cfgs = list(models), list(cfgs)
-    if not models or len(models) != len(cfgs):
-        raise ValidationError(f"{len(models)} models and {len(cfgs)} configs; need one config per model")
-    cfg, first = cfgs[0], models[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs[1:]):
-        raise ValidationError("configs of models trained together may differ only in seed")
+    models, seeds = list(models), list(seeds)
+    if not models or len(models) != len(seeds):
+        raise ValidationError(f"{len(models)} models and {len(seeds)} seeds; need one seed per model")
+    for seed in seeds:
+        _check_seed(seed)
+    first = models[0]
     shapes = [w.shape for w, _ in first.layers]
     if any(
         (m.kind, m.sgc_k, m.dropout_rate, [w.shape for w, _ in m.layers])
@@ -674,15 +673,15 @@ def train(models, g: TemporalGraph, labels, train_mask, cfgs, on_epoch=None) -> 
     ):
         raise ValidationError("models trained together must share kind, settings and shapes")
     entries = g.num_vertices * (first.hidden_dim + first.output_dim)
-    size = 1 if min(min(shape) for shape in shapes) < 2 else max(1, _STACK_ENTRIES // max(1, entries))
+    size = 1 if min(fan_out for _, fan_out in shapes) < 2 else max(1, _STACK_ENTRIES // max(1, entries))
     trained = []
     for lo in range(0, len(models), size):
-        stack, stack_cfgs = models[lo : lo + size], cfgs[lo : lo + size]
+        stack, stack_seeds = models[lo : lo + size], seeds[lo : lo + size]
         with np.errstate(over="ignore", invalid="ignore"):
             # a parameter beyond float32's range becomes inf here, and the first epoch reports it
             ws = _Workspace(stack, g, np.float32)
             targets = _loss_targets(labels, train_mask, ws.logits, cfg.loss_mode)
-            rngs = [np.random.default_rng(c.seed) for c in stack_cfgs] if first.dropout_rate > 0 else None
+            rngs = [np.random.default_rng(s) for s in stack_seeds] if first.dropout_rate > 0 else None
             state = np.zeros((4,) + ws.params.shape, ws.params.dtype)
             for epoch in range(1, cfg.epochs + 1):
                 logits = ws.forward(rngs)

@@ -211,8 +211,3 @@ def history_sizes(h: TimeDiffHistogram, percentiles) -> list[int]:
         if size not in out:
             out.append(size)
     return out
-
-
-def suggest_history_sizes(g: TemporalGraph, k: int, percentiles) -> list[int]:
-    """Candidate history sizes from the k-hop time differences of ``g`` (see history_sizes)."""
-    return history_sizes(k_hop_time_diffs(g, k), percentiles)

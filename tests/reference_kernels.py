@@ -240,15 +240,16 @@ def _adam_update(model, grads, opt: AdamState, lr: float, weight_decay: float) -
             p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def train(model, g, X, labels, train_mask, cfg, class_weights=None, on_epoch=None, folded=True, *, dtype):
-    """The earlier ``train`` in ``dtype``: the bias-folded order or, ``folded=False``, the one before."""
+def train(model, g, X, labels, train_mask, cfg, seed, class_weights=None, on_epoch=None, folded=True, *, dtype):
+    """The earlier ``train`` in ``dtype``, dropout seeded by ``seed``: the bias-folded order or, ``folded=False``,
+    the one before."""
     if cfg.loss_mode == WEIGHTED_BCE and class_weights is None:
         class_weights = _class_weights(labels, train_mask, model.output_dim)
     H_in, prop = _graph_inputs(model, g, X, dtype)
     targets = _loss_targets(
         labels, train_mask, model.layers[-1][0].shape[1], cfg.loss_mode, class_weights, dtype
     )
-    rng = np.random.default_rng(cfg.seed) if model.dropout_rate > 0 else None
+    rng = np.random.default_rng(seed) if model.dropout_rate > 0 else None
     model = replace(model, layers=[(w.astype(dtype), b.astype(dtype)) for w, b in model.layers])
     opt = init_adam_state(model)
     for epoch in range(1, cfg.epochs + 1):

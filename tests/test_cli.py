@@ -242,10 +242,8 @@ class TestAnalyze:
         on_disk = json.loads((out / "tdiff.json").read_text())
         assert printed == on_disk
         g = eg.load_dataset(dataset)
-        assert on_disk["suggested_history_sizes"] == eg.suggest_history_sizes(
-            g, 2, [25, 50, 75, 100]
-        )
         hist = eg.k_hop_time_diffs(g, 2)
+        assert on_disk["suggested_history_sizes"] == eg.history_sizes(hist, [25, 50, 75, 100])
         assert on_disk["histogram"] == {str(d): c for d, c in hist.counts.items()}
         csv_lines = (out / "tdiff.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "difference,count"

@@ -84,9 +84,9 @@ class TestRunSequence:
         g = schedule_graph(seed=3)
         report = eg.run_sequence(g, cfg, seed=2)
 
-        def reference_train(models, g, labels, train_mask, cfgs):
+        def reference_train(models, g, labels, train_mask, cfg, seeds):
             X = eg.model_inputs(models[0], g)
-            return [ref.train(m, g, X, labels, train_mask, c, dtype=np.float32) for m, c in zip(models, cfgs)]
+            return [ref.train(m, g, X, labels, train_mask, cfg, s, dtype=np.float32) for m, s in zip(models, seeds)]
 
         def reference_forward(model, g):
             H_in, prop = ref._graph_inputs(model, g, eg.model_inputs(model, g))
@@ -189,7 +189,7 @@ class TestRunSequence:
         y_units = _unit_labels(train_g.labels, known_order)
         (model,) = eg.train(
             [model], train_g, y_units, train_sel,
-            [eg.TrainConfig(epochs=15, loss_mode=eg.CATEGORICAL, seed=_derive_seed(seed, t_star, 2))],
+            eg.TrainConfig(epochs=15, loss_mode=eg.CATEGORICAL), [_derive_seed(seed, t_star, 2)],
         )
         eval_g = eg.induced_subgraph(g, np.nonzero(g.time <= task.time)[0])
         logits = eg.forward(model, eval_g)
@@ -753,11 +753,10 @@ class TestTwoTask:
 
         expected = [accuracy(model)]
         ref_cfg = eg.TrainConfig(
-            learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay, epochs=6,
-            loss_mode=eg.WEIGHTED_BCE, seed=_derive_seed(5, 2),
+            learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay, epochs=6, loss_mode=eg.WEIGHTED_BCE,
         )
         ref.train(
-            model, g, X, y, train_mask, ref_cfg, weights,
+            model, g, X, y, train_mask, ref_cfg, _derive_seed(5, 2), weights,
             on_epoch=lambda epoch, loss, m: expected.append(accuracy(m)), dtype=np.float32,
         )
         assert trace == expected
@@ -777,10 +776,10 @@ class TestTwoTask:
         (model,) = eg.train(
             [model], g_train, _unit_labels(g_train.labels, classes),
             np.ones(g_train.num_vertices, bool),
-            [eg.TrainConfig(
-                learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay, epochs=7,
-                loss_mode=eg.CATEGORICAL, seed=_derive_seed(2, 1),
-            )],
+            eg.TrainConfig(
+                learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay, epochs=7, loss_mode=eg.CATEGORICAL,
+            ),
+            [_derive_seed(2, 1)],
         )
         test_mask = labeled & (g.time == 1)
         pred = np.asarray(classes)[np.argmax(eg.forward(model, g)[test_mask], axis=1)]

@@ -160,7 +160,7 @@ class TestForward:
             with pytest.raises(ValidationError, match=match):
                 eg.forward(m, g)
             with pytest.raises(ValidationError, match=match):
-                eg.train([m], g, g.labels, mask, [eg.TrainConfig(epochs=1)])
+                eg.train([m], g, g.labels, mask, eg.TrainConfig(epochs=1), [0])
             with pytest.raises(ValidationError, match=match):
                 eg.loss_and_grad(m, g, g.labels, mask, eg.CATEGORICAL)
 
@@ -244,7 +244,7 @@ class TestWorkspace:
         )
         seen = []
         cfg = eg.TrainConfig(epochs=2)
-        (trained,) = eg.train([m], g, g.labels, mask, [cfg], on_epoch=lambda *a: seen.append(a[3]))
+        (trained,) = eg.train([m], g, g.labels, mask, cfg, [0], on_epoch=lambda *a: seen.append(a[3]))
         # the working model is float32; the returned one float64, with float32 values
         assert {a.dtype for a in self.arrays(seen)} == {np.dtype(np.float32)}
         assert {a.dtype for a in self.arrays(trained)} == {np.dtype(np.float64)}
@@ -490,7 +490,7 @@ class TestGraphInputs:
             monkeypatch.setattr(eg.models, name, counted)
         g = small_graph(seed=4)
         m = eg.init_model("sage", 3, 4, 3, seed=0)
-        (m,) = eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), [eg.TrainConfig(epochs=3)])
+        (m,) = eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), eg.TrainConfig(epochs=3), [0])
         eg.forward(m, g)
         eg.forward(m, g)
         assert calls == {"model_inputs": 1, "mean_propagation": 1}
@@ -623,25 +623,25 @@ class TestTrain:
     def test_one_epoch_changes_parameters(self):
         g = small_graph()
         m = eg.init_model("mlp", 3, 4, 3, seed=0)
-        cfg = eg.TrainConfig(epochs=1, seed=0)
-        (m2,) = eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), [cfg])
+        cfg = eg.TrainConfig(epochs=1)
+        (m2,) = eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), cfg, [0])
         assert not np.array_equal(m2.layers[0][0], m.layers[0][0])
 
     def test_separable_toy_reaches_full_accuracy(self):
         g = two_class_blobs()
         m = eg.init_model("mlp", 2, 8, 2, seed=0)
-        cfg = eg.TrainConfig(learning_rate=0.05, epochs=200, seed=0)
-        (m2,) = eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), [cfg])
+        cfg = eg.TrainConfig(learning_rate=0.05, epochs=200)
+        (m2,) = eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), cfg, [0])
         pred = np.argmax(eg.forward(m2, g), axis=1)
         assert np.mean(pred == g.labels) == 1.0
 
     def test_diverging_run_names_epoch(self):
         g = small_graph()
         m = eg.init_model("mlp", 3, 4, 3, seed=0)
-        cfg = eg.TrainConfig(learning_rate=1e200, epochs=5, seed=0)
+        cfg = eg.TrainConfig(learning_rate=1e200, epochs=5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="non-finite logits at epoch 2$"):
-                eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), [cfg])
+                eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), cfg, [0])
 
     def test_overflowing_logit_sum_neither_raises_nor_warns(self):
         # every logit is finite though their sum is not, in train's float32; the finite check
@@ -657,7 +657,7 @@ class TestTrain:
             assert np.all(np.isfinite(logits.astype(np.float32))) and logits[:, :2].min() > 2e38
             with np.errstate(over="ignore"):
                 assert np.isinf(logits.astype(np.float32).sum(axis=1)).all()
-            eg.train([m], g, g.labels, mask, [eg.TrainConfig(weight_decay=0.0, epochs=3)])
+            eg.train([m], g, g.labels, mask, eg.TrainConfig(weight_decay=0.0, epochs=3), [0])
             # labels on the two large units keep the loss value itself finite
             eg.loss_from_logits(logits, g.labels % 2, mask, eg.CATEGORICAL)
 
@@ -669,7 +669,7 @@ class TestTrain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="non-finite logits at epoch 1$"):
-                eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), [eg.TrainConfig(epochs=3)])
+                eg.train([m], g, g.labels, np.ones(g.num_vertices, bool), eg.TrainConfig(epochs=3), [0])
 
     @pytest.mark.parametrize("w, bad", [(1.0, np.inf), (0.0, np.nan)], ids=["inf", "nan"])
     def test_nonfinite_logit_outside_mask_names_epoch(self, w, bad):
@@ -687,7 +687,7 @@ class TestTrain:
             logits = eg.forward(m, g)
             assert np.array_equal(logits[0, 0], bad, equal_nan=True) and np.all(np.isfinite(logits[1:]))
             with pytest.raises(ValidationError, match="non-finite logits at epoch 1$"):
-                eg.train([m], g, g.labels, mask, [eg.TrainConfig(epochs=3)])
+                eg.train([m], g, g.labels, mask, eg.TrainConfig(epochs=3), [0])
 
     @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
     @pytest.mark.parametrize("bad", [-1, 3])
@@ -698,16 +698,16 @@ class TestTrain:
         m = eg.init_model("mlp", 3, 4, 3, seed=0)
         cfg = eg.TrainConfig(epochs=1, loss_mode=loss_mode)
         with pytest.raises(ValidationError, match="labels on masked rows must be valid"):
-            eg.train([m], g, labels, np.ones(g.num_vertices, bool), [cfg])
+            eg.train([m], g, labels, np.ones(g.num_vertices, bool), cfg, [0])
 
     def test_deterministic_given_seed(self):
         g = small_graph(seed=2)
         mask = np.ones(g.num_vertices, bool)
-        cfg = eg.TrainConfig(epochs=20, seed=9)
+        cfg = eg.TrainConfig(epochs=20)
         runs = []
         for _ in range(2):
             m = eg.init_model("sage", 3, 4, 3, seed=1)
-            (trained,) = eg.train([m], g, g.labels, mask, [cfg])
+            (trained,) = eg.train([m], g, g.labels, mask, cfg, [9])
             runs.append(trained)
         for (w1, b1), (w2, b2) in zip(runs[0].layers, runs[1].layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
@@ -717,10 +717,22 @@ class TestTrainStack:
     """``train`` on a list of models: each gets the bits it gets when trained alone."""
 
     @staticmethod
-    def stack(kind, n, dropout, S=3, hidden=8, out=4):
-        g = small_graph(seed=8, n=n, dim=5, num_classes=4)
-        models = [eg.init_model(kind, 5, hidden, out, seed=20 + s, dropout_rate=dropout) for s in range(S)]
+    def stack(kind, n, dropout, S=3, hidden=8, out=4, dim=5):
+        g = small_graph(seed=8, n=n, dim=dim, num_classes=4)
+        models = [eg.init_model(kind, dim, hidden, out, seed=20 + s, dropout_rate=dropout) for s in range(S)]
         return g, models
+
+    @staticmethod
+    def record_sub_stacks(monkeypatch) -> list:
+        """The size of each sub-stack that ``train`` builds an epoch workspace for, in order."""
+        sizes, real_workspace = [], eg.models._Workspace.__init__
+
+        def workspace(ws, stack, *args):
+            sizes.append(len(stack))
+            real_workspace(ws, stack, *args)
+
+        monkeypatch.setattr(eg.models._Workspace, "__init__", workspace)
+        return sizes
 
     @pytest.mark.parametrize("kind", eg.models.MODEL_KINDS)
     @pytest.mark.parametrize("loss_mode", eg.models.LOSS_MODES)
@@ -729,21 +741,29 @@ class TestTrainStack:
     def test_each_model_equals_its_lone_training(self, kind, loss_mode, full_mask, dropout):
         g, models = self.stack(kind, 30, dropout)
         mask = np.arange(30) % 4 > 0 if not full_mask else np.ones(30, bool)
-        cfgs = [eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=s) for s in (6, 1, 9)]
-        stacked = eg.train(models, g, g.labels, mask, cfgs)
-        for m, cfg, got in zip(models, cfgs, stacked):
-            (alone,) = eg.train([m], g, g.labels, mask, [cfg])
+        cfg, seeds = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode), [6, 1, 9]
+        stacked = eg.train(models, g, g.labels, mask, cfg, seeds)
+        for m, seed, got in zip(models, seeds, stacked):
+            (alone,) = eg.train([m], g, g.labels, mask, cfg, [seed])
             TestReferenceOracle.assert_same_layers(got.layers, alone.layers)
 
-    @pytest.mark.parametrize("hidden, out", [(1, 4), (8, 1)], ids=["one-hidden-unit", "one-output-unit"])
-    def test_width_one_layers_equal_lone_training(self, hidden, out):
-        g, models = self.stack("sage", 30, 0.5, hidden=hidden, out=out)
+    @pytest.mark.parametrize(
+        "kind, dim, hidden, out",
+        [("sage", 5, 1, 4), ("sage", 5, 8, 1), ("mlp", 1, 8, 4), ("sgc", 1, 8, 4)],
+        ids=["one-hidden-unit", "one-output-unit", "mlp-one-input-column", "sgc-one-input-column"],
+    )
+    def test_width_one_layers_equal_lone_training(self, kind, dim, hidden, out, monkeypatch):
+        # a hidden or output width of 1 trains one model at a time; one input column does not,
+        # as layer 0 multiplies [X | 1]
+        g, models = self.stack(kind, 30, 0.5, hidden=hidden, out=out, dim=dim)
         labels = np.zeros(30, dtype=np.int64) if out == 1 else g.labels
         mask = np.ones(30, bool)
-        cfgs = [eg.TrainConfig(epochs=10, loss_mode=eg.BCE, seed=s) for s in range(3)]
-        stacked = eg.train(models, g, labels, mask, cfgs)
-        for m, cfg, got in zip(models, cfgs, stacked):
-            (alone,) = eg.train([m], g, labels, mask, [cfg])
+        cfg = eg.TrainConfig(epochs=10, loss_mode=eg.BCE)
+        sizes = self.record_sub_stacks(monkeypatch)
+        stacked = eg.train(models, g, labels, mask, cfg, range(3))
+        assert sizes == ([1, 1, 1] if min(hidden, out) == 1 else [3])
+        for seed, (m, got) in enumerate(zip(models, stacked)):
+            (alone,) = eg.train([m], g, labels, mask, cfg, [seed])
             TestReferenceOracle.assert_same_layers(got.layers, alone.layers)
 
     @pytest.mark.parametrize("kind", ["mlp", "sage"])
@@ -753,31 +773,25 @@ class TestTrainStack:
         # the columns are a slice of the stack's (n, S, C) rows than when they are contiguous
         g, models = self.stack(kind, 64, 0.5, out=out)
         labels, mask = g.labels % out, np.ones(64, bool)
-        cfgs = [eg.TrainConfig(epochs=5, seed=s) for s in range(3)]
-        stacked = eg.train(models, g, labels, mask, cfgs)
-        for m, cfg, got in zip(models, cfgs, stacked):
-            (alone,) = eg.train([m], g, labels, mask, [cfg])
+        cfg = eg.TrainConfig(epochs=5)
+        stacked = eg.train(models, g, labels, mask, cfg, range(3))
+        for seed, (m, got) in enumerate(zip(models, stacked)):
+            (alone,) = eg.train([m], g, labels, mask, cfg, [seed])
             TestReferenceOracle.assert_same_layers(got.layers, alone.layers)
-            expected = ref.train(m, g, eg.model_inputs(m, g), labels, mask, cfg, dtype=np.float32)
+            expected = ref.train(m, g, eg.model_inputs(m, g), labels, mask, cfg, seed, dtype=np.float32)
             TestReferenceOracle.assert_same_layers(got.layers, expected.layers)
 
     def test_stack_over_the_budget_trains_as_consecutive_sub_stacks(self, monkeypatch):
         g, models = self.stack("sage", 30, 0.5, S=5)
         # the budget fits two models of h = 8, C = 4 on 30 rows
         monkeypatch.setattr(eg.models, "_STACK_ENTRIES", 2 * 30 * (8 + 4) + 1)
-        sizes, real_workspace = [], eg.models._Workspace.__init__
-
-        def workspace(ws, stack, *args):
-            sizes.append(len(stack))
-            real_workspace(ws, stack, *args)
-
-        monkeypatch.setattr(eg.models._Workspace, "__init__", workspace)
-        cfgs = [eg.TrainConfig(epochs=10, loss_mode=eg.WEIGHTED_BCE, seed=s) for s in (4, 0, 8, 2, 6)]
+        sizes = self.record_sub_stacks(monkeypatch)
+        cfg, seeds = eg.TrainConfig(epochs=10, loss_mode=eg.WEIGHTED_BCE), [4, 0, 8, 2, 6]
         mask = np.ones(30, bool)
-        stacked = eg.train(models, g, g.labels, mask, cfgs)
+        stacked = eg.train(models, g, g.labels, mask, cfg, seeds)
         assert sizes == [2, 2, 1]
-        for m, cfg, got in zip(models, cfgs, stacked):
-            (alone,) = eg.train([m], g, g.labels, mask, [cfg])
+        for m, seed, got in zip(models, seeds, stacked):
+            (alone,) = eg.train([m], g, g.labels, mask, cfg, [seed])
             TestReferenceOracle.assert_same_layers(got.layers, alone.layers)
         assert sizes == [2, 2, 1] + [1] * 5
 
@@ -790,23 +804,23 @@ class TestTrainStack:
             # the budget fits two models of h = 8, C = 4 on 30 rows: sub-stacks of 2, 2 and 1
             monkeypatch.setattr(eg.models, "_STACK_ENTRIES", 2 * 30 * (8 + 4) + 1)
         loss_mode = eg.BCE if out == 1 else eg.WEIGHTED_BCE
-        cfgs = [eg.TrainConfig(epochs=6, loss_mode=loss_mode, seed=s) for s in (4, 0, 8, 2, 6)]
+        cfg, seeds = eg.TrainConfig(epochs=6, loss_mode=loss_mode), [4, 0, 8, 2, 6]
         mask = np.arange(30) % 4 > 0
 
         def record(calls, epoch, s, loss, model):
             calls.append((epoch, s, loss, [ref.bits(a).tolist() for pair in model.layers for a in pair]))
 
         seen = []
-        trained = eg.train(models, g, labels, mask, cfgs, on_epoch=lambda *a: record(seen, *a))
+        trained = eg.train(models, g, labels, mask, cfg, seeds, on_epoch=lambda *a: record(seen, *a))
         # once per (epoch, s), with s the index in the full list; a sub-stack runs all its epochs first
         stacks = {"one-stack": [range(5)], "sub-stacks": [range(2), range(2, 4), range(4, 5)],
                   "one-output-unit": [range(s, s + 1) for s in range(5)]}[split]
         assert [(e, s) for e, s, *_ in seen] == [(e, s) for st in stacks for e in range(1, 7) for s in st]
         X = eg.model_inputs(models[0], g)
-        for s, (m, cfg, got) in enumerate(zip(models, cfgs, trained)):
+        for s, (m, seed, got) in enumerate(zip(models, seeds, trained)):
             alone = []
             expected = ref.train(
-                m, g, X, labels, mask, cfg, on_epoch=lambda e, loss, mm: record(alone, e, s, loss, mm),
+                m, g, X, labels, mask, cfg, seed, on_epoch=lambda e, loss, mm: record(alone, e, s, loss, mm),
                 dtype=np.float32,
             )
             assert [call for call in seen if call[1] == s] == alone
@@ -816,22 +830,21 @@ class TestTrainStack:
         g, models = self.stack("mlp", 12, 0.5)
         models[1].layers[0][0][0, 0] = 1e300
         models[1].layers[1][0][0, 0] = 1e300
-        cfgs = [eg.TrainConfig(epochs=5, seed=s) for s in range(3)]
+        cfg = eg.TrainConfig(epochs=5)
         mask = np.ones(12, bool)
         with pytest.raises(ValidationError, match="^non-finite logits at epoch") as alone:
-            eg.train(models[1:2], g, g.labels, mask, cfgs[1:2])
+            eg.train(models[1:2], g, g.labels, mask, cfg, [1])
         with pytest.raises(ValidationError) as stacked:
-            eg.train(models, g, g.labels, mask, cfgs)
+            eg.train(models, g, g.labels, mask, cfg, range(3))
         assert str(stacked.value) == str(alone.value)
         # the other two train alone without error: the stack's error is model 1's
         for s in (0, 2):
-            eg.train([models[s]], g, g.labels, mask, [cfgs[s]])
+            eg.train([models[s]], g, g.labels, mask, cfg, [s])
 
     def test_stack_leaves_inputs_untouched_and_returns_one_model_per_input(self):
         g, models = self.stack("sage", 12, 0.5)
         before = [m.copy() for m in models]
-        cfgs = [eg.TrainConfig(epochs=2, seed=s) for s in range(3)]
-        out = eg.train(models, g, g.labels, np.ones(12, bool), cfgs)
+        out = eg.train(models, g, g.labels, np.ones(12, bool), eg.TrainConfig(epochs=2), range(3))
         assert len(out) == 3 and all(isinstance(m, eg.ModelState) for m in out)
         for m, b in zip(models, before):
             TestReferenceOracle.assert_same_layers(m.layers, b.layers)
@@ -839,22 +852,19 @@ class TestTrainStack:
     @pytest.mark.parametrize(
         "case, match",
         [
-            ("configs-differ", "may differ only in seed"),
             ("shapes-differ", "share kind, settings and shapes"),
-            ("count-differs", "need one config per model"),
+            ("count-differs", "need one seed per model"),
         ],
     )
     def test_stack_misuse_raises(self, case, match):
         g, models = self.stack("mlp", 12, 0.5, S=2)
-        cfgs = [eg.TrainConfig(epochs=2, seed=s) for s in range(2)]
-        if case == "configs-differ":
-            cfgs[1] = replace(cfgs[1], learning_rate=0.5)
-        elif case == "shapes-differ":
+        seeds = [0, 1]
+        if case == "shapes-differ":
             models[1] = eg.init_model("mlp", 5, 8, 3, seed=1)
         else:
-            cfgs = cfgs[:1]
+            seeds = seeds[:1]
         with pytest.raises(ValidationError, match=match):
-            eg.train(models, g, g.labels, np.ones(12, bool), cfgs)
+            eg.train(models, g, g.labels, np.ones(12, bool), eg.TrainConfig(epochs=2), seeds)
 
 
 class TestExpandOutputLayer:
@@ -1030,7 +1040,7 @@ class TestCheckpoint:
     def test_trained_model_round_trips_losslessly(self, tmp_path, kind):
         g = small_graph(seed=3, n=12)
         m = eg.init_model(kind, 3, 4, 3, seed=4)
-        (trained,) = eg.train([m], g, g.labels, np.ones(12, bool), [eg.TrainConfig(epochs=5)])
+        (trained,) = eg.train([m], g, g.labels, np.ones(12, bool), eg.TrainConfig(epochs=5), [0])
         eg.save_checkpoint(trained, tmp_path)
         back = eg.load_checkpoint(tmp_path)
         TestReferenceOracle.assert_same_layers(back.layers, trained.layers)
@@ -1080,7 +1090,7 @@ class TestReferenceOracle:
         mask = np.ones(30, bool)
         if not full_mask:
             mask[[0, 4, 5, 17, 29]] = False
-        cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=6)
+        cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode)
 
         def recorder(out):
             return lambda epoch, loss, model: out.append(
@@ -1094,8 +1104,8 @@ class TestReferenceOracle:
             assert s == 0
             record(epoch, loss, model)
 
-        (trained,) = eg.train([m], g, g.labels, mask, [cfg], on_epoch=on_epoch)
-        expected = ref.train(m, g, X, g.labels, mask, cfg, on_epoch=recorder(expected_seen), dtype=np.float32)
+        (trained,) = eg.train([m], g, g.labels, mask, cfg, [6], on_epoch=on_epoch)
+        expected = ref.train(m, g, X, g.labels, mask, cfg, 6, on_epoch=recorder(expected_seen), dtype=np.float32)
         for (w1, b1), (w2, b2) in zip(trained.layers, expected.layers):
             assert np.array_equal(ref.bits(w1), ref.bits(w2))
             assert np.array_equal(ref.bits(b1), ref.bits(b2))
@@ -1127,9 +1137,9 @@ class TestReferenceOracle:
     def test_train_without_on_epoch_equals_reference(self, kind, loss_mode, full_mask, dropout):
         # without on_epoch no loss value is computed; the updates stay the same
         g, m, mask = self.grid_point(kind, full_mask, dropout)
-        cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=6)
-        expected = ref.train(m, g, eg.model_inputs(m, g), g.labels, mask, cfg, dtype=np.float32)
-        (trained,) = eg.train([m], g, g.labels, mask, [cfg])
+        cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode)
+        expected = ref.train(m, g, eg.model_inputs(m, g), g.labels, mask, cfg, 6, dtype=np.float32)
+        (trained,) = eg.train([m], g, g.labels, mask, cfg, [6])
         self.assert_same_layers(trained.layers, expected.layers)
 
     @pytest.mark.parametrize("kind", ["mlp", "sgc", "sage"])
@@ -1139,8 +1149,8 @@ class TestReferenceOracle:
     def test_forward_and_loss_and_grad_equal_reference(self, kind, loss_mode, full_mask, dropout):
         g, m, mask = self.grid_point(kind, full_mask, dropout)
         # a trained model, so that dead relu units and nonzero biases occur
-        cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode, seed=6)
-        (m,) = eg.train([m], g, g.labels, mask, [cfg])
+        cfg = eg.TrainConfig(learning_rate=0.05, epochs=15, loss_mode=loss_mode)
+        (m,) = eg.train([m], g, g.labels, mask, cfg, [6])
         H_in, prop = ref._graph_inputs(m, g, eg.model_inputs(m, g))
         logits, cache = ref._forward_cached(m, H_in, prop, None)
         assert np.array_equal(ref.bits(eg.forward(m, g)), ref.bits(logits))
@@ -1179,15 +1189,15 @@ class TestOrderOracle:
         mask = np.arange(g.num_vertices) % 5 > 0
         m = eg.init_model(kind, 5, 32, 4, seed=3, dropout_rate=dropout)
         X = eg.model_inputs(m, g)
-        cfg = eg.TrainConfig(learning_rate=0.02, epochs=200, loss_mode=loss_mode, seed=6)
-        trained = ref.train(m, g, X, g.labels, mask, cfg, dtype=np.float64)
-        oracle = ref.train(m, g, X, g.labels, mask, cfg, folded=False, dtype=np.float64)
+        cfg = eg.TrainConfig(learning_rate=0.02, epochs=200, loss_mode=loss_mode)
+        trained = ref.train(m, g, X, g.labels, mask, cfg, 6, dtype=np.float64)
+        oracle = ref.train(m, g, X, g.labels, mask, cfg, 6, folded=False, dtype=np.float64)
         for got, want in zip(trained.layers, oracle.layers):
             for a, b in zip(got, want):
                 assert ref.rel_dev(a, b) <= ref.TRAINED_RTOL
         # one pass of a briefly trained model: dead relu units and nonzero biases occur, and
         # its gradients are not yet the near-cancelling sums of a converged one
-        (m,) = eg.train([m], g, g.labels, mask, [replace(cfg, epochs=15)])
+        (m,) = eg.train([m], g, g.labels, mask, replace(cfg, epochs=15), [6])
         H_in, prop = ref._graph_inputs(m, g, X)
         logits, cache = ref._forward_cached(m, H_in, prop, None, folded=False)
         assert ref.rel_dev(eg.forward(m, g), logits) <= ref.PASS_RTOL
@@ -1229,11 +1239,11 @@ class TestPrecisionOracle:
         g = TestOrderOracle.GRAPHS[graph]()
         mask = np.arange(g.num_vertices) % 5 > 0
         m = eg.init_model(kind, 5, 32, 4, seed=3, dropout_rate=0.0 if kind == "sgc" else 0.5)
-        cfg = eg.TrainConfig(learning_rate=0.02, epochs=self.EPOCHS, loss_mode=loss_mode, seed=6)
+        cfg = eg.TrainConfig(learning_rate=0.02, epochs=self.EPOCHS, loss_mode=loss_mode)
         losses, oracle_losses = [], []
-        (trained,) = eg.train([m], g, g.labels, mask, [cfg], on_epoch=lambda e, s, loss, _: losses.append(loss))
+        (trained,) = eg.train([m], g, g.labels, mask, cfg, [6], on_epoch=lambda e, s, loss, _: losses.append(loss))
         oracle = ref.train(
-            m, g, eg.model_inputs(m, g), g.labels, mask, cfg,
+            m, g, eg.model_inputs(m, g), g.labels, mask, cfg, 6,
             on_epoch=lambda e, loss, _: oracle_losses.append(loss), dtype=np.float64,
         )
         for got, want in zip(trained.layers, oracle.layers):
@@ -1271,7 +1281,7 @@ ARGUMENT_ERRORS = {
     "loss-mode": (lambda: _loss_and_grad("hinge"), ValidationError, "unknown loss_mode 'hinge'"),
     "non-finite-logits": (lambda: _loss_and_grad(eg.CATEGORICAL, bad=np.inf), ValidationError, "non-finite logits"),
     "labels-length": (lambda: eg.train([_model_and_graph()[0]], small_graph(), small_graph().labels[:5],
-                                       np.ones(6, bool), [eg.TrainConfig()]),
+                                       np.ones(6, bool), eg.TrainConfig(), [0]),
                       ValidationError, "labels of shape (5,) for 6 logit rows"),
     "expand-negative": (lambda: eg.expand_output_layer(_model_and_graph()[0], -1, 0),
                         ValidationError, "cannot expand by a negative count"),
@@ -1280,7 +1290,9 @@ ARGUMENT_ERRORS = {
     "init-negative-seed": (lambda: eg.init_model("mlp", 3, 4, 3, seed=-1), ValidationError, "seed must be >= 0, got -1"),
     "expand-negative-seed": (lambda: eg.expand_output_layer(_model_and_graph()[0], 1, -1),
                              ValidationError, "seed must be >= 0, got -1"),
-    "train-negative-seed": (lambda: eg.TrainConfig(seed=-1), ValidationError, "seed must be >= 0, got -1"),
+    "train-negative-seed": (lambda: eg.train([_model_and_graph()[0]], small_graph(), small_graph().labels,
+                                             np.ones(6, bool), eg.TrainConfig(), seeds=[-1]),
+                            ValidationError, "seed must be >= 0, got -1"),
 }
 
 

@@ -411,19 +411,19 @@ class TestPercentile:
 class TestSuggestHistorySizes:
     def test_empty_histogram_suggests_one(self):
         assert tdiff.history_sizes(eg.TimeDiffHistogram({}), [25, 50, 100]) == [1]
-        assert eg.suggest_history_sizes(graph_from([1, 2], []), 2, [25, 50]) == [1]
+        assert eg.history_sizes(eg.k_hop_time_diffs(graph_from([1, 2], []), 2), [25, 50]) == [1]
 
     def test_uniform_times_floor_to_one(self):
         g = graph_from([7, 7, 7], [(0, 1), (1, 2)])
-        assert eg.suggest_history_sizes(g, 2, [25, 50, 75, 100]) == [1]
+        assert eg.history_sizes(eg.k_hop_time_diffs(g, 2), [25, 50, 75, 100]) == [1]
 
     def test_path_dedup(self):
         g = graph_from([2000, 2001, 2003], [(0, 1), (1, 2)])
-        assert eg.suggest_history_sizes(g, 2, [25, 50, 75, 100]) == [1, 2, 3]
+        assert eg.history_sizes(eg.k_hop_time_diffs(g, 2), [25, 50, 75, 100]) == [1, 2, 3]
 
     def test_monotone_on_synthetic_default(self):
         g = eg.generate(eg.SynthConfig(seed=5))
-        sizes = eg.suggest_history_sizes(g, 2, [25, 50, 75, 100])
+        sizes = eg.history_sizes(eg.k_hop_time_diffs(g, 2), [25, 50, 75, 100])
         assert sizes == sorted(sizes)
 
 

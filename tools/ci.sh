@@ -124,6 +124,14 @@ with open(sys.argv[3], encoding="utf-8") as f:
     printf 'dataset=%s\nmodel=sage\ndetector=gdoc\nhistory_size=2\nepochs=5\nseeds=0,1,2\n' "$smoke/data" > "$smoke/sage.cfg"
     evograph run --config "$smoke/sage.cfg" --output-dir "$smoke/sage" --jobs 1 --quiet
     rerun_reproduces "$smoke/sage"
+    # sgc, and sage with one hidden unit, whose seeds `train` trains one model at a time
+    printf 'dataset=%s\nmodel=sgc\nhistory_size=2\nepochs=3\nseeds=0,1,2\n' "$smoke/data" > "$smoke/sgc.cfg"
+    printf 'dataset=%s\nmodel=sage\nhidden_dim=1\nhistory_size=2\nepochs=3\nseeds=0,1,2\n' "$smoke/data" \
+        > "$smoke/hidden1.cfg"
+    for f in sgc hidden1; do
+        evograph run --config "$smoke/$f.cfg" --output-dir "$smoke/$f" --jobs 1 --quiet
+        rerun_reproduces "$smoke/$f"
+    done
     # and on a graph without edges, where every window's P is empty (no entries, row pointers
     # all zero): sage's sparse products add nothing
     evograph generate "$smoke/edgeless" --num-timestamps 6 --vertices-per-timestamp 12 --feature-dim 4 \
