@@ -113,7 +113,6 @@ def cmd_analyze(args) -> int:
         hist = k_hop_time_diffs(g, args.k)
     except MemoryError as exc:
         raise EvographError(_failure_message(exc)) from exc
-    pct = {p: percentile(hist, p) for p in ps}
 
     ts, at, sizes = np.unique(g.time, return_inverse=True, return_counts=True)
     shares = _class_shares(g, at, ts.size)
@@ -130,18 +129,19 @@ def cmd_analyze(args) -> int:
         "num_classes": g.num_classes,
         "per_timestamp_counts": {str(t): int(c) for t, c in zip(ts, sizes)},
         "k": args.k,
-        "histogram": {str(d): c for d, c in hist.as_sorted_items()},
-        "percentiles": {str(p): pct[p] for p in ps},
+        "histogram": {str(d): c for d, c in hist.counts.items()},
+        "percentiles": {str(p): percentile(hist, p) for p in ps},
         "suggested_history_sizes": history_sizes(hist, ps),
         "drift": drift,
     }
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "tdiff.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    csv_lines = ["difference,count"] + [f"{d},{c}" for d, c in hist.as_sorted_items()]
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    (out_dir / "tdiff.json").write_text(text, encoding="utf-8")
+    csv_lines = ["difference,count"] + [f"{d},{c}" for d, c in hist.counts.items()]
     (out_dir / "tdiff.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
     if not args.quiet:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text, end="")
     return 0
 
 

@@ -10,7 +10,6 @@ arrays (see :class:`TaskView`), induced only where a model needs the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,7 +67,6 @@ class TemporalGraph:
     labels: np.ndarray
     num_classes: int
 
-    _csr: Optional[sp.csr_matrix] = field(default=None, init=False, repr=False, compare=False)
     # (kind, sgc_k, dtype) -> (layer-0 input, propagation pair) of a models pass on this graph
     _model_inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -106,14 +104,12 @@ class TemporalGraph:
         return self.features.shape[1]
 
     def adjacency(self) -> sp.csr_matrix:
-        """Symmetric CSR adjacency (no self-loops), built once and cached."""
-        if self._csr is None:
-            n = self.num_vertices
-            src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-            data = np.ones(src.shape[0], dtype=np.float64)
-            self._csr = sp.csr_matrix((data, (src, dst)), shape=(n, n))
-        return self._csr
+        """Symmetric CSR adjacency (no self-loops), built on each call."""
+        n = self.num_vertices
+        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        data = np.ones(src.shape[0], dtype=np.float64)
+        return sp.csr_matrix((data, (src, dst)), shape=(n, n))
 
     def timestamps(self) -> np.ndarray:
         """Distinct timestamps present, ascending."""

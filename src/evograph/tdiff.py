@@ -21,15 +21,16 @@ from .graph import TemporalGraph
 
 @dataclass(frozen=True)
 class TimeDiffHistogram:
-    """Histogram of non-negative integer time differences within k hops."""
+    """Histogram of non-negative integer time differences within k hops: ``counts``
+    iterates in ascending difference order, sorted once, here, for every reader."""
 
     counts: dict[int, int]
 
+    def __post_init__(self):
+        object.__setattr__(self, "counts", dict(sorted(self.counts.items())))
+
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def as_sorted_items(self) -> list[tuple[int, int]]:
-        return sorted(self.counts.items())
 
 
 # Rows per block are max(1, _BLOCK_ENTRIES // |V|), so one block's reach matrix
@@ -192,11 +193,12 @@ def percentile(h: TimeDiffHistogram, p: float) -> int:
     """
     if not 0 < p <= 100:
         raise ValidationError(f"percentile {p} outside (0, 100]")
-    if not h.counts:
-        return 0
-    values, counts = zip(*h.as_sorted_items())
     rank = math.ceil(p / 100.0 * h.total())
-    return values[int(np.searchsorted(np.cumsum(counts), rank))]
+    for d, c in h.counts.items():  # ascending: count down to the rank
+        rank -= c
+        if rank <= 0:
+            return d
+    return 0
 
 
 def history_sizes(h: TimeDiffHistogram, percentiles) -> list[int]:

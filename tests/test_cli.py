@@ -238,9 +238,9 @@ class TestAnalyze:
         out = tmp_path / "an"
         rc = main(["analyze-tdiff", str(dataset), "--k", "2", "--output-dir", str(out)])
         assert rc == 0
-        printed = json.loads(capsys.readouterr().out)
+        # without --quiet, stdout is tdiff.json's text, byte for byte
+        assert capsys.readouterr().out == (out / "tdiff.json").read_text(encoding="utf-8")
         on_disk = json.loads((out / "tdiff.json").read_text())
-        assert printed == on_disk
         g = eg.load_dataset(dataset)
         hist = eg.k_hop_time_diffs(g, 2)
         assert on_disk["suggested_history_sizes"] == eg.history_sizes(hist, [25, 50, 75, 100])
@@ -249,6 +249,21 @@ class TestAnalyze:
         assert csv_lines[0] == "difference,count"
         assert len(csv_lines) == len(hist.counts) + 1
         assert len(on_disk["drift"]) == len(np.unique(g.time)) - 1
+
+    def test_fine_grained_timestamps_histogram_in_order(self, dataset, tmp_path):
+        # one random large timestamp per vertex: nearly every pair has its own difference
+        g = eg.load_dataset(dataset)
+        time = np.random.default_rng(4).integers(0, 10**15, g.num_vertices)
+        g = eg.TemporalGraph(g.num_vertices, g.edges, time, g.features, g.labels, g.num_classes)
+        eg.save_dataset(g, tmp_path / "ds")
+        out = tmp_path / "an"
+        assert main(["analyze-tdiff", str(tmp_path / "ds"), "--output-dir", str(out), "--quiet"]) == 0
+        counts = eg.k_hop_time_diffs(g, 2).counts
+        histogram = json.loads((out / "tdiff.json").read_text())["histogram"]
+        rows = [tuple(map(int, line.split(","))) for line in (out / "tdiff.csv").read_text().splitlines()[1:]]
+        assert len(counts) > g.num_vertices
+        assert {int(d): c for d, c in histogram.items()} == dict(rows) == counts
+        assert [d for d, _ in rows] == sorted(counts)
 
     def test_uniform_timestamps_suggest_one(self, tmp_path):
         g = eg.TemporalGraph(

@@ -399,6 +399,28 @@ class TestPercentile:
         assert [eg.percentile(h, p) for p in (1e-9, 50, 100)] == [0, 0, 0]
         raises_exactly(lambda: eg.percentile(h, 0), ValidationError, "percentile 0 outside (0, 100]")
 
+    @pytest.mark.parametrize("order", ["shuffled", "descending"])
+    def test_counts_iterate_ascending(self, order):
+        rng = np.random.default_rng(7)
+        values = np.unique(rng.integers(0, 10**6, 500)).tolist()
+        items = [(d, int(c)) for d, c in zip(rng.permutation(values).tolist(), rng.integers(0, 4, 500))]
+        given = dict(sorted(items, reverse=True) if order == "descending" else items)
+        h = eg.TimeDiffHistogram(given)
+        assert list(h.counts) == sorted(values)
+        assert h == eg.TimeDiffHistogram(dict(sorted(items)))
+
+    def test_shuffled_large_histogram_matches_oracle(self):
+        # ~10**4 bins, a tenth of them of count 0, handed over in random order
+        rng = np.random.default_rng(8)
+        values = rng.permutation(np.concatenate([[0], np.unique(rng.integers(1, 10**9, 9999))]))
+        counts = {int(d): int(c) for d, c in zip(values, rng.integers(0, 10, values.size))}
+        assert 0 in counts and 0 in counts.values() and list(counts) != sorted(counts)
+        h = eg.TimeDiffHistogram(counts)
+        ps = [1e-9, 0.1, 25, 50, 75, 99.9, 100]
+        expected = [percentile_oracle(counts, p) for p in ps]
+        assert [eg.percentile(h, p) for p in ps] == expected
+        assert eg.history_sizes(h, ps) == list(dict.fromkeys(max(1, d) for d in expected))
+
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
@@ -510,8 +532,10 @@ def test_bad_argument_raises(case):
 
 
 @pytest.mark.parametrize("k", [2.0, "2", True])
-def test_non_integer_hops_fail_before_the_adjacency(k):
+def test_non_integer_hops_fail_before_the_adjacency(k, monkeypatch):
     g = graph_from([1, 2], [(0, 1)])
+    built = []
+    monkeypatch.setattr(tdiff, "_adjacency_plus_identity", lambda g: built.append(g))
     with pytest.raises(ValidationError):
         eg.k_hop_time_diffs(g, k)
-    assert g._csr is None
+    assert built == []

@@ -132,6 +132,17 @@ with open(sys.argv[3], encoding="utf-8") as f:
         evograph run --config "$smoke/$f.cfg" --output-dir "$smoke/$f" --jobs 1 --quiet
         rerun_reproduces "$smoke/$f"
     done
+    # one class until timestamp 4, so the first three tasks train one output unit (C = 1) on 80
+    # to 160 rows: under bce a stack of such models differs from lone training, so `train`
+    # trains them one at a time, and the files must not depend on --jobs
+    evograph generate "$smoke/one-class" --initial-classes 1 --new-class-schedule 4:1 --num-timestamps 6 \
+        --vertices-per-timestamp 40 --feature-dim 4 --quiet
+    for f in mlp sage; do
+        printf 'dataset=%s\nmodel=%s\nloss_mode=bce\nepochs=5\nseeds=0,1,2\n' "$smoke/one-class" "$f" \
+            > "$smoke/one-class-$f.cfg"
+        evograph run --config "$smoke/one-class-$f.cfg" --output-dir "$smoke/one-class-$f" --jobs 1 --quiet
+        rerun_reproduces "$smoke/one-class-$f"
+    done
     # and on a graph without edges, where every window's P is empty (no entries, row pointers
     # all zero): sage's sparse products add nothing
     evograph generate "$smoke/edgeless" --num-timestamps 6 --vertices-per-timestamp 12 --feature-dim 4 \
