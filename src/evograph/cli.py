@@ -29,7 +29,7 @@ from .config import (
 )
 from .dataio import dataset_fingerprint, load_dataset, read_json, save_dataset
 from .errors import ConfigError, EvographError, ValidationError
-from .graph import UNLABELED
+from .graph import FULL, UNLABELED
 from .lifelong import _failure_message, run_sequences, two_task_experiment
 from .metrics import drift_magnitude, forward_transfer, mean_ci95
 from .models import save_checkpoint
@@ -127,10 +127,10 @@ def cmd_analyze(args) -> int:
         "num_edges": g.num_edges,
         "feature_dim": g.feature_dim,
         "num_classes": g.num_classes,
-        "per_timestamp_counts": {str(t): int(c) for t, c in zip(ts, sizes)},
+        "per_timestamp_counts": dict(zip(ts, sizes.tolist())),
         "k": args.k,
-        "histogram": {str(d): c for d, c in hist.counts.items()},
-        "percentiles": {str(p): percentile(hist, p) for p in ps},
+        "histogram": hist.counts,
+        "percentiles": {p: percentile(hist, p) for p in ps},
         "suggested_history_sizes": history_sizes(hist, ps),
         "drift": drift,
     }
@@ -324,7 +324,9 @@ def _is_number(value) -> bool:
 
 
 def _load_run(path) -> dict:
-    """A sequence run's resolved config, dataset fingerprint and summary."""
+    """A sequence run's resolved config, dataset fingerprint, summary and row
+    order: model, history size (full last), restart, detector, then a
+    detector's tau_min and alpha, numbers compared as numbers."""
     p = Path(path)
     if p.is_dir():
         p = p / "manifest.json"
@@ -345,11 +347,17 @@ def _load_run(path) -> dict:
     trace = summary[trace_key]
     if not (isinstance(trace, list) and all(map(_is_number, trace))):
         raise EvographError(f"{summary_path}: {trace_key} must be a list of numbers")
+    cfg, exp = spec.snapshot(), spec.experiment
+    det = exp.detector
     return {
         "path": path,
-        "config": spec.snapshot(),
+        "config": cfg,
         "fingerprint": manifest["dataset_fingerprint"],
         "summary": summary,
+        "order": (
+            cfg["model"], float("inf") if exp.history_size is FULL else exp.history_size,
+            cfg["restart"], cfg["detector"], *((det.tau_min, det.alpha) if det else ()),
+        ),
     }
 
 
@@ -363,11 +371,12 @@ def cmd_report(args) -> int:
     for r in runs:
         if r["fingerprint"] != runs[0]["fingerprint"]:
             raise EvographError(f"{r['path']} and {runs[0]['path']} ran on datasets of different fingerprints")
+    runs.sort(key=lambda r: r["order"])
     rows = []
     if args.mode == "accuracy-table":
         cells, paths = {}, {}
-        for path, r in zip(args.reports, runs):
-            cfg = r["config"]
+        for r in runs:
+            cfg, path = r["config"], r["path"]
             cell = (cfg["model"], cfg["history_size"], cfg["restart"])
             if cell in paths:
                 raise EvographError(
@@ -377,7 +386,7 @@ def cmd_report(args) -> int:
             paths[cell] = path
             cells.setdefault(cell[:2], {})[cell[2]] = r["summary"]["avg_accuracy"]
         rows.append("model,history_size,accuracy_cold,ci_cold,accuracy_warm,ci_warm")
-        for (model, history), by_restart in sorted(cells.items()):
+        for (model, history), by_restart in cells.items():
             cold, warm = _cells(by_restart.get("cold")), _cells(by_restart.get("warm"))
             rows.append(",".join([model, history, *cold, *warm]))
     elif args.mode == "fwt":
@@ -385,15 +394,13 @@ def cmd_report(args) -> int:
         for r in runs:
             cfg = dict(r["config"])
             restart = cfg.pop("restart")
-            key = json.dumps(cfg, sort_keys=True)
-            pairs.setdefault(key, {})[restart] = r
+            pairs.setdefault(tuple(sorted(cfg.items())), {})[restart] = r
         rows.append("model,history_size,fwt")
-        for key in sorted(pairs):
-            sides = pairs[key]
+        for sides in pairs.values():
             if "warm" not in sides or "cold" not in sides:
                 continue
-            cfg = json.loads(key)
             warm, cold = sides["warm"], sides["cold"]
+            cfg = warm["config"]
             try:
                 fwt = forward_transfer(warm["summary"]["per_task_accuracy_mean"],
                                        cold["summary"]["per_task_accuracy_mean"])
@@ -403,7 +410,7 @@ def cmd_report(args) -> int:
     else:  # open
         keys = ("model", "history_size", "restart", "detector", "tau_min", "alpha")
         rows.append(",".join(keys) + ",mcc,mcc_ci,open_f1,open_f1_ci")
-        for r in sorted(runs, key=lambda r: [r["config"][k] for k in keys]):
+        for r in runs:
             scores = _cells(r["summary"]["mcc"]) + _cells(r["summary"]["open_macro_f1"])
             rows.append(",".join([r["config"][k] for k in keys] + scores))
     print("\n".join(rows))

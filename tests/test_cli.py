@@ -189,15 +189,15 @@ def per_timestamp_reference(g):
 ANALYZE_PINS = {
     "synth": (
         "3d380ded80464745818ab7b19a2e3910856d9a7270ebd04e2545fb4ca27ae06d",
-        "e425e6f1bb7cb96b0c57f460e2507e486219a90f821ec43437e18b194b323a86",
+        "5d9673f11e1bc9d863b4e936ba69e3eb8ad5fdf08767c12256169274d984fae6",
     ),
     "edgeless": (
         "b47d4764ab1cfe7bd507eb523bb0a47ed3ddf42dcb5fbb603a654fa25ae5e982",
-        "f1bf3c61ae2dec40b71d394ad2a2cc867f52333a3199bdc08163ff2a682a6bb3",
+        "424a7299a818bd62f121a07efe3f484cc944316c79b80ead35fe5710ddb11d0d",
     ),
     "partly-unlabeled": (
         "3d380ded80464745818ab7b19a2e3910856d9a7270ebd04e2545fb4ca27ae06d",
-        "cba2fe62b830a2174be59d2452bfbdd3c7ffb8003fd70027cb38c484031ec265",
+        "e6fe25c7b93709b02a1590f3e0ff61e7673dadb043bbde6b12282d55018b24b4",
     ),
 }
 
@@ -264,6 +264,24 @@ class TestAnalyze:
         assert len(counts) > g.num_vertices
         assert {int(d): c for d, c in histogram.items()} == dict(rows) == counts
         assert [d for d, _ in rows] == sorted(counts)
+        # json.load keeps the file's key order
+        assert list(histogram) == [str(d) for d in sorted(counts)]
+
+    def test_report_keys_in_numeric_order(self, tmp_path):
+        # as text, "-1" sorts before "-3", "10" before "2" and "100.0" before "25.0"
+        g = analyze_case("synth")
+        time = np.repeat([-3, -1, 0, 2, 10, 31], g.num_vertices // 6)
+        g = eg.TemporalGraph(g.num_vertices, g.edges, time, g.features, g.labels, g.num_classes)
+        eg.save_dataset(g, tmp_path / "ds")
+        out = tmp_path / "an"
+        assert main(["analyze-tdiff", str(tmp_path / "ds"), "--percentiles", "100,25,50",
+                     "--output-dir", str(out), "--quiet"]) == 0
+        report = json.loads((out / "tdiff.json").read_text())
+        assert list(report["per_timestamp_counts"]) == ["-3", "-1", "0", "2", "10", "31"]
+        assert list(report["percentiles"]) == ["25.0", "50.0", "100.0"]
+        counts = eg.k_hop_time_diffs(g, 2).counts
+        assert max(counts) >= 10
+        assert list(report["histogram"]) == [str(d) for d in sorted(counts)]
 
     def test_uniform_timestamps_suggest_one(self, tmp_path):
         g = eg.TemporalGraph(
@@ -1113,6 +1131,42 @@ class TestReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(out) in captured.err and "two-task" in captured.err
+
+    @staticmethod
+    def edited_copies(warm_cold_runs, root, configs, sides=("warm", "cold")):
+        """Copies of the warm and cold runs, one per config edit and side, in that order."""
+        runs = []
+        for i, edit in enumerate(configs):
+            for side in sides:
+                run = root / f"{side}{i}"
+                shutil.copytree(warm_cold_runs[side], run)
+                payload = json.loads((run / "manifest.json").read_text())
+                payload["config"].update(edit)
+                (run / "manifest.json").write_text(json.dumps(payload))
+                runs.append(str(run))
+        return runs
+
+    @pytest.mark.parametrize("mode", ["accuracy-table", "fwt", "open"])
+    def test_rows_by_history_size(self, warm_cold_runs, tmp_path, capsys, mode):
+        # as text, "10" sorts before "2"; full comes last
+        configs = [{"history_size": h} for h in ("full", "10", "2", "1")]
+        runs = self.edited_copies(warm_cold_runs, tmp_path, configs)
+        assert main(["report", *runs, "--mode", mode]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        per_size = 2 if mode == "open" else 1  # open has a row per restart, cold first
+        assert [row[1] for row in rows] == [h for h in ("1", "2", "10", "full") for _ in range(per_size)]
+        if mode == "open":
+            assert [row[2] for row in rows] == ["cold", "warm"] * 4
+
+    def test_open_rows_by_detector_tau_min_and_alpha(self, warm_cold_runs, tmp_path, capsys):
+        # as text, "0.5" sorts before "1e-3" and "10.0" before "2.0"
+        configs = [{"detector": "gdoc", "tau_min": t, "alpha": a}
+                   for t, a in (("0.5", "10.0"), ("0.5", "2.0"), ("1e-3", "2.0"))]
+        runs = self.edited_copies(warm_cold_runs, tmp_path, [{}, *configs], sides=("warm",))
+        assert main(["report", *runs, "--mode", "open"]) == 0
+        rows = [row.split(",")[3:6] for row in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["gdoc", "1e-3", "2.0"], ["gdoc", "0.5", "2.0"], ["gdoc", "0.5", "10.0"],
+                        ["none", "0.75", "0.0"]]
 
 
 def _edit(change):

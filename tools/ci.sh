@@ -81,6 +81,9 @@ np.savetxt(ds / "features.csv", features, delimiter=",", fmt="%.9g")' "$smoke/te
     for k in 3 4; do
         evograph analyze-tdiff "$smoke/distinct" --k "$k" --output-dir "$smoke/tdiff-distinct$k" --quiet
         test "$(sed 1d "$smoke/tdiff-distinct$k/tdiff.csv" | cut -d, -f1 | tr '\n' ' ')" = "$(seq -s ' ' 1 $((4 * k))) "
+        # and tdiff.json's histogram keys in that order, as json.load keeps them
+        test "$(python -c 'import json, sys; print(*json.load(open(sys.argv[1], encoding="utf-8"))["histogram"])' \
+            "$smoke/tdiff-distinct$k/tdiff.json")" = "$(seq -s ' ' 1 $((4 * k)))"
     done
     # 6000 vertices in five blocks of rows, so a worker thread builds each block's reach while
     # the calling thread tallies the block before: the histogram at k = 2 and 3 must be that of
